@@ -124,6 +124,7 @@ class BenchReporter {
     /// Partitioner effort behind the misses (multilevel hierarchy).
     uint64_t PartLevels = 0, PartMatchedPairs = 0;
     uint64_t PartRefineMoves = 0, PartFMMoves = 0;
+    uint64_t PartScoreEvals = 0, PartBoundRejects = 0;
     uint64_t PartCoarsenMemoHits = 0;
     /// Robustness ledger (PR 9): silent tick-grid → Rational replays,
     /// loops finished on a degradation rung, and injected faults.
@@ -187,6 +188,8 @@ public:
     C.PartMatchedPairs = S.scheduleCache().partMatchedPairs();
     C.PartRefineMoves = S.scheduleCache().partRefineMoves();
     C.PartFMMoves = S.scheduleCache().partFMMoves();
+    C.PartScoreEvals = S.scheduleCache().partScoreEvals();
+    C.PartBoundRejects = S.scheduleCache().partBoundRejects();
     C.PartCoarsenMemoHits = S.scheduleCache().partCoarsenMemoHits();
     // The robustness ledger lives in the metrics registry (the
     // measurement layer records it per config run); one snapshot
@@ -265,6 +268,8 @@ public:
                         "\"part_matched_pairs\": %llu, "
                         "\"part_refine_moves\": %llu, "
                         "\"part_fm_moves\": %llu, "
+                        "\"part_score_evals\": %llu, "
+                        "\"part_bound_rejects\": %llu, "
                         "\"part_coarsen_memo_hits\": %llu, "
                         "\"sched_fallback_rational\": %llu, "
                         "\"degraded_count\": %llu, "
@@ -286,6 +291,8 @@ public:
                         static_cast<unsigned long long>(C.PartMatchedPairs),
                         static_cast<unsigned long long>(C.PartRefineMoves),
                         static_cast<unsigned long long>(C.PartFMMoves),
+                        static_cast<unsigned long long>(C.PartScoreEvals),
+                        static_cast<unsigned long long>(C.PartBoundRejects),
                         static_cast<unsigned long long>(C.PartCoarsenMemoHits),
                         static_cast<unsigned long long>(C.FallbackRational),
                         static_cast<unsigned long long>(C.DegradedCount),

@@ -42,6 +42,10 @@ void ScheduleCache::store(uint64_t Key, const LoopScheduleResult &R) {
   S.PartRefineMoves.fetch_add(R.PartStats.RefineMoves,
                               std::memory_order_relaxed);
   S.PartFMMoves.fetch_add(R.PartStats.FMMoves, std::memory_order_relaxed);
+  S.PartScoreEvals.fetch_add(R.PartStats.ScoreEvals,
+                             std::memory_order_relaxed);
+  S.PartBoundRejects.fetch_add(R.PartStats.BoundRejects,
+                               std::memory_order_relaxed);
   S.PartCoarsenMemoHits.fetch_add(R.PartStats.CoarsenMemoHits,
                                   std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(S.Mutex);

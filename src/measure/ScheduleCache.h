@@ -81,6 +81,8 @@ class ScheduleCache {
     std::atomic<uint64_t> PartMatchedPairs{0};
     std::atomic<uint64_t> PartRefineMoves{0};
     std::atomic<uint64_t> PartFMMoves{0};
+    std::atomic<uint64_t> PartScoreEvals{0};
+    std::atomic<uint64_t> PartBoundRejects{0};
     std::atomic<uint64_t> PartCoarsenMemoHits{0};
   };
 
@@ -194,6 +196,16 @@ public:
   uint64_t partFMMoves() const {
     return sum([](const Shard &S) -> const std::atomic<uint64_t> & {
       return S.PartFMMoves;
+    });
+  }
+  uint64_t partScoreEvals() const {
+    return sum([](const Shard &S) -> const std::atomic<uint64_t> & {
+      return S.PartScoreEvals;
+    });
+  }
+  uint64_t partBoundRejects() const {
+    return sum([](const Shard &S) -> const std::atomic<uint64_t> & {
+      return S.PartBoundRejects;
     });
   }
   uint64_t partCoarsenMemoHits() const {

@@ -13,9 +13,55 @@
 
 using namespace hcvliw;
 
+namespace {
+
+/// The objective of a partition that passed every pseudo-schedule
+/// check, from its copy count, per-cluster activity and iteration
+/// length. scorePartition feeds it the pseudo-schedule; PartitionBound
+/// feeds it the same counts with the iteration length taken as 0 (every
+/// term is non-decreasing in ItLengthNs).
+double feasibleScore(const PartitionContext &Ctx,
+                     const PartitionerOptions &Opts, unsigned Comms,
+                     const std::vector<double> &WInsPerCluster,
+                     double ItLengthNs) {
+  double N = static_cast<double>(Ctx.TripCount);
+  double TexecNs = (N - 1) * Ctx.Plan->ITNs.toDouble() + ItLengthNs;
+
+  if (Opts.ED2Objective) {
+    assert(Ctx.Energy && Ctx.Scaling && "ED2 objective needs energy model");
+    std::vector<double> LocalW;
+    std::vector<double> &WIns = Ctx.Scratch ? Ctx.Scratch->WInsTmp : LocalW;
+    WIns.assign(WInsPerCluster.begin(), WInsPerCluster.end());
+    for (double &W : WIns)
+      W *= N;
+    unsigned Mem = 0;
+    for (const auto &O : Ctx.L->Ops)
+      if (isMemoryOpcode(O.Op))
+        ++Mem;
+    double E = Ctx.Energy->heteroEnergy(WIns, Comms * N,
+                                        static_cast<double>(Mem) * N, TexecNs,
+                                        *Ctx.Scaling);
+    return computeED2(E, TexecNs);
+  }
+
+  // Homogeneous baseline objective [2][3]: fewest communications, then
+  // balance, then shorter iterations. Folded lexicographically.
+  double MaxLoad = 0;
+  for (unsigned C = 0; C < Ctx.M->numClusters(); ++C) {
+    double Cap = static_cast<double>(Ctx.Plan->Clusters[C].II);
+    double Load = WInsPerCluster[C] / std::max(1.0, Cap);
+    MaxLoad = std::max(MaxLoad, Load);
+  }
+  return Comms * 1e6 + MaxLoad * 1e3 + ItLengthNs;
+}
+
+} // namespace
+
 double hcvliw::scorePartition(const PartitionContext &Ctx,
                               const PartitionerOptions &Opts,
                               const Partition &P) {
+  if (Ctx.Stats)
+    ++Ctx.Stats->ScoreEvals;
   // With a scratch, both the estimate's working set and its result
   // vectors are reused — the scoring loop is allocation-free.
   PseudoSchedule Local;
@@ -28,37 +74,141 @@ double hcvliw::scorePartition(const PartitionContext &Ctx,
     // greedy refinement can walk out of an infeasible region.
     return InfeasiblePartitionScore * (1.0 + PS.Overflow);
   }
+  return feasibleScore(Ctx, Opts, PS.Comms, PS.WInsPerCluster,
+                       PS.ItLengthNs.toDouble());
+}
 
-  double N = static_cast<double>(Ctx.TripCount);
-  double TexecNs =
-      (N - 1) * Ctx.Plan->ITNs.toDouble() + PS.ItLengthNs.toDouble();
+void PartitionBound::reset(const PartitionContext &TheCtx,
+                           const Partition &P) {
+  Ctx = &TheCtx;
+  const Loop &L = *Ctx->L;
+  const DDG &G = *Ctx->G;
+  const MachineDescription &M = *Ctx->M;
+  const unsigned N = G.size();
+  const unsigned NC = M.numClusters();
 
-  if (Opts.ED2Objective) {
-    assert(Ctx.Energy && Ctx.Scaling && "ED2 objective needs energy model");
-    std::vector<double> LocalW;
-    std::vector<double> &WIns = Ctx.Scratch ? Ctx.Scratch->WInsTmp : LocalW;
-    WIns.assign(PS.WInsPerCluster.begin(), PS.WInsPerCluster.end());
-    for (double &W : WIns)
-      W *= N;
-    unsigned Mem = 0;
-    for (const auto &O : Ctx.L->Ops)
-      if (isMemoryOpcode(O.Op))
-        ++Mem;
-    double E = Ctx.Energy->heteroEnergy(WIns, PS.Comms * N,
-                                        static_cast<double>(Mem) * N, TexecNs,
-                                        *Ctx.Scaling);
-    return computeED2(E, TexecNs);
+  ClusterOf.assign(P.ClusterOf.begin(), P.ClusterOf.end());
+  slotCapacityInto(Cap, M, *Ctx->Plan);
+  Tally.clear(NC);
+  Kind.resize(N);
+  DefLat.resize(N);
+  Energy.resize(N);
+  for (unsigned I = 0; I < N; ++I) {
+    Opcode Op = L.Ops[I].Op;
+    unsigned C = ClusterOf[I];
+    Kind[I] = static_cast<uint8_t>(fuKindOf(Op));
+    DefLat[I] = L.Ops[I].definesValue()
+                    ? static_cast<int64_t>(M.Isa.latency(Op))
+                    : int64_t(-1);
+    Energy[I] = M.Isa.energy(Op);
+    ++Tally.Counts[C * NumFUKinds + Kind[I]];
+    if (DefLat[I] >= 0) {
+      ++Tally.Defs[C];
+      Tally.DefLatency[C] += DefLat[I];
+    }
   }
 
-  // Homogeneous baseline objective [2][3]: fewest communications, then
-  // balance, then shorter iterations. Folded lexicographically.
-  double MaxLoad = 0;
-  for (unsigned C = 0; C < Ctx.M->numClusters(); ++C) {
-    double Cap = static_cast<double>(Ctx.Plan->Clusters[C].II);
-    double Load = PS.WInsPerCluster[C] / std::max(1.0, Cap);
-    MaxLoad = std::max(MaxLoad, Load);
+  // Value in-edges as CSR (counting sort by destination; the start
+  // array doubles as the fill cursor and is shifted back afterwards).
+  ValStart.assign(N + 1, 0);
+  for (const auto &E : G.edges())
+    if (isValueCarrying(E.Kind))
+      ++ValStart[E.Dst + 1];
+  for (unsigned I = 0; I < N; ++I)
+    ValStart[I + 1] += ValStart[I];
+  ValSrc.resize(ValStart[N]);
+  for (const auto &E : G.edges())
+    if (isValueCarrying(E.Kind))
+      ValSrc[ValStart[E.Dst]++] = E.Src;
+  for (unsigned I = N; I > 0; --I)
+    ValStart[I] = ValStart[I - 1];
+  ValStart[0] = 0;
+
+  Uses.assign(static_cast<size_t>(N) * NC, 0);
+  for (unsigned Dst = 0; Dst < N; ++Dst)
+    for (unsigned I = ValStart[Dst]; I < ValStart[Dst + 1]; ++I)
+      ++Uses[static_cast<size_t>(ValSrc[I]) * NC + ClusterOf[Dst]];
+  for (unsigned Src = 0; Src < N; ++Src)
+    countCopies(Src, +1);
+
+  TouchStamp.assign(N, 0);
+  Stamp = 0;
+}
+
+void PartitionBound::countCopies(unsigned N, int Sign) {
+  const unsigned NC = static_cast<unsigned>(Tally.CopiesIn.size());
+  const unsigned *U = &Uses[static_cast<size_t>(N) * NC];
+  // One copy per cluster, other than the producer's own, that holds a
+  // consumer of the value (PartitionedGraph's copy rule).
+  for (unsigned C = 0; C < NC; ++C) {
+    if (C == ClusterOf[N] || U[C] == 0)
+      continue;
+    if (Sign > 0) {
+      ++Tally.CopiesIn[C];
+      ++Tally.Comms;
+    } else {
+      --Tally.CopiesIn[C];
+      --Tally.Comms;
+    }
   }
-  return PS.Comms * 1e6 + MaxLoad * 1e3 + PS.ItLengthNs.toDouble();
+}
+
+void PartitionBound::move(const unsigned *Nodes, size_t Count, unsigned To) {
+  const unsigned NC = static_cast<unsigned>(Tally.CopiesIn.size());
+  // The copies that can change are those of the moved nodes (their
+  // cluster changes) and of their value producers (a consumer changes
+  // cluster): retract them, move, and count them again.
+  ++Stamp;
+  Touched.clear();
+  auto touch = [&](unsigned N) {
+    if (TouchStamp[N] != Stamp) {
+      TouchStamp[N] = Stamp;
+      Touched.push_back(N);
+    }
+  };
+  for (size_t I = 0; I < Count; ++I) {
+    touch(Nodes[I]);
+    for (unsigned E = ValStart[Nodes[I]]; E < ValStart[Nodes[I] + 1]; ++E)
+      touch(ValSrc[E]);
+  }
+  for (unsigned N : Touched)
+    countCopies(N, -1);
+
+  for (size_t I = 0; I < Count; ++I) {
+    unsigned N = Nodes[I];
+    unsigned From = ClusterOf[N];
+    if (From == To)
+      continue;
+    for (unsigned E = ValStart[N]; E < ValStart[N + 1]; ++E) {
+      --Uses[static_cast<size_t>(ValSrc[E]) * NC + From];
+      ++Uses[static_cast<size_t>(ValSrc[E]) * NC + To];
+    }
+    --Tally.Counts[From * NumFUKinds + Kind[N]];
+    ++Tally.Counts[To * NumFUKinds + Kind[N]];
+    if (DefLat[N] >= 0) {
+      --Tally.Defs[From];
+      ++Tally.Defs[To];
+      Tally.DefLatency[From] -= DefLat[N];
+      Tally.DefLatency[To] += DefLat[N];
+    }
+    ClusterOf[N] = To;
+  }
+
+  for (unsigned N : Touched)
+    countCopies(N, +1);
+}
+
+double PartitionBound::bound(const PartitionerOptions &Opts) {
+  double Overflow = 0;
+  if (gradePartitionBudgets(*Ctx->M, *Ctx->Plan, Cap, Tally,
+                            /*RecurrenceInfeasible=*/false, Overflow))
+    return InfeasiblePartitionScore * (1.0 + Overflow);
+  // Activity in node order, the estimator's summation order, so the
+  // doubles match bit for bit.
+  WIns.assign(Tally.CopiesIn.size(), 0.0);
+  for (size_t I = 0; I < ClusterOf.size(); ++I)
+    WIns[ClusterOf[I]] += Energy[I];
+  return feasibleScore(*Ctx, Opts, Tally.Comms, WIns, /*ItLengthNs=*/0.0);
 }
 
 namespace {
@@ -73,6 +223,26 @@ void expandInto(Partition &P, const CoarseLevel &Lvl,
     P.ClusterOf[N] = ClusterOfMacro[Lvl.MacroOf[N]];
 }
 
+/// Lists every macro's member nodes of \p Lvl as CSR (counting sort by
+/// macro, so members stay ascending): the members of macro M are
+/// Members[Start[M] .. Start[M+1]).
+void buildMemberLists(const CoarseLevel &Lvl, unsigned NumNodes,
+                      std::vector<unsigned> &Start,
+                      std::vector<unsigned> &Members) {
+  unsigned LN = Lvl.NumMacros;
+  Start.assign(LN + 1, 0);
+  for (unsigned N = 0; N < NumNodes; ++N)
+    ++Start[Lvl.MacroOf[N] + 1];
+  for (unsigned Mac = 0; Mac < LN; ++Mac)
+    Start[Mac + 1] += Start[Mac];
+  Members.resize(NumNodes);
+  for (unsigned N = 0; N < NumNodes; ++N)
+    Members[Start[Lvl.MacroOf[N]]++] = N;
+  for (unsigned Mac = LN; Mac > 0; --Mac)
+    Start[Mac] = Start[Mac - 1];
+  Start[0] = 0;
+}
+
 /// Pre-places critical recurrences; returns initial groups + pins for
 /// coarsening (into the caller's reusable key buffers), or false when
 /// some recurrence fits nowhere.
@@ -83,13 +253,7 @@ bool prePlaceRecurrences(const PartitionContext &Ctx, bool EnablePinning,
   unsigned NC = M.numClusters();
 
   // Remaining per-cluster, per-kind slot capacity (flat [C][K]).
-  Free.resize(static_cast<size_t>(NC) * NumFUKinds);
-  for (unsigned C = 0; C < NC; ++C)
-    for (unsigned K = 0; K < NumFUKinds; ++K)
-      Free[C * NumFUKinds + K] =
-          Plan.Clusters[C].II *
-          static_cast<int64_t>(
-              M.Clusters[C].fuCount(static_cast<FUKind>(K)));
+  slotCapacityInto(Free, M, Plan);
 
   int64_t MinII = Plan.Clusters[0].II;
   for (const auto &D : Plan.Clusters)
@@ -172,13 +336,7 @@ uint64_t refineLevelFM(const PartitionContext &Ctx,
   const unsigned LN = Lvl.NumMacros;
   const bool Memo = S.EnableMemo;
 
-  S.FMCap.resize(static_cast<size_t>(NC) * NumFUKinds);
-  for (unsigned C = 0; C < NC; ++C)
-    for (unsigned K = 0; K < NumFUKinds; ++K)
-      S.FMCap[C * NumFUKinds + K] =
-          Plan.Clusters[C].II *
-          static_cast<int64_t>(
-              M.Clusters[C].fuCount(static_cast<FUKind>(K)));
+  slotCapacityInto(S.FMCap, M, Plan);
   S.FMLoad.assign(static_cast<size_t>(NC) * NumFUKinds, 0);
   S.FMWeight.assign(NC, 0.0);
   for (unsigned Mac = 0; Mac < LN; ++Mac) {
@@ -337,6 +495,60 @@ uint64_t refineLevelFM(const PartitionContext &Ctx,
   return Moves;
 }
 
+/// The initial-assignment policy of the coarsest level and of the flat
+/// rung: units in \p Order, each pinned unit (\p Pin >= 0) at its pin,
+/// every other unit onto the cluster with the most remaining slack
+/// among those that fit it, or with the least overflow when none does
+/// (ties: lowest cluster id). \p Need is the per-unit demand, flat
+/// [unit][kind]; \p Free is slot capacity, flat [cluster][kind], and
+/// is consumed. Writes every unit's cluster to \p ClusterOfUnit.
+void bestFitAssign(const std::vector<unsigned> &Order,
+                   const std::vector<unsigned> &Need,
+                   const std::vector<int> &Pin, unsigned NC,
+                   std::vector<int64_t> &Free,
+                   std::vector<unsigned> &ClusterOfUnit) {
+  ClusterOfUnit.assign(Pin.size(), 0);
+  auto place = [&](unsigned U, unsigned C) {
+    ClusterOfUnit[U] = C;
+    for (unsigned K = 0; K < NumFUKinds; ++K)
+      Free[C * NumFUKinds + K] -= Need[U * NumFUKinds + K];
+  };
+  for (unsigned U : Order) {
+    if (Pin[U] >= 0) {
+      place(U, static_cast<unsigned>(Pin[U]));
+      continue;
+    }
+    int BestFit = -1;
+    int64_t BestFitSlack = 0;
+    int BestOverflow = -1;
+    int64_t LeastOverflow = 0;
+    for (unsigned C = 0; C < NC; ++C) {
+      bool Fits = true;
+      int64_t Slk = 0, Overflow = 0;
+      for (unsigned K = 0; K < NumFUKinds; ++K) {
+        int64_t Rem = Free[C * NumFUKinds + K] -
+                      static_cast<int64_t>(Need[U * NumFUKinds + K]);
+        if (Rem < 0) {
+          Fits = false;
+          Overflow -= Rem;
+        } else {
+          Slk += Rem;
+        }
+      }
+      if (Fits && (BestFit < 0 || Slk > BestFitSlack)) {
+        BestFit = static_cast<int>(C);
+        BestFitSlack = Slk;
+      }
+      if (!Fits && (BestOverflow < 0 || Overflow < LeastOverflow)) {
+        BestOverflow = static_cast<int>(C);
+        LeastOverflow = Overflow;
+      }
+    }
+    place(U, BestFit >= 0 ? static_cast<unsigned>(BestFit)
+                          : static_cast<unsigned>(BestOverflow));
+  }
+}
+
 /// The graceful-degradation rung behind the multilevel path: a flat,
 /// coarsening-free partition built directly from the pre-placement
 /// groups (recurrences stay whole) plus singleton nodes, assigned by
@@ -367,92 +579,44 @@ std::optional<Partition> flatPartition(const PartitionContext &Ctx,
 
   // Units: one per pre-placement group (recurrences are never split),
   // plus a singleton unit per node outside every group.
-  struct Unit {
-    std::vector<unsigned> Nodes;
-    int Pin = -1;
-  };
+  std::vector<std::vector<unsigned>> Units = Key.Groups;
+  std::vector<int> Pin = Key.Pins;
   std::vector<uint8_t> Grouped(NumNodes, 0);
-  std::vector<Unit> Units(Key.Groups.size());
-  for (size_t G = 0; G < Key.Groups.size(); ++G) {
-    Units[G].Nodes = Key.Groups[G];
-    Units[G].Pin = Key.Pins[G];
-    for (unsigned N : Key.Groups[G])
+  for (const auto &Gp : Key.Groups)
+    for (unsigned N : Gp)
       Grouped[N] = 1;
-  }
   for (unsigned N = 0; N < NumNodes; ++N)
     if (!Grouped[N]) {
-      Units.emplace_back();
-      Units.back().Nodes.push_back(N);
+      Units.push_back({N});
+      Pin.push_back(-1);
     }
 
   // Per-unit FU demand (flat [unit][kind]).
-  std::vector<int64_t> Need(Units.size() * NumFUKinds, 0);
+  std::vector<unsigned> Need(Units.size() * NumFUKinds, 0);
   for (size_t U = 0; U < Units.size(); ++U)
-    for (unsigned N : Units[U].Nodes)
+    for (unsigned N : Units[U])
       ++Need[U * NumFUKinds +
              static_cast<unsigned>(fuKindOf(Ctx.L->Ops[N].Op))];
 
-  // Fresh capacity, then the coarse initial-assignment policy: pins at
-  // their cluster, everything else largest-first onto the cluster with
-  // the most remaining slack (least overflow when nothing fits).
-  Free.assign(static_cast<size_t>(NC) * NumFUKinds, 0);
-  for (unsigned C = 0; C < NC; ++C)
-    for (unsigned K = 0; K < NumFUKinds; ++K)
-      Free[C * NumFUKinds + K] =
-          Plan.Clusters[C].II *
-          static_cast<int64_t>(
-              M.Clusters[C].fuCount(static_cast<FUKind>(K)));
-
-  Partition P;
-  P.ClusterOf.assign(NumNodes, 0);
-  auto place = [&](size_t U, unsigned C) {
-    for (unsigned N : Units[U].Nodes)
-      P.ClusterOf[N] = C;
-    for (unsigned K = 0; K < NumFUKinds; ++K)
-      Free[C * NumFUKinds + K] -= Need[U * NumFUKinds + K];
-  };
-
+  // Fresh capacity, then the coarse initial-assignment policy, units
+  // largest first.
   std::vector<unsigned> Order(Units.size());
   for (unsigned I = 0; I < Units.size(); ++I)
     Order[I] = I;
   std::sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
-    if (Units[A].Nodes.size() != Units[B].Nodes.size())
-      return Units[A].Nodes.size() > Units[B].Nodes.size();
+    if (Units[A].size() != Units[B].size())
+      return Units[A].size() > Units[B].size();
     return A < B;
   });
-  for (unsigned U : Order) {
-    if (Units[U].Pin >= 0) {
-      place(U, static_cast<unsigned>(Units[U].Pin));
-      continue;
-    }
-    int BestFit = -1;
-    int64_t BestFitSlack = 0;
-    int BestOverflow = -1;
-    int64_t LeastOverflow = 0;
-    for (unsigned C = 0; C < NC; ++C) {
-      bool Fits = true;
-      int64_t Slk = 0, Overflow = 0;
-      for (unsigned K = 0; K < NumFUKinds; ++K) {
-        int64_t Rem = Free[C * NumFUKinds + K] - Need[U * NumFUKinds + K];
-        if (Rem < 0) {
-          Fits = false;
-          Overflow -= Rem;
-        } else {
-          Slk += Rem;
-        }
-      }
-      if (Fits && (BestFit < 0 || Slk > BestFitSlack)) {
-        BestFit = static_cast<int>(C);
-        BestFitSlack = Slk;
-      }
-      if (!Fits && (BestOverflow < 0 || Overflow < LeastOverflow)) {
-        BestOverflow = static_cast<int>(C);
-        LeastOverflow = Overflow;
-      }
-    }
-    place(U, BestFit >= 0 ? static_cast<unsigned>(BestFit)
-                          : static_cast<unsigned>(BestOverflow));
-  }
+  slotCapacityInto(Free, M, Plan);
+  std::vector<unsigned> ClusterOfUnit;
+  bestFitAssign(Order, Need, Pin, NC, Free, ClusterOfUnit);
+
+  Partition P;
+  P.ClusterOf.assign(NumNodes, 0);
+  for (size_t U = 0; U < Units.size(); ++U)
+    for (unsigned N : Units[U])
+      P.ClusterOf[N] = ClusterOfUnit[U];
 
   double Score = scorePartition(Ctx, Opts, P);
   if (Ctx.Stats) {
@@ -525,22 +689,6 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
   // whenever the coarse macros allow it).
   const CoarseLevel &Coarsest = ML.coarsest();
   unsigned NumMac = Coarsest.NumMacros;
-  std::vector<unsigned> &ClusterOfMacro = S.ClusterOfMacro;
-  ClusterOfMacro.assign(NumMac, 0);
-  std::vector<int64_t> &Free = S.Free;
-  Free.resize(static_cast<size_t>(NC) * NumFUKinds);
-  for (unsigned C = 0; C < NC; ++C)
-    for (unsigned K = 0; K < NumFUKinds; ++K)
-      Free[C * NumFUKinds + K] =
-          Ctx.Plan->Clusters[C].II *
-          static_cast<int64_t>(
-              M.Clusters[C].fuCount(static_cast<FUKind>(K)));
-  auto place = [&](unsigned Mac, unsigned C) {
-    ClusterOfMacro[Mac] = C;
-    for (unsigned K = 0; K < NumFUKinds; ++K)
-      Free[C * NumFUKinds + K] -= Coarsest.fuCount(Mac, K);
-  };
-
   std::vector<unsigned> &ByWeight = S.ByWeight;
   ByWeight.resize(NumMac);
   for (unsigned I = 0; I < NumMac; ++I)
@@ -550,40 +698,10 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       return Coarsest.Weight[A] > Coarsest.Weight[B];
     return A < B;
   });
-  for (unsigned Mac : ByWeight) {
-    if (Coarsest.Pin[Mac] >= 0) {
-      place(Mac, static_cast<unsigned>(Coarsest.Pin[Mac]));
-      continue;
-    }
-    int BestFit = -1;
-    int64_t BestFitSlack = 0;
-    int BestOverflow = -1;
-    int64_t LeastOverflow = 0;
-    for (unsigned C = 0; C < NC; ++C) {
-      bool Fits = true;
-      int64_t Slk = 0, Overflow = 0;
-      for (unsigned K = 0; K < NumFUKinds; ++K) {
-        int64_t Rem = Free[C * NumFUKinds + K] -
-                      static_cast<int64_t>(Coarsest.fuCount(Mac, K));
-        if (Rem < 0) {
-          Fits = false;
-          Overflow -= Rem;
-        } else {
-          Slk += Rem;
-        }
-      }
-      if (Fits && (BestFit < 0 || Slk > BestFitSlack)) {
-        BestFit = static_cast<int>(C);
-        BestFitSlack = Slk;
-      }
-      if (!Fits && (BestOverflow < 0 || Overflow < LeastOverflow)) {
-        BestOverflow = static_cast<int>(C);
-        LeastOverflow = Overflow;
-      }
-    }
-    place(Mac, BestFit >= 0 ? static_cast<unsigned>(BestFit)
-                            : static_cast<unsigned>(BestOverflow));
-  }
+  slotCapacityInto(S.Free, M, *Ctx.Plan);
+  std::vector<unsigned> &ClusterOfMacro = S.ClusterOfMacro;
+  bestFitAssign(ByWeight, Coarsest.FUCounts, Coarsest.Pin, NC, S.Free,
+                ClusterOfMacro);
 
   // Refinement, coarsest to finest. Small levels get the exact greedy
   // (pseudo-schedule-scored) moves; big levels get boundary FM passes
@@ -639,6 +757,19 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     EvalStamp.assign(static_cast<size_t>(LN) * NC, ~uint64_t(0));
     uint64_t Accepts = 0;
 
+    // Bound-first scoring (exact; see PartitionBound): a candidate whose
+    // lower bound is not below CurrentScore would be rejected by its
+    // full score too, so it is rejected without the pseudo-schedule.
+    // The bound tracks Assign through single-macro moves over the
+    // level's member lists.
+    buildMemberLists(Lvl, NumNodes, S.MemberStart, S.Members);
+    PartitionBound &Bound = S.Bound;
+    Bound.reset(Ctx, Current);
+    auto moveMacro = [&](unsigned Mac, unsigned To) {
+      Bound.move(S.Members.data() + S.MemberStart[Mac],
+                 S.MemberStart[Mac + 1] - S.MemberStart[Mac], To);
+    };
+
     for (unsigned Pass = 0; Pass < Opts.MaxRefinePasses; ++Pass) {
       bool Improved = false;
       if (Ctx.Stats)
@@ -654,6 +785,14 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
             continue; // unchanged candidate: same score, same rejection
           EvalStamp[Mac * NC + C] = Accepts;
           Assign[Mac] = C;
+          moveMacro(Mac, C);
+          if (Bound.bound(Opts) >= CurrentScore) {
+            if (Ctx.Stats)
+              ++Ctx.Stats->BoundRejects;
+            moveMacro(Mac, Home);
+            Assign[Mac] = Home;
+            continue;
+          }
           expandInto(Cand, Lvl, Assign, NumNodes);
           double Sc = scorePartition(Ctx, Opts, Cand);
           if (Sc < CurrentScore) {
@@ -665,6 +804,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
             if (Ctx.Stats)
               ++Ctx.Stats->RefineMoves;
           } else {
+            moveMacro(Mac, Home);
             Assign[Mac] = Home;
           }
         }

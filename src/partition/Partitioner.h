@@ -16,11 +16,13 @@
 ///     the finest. Levels with at most MaxRefineMacros macros use
 ///     greedy macro moves scored by the exact pseudo-schedule objective
 ///     (estimated ED2 for heterogeneous machines, the [2][3] baseline
-///     for homogeneous ones). Finer levels use boundary FM-style passes
-///     on a cheap surrogate (capacity overload, cut, weight balance)
-///     whose result is only kept when the exact objective did not get
-///     worse — so the tracked objective is monotone across the whole
-///     uncoarsening, at every granularity.
+///     for homogeneous ones); a move whose exact, incrementally kept
+///     lower bound (PartitionBound) already rules it out is rejected
+///     without a pseudo-schedule. Finer levels use boundary FM-style
+///     passes on a cheap surrogate (capacity overload, cut, weight
+///     balance) whose result is only kept when the exact objective did
+///     not get worse — so the tracked objective is monotone across the
+///     whole uncoarsening, at every granularity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,6 +102,12 @@ struct PartitionStats {
   uint64_t RefineMoves = 0;     ///< exact greedy moves accepted
   uint64_t FMPasses = 0;        ///< boundary FM passes run
   uint64_t FMMoves = 0;         ///< boundary FM moves applied
+  /// Full pseudo-schedules scored, and greedy candidates rejected by
+  /// PartitionBound without one. Unlike the counters above, the cache
+  /// snapshot format (ResultSerde) does not carry them: a result loaded
+  /// from a snapshot reports 0.
+  uint64_t ScoreEvals = 0;
+  uint64_t BoundRejects = 0;
   /// Runs that took the pre-fused flat-partition rung instead of the
   /// multilevel path (forced by an injected part.coarsen degrade or by
   /// an allocation failure inside coarsening). Unlike the effort
@@ -112,6 +120,66 @@ struct PartitionStats {
   /// invariant FinalScore <= InitialScore is pinned by MultilevelTest.
   double InitialScore = 0;
   double FinalScore = 0;
+};
+
+struct PartitionContext;
+struct PartitionerOptions;
+
+/// Exact lower bound on scorePartition, kept incrementally across the
+/// single-macro moves of greedy refinement (the METIS/FM incremental
+/// gain idea, applied to the exact objective). It tracks the node-level
+/// assignment and the PartitionTally of the schedule-free budget
+/// checks as integer deltas over the moved nodes and their value
+/// edges:
+///
+///   - when any budget check fails, the bound is
+///     InfeasiblePartitionScore * (1 + Ov), with Ov the estimator's
+///     overflow sum without the recurrence term;
+///   - otherwise it is the feasible score with the iteration length
+///     taken as 0, the per-cluster activity re-summed in node order
+///     exactly as the estimator sums it.
+///
+/// Every omitted term is >= 0 and round-to-nearest is monotone, so
+/// bound() <= scorePartition() holds exactly, and a candidate whose
+/// bound is not below the current score can be rejected without a
+/// pseudo-schedule: the greedy decisions are the ones full scoring
+/// makes.
+class PartitionBound {
+  const PartitionContext *Ctx = nullptr;
+  std::vector<unsigned> ClusterOf;
+  PartitionTally Tally;
+  std::vector<int64_t> Cap; ///< slotCapacityInto table of the plan
+  /// Per node: FU kind, defined-value latency (-1: defines none) and
+  /// energy weight.
+  std::vector<uint8_t> Kind;
+  std::vector<int64_t> DefLat;
+  std::vector<double> Energy;
+  /// Value-carrying in-edges as CSR: the sources of node N's value
+  /// edges are ValSrc[ValStart[N] .. ValStart[N+1]), with multiplicity.
+  std::vector<unsigned> ValStart, ValSrc;
+  /// Flat [node][cluster]: value edges from the node into the cluster.
+  std::vector<unsigned> Uses;
+  /// move() working set: the nodes whose copies may change,
+  /// deduplicated by stamp.
+  std::vector<unsigned> Touched;
+  std::vector<uint64_t> TouchStamp;
+  uint64_t Stamp = 0;
+  std::vector<double> WIns;
+
+  /// Adds (\p Sign = +1) or removes (-1) the copies node \p N produces.
+  void countCopies(unsigned N, int Sign);
+
+public:
+  /// Binds to \p TheCtx, which must stay alive until the next reset,
+  /// and loads the node-level assignment \p P.
+  void reset(const PartitionContext &TheCtx, const Partition &P);
+  /// Moves the distinct nodes \p Nodes[0 .. Count) to cluster \p To.
+  void move(const unsigned *Nodes, size_t Count, unsigned To);
+  /// Lower bound on scorePartition of the current assignment.
+  double bound(const PartitionerOptions &Opts);
+
+  const std::vector<unsigned> &clusterOf() const { return ClusterOf; }
+  const PartitionTally &tally() const { return Tally; }
 };
 
 /// Reusable buffers + warm-start memo for partitionLoop. One partition
@@ -135,6 +203,11 @@ struct PartitionScratch {
   Partition Current;
   Partition Cand;
   PseudoScratch PS;
+  /// Greedy refinement's lower bound, and the per-level macro member
+  /// lists its moves walk (CSR: the members of macro M are
+  /// Members[MemberStart[M] .. MemberStart[M+1]), ascending).
+  PartitionBound Bound;
+  std::vector<unsigned> MemberStart, Members;
   /// Exact-refinement eval stamps (flat [macro][cluster]): the
   /// accepted-move count at the last evaluation of that move, for the
   /// exact unchanged-candidate skip (warm path only).
@@ -237,6 +310,7 @@ inline constexpr double InfeasiblePartitionScore = 1e24;
 
 /// Scoring helper shared with tests: lower is better; infeasible
 /// partitions score >= InfeasiblePartitionScore, graded by violation.
+/// Each call runs one pseudo-schedule (PartitionStats::ScoreEvals).
 double scorePartition(const PartitionContext &Ctx,
                       const PartitionerOptions &Opts, const Partition &P);
 

@@ -45,6 +45,43 @@ struct PseudoSchedule {
   std::vector<int64_t> LifetimeProxy;
 };
 
+/// The integer tallies the schedule-free checks of a pseudo-schedule
+/// read. The estimator counts them from scratch per call; the
+/// partitioner's refinement bound keeps them as deltas across candidate
+/// moves. Both grade them through gradePartitionBudgets, so the two
+/// agree bit for bit.
+struct PartitionTally {
+  std::vector<unsigned> Counts;    ///< flat [cluster][kind] op counts
+  unsigned Comms = 0;              ///< copies, one per (value, cluster)
+  std::vector<unsigned> CopiesIn;  ///< [cluster] copies landing there
+  std::vector<unsigned> Defs;      ///< [cluster] value-defining ops
+  std::vector<int64_t> DefLatency; ///< [cluster] their summed latency
+
+  /// Sizes every per-cluster vector for \p NumClusters, all zero.
+  void clear(unsigned NumClusters);
+};
+
+/// Slot capacity per IT of every (cluster, FU kind) under \p Plan — the
+/// cluster's II times its unit count — into \p Cap, flat
+/// [cluster][kind]. The one capacity table the partitioner's placement
+/// policies and the budget checks below all read.
+void slotCapacityInto(std::vector<int64_t> &Cap, const MachineDescription &M,
+                      const MachinePlan &Plan);
+
+/// Grades the budgets of \p T that need no schedule: per-cluster,
+/// per-kind FU capacity at the plan's IIs, bus capacity, and the
+/// register lifetime proxy (\p Cap is slotCapacityInto's table for \p M
+/// and \p Plan). Each violation adds its normalized size to
+/// \p Overflow, in that fixed order; \p RecurrenceInfeasible inserts
+/// the recurrence penalty between the bus and the register terms,
+/// where the estimator has always summed it. Returns the reason of the
+/// first violated check, or nullptr when every check passes.
+const char *gradePartitionBudgets(const MachineDescription &M,
+                                  const MachinePlan &Plan,
+                                  const std::vector<int64_t> &Cap,
+                                  const PartitionTally &T,
+                                  bool RecurrenceInfeasible, double &Overflow);
+
 /// Reusable buffers for estimatePseudoSchedule. Partition refinement
 /// scores one pseudo-schedule per candidate move — hundreds per loop —
 /// and each estimate materializes a PartitionedGraph plus a tick
@@ -56,8 +93,9 @@ struct PseudoScratch {
   std::vector<unsigned> NodeLat;
   TickGraph Ticks;
   std::vector<int64_t> Asap;
-  std::vector<unsigned> Counts; ///< flat [cluster][kind] op counts
-  PseudoSchedule Result;        ///< reused by scorePartition
+  PartitionTally Tally;
+  std::vector<int64_t> Cap; ///< slotCapacityInto table
+  PseudoSchedule Result; ///< reused by scorePartition
 };
 
 /// Estimates the schedule quality of \p P for \p L under \p Plan.

@@ -80,8 +80,9 @@ TEST(Multilevel, LevelSizesShrinkGeometrically) {
     // The recording rule: a level is only recorded once it has shrunk
     // to <= 3/4 of the previous one (or coarsening stalled/hit target,
     // which only the last level may claim).
-    if (I + 1 < F.ML.numLevels())
+    if (I + 1 < F.ML.numLevels()) {
       EXPECT_LE(Cur, std::max(4u, Prev * 3 / 4)) << "level " << I;
+    }
   }
   EXPECT_LE(F.ML.coarsest().NumMacros, N / 2);
   const MultilevelGraph::BuildStats &BS = F.ML.buildStats();
@@ -242,8 +243,9 @@ TEST(Multilevel, RefinementNeverWorsensTrackedObjective) {
     EXPECT_GT(Stats.Levels, 1u);
     EXPECT_GT(Stats.MatchedPairs, 0u);
     EXPECT_LE(Stats.FinalScore, Stats.InitialScore);
-    if (Ops == 320u)
+    if (Ops == 320u) {
       EXPECT_GT(Stats.FMPasses, 0u); // the FM regime really ran
+    }
   }
 }
 
