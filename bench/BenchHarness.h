@@ -94,18 +94,18 @@ inline bool reportFailures(const SuiteResult &R) {
   return !R.Failures.empty();
 }
 
-/// Validated --threads value (support/StrUtil's parseThreadCount);
-/// exits with an error on bad input.
+/// Validated --threads value (support/StrUtil's parseUnsigned); exits
+/// with an error on bad input.
 inline unsigned parseThreadsArg(const char *Value) {
-  unsigned N = 0;
-  if (!parseThreadCount(Value, N)) {
+  uint64_t N = 0;
+  if (!parseUnsigned(Value, MaxThreadCount, N)) {
     std::fprintf(stderr,
-                 "error: --threads expects an integer in [0, 1024], "
+                 "error: --threads expects an integer in [0, %llu], "
                  "got '%s'\n",
-                 Value);
+                 static_cast<unsigned long long>(MaxThreadCount), Value);
     std::exit(1);
   }
-  return N;
+  return static_cast<unsigned>(N);
 }
 
 /// Collects one bench binary's results and writes BENCH_<name>.json.

@@ -46,6 +46,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 
 #include <cstdio>
@@ -120,6 +121,15 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    auto needUnsigned = [&](const char *Flag, uint64_t Max) {
+      uint64_t V = 0;
+      if (!parseUnsigned(need(Flag), Max, V)) {
+        std::fprintf(stderr, "error: %s expects an integer in [0, %llu]\n",
+                     Flag, static_cast<unsigned long long>(Max));
+        std::exit(1);
+      }
+      return V;
+    };
     if (!std::strcmp(argv[I], "--help") || !std::strcmp(argv[I], "-h")) {
       std::printf(
           "usage: explore_tool [options]\n"
@@ -148,13 +158,11 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--program")) {
       Program = need("--program");
     } else if (!std::strcmp(argv[I], "--threads")) {
-      if (!parseThreadCount(need("--threads"), Threads)) {
-        std::fprintf(stderr,
-                     "error: --threads expects an integer in [0, 1024]\n");
-        return 1;
-      }
+      Threads = static_cast<unsigned>(
+          needUnsigned("--threads", MaxThreadCount));
     } else if (!std::strcmp(argv[I], "--menu")) {
-      MenuK = static_cast<unsigned>(std::atoi(need("--menu")));
+      MenuK = static_cast<unsigned>(
+          needUnsigned("--menu", FrequencyMenu::MaxLadderSize));
     } else if (!std::strcmp(argv[I], "--fast")) {
       if (!parseRationalList(need("--fast"), Space.FastFactors)) {
         std::fprintf(stderr, "error: bad --fast list\n");
@@ -167,7 +175,7 @@ int main(int argc, char **argv) {
       }
     } else if (!std::strcmp(argv[I], "--num-fast")) {
       Space.NumFastClusters =
-          static_cast<unsigned>(std::atoi(need("--num-fast")));
+          static_cast<unsigned>(needUnsigned("--num-fast", UINT32_MAX));
     } else if (!std::strcmp(argv[I], "--no-prune")) {
       Opts.ComputeFrontier = false;
     } else if (!std::strcmp(argv[I], "--no-cache")) {

@@ -78,7 +78,13 @@ int main(int argc, char **argv) {
         return 1;
       }
     } else if (!std::strcmp(argv[I], "--menu") && I + 1 < argc) {
-      MenuK = static_cast<unsigned>(std::atoi(argv[++I]));
+      uint64_t K = 0;
+      if (!parseUnsigned(argv[++I], FrequencyMenu::MaxLadderSize, K)) {
+        std::fprintf(stderr, "error: --menu expects an integer in [0, %u]\n",
+                     FrequencyMenu::MaxLadderSize);
+        return 1;
+      }
+      MenuK = static_cast<unsigned>(K);
     } else if (argv[I][0] != '-') {
       Path = argv[I];
     } else {

@@ -13,14 +13,8 @@
 // re-executes only what is missing (bit-identical merged result);
 // --fault-plan arms the session's deterministic fault injector;
 // --degrade / --effort-deadline enable the graceful-degradation ladder.
-//
-// Distribution (PR 10): --shards N re-executes this invocation as N
-// journaling subprocess shards (dist/ShardOrchestrator) with per-shard
-// deadlines and bounded retries, then reassembles a SuiteResult
-// bit-identical to the single-process run; --shard i/N is the child
-// form (a deterministic partition of the suite). --load-cache /
-// --save-cache attach the persistent schedule/eval cache tier
-// (runtime/CachePersist), so a later run starts warm.
+// --load-cache / --save-cache attach the persistent schedule/eval cache
+// tier (runtime/CachePersist), so a later run starts warm.
 //
 // Usage:
 //   suite_tool [--threads N] [--lanes K] [--buses B] [--menu K]
@@ -29,9 +23,6 @@
 //              [--trace PATH] [--metrics PATH]
 //              [--journal PATH] [--resume PATH] [--fault-plan PATH]
 //              [--degrade] [--effort-deadline N]
-//              [--shard I/N | --shards N] [--shard-dir DIR]
-//              [--shard-deadline MS] [--shard-retries K]
-//              [--shard-backoff MS]
 //              [--load-cache PATH] [--save-cache PATH]
 //     --threads  worker-pool parallelism (default: hardware)
 //     --lanes    nested-parallelism budget: max programs in flight
@@ -55,17 +46,16 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "dist/ShardOrchestrator.h"
 #include "obs/AllocHook.h"
 #include "runtime/SuiteRunner.h"
 #include "support/StrUtil.h"
 #include "support/TablePrinter.h"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 namespace hcvliw {
 /// Allocation counter surfaced to the tracer: every span in --trace
@@ -78,6 +68,10 @@ HCVLIW_INSTRUMENT_ALLOCS(hcvliw::ToolAllocCounter)
 using namespace hcvliw;
 
 namespace {
+
+/// --buses upper bound: the paper's machines have one or two; every bus
+/// is a reservation-table unit per II slot.
+constexpr uint64_t MaxBuses = 64;
 
 void printUsage() {
   std::printf(
@@ -107,19 +101,6 @@ void printUsage() {
       "  --effort-deadline N  per-loop scheduler effort deadline in\n"
       "                       BudgetUsed units (0 = off; deterministic,\n"
       "                       never wall clock)\n"
-      "  --shards N           run the suite as N journaling subprocess\n"
-      "                       shards with retries, then reassemble a\n"
-      "                       result bit-identical to single-process\n"
-      "  --shard I/N          child form: execute only shard I of N\n"
-      "                       (deterministic per-name partition)\n"
-      "  --shard-dir DIR      shard journals/caches/logs directory\n"
-      "                       (default '.')\n"
-      "  --shard-deadline MS  kill-and-retry deadline per shard attempt\n"
-      "                       (0 = none)\n"
-      "  --shard-retries K    attempts per shard before giving up\n"
-      "                       (default 3)\n"
-      "  --shard-backoff MS   deterministic retry backoff base\n"
-      "                       (MS << (attempt-2); default 25)\n"
       "  --load-cache PATH    warm the session caches from a persistent\n"
       "                       snapshot (refuses version/binding skew;\n"
       "                       corrupt frames quarantine, never crash)\n"
@@ -139,13 +120,6 @@ int main(int argc, char **argv) {
   std::string FrontierJson = "frontier_measured.json";
   std::string TracePath, MetricsPath;
   std::string JournalPath, ResumePath, FaultPlanPath;
-  std::vector<std::string> RawArgs(argv, argv + argc);
-  unsigned ShardIndex = 0, ShardCount = 0; // --shard I/N (child)
-  unsigned Shards = 0;                     // --shards N (orchestrator)
-  double ShardDeadlineMs = 0;
-  unsigned ShardRetries = 3;
-  uint64_t ShardBackoffMs = 25;
-  std::string ShardDir = ".";
   std::string LoadCachePath, SaveCachePath;
   for (int I = 1; I < argc; ++I) {
     auto need = [&](const char *Flag) {
@@ -155,6 +129,15 @@ int main(int argc, char **argv) {
       }
       return argv[++I];
     };
+    auto needUnsigned = [&](const char *Flag, uint64_t Max) {
+      uint64_t V = 0;
+      if (!parseUnsigned(need(Flag), Max, V)) {
+        std::fprintf(stderr, "error: %s expects an integer in [0, %llu]\n",
+                     Flag, static_cast<unsigned long long>(Max));
+        std::exit(1);
+      }
+      return V;
+    };
     if (!std::strcmp(argv[I], "--help") || !std::strcmp(argv[I], "-h")) {
       printUsage();
       return 0;
@@ -162,21 +145,18 @@ int main(int argc, char **argv) {
       TracePath = need("--trace");
     } else if (!std::strcmp(argv[I], "--metrics")) {
       MetricsPath = need("--metrics");
-    } else if (!std::strcmp(argv[I], "--threads")) {
-      if (!parseThreadCount(need("--threads"), Threads)) {
-        std::fprintf(stderr,
-                     "error: --threads expects an integer in [0, 1024]\n");
-        return 1;
-      }
-    } else if (!std::strcmp(argv[I], "--lanes")) {
-      int N = std::atoi(need("--lanes"));
-      Lanes = N > 0 ? static_cast<size_t>(N) : 0;
-    } else if (!std::strcmp(argv[I], "--buses"))
-      Buses = static_cast<unsigned>(std::atoi(need("--buses")));
+    } else if (!std::strcmp(argv[I], "--threads"))
+      Threads = static_cast<unsigned>(
+          needUnsigned("--threads", MaxThreadCount));
+    else if (!std::strcmp(argv[I], "--lanes"))
+      Lanes = needUnsigned("--lanes", UINT32_MAX);
+    else if (!std::strcmp(argv[I], "--buses"))
+      Buses = static_cast<unsigned>(needUnsigned("--buses", MaxBuses));
     else if (!std::strcmp(argv[I], "--menu"))
-      MenuK = static_cast<unsigned>(std::atoi(need("--menu")));
+      MenuK = static_cast<unsigned>(
+          needUnsigned("--menu", FrequencyMenu::MaxLadderSize));
     else if (!std::strcmp(argv[I], "--repeat"))
-      Repeat = static_cast<unsigned>(std::atoi(need("--repeat")));
+      Repeat = static_cast<unsigned>(needUnsigned("--repeat", UINT32_MAX));
     else if (!std::strcmp(argv[I], "--measure-frontier"))
       MeasureFrontier = true;
     else if (!std::strcmp(argv[I], "--frontier-csv"))
@@ -192,28 +172,7 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(argv[I], "--degrade"))
       Degrade = true;
     else if (!std::strcmp(argv[I], "--effort-deadline"))
-      EffortDeadline = std::strtoull(need("--effort-deadline"), nullptr, 10);
-    else if (!std::strcmp(argv[I], "--shard")) {
-      const char *V = need("--shard");
-      unsigned Idx = 0, Cnt = 0;
-      if (std::sscanf(V, "%u/%u", &Idx, &Cnt) != 2 || Cnt == 0 ||
-          Idx >= Cnt) {
-        std::fprintf(stderr,
-                     "error: --shard expects I/N with 0 <= I < N\n");
-        return 1;
-      }
-      ShardIndex = Idx;
-      ShardCount = Cnt;
-    } else if (!std::strcmp(argv[I], "--shards"))
-      Shards = static_cast<unsigned>(std::atoi(need("--shards")));
-    else if (!std::strcmp(argv[I], "--shard-dir"))
-      ShardDir = need("--shard-dir");
-    else if (!std::strcmp(argv[I], "--shard-deadline"))
-      ShardDeadlineMs = std::atof(need("--shard-deadline"));
-    else if (!std::strcmp(argv[I], "--shard-retries"))
-      ShardRetries = static_cast<unsigned>(std::atoi(need("--shard-retries")));
-    else if (!std::strcmp(argv[I], "--shard-backoff"))
-      ShardBackoffMs = std::strtoull(need("--shard-backoff"), nullptr, 10);
+      EffortDeadline = needUnsigned("--effort-deadline", UINT64_MAX);
     else if (!std::strcmp(argv[I], "--load-cache"))
       LoadCachePath = need("--load-cache");
     else if (!std::strcmp(argv[I], "--save-cache"))
@@ -224,20 +183,10 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (MeasureFrontier && (!JournalPath.empty() || !ResumePath.empty() ||
-                          ShardCount > 0 || Shards > 0)) {
+  if (MeasureFrontier && (!JournalPath.empty() || !ResumePath.empty())) {
     std::fprintf(stderr,
-                 "error: --journal/--resume/--shard/--shards are "
-                 "incompatible with --measure-frontier (frontiers are not "
-                 "journaled)\n");
-    return 1;
-  }
-  if (Shards > 0 && (ShardCount > 0 || !JournalPath.empty() ||
-                     !ResumePath.empty() || Repeat > 1)) {
-    std::fprintf(stderr,
-                 "error: --shards owns the shard journals; it is "
-                 "incompatible with --shard, --journal, --resume and "
-                 "--repeat\n");
+                 "error: --journal/--resume are incompatible with "
+                 "--measure-frontier (frontiers are not journaled)\n");
     return 1;
   }
 
@@ -268,9 +217,8 @@ int main(int argc, char **argv) {
 
   // Persistent cache tier: warm the session before anything runs. A
   // version/binding skew refuses (hard error); corrupt frames only
-  // quarantine. The orchestrating parent never computes, so it skips
-  // the load and passes --load-cache through to its shards instead.
-  if (!LoadCachePath.empty() && Shards == 0) {
+  // quarantine.
+  if (!LoadCachePath.empty()) {
     std::string CErr;
     if (!S.loadCacheFrom(LoadCachePath, &CErr)) {
       std::fprintf(stderr, "error: %s\n", CErr.c_str());
@@ -286,15 +234,8 @@ int main(int argc, char **argv) {
   }
 
   // The resume journal's fingerprint is re-validated by SuiteRunner
-  // against this session's options and programs. A shard child resumes
-  // from its own journal implicitly: a retried attempt re-executes
-  // only what the killed attempt had not checkpointed.
+  // against this session's options and programs.
   std::optional<SuiteJournal> Resumed;
-  if (ResumePath.empty() && ShardCount > 0 && !JournalPath.empty()) {
-    std::ifstream Probe(JournalPath);
-    if (Probe.good())
-      ResumePath = JournalPath;
-  }
   if (!ResumePath.empty()) {
     std::string JErr;
     Resumed = SuiteJournal::load(ResumePath, /*ExpectFingerprint=*/0, &JErr);
@@ -310,8 +251,6 @@ int main(int argc, char **argv) {
   SO.ProgramLanes = Lanes;
   SO.MeasureFrontier = MeasureFrontier;
   SO.JournalPath = JournalPath;
-  SO.ShardIndex = ShardIndex;
-  SO.ShardCount = ShardCount;
   if (Resumed)
     SO.ResumeFrom = &*Resumed;
   SO.OnProgramDone = [](const SuiteProgress &P) {
@@ -326,93 +265,14 @@ int main(int argc, char **argv) {
   };
 
   SuiteResult R;
-  if (Shards > 0) {
-    // Orchestrator mode: re-execute this invocation as N journaling
-    // subprocess shards and reassemble. Everything orchestration
-    // prints goes to stderr; stdout below stays identical to the
-    // single-process run (modulo the parent's own cache counters).
-    dist::OrchestratorOptions OO;
-    OO.Shards = Shards;
-    OO.MaxAttempts = std::max(1u, ShardRetries);
-    OO.ShardDeadlineMs = ShardDeadlineMs;
-    OO.BackoffBaseMs = ShardBackoffMs;
-    OO.WorkDir = ShardDir;
-    OO.MergeCaches = !SaveCachePath.empty();
-    OO.OnEvent = [](const std::string &M) {
-      std::fprintf(stderr, "orch: %s\n", M.c_str());
-    };
-    dist::SubprocessShardExecutor Exec([&](const dist::ShardSpec &Spec) {
-      std::vector<std::string> Cmd;
-      Cmd.push_back(RawArgs[0]);
-      // Shards inherit every suite-shaping flag; orchestration-only
-      // and parent-output flags are stripped (all of them take a
-      // value, so drop the pair).
-      static const char *const Drop[] = {
-          "--shards",        "--shard-dir", "--shard-retries",
-          "--shard-deadline", "--shard-backoff", "--save-cache",
-          "--trace",         "--metrics"};
-      for (size_t A = 1; A < RawArgs.size(); ++A) {
-        bool Dropped = false;
-        for (const char *F : Drop)
-          if (RawArgs[A] == F) {
-            ++A; // skip the flag's value too
-            Dropped = true;
-            break;
-          }
-        if (!Dropped)
-          Cmd.push_back(RawArgs[A]);
-      }
-      Cmd.push_back("--shard");
-      Cmd.push_back(std::to_string(Spec.Index) + "/" +
-                    std::to_string(Spec.Count));
-      Cmd.push_back("--journal");
-      Cmd.push_back(Spec.JournalPath);
-      if (!Spec.CachePath.empty()) {
-        Cmd.push_back("--save-cache");
-        Cmd.push_back(Spec.CachePath);
-      }
-      return Cmd;
-    });
-    dist::OrchestratorResult OR =
-        dist::ShardOrchestrator(S, Exec).run(buildSpecFPSuite(), OO);
-    for (size_t I = 0; I < OR.Shards.size(); ++I)
-      std::fprintf(stderr, "shard %zu: %s after %u attempt(s)%s%s%s\n", I,
-                   OR.Shards[I].Ok ? "ok" : "FAILED",
-                   OR.Shards[I].Attempts,
-                   OR.Shards[I].TimedOut ? " (hit deadline)" : "",
-                   OR.Shards[I].Detail.empty() ? "" : ": ",
-                   OR.Shards[I].Detail.c_str());
-    if (!OR.Ok) {
-      std::fprintf(stderr, "error: %s\n", OR.Error.c_str());
-      return 1;
-    }
-    R = std::move(OR.Result);
-    if (!SaveCachePath.empty()) {
-      if (!OR.MergedCachePath.empty() &&
-          std::rename(OR.MergedCachePath.c_str(), SaveCachePath.c_str()) ==
-              0) {
-        std::fprintf(stderr,
-                     "cache: merged %u shard snapshot(s) -> %s (%llu "
-                     "corrupt frame(s) quarantined)\n",
-                     Shards, SaveCachePath.c_str(),
-                     static_cast<unsigned long long>(
-                         OR.CacheCorruptFrames));
-      } else {
-        std::fprintf(stderr, "error: cannot produce merged cache '%s'\n",
-                     SaveCachePath.c_str());
-        // Warmth is an optimization; the suite result above is whole.
-      }
-    }
-  } else {
-    try {
-      for (unsigned Rep = 0; Rep < std::max(1u, Repeat); ++Rep)
-        R = Runner.runSpecFP(SO);
-    } catch (const std::exception &E) {
-      // Journal configuration errors (unwritable path, fingerprint
-      // mismatch); per-program failures never throw out of run().
-      std::fprintf(stderr, "error: %s\n", E.what());
-      return 1;
-    }
+  try {
+    for (unsigned Rep = 0; Rep < std::max(1u, Repeat); ++Rep)
+      R = Runner.runSpecFP(SO);
+  } catch (const std::exception &E) {
+    // Journal configuration errors (unwritable path, fingerprint
+    // mismatch); per-program failures never throw out of run().
+    std::fprintf(stderr, "error: %s\n", E.what());
+    return 1;
   }
 
   TablePrinter T("normalized ED2 (heterogeneous / optimum homogeneous)");
@@ -504,7 +364,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "cache: %llu hit(s) served from the persistent tier\n",
                  static_cast<unsigned long long>(S.cachePersistHits()));
-  if (!SaveCachePath.empty() && Shards == 0) {
+  if (!SaveCachePath.empty()) {
     std::string CErr;
     if (S.saveCacheTo(SaveCachePath, &CErr)) {
       std::fprintf(stderr, "cache: saved %llu entries to %s\n",

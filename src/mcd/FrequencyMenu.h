@@ -57,6 +57,11 @@ public:
   /// down in coarse steps to synchronize with a loop's IT.
   static FrequencyMenu relativeLadder(unsigned K);
 
+  /// Largest ladder the command-line tools accept (--menu K). Figure 7
+  /// stops at 16; every extra frequency widens each domain's (II, freq)
+  /// search, and K = 1024 already keeps the suite busy for over 30 s.
+  static constexpr unsigned MaxLadderSize = 64;
+
   bool isContinuous() const { return MenuKind == Kind::Continuous; }
   const std::vector<Rational> &frequencies() const { return Freqs; }
   const std::vector<Rational> &ratios() const { return Ratios; }

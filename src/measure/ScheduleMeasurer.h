@@ -112,10 +112,10 @@ struct MeasureOptions {
   /// IT growth attempts per loop before the loop counts as a
   /// measurement failure (Figure 5 retries).
   unsigned MaxITSteps = 64;
-  /// When nonzero, every *freshly computed* schedule is re-executed on
-  /// the MCD simulator for min(trip, this) iterations and compared
-  /// bit-for-bit against sequential execution (cache hits were checked
-  /// when first computed — same key, same schedule).
+  /// When nonzero, every measured schedule (cache hits included) is
+  /// re-executed on the MCD simulator for min(trip, this) iterations
+  /// and compared bit-for-bit against sequential execution; a
+  /// divergence counts as a loop failure with its detail recorded.
   uint64_t SimCheckIterations = 0;
   /// Per-loop effort deadline in scheduler BudgetUsed units (0 = off);
   /// see LoopScheduleOptions::EffortDeadline. Deterministic — never

@@ -339,8 +339,14 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
       // a second full computation inside the validator.
       VO.CheckRegisterPressure = false;
       std::string Err = validateSchedule(Machine, S.PG, SR.Sched, VO);
-      assert(Err.empty() && "scheduler produced an invalid schedule");
-      (void)Err;
+      if (!Err.empty()) {
+        // A scheduler defect, not an infeasible IT: end the sweep here
+        // rather than grow the IT past it and hide it.
+        R.Failure = "scheduler produced an invalid schedule: " + Err;
+        logFailure(R.FailureLog, Step, IT, R.Failure);
+        Done = true;
+        break;
+      }
 
       R.Success = true;
       R.Failure.clear();

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <sstream>
 
 using namespace hcvliw;
@@ -302,113 +301,5 @@ bool hcvliw::loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
   std::fclose(In);
   if (Stats)
     *Stats = Local;
-  return true;
-}
-
-bool hcvliw::mergeCacheSnapshots(const std::vector<std::string> &Inputs,
-                                 const std::string &OutPath,
-                                 uint64_t *CorruptFrames, std::string *Err) {
-  if (Inputs.empty()) {
-    if (Err)
-      *Err = "no cache snapshots to merge";
-    return false;
-  }
-  // (kind rank, key tokens) -> body. Later inputs overwrite — sound
-  // last-wins because equal keys hold bit-identical values. Key tokens
-  // are parsed only for ordering; bodies are carried verbatim.
-  struct MergeKey {
-    int Kind = 0;
-    uint64_t K[6] = {0, 0, 0, 0, 0, 0};
-    bool operator<(const MergeKey &O) const {
-      if (Kind != O.Kind)
-        return Kind < O.Kind;
-      for (int I = 0; I < 6; ++I)
-        if (K[I] != O.K[I])
-          return K[I] < O.K[I];
-      return false;
-    }
-  };
-  std::map<MergeKey, std::string> Merged;
-  uint64_t Corrupt = 0;
-  uint64_t Binding = 0;
-  bool First = true;
-  for (const std::string &Path : Inputs) {
-    std::FILE *In = std::fopen(Path.c_str(), "rb");
-    if (!In) {
-      if (Err)
-        *Err = "cannot open cache snapshot " + Path;
-      return false;
-    }
-    Header H;
-    if (!readHeader(In, Path, H, Err)) {
-      std::fclose(In);
-      return false;
-    }
-    if (H.Schema != CacheKeySchemaVersion ||
-        (!First && H.Binding != Binding)) {
-      std::fclose(In);
-      if (Err)
-        *Err = "cache snapshot " + Path +
-               ": schema or binding disagrees with the other inputs; "
-               "refusing to merge";
-      return false;
-    }
-    Binding = H.Binding;
-    First = false;
-    std::string Line, Kind, Body;
-    while (readLine(In, Line)) {
-      if (Line.empty())
-        continue;
-      if (!splitRecord(Line, Kind, Body)) {
-        ++Corrupt;
-        continue;
-      }
-      MergeKey MK;
-      size_t KeyTokens = 1;
-      if (Kind == KindSched) {
-        MK.Kind = 0;
-      } else if (Kind == KindEval) {
-        MK.Kind = 1;
-        KeyTokens = 6;
-      } else if (Kind == KindSel) {
-        MK.Kind = 2;
-      } else {
-        ++Corrupt;
-        continue;
-      }
-      Source S(Body);
-      for (size_t I = 0; I < KeyTokens; ++I)
-        MK.K[I] = S.u64();
-      if (S.bad()) {
-        ++Corrupt;
-        continue;
-      }
-      Merged[MK] = Body;
-    }
-    std::fclose(In);
-  }
-  std::string Tmp = OutPath + ".tmp";
-  std::FILE *Out = std::fopen(Tmp.c_str(), "wb");
-  if (!Out) {
-    if (Err)
-      *Err = "cannot open " + Tmp + " for writing";
-    return false;
-  }
-  writeHeader(Out, Binding);
-  static const char *const KindNames[] = {KindSched, KindEval, KindSel};
-  for (const auto &KV : Merged)
-    putRecord(Out, KindNames[KV.first.Kind], KV.second);
-  bool Ok = std::fflush(Out) == 0;
-  Ok = std::fclose(Out) == 0 && Ok;
-  if (Ok)
-    Ok = std::rename(Tmp.c_str(), OutPath.c_str()) == 0;
-  if (!Ok) {
-    std::remove(Tmp.c_str());
-    if (Err)
-      *Err = "failed writing merged cache snapshot " + OutPath;
-    return false;
-  }
-  if (CorruptFrames)
-    *CorruptFrames = Corrupt;
   return true;
 }

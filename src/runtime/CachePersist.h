@@ -3,9 +3,8 @@
 /// \file
 /// The on-disk tier of the session caches: a versioned, checksummed
 /// snapshot of every ScheduleCache entry, EvalCache timing entry and
-/// selection memo, so a later process can start warm — across suite
-/// shards (dist/ShardOrchestrator merges the shards' side-car
-/// snapshots) and across whole runs (CI's warm-start job).
+/// selection memo, so a later process can start warm (suite_tool
+/// --save-cache / --load-cache; CI's warm-start job).
 ///
 /// Format: a line-oriented text file over the support/RecordIO token
 /// codec. Header:
@@ -60,7 +59,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace hcvliw {
 
@@ -120,20 +118,6 @@ bool loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
                        fault::FaultInjector *Inj = nullptr,
                        CacheLoadStats *Stats = nullptr,
                        std::string *Err = nullptr);
-
-/// Merges the snapshot files \p Inputs (all must share one schema and
-/// binding) into \p OutPath, record-level last-wins on (kind, key) —
-/// sound because equal keys hold bit-identical values, so "last" only
-/// dedupes. Values are never deserialized; bodies are carried verbatim
-/// and re-emitted in canonical order, so the merged file is
-/// byte-deterministic. Corrupt frames in inputs are quarantined (and
-/// counted into \p CorruptFrames when non-null), not merged. False
-/// (with \p Err) when an input refuses to load or the inputs disagree
-/// on schema/binding.
-bool mergeCacheSnapshots(const std::vector<std::string> &Inputs,
-                         const std::string &OutPath,
-                         uint64_t *CorruptFrames = nullptr,
-                         std::string *Err = nullptr);
 
 } // namespace hcvliw
 

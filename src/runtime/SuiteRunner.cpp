@@ -3,7 +3,6 @@
 #include "runtime/SuiteRunner.h"
 
 #include "obs/Stopwatch.h"
-#include "support/HashUtil.h"
 #include "support/Stats.h"
 
 #include <algorithm>
@@ -21,13 +20,6 @@ std::string hcvliw::shortSpecName(const std::string &Name) {
   return Dot == std::string::npos ? Name : Name.substr(Dot + 1);
 }
 
-unsigned hcvliw::suiteShardOf(const std::string &Name, unsigned ShardCount) {
-  FnvHasher H;
-  for (char C : Name)
-    H.mix(static_cast<unsigned char>(C));
-  return static_cast<unsigned>(H.digest() % ShardCount);
-}
-
 SuiteResult SuiteRunner::run(const std::vector<BenchmarkProgram> &Programs,
                              const SuiteOptions &Opts) {
   struct Slot {
@@ -38,46 +30,21 @@ SuiteResult SuiteRunner::run(const std::vector<BenchmarkProgram> &Programs,
   const size_t N = Programs.size();
 
   // Frontiers are not journalable (the journal schema is per-program
-  // pure results only), so a frontier run combined with durability or
-  // sharding options could only drop them silently — refuse instead.
-  if (Opts.MeasureFrontier &&
-      (!Opts.JournalPath.empty() || Opts.ResumeFrom || Opts.ShardCount > 0))
+  // pure results only), so a frontier run combined with durability
+  // options could only drop them silently — refuse instead.
+  if (Opts.MeasureFrontier && (!Opts.JournalPath.empty() || Opts.ResumeFrom))
     throw std::runtime_error(
-        "frontier runs cannot be journaled, resumed or sharded (measured "
-        "frontiers are not journalable); drop MeasureFrontier or the "
-        "journal/resume/shard options");
-  if (Opts.ShardCount > 0 && Opts.ShardIndex >= Opts.ShardCount)
-    throw std::runtime_error("shard index " +
-                             std::to_string(Opts.ShardIndex) +
-                             " out of range for " +
-                             std::to_string(Opts.ShardCount) + " shards");
+        "frontier runs cannot be journaled or resumed (measured frontiers "
+        "are not journalable); drop MeasureFrontier or the journal/resume "
+        "options");
 
   std::vector<Slot> Slots(N);
-
-  // --- shard ownership -----------------------------------------------------
-  // Stable per-name hash: ownership depends only on (name, count), so
-  // any process computing the same partition agrees with this one.
-  std::vector<char> Owned(N, 1);
-  size_t NumOwned = N;
-  if (Opts.ShardCount > 0) {
-    NumOwned = 0;
-    for (size_t I = 0; I < N; ++I) {
-      Owned[I] =
-          suiteShardOf(Programs[I].Name, Opts.ShardCount) == Opts.ShardIndex
-              ? 1
-              : 0;
-      NumOwned += Owned[I];
-    }
-  }
 
   // --- checkpoint / resume -------------------------------------------------
   const SuiteJournal *Resume = Opts.ResumeFrom;
   const bool Journaling = !Opts.JournalPath.empty();
   uint64_t Fingerprint = 0;
   if (Resume || Journaling)
-    // Over the FULL program list even when sharded: every shard of one
-    // suite shares one fingerprint, so shard journals merge (and a
-    // merged journal resumes an unsharded run) without re-keying.
     Fingerprint = suiteJournalFingerprint(S.pipelineOptions(), Programs);
   if (Resume && Resume->Fingerprint != Fingerprint)
     throw std::runtime_error(
@@ -88,8 +55,6 @@ SuiteResult SuiteRunner::run(const std::vector<BenchmarkProgram> &Programs,
   std::vector<char> Prefilled(N, 0);
   if (Resume) {
     for (size_t I = 0; I < N; ++I) {
-      if (!Owned[I])
-        continue;
       if (auto It = Resume->Results.find(Programs[I].Name);
           It != Resume->Results.end()) {
         Slots[I].Res = It->second;
@@ -112,14 +77,8 @@ SuiteResult SuiteRunner::run(const std::vector<BenchmarkProgram> &Programs,
   }
 
   obs::Span SuiteSp(&S.tracer(), "suite.run");
-  if (SuiteSp.active()) {
+  if (SuiteSp.active())
     SuiteSp.arg("programs", static_cast<int64_t>(N));
-    if (Opts.ShardCount > 0) {
-      SuiteSp.arg("shard", static_cast<int64_t>(Opts.ShardIndex));
-      SuiteSp.arg("shards", static_cast<int64_t>(Opts.ShardCount));
-      SuiteSp.arg("owned", static_cast<int64_t>(NumOwned));
-    }
-  }
 
   std::mutex ProgressMutex;
   size_t Completed = 0;
@@ -180,7 +139,7 @@ SuiteResult SuiteRunner::run(const std::vector<BenchmarkProgram> &Programs,
     std::lock_guard<std::mutex> Lock(ProgressMutex);
     SuiteProgress P;
     P.Completed = ++Completed;
-    P.Total = NumOwned;
+    P.Total = N;
     P.Program = Programs[I].Name;
     P.Ok = S_.Res.has_value();
     SuiteFailure F;
@@ -200,30 +159,20 @@ SuiteResult SuiteRunner::run(const std::vector<BenchmarkProgram> &Programs,
   // strided lanes claim programs; each program's exploration then
   // nests on the same pool, so spare threads help whichever level has
   // work. Slot-indexed writes keep the result thread-count-invariant.
-  std::vector<size_t> OwnedIdx;
-  OwnedIdx.reserve(NumOwned);
-  for (size_t I = 0; I < N; ++I)
-    if (Owned[I])
-      OwnedIdx.push_back(I);
-  size_t Lanes = Opts.ProgramLanes == 0
-                     ? NumOwned
-                     : std::min<size_t>(Opts.ProgramLanes, NumOwned);
-  if (Lanes == NumOwned) {
-    S.pool().parallelFor(NumOwned, [&](size_t J) { runOne(OwnedIdx[J]); });
+  size_t Lanes =
+      Opts.ProgramLanes == 0 ? N : std::min<size_t>(Opts.ProgramLanes, N);
+  if (Lanes == N) {
+    S.pool().parallelFor(N, runOne);
   } else if (Lanes > 0) {
     S.pool().parallelFor(Lanes, [&](size_t Lane) {
-      for (size_t J = Lane; J < NumOwned; J += Lanes)
-        runOne(OwnedIdx[J]);
+      for (size_t I = Lane; I < N; I += Lanes)
+        runOne(I);
     });
   }
 
-  // Serial reduction in suite order (owned programs only: a shard's
-  // result covers exactly its partition, the orchestrator reassembles
-  // the whole from the shards' journals).
+  // Serial reduction in suite order.
   SuiteResult R;
   for (size_t I = 0; I < N; ++I) {
-    if (!Owned[I])
-      continue;
     Slot &S_ = Slots[I];
     if (S_.Res) {
       R.Names.push_back(Programs[I].Name);

@@ -83,21 +83,11 @@ struct SuiteOptions {
   /// Also measure every successful program's Pareto frontier with real
   /// schedules (measure/FrontierMeasurer on the session pool and
   /// ScheduleCache) and fill SuiteResult::Frontiers. Incompatible with
-  /// journaling and sharding (frontiers are not journaled, so a killed
-  /// or sharded frontier run cannot be reassembled): run() throws
-  /// std::runtime_error when JournalPath, ResumeFrom or ShardCount is
-  /// combined with this — fail fast, never silently drop durability
-  /// the caller asked for.
+  /// journaling (frontiers are not journaled, so a killed frontier run
+  /// cannot be reassembled): run() throws std::runtime_error when
+  /// JournalPath or ResumeFrom is combined with this — fail fast, never
+  /// silently drop durability the caller asked for.
   bool MeasureFrontier = false;
-  /// Deterministic shard selection: with ShardCount > 0, this run
-  /// executes only the programs suiteShardOf() assigns to ShardIndex
-  /// (stable per-name hash, any count — no divisibility assumption).
-  /// The journal fingerprint still covers the FULL program list, so
-  /// every shard of one suite shares one fingerprint and their
-  /// journals merge into a resumable whole (dist/ShardOrchestrator).
-  /// run() throws std::runtime_error when ShardIndex >= ShardCount.
-  unsigned ShardIndex = 0;
-  unsigned ShardCount = 0; ///< 0 = unsharded
   /// When non-empty, append each program's completed record (result or
   /// failure) to this journal file as it finishes, flushed per record —
   /// a killed run loses at most the programs still in flight. Resuming
@@ -130,11 +120,6 @@ struct SuiteResult {
 
 /// Strips the SPEC number prefix ("171.swim" -> "swim").
 std::string shortSpecName(const std::string &Name);
-
-/// The shard that owns \p Name under \p ShardCount-way sharding: a
-/// stable FNV hash of the program name, so ownership depends only on
-/// (name, count) — not on list order, thread count, or divisibility.
-unsigned suiteShardOf(const std::string &Name, unsigned ShardCount);
 
 class SuiteRunner {
   Session &S;

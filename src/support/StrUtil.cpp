@@ -65,11 +65,23 @@ bool hcvliw::parseInt64(std::string_view S, int64_t &Out) {
   return true;
 }
 
-bool hcvliw::parseThreadCount(std::string_view S, unsigned &Out) {
-  int64_t V = 0;
-  if (!parseInt64(S, V) || V < 0 || V > 1024)
+bool hcvliw::parseUnsigned(std::string_view S, uint64_t Max,
+                           uint64_t &Out) {
+  // Digits only: strtoull would accept a sign and wrap "-1" to 2^64-1.
+  if (S.empty())
     return false;
-  Out = static_cast<unsigned>(V);
+  uint64_t V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t D = static_cast<uint64_t>(C - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return false; // overflow
+    V = V * 10 + D;
+  }
+  if (V > Max)
+    return false;
+  Out = V;
   return true;
 }
 

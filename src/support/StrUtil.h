@@ -9,6 +9,7 @@
 #ifndef HCVLIW_SUPPORT_STRUTIL_H
 #define HCVLIW_SUPPORT_STRUTIL_H
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,11 +30,15 @@ std::string_view trimString(std::string_view S);
 /// Parses a signed integer; returns false on malformed input.
 bool parseInt64(std::string_view S, int64_t &Out);
 
-/// Parses a --threads style value: an integer in [0, 1024] (0 = let
-/// the worker pool pick hardware concurrency). Returns false on
-/// malformed or out-of-range input — a stray "-1" must not turn into
-/// four billion worker threads.
-bool parseThreadCount(std::string_view S, unsigned &Out);
+/// Parses a command-line count: decimal digits only, in [0, \p Max].
+/// Returns false on malformed or out-of-range input — a stray "-1" must
+/// not wrap into four billion threads or menu entries, and "x" must not
+/// read as 0.
+bool parseUnsigned(std::string_view S, uint64_t Max, uint64_t &Out);
+
+/// Upper bound of every tool's --threads value (0 = let the worker pool
+/// pick hardware concurrency).
+constexpr uint64_t MaxThreadCount = 1024;
 
 /// Parses a double; returns false on malformed input.
 bool parseDouble(std::string_view S, double &Out);

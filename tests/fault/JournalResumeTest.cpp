@@ -231,7 +231,7 @@ TEST(SuiteJournal, ReopenTruncatesTornTailBeforeAppending) {
   // behind the tear: open() truncates to the intact prefix first, so
   // everything it appends is visible to every future load. (Before the
   // CleanBytes fix, appends landed after the torn bytes and were
-  // silently dropped by the next load — fatal for shard crash-retry.)
+  // silently dropped by the next load — fatal for a resumed crash.)
   Session S{PipelineOptions(), 1};
   auto R1 = S.pipeline().runProgram(buildSpecFPProgram("168.wupwise"));
   auto R2 = S.pipeline().runProgram(buildSpecFPProgram("171.swim"));
@@ -364,8 +364,8 @@ TEST(SuiteResume, JournalingUnderMeasureFrontierFailsFast) {
   // The frontier sweep is not journalable (results are not per-program
   // pure in the journal's schema). Combining it with checkpointing used
   // to be silently ignored — a user who asked for crash tolerance got
-  // none. The contract is now fail-fast: Journal, Resume and sharding
-  // all throw under MeasureFrontier.
+  // none. The contract is now fail-fast: Journal and Resume both throw
+  // under MeasureFrontier.
   std::vector<BenchmarkProgram> One;
   One.push_back(buildSpecFPProgram("171.swim"));
   std::string Path = tempPath("journal_frontier.txt");
@@ -383,13 +383,6 @@ TEST(SuiteResume, JournalingUnderMeasureFrontierFailsFast) {
     SuiteOptions SO;
     SO.MeasureFrontier = true;
     SO.ResumeFrom = &J;
-    EXPECT_THROW(SuiteRunner(S).run(One, SO), std::runtime_error);
-  }
-  {
-    SuiteOptions SO;
-    SO.MeasureFrontier = true;
-    SO.ShardIndex = 0;
-    SO.ShardCount = 2;
     EXPECT_THROW(SuiteRunner(S).run(One, SO), std::runtime_error);
   }
   // Plain frontier runs are unaffected.

@@ -4,13 +4,16 @@
 // ScheduleMeasurer is bit-identical to measuring directly; the
 // session ScheduleCache serves bit-identical schedules (across repeated
 // measurements, across the step-4/frontier consumers and across
-// structurally identical programs); and a loop failing to schedule
+// structurally identical programs); a loop failing to schedule
 // mid-suite surfaces as a structured Measurement-stage failure instead
-// of being dropped.
+// of being dropped; and a schedule the simulator oracle rejects counts
+// as a failed loop in every build type.
 //
 //===----------------------------------------------------------------------===//
 
+#include "configsel/Scaling.h"
 #include "ir/LoopBuilder.h"
+#include "profiling/Profiler.h"
 #include "runtime/FrontierMeasurer.h"
 #include "runtime/SuiteRunner.h"
 #include "support/StrUtil.h"
@@ -270,6 +273,55 @@ TEST(SuiteRunner, MeasurementFailurePropagatesMidSuite) {
   EXPECT_NE(R.Failures[0].Reason.find("unschedulable"), std::string::npos);
   EXPECT_TRUE(StreamedFailure);
   EXPECT_EQ(R.numPrograms(), 3u);
+}
+
+// --- The simulator oracle --------------------------------------------------
+
+TEST(ScheduleMeasurer, SimulatorDivergenceIsALoopFailure) {
+  // The 1024-op unrolled body (try 0) schedules on the reference
+  // configuration and passes validateSchedule, yet its schedule
+  // diverges from sequential execution within 8 simulated iterations
+  // (perfbench/README.md, "Findings"). The oracle must report that in
+  // Release too: one failed loop carrying the simulator's verdict.
+  MachineDescription M = MachineDescription::paperDefault();
+  for (auto &Cl : M.Clusters)
+    Cl.Registers = bigLoopRegisters(1024);
+  std::vector<Loop> Loops = {makeUnrolledKernelLoop("unrolled_1024", 1024)};
+  auto Profile = Profiler(M).profileProgram("unrolled", Loops);
+  ASSERT_TRUE(Profile.has_value());
+  EnergyModel Energy(EnergyBreakdown(), Profile->Totals, Profile->TexecRefNs,
+                     M.numClusters());
+  HeteroConfig Ref = HeteroConfig::reference(M);
+  HeteroScaling Scaling =
+      scalingForConfig(Ref, M, TechnologyModel::paperDefault());
+
+  ScheduleCache Cache;
+  MeasureOptions Checked;
+  Checked.SimCheckIterations = 8;
+  ScheduleMeasurer Oracle(M, Checked, &Cache);
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    // Pass 1 is a cache hit: the verdict must not depend on warmth.
+    ConfigRunResult R = Oracle.measure(*Profile, Loops, Ref, Scaling, Energy,
+                                       /*ED2Objective=*/false);
+    EXPECT_EQ(R.ScheduleHits, static_cast<uint64_t>(Pass));
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Failures, 1u);
+    EXPECT_TRUE(R.Loops.empty());
+    ASSERT_EQ(R.FailureDetails.size(), 1u);
+    EXPECT_EQ(R.FailureDetails[0].Loop, "unrolled_1024");
+    EXPECT_NE(R.FailureDetails[0].Detail.find("simulated schedule diverges"),
+              std::string::npos)
+        << R.FailureDetails[0].Detail;
+  }
+
+  // The same cached schedule measures cleanly without the oracle: the
+  // failure above is the oracle's verdict, not the scheduler's.
+  ConfigRunResult Unchecked =
+      ScheduleMeasurer(M, MeasureOptions(), &Cache)
+          .measure(*Profile, Loops, Ref, Scaling, Energy, false);
+  EXPECT_EQ(Unchecked.ScheduleHits, 1u);
+  EXPECT_TRUE(Unchecked.Ok);
+  EXPECT_EQ(Unchecked.Failures, 0u);
 }
 
 } // namespace

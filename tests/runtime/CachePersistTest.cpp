@@ -1,4 +1,4 @@
-//===- tests/dist/CachePersistTest.cpp - Persistent cache tier --------------===//
+//===- tests/runtime/CachePersistTest.cpp - Persistent cache tier -----------===//
 //
 // The on-disk cache tier's safety contracts (runtime/CachePersist):
 // a snapshot round-trips — the warm session serves persist hits and
@@ -7,27 +7,82 @@
 // matrix — truncation mid-frame, bit-flip in a record body, bit-flip
 // in the header, key-schema version skew, binding mismatch, empty
 // file, unknown record kind — quarantines or refuses with exact
-// counts and never changes a result; the "cache.load" fault site
-// drives the quarantine path from a plan; and mergeCacheSnapshots is
-// last-wins, idempotent and byte-deterministic across input orders.
+// counts and never changes a result; and the "cache.load" fault site
+// drives the quarantine path from a plan.
 //
 //===----------------------------------------------------------------------===//
 
-#include "DistTestUtil.h"
-
 #include "runtime/CachePersist.h"
+#include "runtime/ResultSerde.h"
 #include "runtime/Session.h"
+#include "runtime/SuiteRunner.h"
 #include "support/RecordIO.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 using namespace hcvliw;
-using namespace disttest;
 
 namespace {
+
+std::string tempPath(const std::string &Name) {
+  std::string Path = ::testing::TempDir() + Name;
+  std::remove(Path.c_str());
+  return Path;
+}
+
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+void spit(const std::string &Path, const std::string &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out << Bytes;
+}
+
+/// Zeroes \p C's scheduler-effort / cache-effectiveness counters. They
+/// reflect the session that computed the record (a snapshot-warmed run
+/// hits where the cold run missed), so the determinism contract carves
+/// them out (see tests/fault/JournalResumeTest expectBitIdentical);
+/// per-loop semantic outcomes (Loops[].ITNs, TexecNs, Degraded) stay
+/// compared.
+void clearEffortCounters(ConfigRunResult &C) {
+  C.ScheduleHits = C.ScheduleMisses = 0;
+  C.SchedPlacements = C.SchedEjections = 0;
+  C.SchedBudgetUsed = C.SchedITSteps = 0;
+  C.DegradedLoops = C.ColdReplays = 0;
+  C.FlatPartitions = C.FallbackRational = 0;
+}
+
+/// Serializes every deterministic field of \p R through the journal's
+/// serde layer (doubles as hex-floats, Rationals as num/den), so equal
+/// keys mean bit-identical results. SuiteFailure::StageWallMs and the
+/// effort counters are excluded by contract.
+std::string suiteResultKey(const SuiteResult &R) {
+  std::string Key;
+  for (size_t I = 0; I < R.Names.size(); ++I) {
+    recio::Sink S;
+    ProgramRunResult D = R.Details[I];
+    clearEffortCounters(D.HetMeasured);
+    clearEffortCounters(D.HomMeasured);
+    serde::putResult(S, D);
+    Key += "ok " + R.Names[I] + " " + S.line() + "\n";
+  }
+  for (const SuiteFailure &F : R.Failures) {
+    recio::Sink S;
+    serde::putFailure(S, F.Stage, F.Reason, /*StageWallMs=*/0.0);
+    Key += "fail " + F.Program + " " + S.line() + "\n";
+  }
+  return Key;
+}
 
 // --- binding fingerprint ---------------------------------------------------
 
@@ -229,83 +284,6 @@ TEST_F(CachePersistFixture, FaultPlanDrivesQuarantinePath) {
   EXPECT_EQ(S.cachePersistLoadStats().CorruptFrames, Expect);
   EXPECT_EQ(S.cachePersistLoadStats().loaded(), Saved.saved() - Expect);
   EXPECT_EQ(S.faultInjector().injectedDegrades(), Expect);
-}
-
-// --- merge ------------------------------------------------------------------
-
-TEST_F(CachePersistFixture, MergeIsLastWinsIdempotentAndDeterministic) {
-  // Two sessions warm disjoint-ish cache contents (one program each).
-  std::string PathA = tempPath("cp_merge_a.cache");
-  std::string PathB = tempPath("cp_merge_b.cache");
-  uint64_t SavedA = 0, SavedB = 0;
-  {
-    Session A{PipelineOptions(), 1};
-    SuiteRunner(A).run({Programs[0]});
-    std::string Err;
-    ASSERT_TRUE(A.saveCacheTo(PathA, &Err)) << Err;
-    SavedA = A.cachePersistSaveStats().saved();
-  }
-  {
-    Session B{PipelineOptions(), 1};
-    SuiteRunner(B).run({Programs[1]});
-    std::string Err;
-    ASSERT_TRUE(B.saveCacheTo(PathB, &Err)) << Err;
-    SavedB = B.cachePersistSaveStats().saved();
-  }
-
-  // Input order never changes the merged bytes (values under equal
-  // keys are bit-identical, and emission is canonical).
-  std::string OutAB = tempPath("cp_merge_ab.cache");
-  std::string OutBA = tempPath("cp_merge_ba.cache");
-  uint64_t Corrupt = 77;
-  std::string Err;
-  ASSERT_TRUE(mergeCacheSnapshots({PathA, PathB}, OutAB, &Corrupt, &Err))
-      << Err;
-  EXPECT_EQ(Corrupt, 0u);
-  ASSERT_TRUE(mergeCacheSnapshots({PathB, PathA}, OutBA, nullptr, &Err))
-      << Err;
-  EXPECT_EQ(slurp(OutAB), slurp(OutBA));
-
-  // Idempotent: merging a snapshot with itself only dedupes.
-  std::string OutAA = tempPath("cp_merge_aa.cache");
-  ASSERT_TRUE(mergeCacheSnapshots({PathA, PathA}, OutAA, nullptr, &Err))
-      << Err;
-  std::string OutA = tempPath("cp_merge_a1.cache");
-  ASSERT_TRUE(mergeCacheSnapshots({PathA}, OutA, nullptr, &Err)) << Err;
-  EXPECT_EQ(slurp(OutAA), slurp(OutA));
-
-  // The merged snapshot loads cleanly and covers both inputs.
-  Session M{PipelineOptions(), 1};
-  ASSERT_TRUE(M.loadCacheFrom(OutAB, &Err)) << Err;
-  EXPECT_EQ(M.cachePersistLoadStats().CorruptFrames, 0u);
-  EXPECT_GE(M.cachePersistLoadStats().loaded(),
-            std::max(SavedA, SavedB));
-  // Warmed from the merge, the two-program run is bit-identical to the
-  // fixture's cold run.
-  SuiteResult R = SuiteRunner(M).run(Programs);
-  EXPECT_EQ(suiteResultKey(R), ColdKey);
-  EXPECT_GT(M.cachePersistHits(), 0u);
-
-  for (const std::string &P : {PathA, PathB, OutAB, OutBA, OutAA, OutA})
-    std::remove(P.c_str());
-}
-
-TEST_F(CachePersistFixture, MergeRefusesMismatchedInputs) {
-  std::string Good = tempPath("cp_mm_good.cache");
-  spit(Good, SnapBytes);
-  std::string Skewed = SnapBytes;
-  size_t Pos = Skewed.find("schema 1 ");
-  ASSERT_NE(Pos, std::string::npos);
-  Skewed.replace(Pos, 9, "schema 999 ");
-  std::string Bad = tempPath("cp_mm_bad.cache");
-  spit(Bad, Skewed);
-
-  std::string Out = tempPath("cp_mm_out.cache");
-  std::string Err;
-  EXPECT_FALSE(mergeCacheSnapshots({Good, Bad}, Out, nullptr, &Err));
-  EXPECT_FALSE(Err.empty());
-  for (const std::string &P : {Good, Bad, Out})
-    std::remove(P.c_str());
 }
 
 } // namespace

@@ -72,6 +72,30 @@ TEST(StrUtil, ParseInt64) {
   EXPECT_FALSE(parseInt64("", V));
 }
 
+TEST(StrUtil, ParseUnsignedAcceptsTheRangeInclusive) {
+  uint64_t V = 99;
+  EXPECT_TRUE(parseUnsigned("0", 1024, V));
+  EXPECT_EQ(V, 0u); // 0 keeps its per-flag meaning (hardware, any, off)
+  EXPECT_TRUE(parseUnsigned("1024", 1024, V));
+  EXPECT_EQ(V, 1024u);
+  EXPECT_TRUE(parseUnsigned("007", 8, V));
+  EXPECT_EQ(V, 7u);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+}
+
+TEST(StrUtil, ParseUnsignedRejectsWithoutTouchingOut) {
+  // Each of these used to be read by atoi/strtoull: "-1" wrapped to
+  // four billion menu entries, "x" and "abc" silently became 0.
+  for (const char *Bad : {"-1", "x", "abc", "", " 3", "3 ", "+3", "3.0",
+                          "0x10", "1025", "18446744073709551616",
+                          "99999999999999999999999"}) {
+    uint64_t V = 42;
+    EXPECT_FALSE(parseUnsigned(Bad, 1024, V)) << "'" << Bad << "'";
+    EXPECT_EQ(V, 42u) << "'" << Bad << "'";
+  }
+}
+
 TEST(StrUtil, ParseDouble) {
   double V = 0;
   EXPECT_TRUE(parseDouble("2.5", V));
