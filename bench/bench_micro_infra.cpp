@@ -1,10 +1,10 @@
 //===- bench/bench_micro_infra.cpp - Infrastructure microbenchmarks ---------===//
 //
 // google-benchmark measurements of the scheduling infrastructure itself:
-// recMII computation, MinDist matrices, graph partitioning, modulo
-// scheduling, the pipelined simulator, and the full per-program
-// pipeline. These are the costs a compiler integrating the technique
-// would pay at -O3.
+// recMII computation, MinDist matrices and per-edge coarsening slack,
+// graph partitioning, modulo scheduling, the pipelined simulator, and
+// the full per-program pipeline. These are the costs a compiler
+// integrating the technique would pay at -O3.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +49,23 @@ static void BM_MinDist(benchmark::State &State) {
   for (auto _ : State)
     benchmark::DoNotOptimize(MinDistMatrix::compute(G, Lat, II));
 }
-BENCHMARK(BM_MinDist)->Arg(16)->Arg(48)->Arg(96);
+BENCHMARK(BM_MinDist)->Arg(16)->Arg(48)->Arg(96)->Arg(384)->Arg(768);
+
+static void BM_EdgeSlack(benchmark::State &State) {
+  Loop L = benchLoop(static_cast<unsigned>(State.range(0)));
+  DDG G = DDG::build(L);
+  MachineDescription M = MachineDescription::paperDefault();
+  auto Lat = M.Isa.nodeLatencies(L);
+  int64_t II = std::max<int64_t>(1, computeRecMII(G, Lat));
+  LongestPathScratch Paths;
+  std::vector<int64_t> Slack;
+  for (auto _ : State) {
+    computeEdgeSlack(Slack, G, Lat, II, Paths);
+    benchmark::DoNotOptimize(Slack.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EdgeSlack)->Arg(16)->Arg(48)->Arg(96)->Arg(384)->Arg(768);
 
 static void BM_ScheduleLoop(benchmark::State &State) {
   Loop L = benchLoop(static_cast<unsigned>(State.range(0)));

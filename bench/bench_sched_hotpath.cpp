@@ -29,7 +29,10 @@
 // A size-series section then times the WHOLE Figure 5 driver
 // (LoopScheduler::schedule — multilevel partition + IT sweep +
 // schedule + pressure + validation) at 96/192/384/768/1536 ops,
-// emitting "loop_schedules_per_sec_<N>ops". This is the headline of
+// emitting "loop_schedules_per_sec_<N>ops". Its reps share one arena,
+// so they reuse the memoized loop analysis; at 384/768/1536 ops the
+// "loop_schedules_per_sec_fresh_<N>ops" points give every rep a fresh
+// arena and so also time the analysis (recurrences, per-edge slack). This is the headline of
 // the big-loop work: before the multilevel partitioner these sizes
 // simply failed above ~200 ops (the series would be empty past the
 // second point), and the sublinear ejection-budget curve
@@ -217,9 +220,9 @@ const std::vector<Loop> &e2eLoops() {
 
 /// The big-kernel side of the e2e fixture: re-scheduling the same big
 /// loop under several machine plans is where the cross-run analysis
-/// memo (recurrences + Floyd-Warshall slack matrix) pays, so the
-/// warm/cold comparison must include it or it measures only the
-/// small-loop regime.
+/// memo (recurrences + per-edge slack) pays, so the warm/cold
+/// comparison must include it or it measures only the small-loop
+/// regime.
 constexpr unsigned E2EBigSizes[] = {256, 768};
 
 /// Whole-driver throughput in loop-schedules/sec: every loop of the
@@ -277,17 +280,21 @@ PathTiming loopSchedulesPerSec(bool Warm, unsigned MinIters,
   return T;
 }
 
-/// Whole-driver throughput on ONE fixture of a given size, warm
-/// configuration (shared arena + warm-started sweep, continuous menu —
-/// the per-size series isolates how partition+schedule cost scales
-/// with loop size, not menu-sweep depth).
-PathTiming driverPerSec(const Prepared &P, unsigned MinIters,
-                        double MinSeconds) {
+/// Whole-driver throughput on ONE fixture of a given size, warm-started
+/// sweep on a continuous menu (the per-size series isolates how
+/// partition+schedule cost scales with loop size, not menu-sweep
+/// depth). With a shared arena every rep after the first hits the
+/// LoopAnalysisMemo; with \p FreshArena each rep gets a new arena, as a
+/// first schedule of a loop does, and pays the loop analysis.
+PathTiming driverPerSec(const Prepared &P, bool FreshArena,
+                        unsigned MinIters, double MinSeconds) {
   LoopScheduleOptions O;
   LoopScheduler S(P.M, heteroConfig(P.M), O);
   ScheduleScratch Scratch;
   auto once = [&] {
-    LoopScheduleResult R = S.schedule(P.L, nullptr, nullptr, &Scratch);
+    // A null arena makes schedule() build a fresh one for the call.
+    LoopScheduleResult R = S.schedule(P.L, nullptr, nullptr,
+                                      FreshArena ? nullptr : &Scratch);
     benchmark::DoNotOptimize(R.Success);
   };
   once(); // warm-up
@@ -374,12 +381,20 @@ int main(int argc, char **argv) {
     }
     unsigned SizeIters =
         std::max(2u, MinIters / (Ops >= 768 ? 8 : Ops >= 384 ? 4 : 1));
-    PathTiming T = driverPerSec(P, SizeIters, MinSeconds);
+    PathTiming T = driverPerSec(P, false, SizeIters, MinSeconds);
     Reporter.addMetric(formatString("loop_schedules_per_sec_%uops", Ops),
                        T.PerSec);
     std::printf("%4u ops: %.1f loop-schedules/s end-to-end, "
                 "%.0f allocs/loop-schedule, it_steps %u\n",
                 Ops, T.PerSec, T.AllocsPerRun, P.R.ITSteps);
+    if (Ops < 384)
+      continue;
+    PathTiming F = driverPerSec(P, true, SizeIters, MinSeconds);
+    Reporter.addMetric(
+        formatString("loop_schedules_per_sec_fresh_%uops", Ops), F.PerSec);
+    std::printf("%4u ops: %.1f loop-schedules/s with a fresh arena per "
+                "schedule\n",
+                Ops, F.PerSec);
   }
 
   // End-to-end Figure 5 driver: warm-started arena sweep vs the cold

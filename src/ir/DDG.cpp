@@ -44,13 +44,6 @@ void DDG::finalizeAdjacency() {
   InStart[0] = 0;
 }
 
-std::vector<std::vector<unsigned>> DDG::adjacency() const {
-  std::vector<std::vector<unsigned>> Adj(NumNodes);
-  for (const Edge &E : Edges)
-    Adj[E.Src].push_back(E.Dst);
-  return Adj;
-}
-
 unsigned hcvliw::edgeLatency(const DDG::Edge &E,
                              const std::vector<unsigned> &NodeLatency) {
   switch (E.Kind) {

@@ -96,10 +96,6 @@ public:
   EdgeIxSpan inEdges(unsigned Node) const {
     return {InIx.data() + InStart[Node], InIx.data() + InStart[Node + 1]};
   }
-
-  /// Plain adjacency lists (successor node ids), for the generic graph
-  /// algorithms.
-  std::vector<std::vector<unsigned>> adjacency() const;
 };
 
 /// Latency in (producer-domain) cycles an edge imposes between the start

@@ -52,6 +52,81 @@ int64_t hcvliw::computeRecMII(const DDG &G,
   return recMIIOfEdges(G.size(), G.edges(), NodeLatency);
 }
 
+void hcvliw::computeComponents(const DDG &G, DDGComponents &C) {
+  constexpr unsigned Unset = ~0u;
+  unsigned N = G.size();
+  // Tarjan completes components in reverse topological order; CompOf
+  // holds the completion number until the count is known. A visited
+  // node is on the stack exactly while its CompOf is still unset.
+  C.Index.assign(N, Unset);
+  C.Low.resize(N);
+  C.Stack.clear();
+  C.Stack.reserve(N);
+  C.DFS.clear();
+  C.DFS.reserve(N);
+  C.CompOf.assign(N, Unset);
+  unsigned NextIndex = 0, NumComps = 0;
+  auto visit = [&](unsigned V) {
+    C.Index[V] = C.Low[V] = NextIndex++;
+    C.Stack.push_back(V);
+    C.DFS.push_back({V, 0});
+  };
+  for (unsigned Root = 0; Root < N; ++Root) {
+    if (C.Index[Root] != Unset)
+      continue;
+    visit(Root);
+    while (!C.DFS.empty()) {
+      unsigned V = C.DFS.back().Node;
+      EdgeIxSpan Out = G.outEdges(V);
+      if (C.DFS.back().Next < Out.size()) {
+        unsigned W = G.edge(Out.begin()[C.DFS.back().Next++]).Dst;
+        if (C.Index[W] == Unset)
+          visit(W);
+        else if (C.CompOf[W] == Unset)
+          C.Low[V] = std::min(C.Low[V], C.Index[W]);
+        continue;
+      }
+      if (C.Low[V] == C.Index[V]) {
+        unsigned M;
+        do {
+          M = C.Stack.back();
+          C.Stack.pop_back();
+          C.CompOf[M] = NumComps;
+        } while (M != V);
+        ++NumComps;
+      }
+      C.DFS.pop_back();
+      if (!C.DFS.empty()) {
+        unsigned P = C.DFS.back().Node;
+        C.Low[P] = std::min(C.Low[P], C.Low[V]);
+      }
+    }
+  }
+
+  // Topological numbering, then a counting sort of the nodes into
+  // Members (Start is the fill cursor, shifted back afterwards).
+  C.Start.assign(NumComps + 1, 0);
+  for (unsigned V = 0; V < N; ++V) {
+    C.CompOf[V] = NumComps - 1 - C.CompOf[V];
+    ++C.Start[C.CompOf[V] + 1];
+  }
+  for (unsigned K = 0; K < NumComps; ++K)
+    C.Start[K + 1] += C.Start[K];
+  C.Members.resize(N);
+  for (unsigned V = 0; V < N; ++V)
+    C.Members[C.Start[C.CompOf[V]]++] = V;
+  for (unsigned K = NumComps; K > 0; --K)
+    C.Start[K] = C.Start[K - 1];
+  C.Start[0] = 0;
+
+  C.Cyclic.assign(NumComps, 0);
+  for (unsigned K = 0; K < NumComps; ++K)
+    C.Cyclic[K] = C.Start[K + 1] - C.Start[K] > 1;
+  for (const DDG::Edge &E : G.edges())
+    if (E.Src == E.Dst)
+      C.Cyclic[C.CompOf[E.Src]] = 1;
+}
+
 RecurrenceInfo
 hcvliw::analyzeRecurrences(const DDG &G,
                            const std::vector<unsigned> &NodeLatency) {
@@ -59,20 +134,17 @@ hcvliw::analyzeRecurrences(const DDG &G,
   RecurrenceInfo Info;
   Info.RecurrenceOf.assign(G.size(), -1);
 
-  SCCResult SCCs = computeSCCs(G.size(), G.adjacency());
-  auto Members = SCCs.members();
-
-  for (const auto &Nodes : Members) {
-    bool HasSelfEdge = false;
-    if (Nodes.size() == 1)
-      for (unsigned EIx : G.outEdges(Nodes[0]))
-        if (G.edge(EIx).Dst == Nodes[0])
-          HasSelfEdge = true;
-    if (Nodes.size() == 1 && !HasSelfEdge)
+  DDGComponents SCC;
+  computeComponents(G, SCC);
+  const std::vector<unsigned> &Start = SCC.Start, &Members = SCC.Members;
+  std::vector<int> Local(G.size(), -1);
+  for (unsigned C = 0; C < SCC.count(); ++C) {
+    if (!SCC.Cyclic[C])
       continue;
+    std::vector<unsigned> Nodes(Members.begin() + Start[C],
+                                Members.begin() + Start[C + 1]);
 
     // Re-index the SCC's nodes densely and collect internal edges.
-    std::vector<int> Local(G.size(), -1);
     for (unsigned I = 0; I < Nodes.size(); ++I)
       Local[Nodes[I]] = static_cast<int>(I);
     std::vector<DDG::Edge> Internal;
@@ -88,11 +160,13 @@ hcvliw::analyzeRecurrences(const DDG &G,
                             static_cast<unsigned>(Local[E.Dst]), E.Distance,
                             E.Kind});
       }
+    for (unsigned N : Nodes)
+      Local[N] = -1;
 
     Recurrence R;
-    R.Nodes = Nodes;
-    R.RecMII = recMIIOfEdges(static_cast<unsigned>(Nodes.size()), Internal,
-                             LocalLat);
+    R.Nodes = std::move(Nodes);
+    R.RecMII = recMIIOfEdges(static_cast<unsigned>(R.Nodes.size()),
+                             Internal, LocalLat);
     assert(R.RecMII >= 1 && "SCC with a cycle must have recMII >= 1");
     Info.Recurrences.push_back(std::move(R));
   }

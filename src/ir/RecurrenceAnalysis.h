@@ -43,6 +43,31 @@ struct RecurrenceInfo {
 RecurrenceInfo analyzeRecurrences(const DDG &G,
                                   const std::vector<unsigned> &NodeLatency);
 
+/// The strongly connected components of a DDG, numbered in a
+/// topological order of the condensation (every edge runs from a
+/// component to itself or to a later one). Reusable: recomputing keeps
+/// every buffer's capacity.
+struct DDGComponents {
+  std::vector<unsigned> CompOf;  ///< component of each node
+  std::vector<unsigned> Start;   ///< [count() + 1] offsets into Members
+  std::vector<unsigned> Members; ///< nodes by component, ascending id
+  /// Per component: holds a cycle (two or more nodes, or a self-edge).
+  std::vector<char> Cyclic;
+  unsigned count() const { return static_cast<unsigned>(Start.size()) - 1; }
+
+  // Tarjan's working buffers.
+  std::vector<unsigned> Index, Low, Stack;
+  struct Frame {
+    unsigned Node;
+    unsigned Next; ///< next out-edge of Node to explore
+  };
+  std::vector<Frame> DFS;
+};
+
+/// Fills \p C with the SCCs of \p G, straight on its CSR (iterative
+/// Tarjan).
+void computeComponents(const DDG &G, DDGComponents &C);
+
 /// Minimum integer II such that the *whole graph* (restricted to the
 /// given nodes, or all nodes when empty) has no positive cycle under
 /// weights latency(e) - II * distance(e). Returns 0 for acyclic graphs.

@@ -118,38 +118,44 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
   if (Warm)
     HCVLIW_FAULT_POINT(Opts.Fault, "sched.warm", FaultCtx);
 
+  // The IT-independent loop analyses: the DDG, recurrences and the
+  // per-edge coarsening slack, pure functions of (loop, latencies). The
+  // warm path memoizes the last two across whole schedule() runs; the
+  // cold path recomputes them every call.
+  obs::Span AnalyzeSp(Trace, "loop.analyze");
   DDG::buildInto(S.G, L);
   Machine.Isa.nodeLatenciesInto(S.Lat, L);
-
-  // Recurrence analysis + coarsening slack matrix: IT-independent pure
-  // functions of (loop, latencies). The warm path memoizes them across
-  // whole schedule() runs — the slack matrix is Floyd-Warshall, the
-  // one O(N^3) step of this driver, and the dominant cost of big loops
-  // — while the cold path recomputes both every call.
   const RecurrenceInfo *Recs;
-  const MinDistMatrix *Slack;
+  const std::vector<int64_t> *EdgeSlack;
   RecurrenceInfo ColdRecs;
-  if (const LoopAnalysisMemo *A =
-          Warm ? S.findAnalysis(L.structuralFingerprint(), S.Lat) : nullptr) {
-    Recs = &A->Recs;
-    Slack = &A->Slack;
+  const LoopAnalysisMemo *Memo =
+      Warm ? S.findAnalysis(L.structuralFingerprint(), S.Lat) : nullptr;
+  if (Memo) {
+    Recs = &Memo->Recs;
+    EdgeSlack = &Memo->EdgeSlack;
   } else {
     ColdRecs = analyzeRecurrences(S.G, S.Lat);
-    MinDistMatrix::computeInto(S.Slack, S.G, S.Lat,
-                               std::max<int64_t>(ColdRecs.RecMII, 1));
+    computeEdgeSlack(S.EdgeSlack, S.G, S.Lat,
+                     std::max<int64_t>(ColdRecs.RecMII, 1), S.Paths);
     if (Warm) {
       LoopAnalysisMemo &Slot = S.analysisSlot();
       Slot.Fp = L.structuralFingerprint();
       Slot.Lat = S.Lat;
       Slot.Recs = std::move(ColdRecs);
-      Slot.Slack = S.Slack;
+      Slot.EdgeSlack = S.EdgeSlack;
       Recs = &Slot.Recs;
-      Slack = &Slot.Slack;
+      EdgeSlack = &Slot.EdgeSlack;
     } else {
       Recs = &ColdRecs;
-      Slack = &S.Slack;
+      EdgeSlack = &S.EdgeSlack;
     }
   }
+  if (AnalyzeSp.active()) {
+    AnalyzeSp.arg("nodes", S.G.size());
+    AnalyzeSp.arg("edges", S.G.numEdges());
+    AnalyzeSp.arg("memo_hit", Memo ? 1 : 0);
+  }
+  AnalyzeSp.close();
   R.RecMII = Recs->RecMII;
   R.ResMII = Machine.computeResMII(L);
 
@@ -211,7 +217,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     Ctx.Energy = Energy;
     Ctx.Scaling = Scaling;
     Ctx.TripCount = L.TripCount;
-    Ctx.SlackMatrix = Slack;
+    Ctx.EdgeSlack = EdgeSlack;
     Ctx.Scratch = &S.Part;
     Ctx.Trace = Trace;
     Ctx.Stats = &R.PartStats;

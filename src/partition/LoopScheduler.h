@@ -153,9 +153,10 @@ public:
   /// arena (reusable buffers + warm-start memos); when null a local
   /// arena serves this one call. Results are bit-identical for any
   /// scratch (ScheduleScratch contract). \p Trace, when enabled,
-  /// records a "loop.schedule:<name>" span per run and one
-  /// "loop.itstep" span per IT step (observation only; the schedule
-  /// never depends on it).
+  /// records a "loop.schedule:<name>" span per run, one "loop.analyze"
+  /// span for its IT-independent analyses (args nodes, edges, memo_hit)
+  /// and one "loop.itstep" span per IT step (observation only; the
+  /// schedule never depends on it).
   LoopScheduleResult schedule(const Loop &L,
                               const EnergyModel *Energy = nullptr,
                               const HeteroScaling *Scaling = nullptr,

@@ -9,7 +9,7 @@
 using namespace hcvliw;
 
 void MultilevelGraph::makeLevel(CoarseLevel &Out, unsigned NumGroups,
-                                const MinDistMatrix &Slack) {
+                                const std::vector<int64_t> &EdgeSlack) {
   unsigned N = G->size();
   Out.NumMacros = NumGroups;
   Out.MacroOf.resize(N);
@@ -32,11 +32,12 @@ void MultilevelGraph::makeLevel(CoarseLevel &Out, unsigned NumGroups,
   // Macro adjacency: sort the half-edges by (from, to) and fold runs
   // into CSR rows (edge multiplicity, minimum node-level slack).
   HE.clear();
-  for (const auto &E : G->edges()) {
+  for (unsigned EIx = 0; EIx < G->numEdges(); ++EIx) {
+    const DDG::Edge &E = G->edge(EIx);
     unsigned A = Out.MacroOf[E.Src], B = Out.MacroOf[E.Dst];
     if (A == B)
       continue;
-    int64_t S = Slack.slack(E.Src, E.Dst, /*II=*/0);
+    int64_t S = EdgeSlack[EIx];
     HE.push_back({(static_cast<uint64_t>(A) << 32) | B, S});
     HE.push_back({(static_cast<uint64_t>(B) << 32) | A, S});
   }
@@ -67,7 +68,7 @@ void MultilevelGraph::makeLevel(CoarseLevel &Out, unsigned NumGroups,
 
 unsigned MultilevelGraph::matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
                                      unsigned TargetMacros, double WeightCap,
-                                     const MinDistMatrix &Slack) {
+                                     const std::vector<int64_t> &EdgeSlack) {
   unsigned NumMac = Cur.NumMacros;
 
   // Candidate pairs straight from the CSR (each undirected pair once).
@@ -131,7 +132,7 @@ unsigned MultilevelGraph::matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
   for (unsigned Nd = 0; Nd < G->size(); ++Nd)
     GroupOfNode[Nd] = NewIdOfMacro[Cur.MacroOf[Nd]];
   PinOfGroup.assign(NewPins.begin(), NewPins.end());
-  makeLevel(Out, NewCount, Slack);
+  makeLevel(Out, NewCount, EdgeSlack);
   return Pairs;
 }
 
@@ -145,7 +146,7 @@ void MultilevelGraph::recordLevel(const CoarseLevel &Lvl) {
 void MultilevelGraph::build(
     const Loop &TheLoop, const DDG &TheDDG, const MachineDescription &TheMachine,
     const std::vector<std::vector<unsigned>> &InitialGroups,
-    const std::vector<int> &GroupPins, const MinDistMatrix &Slack,
+    const std::vector<int> &GroupPins, const std::vector<int64_t> &EdgeSlack,
     unsigned TargetMacros, obs::Tracer *Trace) {
   L = &TheLoop;
   G = &TheDDG;
@@ -154,6 +155,7 @@ void MultilevelGraph::build(
   Stats = BuildStats();
   assert(InitialGroups.size() == GroupPins.size() &&
          "one pin slot per initial group");
+  assert(EdgeSlack.size() == G->numEdges() && "one slack per DDG edge");
 
   // Finest grouping: initial groups plus singletons.
   unsigned N = G->size();
@@ -190,7 +192,7 @@ void MultilevelGraph::build(
     KindCap[K] = std::max<unsigned>(2, 2 * ((KindCap[K] + Tgt - 1) / Tgt));
   double WeightCap = 2.0 * WeightTotal / Tgt;
 
-  makeLevel(WorkA, NumGroups, Slack);
+  makeLevel(WorkA, NumGroups, EdgeSlack);
   recordLevel(WorkA);
 
   CoarseLevel *CurW = &WorkA, *NextW = &WorkB;
@@ -207,7 +209,7 @@ void MultilevelGraph::build(
     // O(log N) deep.
     while (true) {
       unsigned Pairs =
-          matchRound(*CurW, *NextW, TargetMacros, WeightCap, Slack);
+          matchRound(*CurW, *NextW, TargetMacros, WeightCap, EdgeSlack);
       ++Stats.Rounds;
       if (Pairs == 0)
         break;

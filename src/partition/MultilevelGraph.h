@@ -35,7 +35,6 @@
 #define HCVLIW_PARTITION_MULTILEVELGRAPH_H
 
 #include "ir/DDG.h"
-#include "ir/MinDist.h"
 #include "machine/MachineDescription.h"
 #include "obs/Trace.h"
 
@@ -118,27 +117,29 @@ private:
   std::vector<unsigned> KindCap;
 
   void makeLevel(CoarseLevel &Out, unsigned NumGroups,
-                 const MinDistMatrix &Slack);
+                 const std::vector<int64_t> &EdgeSlack);
   /// One matching round Cur -> Out; returns contracted pair count.
   unsigned matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
                       unsigned TargetMacros, double WeightCap,
-                      const MinDistMatrix &Slack);
+                      const std::vector<int64_t> &EdgeSlack);
   void recordLevel(const CoarseLevel &Lvl);
 
 public:
   /// Builds the level stack. \p InitialGroups pre-fuses node sets (one
   /// entry per group; nodes absent from all groups start as singletons)
-  /// with optional pins; \p Slack orders contraction candidates (lower
-  /// = contract first); \p TargetMacros stops coarsening (>= number of
-  /// clusters). \p Trace, when enabled, records one
-  /// "part.coarsen:<level>" span per recorded level (observation only;
-  /// the stack never depends on it). The result is a pure function of
-  /// (loop, DDG, machine, groups, pins, slack, target).
+  /// with optional pins; \p EdgeSlack (computeEdgeSlack, indexed by DDG
+  /// edge id) orders contraction candidates (lower = contract first);
+  /// \p TargetMacros stops coarsening (>= number of clusters). \p Trace,
+  /// when enabled, records one "part.coarsen:<level>" span per recorded
+  /// level (observation only; the stack never depends on it). The
+  /// result is a pure function of (loop, DDG, machine, groups, pins,
+  /// slack, target).
   void build(const Loop &TheLoop, const DDG &TheDDG,
              const MachineDescription &TheMachine,
              const std::vector<std::vector<unsigned>> &InitialGroups,
-             const std::vector<int> &GroupPins, const MinDistMatrix &Slack,
-             unsigned TargetMacros, obs::Tracer *Trace = nullptr);
+             const std::vector<int> &GroupPins,
+             const std::vector<int64_t> &EdgeSlack, unsigned TargetMacros,
+             obs::Tracer *Trace = nullptr);
 
   unsigned numLevels() const { return NumLvls; }
   /// Level 0 is the finest (original grouping), the last the coarsest.

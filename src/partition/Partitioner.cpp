@@ -2,6 +2,7 @@
 
 #include "partition/Partitioner.h"
 #include "fault/Fault.h"
+#include "ir/MinDist.h"
 #include "partition/MultilevelGraph.h"
 
 #include <algorithm>
@@ -644,15 +645,15 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       std::max(NC, std::min(NC * std::max(1u, Opts.CoarsestPerCluster),
                             NumNodes / 2));
 
-  // Slack matrix for the coarsening order, on reference latencies at the
-  // recurrence-safe II; IT-independent, so drivers that retry IT steps
-  // pass one precomputed matrix through the context.
-  MinDistMatrix OwnSlack;
-  const MinDistMatrix *Slack = Ctx.SlackMatrix;
+  // Per-edge slack for the coarsening order, on reference latencies at
+  // the recurrence-safe II; IT-independent, so drivers that retry IT
+  // steps pass one precomputed vector through the context.
+  std::vector<int64_t> OwnSlack;
+  const std::vector<int64_t> *Slack = Ctx.EdgeSlack;
   if (!Slack) {
-    std::vector<unsigned> Lat = M.Isa.nodeLatencies(*Ctx.L);
-    MinDistMatrix::computeInto(OwnSlack, *Ctx.G, Lat,
-                               std::max<int64_t>(Ctx.Recs->RecMII, 1));
+    LongestPathScratch Paths;
+    computeEdgeSlack(OwnSlack, *Ctx.G, M.Isa.nodeLatencies(*Ctx.L),
+                     std::max<int64_t>(Ctx.Recs->RecMII, 1), Paths);
     Slack = &OwnSlack;
   }
 

@@ -29,7 +29,6 @@
 #ifndef HCVLIW_PARTITION_PARTITIONER_H
 #define HCVLIW_PARTITION_PARTITIONER_H
 
-#include "ir/MinDist.h"
 #include "ir/RecurrenceAnalysis.h"
 #include "mcd/DomainPlanner.h"
 #include "obs/Trace.h"
@@ -50,7 +49,7 @@ class FaultInjector;
 
 /// Warm-start coarsening memo key: the only MultilevelGraph::build
 /// inputs that vary within one Figure 5 run (loop, DDG, machine and
-/// slack matrix are fixed per run; groups and pins follow the plan's
+/// per-edge slack are fixed per run; groups and pins follow the plan's
 /// IIs, and the target follows the options). An exact key match makes
 /// reusing the memoized level stack provably exact.
 struct CoarsenMemoKey {
@@ -276,12 +275,11 @@ struct PartitionContext {
   const EnergyModel *Energy = nullptr;
   const HeteroScaling *Scaling = nullptr;
   uint64_t TripCount = 1;
-  /// Optional precomputed coarsening slack matrix
-  /// (MinDistMatrix::compute(G, Isa latencies, max(RecMII, 1))). The
-  /// matrix does not depend on the IT, so drivers retrying II/IT steps
-  /// compute it once instead of reallocating the O(N^2) buffer per
-  /// attempt; when null the partitioner computes its own.
-  const MinDistMatrix *SlackMatrix = nullptr;
+  /// Optional precomputed coarsening slack, one entry per DDG edge
+  /// (computeEdgeSlack(G, Isa latencies, max(RecMII, 1))). It does not
+  /// depend on the IT, so drivers retrying IT steps compute it once;
+  /// when null the partitioner computes its own.
+  const std::vector<int64_t> *EdgeSlack = nullptr;
   /// Optional reusable buffers + warm-start coarsening memo; results
   /// are bit-identical with or without one.
   PartitionScratch *Scratch = nullptr;

@@ -3,12 +3,12 @@
 /// \file
 /// The per-worker scratch arena of the per-loop scheduling chain. One
 /// ScheduleScratch owns every reusable buffer a Figure 5 run touches —
-/// the DDG, the coarsening slack matrix, the partitioner's multilevel
-/// stack and pseudo-schedule buffers, the partitioned graph and its
-/// tick lowering, the modulo reservation table, the scheduler's
-/// ready-list bitset and priority arrays, and the register-pressure
-/// accumulators — so the thousands of schedule runs a suite performs
-/// stop hitting malloc in steady state.
+/// the DDG, the per-edge coarsening slack and its longest-path buffers,
+/// the partitioner's multilevel stack and pseudo-schedule buffers, the
+/// partitioned graph and its tick lowering, the modulo reservation
+/// table, the scheduler's ready-list bitset and priority arrays, and
+/// the register-pressure accumulators — so the thousands of schedule
+/// runs a suite performs stop hitting malloc in steady state.
 ///
 /// Ownership contract (see also README "Performance"):
 ///
@@ -48,20 +48,19 @@
 namespace hcvliw {
 
 /// One memoized IT-independent loop analysis: the recurrence summary
-/// and the coarsening slack matrix, both pure functions of the loop's
-/// structure and its node latencies (the matrix is Floyd-Warshall
-/// longest paths at II = max(recMII, 1) — O(N^3), and the single
-/// dominant cost of scheduling a 1000-op loop). Keyed by the loop's
-/// structural fingerprint plus the exact latency vector (latencies
-/// vary by ISA table, fingerprints by loop), so an entry is reusable
-/// across machine plans, menus, and whole schedule() runs — the suite
-/// pattern of re-scheduling one loop under many configurations pays
-/// the cubic analysis once per loop, not once per run.
+/// and the per-edge coarsening slack (computeEdgeSlack at II =
+/// max(recMII, 1)), both pure functions of the loop's structure and
+/// its node latencies. Keyed by the loop's structural fingerprint plus
+/// the exact latency vector (latencies vary by ISA table, fingerprints
+/// by loop), so an entry is reusable across machine plans, menus, and
+/// whole schedule() runs — the suite pattern of re-scheduling one loop
+/// under many configurations pays the analysis once per loop, not
+/// once per run.
 struct LoopAnalysisMemo {
   uint64_t Fp = 0;
   std::vector<unsigned> Lat;
   RecurrenceInfo Recs;
-  MinDistMatrix Slack;
+  std::vector<int64_t> EdgeSlack;
 };
 
 /// All reusable storage of one per-loop scheduling run (one thread's
@@ -70,7 +69,8 @@ struct ScheduleScratch {
   // Figure 5 driver state (per loop).
   DDG G;
   std::vector<unsigned> Lat;
-  MinDistMatrix Slack;
+  std::vector<int64_t> EdgeSlack;
+  LongestPathScratch Paths;
 
   // Per-attempt structures.
   PartitionedGraph PG;

@@ -6,79 +6,6 @@
 
 using namespace hcvliw;
 
-std::vector<std::vector<unsigned>> SCCResult::members() const {
-  std::vector<std::vector<unsigned>> M(NumComponents);
-  for (unsigned N = 0; N < ComponentOf.size(); ++N)
-    M[ComponentOf[N]].push_back(N);
-  return M;
-}
-
-SCCResult hcvliw::computeSCCs(unsigned NumNodes,
-                              const std::vector<std::vector<unsigned>> &Adj) {
-  assert(Adj.size() == NumNodes && "adjacency size mismatch");
-  SCCResult Result;
-  Result.ComponentOf.assign(NumNodes, ~0u);
-
-  constexpr unsigned Undefined = ~0u;
-  std::vector<unsigned> Index(NumNodes, Undefined);
-  std::vector<unsigned> LowLink(NumNodes, 0);
-  std::vector<bool> OnStack(NumNodes, false);
-  std::vector<unsigned> Stack;
-  unsigned NextIndex = 0;
-
-  // Iterative Tarjan with an explicit DFS frame stack.
-  struct Frame {
-    unsigned Node;
-    size_t EdgeIx;
-  };
-  std::vector<Frame> DFS;
-
-  for (unsigned Root = 0; Root < NumNodes; ++Root) {
-    if (Index[Root] != Undefined)
-      continue;
-    DFS.push_back({Root, 0});
-    Index[Root] = LowLink[Root] = NextIndex++;
-    Stack.push_back(Root);
-    OnStack[Root] = true;
-
-    while (!DFS.empty()) {
-      Frame &F = DFS.back();
-      unsigned N = F.Node;
-      if (F.EdgeIx < Adj[N].size()) {
-        unsigned M = Adj[N][F.EdgeIx++];
-        if (Index[M] == Undefined) {
-          Index[M] = LowLink[M] = NextIndex++;
-          Stack.push_back(M);
-          OnStack[M] = true;
-          DFS.push_back({M, 0});
-        } else if (OnStack[M] && Index[M] < LowLink[N]) {
-          LowLink[N] = Index[M];
-        }
-        continue;
-      }
-      // All edges of N explored: maybe emit a component, then pop.
-      if (LowLink[N] == Index[N]) {
-        unsigned Comp = Result.NumComponents++;
-        while (true) {
-          unsigned M = Stack.back();
-          Stack.pop_back();
-          OnStack[M] = false;
-          Result.ComponentOf[M] = Comp;
-          if (M == N)
-            break;
-        }
-      }
-      DFS.pop_back();
-      if (!DFS.empty()) {
-        unsigned Parent = DFS.back().Node;
-        if (LowLink[N] < LowLink[Parent])
-          LowLink[Parent] = LowLink[N];
-      }
-    }
-  }
-  return Result;
-}
-
 std::optional<std::vector<unsigned>>
 hcvliw::topologicalOrder(unsigned NumNodes,
                          const std::vector<std::vector<unsigned>> &Adj) {

@@ -2,9 +2,10 @@
 ///
 /// \file
 /// Directed-graph utilities shared by the dependence-graph analyses:
-/// Tarjan strongly-connected components, topological ordering, and a
-/// Bellman-Ford style positive-cycle probe (the inner loop of the
-/// minimum-initiation-interval computation).
+/// topological ordering and a Bellman-Ford style positive-cycle probe
+/// (the inner loop of the minimum-initiation-interval computation).
+/// The SCC pass works on the DDG's CSR directly (computeComponents in
+/// ir/RecurrenceAnalysis).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,22 +24,6 @@ template <typename WeightT> struct WeightedEdge {
   unsigned Dst;
   WeightT Weight;
 };
-
-/// Result of a strongly-connected-component decomposition.
-struct SCCResult {
-  /// Component id per node; ids are a reverse topological order of the
-  /// condensation (Tarjan property: a component is numbered before any
-  /// component it can reach... specifically successors get lower ids).
-  std::vector<unsigned> ComponentOf;
-  unsigned NumComponents = 0;
-
-  /// Node lists per component.
-  std::vector<std::vector<unsigned>> members() const;
-};
-
-/// Tarjan's algorithm (iterative) on an adjacency-list graph.
-SCCResult computeSCCs(unsigned NumNodes,
-                      const std::vector<std::vector<unsigned>> &Adj);
 
 /// Topological order of a DAG; std::nullopt when a cycle exists.
 std::optional<std::vector<unsigned>>

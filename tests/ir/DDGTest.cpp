@@ -160,24 +160,4 @@ endloop
   }
 }
 
-TEST(DDG, AdjacencyMatchesEdges) {
-  Loop L = parseSingleLoop(R"(
-loop t trip=4
-  arrays A O
-  x = load A
-  y = fadd x x
-  z = fmul y x
-  store O z
-endloop
-)");
-  DDG G = DDG::build(L);
-  auto Adj = G.adjacency();
-  unsigned Count = 0;
-  for (const auto &Out : Adj)
-    Count += static_cast<unsigned>(Out.size());
-  EXPECT_EQ(Count, G.numEdges());
-  for (unsigned N = 0; N < G.size(); ++N)
-    EXPECT_EQ(G.outEdges(N).size(), Adj[N].size());
-}
-
 } // namespace

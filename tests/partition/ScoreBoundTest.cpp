@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "configsel/Scaling.h"
+#include "ir/MinDist.h"
 #include "mcd/DomainPlanner.h"
 #include "partition/MultilevelGraph.h"
 #include "partition/Partitioner.h"
@@ -127,9 +128,9 @@ void checkFixture(const Loop &L, const MachineDescription &M, uint64_t Seed,
   DDG G = DDG::build(L);
   std::vector<unsigned> Lat = M.Isa.nodeLatencies(L);
   RecurrenceInfo Recs = analyzeRecurrences(G, Lat);
-  MinDistMatrix Slack;
-  MinDistMatrix::computeInto(Slack, G, Lat,
-                             std::max<int64_t>(Recs.RecMII, 1));
+  std::vector<int64_t> Slack;
+  LongestPathScratch Paths;
+  computeEdgeSlack(Slack, G, Lat, std::max<int64_t>(Recs.RecMII, 1), Paths);
   unsigned NC = M.numClusters();
   MultilevelGraph ML;
   ML.build(L, G, M, {}, {}, Slack, NC);

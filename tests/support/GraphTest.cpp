@@ -1,7 +1,6 @@
 //===- tests/support/GraphTest.cpp - Graph algorithm tests ------------------===//
 
 #include "support/Graph.h"
-#include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
@@ -10,43 +9,6 @@
 using namespace hcvliw;
 
 namespace {
-
-TEST(SCC, SingleNodes) {
-  SCCResult R = computeSCCs(3, {{}, {}, {}});
-  EXPECT_EQ(R.NumComponents, 3u);
-}
-
-TEST(SCC, SimpleCycle) {
-  // 0 -> 1 -> 2 -> 0 plus tail 2 -> 3.
-  SCCResult R = computeSCCs(4, {{1}, {2}, {0, 3}, {}});
-  EXPECT_EQ(R.NumComponents, 2u);
-  EXPECT_EQ(R.ComponentOf[0], R.ComponentOf[1]);
-  EXPECT_EQ(R.ComponentOf[1], R.ComponentOf[2]);
-  EXPECT_NE(R.ComponentOf[3], R.ComponentOf[0]);
-}
-
-TEST(SCC, TwoCyclesBridged) {
-  // {0,1} and {2,3} cycles, bridge 1 -> 2.
-  SCCResult R = computeSCCs(4, {{1}, {0, 2}, {3}, {2}});
-  EXPECT_EQ(R.NumComponents, 2u);
-  EXPECT_EQ(R.ComponentOf[0], R.ComponentOf[1]);
-  EXPECT_EQ(R.ComponentOf[2], R.ComponentOf[3]);
-}
-
-TEST(SCC, MembersPartitionNodes) {
-  RNG Rng(99);
-  unsigned N = 40;
-  std::vector<std::vector<unsigned>> Adj(N);
-  for (unsigned I = 0; I < 80; ++I)
-    Adj[static_cast<size_t>(Rng.nextInt(0, N - 1))].push_back(
-        static_cast<unsigned>(Rng.nextInt(0, N - 1)));
-  SCCResult R = computeSCCs(N, Adj);
-  auto M = R.members();
-  size_t Total = 0;
-  for (const auto &Comp : M)
-    Total += Comp.size();
-  EXPECT_EQ(Total, N);
-}
 
 TEST(Topo, SimpleDAG) {
   auto Order = topologicalOrder(4, {{1, 2}, {3}, {3}, {}});
