@@ -126,8 +126,9 @@ class BenchReporter {
     uint64_t PartRefineMoves = 0, PartFMMoves = 0;
     uint64_t PartScoreEvals = 0, PartBoundRejects = 0;
     uint64_t PartCoarsenMemoHits = 0;
-    /// Robustness ledger (PR 9): silent tick-grid → Rational replays,
-    /// loops finished on a degradation rung, and injected faults.
+    /// Robustness ledger (PR 9): IT steps refused for a plan with no
+    /// tick grid, loops finished on a degradation rung, and injected
+    /// faults.
     /// Baselines assert the last two are zero in clean CI runs.
     uint64_t FallbackRational = 0;
     uint64_t DegradedCount = 0;

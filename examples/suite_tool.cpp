@@ -304,7 +304,7 @@ int main(int argc, char **argv) {
     }
     if (Degraded || Cold || Flat || Rat)
       std::printf("degradation: %llu loops on the analytic rung, %llu cold "
-                  "replays, %llu flat partitions, %llu rational fallbacks\n",
+                  "replays, %llu flat partitions, %llu grid-less IT steps\n",
                   Degraded, Cold, Flat, Rat);
     const fault::FaultInjector &FI = S.faultInjector();
     if (FI.totalInjected()) {

@@ -10,12 +10,14 @@
 /// (ASAP/ALAP fixpoints, edge bounds, placement, validation, register
 /// pressure) is an exact int64, so the whole per-loop scheduling chain
 /// runs on integer div/mod instead of Rational gcd normalization --
-/// with bit-identical results, since tick arithmetic is Rational
-/// arithmetic scaled by one exact common denominator.
+/// exactly, since tick arithmetic is Rational arithmetic scaled by one
+/// exact common denominator. It is the chain's only clock arithmetic.
 ///
-/// The lowering is best-effort: when the LCM (or any lowered quantity)
-/// would overflow the headroom needed by schedule-time products, the
-/// grid is invalid and callers fall back to the exact Rational path.
+/// The lowering can fail: when the LCM (or any lowered quantity) would
+/// overflow the headroom needed by schedule-time products, the grid is
+/// invalid. The Figure 5 driver (LoopScheduler) refuses such an IT
+/// step with NoGridReason and grows the IT, as it does when a domain
+/// has no (II, frequency) pair.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +32,7 @@
 namespace hcvliw {
 
 class PlanGrid {
-  int64_t TicksPerNsVal = 0; ///< 0 = invalid grid (overflow fallback)
+  int64_t TicksPerNsVal = 0; ///< 0 = invalid grid (overflow)
   int64_t ITTicksVal = 0;
   std::vector<int64_t> ClusterPeriodTicks;
   int64_t BusPeriodTicksVal = 0;
@@ -41,9 +43,13 @@ public:
   /// distance x IT) keeps ample int64 headroom.
   static constexpr int64_t MaxTicks = int64_t(1) << 38;
 
-  /// Lowers \p Plan onto its tick grid; the result is invalid (and
-  /// callers must use the Rational path) when the denominator LCM or
-  /// any lowered quantity exceeds MaxTicks.
+  /// The failure every scheduling-chain entry point reports for a plan
+  /// whose grid is invalid.
+  static constexpr const char *NoGridReason =
+      "no tick grid: clock periods overflow the int64 grid";
+
+  /// Lowers \p Plan onto its tick grid; the result is invalid when the
+  /// denominator LCM or any lowered quantity exceeds MaxTicks.
   static PlanGrid compute(const MachinePlan &Plan);
 
   /// In-place form of compute: reuses \p G's period buffer (the

@@ -93,7 +93,7 @@ uint64_t ScheduleMeasurer::loopScheduleKey(const Loop &L,
   H.mix(Opts.Sched.CompactLifetimes ? 1u : 2u);
   H.mix(Opts.MaxITSteps);
   // The effort deadline changes sweep outcomes when it fires, so it is
-  // part of the key (unlike WarmStart/UseTickGrid, which never do).
+  // part of the key (unlike WarmStart, which never does).
   H.mix(Opts.EffortDeadline);
 
   // The energy model and the per-domain scaling factors steer

@@ -95,9 +95,9 @@ struct ConfigRunResult {
   unsigned DegradedLoops = 0;   ///< loops on the analytic-estimate rung
   unsigned ColdReplays = 0;     ///< warm sweeps replayed cold after a throw
   unsigned FlatPartitions = 0;  ///< partition runs on the flat rung
-  /// Scheduler runs that silently fell back from the tick grid to the
-  /// Rational path (summed LoopScheduleResult::FallbackRational; the
-  /// sched.fallback_rational metric).
+  /// IT steps refused because the plan had no tick grid (summed
+  /// LoopScheduleResult::FallbackRational; the sched.fallback_rational
+  /// metric).
   unsigned FallbackRational = 0;
 };
 

@@ -190,6 +190,19 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
       continue;
     }
 
+    // The one grid check of the chain: every consumer below (pseudo-
+    // schedules, scheduler, compaction, pressure, validator) runs on
+    // the plan's tick grid, so a plan without one is an infeasible IT
+    // step. Checked before the prune so warm and cold agree.
+    PlanGrid::computeInto(S.Grid, *Plan);
+    if (!S.Grid.valid()) {
+      R.Failure = PlanGrid::NoGridReason;
+      logFailure(R.FailureLog, Step, IT, R.Failure);
+      ++R.FallbackRational;
+      IT = Planner.nextIT(IT);
+      continue;
+    }
+
     // Warm-start lower-bound prune (exact; see file header): when the
     // critical recurrence cannot be placed in *any* cluster at this IT,
     // both partition attempts are doomed to "no feasible partition" —
@@ -257,7 +270,6 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
         R.Placements += FirstSR.Placements;
         R.Ejections += FirstSR.Ejections;
         R.BudgetUsed += FirstSR.BudgetUsed;
-        R.FallbackRational += FirstSR.FallbackRational ? 1 : 0;
         R.Failure = FirstFailure;
         logFailure(R.FailureLog, Step, IT, R.Failure);
         continue;
@@ -277,22 +289,17 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
         }
       }
 
-      // One tick lowering per attempt, shared by the scheduler, the
-      // register-pressure computation and the validator. An invalid
-      // lowering (grid overflow) is passed through as-is: every
-      // consumer treats it as "known no grid, use Rational".
-      if (Opts.Sched.UseTickGrid)
-        TickGraph::buildInto(S.Ticks, S.PG, *Plan);
-      const TickGraph *Ticks =
-          Opts.Sched.UseTickGrid ? &S.Ticks : nullptr;
+      // One tick lowering per attempt, shared by the scheduler, stage
+      // compaction, the register-pressure computation and the
+      // validator. The plan's grid was checked above, so it is valid.
+      TickGraph::buildInto(S.Ticks, S.PG, *Plan);
 
       HCVLIW_FAULT_POINT(Opts.Fault, "sched.place", FaultCtx);
       HeteroModuloScheduler Scheduler(Machine, S.PG, *Plan, Opts.Sched);
-      SchedulerResult SR = Scheduler.run(Ticks, &S.Sched, Trace);
+      SchedulerResult SR = Scheduler.run(&S.Ticks, &S.Sched, Trace);
       R.Placements += SR.Placements;
       R.Ejections += SR.Ejections;
       R.BudgetUsed += SR.BudgetUsed;
-      R.FallbackRational += SR.FallbackRational ? 1 : 0;
       if (!SR.Success) {
         R.Failure = SR.FailureReason;
         logFailure(R.FailureLog, Step, IT, R.Failure);
@@ -305,8 +312,8 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
         continue;
       }
 
-      RegisterPressureResult Pressure = computeRegisterPressure(
-          S.PG, SR.Sched, Opts.Sched.UseTickGrid, Ticks, &S.Pressure);
+      RegisterPressureResult Pressure =
+          computeRegisterPressure(S.PG, SR.Sched, &S.Ticks, &S.Pressure);
       if (!Pressure.fits(Machine) && Opts.Sched.CompactLifetimes) {
         // Salvage: stage compaction collapses whole-II lifetime
         // crossings (the dominant pressure term on wide graphs) while
@@ -316,11 +323,10 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
         // so warm and cold sweeps rescue identically.
         obs::Span CSp(Trace, "sched.compact");
         unsigned Moved = compactScheduleLifetimes(
-            S.PG, *Plan, Ticks, SR.Sched, Opts.Sched.MaxSlotMultiple,
-            &S.Sched);
+            S.Ticks, SR.Sched, Opts.Sched.MaxSlotMultiple, &S.Sched);
         if (Moved)
-          Pressure = computeRegisterPressure(
-              S.PG, SR.Sched, Opts.Sched.UseTickGrid, Ticks, &S.Pressure);
+          Pressure =
+              computeRegisterPressure(S.PG, SR.Sched, &S.Ticks, &S.Pressure);
         if (CSp.active()) {
           CSp.arg("moved", static_cast<int64_t>(Moved));
           CSp.arg("fits", Pressure.fits(Machine) ? 1 : 0);
@@ -339,8 +345,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
       }
 
       ValidatorOptions VO;
-      VO.UseTickGrid = Opts.Sched.UseTickGrid;
-      VO.Ticks = Ticks;
+      VO.Ticks = &S.Ticks;
       // Pressure was computed and bounds-checked just above; don't pay
       // a second full computation inside the validator.
       VO.CheckRegisterPressure = false;

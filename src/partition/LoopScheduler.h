@@ -7,6 +7,12 @@
 ///   the DDG -> schedule; on any failure (synchronization, partitioning,
 ///   scheduling, register pressure) increase the IT and retry.
 ///
+/// Everything after the frequency selection runs on the plan's integer
+/// tick grid (mcd/PlanGrid.h). The driver checks the grid once per IT
+/// step, right after the plan is chosen: a plan with no grid is one
+/// more infeasible IT step (PlanGrid::NoGridReason in the FailureLog),
+/// so no consumer downstream ever sees a grid-less plan.
+///
 /// The same driver serves homogeneous machines (every domain at one
 /// frequency, baseline [2][3] objective) and heterogeneous ones (ED2
 /// objective, Section 4 extensions).
@@ -22,7 +28,7 @@
 /// bound — results (schedule, counters, failure log) are bit-identical
 /// to the retained WarmStart=false cold path, which recomputes
 /// everything from scratch at every step; tests/sched/WarmStartTest
-/// pins the equivalence the way TickDomainTest pins tick-vs-Rational.
+/// pins the equivalence.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +55,8 @@ struct LoopScheduleOptions {
   /// IT growth attempts before giving up.
   unsigned MaxITSteps = 64;
   /// Warm-start the IT sweep (exact memos + lower-bound prune; see the
-  /// file header). Bit-identical to the cold path, so — like
-  /// SchedulerOptions::UseTickGrid — not part of any cache key.
+  /// file header). Bit-identical to the cold path, so not part of any
+  /// cache key.
   bool WarmStart = true;
   /// Hard ceiling on scheduler effort for one schedule() run, in
   /// BudgetUsed units (placement-loop iterations); 0 = unlimited. When
@@ -101,13 +107,12 @@ struct LoopScheduleResult {
   uint64_t Ejections = 0;
   uint64_t BudgetUsed = 0;
 
-  /// Scheduler runs (over the whole sweep) that silently fell back from
-  /// the requested tick grid to the Rational path (SchedulerResult::
-  /// FallbackRational). Unlike the effort counters this is part of the
-  /// warm==cold equivalence contract — the duplicate-assignment replay
-  /// re-counts it from the recorded first attempt — and cached results
-  /// carry it, so the sched.fallback_rational metric is identical with
-  /// or without the schedule cache.
+  /// IT steps refused because the plan had no tick grid (logged with
+  /// PlanGrid::NoGridReason). The name predates that meaning: such a
+  /// plan used to fall back to a Rational scheduler path. Part of the
+  /// warm==cold equivalence contract (the check precedes the warm-start
+  /// prune), and cached results carry it, so the sched.fallback_rational
+  /// metric is identical with or without the schedule cache.
   unsigned FallbackRational = 0;
 
   /// Every failed (IT step, attempt) of the sweep, in order — the

@@ -71,6 +71,9 @@ struct ScheduleScratch {
   std::vector<unsigned> Lat;
   std::vector<int64_t> EdgeSlack;
   LongestPathScratch Paths;
+  /// The current IT step's plan grid, recomputed at every step; only
+  /// its validity is read (the grid check of the Figure 5 driver).
+  PlanGrid Grid;
 
   // Per-attempt structures.
   PartitionedGraph PG;

@@ -1,18 +1,11 @@
 //===- sched/HeteroModuloScheduler.cpp - Heterogeneous IMS ------------------===//
 //
-// Two interchangeable placement paths produce bit-identical schedules:
-//
-//   - runTicks: the production fast path on the plan's PlanGrid --
-//     every clock quantity an exact int64 tick count, per-edge timing
-//     constants precomputed (TickGraph), and the highest-priority
-//     unplaced node selected through a rank-ordered bitset instead of a
-//     linear rescan of the priority list.
-//   - runRational: the retained exact-Rational reference, also the
-//     automatic fallback when the plan's grid overflows int64.
-//
-// Both paths make the same decisions in the same order (tick arithmetic
-// is Rational arithmetic scaled by ticksPerNs, exactly), which
-// tests/sched/TickDomainTest pins over random loops and plans.
+// The placement loop runs on the plan's PlanGrid: every clock quantity
+// is an exact int64 tick count, per-edge timing constants are
+// precomputed (TickGraph), and the highest-priority unplaced node is
+// selected through a rank-ordered bitset instead of a linear rescan of
+// the priority list. tests/sched/TickDomainTest pins its output to
+// golden digests over random loops and plans.
 //
 // All per-run storage lives in a SchedulerScratch (caller-provided for
 // steady-state allocation-free sweeps, stack-local otherwise); scratch
@@ -21,69 +14,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "sched/HeteroModuloScheduler.h"
-#include "mcd/SyncModel.h"
 #include "sched/TickGraph.h"
 
 #include <algorithm>
 #include <cassert>
 
 using namespace hcvliw;
-
-static Rational periodOf(const PartitionedGraph &PG, const MachinePlan &Plan,
-                         unsigned Node) {
-  unsigned D = PG.node(Node).Domain;
-  return D == PG.busDomain() ? Plan.Bus.PeriodNs : Plan.Clusters[D].PeriodNs;
-}
-
-static int64_t iiOf(const PartitionedGraph &PG, const MachinePlan &Plan,
-                    unsigned Node) {
-  unsigned D = PG.node(Node).Domain;
-  return D == PG.busDomain() ? Plan.Bus.II : Plan.Clusters[D].II;
-}
-
-Rational hcvliw::edgeStartBound(const PartitionedGraph &PG,
-                                const MachinePlan &Plan, const PGEdge &E,
-                                const Rational &SrcStartNs) {
-  Rational PSrc = periodOf(PG, Plan, E.Src);
-  Rational PDst = periodOf(PG, Plan, E.Dst);
-  Rational Ready = SrcStartNs + Rational(E.LatencyCycles) * PSrc;
-  Rational Arrive = crossDomainArrival(Ready, PSrc, PDst);
-  return Arrive - Rational(E.Distance) * Plan.ITNs;
-}
-
-bool hcvliw::computeAsapTimesInto(std::vector<Rational> &Start,
-                                  const PartitionedGraph &PG,
-                                  const MachinePlan &Plan) {
-  Start.assign(PG.size(), Rational(0));
-  // Longest-path fixpoint; with V nodes, a change in round V proves an
-  // unsatisfiable (positive) dependence cycle for this IT.
-  for (unsigned Round = 0; Round <= PG.size(); ++Round) {
-    bool Changed = false;
-    for (const PGEdge &E : PG.edges()) {
-      Rational Bound = edgeStartBound(PG, Plan, E, Start[E.Src]);
-      if (Start[E.Dst] < Bound) {
-        // Starts are slot-aligned: round the bound up to the domain tick.
-        Rational P = periodOf(PG, Plan, E.Dst);
-        Rational Aligned = alignUpToTick(Bound, P);
-        if (Start[E.Dst] < Aligned) {
-          Start[E.Dst] = Aligned;
-          Changed = true;
-        }
-      }
-    }
-    if (!Changed)
-      return true;
-  }
-  return false;
-}
-
-std::optional<std::vector<Rational>>
-hcvliw::computeAsapTimes(const PartitionedGraph &PG, const MachinePlan &Plan) {
-  std::vector<Rational> Start;
-  if (!computeAsapTimesInto(Start, PG, Plan))
-    return std::nullopt;
-  return Start;
-}
 
 HeteroModuloScheduler::HeteroModuloScheduler(const MachineDescription &M,
                                              const PartitionedGraph &Graph,
@@ -93,11 +29,11 @@ HeteroModuloScheduler::HeteroModuloScheduler(const MachineDescription &M,
 
 namespace {
 
-/// The indexed ready structure of the tick path: one bit per priority
+/// The placement loop's indexed ready structure: one bit per priority
 /// rank, set while the node holding that rank is unplaced. Selecting
 /// the highest-priority unplaced node is a find-first-set over the
 /// word array (O(N/64) worst case, first-word in the common case)
-/// instead of the reference path's O(N) rescan of the priority list.
+/// instead of an O(N) rescan of the priority list.
 /// Operates on a caller-owned word buffer so sweeps reuse the storage.
 class RankReadySet {
   std::vector<uint64_t> &Words;
@@ -122,11 +58,10 @@ public:
   }
 };
 
-/// Sweep cap for the stage-compaction fixpoint of both arithmetic
-/// forms. Each sweep only moves slots later (bounded by
-/// MaxSlotMultiple * II), so the fixpoint exists; chains of
-/// cross-iteration edges resolve one link per sweep, and real loops
-/// settle in 2-3.
+/// Sweep cap for the stage-compaction fixpoint. Each sweep only moves
+/// slots later (bounded by MaxSlotMultiple * II), so the fixpoint
+/// exists; chains of cross-iteration edges resolve one link per sweep,
+/// and real loops settle in 2-3.
 constexpr unsigned CompactMaxPasses = 8;
 
 /// Occupant of (Domain, Kind, Slot) with the largest rank (the
@@ -157,26 +92,11 @@ SchedulerResult HeteroModuloScheduler::run(const TickGraph *Ticks,
   SchedulerScratch Local;
   SchedulerScratch &SS = Scratch ? *Scratch : Local;
   SchedulerResult R;
-  bool Dispatched = false;
-  if (Opts.UseTickGrid) {
-    if (Ticks) {
-      if (Ticks->valid()) {
-        assert(&Ticks->graph() == &PG && "prebuilt tick graph mismatch");
-        R = runTicks(*Ticks, SS);
-        Dispatched = true;
-      }
-      // Caller already proved the plan has no grid: Rational fallback.
-    } else if (auto T = TickGraph::build(PG, Plan)) {
-      R = runTicks(*T, SS);
-      Dispatched = true;
-    }
-  }
-  if (!Dispatched) {
-    R = runRational(SS);
-    // Requested grid had no valid lowering: record the silent
-    // tick->Rational degradation so callers can count it.
-    R.FallbackRational = Opts.UseTickGrid;
-  }
+  std::optional<TickGraph> Own;
+  if (const TickGraph *T = TickGraph::resolve(Ticks, PG, Plan, Own))
+    R = runTicks(*T, SS);
+  else
+    R.FailureReason = PlanGrid::NoGridReason;
   if (Sp.active()) {
     Sp.arg("placements", static_cast<int64_t>(R.Placements));
     Sp.arg("ejections", static_cast<int64_t>(R.Ejections));
@@ -185,10 +105,6 @@ SchedulerResult HeteroModuloScheduler::run(const TickGraph *Ticks,
   }
   return R;
 }
-
-//===----------------------------------------------------------------------===//
-// Tick-domain fast path
-//===----------------------------------------------------------------------===//
 
 SchedulerResult HeteroModuloScheduler::runTicks(const TickGraph &T,
                                                 SchedulerScratch &SS) {
@@ -360,208 +276,56 @@ SchedulerResult HeteroModuloScheduler::runTicks(const TickGraph &T,
 }
 
 //===----------------------------------------------------------------------===//
-// Exact-Rational reference path (and overflow fallback)
-//===----------------------------------------------------------------------===//
-
-SchedulerResult HeteroModuloScheduler::runRational(SchedulerScratch &SS) {
-  SchedulerResult Result;
-  unsigned N = PG.size();
-
-  if (!computeAsapTimesInto(SS.RatAsap, PG, Plan)) {
-    Result.FailureReason = "recurrence infeasible at this IT";
-    return Result;
-  }
-  const std::vector<Rational> &Asap = SS.RatAsap;
-
-  // Approximate ALAP against the ASAP horizon using the no-sync timing
-  // rule backwards (priorities only; correctness never depends on it).
-  Rational Horizon(0);
-  for (unsigned I = 0; I < N; ++I)
-    Horizon = Rational::max(Horizon, Asap[I]);
-  std::vector<Rational> &Alap = SS.RatAlap;
-  Alap.assign(N, Horizon);
-  for (unsigned Round = 0; Round < N; ++Round) {
-    bool Changed = false;
-    for (const PGEdge &E : PG.edges()) {
-      Rational PSrc = periodOf(PG, Plan, E.Src);
-      Rational Limit = Alap[E.Dst] + Rational(E.Distance) * Plan.ITNs -
-                       Rational(E.LatencyCycles) * PSrc;
-      if (Limit < Alap[E.Src]) {
-        Alap[E.Src] = Limit;
-        Changed = true;
-      }
-    }
-    if (!Changed)
-      break;
-  }
-
-  std::vector<SchedulerScratch::RatEntry> &Order = SS.RatOrder;
-  Order.resize(N);
-  for (unsigned I = 0; I < N; ++I)
-    Order[I] = {I, Alap[I] - Asap[I], Asap[I]};
-  std::sort(Order.begin(), Order.end(),
-            [](const SchedulerScratch::RatEntry &A,
-               const SchedulerScratch::RatEntry &B) {
-              if (A.Slack != B.Slack)
-                return A.Slack < B.Slack;
-              if (A.Asap != B.Asap)
-                return A.Asap < B.Asap;
-              return A.Node < B.Node;
-            });
-  std::vector<unsigned> &Rank = SS.Rank;
-  Rank.resize(N);
-  for (unsigned I = 0; I < N; ++I)
-    Rank[Order[I].Node] = I;
-
-  SS.MRT.reset(Machine, Plan);
-  ModuloReservationTable &MRT = SS.MRT;
-  SS.Placed.assign(N, 0);
-  std::vector<uint8_t> &Placed = SS.Placed;
-  SS.Slot.assign(N, 0);
-  std::vector<int64_t> &Slot = SS.Slot;
-  SS.Unit.assign(N, 0);
-  std::vector<unsigned> &Unit = SS.Unit;
-  SS.LastSlot.assign(N, INT64_MIN);
-  std::vector<int64_t> &LastSlot = SS.LastSlot;
-  std::vector<Rational> &Period = SS.RatPeriod;
-  Period.resize(N);
-  for (unsigned I = 0; I < N; ++I)
-    Period[I] = periodOf(PG, Plan, I);
-
-  auto startNs = [&](unsigned Node) {
-    return Rational(Slot[Node]) * Period[Node];
-  };
-
-  auto eject = [&](unsigned Node) {
-    assert(Placed[Node] && "ejecting an unplaced node");
-    MRT.release(PG.node(Node).Domain, PG.node(Node).Kind, Slot[Node],
-                Unit[Node], Node);
-    Placed[Node] = 0;
-    ++Result.Ejections;
-  };
-
-  int64_t Budget = Opts.budgetFor(N);
-  unsigned NumPlaced = 0;
-
-  while (NumPlaced < N) {
-    if (--Budget < 0) {
-      Result.FailureReason = "scheduling budget exhausted";
-      return Result;
-    }
-    ++Result.BudgetUsed;
-    // Highest-priority unplaced node (the reference path's linear
-    // rescan of the priority list).
-    unsigned U = ~0u;
-    for (const auto &P : Order)
-      if (!Placed[P.Node]) {
-        U = P.Node;
-        break;
-      }
-    assert(U != ~0u && "no unplaced node despite NumPlaced < N");
-
-    // Earliest slot from ASAP and placed predecessors.
-    Rational EarliestNs = Asap[U];
-    for (unsigned EIx : PG.inEdges(U)) {
-      const PGEdge &E = PG.edge(EIx);
-      if (!Placed[E.Src])
-        continue;
-      Rational Bound = edgeStartBound(PG, Plan, E, startNs(E.Src));
-      EarliestNs = Rational::max(EarliestNs, Bound);
-    }
-    int64_t E0 = (EarliestNs / Period[U]).ceil();
-    if (E0 < 0)
-      E0 = 0;
-    if (LastSlot[U] != INT64_MIN && E0 <= LastSlot[U])
-      E0 = LastSlot[U] + 1; // Rau's progress rule on re-placement
-
-    int64_t II = iiOf(PG, Plan, U);
-    if (E0 > Opts.MaxSlotMultiple * II) {
-      Result.FailureReason = "slot bound exceeded (ejection runaway)";
-      return Result;
-    }
-
-    const PGNode &Node = PG.node(U);
-    // Same modulo-free first-free-slot scan as the tick path.
-    int64_t S = E0;
-    int GotUnit = MRT.reserveFirstFree(Node.Domain, Node.Kind, E0, U, S);
-    if (GotUnit < 0) {
-      // Force placement at E0: evict one occupant of the cell (same
-      // in-place victim scan as the tick path).
-      S = E0;
-      int Victim = victimByRank(MRT, Node.Domain, Node.Kind, S, Rank);
-      assert(Victim >= 0 && "no free unit yet no occupants");
-      eject(static_cast<unsigned>(Victim));
-      --NumPlaced;
-      GotUnit = MRT.tryReserve(Node.Domain, Node.Kind, S, U);
-      assert(GotUnit >= 0 && "reservation failed after eviction");
-    }
-
-    Placed[U] = 1;
-    Slot[U] = S;
-    Unit[U] = static_cast<unsigned>(GotUnit);
-    LastSlot[U] = S;
-    ++NumPlaced;
-    ++Result.Placements;
-
-    // Eject placed successors whose dependence is now violated.
-    for (unsigned EIx : PG.outEdges(U)) {
-      const PGEdge &E = PG.edge(EIx);
-      if (!Placed[E.Dst] || E.Dst == U)
-        continue;
-      Rational Bound = edgeStartBound(PG, Plan, E, startNs(U));
-      if (startNs(E.Dst) < Bound) {
-        eject(E.Dst);
-        --NumPlaced;
-      }
-    }
-  }
-
-  Result.Success = true;
-  Result.Sched.Plan = Plan;
-  Result.Sched.Nodes.assign(N, ScheduledNode());
-  for (unsigned I = 0; I < N; ++I) {
-    Result.Sched.Nodes[I].Placed = true;
-    Result.Sched.Nodes[I].Slot = Slot[I];
-    Result.Sched.Nodes[I].Unit = Unit[I];
-  }
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
 // Stage compaction (register-lifetime salvage)
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Shared shape of the two arithmetic forms below: in decreasing start
-/// order — so each consumer settles before its producers slide up
-/// against it — move every node with a non-self out-edge later by the
-/// largest whole-II stage multiple its out-edge bounds admit. The
-/// modulo reservation is untouched (same slot mod II, same unit) and
-/// in-edge bounds only get slacker, so the schedule stays valid by
-/// construction. Cross-iteration consumers can start *below* their
-/// producer and only open room once moved themselves, so the sweep
-/// repeats to a fixpoint (slots grow monotonically toward the
-/// MaxSlotMultiple bound). \p StartOf(node) and \p BoundLeq(edge,
-/// srcNode, srcSlot, dst) abstract the tick/Rational arithmetic;
-/// both forms compare the same exact quantities, so they move the
-/// same nodes by the same stage counts.
-template <typename Entry, typename StartKeyFn, typename FeasibleFn,
-          typename IIFn>
-unsigned compactSweeps(const PartitionedGraph &PG, int64_t MaxSlotMultiple,
-                       std::vector<Entry> &COrder, std::vector<int64_t> &Slots,
-                       StartKeyFn StartKey, FeasibleFn EdgesHold, IIFn IIOf) {
+unsigned hcvliw::compactScheduleLifetimes(const TickGraph &T, Schedule &S,
+                                          int64_t MaxSlotMultiple,
+                                          SchedulerScratch *Scratch) {
+  SchedulerScratch Local;
+  SchedulerScratch &SS = Scratch ? *Scratch : Local;
+  const PartitionedGraph &PG = T.graph();
   unsigned N = PG.size();
+  std::vector<int64_t> &Slots = SS.Slot;
+  Slots.resize(N);
+  for (unsigned I = 0; I < N; ++I)
+    Slots[I] = S.Nodes[I].Slot;
+
+  // Whether every non-self out-edge of U still holds with U at CandSlot.
+  auto EdgesHold = [&](unsigned U, int64_t CandSlot) {
+    int64_t Src = T.startTicks(U, CandSlot);
+    for (unsigned EIx : PG.outEdges(U)) {
+      const PGEdge &E = PG.edge(EIx);
+      if (E.Dst == U)
+        continue;
+      if (T.startTicks(E.Dst, Slots[E.Dst]) < T.edgeStartBound(EIx, Src))
+        return false;
+    }
+    return true;
+  };
+
+  // In decreasing start order — so each consumer settles before its
+  // producers slide up against it — move every node with a non-self
+  // out-edge later by the largest whole-II stage multiple its out-edge
+  // bounds admit. The modulo reservation is untouched (same slot mod
+  // II, same unit) and in-edge bounds only get slacker, so the schedule
+  // stays valid by construction. Cross-iteration consumers can start
+  // *below* their producer and only open room once moved themselves,
+  // so the sweep repeats to a fixpoint (slots grow monotonically toward
+  // the MaxSlotMultiple bound).
+  std::vector<SchedulerScratch::TickEntry> &COrder = SS.TickOrder;
   unsigned Moved = 0;
   for (unsigned Pass = 0; Pass < CompactMaxPasses; ++Pass) {
     COrder.resize(N);
     for (unsigned I = 0; I < N; ++I)
-      COrder[I] = {I, {}, StartKey(I)};
-    std::sort(COrder.begin(), COrder.end(), [](const Entry &A, const Entry &B) {
-      if (!(A.Asap == B.Asap))
-        return B.Asap < A.Asap;
-      return A.Node < B.Node;
-    });
+      COrder[I] = {I, 0, T.startTicks(I, Slots[I])};
+    std::sort(COrder.begin(), COrder.end(),
+              [](const SchedulerScratch::TickEntry &A,
+                 const SchedulerScratch::TickEntry &B) {
+                if (A.Asap != B.Asap)
+                  return B.Asap < A.Asap;
+                return A.Node < B.Node;
+              });
     bool AnyMove = false;
     for (const auto &Ent : COrder) {
       unsigned U = Ent.Node;
@@ -573,7 +337,7 @@ unsigned compactSweeps(const PartitionedGraph &PG, int64_t MaxSlotMultiple,
         }
       if (!HasOut)
         continue; // sinks and self-cycle-only nodes stay put
-      int64_t II = IIOf(U);
+      int64_t II = T.iiOf(U);
       int64_t KCap = (MaxSlotMultiple * II - Slots[U]) / II;
       if (KCap <= 0)
         continue;
@@ -595,71 +359,6 @@ unsigned compactSweeps(const PartitionedGraph &PG, int64_t MaxSlotMultiple,
     }
     if (!AnyMove)
       break;
-  }
-  return Moved;
-}
-
-} // namespace
-
-unsigned hcvliw::compactScheduleLifetimes(const PartitionedGraph &PG,
-                                          const MachinePlan &Plan,
-                                          const TickGraph *Ticks, Schedule &S,
-                                          int64_t MaxSlotMultiple,
-                                          SchedulerScratch *Scratch) {
-  SchedulerScratch Local;
-  SchedulerScratch &SS = Scratch ? *Scratch : Local;
-  unsigned N = PG.size();
-  std::vector<int64_t> &Slots = SS.Slot;
-  Slots.resize(N);
-  for (unsigned I = 0; I < N; ++I)
-    Slots[I] = S.Nodes[I].Slot;
-
-  unsigned Moved = 0;
-  std::optional<TickGraph> Own;
-  const TickGraph *T = nullptr;
-  if (Ticks) {
-    if (Ticks->valid())
-      T = Ticks;
-  } else {
-    Own = TickGraph::build(PG, Plan);
-    if (Own)
-      T = &*Own;
-  }
-
-  if (T) {
-    auto StartKey = [&](unsigned Node) { return T->startTicks(Node, Slots[Node]); };
-    auto EdgesHold = [&](unsigned U, int64_t CandSlot) {
-      int64_t Src = T->startTicks(U, CandSlot);
-      for (unsigned EIx : PG.outEdges(U)) {
-        const PGEdge &E = PG.edge(EIx);
-        if (E.Dst == U)
-          continue;
-        if (T->startTicks(E.Dst, Slots[E.Dst]) < T->edgeStartBound(EIx, Src))
-          return false;
-      }
-      return true;
-    };
-    auto IIOf = [&](unsigned Node) { return T->iiOf(Node); };
-    Moved = compactSweeps<SchedulerScratch::TickEntry>(
-        PG, MaxSlotMultiple, SS.TickOrder, Slots, StartKey, EdgesHold, IIOf);
-  } else {
-    auto StartKey = [&](unsigned Node) {
-      return Rational(Slots[Node]) * periodOf(PG, Plan, Node);
-    };
-    auto EdgesHold = [&](unsigned U, int64_t CandSlot) {
-      Rational Src = Rational(CandSlot) * periodOf(PG, Plan, U);
-      for (unsigned EIx : PG.outEdges(U)) {
-        const PGEdge &E = PG.edge(EIx);
-        if (E.Dst == U)
-          continue;
-        if (StartKey(E.Dst) < edgeStartBound(PG, Plan, E, Src))
-          return false;
-      }
-      return true;
-    };
-    auto IIOf = [&](unsigned Node) { return iiOf(PG, Plan, Node); };
-    Moved = compactSweeps<SchedulerScratch::RatEntry>(
-        PG, MaxSlotMultiple, SS.RatOrder, Slots, StartKey, EdgesHold, IIOf);
   }
 
   for (unsigned I = 0; I < N; ++I)

@@ -14,6 +14,11 @@
 /// window is full the node is force-placed and conflicting occupants /
 /// violated successors are ejected, bounded by an operation budget.
 ///
+/// All clock arithmetic runs on the plan's integer tick grid
+/// (mcd/PlanGrid.h, sched/TickGraph.h): every start, bound and period is
+/// an exact int64 tick count. A plan with no grid is not scheduled; the
+/// Figure 5 driver refuses such IT steps before calling in.
+///
 /// The scheduler does not check register pressure; the driver validates
 /// it afterwards (sched/RegisterPressure.h) and grows the IT on failure.
 ///
@@ -26,7 +31,6 @@
 #include "sched/ModuloReservationTable.h"
 #include "sched/Schedule.h"
 
-#include <optional>
 #include <string>
 
 namespace hcvliw {
@@ -56,7 +60,7 @@ struct SchedulerOptions {
   /// per-iteration makespan for pressure, so it only runs as a rescue
   /// (schedules that already fit are left untouched and bit-identical
   /// to the historical output). Changes the emitted schedule when it
-  /// fires, hence part of the ScheduleCache key (unlike UseTickGrid).
+  /// fires, hence part of the ScheduleCache key.
   bool CompactLifetimes = true;
 
   /// The placement-loop budget for an \p NumOps-node partitioned graph
@@ -76,49 +80,17 @@ struct SchedulerOptions {
     }
     return F * R + 64; // floor(sqrt(Ref * N)); continuous at N == Ref
   }
-  /// Run the placement loop on the plan's integer tick grid (PlanGrid)
-  /// when it has one; results are bit-identical to the Rational
-  /// reference path, which remains reachable by clearing this (and is
-  /// the automatic fallback when the grid overflows). Not part of the
-  /// ScheduleCache key for exactly that reason.
-  bool UseTickGrid = true;
 };
 
 struct SchedulerResult {
   bool Success = false;
   Schedule Sched;
   std::string FailureReason;
-  /// Effort counters (identical on the tick and Rational paths, which
-  /// make the same decisions in the same order).
+  /// Effort counters of the placement loop.
   uint64_t Placements = 0; ///< successful node placements
   uint64_t Ejections = 0;  ///< evictions + dependence ejections
   uint64_t BudgetUsed = 0; ///< placement-loop iterations consumed
-  /// True when UseTickGrid was requested but the plan has no valid
-  /// integer grid, so the run fell back to the bit-identical Rational
-  /// path (PR 4's one silent degradation, now counted: the sweep
-  /// driver sums it into LoopScheduleResult::FallbackRational and the
-  /// measurement layer surfaces it as the sched.fallback_rational
-  /// metric). Deterministic — a pure function of (PG, Plan, Opts).
-  bool FallbackRational = false;
 };
-
-/// Earliest start times (ns) of every node ignoring resources, or
-/// std::nullopt when a dependence cycle cannot meet the plan's IT (the
-/// recurrence is infeasible for this partition/IT). Exact longest-path
-/// fixpoint over the cross-domain timing rule.
-std::optional<std::vector<Rational>>
-computeAsapTimes(const PartitionedGraph &PG, const MachinePlan &Plan);
-
-/// In-place form of computeAsapTimes: fills \p Start and returns false
-/// on an unsatisfiable recurrence. Identical values.
-bool computeAsapTimesInto(std::vector<Rational> &Start,
-                          const PartitionedGraph &PG,
-                          const MachinePlan &Plan);
-
-/// Lower bound on start(Dst) induced by edge \p E when Src starts at
-/// \p SrcStartNs (the Section 2.2 + sync-queue timing rule).
-Rational edgeStartBound(const PartitionedGraph &PG, const MachinePlan &Plan,
-                        const PGEdge &E, const Rational &SrcStartNs);
 
 class TickGraph;
 
@@ -134,18 +106,11 @@ struct SchedulerScratch {
     int64_t Slack;
     int64_t Asap;
   };
-  struct RatEntry {
-    unsigned Node;
-    Rational Slack;
-    Rational Asap;
-  };
   std::vector<int64_t> Asap, Alap, EdgeBack, Slot, LastSlot;
   std::vector<unsigned> Unit, Rank, NodeOfRank;
   std::vector<uint8_t> Placed;
   std::vector<uint64_t> ReadyWords;
   std::vector<TickEntry> TickOrder;
-  std::vector<RatEntry> RatOrder;
-  std::vector<Rational> RatAsap, RatAlap, RatPeriod;
   ModuloReservationTable MRT;
 };
 
@@ -156,16 +121,11 @@ struct SchedulerScratch {
 /// bounds, so a valid \p S stays valid by construction while long
 /// lifetimes stop crossing full IIs — typically a large register-
 /// pressure reduction on wide graphs, at the cost of deeper stages
-/// (longer per-iteration makespan). Pure function of (PG, Plan, S),
+/// (longer per-iteration makespan). Pure function of (T, S),
 /// independent of thread count and of how S was produced, so warm-start
-/// replays and cold runs compact identically. \p Ticks follows the
-/// run() contract: pass the prebuilt grid to take the tick path, pass
-/// nullptr to build one internally, and an invalid grid falls back to
-/// the bit-identical Rational arithmetic. Returns the number of nodes
-/// moved.
-unsigned compactScheduleLifetimes(const PartitionedGraph &PG,
-                                  const MachinePlan &Plan,
-                                  const TickGraph *Ticks, Schedule &S,
+/// replays and cold runs compact identically. \p T is the valid tick
+/// lowering of (graph, S.Plan). Returns the number of nodes moved.
+unsigned compactScheduleLifetimes(const TickGraph &T, Schedule &S,
                                   int64_t MaxSlotMultiple,
                                   SchedulerScratch *Scratch = nullptr);
 
@@ -175,7 +135,6 @@ class HeteroModuloScheduler {
   const MachinePlan &Plan; ///< borrowed; must outlive run()
   SchedulerOptions Opts;
 
-  SchedulerResult runRational(SchedulerScratch &S);
   SchedulerResult runTicks(const TickGraph &T, SchedulerScratch &S);
 
 public:
@@ -184,13 +143,14 @@ public:
                         const MachinePlan &ThePlan,
                         const SchedulerOptions &O = SchedulerOptions());
 
-  /// Runs the placement loop. \p Ticks: nullptr = lower the plan's tick
-  /// grid internally (the historical behavior); a *valid* TickGraph of
-  /// exactly (Graph, ThePlan) = use it directly; an *invalid* one = the
-  /// caller already proved the plan has no grid, go straight to the
-  /// Rational path. \p Scratch provides reusable buffers (optional).
-  /// \p Trace, when enabled, records one "sched.place" span per run
-  /// (observation only; results never depend on it).
+  /// Runs the placement loop on the plan's tick grid. \p Ticks:
+  /// nullptr = lower (Graph, ThePlan) internally; otherwise the
+  /// caller's lowering of exactly (Graph, ThePlan), whose validity
+  /// decides. A plan with no grid fails with PlanGrid::NoGridReason; a
+  /// valid TickGraph of another graph throws std::invalid_argument.
+  /// \p Scratch provides reusable buffers (optional). \p Trace, when
+  /// enabled, records one "sched.place" span per run (observation only;
+  /// results never depend on it).
   SchedulerResult run(const TickGraph *Ticks = nullptr,
                       SchedulerScratch *Scratch = nullptr,
                       obs::Tracer *Trace = nullptr);

@@ -1,10 +1,10 @@
 //===- sched/PseudoScheduler.cpp - Fast schedule estimates ------------------===//
 
 #include "sched/PseudoScheduler.h"
-#include "sched/HeteroModuloScheduler.h"
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -158,39 +158,24 @@ void hcvliw::estimatePseudoScheduleInto(PseudoSchedule &PS, const Loop &L,
     }
   }
 
-  // Recurrence feasibility + it_length from the exact ASAP fixpoint --
-  // on the plan's integer tick grid when it has one (this estimate runs
-  // once per refinement candidate, so it is the partitioner's hottest
-  // clock math), through Rational otherwise. Both are exact and agree.
+  // Recurrence feasibility + it_length from the exact ASAP fixpoint on
+  // the plan's integer tick grid (this estimate runs once per
+  // refinement candidate, so it is the partitioner's hottest clock
+  // math).
+  if (!TickGraph::buildInto(S.Ticks, PG, Plan))
+    throw std::invalid_argument(std::string("pseudo-schedule: ") +
+                                PlanGrid::NoGridReason);
+  const TickGraph &TG = S.Ticks;
   bool RecurrenceInfeasible = false;
-  if (TickGraph::buildInto(S.Ticks, PG, Plan)) {
-    const TickGraph &TG = S.Ticks;
-    if (!TG.computeAsapTicksInto(S.Asap)) {
-      RecurrenceInfeasible = true;
-    } else {
-      int64_t End = 0;
-      for (unsigned N = 0; N < PG.size(); ++N)
-        End = std::max(End,
-                       S.Asap[N] +
-                           static_cast<int64_t>(PG.node(N).LatencyCycles) *
-                               TG.periodTicks(N));
-      PS.ItLengthNs = TG.grid().toNs(End);
-    }
+  if (!TG.computeAsapTicksInto(S.Asap)) {
+    RecurrenceInfeasible = true;
   } else {
-    auto Asap = computeAsapTimes(PG, Plan);
-    if (!Asap) {
-      RecurrenceInfeasible = true;
-    } else {
-      Rational End(0);
-      for (unsigned N = 0; N < PG.size(); ++N) {
-        Rational P2 = PG.node(N).Domain == PG.busDomain()
-                          ? Plan.Bus.PeriodNs
-                          : Plan.Clusters[PG.node(N).Domain].PeriodNs;
-        End = Rational::max(
-            End, (*Asap)[N] + Rational(PG.node(N).LatencyCycles) * P2);
-      }
-      PS.ItLengthNs = End;
-    }
+    int64_t End = 0;
+    for (unsigned N = 0; N < PG.size(); ++N)
+      End = std::max(End, S.Asap[N] +
+                              static_cast<int64_t>(PG.node(N).LatencyCycles) *
+                                  TG.periodTicks(N));
+    PS.ItLengthNs = TG.grid().toNs(End);
   }
 
   for (unsigned C = 0; C < NC; ++C)

@@ -100,6 +100,7 @@ struct PseudoScratch {
 
 /// Estimates the schedule quality of \p P for \p L under \p Plan.
 /// \p Scratch provides reusable buffers (optional; identical results).
+/// Throws std::invalid_argument when \p Plan has no tick grid.
 PseudoSchedule estimatePseudoSchedule(const Loop &L, const DDG &G,
                                       const MachineDescription &M,
                                       const MachinePlan &Plan,
@@ -108,7 +109,8 @@ PseudoSchedule estimatePseudoSchedule(const Loop &L, const DDG &G,
 
 /// In-place form: writes the estimate into \p PS, reusing its vectors
 /// (refinement scores hundreds of candidates; with this plus a scratch
-/// the whole scoring loop is allocation-free in steady state).
+/// the whole scoring loop is allocation-free in steady state). Same
+/// precondition: a plan with no tick grid throws std::invalid_argument.
 void estimatePseudoScheduleInto(PseudoSchedule &PS, const Loop &L,
                                 const DDG &G, const MachineDescription &M,
                                 const MachinePlan &Plan, const Partition &P,

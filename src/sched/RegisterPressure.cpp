@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -19,8 +20,7 @@ bool RegisterPressureResult::fits(const MachineDescription &M) const {
 namespace {
 
 /// True when node \p N defines a register and, for copies, resolves the
-/// (unique) consumer cluster the payload lands in. Shared between the
-/// two arithmetic paths so they classify nodes identically.
+/// (unique) consumer cluster the payload lands in.
 bool valueHome(const PartitionedGraph &PG, unsigned N, unsigned &Home,
                bool &IsCopy) {
   const PGNode &Node = PG.node(N);
@@ -53,7 +53,7 @@ bool valueHome(const PartitionedGraph &PG, unsigned N, unsigned &Home,
 
 RegisterPressureResult
 hcvliw::computeRegisterPressure(const PartitionedGraph &PG, const Schedule &S,
-                                bool UseTickGrid, const TickGraph *Ticks,
+                                const TickGraph *Ticks,
                                 PressureScratch *Scratch) {
   unsigned NC = PG.numClusters();
   RegisterPressureResult R;
@@ -61,16 +61,11 @@ hcvliw::computeRegisterPressure(const PartitionedGraph &PG, const Schedule &S,
   R.SumLifetimes.assign(NC, 0);
 
   std::optional<TickGraph> Own;
-  const TickGraph *T = nullptr;
-  if (UseTickGrid) {
-    if (Ticks && Ticks->valid()) {
-      T = Ticks;
-    } else if (!Ticks) {
-      Own = TickGraph::build(PG, S.Plan);
-      if (Own)
-        T = &*Own;
-    }
-  }
+  const TickGraph *T = TickGraph::resolve(Ticks, PG, S.Plan, Own);
+  if (!T)
+    throw std::invalid_argument(std::string("register pressure: ") +
+                                PlanGrid::NoGridReason);
+  const PlanGrid &G = T->grid();
 
   // A node's value occupies a register in cluster Home from its write
   // time until the latest read among its value-carrying out-edges.
@@ -85,54 +80,29 @@ hcvliw::computeRegisterPressure(const PartitionedGraph &PG, const Schedule &S,
     if (!valueHome(PG, N, Home, IsCopy))
       continue;
 
+    int64_t Write = T->startTicks(N, S.Nodes[N].Slot) +
+                    static_cast<int64_t>(PG.node(N).LatencyCycles) *
+                        T->periodTicks(N);
+    if (IsCopy)
+      Write = crossDomainArrival(Write, G.busPeriodTicks(),
+                                 G.clusterPeriodTicks(Home));
     bool HasUse = false;
-    int64_t DefSlot, EndSlot;
-    if (T) {
-      const PlanGrid &G = T->grid();
-      int64_t Write = T->startTicks(N, S.Nodes[N].Slot) +
-                      static_cast<int64_t>(PG.node(N).LatencyCycles) *
-                          T->periodTicks(N);
-      if (IsCopy)
-        Write = crossDomainArrival(Write, G.busPeriodTicks(),
-                                   G.clusterPeriodTicks(Home));
-      int64_t LastRead = 0;
-      for (unsigned EIx : PG.outEdges(N)) {
-        const PGEdge &E = PG.edge(EIx);
-        if (!E.CarriesValue)
-          continue;
-        int64_t Read = T->startTicks(E.Dst, S.Nodes[E.Dst].Slot) +
-                       static_cast<int64_t>(E.Distance) * G.itTicks();
-        if (!HasUse || LastRead < Read)
-          LastRead = Read;
-        HasUse = true;
-      }
-      if (!HasUse)
+    int64_t LastRead = 0;
+    for (unsigned EIx : PG.outEdges(N)) {
+      const PGEdge &E = PG.edge(EIx);
+      if (!E.CarriesValue)
         continue;
-      int64_t P = G.clusterPeriodTicks(Home);
-      DefSlot = floorDivTick(Write, P);
-      EndSlot = ceilDivTick(LastRead, P);
-    } else {
-      Rational WriteNs = S.readyNs(PG, N);
-      if (IsCopy)
-        WriteNs = crossDomainArrival(WriteNs, S.Plan.Bus.PeriodNs,
-                                     S.Plan.Clusters[Home].PeriodNs);
-      Rational LastReadNs(0);
-      for (unsigned EIx : PG.outEdges(N)) {
-        const PGEdge &E = PG.edge(EIx);
-        if (!E.CarriesValue)
-          continue;
-        Rational ReadNs =
-            S.startNs(PG, E.Dst) + Rational(E.Distance) * S.Plan.ITNs;
-        if (!HasUse || LastReadNs < ReadNs)
-          LastReadNs = ReadNs;
-        HasUse = true;
-      }
-      if (!HasUse)
-        continue;
-      const Rational &P = S.Plan.Clusters[Home].PeriodNs;
-      DefSlot = (WriteNs / P).floor();
-      EndSlot = (LastReadNs / P).ceil();
+      int64_t Read = T->startTicks(E.Dst, S.Nodes[E.Dst].Slot) +
+                     static_cast<int64_t>(E.Distance) * G.itTicks();
+      if (!HasUse || LastRead < Read)
+        LastRead = Read;
+      HasUse = true;
     }
+    if (!HasUse)
+      continue;
+    int64_t P = G.clusterPeriodTicks(Home);
+    int64_t DefSlot = floorDivTick(Write, P);
+    int64_t EndSlot = ceilDivTick(LastRead, P);
 
     int64_t Len = std::max<int64_t>(1, EndSlot - DefSlot);
     R.SumLifetimes[Home] += Len;

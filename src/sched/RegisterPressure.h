@@ -50,14 +50,13 @@ struct PressureScratch {
   std::vector<std::vector<int64_t>> Pressure;
 };
 
-/// Computes pressure on the plan's integer tick grid when it has one
-/// (\p UseTickGrid, the default), falling back to the exact Rational
-/// arithmetic otherwise; both forms are bit-identical. \p Ticks, when
-/// non-null, must be the lowered (PG, S.Plan) pair and saves the
-/// internal TickGraph build; \p Scratch provides reusable buffers.
+/// Computes pressure on the plan's integer tick grid. \p Ticks, when
+/// non-null, must be the lowering of (PG, S.Plan) and saves the internal
+/// TickGraph build; \p Scratch provides reusable buffers. Throws
+/// std::invalid_argument when the plan has no tick grid or \p Ticks
+/// lowers another graph.
 RegisterPressureResult computeRegisterPressure(const PartitionedGraph &PG,
                                                const Schedule &S,
-                                               bool UseTickGrid = true,
                                                const TickGraph *Ticks = nullptr,
                                                PressureScratch *Scratch =
                                                    nullptr);

@@ -1,7 +1,6 @@
 //===- sched/ScheduleValidator.cpp - Schedule invariant checks --------------===//
 
 #include "sched/ScheduleValidator.h"
-#include "sched/HeteroModuloScheduler.h"
 #include "sched/TickGraph.h"
 #include "support/StrUtil.h"
 
@@ -16,6 +15,12 @@ std::string hcvliw::validateSchedule(const MachineDescription &M,
                                      const ValidatorOptions &Opts) {
   if (S.Nodes.size() != PG.size())
     return "schedule does not cover the graph";
+
+  // Every timing check below runs on the plan's tick grid.
+  std::optional<TickGraph> Own;
+  const TickGraph *T = TickGraph::resolve(Opts.Ticks, PG, S.Plan, Own);
+  if (!T)
+    return PlanGrid::NoGridReason;
 
   // Per-domain II * running period must equal the IT exactly.
   for (unsigned C = 0; C < PG.numClusters(); ++C)
@@ -32,32 +37,12 @@ std::string hcvliw::validateSchedule(const MachineDescription &M,
       return formatString("node %u at negative slot", N);
   }
 
-  // Dependences under the exact timing rule -- on the plan's tick grid
-  // when it has one (the same rule scaled by an exact common
-  // denominator), through Rational otherwise.
-  std::optional<TickGraph> Own;
-  const TickGraph *T = nullptr;
-  if (Opts.UseTickGrid) {
-    if (Opts.Ticks && Opts.Ticks->valid()) {
-      T = Opts.Ticks;
-    } else if (!Opts.Ticks) {
-      Own = TickGraph::build(PG, S.Plan);
-      if (Own)
-        T = &*Own;
-    }
-  }
+  // Dependences under the exact timing rule.
   for (unsigned EIx = 0; EIx < PG.edges().size(); ++EIx) {
     const PGEdge &E = PG.edge(EIx);
-    bool Violated;
-    if (T) {
-      int64_t Bound =
-          T->edgeStartBound(EIx, T->startTicks(E.Src, S.Nodes[E.Src].Slot));
-      Violated = T->startTicks(E.Dst, S.Nodes[E.Dst].Slot) < Bound;
-    } else {
-      Rational Bound = edgeStartBound(PG, S.Plan, E, S.startNs(PG, E.Src));
-      Violated = S.startNs(PG, E.Dst) < Bound;
-    }
-    if (Violated)
+    int64_t Bound =
+        T->edgeStartBound(EIx, T->startTicks(E.Src, S.Nodes[E.Src].Slot));
+    if (T->startTicks(E.Dst, S.Nodes[E.Dst].Slot) < Bound)
       return formatString("edge %u->%u (dist %u) violated", E.Src, E.Dst,
                           E.Distance);
   }
@@ -99,7 +84,7 @@ std::string hcvliw::validateSchedule(const MachineDescription &M,
 
   if (Opts.CheckRegisterPressure) {
     RegisterPressureResult R =
-        computeRegisterPressure(PG, S, Opts.UseTickGrid, Opts.Ticks);
+        computeRegisterPressure(PG, S, T);
     for (unsigned C = 0; C < PG.numClusters(); ++C)
       if (R.MaxLive[C] > static_cast<int64_t>(M.Clusters[C].Registers))
         return formatString("cluster %u: MaxLive %lld exceeds %u registers",

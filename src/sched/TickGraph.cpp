@@ -2,6 +2,8 @@
 
 #include "sched/TickGraph.h"
 
+#include <stdexcept>
+
 using namespace hcvliw;
 
 std::optional<TickGraph> TickGraph::build(const PartitionedGraph &Graph,
@@ -44,6 +46,21 @@ bool TickGraph::buildInto(TickGraph &T, const PartitionedGraph &Graph,
   return true;
 }
 
+const TickGraph *TickGraph::resolve(const TickGraph *Prebuilt,
+                                   const PartitionedGraph &Graph,
+                                   const MachinePlan &Plan,
+                                   std::optional<TickGraph> &Own) {
+  if (!Prebuilt) {
+    Own = build(Graph, Plan);
+    return Own ? &*Own : nullptr;
+  }
+  if (!Prebuilt->valid())
+    return nullptr;
+  if (&Prebuilt->graph() != &Graph)
+    throw std::invalid_argument("tick graph lowers a different graph");
+  return Prebuilt;
+}
+
 std::optional<std::vector<int64_t>> TickGraph::computeAsapTicks() const {
   std::vector<int64_t> Start;
   if (!computeAsapTicksInto(Start))
@@ -56,12 +73,12 @@ bool TickGraph::computeAsapTicksInto(std::vector<int64_t> &Start) const {
   Start.assign(N, 0);
   // Longest-path fixpoint as a FIFO worklist in waves: wave k relaxes
   // the out-edges of nodes raised in wave k-1, so each edge is visited
-  // only when its source actually changed (the round-based reference
+  // only when its source actually changed (a round-based fixpoint
   // rescans every edge every round). The least fixpoint of a monotone
-  // relaxation is unique, so the values are identical to the reference;
+  // relaxation is unique, so the values equal the round-based ones;
   // and a change in wave N still proves an unsatisfiable (positive)
   // dependence cycle — a justification chain of more than N edges must
-  // revisit a node, exactly the reference's change-in-round-N argument.
+  // revisit a node, exactly the round-based change-in-round-N argument.
   WaveCur.resize(N);
   for (unsigned I = 0; I < N; ++I)
     WaveCur[I] = I;

@@ -11,11 +11,16 @@
 ///   EdgeDistTicks[e] Distance(e) * IT, in ticks
 ///
 /// so the ASAP/ALAP fixpoints, edgeStartBound, the placement/ejection
-/// loop, the validator, and the register-pressure computation are pure
-/// integer arithmetic. Tick results are bit-identical to the Rational
-/// reference (every quantity is the Rational value times ticksPerNs,
-/// exactly); HeteroModuloScheduler's retained Rational path and
-/// tests/sched/TickDomainTest pin that equivalence.
+/// loop, stage compaction, the validator, the register-pressure
+/// computation and the pseudo-schedule estimate are pure integer
+/// arithmetic -- the only clock arithmetic of the scheduling chain.
+/// Every tick quantity is the exact Rational time times ticksPerNs;
+/// tests/sched/TickDomainTest checks the ASAP fixpoint against a
+/// Rational oracle and pins the driver's output to golden digests.
+///
+/// A plan with no grid has no TickGraph. The Figure 5 driver refuses
+/// such IT steps (LoopScheduler), so every consumer downstream takes a
+/// valid lowering as a precondition.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +51,7 @@ class TickGraph {
 
 public:
   /// Lowers \p Graph under \p Plan; std::nullopt when the plan has no
-  /// valid grid (LCM overflow) and callers must take the Rational path.
+  /// valid grid (LCM overflow).
   static std::optional<TickGraph> build(const PartitionedGraph &Graph,
                                         const MachinePlan &Plan);
 
@@ -61,6 +66,16 @@ public:
   /// Whether this object holds a lowered graph (buildInto succeeded).
   bool valid() const { return PG != nullptr && Grid.valid(); }
 
+  /// The lowering of (\p Graph, \p Plan) a consumer should use:
+  /// \p Prebuilt when the caller passes one (its validity decides),
+  /// else a fresh lowering held in \p Own. Returns nullptr when the
+  /// plan has no grid; throws std::invalid_argument when a valid
+  /// \p Prebuilt lowers a different graph.
+  static const TickGraph *resolve(const TickGraph *Prebuilt,
+                                  const PartitionedGraph &Graph,
+                                  const MachinePlan &Plan,
+                                  std::optional<TickGraph> &Own);
+
   const PlanGrid &grid() const { return Grid; }
   const PartitionedGraph &graph() const { return *PG; }
   int64_t itTicks() const { return Grid.itTicks(); }
@@ -74,7 +89,8 @@ public:
     return Slot * PeriodTicksVec[Node];
   }
 
-  /// Tick form of hcvliw::edgeStartBound for edge index \p EIx.
+  /// Lower bound on start(Dst) of edge \p EIx when its source starts
+  /// at \p SrcStartTicks (the Section 2.2 + sync-queue timing rule).
   int64_t edgeStartBound(unsigned EIx, int64_t SrcStartTicks) const {
     const PGEdge &E = PG->edge(EIx);
     int64_t Ready = SrcStartTicks + EdgeLatTicks[EIx];
@@ -83,8 +99,9 @@ public:
     return Arrive - EdgeDistTicks[EIx];
   }
 
-  /// Tick form of hcvliw::computeAsapTimes: earliest starts ignoring
-  /// resources, or std::nullopt when the recurrence cannot meet the IT.
+  /// Earliest starts of every node ignoring resources (an exact
+  /// longest-path fixpoint over the cross-domain timing rule), or
+  /// std::nullopt when a dependence cycle cannot meet the IT.
   std::optional<std::vector<int64_t>> computeAsapTicks() const;
 
   /// In-place form of computeAsapTicks: fills \p Start (resized to the

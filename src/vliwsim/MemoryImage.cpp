@@ -56,6 +56,27 @@ void MemoryImage::store(unsigned Array, int64_t Address, double Value) {
   Data[elementIndex(Address, Data.size())] = Value;
 }
 
+bool hcvliw::sameBits(double A, double B) {
+  uint64_t BitsA, BitsB;
+  static_assert(sizeof(BitsA) == sizeof(A));
+  __builtin_memcpy(&BitsA, &A, sizeof(BitsA));
+  __builtin_memcpy(&BitsB, &B, sizeof(BitsB));
+  return BitsA == BitsB;
+}
+
+bool MemoryImage::operator==(const MemoryImage &O) const {
+  if (Arrays.size() != O.Arrays.size())
+    return false;
+  for (size_t A = 0; A < Arrays.size(); ++A) {
+    if (Arrays[A].size() != O.Arrays[A].size())
+      return false;
+    for (size_t K = 0; K < Arrays[A].size(); ++K)
+      if (!sameBits(Arrays[A][K], O.Arrays[A][K]))
+        return false;
+  }
+  return true;
+}
+
 uint64_t MemoryImage::digest() const {
   uint64_t H = 1469598103934665603ull;
   for (const auto &Arr : Arrays)

@@ -33,11 +33,18 @@ public:
   double load(unsigned Array, int64_t Address) const;
   void store(unsigned Array, int64_t Address, double Value);
 
-  bool operator==(const MemoryImage &O) const { return Arrays == O.Arrays; }
+  /// Bitwise equality of every element: a NaN equals the same NaN and
+  /// +0.0 differs from -0.0, so two executions that store the same bits
+  /// compare equal and no others do.
+  bool operator==(const MemoryImage &O) const;
 
   /// Order-insensitive FNV-style digest, for quick test assertions.
   uint64_t digest() const;
 };
+
+/// Bitwise equality of two doubles (the simulators' comparison: a
+/// floating-point == would call every NaN result a divergence).
+bool sameBits(double A, double B);
 
 /// Evaluates one opcode on up to two operands (shared by both
 /// simulators so results are bitwise identical).

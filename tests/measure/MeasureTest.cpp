@@ -13,10 +13,12 @@
 
 #include "configsel/Scaling.h"
 #include "ir/LoopBuilder.h"
+#include "ir/LoopDSL.h"
 #include "profiling/Profiler.h"
 #include "runtime/FrontierMeasurer.h"
 #include "runtime/SuiteRunner.h"
 #include "support/StrUtil.h"
+#include "vliwsim/PipelinedSimulator.h"
 #include "workloads/SyntheticLoops.h"
 
 #include <gtest/gtest.h>
@@ -277,17 +279,24 @@ TEST(SuiteRunner, MeasurementFailurePropagatesMidSuite) {
 
 // --- The simulator oracle --------------------------------------------------
 
-TEST(ScheduleMeasurer, SimulatorDivergenceIsALoopFailure) {
-  // The 1024-op unrolled body (try 0) schedules on the reference
-  // configuration and passes validateSchedule, yet its schedule
-  // diverges from sequential execution within 8 simulated iterations
-  // (perfbench/README.md, "Findings"). The oracle must report that in
-  // Release too: one failed loop carrying the simulator's verdict.
+TEST(ScheduleMeasurer, PlantedTimingViolationIsALoopFailure) {
+  // A valid schedule with one consumer moved a cycle earlier — before
+  // its operand arrives — planted in the ScheduleCache under the loop's
+  // key. The oracle re-checks cache hits, so it must report that in
+  // Release too: one failed loop carrying the simulator's verdict, on
+  // the first measurement that meets the entry and on a repeat.
+  Loop L = parseSingleLoop(R"(
+loop planted trip=16
+  arrays A O
+  x = load A
+  y = fmul x x
+  z = fadd y x
+  store O z
+endloop
+)");
   MachineDescription M = MachineDescription::paperDefault();
-  for (auto &Cl : M.Clusters)
-    Cl.Registers = bigLoopRegisters(1024);
-  std::vector<Loop> Loops = {makeUnrolledKernelLoop("unrolled_1024", 1024)};
-  auto Profile = Profiler(M).profileProgram("unrolled", Loops);
+  std::vector<Loop> Loops = {L};
+  auto Profile = Profiler(M).profileProgram("planted", Loops);
   ASSERT_TRUE(Profile.has_value());
   EnergyModel Energy(EnergyBreakdown(), Profile->Totals, Profile->TexecRefNs,
                      M.numClusters());
@@ -295,27 +304,44 @@ TEST(ScheduleMeasurer, SimulatorDivergenceIsALoopFailure) {
   HeteroScaling Scaling =
       scalingForConfig(Ref, M, TechnologyModel::paperDefault());
 
+  LoopScheduleResult LR = LoopScheduler(M, Ref).schedule(L);
+  ASSERT_TRUE(LR.Success) << LR.Failure;
+  ASSERT_EQ(checkFunctionalEquivalence(L, LR.PG, LR.Sched, M, 8), "");
+  // The first node whose one-slot-earlier issue breaks an in-edge.
+  bool Planted = false;
+  for (unsigned N = 0; N < LR.PG.size() && !Planted; ++N) {
+    if (LR.Sched.Nodes[N].Slot == 0)
+      continue;
+    Schedule Bad = LR.Sched;
+    --Bad.Nodes[N].Slot;
+    if (!runPipelined(L, LR.PG, Bad, M, 8).Ok) {
+      LR.Sched = std::move(Bad);
+      Planted = true;
+    }
+  }
+  ASSERT_TRUE(Planted);
+
   ScheduleCache Cache;
   MeasureOptions Checked;
   Checked.SimCheckIterations = 8;
   ScheduleMeasurer Oracle(M, Checked, &Cache);
+  Cache.store(Oracle.loopScheduleKey(L, Ref, Scaling, Energy, false), LR);
   for (int Pass = 0; Pass < 2; ++Pass) {
-    // Pass 1 is a cache hit: the verdict must not depend on warmth.
     ConfigRunResult R = Oracle.measure(*Profile, Loops, Ref, Scaling, Energy,
                                        /*ED2Objective=*/false);
-    EXPECT_EQ(R.ScheduleHits, static_cast<uint64_t>(Pass));
+    EXPECT_EQ(R.ScheduleHits, 1u);
     EXPECT_FALSE(R.Ok);
     EXPECT_EQ(R.Failures, 1u);
     EXPECT_TRUE(R.Loops.empty());
     ASSERT_EQ(R.FailureDetails.size(), 1u);
-    EXPECT_EQ(R.FailureDetails[0].Loop, "unrolled_1024");
+    EXPECT_EQ(R.FailureDetails[0].Loop, "planted");
     EXPECT_NE(R.FailureDetails[0].Detail.find("simulated schedule diverges"),
               std::string::npos)
         << R.FailureDetails[0].Detail;
   }
 
-  // The same cached schedule measures cleanly without the oracle: the
-  // failure above is the oracle's verdict, not the scheduler's.
+  // The same cached schedule measures without the oracle: the failure
+  // above is the oracle's verdict, not the scheduler's.
   ConfigRunResult Unchecked =
       ScheduleMeasurer(M, MeasureOptions(), &Cache)
           .measure(*Profile, Loops, Ref, Scaling, Energy, false);

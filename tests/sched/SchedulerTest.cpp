@@ -10,6 +10,7 @@
 
 #include "partition/LoopScheduler.h"
 #include "sched/HeteroModuloScheduler.h"
+#include "sched/TickGraph.h"
 #include "vliwsim/PipelinedSimulator.h"
 #include "workloads/SyntheticLoops.h"
 
@@ -89,10 +90,15 @@ TEST(Scheduler, AsapDetectsInfeasibleRecurrence) {
   DomainPlanner Planner(M, C, FrequencyMenu::continuous());
   auto Plan = Planner.planForIT(Rational(2));
   ASSERT_TRUE(Plan.has_value());
-  EXPECT_FALSE(computeAsapTimes(PG, *Plan).has_value());
+  auto T = TickGraph::build(PG, *Plan);
+  ASSERT_TRUE(T.has_value());
+  EXPECT_FALSE(T->computeAsapTicks().has_value());
   // And at IT = 3 ns it becomes feasible.
   auto Plan3 = Planner.planForIT(Rational(3));
-  EXPECT_TRUE(computeAsapTimes(PG, *Plan3).has_value());
+  ASSERT_TRUE(Plan3.has_value());
+  auto T3 = TickGraph::build(PG, *Plan3);
+  ASSERT_TRUE(T3.has_value());
+  EXPECT_TRUE(T3->computeAsapTicks().has_value());
 }
 
 TEST(Scheduler, AchievesMITOnSimpleStream) {

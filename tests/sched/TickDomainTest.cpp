@@ -1,23 +1,36 @@
-//===- tests/sched/TickDomainTest.cpp - Tick path == Rational path ----------===//
+//===- tests/sched/TickDomainTest.cpp - Tick-grid scheduling chain --------===//
 //
-// The tick-domain scheduling fast path must be *bit-identical* to the
-// retained exact-Rational reference: over random loops and several
-// heterogeneous machine plans, the full Figure 5 driver run with
-// UseTickGrid on and off must produce the same success state, the same
-// machine plan, the same slot/unit for every node, the same register
-// pressure, and the same effort counters. The tick path's result is
-// also pinned to golden digests, so the sweep stays a regression test
-// once the Rational path is retired. Also pins the tick ASAP fixpoint
-// against the Rational one and the scheduler's graceful fallback when
-// a plan has no valid grid.
+// The scheduling chain's one clock arithmetic is the plan's integer
+// tick grid. This file pins it three ways:
+//
+//   - the full Figure 5 driver over ~50 random loops x 4 heterogeneous
+//     plans reproduces golden digests (success, failure text, IT steps,
+//     effort counters, every node's slot/unit, register pressure),
+//     recorded when a bit-identical exact-Rational scheduler still ran
+//     beside the tick path;
+//   - the tick ASAP fixpoint equals an exact-Rational ASAP oracle that
+//     lives in this file, scaled by ticksPerNs, and detects the same
+//     infeasible recurrences;
+//   - a plan with no tick grid is handled at every entry point: the
+//     driver refuses the IT step (warm and cold alike, counted in the
+//     FallbackRational ledger), the scheduler and the validator report
+//     it through their failure channels, and the pseudo-schedule
+//     estimate and the register-pressure computation throw.
 //
 //===----------------------------------------------------------------------===//
 
+#include "configsel/Scaling.h"
+#include "mcd/SyncModel.h"
+#include "measure/ScheduleMeasurer.h"
 #include "partition/LoopScheduler.h"
+#include "profiling/Profiler.h"
+#include "sched/PseudoScheduler.h"
 #include "sched/TickGraph.h"
 #include "workloads/SyntheticLoops.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -72,8 +85,40 @@ uint64_t digestResult(const LoopScheduleResult &R) {
   return D.H;
 }
 
-/// digestResult of the tick path per (seed, plan kind) of the sweep
-/// below, recorded before this table existed.
+/// The exact-Rational ASAP oracle: the round-based longest-path
+/// fixpoint over the Section 2.2 + sync-queue timing rule, every time
+/// a Rational number of ns. std::nullopt when a change in round V
+/// proves a dependence cycle that cannot meet the plan's IT.
+std::optional<std::vector<Rational>>
+rationalAsapOracle(const PartitionedGraph &PG, const MachinePlan &Plan) {
+  auto periodOf = [&](unsigned Node) {
+    unsigned D = PG.node(Node).Domain;
+    return D == PG.busDomain() ? Plan.Bus.PeriodNs : Plan.Clusters[D].PeriodNs;
+  };
+  std::vector<Rational> Start(PG.size(), Rational(0));
+  for (unsigned Round = 0; Round <= PG.size(); ++Round) {
+    bool Changed = false;
+    for (const PGEdge &E : PG.edges()) {
+      Rational Ready =
+          Start[E.Src] + Rational(E.LatencyCycles) * periodOf(E.Src);
+      Rational Bound = crossDomainArrival(Ready, periodOf(E.Src),
+                                          periodOf(E.Dst)) -
+                       Rational(E.Distance) * Plan.ITNs;
+      Rational Aligned = alignUpToTick(Bound, periodOf(E.Dst));
+      if (Start[E.Dst] < Aligned) {
+        Start[E.Dst] = Aligned;
+        Changed = true;
+      }
+    }
+    if (!Changed)
+      return Start;
+  }
+  return std::nullopt;
+}
+
+/// digestResult per (seed, plan kind) of the sweep
+/// below, recorded (on the tick path, bit-identical to the Rational
+/// path it then ran beside) before this table existed.
 constexpr uint64_t GoldenDigests[50][4] = {
     {0x53a09b3917691284ull, 0x23bbdcbbeaa4985cull,
      0x6c2333373c0f73d6ull, 0xb07a1997504dfd25ull}, // seed 0
@@ -207,8 +252,8 @@ HeteroConfig configFor(const MachineDescription &M, unsigned Kind) {
 class TickDomainPropertyTest : public ::testing::TestWithParam<int> {};
 
 // ~50 random loops x 4 plans, scheduled through the whole Figure 5
-// driver on both arithmetic paths: slot/unit-identical output.
-TEST_P(TickDomainPropertyTest, FullDriverBitIdentical) {
+// driver: every result matches its golden digest.
+TEST_P(TickDomainPropertyTest, FullDriverMatchesGoldenDigests) {
   int Seed = GetParam();
   RNG Rng(static_cast<uint64_t>(Seed) * 104729 + 7);
   RandomLoopParams Params;
@@ -220,48 +265,19 @@ TEST_P(TickDomainPropertyTest, FullDriverBitIdentical) {
 
   MachineDescription M = MachineDescription::paperDefault();
   for (unsigned Kind = 0; Kind < 4; ++Kind) {
-    HeteroConfig C = configFor(M, Kind);
-
-    LoopScheduleOptions TickOpts;
-    TickOpts.Sched.UseTickGrid = true;
-    LoopScheduleOptions RatOpts;
-    RatOpts.Sched.UseTickGrid = false;
-
-    LoopScheduleResult TR = LoopScheduler(M, C, TickOpts).schedule(L);
-    LoopScheduleResult RR = LoopScheduler(M, C, RatOpts).schedule(L);
-
-    ASSERT_EQ(TR.Success, RR.Success)
-        << "seed " << Seed << " kind " << Kind << ": " << TR.Failure
-        << " vs " << RR.Failure;
-    uint64_t Digest = digestResult(TR);
+    LoopScheduleResult R = LoopScheduler(M, configFor(M, Kind)).schedule(L);
+    EXPECT_EQ(R.FallbackRational, 0u) << "seed " << Seed << " kind " << Kind;
+    uint64_t Digest = digestResult(R);
     EXPECT_EQ(Digest, GoldenDigests[Seed][Kind])
         << "seed " << Seed << " kind " << Kind << ": 0x" << std::hex
         << Digest;
-    EXPECT_EQ(TR.Failure, RR.Failure);
-    EXPECT_EQ(TR.ITSteps, RR.ITSteps) << "seed " << Seed << " kind " << Kind;
-    EXPECT_EQ(TR.Placements, RR.Placements);
-    EXPECT_EQ(TR.Ejections, RR.Ejections);
-    EXPECT_EQ(TR.BudgetUsed, RR.BudgetUsed);
-    if (!TR.Success)
-      continue;
-
-    EXPECT_EQ(TR.Sched.Plan.ITNs, RR.Sched.Plan.ITNs);
-    ASSERT_EQ(TR.Sched.Nodes.size(), RR.Sched.Nodes.size());
-    for (unsigned N = 0; N < TR.Sched.Nodes.size(); ++N) {
-      EXPECT_EQ(TR.Sched.Nodes[N].Slot, RR.Sched.Nodes[N].Slot)
-          << "seed " << Seed << " kind " << Kind << " node " << N;
-      EXPECT_EQ(TR.Sched.Nodes[N].Unit, RR.Sched.Nodes[N].Unit)
-          << "seed " << Seed << " kind " << Kind << " node " << N;
-    }
-    EXPECT_EQ(TR.Pressure.MaxLive, RR.Pressure.MaxLive);
-    EXPECT_EQ(TR.Pressure.SumLifetimes, RR.Pressure.SumLifetimes);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TickDomainPropertyTest,
                          ::testing::Range(0, 50));
 
-// The tick ASAP fixpoint is the Rational one scaled by ticksPerNs.
+// The tick ASAP fixpoint is the Rational oracle scaled by ticksPerNs.
 TEST(TickDomain, AsapMatchesRationalScaled) {
   RNG Rng(0xa5a5);
   RandomLoopParams Params;
@@ -281,14 +297,14 @@ TEST(TickDomain, AsapMatchesRationalScaled) {
   auto T = TickGraph::build(PG, *Plan);
   ASSERT_TRUE(T.has_value());
   auto TickAsap = T->computeAsapTicks();
-  auto RatAsap = computeAsapTimes(PG, *Plan);
+  auto RatAsap = rationalAsapOracle(PG, *Plan);
   ASSERT_EQ(TickAsap.has_value(), RatAsap.has_value());
   ASSERT_TRUE(TickAsap.has_value());
   for (unsigned N = 0; N < PG.size(); ++N)
     EXPECT_EQ(T->grid().toNs((*TickAsap)[N]), (*RatAsap)[N]) << "node " << N;
 }
 
-// Infeasible recurrences are detected identically on both paths.
+// Infeasible recurrences are detected identically by the oracle.
 TEST(TickDomain, AsapInfeasibilityAgrees) {
   Loop L = makeWideRecurrenceLoop("tight", 1, 1, 0, 8, 1.0);
   MachineDescription M = MachineDescription::paperDefault();
@@ -303,47 +319,181 @@ TEST(TickDomain, AsapInfeasibilityAgrees) {
     auto T = TickGraph::build(PG, *Plan);
     ASSERT_TRUE(T.has_value());
     EXPECT_EQ(T->computeAsapTicks().has_value(),
-              computeAsapTimes(PG, *Plan).has_value())
+              rationalAsapOracle(PG, *Plan).has_value())
         << "IT " << IT;
   }
 }
 
-// A plan whose denominator LCM overflows has no grid; the scheduler
-// must fall back to the Rational path and still schedule.
-TEST(TickDomain, OverflowPlanFallsBackGracefully) {
-  RNG Rng(0x77);
-  RandomLoopParams Params;
-  Params.MinOps = 8;
-  Params.MaxOps = 12;
-  Loop L = makeRandomLoop(Rng, Params, "fallback");
+/// A 12-op loop on cluster 0 and a plan perturbed onto two coprime
+/// ~4e9 cluster-period denominators: their LCM alone exceeds int64, so
+/// the plan has no tick grid. (The plan is no longer II*period == IT
+/// consistent either; the grid check comes first everywhere.)
+struct GridlessFixture {
   MachineDescription M = MachineDescription::paperDefault();
-  DDG G = DDG::build(L);
-  Partition P = Partition::allInCluster(G.size(), 0);
-  PartitionedGraph PG = PartitionedGraph::build(L, G, M.Isa, P, 4, 1);
+  Loop L;
+  DDG G;
+  Partition P;
+  PartitionedGraph PG;
+  MachinePlan Plan;
 
-  HeteroConfig C = HeteroConfig::reference(M);
-  DomainPlanner Planner(M, C, FrequencyMenu::continuous());
+  GridlessFixture() {
+    RNG Rng(0x77);
+    RandomLoopParams Params;
+    Params.MinOps = 8;
+    Params.MaxOps = 12;
+    L = makeRandomLoop(Rng, Params, "gridless");
+    G = DDG::build(L);
+    P = Partition::allInCluster(G.size(), 0);
+    PG = PartitionedGraph::build(L, G, M.Isa, P, 4, 1);
+    DomainPlanner Planner(M, HeteroConfig::reference(M),
+                          FrequencyMenu::continuous());
+    auto Grid = Planner.planForIT(Rational(8));
+    EXPECT_TRUE(Grid.has_value());
+    Plan = *Grid;
+    Plan.Clusters[1].PeriodNs = Rational(4000000009LL, 4000000007LL);
+    Plan.Clusters[2].PeriodNs = Rational(4000000007LL, 4000000009LL);
+    EXPECT_FALSE(TickGraph::build(PG, Plan).has_value());
+  }
+
+  /// Every node placed at slot 0 on unit 0 of \p ForPlan.
+  Schedule trivialSchedule(const MachinePlan &ForPlan) const {
+    Schedule S;
+    S.Plan = ForPlan;
+    S.Nodes.assign(PG.size(), ScheduledNode());
+    for (ScheduledNode &N : S.Nodes)
+      N.Placed = true;
+    return S;
+  }
+};
+
+TEST(TickDomain, SchedulerReportsGridlessPlan) {
+  GridlessFixture F;
+  SchedulerResult R = HeteroModuloScheduler(F.M, F.PG, F.Plan).run();
+  EXPECT_FALSE(R.Success);
+  EXPECT_EQ(R.FailureReason, PlanGrid::NoGridReason);
+  EXPECT_EQ(R.Placements, 0u);
+
+  // A caller's failed lowering says the same thing.
+  TickGraph Invalid;
+  EXPECT_FALSE(TickGraph::buildInto(Invalid, F.PG, F.Plan));
+  SchedulerResult Pre =
+      HeteroModuloScheduler(F.M, F.PG, F.Plan).run(&Invalid);
+  EXPECT_FALSE(Pre.Success);
+  EXPECT_EQ(Pre.FailureReason, PlanGrid::NoGridReason);
+}
+
+TEST(TickDomain, SchedulerRejectsForeignTickGraph) {
+  GridlessFixture F;
+  DomainPlanner Planner(F.M, HeteroConfig::reference(F.M),
+                        FrequencyMenu::continuous());
   auto Plan = Planner.planForIT(Rational(8));
   ASSERT_TRUE(Plan.has_value());
-  // Perturb two cluster periods onto coprime ~4e9 denominators: their
-  // LCM alone exceeds int64. (The plan is no longer II*period == IT
-  // consistent, which the placement loop itself never checks -- only
-  // grid validity and path equivalence matter here.)
-  Plan->Clusters[1].PeriodNs = Rational(4000000009LL, 4000000007LL);
-  Plan->Clusters[2].PeriodNs = Rational(4000000007LL, 4000000009LL);
-  ASSERT_FALSE(TickGraph::build(PG, *Plan).has_value());
+  PartitionedGraph Other = F.PG; // same shape, different object
+  auto Foreign = TickGraph::build(Other, *Plan);
+  ASSERT_TRUE(Foreign.has_value());
+  HeteroModuloScheduler S(F.M, F.PG, *Plan);
+  EXPECT_THROW(S.run(&*Foreign), std::invalid_argument);
+  // Its own lowering schedules.
+  auto Own = TickGraph::build(F.PG, *Plan);
+  ASSERT_TRUE(Own.has_value());
+  EXPECT_TRUE(S.run(&*Own).Success);
+}
 
-  SchedulerOptions TickOn;
-  SchedulerOptions TickOff;
-  TickOff.UseTickGrid = false;
-  SchedulerResult A = HeteroModuloScheduler(M, PG, *Plan, TickOn).run();
-  SchedulerResult B = HeteroModuloScheduler(M, PG, *Plan, TickOff).run();
-  EXPECT_EQ(A.Success, B.Success);
-  ASSERT_EQ(A.Sched.Nodes.size(), B.Sched.Nodes.size());
-  for (unsigned N = 0; N < A.Sched.Nodes.size(); ++N) {
-    EXPECT_EQ(A.Sched.Nodes[N].Slot, B.Sched.Nodes[N].Slot);
-    EXPECT_EQ(A.Sched.Nodes[N].Unit, B.Sched.Nodes[N].Unit);
+TEST(TickDomain, ValidatorReportsGridlessPlan) {
+  GridlessFixture F;
+  EXPECT_EQ(validateSchedule(F.M, F.PG, F.trivialSchedule(F.Plan)),
+            PlanGrid::NoGridReason);
+}
+
+TEST(TickDomain, PseudoScheduleRejectsGridlessPlan) {
+  GridlessFixture F;
+  EXPECT_THROW(estimatePseudoSchedule(F.L, F.G, F.M, F.Plan, F.P),
+               std::invalid_argument);
+  PseudoScratch Scratch;
+  PseudoSchedule PS;
+  EXPECT_THROW(estimatePseudoScheduleInto(PS, F.L, F.G, F.M, F.Plan, F.P,
+                                          &Scratch),
+               std::invalid_argument);
+}
+
+TEST(TickDomain, RegisterPressureRejectsGridlessPlan) {
+  GridlessFixture F;
+  Schedule S = F.trivialSchedule(F.Plan);
+  EXPECT_THROW(computeRegisterPressure(F.PG, S), std::invalid_argument);
+  TickGraph Invalid;
+  EXPECT_FALSE(TickGraph::buildInto(Invalid, F.PG, F.Plan));
+  EXPECT_THROW(computeRegisterPressure(F.PG, S, &Invalid),
+               std::invalid_argument);
+}
+
+/// The homogeneous machine with every domain at (2^38 + 7) / 2^38 ns:
+/// a consistent plan at every IT, but the period alone lowers to more
+/// than PlanGrid::MaxTicks ticks, so no IT step has a grid.
+HeteroConfig gridlessConfig(const MachineDescription &M) {
+  HeteroConfig C = HeteroConfig::reference(M);
+  Rational P((int64_t(1) << 38) + 7, int64_t(1) << 38);
+  for (auto &Cl : C.Clusters)
+    Cl.PeriodNs = P;
+  C.Icn.PeriodNs = P;
+  C.Cache.PeriodNs = P;
+  return C;
+}
+
+// The Figure 5 driver refuses every grid-less IT step, names the
+// missing grid in the FailureLog, counts the refusals in the ledger,
+// and does so identically on the warm and the cold path.
+TEST(TickDomain, DriverRefusesGridlessITSteps) {
+  MachineDescription M = MachineDescription::paperDefault();
+  HeteroConfig C = gridlessConfig(M);
+  RNG Rng(0x77);
+  RandomLoopParams Params;
+  Params.MinOps = 12;
+  Params.MaxOps = 12;
+  Loop L = makeRandomLoop(Rng, Params, "gridless");
+
+  LoopScheduleOptions Warm;
+  Warm.MaxITSteps = 8;
+  LoopScheduleOptions Cold = Warm;
+  Cold.WarmStart = false;
+  LoopScheduleResult W = LoopScheduler(M, C, Warm).schedule(L);
+  LoopScheduleResult K = LoopScheduler(M, C, Cold).schedule(L);
+
+  EXPECT_FALSE(W.Success);
+  EXPECT_EQ(W.Failure, PlanGrid::NoGridReason);
+  ASSERT_FALSE(W.FailureLog.empty());
+  unsigned Refused = 0;
+  for (const ITFailure &F : W.FailureLog) {
+    EXPECT_EQ(F.Reason, PlanGrid::NoGridReason) << "step " << F.Step;
+    Refused += F.Count;
   }
+  EXPECT_EQ(Refused, Warm.MaxITSteps + 1);
+  EXPECT_EQ(W.FallbackRational, Refused);
+  EXPECT_EQ(W.Placements, 0u);
+
+  EXPECT_EQ(digestResult(W), digestResult(K));
+  EXPECT_EQ(W.FallbackRational, K.FallbackRational);
+  ASSERT_EQ(W.FailureLog.size(), K.FailureLog.size());
+  for (size_t I = 0; I < W.FailureLog.size(); ++I) {
+    EXPECT_EQ(W.FailureLog[I].Step, K.FailureLog[I].Step);
+    EXPECT_EQ(W.FailureLog[I].ITNs, K.FailureLog[I].ITNs);
+    EXPECT_EQ(W.FailureLog[I].Reason, K.FailureLog[I].Reason);
+    EXPECT_EQ(W.FailureLog[I].Count, K.FailureLog[I].Count);
+  }
+
+  // The measurement ledger carries the same count.
+  std::vector<Loop> Loops = {L};
+  auto Profile = Profiler(M).profileProgram("gridless", Loops);
+  ASSERT_TRUE(Profile.has_value());
+  EnergyModel Energy(EnergyBreakdown(), Profile->Totals, Profile->TexecRefNs,
+                     M.numClusters());
+  MeasureOptions MO;
+  MO.MaxITSteps = Warm.MaxITSteps;
+  ConfigRunResult R = ScheduleMeasurer(M, MO).measure(
+      *Profile, Loops, C,
+      scalingForConfig(C, M, TechnologyModel::paperDefault()), Energy,
+      /*ED2Objective=*/false);
+  EXPECT_EQ(R.Failures, 1u);
+  EXPECT_EQ(R.FallbackRational, Refused);
 }
 
 } // namespace

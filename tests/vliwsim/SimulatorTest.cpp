@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 using namespace hcvliw;
 
 namespace {
@@ -154,6 +157,54 @@ endloop
   PipelinedResult Sim = runPipelined(L, R.PG, Bad, M, 8);
   EXPECT_FALSE(Sim.Ok);
   EXPECT_NE(Sim.Error.find("before its arrival"), std::string::npos);
+}
+
+TEST(MemoryImage, EqualityIsBitwise) {
+  Loop L = parseSingleLoop(R"(
+loop t trip=4
+  arrays A
+  x = load A
+  store A x
+endloop
+)");
+  MemoryImage M1 = MemoryImage::initial(L, 4);
+  MemoryImage M2 = M1;
+  double NaN = std::numeric_limits<double>::quiet_NaN();
+  M1.Arrays[0][1] = M2.Arrays[0][1] = NaN;
+  EXPECT_TRUE(M1 == M2); // the same NaN bits agree
+  M2.Arrays[0][2] = M1.Arrays[0][2] + 1;
+  EXPECT_FALSE(M1 == M2);
+  M2.Arrays[0][2] = M1.Arrays[0][2];
+  M1.Arrays[0][3] = 0.0;
+  M2.Arrays[0][3] = -0.0; // == as doubles, different bits
+  EXPECT_FALSE(M1 == M2);
+  EXPECT_TRUE(sameBits(NaN, NaN));
+  EXPECT_FALSE(sameBits(0.0, -0.0));
+}
+
+TEST(PipelinedSim, SameNaNIsNotADivergence) {
+  // s overflows to +inf in iteration 0, so d = s - s is NaN in every
+  // iteration, in both simulators: a correct schedule whose final value
+  // and stored memory are NaN must pass the oracle.
+  Loop L = parseSingleLoop(R"(
+loop nan trip=8
+  arrays O
+  s = fmul s@1 s@1 init=1e200
+  d = fsub s s
+  store O d
+endloop
+)");
+  MachineDescription M = MachineDescription::paperDefault();
+  LoopScheduleResult R =
+      LoopScheduler(M, HeteroConfig::reference(M)).schedule(L);
+  ASSERT_TRUE(R.Success) << R.Failure;
+  FunctionalResult F = runFunctional(L, 8);
+  ASSERT_TRUE(std::isnan(F.LastValues[1]));
+  ASSERT_TRUE(std::isnan(F.Memory.Arrays[0][7]));
+  PipelinedResult P = runPipelined(L, R.PG, R.Sched, M, 8);
+  ASSERT_TRUE(P.Ok) << P.Error;
+  ASSERT_TRUE(std::isnan(P.LastValues[1]));
+  EXPECT_EQ(checkFunctionalEquivalence(L, R.PG, R.Sched, M, 8), "");
 }
 
 class EquivalencePropertyTest
