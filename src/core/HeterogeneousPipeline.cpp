@@ -161,11 +161,13 @@ HeterogeneousPipeline::runProgram(const BenchmarkProgram &Program,
       Err->StageWallMs = finishStage(Hist);
   };
 
-  Profiler Prof(machine(), Opts.ProgramBudgetNs);
+  // The Profiler records the stage.profile span itself.
+  Profiler Prof(machine(), Opts.ProgramBudgetNs,
+                Sess ? &Sess->scheduleCache() : nullptr,
+                Sess ? &Sess->scheduleScratchPool() : nullptr, Trace, Metrics);
   std::string ProfErr;
   std::optional<ProgramProfile> Profile;
   try {
-    obs::Span Sp(Trace, "stage.profile:", Program.Name);
     Profile = Prof.profileProgram(Program.Name, Program.Loops, &ProfErr);
   } catch (...) {
     stageException(PipelineStage::Profiling, "stage.profile.ms");

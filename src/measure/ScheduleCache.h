@@ -3,14 +3,15 @@
 /// \file
 /// Memoizes whole per-loop scheduling runs (the Figure 5 driver's
 /// LoopScheduleResult: partition, machine plan, modulo schedule,
-/// register pressure) so the measurement layer never schedules the same
-/// (loop, machine plan) pair twice. A Session owns one instance and
-/// threads it through every ScheduleMeasurer it backs, so schedules are
-/// reused
+/// register pressure) so the pipeline — the reference profile and the
+/// measurements alike, both through ScheduleMeasurer::scheduleLoop —
+/// never schedules the same (loop, machine plan) pair twice. A Session
+/// owns one instance, so schedules are reused
 ///
-///   - across the two step-4 measurements and the frontier measurement
-///     of one program (the estimated ED2 argmin is always on the
-///     frontier, so FrontierMeasurer re-measures it for free),
+///   - across the profile, the two step-4 measurements and the
+///     frontier measurement of one program (the estimated ED2 argmin is
+///     always on the frontier, so FrontierMeasurer re-measures it for
+///     free),
 ///   - across repeated runProgram calls on the same program, and
 ///   - across *programs* containing structurally identical loops (the
 ///     synthetic SPECfp suite shares many generator parameters).

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -59,8 +60,8 @@ void mixScaling(FnvHasher &H, const HeteroScaling &S) {
 
 uint64_t ScheduleMeasurer::loopScheduleKey(const Loop &L,
                                            const HeteroConfig &Config,
-                                           const HeteroScaling &Scaling,
-                                           const EnergyModel &Energy,
+                                           const HeteroScaling *Scaling,
+                                           const EnergyModel *Energy,
                                            bool ED2Objective) const {
   FnvHasher H;
   H.mix(L.structuralFingerprint());
@@ -100,97 +101,80 @@ uint64_t ScheduleMeasurer::loopScheduleKey(const Loop &L,
   // partition refinement only under the ED2 objective; the baseline
   // objective reads neither.
   if (EffectiveED2) {
-    mixEnergy(H, Energy);
-    mixScaling(H, Scaling);
+    assert(Energy && Scaling && "the ED2 objective reads energy and scaling");
+    mixEnergy(H, *Energy);
+    mixScaling(H, *Scaling);
   }
   return H.digest();
 }
 
-ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
-                                          const std::vector<Loop> &Loops,
-                                          const HeteroConfig &Config,
-                                          const HeteroScaling &Scaling,
-                                          const EnergyModel &Energy,
-                                          bool ED2Objective) const {
-  ConfigRunResult R;
-  assert(Profile.Loops.size() == Loops.size() &&
-         "profile does not match the loop list");
-  obs::Span CfgSp(Trace, ED2Objective ? "measure.config:het"
-                                      : "measure.config:hom");
-
-  // Fault site: start of one config measurement (context = program,
-  // which each suite worker processes serially, so the occurrence
-  // count is thread-count invariant).
-  HCVLIW_FAULT_POINT(Opts.Fault, "measure.config", Profile.Name);
-  const bool FaultsArmed = Opts.Fault && Opts.Fault->armed();
+LoopScheduleResult
+ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
+                               const HeteroScaling *Scaling,
+                               const EnergyModel *Energy, bool ED2Objective,
+                               const std::string &Program,
+                               ConfigRunResult &Tally) const {
   // While armed, bypass the shared schedule cache: which worker
   // populates a cross-program entry is a timing race, and a hit would
   // skip the scheduling run whose site counters must advance. Healthy
   // runs (the only ones the determinism pin covers) keep the cache.
-  ScheduleCache *UseCache = FaultsArmed ? nullptr : Cache;
-
-  LoopScheduleOptions LSO;
-  // Homogeneous baselines run at one fixed frequency; only the
-  // heterogeneous machine negotiates per-loop (II, freq) pairs from the
-  // restricted menu.
-  LSO.Menu = ED2Objective ? Opts.Menu : FrequencyMenu::continuous();
-  LSO.Part = Opts.Part;
-  // The ablation knob in Opts.Part can force the balance-only objective
-  // even on the heterogeneous machine.
-  LSO.Part.ED2Objective = ED2Objective && Opts.Part.ED2Objective;
-  LSO.Sched = Opts.Sched;
-  LSO.MaxITSteps = Opts.MaxITSteps;
-  LSO.EffortDeadline = Opts.EffortDeadline;
-  LSO.Fault = Opts.Fault;
-  LSO.FaultContext = Profile.Name;
-  LoopScheduler Sched(Machine, Config, LSO);
-
-  // The per-worker arena: the session pool hands this thread its own,
-  // or a local one serves this call. Acquired once per measurement, not
-  // per loop; schedule() results never depend on the arena.
-  std::unique_ptr<ScheduleScratch> OwnScratch;
-  ScheduleScratch *Scratch;
-  if (Scratches) {
-    Scratch = &Scratches->forThisThread();
-  } else {
-    OwnScratch = std::make_unique<ScheduleScratch>();
-    Scratch = OwnScratch.get();
+  ScheduleCache *UseCache =
+      Opts.Fault && Opts.Fault->armed() ? nullptr : Cache;
+  uint64_t Key = 0;
+  LoopScheduleResult LR;
+  bool Hit = false;
+  if (UseCache) {
+    Key = loopScheduleKey(L, Config, Scaling, Energy, ED2Objective);
+    if (auto Cached = UseCache->find(Key, &Hit))
+      LR = std::move(*Cached);
+    ++(Hit ? Tally.ScheduleHits : Tally.ScheduleMisses);
+    if (Metrics)
+      Metrics->addCounter(Hit ? "cache.schedule.hits"
+                              : "cache.schedule.misses");
   }
 
-  double TexecNs = 0;
-  std::vector<double> WIns(Machine.numClusters(), 0.0);
-  double Comms = 0, Mem = 0;
-
-  // Fresh (uncached) schedule runs: traced through the Figure 5
-  // driver's own spans and timed into the per-stage wall histogram.
-  // Timing only observes — the result never depends on it.
-  //
-  // Graceful degradation, rung 1 (cold replay): a throw out of the
-  // warm-start sweep — injected at "sched.warm", or a real defect in
-  // the warm memos — is answered by replaying the loop on the cold
-  // WarmStart=false path, which recomputes everything from scratch and
-  // shares none of the warm code. The retry does not re-fire an
-  // Nth-occurrence fault (the occurrence already counted), and a throw
-  // out of the cold path itself propagates: there is no rung below.
-  auto scheduleFresh = [&](const Loop &L) {
+  if (!Hit) {
+    // A fresh run, traced through the Figure 5 driver's own spans and
+    // timed into the per-stage wall histogram (timing only observes).
     obs::Stopwatch SW;
-    LoopScheduleResult LR;
+    LoopScheduleOptions LSO;
+    // Homogeneous baselines run at one fixed frequency; only the
+    // heterogeneous machine negotiates per-loop (II, freq) pairs from
+    // the restricted menu. The ablation knob in Opts.Part can force the
+    // balance-only objective even on the heterogeneous machine.
+    LSO.Menu = ED2Objective ? Opts.Menu : FrequencyMenu::continuous();
+    LSO.Part = Opts.Part;
+    LSO.Part.ED2Objective = ED2Objective && Opts.Part.ED2Objective;
+    LSO.Sched = Opts.Sched;
+    LSO.MaxITSteps = Opts.MaxITSteps;
+    LSO.EffortDeadline = Opts.EffortDeadline;
+    LSO.Fault = Opts.Fault;
+    LSO.FaultContext = Program;
+    // This thread's arena from the session pool, or (null) a local one
+    // for this run; results never depend on the arena.
+    ScheduleScratch *Scratch =
+        Scratches ? &Scratches->forThisThread() : nullptr;
+    // Graceful degradation, rung 1 (cold replay): a throw out of the
+    // warm-start sweep — injected at "sched.warm", or a real defect in
+    // the warm memos — is answered by replaying the loop on the cold
+    // WarmStart=false path, which recomputes everything from scratch
+    // and shares none of the warm code. The retry does not re-fire an
+    // Nth-occurrence fault (the occurrence already counted), and a
+    // throw out of the cold path itself propagates: there is no rung
+    // below.
     try {
-      LR = Sched.schedule(L, ED2Objective ? &Energy : nullptr,
-                          ED2Objective ? &Scaling : nullptr, Scratch, Trace);
+      LR = LoopScheduler(Machine, Config, LSO)
+               .schedule(L, Energy, Scaling, Scratch, Trace);
     } catch (...) {
-      if (!LSO.WarmStart)
-        throw;
-      ++R.ColdReplays;
+      ++Tally.ColdReplays;
       if (Metrics)
         Metrics->addCounter("degrade.cold_replay");
-      LoopScheduleOptions ColdLSO = LSO;
-      ColdLSO.WarmStart = false;
-      LoopScheduler ColdSched(Machine, Config, ColdLSO);
-      LR = ColdSched.schedule(L, ED2Objective ? &Energy : nullptr,
-                              ED2Objective ? &Scaling : nullptr, Scratch,
-                              Trace);
+      LSO.WarmStart = false;
+      LR = LoopScheduler(Machine, Config, LSO)
+               .schedule(L, Energy, Scaling, Scratch, Trace);
     }
+    if (UseCache)
+      UseCache->store(Key, LR);
     if (Metrics) {
       Metrics->observeMs("stage.loop_schedule.ms", SW.elapsedMs());
       // Partitioner effort of this fresh run (cache hits add nothing).
@@ -203,8 +187,41 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
       Metrics->addCounter("part.coarsen_memo_hits",
                           LR.PartStats.CoarsenMemoHits);
     }
-    return LR;
-  };
+  }
+
+  Tally.SchedPlacements += LR.Placements;
+  Tally.SchedEjections += LR.Ejections;
+  Tally.SchedBudgetUsed += LR.BudgetUsed;
+  Tally.SchedITSteps += LR.ITSteps;
+  Tally.FallbackRational += LR.FallbackRational;
+  Tally.FlatPartitions += static_cast<unsigned>(LR.PartStats.FlatFallbacks);
+  return LR;
+}
+
+ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
+                                          const std::vector<Loop> &Loops,
+                                          const HeteroConfig &Config,
+                                          const HeteroScaling &Scaling,
+                                          const EnergyModel &Energy,
+                                          bool ED2Objective) const {
+  // A public seam (FrontierMeasurer::measure takes the two separately):
+  // a mismatched pair would read the profile out of bounds below.
+  if (Profile.Loops.size() != Loops.size())
+    throw std::invalid_argument("profile '" + Profile.Name +
+                                "' does not match the loop list");
+  ConfigRunResult R;
+  obs::Span CfgSp(Trace, ED2Objective ? "measure.config:het"
+                                      : "measure.config:hom");
+
+  // Fault site: start of one config measurement (context = program,
+  // which each suite worker processes serially, so the occurrence
+  // count is thread-count invariant).
+  HCVLIW_FAULT_POINT(Opts.Fault, "measure.config", Profile.Name);
+  const bool FaultsArmed = Opts.Fault && Opts.Fault->armed();
+
+  double TexecNs = 0;
+  std::vector<double> WIns(Machine.numClusters(), 0.0);
+  double Comms = 0, Mem = 0;
 
   // Graceful degradation, rung 3 (analytic estimate): account a loop
   // from its reference-profile numbers instead of a measured schedule
@@ -246,27 +263,8 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
       continue;
     }
 
-    LoopScheduleResult LR;
-    if (UseCache) {
-      uint64_t Key =
-          loopScheduleKey(L, Config, Scaling, Energy, ED2Objective);
-      bool WasHit = false;
-      if (auto Cached = UseCache->find(Key, &WasHit)) {
-        LR = std::move(*Cached);
-      } else {
-        LR = scheduleFresh(L);
-        UseCache->store(Key, LR);
-      }
-      ++(WasHit ? R.ScheduleHits : R.ScheduleMisses);
-    } else {
-      LR = scheduleFresh(L);
-    }
-    R.SchedPlacements += LR.Placements;
-    R.SchedEjections += LR.Ejections;
-    R.SchedBudgetUsed += LR.BudgetUsed;
-    R.SchedITSteps += LR.ITSteps;
-    R.FallbackRational += LR.FallbackRational;
-    R.FlatPartitions += static_cast<unsigned>(LR.PartStats.FlatFallbacks);
+    LoopScheduleResult LR = scheduleLoop(L, Config, &Scaling, &Energy,
+                                         ED2Objective, Profile.Name, R);
     if (!LR.Success) {
       if (Opts.AnalyticFallback) {
         analyticLoop(L, LP);
@@ -314,10 +312,6 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
 
   if (Metrics) {
     Metrics->addCounter("measure.configs");
-    if (UseCache) {
-      Metrics->addCounter("cache.schedule.hits", R.ScheduleHits);
-      Metrics->addCounter("cache.schedule.misses", R.ScheduleMisses);
-    }
     if (R.Failures)
       Metrics->addCounter("measure.loop_failures", R.Failures);
     // The silent-degradation ledger: all zero on a healthy run.

@@ -1,26 +1,21 @@
 //===- measure/ScheduleMeasurer.h - Measured-schedule evaluation -*- C++ -*-===//
 ///
 /// \file
-/// The measurement stage of the paper's evaluation (step 4 of the
-/// HeterogeneousPipeline), extracted into its own layer so it can be
-/// driven by more callers than the once-per-program pipeline: the
-/// frontier measurer fans it across Pareto points, the oracle ablation
-/// across ranked candidates, and benches across option sweeps.
+/// The one production entry point to the Figure 5 loop scheduler:
+/// both the reference-machine profile (profiling/Profiler, pipeline
+/// step 1) and the measurement stage (step 4, also fanned across
+/// frontier points, oracle candidates and bench sweeps) schedule every
+/// loop through ScheduleMeasurer::scheduleLoop — a lookup in the
+/// optional session ScheduleCache (see ScheduleCache.h for the key
+/// contract), else a fresh run on the thread's scratch arena. Cached
+/// results are bit-identical to recomputation, so results are identical
+/// with and without a cache and for any concurrency.
 ///
-/// Measuring one HeteroConfig for a program means, per loop: partition
-/// the DDG, run the heterogeneous modulo scheduler (the Figure 5
-/// driver with the ED2-objective partitioning on heterogeneous
+/// measure() evaluates one HeteroConfig for a program on top of it:
+/// schedule every loop (ED2-objective partitioning on heterogeneous
 /// machines, the [2][3] baseline objective on homogeneous ones),
-/// validate the schedule, optionally re-execute it on the MCD
-/// simulator as a functional check, and accumulate measured
-/// time/energy/ED2 from the resulting schedules.
-///
-/// Per-loop scheduling runs are memoized through an optional
-/// ScheduleCache (session-owned), keyed on everything the Figure 5
-/// driver reads — see ScheduleCache.h for the key contract. Cached
-/// results are bit-identical to recomputation, so measurement with and
-/// without a cache (and for any concurrency) produces identical
-/// ConfigRunResults.
+/// optionally re-execute the schedule on the MCD simulator as a
+/// functional check, and accumulate measured time/energy/ED2.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,11 +124,9 @@ struct MeasureOptions {
   /// Optional fault injector (armed test/chaos runs only; null in
   /// production). Sites here: "measure.config" (point, context =
   /// program name) and "measure.loop" (degrade, context =
-  /// "<program>/<loop>"). While the injector is *armed*, measure()
-  /// bypasses the ScheduleCache: cross-program cache sharing is
-  /// timing-dependent, and a hit would skip the very scheduling run
-  /// whose fault-site occurrence counters must advance — bypassing
-  /// keeps every injected failure replayable at any thread count.
+  /// "<program>/<loop>"). While the injector is *armed*, scheduleLoop
+  /// bypasses the ScheduleCache, so every injected failure replays at
+  /// any thread count.
   fault::FaultInjector *Fault = nullptr;
 };
 
@@ -143,7 +136,7 @@ class ScheduleMeasurer {
   const MachineDescription &Machine;
   MeasureOptions Opts;
   ScheduleCache *Cache; ///< may be null: schedule every loop directly
-  ScheduleScratchPool *Scratches; ///< may be null: one local arena per call
+  ScheduleScratchPool *Scratches; ///< may be null: a local arena per run
   obs::Tracer *Trace;             ///< may be null: no span recording
   obs::MetricsRegistry *Metrics;  ///< may be null: no metric recording
 
@@ -151,8 +144,8 @@ public:
   /// \p Cache, when given, must be used with one machine only (the
   /// schedule key does not re-hash the machine; a Session owns one
   /// cache per machine). \p Scratches, when given, supplies the
-  /// per-worker ScheduleScratch arenas (Session-owned); measure() then
-  /// schedules allocation-free in steady state. \p Trace / \p Metrics
+  /// per-worker ScheduleScratch arenas (Session-owned); fresh runs then
+  /// schedule allocation-free in steady state. \p Trace / \p Metrics
   /// attach the observability layer (spans per config and per loop,
   /// the stage.loop_schedule.ms histogram, cache counters) —
   /// observation only. Results are bit-identical with or without any
@@ -164,13 +157,13 @@ public:
                    obs::MetricsRegistry *Metrics = nullptr);
 
   const MachineDescription &machine() const { return Machine; }
-  const MeasureOptions &options() const { return Opts; }
 
   /// Schedules every loop of the program under \p Config and evaluates
   /// measured time/energy/ED2. \p ED2Objective selects the
   /// heterogeneous flow (restricted menu, ED2-guided partitioning);
   /// homogeneous baselines pass false. Pure function of its inputs:
   /// bit-identical for any thread count, with or without the cache.
+  /// Throws std::invalid_argument when \p Profile has another loop count.
   ConfigRunResult measure(const ProgramProfile &Profile,
                           const std::vector<Loop> &Loops,
                           const HeteroConfig &Config,
@@ -178,12 +171,24 @@ public:
                           const EnergyModel &Energy,
                           bool ED2Objective) const;
 
+  /// One loop's Figure 5 run under \p Config: a cache hit builds no
+  /// scheduler and takes no arena; a miss runs fresh, replayed cold if
+  /// the warm-start sweep throws. \p Program is the fault context;
+  /// \p Scaling / \p Energy may be null under the baseline objective.
+  /// Adds the hit or miss, cold replays and the run's effort and
+  /// degradation counters to \p Tally.
+  LoopScheduleResult scheduleLoop(const Loop &L, const HeteroConfig &Config,
+                                  const HeteroScaling *Scaling,
+                                  const EnergyModel *Energy, bool ED2Objective,
+                                  const std::string &Program,
+                                  ConfigRunResult &Tally) const;
+
   /// The ScheduleCache key of one loop's scheduling run under this
   /// measurer's options: hashes everything LoopScheduler::schedule
   /// reads (see ScheduleCache.h for the contract).
   uint64_t loopScheduleKey(const Loop &L, const HeteroConfig &Config,
-                           const HeteroScaling &Scaling,
-                           const EnergyModel &Energy,
+                           const HeteroScaling *Scaling,
+                           const EnergyModel *Energy,
                            bool ED2Objective) const;
 };
 

@@ -145,8 +145,8 @@ public:
   ScheduleScratchPool &operator=(const ScheduleScratchPool &) = delete;
 
   /// The calling thread's arena (created on first use). One mutex
-  /// acquisition per call; callers acquire once per program
-  /// measurement, not per loop.
+  /// acquisition per call; callers acquire it per fresh schedule run,
+  /// and a schedule-cache hit takes none.
   ScheduleScratch &forThisThread();
 
   /// Number of distinct threads that have acquired an arena.

@@ -2,12 +2,10 @@
 
 #include "profiling/Profiler.h"
 #include "ir/RecurrenceAnalysis.h"
-#include "partition/LoopScheduler.h"
 #include "support/HashUtil.h"
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <numeric>
 
 using namespace hcvliw;
@@ -78,8 +76,11 @@ std::vector<double> ProgramProfile::shareByConstraint() const {
   return Share;
 }
 
-Profiler::Profiler(const MachineDescription &M, double BudgetNs)
-    : Machine(M), ProgramBudgetNs(BudgetNs) {
+Profiler::Profiler(const MachineDescription &M, double BudgetNs,
+                   ScheduleCache *Cache, ScheduleScratchPool *Scratches,
+                   obs::Tracer *Tr, obs::MetricsRegistry *Metrics)
+    : ProgramBudgetNs(BudgetNs), Trace(Tr),
+      Measurer(M, MeasureOptions(), Cache, Scratches, Tr, Metrics) {
   assert(BudgetNs > 0 && "profiling budget must be positive");
 }
 
@@ -89,11 +90,10 @@ Profiler::profileProgram(const std::string &Name,
                          std::string *Err) const {
   ProgramProfile P;
   P.Name = Name;
-
-  HeteroConfig Ref = HeteroConfig::reference(Machine);
-  LoopScheduleOptions Opts;
-  Opts.Part.ED2Objective = false; // baseline [2][3] objective
-  LoopScheduler Sched(Machine, Ref, Opts);
+  obs::Span Sp(Trace, "stage.profile:", Name);
+  const MachineDescription &Machine = Measurer.machine();
+  const HeteroConfig Ref = HeteroConfig::reference(Machine);
+  ConfigRunResult Tally; // cache statistics for the span
 
   double TotalWeight = 0;
   for (const Loop &L : Loops)
@@ -106,7 +106,10 @@ Profiler::profileProgram(const std::string &Name,
   }
 
   for (const Loop &L : Loops) {
-    LoopScheduleResult R = Sched.schedule(L);
+    // The baseline objective reads neither energy model nor scaling.
+    LoopScheduleResult R =
+        Measurer.scheduleLoop(L, Ref, nullptr, nullptr,
+                              /*ED2Objective=*/false, Name, Tally);
     if (!R.Success) {
       if (Err)
         *Err = "loop '" + L.Name +
@@ -143,7 +146,7 @@ Profiler::profileProgram(const std::string &Name,
           analyzeRecurrences(G, Machine.Isa.nodeLatencies(L));
       std::vector<unsigned> Root(L.size());
       std::iota(Root.begin(), Root.end(), 0u);
-      std::function<unsigned(unsigned)> Find = [&](unsigned X) {
+      auto Find = [&Root](unsigned X) {
         while (Root[X] != X)
           X = Root[X] = Root[Root[X]];
         return X;
@@ -187,6 +190,10 @@ Profiler::profileProgram(const std::string &Name,
     LP.StructuralFP = LP.computeTimingFingerprint();
 
     P.Loops.push_back(std::move(LP));
+  }
+  if (Sp.active()) {
+    Sp.arg("cache_hits", static_cast<int64_t>(Tally.ScheduleHits));
+    Sp.arg("cache_misses", static_cast<int64_t>(Tally.ScheduleMisses));
   }
   return P;
 }

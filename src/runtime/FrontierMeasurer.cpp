@@ -3,7 +3,6 @@
 #include "runtime/FrontierMeasurer.h"
 
 #include "explore/ExplorationEngine.h"
-#include "profiling/Profiler.h"
 #include "support/StrUtil.h"
 
 #include <algorithm>
@@ -233,21 +232,4 @@ FrontierMeasurer::measure(const std::string &ProgramName,
     FrontierSp.arg("cache_misses", static_cast<int64_t>(F.ScheduleMisses));
   }
   return F;
-}
-
-std::optional<MeasuredFrontier>
-FrontierMeasurer::measureProgram(const BenchmarkProgram &Program,
-                                 PipelineError *Err) const {
-  Profiler Prof(S.machine(), S.pipelineOptions().ProgramBudgetNs);
-  std::string ProfErr;
-  auto Profile =
-      Prof.profileProgram(Program.Name, Program.Loops, &ProfErr);
-  if (!Profile) {
-    if (Err) {
-      Err->Stage = PipelineStage::Profiling;
-      Err->Reason = std::move(ProfErr);
-    }
-    return std::nullopt;
-  }
-  return measure(Program.Name, Program.Loops, *Profile);
 }

@@ -32,7 +32,6 @@
 #include "measure/ScheduleMeasurer.h"
 #include "runtime/Session.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -110,12 +109,6 @@ public:
   MeasuredFrontier measure(const std::string &ProgramName,
                            const std::vector<Loop> &Loops,
                            const ProgramProfile &Profile) const;
-
-  /// Profile + measure; std::nullopt (with \p Err filled) when
-  /// profiling fails.
-  std::optional<MeasuredFrontier>
-  measureProgram(const BenchmarkProgram &Program,
-                 PipelineError *Err = nullptr) const;
 };
 
 } // namespace hcvliw

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "profiling/Profiler.h"
 #include "runtime/FrontierMeasurer.h"
 #include "runtime/SuiteRunner.h"
 
@@ -50,13 +51,18 @@ void expectBitIdentical(const MeasuredFrontier &A, const MeasuredFrontier &B) {
   EXPECT_EQ(A.ArgminAgrees, B.ArgminAgrees);
 }
 
+/// Profiles \p Program on the session's resources, then measures its
+/// frontier.
 MeasuredFrontier measureWithThreads(const char *Program, unsigned Threads) {
   Session S{PipelineOptions(), Threads};
-  PipelineError Err;
-  auto F = FrontierMeasurer(S).measureProgram(buildSpecFPProgram(Program),
-                                              &Err);
-  EXPECT_TRUE(F.has_value()) << Err.Reason;
-  return *F;
+  BenchmarkProgram Prog = buildSpecFPProgram(Program);
+  Profiler Prof(S.machine(), S.pipelineOptions().ProgramBudgetNs,
+                &S.scheduleCache(), &S.scheduleScratchPool(), &S.tracer(),
+                &S.metrics());
+  std::string Err;
+  auto Profile = Prof.profileProgram(Prog.Name, Prog.Loops, &Err);
+  EXPECT_TRUE(Profile.has_value()) << Err;
+  return FrontierMeasurer(S).measure(Prog.Name, Prog.Loops, *Profile);
 }
 
 // --- Determinism (the acceptance gate) -------------------------------------

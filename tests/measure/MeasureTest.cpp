@@ -4,10 +4,11 @@
 // ScheduleMeasurer is bit-identical to measuring directly; the
 // session ScheduleCache serves bit-identical schedules (across repeated
 // measurements, across the step-4/frontier consumers and across
-// structurally identical programs); a loop failing to schedule
-// mid-suite surfaces as a structured Measurement-stage failure instead
-// of being dropped; and a schedule the simulator oracle rejects counts
-// as a failed loop in every build type.
+// structurally identical programs); a profile of another program is
+// refused; a loop failing to schedule mid-suite surfaces as a
+// structured Measurement-stage failure instead of being dropped; and a
+// schedule the simulator oracle rejects counts as a failed loop in
+// every build type.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -189,9 +191,9 @@ TEST(ScheduleCache, HomogeneousKeyIgnoresVoltages) {
 }
 
 TEST(ScheduleCache, HitsAcrossStructurallyIdenticalPrograms) {
-  // A renamed clone of a program selects the same designs (the
-  // selection memo keys exclude the name) and then measures entirely
-  // from the schedule cache.
+  // A renamed clone of a program profiles from the schedule cache,
+  // selects the same designs (the selection memo keys exclude the
+  // name) and then measures entirely from the schedule cache.
   Session S{PipelineOptions(), 1};
   BenchmarkProgram Orig = buildSpecFPProgram("171.swim");
   auto R1 = S.pipeline().runProgram(Orig);
@@ -204,7 +206,7 @@ TEST(ScheduleCache, HitsAcrossStructurallyIdenticalPrograms) {
   auto R2 = S.pipeline().runProgram(Clone);
   ASSERT_TRUE(R2.has_value());
   EXPECT_EQ(S.scheduleCache().misses(), Misses1) << "clone recomputed";
-  EXPECT_EQ(S.scheduleCache().hits() - Hits1, 2 * Orig.Loops.size());
+  EXPECT_EQ(S.scheduleCache().hits() - Hits1, 3 * Orig.Loops.size());
   EXPECT_EQ(R1->HetMeasured.ED2, R2->HetMeasured.ED2);
   EXPECT_EQ(R1->HomMeasured.ED2, R2->HomMeasured.ED2);
   EXPECT_EQ(R1->ED2Ratio, R2->ED2Ratio);
@@ -223,6 +225,28 @@ TEST(ScheduleCache, FrontierMeasurementReusesStep4Schedules) {
       FrontierMeasurer(S).measure(Prog.Name, Prog.Loops, R->Profile);
   ASSERT_FALSE(F.Points.empty());
   EXPECT_GE(F.ScheduleHits, Prog.Loops.size());
+}
+
+TEST(ScheduleMeasurer, RejectsAProfileOfAnotherProgram) {
+  // measure() reads the profile by loop index; a profile of a program
+  // with another loop count is refused in every build type instead of
+  // read out of bounds — directly and through the frontier measurer,
+  // which takes the two as separate arguments.
+  Session S{PipelineOptions(), 1};
+  auto R = S.pipeline().runProgram(buildSpecFPProgram("171.swim"));
+  ASSERT_TRUE(R.has_value());
+  BenchmarkProgram Other = buildSpecFPProgram("168.wupwise");
+  ASSERT_NE(Other.Loops.size(), R->Profile.Loops.size());
+  EnergyModel Energy(PipelineOptions().Breakdown, R->Profile.Totals,
+                     R->Profile.TexecRefNs, S.machine().numClusters());
+  ScheduleMeasurer M(S.machine(), MeasureOptions(), &S.scheduleCache());
+  EXPECT_THROW(M.measure(R->Profile, Other.Loops, R->HomDesign.Config,
+                         R->HomDesign.Scaling, Energy,
+                         /*ED2Objective=*/false),
+               std::invalid_argument);
+  EXPECT_THROW(FrontierMeasurer(S).measure(Other.Name, Other.Loops,
+                                           R->Profile),
+               std::invalid_argument);
 }
 
 // --- Structured measurement failures (SuiteFailure / PipelineError) --------
@@ -325,7 +349,7 @@ endloop
   MeasureOptions Checked;
   Checked.SimCheckIterations = 8;
   ScheduleMeasurer Oracle(M, Checked, &Cache);
-  Cache.store(Oracle.loopScheduleKey(L, Ref, Scaling, Energy, false), LR);
+  Cache.store(Oracle.loopScheduleKey(L, Ref, &Scaling, &Energy, false), LR);
   for (int Pass = 0; Pass < 2; ++Pass) {
     ConfigRunResult R = Oracle.measure(*Profile, Loops, Ref, Scaling, Energy,
                                        /*ED2Objective=*/false);
