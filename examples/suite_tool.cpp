@@ -8,21 +8,18 @@
 // the paper's Figure 6 row — prints at the end together with the
 // session's shared-cache statistics.
 //
-// Robustness (PR 9): --journal checkpoints each completed program to a
-// durable journal; --resume splices a killed run's journal back in and
-// re-executes only what is missing (bit-identical merged result);
-// --fault-plan arms the session's deterministic fault injector;
-// --degrade / --effort-deadline enable the graceful-degradation ladder.
-// --load-cache / --save-cache attach the persistent schedule/eval cache
-// tier (runtime/CachePersist), so a later run starts warm.
+// Robustness: --fault-plan arms the session's deterministic fault
+// injector; --degrade / --effort-deadline enable the graceful-
+// degradation ladder. --load-cache / --save-cache attach the persistent
+// schedule/eval cache tier (runtime/CachePersist), so a later run
+// starts warm; a killed run keeps no other state and is simply rerun.
 //
 // Usage:
 //   suite_tool [--threads N] [--lanes K] [--buses B] [--menu K]
 //              [--repeat N] [--measure-frontier]
 //              [--frontier-csv PATH] [--frontier-json PATH]
 //              [--trace PATH] [--metrics PATH]
-//              [--journal PATH] [--resume PATH] [--fault-plan PATH]
-//              [--degrade] [--effort-deadline N]
+//              [--fault-plan PATH] [--degrade] [--effort-deadline N]
 //              [--load-cache PATH] [--save-cache PATH]
 //     --threads  worker-pool parallelism (default: hardware)
 //     --lanes    nested-parallelism budget: max programs in flight
@@ -88,12 +85,6 @@ void printUsage() {
       "                       run (Chrome trace-event JSON); tracing never\n"
       "                       changes results\n"
       "  --metrics PATH       write the session metrics snapshot as JSON\n"
-      "  --journal PATH       checkpoint each completed program to PATH\n"
-      "                       (incompatible with --measure-frontier)\n"
-      "  --resume PATH        resume from a journal written by a previous\n"
-      "                       (killed) run of the same options; merged\n"
-      "                       result is bit-identical to an uninterrupted\n"
-      "                       run\n"
       "  --fault-plan PATH    arm the deterministic fault injector with\n"
       "                       the plan in PATH (see src/fault/Fault.h)\n"
       "  --degrade            degrade unschedulable loops to the analytic\n"
@@ -119,7 +110,7 @@ int main(int argc, char **argv) {
   std::string FrontierCsv = "frontier_measured.csv";
   std::string FrontierJson = "frontier_measured.json";
   std::string TracePath, MetricsPath;
-  std::string JournalPath, ResumePath, FaultPlanPath;
+  std::string FaultPlanPath;
   std::string LoadCachePath, SaveCachePath;
   for (int I = 1; I < argc; ++I) {
     auto need = [&](const char *Flag) {
@@ -163,10 +154,6 @@ int main(int argc, char **argv) {
       FrontierCsv = need("--frontier-csv");
     else if (!std::strcmp(argv[I], "--frontier-json"))
       FrontierJson = need("--frontier-json");
-    else if (!std::strcmp(argv[I], "--journal"))
-      JournalPath = need("--journal");
-    else if (!std::strcmp(argv[I], "--resume"))
-      ResumePath = need("--resume");
     else if (!std::strcmp(argv[I], "--fault-plan"))
       FaultPlanPath = need("--fault-plan");
     else if (!std::strcmp(argv[I], "--degrade"))
@@ -181,13 +168,6 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", argv[I]);
       return 1;
     }
-  }
-
-  if (MeasureFrontier && (!JournalPath.empty() || !ResumePath.empty())) {
-    std::fprintf(stderr,
-                 "error: --journal/--resume are incompatible with "
-                 "--measure-frontier (frontiers are not journaled)\n");
-    return 1;
   }
 
   PipelineOptions Opts;
@@ -233,26 +213,9 @@ int main(int argc, char **argv) {
                  static_cast<unsigned long long>(CL.CorruptFrames));
   }
 
-  // The resume journal's fingerprint is re-validated by SuiteRunner
-  // against this session's options and programs.
-  std::optional<SuiteJournal> Resumed;
-  if (!ResumePath.empty()) {
-    std::string JErr;
-    Resumed = SuiteJournal::load(ResumePath, /*ExpectFingerprint=*/0, &JErr);
-    if (!Resumed) {
-      std::fprintf(stderr, "error: %s\n", JErr.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "resuming: %zu journaled programs\n",
-                 Resumed->numRecords());
-  }
-
   SuiteOptions SO;
   SO.ProgramLanes = Lanes;
   SO.MeasureFrontier = MeasureFrontier;
-  SO.JournalPath = JournalPath;
-  if (Resumed)
-    SO.ResumeFrom = &*Resumed;
   SO.OnProgramDone = [](const SuiteProgress &P) {
     if (P.Ok)
       std::fprintf(stderr, "[%zu/%zu] %-13s ED2 ratio %.3f\n", P.Completed,
@@ -264,16 +227,10 @@ int main(int argc, char **argv) {
                    P.Failure->Reason.c_str());
   };
 
+  // Per-program failures never throw out of run(); they are records.
   SuiteResult R;
-  try {
-    for (unsigned Rep = 0; Rep < std::max(1u, Repeat); ++Rep)
-      R = Runner.runSpecFP(SO);
-  } catch (const std::exception &E) {
-    // Journal configuration errors (unwritable path, fingerprint
-    // mismatch); per-program failures never throw out of run().
-    std::fprintf(stderr, "error: %s\n", E.what());
-    return 1;
-  }
+  for (unsigned Rep = 0; Rep < std::max(1u, Repeat); ++Rep)
+    R = Runner.runSpecFP(SO);
 
   TablePrinter T("normalized ED2 (heterogeneous / optimum homogeneous)");
   std::vector<std::string> Header = {"program"}, Row = {"ED2 ratio"};

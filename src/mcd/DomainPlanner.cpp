@@ -3,6 +3,7 @@
 #include "mcd/DomainPlanner.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -63,7 +64,11 @@ Rational DomainPlanner::nextIT(const Rational &ITNs) const {
                          Menu.nextIT(ITNs, Config.Clusters[C].fmaxGHz()));
   Best = Rational::min(Best, Menu.nextIT(ITNs, Config.Icn.fmaxGHz()));
   Best = Rational::min(Best, Menu.nextIT(ITNs, Config.Cache.fmaxGHz()));
-  assert(Best > ITNs && "nextIT must strictly increase the IT");
+  // A menu with no frequency at or below some domain's fmax offers that
+  // domain no next slot; a caller stepping the IT would then spin.
+  if (!(Best > ITNs))
+    throw std::invalid_argument("nextIT does not grow the IT past " +
+                                ITNs.str() + " ns under this configuration");
   return Best;
 }
 
@@ -94,10 +99,13 @@ DomainPlanner::computeMIT(int64_t RecMII,
   // — this loop takes hundreds of one-slot steps on big loops.
   Rational IT = Rational::max(RecMIT, Config.fastestClusterPeriod());
   MachinePlan Probe;
-  for (unsigned Guard = 0;; ++Guard) {
-    assert(Guard < 100000 && "computeMIT failed to converge");
+  for (unsigned N = 0; N < MaxMITProbes; ++N) {
     if (planForITInto(Probe, IT) && hasCapacity(Probe, OpCounts))
       return IT;
     IT = nextIT(IT);
   }
+  throw std::invalid_argument(
+      "computeMIT found no synchronizable IT with enough slots within " +
+      std::to_string(MaxMITProbes) + " probes (last tried " + IT.str() +
+      " ns)");
 }

@@ -68,11 +68,22 @@ public:
   bool planForITInto(MachinePlan &Plan, const Rational &ITNs) const;
 
   /// Smallest IT' > ITNs at which any domain gains a slot (the Figure 5
-  /// "increase IT" step).
+  /// "increase IT" step). Throws std::invalid_argument, in every build
+  /// type, when no domain's next slot lies above \p ITNs.
   Rational nextIT(const Rational &ITNs) const;
 
+  /// computeMIT's probe budget, about 10x what real inputs use: at most
+  /// 12 candidate ITs per loop on the SPECfp suite under the default
+  /// menu, 395 under a 64-entry menu (frontier included) and 333 on
+  /// bench_sched_hotpath's loops of up to 1536 ops.
+  static constexpr unsigned MaxMITProbes = 4096;
+
   /// MIT = max(recMIT, resMIT): \p RecMII in cycles and per-FU-kind
-  /// operation counts of the loop (Loop::opCountsByFU).
+  /// operation counts of the loop (Loop::opCountsByFU). Throws
+  /// std::invalid_argument, in every build type, when MaxMITProbes
+  /// candidate ITs yield no plan that synchronizes every domain and has
+  /// the slots (e.g. cluster periods whose slot grids almost never
+  /// align under a relative menu).
   Rational computeMIT(int64_t RecMII,
                       const std::vector<unsigned> &OpCounts) const;
 

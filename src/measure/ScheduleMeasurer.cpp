@@ -113,7 +113,8 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
                                const HeteroScaling *Scaling,
                                const EnergyModel *Energy, bool ED2Objective,
                                const std::string &Program,
-                               ConfigRunResult &Tally) const {
+                               ConfigRunResult &Tally,
+                               ScheduleLookups &Lookups) const {
   // While armed, bypass the shared schedule cache: which worker
   // populates a cross-program entry is a timing race, and a hit would
   // skip the scheduling run whose site counters must advance. Healthy
@@ -127,7 +128,7 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
     Key = loopScheduleKey(L, Config, Scaling, Energy, ED2Objective);
     if (auto Cached = UseCache->find(Key, &Hit))
       LR = std::move(*Cached);
-    ++(Hit ? Tally.ScheduleHits : Tally.ScheduleMisses);
+    ++(Hit ? Lookups.Hits : Lookups.Misses);
     if (Metrics)
       Metrics->addCounter(Hit ? "cache.schedule.hits"
                               : "cache.schedule.misses");
@@ -203,13 +204,15 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
                                           const HeteroConfig &Config,
                                           const HeteroScaling &Scaling,
                                           const EnergyModel &Energy,
-                                          bool ED2Objective) const {
+                                          bool ED2Objective,
+                                          ScheduleLookups *Lookups) const {
   // A public seam (FrontierMeasurer::measure takes the two separately):
   // a mismatched pair would read the profile out of bounds below.
   if (Profile.Loops.size() != Loops.size())
     throw std::invalid_argument("profile '" + Profile.Name +
                                 "' does not match the loop list");
   ConfigRunResult R;
+  ScheduleLookups Looked;
   obs::Span CfgSp(Trace, ED2Objective ? "measure.config:het"
                                       : "measure.config:hom");
 
@@ -264,7 +267,7 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
     }
 
     LoopScheduleResult LR = scheduleLoop(L, Config, &Scaling, &Energy,
-                                         ED2Objective, Profile.Name, R);
+                                         ED2Objective, Profile.Name, R, Looked);
     if (!LR.Success) {
       if (Opts.AnalyticFallback) {
         analyticLoop(L, LP);
@@ -325,9 +328,11 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
   if (CfgSp.active()) {
     CfgSp.arg("loops", static_cast<int64_t>(Loops.size()));
     CfgSp.arg("failures", R.Failures);
-    CfgSp.arg("cache_hits", static_cast<int64_t>(R.ScheduleHits));
-    CfgSp.arg("cache_misses", static_cast<int64_t>(R.ScheduleMisses));
+    CfgSp.arg("cache_hits", static_cast<int64_t>(Looked.Hits));
+    CfgSp.arg("cache_misses", static_cast<int64_t>(Looked.Misses));
   }
+  if (Lookups)
+    *Lookups = Looked;
 
   if (R.Failures == Loops.size())
     return R;

@@ -69,10 +69,6 @@ struct ConfigRunResult {
   /// Parallel detail for every failed loop, in loop order.
   std::vector<LoopScheduleFailure> FailureDetails;
   std::vector<LoopRunStat> Loops;
-  /// This measurement's ScheduleCache statistics (both zero when no
-  /// cache was attached).
-  uint64_t ScheduleHits = 0;
-  uint64_t ScheduleMisses = 0;
   /// Scheduler effort summed over every loop's Figure 5 run (failed
   /// loops included). Cached results carry the counters of their
   /// original computation, so these are bit-identical with and without
@@ -94,6 +90,16 @@ struct ConfigRunResult {
   /// LoopScheduleResult::FallbackRational; the sched.fallback_rational
   /// metric).
   unsigned FallbackRational = 0;
+};
+
+/// One measurement's ScheduleCache lookups (both zero when no cache was
+/// attached). A diagnostic beside the result, never part of it: in a
+/// session cache shared by concurrent programs, which program reaches a
+/// shared entry first depends on thread timing, so these counts differ
+/// between runs whose ConfigRunResults are bit-identical.
+struct ScheduleLookups {
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
 };
 
 /// The measurement-stage knobs a ScheduleMeasurer runs under; derived
@@ -163,25 +169,27 @@ public:
   /// heterogeneous flow (restricted menu, ED2-guided partitioning);
   /// homogeneous baselines pass false. Pure function of its inputs:
   /// bit-identical for any thread count, with or without the cache.
+  /// The cache lookups it made go to \p Lookups when non-null.
   /// Throws std::invalid_argument when \p Profile has another loop count.
   ConfigRunResult measure(const ProgramProfile &Profile,
                           const std::vector<Loop> &Loops,
                           const HeteroConfig &Config,
                           const HeteroScaling &Scaling,
-                          const EnergyModel &Energy,
-                          bool ED2Objective) const;
+                          const EnergyModel &Energy, bool ED2Objective,
+                          ScheduleLookups *Lookups = nullptr) const;
 
   /// One loop's Figure 5 run under \p Config: a cache hit builds no
   /// scheduler and takes no arena; a miss runs fresh, replayed cold if
   /// the warm-start sweep throws. \p Program is the fault context;
   /// \p Scaling / \p Energy may be null under the baseline objective.
-  /// Adds the hit or miss, cold replays and the run's effort and
-  /// degradation counters to \p Tally.
+  /// Adds cold replays and the run's effort and degradation counters
+  /// to \p Tally, and the cache hit or miss to \p Lookups.
   LoopScheduleResult scheduleLoop(const Loop &L, const HeteroConfig &Config,
                                   const HeteroScaling *Scaling,
                                   const EnergyModel *Energy, bool ED2Objective,
                                   const std::string &Program,
-                                  ConfigRunResult &Tally) const;
+                                  ConfigRunResult &Tally,
+                                  ScheduleLookups &Lookups) const;
 
   /// The ScheduleCache key of one loop's scheduling run under this
   /// measurer's options: hashes everything LoopScheduler::schedule

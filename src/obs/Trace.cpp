@@ -19,7 +19,8 @@ using namespace hcvliw::obs;
 //===----------------------------------------------------------------------===//
 
 TraceBuffer::TraceBuffer(size_t CapacityPow2, unsigned ThreadId)
-    : Ring(CapacityPow2), Mask(CapacityPow2 - 1), Tid(ThreadId) {}
+    // new Slot[] default-initializes: no byte of the ring is written here.
+    : Ring(new Slot[CapacityPow2]), Mask(CapacityPow2 - 1), Tid(ThreadId) {}
 
 //===----------------------------------------------------------------------===//
 // Tracer
@@ -50,7 +51,7 @@ void Tracer::enable(const TraceOptions &O) {
   // Restart: drop previously recorded events (buffers whose capacity no
   // longer matches are replaced; the thread map keeps the same slots).
   for (std::unique_ptr<TraceBuffer> &B : Buffers) {
-    if (B->Ring.size() != Opts.BufferEvents) {
+    if (B->capacity() != Opts.BufferEvents) {
       auto Fresh = std::make_unique<TraceBuffer>(Opts.BufferEvents, B->Tid);
       for (auto &KV : PerThread)
         if (KV.second == B.get())
@@ -79,18 +80,29 @@ TraceBuffer &Tracer::buffer() {
 }
 
 TraceBuffer &Tracer::bufferSlow() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  TraceBuffer *&Slot = PerThread[std::this_thread::get_id()];
-  if (!Slot) {
-    size_t Cap = Opts.BufferEvents ? roundUpPow2(Opts.BufferEvents)
-                                   : TraceOptions().BufferEvents;
-    Buffers.push_back(std::make_unique<TraceBuffer>(
-        Cap, static_cast<unsigned>(Buffers.size())));
-    Slot = Buffers.back().get();
+  const std::thread::id Self = std::this_thread::get_id();
+  auto remember = [&](TraceBuffer *B) -> TraceBuffer & {
+    CachedGeneration = Generation;
+    CachedBuffer = B;
+    return *B;
+  };
+  size_t Cap;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (auto It = PerThread.find(Self); It != PerThread.end())
+      return remember(It->second);
+    Cap = Opts.BufferEvents ? roundUpPow2(Opts.BufferEvents)
+                            : TraceOptions().BufferEvents;
   }
-  CachedGeneration = Generation;
-  CachedBuffer = Slot;
-  return *Slot;
+  // Allocate outside the lock, so one worker's set-up never stalls
+  // another's first span. Only this thread registers Self, so nothing
+  // can have registered it in between.
+  auto Fresh = std::make_unique<TraceBuffer>(Cap, 0);
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Fresh->Tid = static_cast<unsigned>(Buffers.size());
+  Buffers.push_back(std::move(Fresh));
+  PerThread[Self] = Buffers.back().get();
+  return remember(Buffers.back().get());
 }
 
 uint64_t Tracer::totalEvents() const {
@@ -221,11 +233,11 @@ std::string Tracer::chromeTraceJson() const {
                       B->Tid == 0 ? "main" : formatString("worker-%u", B->Tid)
                                                  .c_str());
     // Oldest surviving event first (a wrapped ring starts mid-stream).
-    uint64_t Kept = std::min<uint64_t>(B->Written, B->Ring.size());
+    uint64_t Kept = std::min<uint64_t>(B->Written, B->capacity());
     uint64_t Start = B->Written - Kept;
     for (uint64_t I = Start; I < B->Written; ++I) {
       J += ",\n ";
-      appendEvent(J, B->Ring[I & B->Mask], B->Tid, HaveAllocHook);
+      appendEvent(J, B->event(I), B->Tid, HaveAllocHook);
     }
   }
   J += "\n]\n}\n";

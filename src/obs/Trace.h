@@ -45,7 +45,9 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 #endif
@@ -79,19 +81,40 @@ struct TraceOptions {
 
 /// One worker thread's ring. Written only by its owner thread; read by
 /// the exporter after the run (see the Tracer ownership contract).
+///
+/// The storage is left uninitialized: a default 64k-event ring is ~9 MB,
+/// and zeroing it would bill several milliseconds to each worker's first
+/// span. A slot is written by push() before anything reads it (the
+/// exporter reads only the Written slots), so pages are touched as
+/// events arrive.
 class TraceBuffer {
   friend class Tracer;
-  std::vector<TraceEvent> Ring; ///< capacity is a power of two
+  static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+                    std::is_trivially_destructible_v<TraceEvent>,
+                "ring slots are raw storage");
+  struct alignas(TraceEvent) Slot {
+    unsigned char Bytes[sizeof(TraceEvent)];
+  };
+  std::unique_ptr<Slot[]> Ring; ///< capacity is a power of two
   size_t Mask = 0;
   uint64_t Written = 0; ///< events ever pushed (wraps overwrite)
   unsigned Tid = 0;     ///< registration order; trace-only identity
 
+  /// The event pushed as number \p I (I < Written, not yet overwritten).
+  const TraceEvent &event(uint64_t I) const {
+    return *std::launder(
+        reinterpret_cast<const TraceEvent *>(&Ring[I & Mask]));
+  }
+
 public:
   explicit TraceBuffer(size_t CapacityPow2, unsigned Tid);
-  void push(const TraceEvent &E) { Ring[Written++ & Mask] = E; }
+  void push(const TraceEvent &E) {
+    new (&Ring[Written++ & Mask]) TraceEvent(E);
+  }
+  size_t capacity() const { return Mask + 1; }
   uint64_t written() const { return Written; }
   uint64_t dropped() const {
-    return Written > Ring.size() ? Written - Ring.size() : 0;
+    return Written > capacity() ? Written - capacity() : 0;
   }
 };
 

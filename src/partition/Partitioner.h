@@ -103,8 +103,8 @@ struct PartitionStats {
   uint64_t FMMoves = 0;         ///< boundary FM moves applied
   /// Full pseudo-schedules scored, and greedy candidates rejected by
   /// PartitionBound without one. Unlike the counters above, the cache
-  /// snapshot format (ResultSerde) does not carry them: a result loaded
-  /// from a snapshot reports 0.
+  /// snapshot format (runtime/CachePersist) does not carry them: a
+  /// result loaded from a snapshot reports 0.
   uint64_t ScoreEvals = 0;
   uint64_t BoundRejects = 0;
   /// Runs that took the pre-fused flat-partition rung instead of the

@@ -93,7 +93,8 @@ Profiler::profileProgram(const std::string &Name,
   obs::Span Sp(Trace, "stage.profile:", Name);
   const MachineDescription &Machine = Measurer.machine();
   const HeteroConfig Ref = HeteroConfig::reference(Machine);
-  ConfigRunResult Tally; // cache statistics for the span
+  ConfigRunResult Tally;   // effort counters, unused here
+  ScheduleLookups Lookups; // cache statistics for the span
 
   double TotalWeight = 0;
   for (const Loop &L : Loops)
@@ -109,7 +110,7 @@ Profiler::profileProgram(const std::string &Name,
     // The baseline objective reads neither energy model nor scaling.
     LoopScheduleResult R =
         Measurer.scheduleLoop(L, Ref, nullptr, nullptr,
-                              /*ED2Objective=*/false, Name, Tally);
+                              /*ED2Objective=*/false, Name, Tally, Lookups);
     if (!R.Success) {
       if (Err)
         *Err = "loop '" + L.Name +
@@ -192,8 +193,8 @@ Profiler::profileProgram(const std::string &Name,
     P.Loops.push_back(std::move(LP));
   }
   if (Sp.active()) {
-    Sp.arg("cache_hits", static_cast<int64_t>(Tally.ScheduleHits));
-    Sp.arg("cache_misses", static_cast<int64_t>(Tally.ScheduleMisses));
+    Sp.arg("cache_hits", static_cast<int64_t>(Lookups.Hits));
+    Sp.arg("cache_misses", static_cast<int64_t>(Lookups.Misses));
   }
   return P;
 }

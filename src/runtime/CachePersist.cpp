@@ -3,10 +3,10 @@
 #include "runtime/CachePersist.h"
 
 #include "obs/BuildInfo.h"
-#include "runtime/ResultSerde.h"
 #include "support/HashUtil.h"
 #include "support/RecordIO.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -24,6 +24,284 @@ constexpr const char *SnapshotMagic = "hcvliw-cache-snapshot v1";
 constexpr const char *KindSched = "sched";
 constexpr const char *KindEval = "eval";
 constexpr const char *KindSel = "sel";
+
+//===----------------------------------------------------------------------===//
+// Record-body serializers: each put has a positionally mirrored get over
+// the support/RecordIO codec, so a value round-trips bit-exactly. A get
+// on malformed input latches Source::bad() and returns a default-shaped
+// value; callers check bad()/done() before trusting it.
+//===----------------------------------------------------------------------===//
+
+void putOpPoint(Sink &S, const DomainOperatingPoint &P) {
+  S.rat(P.PeriodNs);
+  S.d(P.Vdd);
+  S.d(P.Vth);
+}
+DomainOperatingPoint getOpPoint(Source &S) {
+  DomainOperatingPoint P;
+  P.PeriodNs = S.rat();
+  P.Vdd = S.d();
+  P.Vth = S.d();
+  return P;
+}
+
+void putDesign(Sink &S, const SelectedDesign &D) {
+  S.b(D.Valid);
+  S.d(D.EstTexecNs);
+  S.d(D.EstEnergy);
+  S.d(D.EstED2);
+  S.u64(D.Config.Clusters.size());
+  for (const DomainOperatingPoint &P : D.Config.Clusters)
+    putOpPoint(S, P);
+  putOpPoint(S, D.Config.Icn);
+  putOpPoint(S, D.Config.Cache);
+  S.u64(D.Scaling.Clusters.size());
+  for (const DomainScaling &Sc : D.Scaling.Clusters) {
+    S.d(Sc.Delta);
+    S.d(Sc.Sigma);
+  }
+  S.d(D.Scaling.Icn.Delta);
+  S.d(D.Scaling.Icn.Sigma);
+  S.d(D.Scaling.Cache.Delta);
+  S.d(D.Scaling.Cache.Sigma);
+}
+SelectedDesign getDesign(Source &S) {
+  SelectedDesign D;
+  D.Valid = S.b();
+  D.EstTexecNs = S.d();
+  D.EstEnergy = S.d();
+  D.EstED2 = S.d();
+  D.Config.Clusters.resize(S.bad() ? 0
+                                   : std::min<uint64_t>(S.u64(), 1u << 20));
+  for (DomainOperatingPoint &P : D.Config.Clusters)
+    P = getOpPoint(S);
+  D.Config.Icn = getOpPoint(S);
+  D.Config.Cache = getOpPoint(S);
+  D.Scaling.Clusters.resize(S.bad() ? 0
+                                    : std::min<uint64_t>(S.u64(), 1u << 20));
+  for (DomainScaling &Sc : D.Scaling.Clusters) {
+    Sc.Delta = S.d();
+    Sc.Sigma = S.d();
+  }
+  D.Scaling.Icn.Delta = S.d();
+  D.Scaling.Icn.Sigma = S.d();
+  D.Scaling.Cache.Delta = S.d();
+  D.Scaling.Cache.Sigma = S.d();
+  return D;
+}
+
+void putDomainPlan(Sink &S, const DomainPlan &D) {
+  S.i64(D.II);
+  S.rat(D.FreqGHz);
+  S.rat(D.PeriodNs);
+}
+DomainPlan getDomainPlan(Source &S) {
+  DomainPlan D;
+  D.II = S.i64();
+  D.FreqGHz = S.rat();
+  D.PeriodNs = S.rat();
+  return D;
+}
+
+/// Reads a u64 and rejects values above \p Max (enum range checks: the
+/// CRC already guards against corruption, this guards against skew).
+uint64_t getBounded(Source &S, uint64_t Max) {
+  uint64_t V = S.u64();
+  if (V > Max) {
+    S.markBad();
+    return 0;
+  }
+  return V;
+}
+
+
+void putMachinePlan(Sink &S, const MachinePlan &P) {
+  S.rat(P.ITNs);
+  S.u64(P.Clusters.size());
+  for (const DomainPlan &D : P.Clusters)
+    putDomainPlan(S, D);
+  putDomainPlan(S, P.Bus);
+  putDomainPlan(S, P.Cache);
+}
+MachinePlan getMachinePlan(Source &S) {
+  MachinePlan P;
+  P.ITNs = S.rat();
+  P.Clusters.resize(S.bad() ? 0 : std::min<uint64_t>(S.u64(), 1u << 20));
+  for (DomainPlan &D : P.Clusters)
+    D = getDomainPlan(S);
+  P.Bus = getDomainPlan(S);
+  P.Cache = getDomainPlan(S);
+  return P;
+}
+
+void putSchedule(Sink &S, const Schedule &Sch) {
+  putMachinePlan(S, Sch.Plan);
+  S.u64(Sch.Nodes.size());
+  for (const ScheduledNode &N : Sch.Nodes) {
+    S.b(N.Placed);
+    S.i64(N.Slot);
+    S.u64(N.Unit);
+  }
+}
+Schedule getSchedule(Source &S) {
+  Schedule Sch;
+  Sch.Plan = getMachinePlan(S);
+  Sch.Nodes.resize(S.bad() ? 0 : std::min<uint64_t>(S.u64(), 1u << 22));
+  for (ScheduledNode &N : Sch.Nodes) {
+    N.Placed = S.b();
+    N.Slot = S.i64();
+    N.Unit = static_cast<unsigned>(S.u64());
+  }
+  return Sch;
+}
+
+void putPartitionedGraph(Sink &S, const PartitionedGraph &PG) {
+  S.u64(PG.numClusters());
+  S.u64(PG.size());
+  for (unsigned I = 0; I < PG.size(); ++I) {
+    const PGNode &N = PG.node(I);
+    S.u64(N.Domain);
+    S.u64(static_cast<uint64_t>(N.Op));
+    S.u64(N.LatencyCycles);
+    S.u64(static_cast<uint64_t>(N.Kind));
+    S.i64(N.OrigOp);
+    S.i64(N.CopiedValue);
+  }
+  S.u64(PG.edges().size());
+  for (const PGEdge &E : PG.edges()) {
+    S.u64(E.Src);
+    S.u64(E.Dst);
+    S.u64(E.Distance);
+    S.u64(E.LatencyCycles);
+    S.b(E.CarriesValue);
+  }
+}
+PartitionedGraph getPartitionedGraph(Source &S) {
+  unsigned NumClusters = static_cast<unsigned>(S.u64());
+  std::vector<PGNode> Nodes(S.bad() ? 0
+                                    : std::min<uint64_t>(S.u64(), 1u << 22));
+  for (PGNode &N : Nodes) {
+    N.Domain = static_cast<unsigned>(S.u64());
+    N.Op = static_cast<Opcode>(
+        getBounded(S, static_cast<uint64_t>(Opcode::Copy)));
+    N.LatencyCycles = static_cast<unsigned>(S.u64());
+    N.Kind =
+        static_cast<FUKind>(getBounded(S, static_cast<uint64_t>(FUKind::Bus)));
+    N.OrigOp = static_cast<int>(S.i64());
+    N.CopiedValue = static_cast<int>(S.i64());
+  }
+  std::vector<PGEdge> Edges(S.bad() ? 0
+                                    : std::min<uint64_t>(S.u64(), 1u << 22));
+  const uint64_t MaxNode = Nodes.empty() ? 0 : Nodes.size() - 1;
+  for (PGEdge &E : Edges) {
+    E.Src = static_cast<unsigned>(getBounded(S, MaxNode));
+    E.Dst = static_cast<unsigned>(getBounded(S, MaxNode));
+    E.Distance = static_cast<unsigned>(S.u64());
+    E.LatencyCycles = static_cast<unsigned>(S.u64());
+    E.CarriesValue = S.b();
+  }
+  if (S.bad())
+    return PartitionedGraph();
+  return PartitionedGraph::fromRaw(NumClusters, std::move(Nodes),
+                                   std::move(Edges));
+}
+
+void putLoopScheduleResult(Sink &S, const LoopScheduleResult &R) {
+  S.b(R.Success);
+  S.str(R.Failure);
+  putSchedule(S, R.Sched);
+  putPartitionedGraph(S, R.PG);
+  S.u64(R.Assignment.ClusterOf.size());
+  for (unsigned C : R.Assignment.ClusterOf)
+    S.u64(C);
+  S.u64(R.Pressure.MaxLive.size());
+  for (int64_t V : R.Pressure.MaxLive)
+    S.i64(V);
+  S.u64(R.Pressure.SumLifetimes.size());
+  for (int64_t V : R.Pressure.SumLifetimes)
+    S.i64(V);
+  S.rat(R.MITNs);
+  S.u64(R.ITSteps);
+  S.u64(R.Placements);
+  S.u64(R.Ejections);
+  S.u64(R.BudgetUsed);
+  S.u64(R.FallbackRational);
+  S.u64(R.FailureLog.size());
+  for (const ITFailure &F : R.FailureLog) {
+    S.u64(F.Step);
+    S.rat(F.ITNs);
+    S.str(F.Reason);
+    S.u64(F.Count);
+  }
+  S.u64(R.PrunedITSteps);
+  S.u64(R.PartStats.Runs);
+  S.u64(R.PartStats.CoarsenBuilds);
+  S.u64(R.PartStats.CoarsenMemoHits);
+  S.u64(R.PartStats.Levels);
+  S.u64(R.PartStats.MatchedPairs);
+  S.u64(R.PartStats.RefinePasses);
+  S.u64(R.PartStats.RefineMoves);
+  S.u64(R.PartStats.FMPasses);
+  S.u64(R.PartStats.FMMoves);
+  S.u64(R.PartStats.FlatFallbacks);
+  S.d(R.PartStats.InitialScore);
+  S.d(R.PartStats.FinalScore);
+  S.i64(R.RecMII);
+  S.i64(R.ResMII);
+}
+LoopScheduleResult getLoopScheduleResult(Source &S) {
+  LoopScheduleResult R;
+  R.Success = S.b();
+  R.Failure = S.str();
+  R.Sched = getSchedule(S);
+  R.PG = getPartitionedGraph(S);
+  R.Assignment.ClusterOf.resize(S.bad() ? 0
+                                        : std::min<uint64_t>(S.u64(),
+                                                             1u << 22));
+  for (unsigned &C : R.Assignment.ClusterOf)
+    C = static_cast<unsigned>(S.u64());
+  R.Pressure.MaxLive.resize(S.bad() ? 0
+                                    : std::min<uint64_t>(S.u64(), 1u << 20));
+  for (int64_t &V : R.Pressure.MaxLive)
+    V = S.i64();
+  R.Pressure.SumLifetimes.resize(
+      S.bad() ? 0 : std::min<uint64_t>(S.u64(), 1u << 20));
+  for (int64_t &V : R.Pressure.SumLifetimes)
+    V = S.i64();
+  R.MITNs = S.rat();
+  R.ITSteps = static_cast<unsigned>(S.u64());
+  R.Placements = S.u64();
+  R.Ejections = S.u64();
+  R.BudgetUsed = S.u64();
+  R.FallbackRational = static_cast<unsigned>(S.u64());
+  R.FailureLog.resize(S.bad() ? 0 : std::min<uint64_t>(S.u64(), 1u << 20));
+  for (ITFailure &F : R.FailureLog) {
+    F.Step = static_cast<unsigned>(S.u64());
+    F.ITNs = S.rat();
+    F.Reason = S.str();
+    F.Count = static_cast<unsigned>(S.u64());
+  }
+  R.PrunedITSteps = static_cast<unsigned>(S.u64());
+  R.PartStats.Runs = S.u64();
+  R.PartStats.CoarsenBuilds = S.u64();
+  R.PartStats.CoarsenMemoHits = S.u64();
+  R.PartStats.Levels = S.u64();
+  R.PartStats.MatchedPairs = S.u64();
+  R.PartStats.RefinePasses = S.u64();
+  R.PartStats.RefineMoves = S.u64();
+  R.PartStats.FMPasses = S.u64();
+  R.PartStats.FMMoves = S.u64();
+  R.PartStats.FlatFallbacks = S.u64();
+  R.PartStats.InitialScore = S.d();
+  R.PartStats.FinalScore = S.d();
+  R.RecMII = S.i64();
+  R.ResMII = S.i64();
+  return R;
+}
+
+//===----------------------------------------------------------------------===//
+// Snapshot framing: the header lines and one "rec" line per entry.
+//===----------------------------------------------------------------------===//
 
 std::string hex(uint64_t V) {
   char Buf[17];
@@ -189,7 +467,7 @@ bool hcvliw::writeCacheSnapshot(const std::string &Path,
   Sched.exportEntries([&](uint64_t Key, const LoopScheduleResult &R) {
     Sink S;
     S.u64(Key);
-    serde::putLoopScheduleResult(S, R);
+    putLoopScheduleResult(S, R);
     putRecord(Out, KindSched, S.line());
     ++Local.SchedSaved;
   });
@@ -200,7 +478,7 @@ bool hcvliw::writeCacheSnapshot(const std::string &Path,
   Eval.exportSelections([&](uint64_t Key, const SelectedDesign &D) {
     Sink S;
     S.u64(Key);
-    serde::putDesign(S, D);
+    putDesign(S, D);
     putRecord(Out, KindSel, S.line());
     ++Local.SelSaved;
   });
@@ -266,7 +544,7 @@ bool hcvliw::loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
       if (Kind == KindSched) {
         Source S(Body);
         uint64_t Key = S.u64();
-        LoopScheduleResult R = serde::getLoopScheduleResult(S);
+        LoopScheduleResult R = getLoopScheduleResult(S);
         if (S.done()) {
           Sched.importEntry(Key, R);
           ++Local.SchedLoaded;
@@ -284,7 +562,7 @@ bool hcvliw::loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
       } else if (Kind == KindSel) {
         Source S(Body);
         uint64_t Key = S.u64();
-        SelectedDesign D = serde::getDesign(S);
+        SelectedDesign D = getDesign(S);
         if (S.done()) {
           Eval.importSelection(Key, D);
           ++Local.SelLoaded;

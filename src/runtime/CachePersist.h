@@ -1,13 +1,16 @@
 //===- runtime/CachePersist.h - Persistent schedule/eval caches --*- C++ -*-===//
 ///
 /// \file
-/// The on-disk tier of the session caches: a versioned, checksummed
-/// snapshot of every ScheduleCache entry, EvalCache timing entry and
-/// selection memo, so a later process can start warm (suite_tool
-/// --save-cache / --load-cache; CI's warm-start job).
+/// The on-disk tier of the session caches, and the runtime's only
+/// durable format: a versioned, checksummed snapshot of every
+/// ScheduleCache entry, EvalCache timing entry and selection memo, so a
+/// later process can start warm (suite_tool --save-cache /
+/// --load-cache; CI's warm-start job).
 ///
 /// Format: a line-oriented text file over the support/RecordIO token
-/// codec. Header:
+/// codec. The record-body serializers (schedules, partitioned graphs,
+/// machine plans, selected designs) are file-local to CachePersist.cpp,
+/// so the whole format lives in one module. Header:
 ///
 ///   hcvliw-cache-snapshot v1
 ///   schema <u32> binding <hex16>

@@ -193,11 +193,12 @@ FrontierMeasurer::measure(const std::string &ProgramName,
                             &S.scheduleScratchPool(), &S.tracer(),
                             &S.metrics());
 
+  std::vector<ScheduleLookups> Lookups(F.Points.size());
   S.pool().parallelFor(F.Points.size(), [&](size_t I) {
     FrontierPointMeasurement &P = F.Points[I];
     P.Measured = Measurer.measure(Profile, Loops, P.Design.Config,
                                   P.Design.Scaling, Energy,
-                                  /*ED2Objective=*/true);
+                                  /*ED2Objective=*/true, &Lookups[I]);
     if (P.Measured.Ok) {
       P.TexecError = P.Measured.TexecNs / P.Design.EstTexecNs - 1.0;
       P.EnergyError = P.Measured.Energy / P.Design.EstEnergy - 1.0;
@@ -210,8 +211,8 @@ FrontierMeasurer::measure(const std::string &ProgramName,
   // engine's estimate-level reduction).
   for (size_t I = 0; I < F.Points.size(); ++I) {
     const FrontierPointMeasurement &P = F.Points[I];
-    F.ScheduleHits += P.Measured.ScheduleHits;
-    F.ScheduleMisses += P.Measured.ScheduleMisses;
+    F.ScheduleHits += Lookups[I].Hits;
+    F.ScheduleMisses += Lookups[I].Misses;
     if (P.Design.EstED2 < F.Points[F.EstArgmin].Design.EstED2)
       F.EstArgmin = I;
     if (P.Measured.Ok)

@@ -6,10 +6,8 @@
 #include "support/Stats.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -28,53 +26,7 @@ SuiteResult SuiteRunner::run(const std::vector<BenchmarkProgram> &Programs,
     PipelineError Err;
   };
   const size_t N = Programs.size();
-
-  // Frontiers are not journalable (the journal schema is per-program
-  // pure results only), so a frontier run combined with durability
-  // options could only drop them silently — refuse instead.
-  if (Opts.MeasureFrontier && (!Opts.JournalPath.empty() || Opts.ResumeFrom))
-    throw std::runtime_error(
-        "frontier runs cannot be journaled or resumed (measured frontiers "
-        "are not journalable); drop MeasureFrontier or the journal/resume "
-        "options");
-
   std::vector<Slot> Slots(N);
-
-  // --- checkpoint / resume -------------------------------------------------
-  const SuiteJournal *Resume = Opts.ResumeFrom;
-  const bool Journaling = !Opts.JournalPath.empty();
-  uint64_t Fingerprint = 0;
-  if (Resume || Journaling)
-    Fingerprint = suiteJournalFingerprint(S.pipelineOptions(), Programs);
-  if (Resume && Resume->Fingerprint != Fingerprint)
-    throw std::runtime_error(
-        "suite journal was recorded under different options or programs "
-        "(fingerprint mismatch); refusing to resume from it");
-  // Prefilled slots are complete before the fan-out starts; runOne
-  // skips them, the reduction treats them like freshly computed ones.
-  std::vector<char> Prefilled(N, 0);
-  if (Resume) {
-    for (size_t I = 0; I < N; ++I) {
-      if (auto It = Resume->Results.find(Programs[I].Name);
-          It != Resume->Results.end()) {
-        Slots[I].Res = It->second;
-        Prefilled[I] = 1;
-      } else if (auto It2 = Resume->Failures.find(Programs[I].Name);
-                 It2 != Resume->Failures.end()) {
-        Slots[I].Err.Stage = It2->second.Stage;
-        Slots[I].Err.Reason = It2->second.Reason;
-        Slots[I].Err.StageWallMs = It2->second.StageWallMs;
-        Prefilled[I] = 1;
-      }
-    }
-  }
-  SuiteJournalWriter Journal;
-  std::mutex JournalMutex;
-  if (Journaling) {
-    std::string JErr;
-    if (!Journal.open(Opts.JournalPath, Fingerprint, &JErr))
-      throw std::runtime_error(JErr);
-  }
 
   obs::Span SuiteSp(&S.tracer(), "suite.run");
   if (SuiteSp.active())
@@ -85,53 +37,41 @@ SuiteResult SuiteRunner::run(const std::vector<BenchmarkProgram> &Programs,
 
   auto runOne = [&](size_t I) {
     Slot &S_ = Slots[I];
-    if (!Prefilled[I]) {
-      obs::Span ProgSp(&S.tracer(), "program:", Programs[I].Name);
-      obs::Stopwatch SW;
-      // Containment: runProgram converts its own stage exceptions to
-      // PipelineError already; this backstop catches everything else a
-      // job can throw (the pool.job fault site, the frontier measurer,
-      // a defect in the glue here) so one program's crash becomes one
-      // SuiteFailure record, never a dead suite. The WorkerPool's own
-      // capture (WorkerPool.h) stays the last line of defense for
-      // exceptions escaping the OnProgramDone callback below.
-      try {
-        HCVLIW_FAULT_POINT(&S.faultInjector(), "pool.job", Programs[I].Name);
-        S_.Res = S.pipeline().runProgram(Programs[I], &S_.Err);
-        // The measured frontier reuses the program's profile;
-        // exploration hits the session EvalCache and the argmin point's
-        // schedules hit the ScheduleCache entries step 4 just filled.
-        if (Opts.MeasureFrontier && S_.Res)
-          S_.Frontier = FrontierMeasurer(S).measure(
-              Programs[I].Name, Programs[I].Loops, S_.Res->Profile);
-      } catch (const std::exception &E) {
-        S_.Res.reset();
-        S_.Frontier.reset();
-        S_.Err.Stage = PipelineStage::Profiling;
-        S_.Err.Reason = std::string("worker job exception: ") + E.what();
-        S_.Err.StageWallMs = SW.elapsedMs();
-      } catch (...) {
-        S_.Res.reset();
-        S_.Frontier.reset();
-        S_.Err.Stage = PipelineStage::Profiling;
-        S_.Err.Reason = "worker job exception: unknown exception";
-        S_.Err.StageWallMs = SW.elapsedMs();
-      }
-      S.metrics().observeMs("stage.program.ms", SW.elapsedMs());
-      if (ProgSp.active())
-        ProgSp.arg("ok", S_.Res.has_value() ? 1 : 0);
-      ProgSp.close();
-      // Checkpoint the completed program (resumed ones are already in
-      // the file). One record per append, flushed inside.
-      if (Journaling) {
-        std::lock_guard<std::mutex> JLock(JournalMutex);
-        if (S_.Res)
-          Journal.append(*S_.Res);
-        else
-          Journal.appendFailure(Programs[I].Name, S_.Err.Stage, S_.Err.Reason,
-                                S_.Err.StageWallMs);
-      }
+    obs::Span ProgSp(&S.tracer(), "program:", Programs[I].Name);
+    obs::Stopwatch SW;
+    // Containment: runProgram converts its own stage exceptions to
+    // PipelineError already; this backstop catches everything else a
+    // job can throw (the pool.job fault site, the frontier measurer,
+    // a defect in the glue here) so one program's crash becomes one
+    // SuiteFailure record, never a dead suite. The WorkerPool's own
+    // capture (WorkerPool.h) stays the last line of defense for
+    // exceptions escaping the OnProgramDone callback below.
+    try {
+      HCVLIW_FAULT_POINT(&S.faultInjector(), "pool.job", Programs[I].Name);
+      S_.Res = S.pipeline().runProgram(Programs[I], &S_.Err);
+      // The measured frontier reuses the program's profile;
+      // exploration hits the session EvalCache and the argmin point's
+      // schedules hit the ScheduleCache entries step 4 just filled.
+      if (Opts.MeasureFrontier && S_.Res)
+        S_.Frontier = FrontierMeasurer(S).measure(
+            Programs[I].Name, Programs[I].Loops, S_.Res->Profile);
+    } catch (const std::exception &E) {
+      S_.Res.reset();
+      S_.Frontier.reset();
+      S_.Err.Stage = PipelineStage::Profiling;
+      S_.Err.Reason = std::string("worker job exception: ") + E.what();
+      S_.Err.StageWallMs = SW.elapsedMs();
+    } catch (...) {
+      S_.Res.reset();
+      S_.Frontier.reset();
+      S_.Err.Stage = PipelineStage::Profiling;
+      S_.Err.Reason = "worker job exception: unknown exception";
+      S_.Err.StageWallMs = SW.elapsedMs();
     }
+    S.metrics().observeMs("stage.program.ms", SW.elapsedMs());
+    if (ProgSp.active())
+      ProgSp.arg("ok", S_.Res.has_value() ? 1 : 0);
+    ProgSp.close();
     if (!Opts.OnProgramDone)
       return;
     // Streamed completion: serialized, in completion order (which is

@@ -10,7 +10,7 @@
 /// in-flight programs' candidate grids).
 ///
 /// Replaces the seed's serial bench-side suite loop (the long-removed
-/// bench/BenchUtil.h shim), with four contract upgrades:
+/// bench/BenchUtil.h shim), with three contract upgrades:
 ///
 ///   - failed programs are not silently dropped: every failure appears
 ///     in SuiteResult::Failures as a structured record (program name,
@@ -21,12 +21,12 @@
 ///     never the suite or the process;
 ///   - per-program completion streams through SuiteOptions::
 ///     OnProgramDone (serialized; completion order is
-///     scheduling-dependent, the SuiteResult is not);
-///   - runs are durable: with SuiteOptions::JournalPath set, each
-///     completed program is checkpointed to a journal file, and a
-///     killed suite resumes via SuiteOptions::ResumeFrom with a merged
-///     SuiteResult bit-identical to the uninterrupted run (see
-///     runtime/SuiteJournal.h).
+///     scheduling-dependent, the SuiteResult is not).
+///
+/// A run keeps no on-disk state of its own: a whole suite takes tens
+/// of milliseconds, so a killed run is simply rerun. What does survive
+/// the process is the session caches (runtime/CachePersist), which
+/// make that rerun warm.
 ///
 /// Determinism: each program's result is written to its own slot and
 /// reduced in program order, and every per-program computation is a
@@ -40,7 +40,6 @@
 
 #include "runtime/FrontierMeasurer.h"
 #include "runtime/Session.h"
-#include "runtime/SuiteJournal.h"
 #include "workloads/SpecFPSuite.h"
 
 #include <functional>
@@ -82,27 +81,8 @@ struct SuiteOptions {
   std::function<void(const SuiteProgress &)> OnProgramDone;
   /// Also measure every successful program's Pareto frontier with real
   /// schedules (measure/FrontierMeasurer on the session pool and
-  /// ScheduleCache) and fill SuiteResult::Frontiers. Incompatible with
-  /// journaling (frontiers are not journaled, so a killed frontier run
-  /// cannot be reassembled): run() throws std::runtime_error when
-  /// JournalPath or ResumeFrom is combined with this — fail fast, never
-  /// silently drop durability the caller asked for.
+  /// ScheduleCache) and fill SuiteResult::Frontiers.
   bool MeasureFrontier = false;
-  /// When non-empty, append each program's completed record (result or
-  /// failure) to this journal file as it finishes, flushed per record —
-  /// a killed run loses at most the programs still in flight. Resuming
-  /// with the same path extends the same file. run() throws
-  /// std::runtime_error when the journal cannot be opened or belongs to
-  /// different options/programs (fingerprint mismatch).
-  std::string JournalPath;
-  /// A journal loaded from a previous (killed) run of the *same*
-  /// programs under the *same* options: journaled programs are spliced
-  /// into the SuiteResult without re-executing, and the merged result
-  /// is bit-identical to an uninterrupted run (except SuiteFailure::
-  /// StageWallMs, which is diagnostic wall time carried from the run
-  /// that recorded it). run() throws std::runtime_error on a
-  /// fingerprint mismatch. Non-owning; must outlive run().
-  const SuiteJournal *ResumeFrom = nullptr;
 };
 
 struct SuiteResult {
@@ -128,9 +108,10 @@ public:
   explicit SuiteRunner(Session &Sess) : S(Sess) {}
 
   /// Runs every program of \p Programs under the session's options.
-  /// Per-program exceptions are contained as SuiteFailure records; the
-  /// only throws out of run() itself are journal configuration errors
-  /// (see SuiteOptions::JournalPath / ResumeFrom).
+  /// Per-program exceptions are contained as SuiteFailure records, so
+  /// run() itself does not throw for a failing program; only an
+  /// exception escaping SuiteOptions::OnProgramDone propagates (the
+  /// WorkerPool rethrows it after the fan-out).
   SuiteResult run(const std::vector<BenchmarkProgram> &Programs,
                   const SuiteOptions &Opts = SuiteOptions());
 

@@ -89,7 +89,7 @@ public:
                         const std::vector<unsigned> *NodeLatencies = nullptr);
 
   /// Rebuilds a graph from raw node/edge lists — the persistent
-  /// schedule-cache loader's path (runtime/ResultSerde): the CSR
+  /// schedule-cache loader's path (runtime/CachePersist): the CSR
   /// adjacency is rederived from \p Edges exactly as buildInto derives
   /// it, so a deserialized graph is indistinguishable from the one
   /// that was serialized. Every edge endpoint must be < Nodes.size().

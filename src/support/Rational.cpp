@@ -3,6 +3,8 @@
 #include "support/Rational.h"
 #include "support/StrUtil.h"
 
+#include <stdexcept>
+
 using namespace hcvliw;
 
 int64_t hcvliw::gcd64(int64_t A, int64_t B) {
@@ -24,8 +26,11 @@ int64_t hcvliw::lcm64(int64_t A, int64_t B) {
   return static_cast<int64_t>(R);
 }
 
+/// Checked in every build type: a silently truncated value would feed
+/// a wrong period or IT into everything computed from it.
 static int64_t narrow(__int128 V) {
-  assert(V <= INT64_MAX && V >= INT64_MIN && "rational overflow");
+  if (V > INT64_MAX || V < INT64_MIN)
+    throw std::overflow_error("rational overflow");
   return static_cast<int64_t>(V);
 }
 

@@ -27,9 +27,10 @@ namespace hcvliw {
 
 /// An exact rational number Num/Den with Den > 0 and gcd(Num, Den) == 1.
 ///
-/// Intermediate products are computed in 128-bit arithmetic and asserted
-/// to fit back into 64 bits after normalization, which is ample for the
-/// picosecond-scale clock math this library performs.
+/// Intermediate products are computed in 128-bit arithmetic and must fit
+/// back into 64 bits after normalization, which is ample for the
+/// picosecond-scale clock math this library performs; a result that does
+/// not fit throws std::overflow_error in every build type.
 class Rational {
   int64_t Num = 0;
   int64_t Den = 1;

@@ -1,8 +1,8 @@
 //===- support/RecordIO.h - Token-framed record serialization ----*- C++ -*-===//
 ///
 /// \file
-/// The positional token codec the durable file formats share
-/// (runtime/SuiteJournal, runtime/CachePersist): every record body is
+/// The positional token codec under the persistent cache snapshot
+/// (runtime/CachePersist): every record body is
 /// ONE line of space-separated tokens, written positionally by a Sink
 /// and read back by a mirrored Source. Tokens never contain spaces:
 /// strings are escaped ('\' -> "\\", ' ' -> "\s", '\n' -> "\n",

@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SuiteResultCheck.h"
 #include "runtime/SuiteRunner.h"
 #include "workloads/SyntheticLoops.h"
 
@@ -41,28 +42,6 @@ fault::FaultPlan plan(const std::string &Text) {
   auto P = fault::FaultPlan::parse(Text, &Err);
   EXPECT_TRUE(P.has_value()) << Err;
   return *P;
-}
-
-/// The deterministic core of one program's result (everything but wall
-/// times), compared bitwise.
-void expectProgramIdentical(const ProgramRunResult &X,
-                            const ProgramRunResult &Y) {
-  EXPECT_EQ(X.Name, Y.Name);
-  EXPECT_EQ(X.ED2Ratio, Y.ED2Ratio) << X.Name;
-  EXPECT_EQ(X.HetDesign.EstED2, Y.HetDesign.EstED2) << X.Name;
-  EXPECT_EQ(X.HomDesign.EstED2, Y.HomDesign.EstED2) << X.Name;
-  EXPECT_EQ(X.HetMeasured.TexecNs, Y.HetMeasured.TexecNs) << X.Name;
-  EXPECT_EQ(X.HetMeasured.Energy, Y.HetMeasured.Energy) << X.Name;
-  EXPECT_EQ(X.HetMeasured.ED2, Y.HetMeasured.ED2) << X.Name;
-  EXPECT_EQ(X.HomMeasured.ED2, Y.HomMeasured.ED2) << X.Name;
-  ASSERT_EQ(X.HetMeasured.Loops.size(), Y.HetMeasured.Loops.size());
-  for (size_t L = 0; L < X.HetMeasured.Loops.size(); ++L) {
-    EXPECT_EQ(X.HetMeasured.Loops[L].ITNs, Y.HetMeasured.Loops[L].ITNs);
-    EXPECT_EQ(X.HetMeasured.Loops[L].TexecNs,
-              Y.HetMeasured.Loops[L].TexecNs);
-    EXPECT_EQ(X.HetMeasured.Loops[L].Degraded,
-              Y.HetMeasured.Loops[L].Degraded);
-  }
 }
 
 // --- containment -----------------------------------------------------------
@@ -97,7 +76,7 @@ TEST(FaultContainment, InjectedThrowBecomesAStructuredFailure) {
     ASSERT_NE(D.Name, "171.swim");
     for (const ProgramRunResult &C : Clean.Details)
       if (C.Name == D.Name)
-        expectProgramIdentical(C, D);
+        expectSameProgram(C, D);
   }
   EXPECT_EQ(R.numPrograms(), 3u);
 }
@@ -119,16 +98,8 @@ TEST(FaultContainment, SamePlanSameFailuresAtEveryThreadCount) {
   for (unsigned Threads : {2u, 4u}) {
     Session S{PipelineOptions(), Threads};
     S.faultInjector().arm(plan(Plan));
-    SuiteResult R = SuiteRunner(S).run(Programs);
-    ASSERT_EQ(R.Failures.size(), Ref.Failures.size()) << Threads;
-    for (size_t I = 0; I < Ref.Failures.size(); ++I) {
-      EXPECT_EQ(R.Failures[I].Program, Ref.Failures[I].Program);
-      EXPECT_EQ(R.Failures[I].Stage, Ref.Failures[I].Stage);
-      EXPECT_EQ(R.Failures[I].Reason, Ref.Failures[I].Reason);
-    }
-    ASSERT_EQ(R.Details.size(), Ref.Details.size());
-    for (size_t I = 0; I < Ref.Details.size(); ++I)
-      expectProgramIdentical(Ref.Details[I], R.Details[I]);
+    SCOPED_TRACE(Threads);
+    expectSameSuite(Ref, SuiteRunner(S).run(Programs));
   }
 }
 
@@ -151,7 +122,7 @@ TEST(FaultLadder, WarmSweepThrowDegradesToColdReplayBitIdentically) {
   EXPECT_GT(S.faultInjector().injectedThrows(), 0u);
   // The warm/cold equivalence contract: the replayed results are
   // bit-identical to the warm path.
-  expectProgramIdentical(*Ref, *R);
+  expectSameProgram(*Ref, *R);
   EXPECT_EQ(R->HetMeasured.DegradedLoops, 0u); // no analytic rung taken
 }
 
@@ -264,7 +235,7 @@ TEST(FaultIdle, ArmedPlanMatchingNothingChangesNothing) {
   auto R = S.pipeline().runProgram(Prog);
   ASSERT_TRUE(R.has_value());
   EXPECT_EQ(S.faultInjector().totalInjected(), 0u);
-  expectProgramIdentical(*Ref, *R);
+  expectSameProgram(*Ref, *R);
 }
 
 } // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+
 using namespace hcvliw;
 
 namespace {
@@ -206,6 +209,48 @@ TEST_F(PlannerTest, NextITMonotone) {
       IT = Next;
     }
   }
+}
+
+// Hostile clock periods: computeMIT must end with an exception, in every
+// build type and well under a second, instead of spinning.
+class HostilePlannerTest : public PlannerTest {
+protected:
+  void setPeriods(Rational Even, Rational Odd) {
+    for (unsigned I = 0; I < C.numClusters(); ++I)
+      C.Clusters[I].PeriodNs = I % 2 ? Odd : Even;
+  }
+
+  /// Runs computeMIT on a 20-FP-op loop; returns the wall time in ms.
+  template <typename Exception>
+  double expectMITThrows(const FrequencyMenu &Menu) {
+    DomainPlanner P(M, C, Menu);
+    std::vector<unsigned> Counts(NumFUKinds, 0);
+    Counts[static_cast<unsigned>(FUKind::FpFU)] = 20;
+    auto Start = std::chrono::steady_clock::now();
+    EXPECT_THROW(P.computeMIT(0, Counts), Exception);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - Start)
+        .count();
+  }
+};
+
+TEST_F(HostilePlannerTest, CoprimePeriodsNear4e9Throw) {
+  // Slot arithmetic on these periods leaves the int64 Rational range;
+  // without the range check the IT stopped growing and the probe loop
+  // never ended.
+  setPeriods(Rational(4000000009, 4000000007),
+             Rational(4000000007, 4000000009));
+  EXPECT_LT(expectMITThrows<std::overflow_error>(FrequencyMenu::continuous()),
+            1000.0);
+}
+
+TEST_F(HostilePlannerTest, UnalignedPeriodsOnALadderExhaustTheProbes) {
+  // The IT grows, but the two clusters' slot grids under a 4-step ladder
+  // almost never coincide, so no probe yields a plan.
+  setPeriods(Rational(1000003, 1000000), Rational(999983, 1000000));
+  EXPECT_LT(expectMITThrows<std::invalid_argument>(
+                FrequencyMenu::relativeLadder(4)),
+            1000.0);
 }
 
 } // namespace

@@ -32,8 +32,8 @@ using namespace hcvliw;
 namespace {
 
 /// Field-for-field equality of two measurements. EXPECT_EQ on doubles
-/// is bitwise-exact equality — that is the contract. The ScheduleCache
-/// hit/miss counters are diagnostics, not results, and are excluded.
+/// is bitwise-exact equality — that is the contract. (The ScheduleCache
+/// hit/miss counts are not part of the result; see ScheduleLookups.)
 void expectBitIdentical(const ConfigRunResult &A, const ConfigRunResult &B) {
   EXPECT_EQ(A.Ok, B.Ok);
   EXPECT_EQ(A.TexecNs, B.TexecNs);
@@ -138,18 +138,19 @@ TEST(ScheduleCache, RepeatedMeasurementHitsAndIsBitIdentical) {
   ScheduleMeasurer Cached(Pipe.machine(),
                           HeterogeneousPipeline::measureOptionsFor(Opts),
                           &Cache);
+  ScheduleLookups Lookups;
   ConfigRunResult First =
       Cached.measure(R->Profile, Prog.Loops, R->HetDesign.Config,
-                     R->HetDesign.Scaling, Energy, true);
-  EXPECT_EQ(First.ScheduleHits, 0u);
-  EXPECT_EQ(First.ScheduleMisses, Prog.Loops.size());
+                     R->HetDesign.Scaling, Energy, true, &Lookups);
+  EXPECT_EQ(Lookups.Hits, 0u);
+  EXPECT_EQ(Lookups.Misses, Prog.Loops.size());
   EXPECT_EQ(Cache.size(), Prog.Loops.size());
 
   ConfigRunResult Second =
       Cached.measure(R->Profile, Prog.Loops, R->HetDesign.Config,
-                     R->HetDesign.Scaling, Energy, true);
-  EXPECT_EQ(Second.ScheduleHits, Prog.Loops.size());
-  EXPECT_EQ(Second.ScheduleMisses, 0u);
+                     R->HetDesign.Scaling, Energy, true, &Lookups);
+  EXPECT_EQ(Lookups.Hits, Prog.Loops.size());
+  EXPECT_EQ(Lookups.Misses, 0u);
   expectBitIdentical(First, Second);
 
   // And cached == computed-from-scratch.
@@ -182,11 +183,12 @@ TEST(ScheduleCache, HomogeneousKeyIgnoresVoltages) {
   HeteroConfig Bumped = R->HomDesign.Config;
   for (auto &C : Bumped.Clusters)
     C.Vdd += 0.05;
+  ScheduleLookups Lookups;
   ConfigRunResult B =
       M.measure(R->Profile, Prog.Loops, Bumped, R->HomDesign.Scaling,
-                Energy, /*ED2Objective=*/false);
-  EXPECT_EQ(B.ScheduleHits, Prog.Loops.size());
-  EXPECT_EQ(B.ScheduleMisses, 0u);
+                Energy, /*ED2Objective=*/false, &Lookups);
+  EXPECT_EQ(Lookups.Hits, Prog.Loops.size());
+  EXPECT_EQ(Lookups.Misses, 0u);
   expectBitIdentical(A, B);
 }
 
@@ -351,9 +353,10 @@ endloop
   ScheduleMeasurer Oracle(M, Checked, &Cache);
   Cache.store(Oracle.loopScheduleKey(L, Ref, &Scaling, &Energy, false), LR);
   for (int Pass = 0; Pass < 2; ++Pass) {
+    ScheduleLookups Lookups;
     ConfigRunResult R = Oracle.measure(*Profile, Loops, Ref, Scaling, Energy,
-                                       /*ED2Objective=*/false);
-    EXPECT_EQ(R.ScheduleHits, 1u);
+                                       /*ED2Objective=*/false, &Lookups);
+    EXPECT_EQ(Lookups.Hits, 1u);
     EXPECT_FALSE(R.Ok);
     EXPECT_EQ(R.Failures, 1u);
     EXPECT_TRUE(R.Loops.empty());
@@ -366,10 +369,11 @@ endloop
 
   // The same cached schedule measures without the oracle: the failure
   // above is the oracle's verdict, not the scheduler's.
+  ScheduleLookups Lookups;
   ConfigRunResult Unchecked =
       ScheduleMeasurer(M, MeasureOptions(), &Cache)
-          .measure(*Profile, Loops, Ref, Scaling, Energy, false);
-  EXPECT_EQ(Unchecked.ScheduleHits, 1u);
+          .measure(*Profile, Loops, Ref, Scaling, Energy, false, &Lookups);
+  EXPECT_EQ(Lookups.Hits, 1u);
   EXPECT_TRUE(Unchecked.Ok);
   EXPECT_EQ(Unchecked.Failures, 0u);
 }

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SuiteResultCheck.h"
 #include "runtime/SuiteRunner.h"
 
 #include <gtest/gtest.h>
@@ -19,38 +20,6 @@
 using namespace hcvliw;
 
 namespace {
-
-/// Every schedule-derived number tracing could plausibly perturb,
-/// compared bitwise (the ArenaSuiteTest comparator).
-void expectSameMeasured(const SuiteResult &A, const SuiteResult &B) {
-  ASSERT_EQ(A.Names, B.Names);
-  ASSERT_EQ(A.Failures.size(), B.Failures.size());
-  ASSERT_EQ(A.Details.size(), B.Details.size());
-  for (size_t I = 0; I < A.Details.size(); ++I) {
-    const ProgramRunResult &X = A.Details[I], &Y = B.Details[I];
-    EXPECT_EQ(X.ED2Ratio, Y.ED2Ratio) << X.Name;
-    EXPECT_EQ(X.HetMeasured.TexecNs, Y.HetMeasured.TexecNs) << X.Name;
-    EXPECT_EQ(X.HetMeasured.Energy, Y.HetMeasured.Energy) << X.Name;
-    EXPECT_EQ(X.HetMeasured.ED2, Y.HetMeasured.ED2) << X.Name;
-    EXPECT_EQ(X.HomMeasured.TexecNs, Y.HomMeasured.TexecNs) << X.Name;
-    EXPECT_EQ(X.HomMeasured.ED2, Y.HomMeasured.ED2) << X.Name;
-    EXPECT_EQ(X.HetMeasured.SchedPlacements, Y.HetMeasured.SchedPlacements)
-        << X.Name;
-    EXPECT_EQ(X.HetMeasured.SchedEjections, Y.HetMeasured.SchedEjections)
-        << X.Name;
-    EXPECT_EQ(X.HetMeasured.SchedBudgetUsed, Y.HetMeasured.SchedBudgetUsed)
-        << X.Name;
-    EXPECT_EQ(X.HetMeasured.SchedITSteps, Y.HetMeasured.SchedITSteps)
-        << X.Name;
-    ASSERT_EQ(X.HetMeasured.Loops.size(), Y.HetMeasured.Loops.size());
-    for (size_t L = 0; L < X.HetMeasured.Loops.size(); ++L) {
-      EXPECT_EQ(X.HetMeasured.Loops[L].ITNs, Y.HetMeasured.Loops[L].ITNs);
-      EXPECT_EQ(X.HetMeasured.Loops[L].TexecNs,
-                Y.HetMeasured.Loops[L].TexecNs);
-      EXPECT_EQ(X.HetMeasured.Loops[L].Comms, Y.HetMeasured.Loops[L].Comms);
-    }
-  }
-}
 
 TEST(TraceSuiteIdentity, TracedSuiteBitIdenticalAtEveryThreadCount) {
   PipelineOptions Opts;
@@ -68,7 +37,7 @@ TEST(TraceSuiteIdentity, TracedSuiteBitIdenticalAtEveryThreadCount) {
     S.tracer().enable();
     SuiteResult Traced = SuiteRunner(S).runSpecFP();
     S.tracer().disable();
-    expectSameMeasured(Baseline, Traced);
+    expectSameSuite(Baseline, Traced, EffortCounters::Compare);
 #ifndef HCVLIW_NO_TRACE
     // The run really was traced: spans from the suite level down to the
     // per-config measurement recorded, on no more rings than workers.
@@ -99,7 +68,7 @@ TEST(TraceSuiteIdentity, MetricsRecordWithoutPerturbing) {
 
   Session B(Opts, 2);
   SuiteResult RB = SuiteRunner(B).runSpecFP();
-  expectSameMeasured(RA, RB);
+  expectSameSuite(RA, RB, EffortCounters::Compare);
 }
 
 } // namespace

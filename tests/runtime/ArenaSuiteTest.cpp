@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SuiteResultCheck.h"
 #include "runtime/SuiteRunner.h"
 
 #include <gtest/gtest.h>
@@ -18,38 +19,6 @@
 using namespace hcvliw;
 
 namespace {
-
-/// The measured fields the arenas could plausibly corrupt: every
-/// per-loop schedule-derived number, compared bitwise.
-void expectSameMeasured(const SuiteResult &A, const SuiteResult &B) {
-  ASSERT_EQ(A.Names, B.Names);
-  ASSERT_EQ(A.Failures.size(), B.Failures.size());
-  ASSERT_EQ(A.Details.size(), B.Details.size());
-  for (size_t I = 0; I < A.Details.size(); ++I) {
-    const ProgramRunResult &X = A.Details[I], &Y = B.Details[I];
-    EXPECT_EQ(X.ED2Ratio, Y.ED2Ratio) << X.Name;
-    EXPECT_EQ(X.HetMeasured.TexecNs, Y.HetMeasured.TexecNs) << X.Name;
-    EXPECT_EQ(X.HetMeasured.Energy, Y.HetMeasured.Energy) << X.Name;
-    EXPECT_EQ(X.HetMeasured.ED2, Y.HetMeasured.ED2) << X.Name;
-    EXPECT_EQ(X.HomMeasured.TexecNs, Y.HomMeasured.TexecNs) << X.Name;
-    EXPECT_EQ(X.HomMeasured.ED2, Y.HomMeasured.ED2) << X.Name;
-    EXPECT_EQ(X.HetMeasured.SchedPlacements, Y.HetMeasured.SchedPlacements)
-        << X.Name;
-    EXPECT_EQ(X.HetMeasured.SchedEjections, Y.HetMeasured.SchedEjections)
-        << X.Name;
-    EXPECT_EQ(X.HetMeasured.SchedBudgetUsed, Y.HetMeasured.SchedBudgetUsed)
-        << X.Name;
-    EXPECT_EQ(X.HetMeasured.SchedITSteps, Y.HetMeasured.SchedITSteps)
-        << X.Name;
-    ASSERT_EQ(X.HetMeasured.Loops.size(), Y.HetMeasured.Loops.size());
-    for (size_t L = 0; L < X.HetMeasured.Loops.size(); ++L) {
-      EXPECT_EQ(X.HetMeasured.Loops[L].ITNs, Y.HetMeasured.Loops[L].ITNs);
-      EXPECT_EQ(X.HetMeasured.Loops[L].TexecNs,
-                Y.HetMeasured.Loops[L].TexecNs);
-      EXPECT_EQ(X.HetMeasured.Loops[L].Comms, Y.HetMeasured.Loops[L].Comms);
-    }
-  }
-}
 
 TEST(ArenaSuite, SuiteBitIdenticalForThreadCountsWithArenas) {
   PipelineOptions Opts;
@@ -65,7 +34,7 @@ TEST(ArenaSuite, SuiteBitIdenticalForThreadCountsWithArenas) {
   for (unsigned Threads : {2u, 4u}) {
     Session S(Opts, Threads);
     SuiteResult Par = SuiteRunner(S).runSpecFP();
-    expectSameMeasured(Serial, Par);
+    expectSameSuite(Serial, Par, EffortCounters::Compare);
     EXPECT_GE(S.scheduleScratchPool().threadsSeen(), 1u);
     EXPECT_LE(S.scheduleScratchPool().threadsSeen(),
               static_cast<size_t>(Threads));

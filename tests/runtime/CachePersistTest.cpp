@@ -12,8 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SuiteResultCheck.h"
 #include "runtime/CachePersist.h"
-#include "runtime/ResultSerde.h"
 #include "runtime/Session.h"
 #include "runtime/SuiteRunner.h"
 #include "support/RecordIO.h"
@@ -48,42 +48,6 @@ void spit(const std::string &Path, const std::string &Bytes) {
   Out << Bytes;
 }
 
-/// Zeroes \p C's scheduler-effort / cache-effectiveness counters. They
-/// reflect the session that computed the record (a snapshot-warmed run
-/// hits where the cold run missed), so the determinism contract carves
-/// them out (see tests/fault/JournalResumeTest expectBitIdentical);
-/// per-loop semantic outcomes (Loops[].ITNs, TexecNs, Degraded) stay
-/// compared.
-void clearEffortCounters(ConfigRunResult &C) {
-  C.ScheduleHits = C.ScheduleMisses = 0;
-  C.SchedPlacements = C.SchedEjections = 0;
-  C.SchedBudgetUsed = C.SchedITSteps = 0;
-  C.DegradedLoops = C.ColdReplays = 0;
-  C.FlatPartitions = C.FallbackRational = 0;
-}
-
-/// Serializes every deterministic field of \p R through the journal's
-/// serde layer (doubles as hex-floats, Rationals as num/den), so equal
-/// keys mean bit-identical results. SuiteFailure::StageWallMs and the
-/// effort counters are excluded by contract.
-std::string suiteResultKey(const SuiteResult &R) {
-  std::string Key;
-  for (size_t I = 0; I < R.Names.size(); ++I) {
-    recio::Sink S;
-    ProgramRunResult D = R.Details[I];
-    clearEffortCounters(D.HetMeasured);
-    clearEffortCounters(D.HomMeasured);
-    serde::putResult(S, D);
-    Key += "ok " + R.Names[I] + " " + S.line() + "\n";
-  }
-  for (const SuiteFailure &F : R.Failures) {
-    recio::Sink S;
-    serde::putFailure(S, F.Stage, F.Reason, /*StageWallMs=*/0.0);
-    Key += "fail " + F.Program + " " + S.line() + "\n";
-  }
-  return Key;
-}
-
 // --- binding fingerprint ---------------------------------------------------
 
 TEST(CacheBinding, PureAndStructural) {
@@ -107,7 +71,7 @@ TEST(CacheBinding, PureAndStructural) {
 class CachePersistFixture : public ::testing::Test {
 protected:
   static std::vector<BenchmarkProgram> Programs;
-  static std::string ColdKey;   ///< suiteResultKey of the cold run
+  static SuiteResult ColdResult; ///< the cold run
   static std::string SnapBytes; ///< the snapshot the cold run saved
   static CacheSaveStats Saved;
 
@@ -117,7 +81,7 @@ protected:
     Session Cold{PipelineOptions(), 1};
     SuiteResult R = SuiteRunner(Cold).run(Programs);
     ASSERT_EQ(R.Names.size(), 2u);
-    ColdKey = suiteResultKey(R);
+    ColdResult = R;
     std::string Path = tempPath("cachepersist_fixture.cache");
     std::string Err;
     ASSERT_TRUE(Cold.saveCacheTo(Path, &Err)) << Err;
@@ -147,7 +111,7 @@ protected:
 };
 
 std::vector<BenchmarkProgram> CachePersistFixture::Programs;
-std::string CachePersistFixture::ColdKey;
+SuiteResult CachePersistFixture::ColdResult;
 std::string CachePersistFixture::SnapBytes;
 CacheSaveStats CachePersistFixture::Saved;
 
@@ -159,7 +123,7 @@ TEST_F(CachePersistFixture, RoundTripWarmsAndPreservesResults) {
   EXPECT_EQ(Warm.cachePersistLoadStats().CorruptFrames, 0u);
 
   SuiteResult R = SuiteRunner(Warm).run(Programs);
-  EXPECT_EQ(suiteResultKey(R), ColdKey); // warm == cold, bitwise
+  expectSameSuite(ColdResult, R); // warm == cold, bitwise
   EXPECT_GT(Warm.cachePersistHits(), 0u);
 
   // The warm session's caches hold the same entries; its snapshot is
@@ -203,7 +167,7 @@ TEST_F(CachePersistFixture, BitFlipInBodyQuarantinesThatFrameOnly) {
   // The quarantine never changes a result: the partially warmed run is
   // still bit-identical to cold.
   SuiteResult R = SuiteRunner(S).run(Programs);
-  EXPECT_EQ(suiteResultKey(R), ColdKey);
+  expectSameSuite(ColdResult, R);
 }
 
 TEST_F(CachePersistFixture, BitFlipInHeaderRefuses) {

@@ -9,8 +9,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SuiteResultCheck.h"
 #include "runtime/SuiteRunner.h"
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,56 +22,6 @@
 using namespace hcvliw;
 
 namespace {
-
-/// Field-for-field equality of two suite runs. EXPECT_EQ on doubles is
-/// bitwise-exact equality — that is the contract.
-void expectBitIdentical(const SuiteResult &A, const SuiteResult &B) {
-  ASSERT_EQ(A.Names, B.Names);
-  ASSERT_EQ(A.ED2Ratios.size(), B.ED2Ratios.size());
-  for (size_t I = 0; I < A.ED2Ratios.size(); ++I)
-    EXPECT_EQ(A.ED2Ratios[I], B.ED2Ratios[I]) << A.Names[I];
-  ASSERT_EQ(A.Failures.size(), B.Failures.size());
-  for (size_t I = 0; I < A.Failures.size(); ++I) {
-    EXPECT_EQ(A.Failures[I].Program, B.Failures[I].Program);
-    EXPECT_EQ(A.Failures[I].Stage, B.Failures[I].Stage);
-    EXPECT_EQ(A.Failures[I].Reason, B.Failures[I].Reason);
-  }
-  ASSERT_EQ(A.Details.size(), B.Details.size());
-  for (size_t I = 0; I < A.Details.size(); ++I) {
-    const ProgramRunResult &X = A.Details[I], &Y = B.Details[I];
-    EXPECT_EQ(X.Name, Y.Name);
-    EXPECT_EQ(X.ED2Ratio, Y.ED2Ratio) << X.Name;
-    EXPECT_EQ(X.HetDesign.EstTexecNs, Y.HetDesign.EstTexecNs) << X.Name;
-    EXPECT_EQ(X.HetDesign.EstEnergy, Y.HetDesign.EstEnergy) << X.Name;
-    EXPECT_EQ(X.HetDesign.EstED2, Y.HetDesign.EstED2) << X.Name;
-    EXPECT_EQ(X.HomDesign.EstED2, Y.HomDesign.EstED2) << X.Name;
-    ASSERT_EQ(X.HetDesign.Config.Clusters.size(),
-              Y.HetDesign.Config.Clusters.size());
-    for (size_t C = 0; C < X.HetDesign.Config.Clusters.size(); ++C) {
-      EXPECT_EQ(X.HetDesign.Config.Clusters[C].PeriodNs,
-                Y.HetDesign.Config.Clusters[C].PeriodNs);
-      EXPECT_EQ(X.HetDesign.Config.Clusters[C].Vdd,
-                Y.HetDesign.Config.Clusters[C].Vdd);
-      EXPECT_EQ(X.HetDesign.Config.Clusters[C].Vth,
-                Y.HetDesign.Config.Clusters[C].Vth);
-    }
-    EXPECT_EQ(X.HetMeasured.TexecNs, Y.HetMeasured.TexecNs) << X.Name;
-    EXPECT_EQ(X.HetMeasured.Energy, Y.HetMeasured.Energy) << X.Name;
-    EXPECT_EQ(X.HetMeasured.ED2, Y.HetMeasured.ED2) << X.Name;
-    EXPECT_EQ(X.HetMeasured.Failures, Y.HetMeasured.Failures) << X.Name;
-    EXPECT_EQ(X.HomMeasured.TexecNs, Y.HomMeasured.TexecNs) << X.Name;
-    EXPECT_EQ(X.HomMeasured.Energy, Y.HomMeasured.Energy) << X.Name;
-    EXPECT_EQ(X.HomMeasured.ED2, Y.HomMeasured.ED2) << X.Name;
-    ASSERT_EQ(X.HetMeasured.Loops.size(), Y.HetMeasured.Loops.size());
-    for (size_t L = 0; L < X.HetMeasured.Loops.size(); ++L) {
-      EXPECT_EQ(X.HetMeasured.Loops[L].Name, Y.HetMeasured.Loops[L].Name);
-      EXPECT_EQ(X.HetMeasured.Loops[L].ITNs, Y.HetMeasured.Loops[L].ITNs);
-      EXPECT_EQ(X.HetMeasured.Loops[L].TexecNs,
-                Y.HetMeasured.Loops[L].TexecNs);
-      EXPECT_EQ(X.HetMeasured.Loops[L].Comms, Y.HetMeasured.Loops[L].Comms);
-    }
-  }
-}
 
 // --- Determinism -----------------------------------------------------------
 
@@ -85,7 +37,7 @@ TEST(SuiteRunner, FullSuiteBitIdenticalAcrossThreadCounts) {
   for (unsigned Threads : {2u, 4u}) {
     Session S(Opts, Threads);
     SuiteResult Par = SuiteRunner(S).runSpecFP();
-    expectBitIdentical(Serial, Par);
+    expectSameSuite(Serial, Par);
   }
 }
 
@@ -98,8 +50,42 @@ TEST(SuiteRunner, NestedParallelismBudgetDoesNotChangeResults) {
     SuiteOptions SO;
     SO.ProgramLanes = Lanes;
     SuiteResult Budgeted = SuiteRunner(S2).runSpecFP(SO);
-    expectBitIdentical(Free, Budgeted);
+    expectSameSuite(Free, Budgeted);
   }
+}
+
+TEST(SuiteResultCheck, FlagsDeepFieldDifferences) {
+  // The shared comparator must see the fields the old per-test copies
+  // skipped. EXPECT_NONFATAL_FAILURE cannot capture locals, hence the
+  // statics.
+  static SuiteResult A, B;
+  {
+    Session S{PipelineOptions(), 1};
+    A = SuiteRunner(S).run({buildSpecFPProgram("171.swim")});
+  }
+  ASSERT_EQ(A.Details.size(), 1u);
+  ASSERT_FALSE(A.Details[0].Profile.Loops.empty());
+  ASSERT_FALSE(A.Details[0].HetMeasured.Loops.empty());
+
+  B = A;
+  B.Details[0].Profile.Loops[0].PerIter.Comms += 1;
+  EXPECT_NONFATAL_FAILURE(expectSameSuite(A, B),
+                          "Profile.Loops[0].PerIter.Comms");
+  B = A;
+  B.Details[0].HomDesign.Scaling.Icn.Sigma *= -1;
+  EXPECT_NONFATAL_FAILURE(expectSameSuite(A, B),
+                          "HomDesign.Scaling.Icn.Sigma");
+  B = A;
+  B.Details[0].HetMeasured.Loops[0].Degraded ^= true;
+  EXPECT_NONFATAL_FAILURE(expectSameSuite(A, B),
+                          "HetMeasured.Loops[0].Degraded");
+
+  // Effort counters only when asked for.
+  B = A;
+  B.Details[0].HomMeasured.SchedPlacements += 1;
+  expectSameSuite(A, B);
+  EXPECT_NONFATAL_FAILURE(expectSameSuite(A, B, EffortCounters::Compare),
+                          "HomMeasured.SchedPlacements");
 }
 
 // --- Structured failures ---------------------------------------------------
