@@ -51,8 +51,8 @@ static void runOracle() {
     // Session-backed selector: the ranking's candidate evaluations
     // share the session's timing cache and worker pool.
     ConfigurationSelector Sel(*Profile, S.machine(), Energy, Opts.Tech,
-                              S.menu(), Opts.Space, &S.evalCache(),
-                              &S.pool());
+                              S.menu(), Opts.Space, S.pool(),
+                              &S.evalCache());
     auto Ranked = Sel.rankHeterogeneous();
     if (Ranked.empty())
       continue;

@@ -10,10 +10,10 @@
 
 #include "BenchHarness.h"
 
-#include "core/HeterogeneousPipeline.h"
 #include "ir/MinDist.h"
 #include "ir/RecurrenceAnalysis.h"
 #include "partition/LoopScheduler.h"
+#include "runtime/Session.h"
 #include "vliwsim/PipelinedSimulator.h"
 #include "workloads/SyntheticLoops.h"
 
@@ -105,11 +105,12 @@ static void BM_PipelinedSim(benchmark::State &State) {
 BENCHMARK(BM_PipelinedSim)->Arg(64)->Arg(256);
 
 static void BM_FullProgramPipeline(benchmark::State &State) {
-  PipelineOptions Opts;
-  HeterogeneousPipeline Pipe(Opts);
   BenchmarkProgram Prog = buildSpecFPProgram("200.sixtrack");
   for (auto _ : State) {
-    auto R = Pipe.runProgram(Prog);
+    // A fresh serial session per iteration: every run starts from cold
+    // caches, so this times the pipeline, not cache hits.
+    Session S(PipelineOptions(), 1);
+    auto R = S.pipeline().runProgram(Prog);
     benchmark::DoNotOptimize(R.has_value());
   }
 }

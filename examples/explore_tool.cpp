@@ -35,19 +35,18 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "explore/ConfigurationSelector.h"
+#include "explore/ExplorationEngine.h"
 #include "explore/ExplorationReport.h"
-#include "runtime/FrontierMeasurer.h"
 #include "obs/AllocHook.h"
 #include "profiling/Profiler.h"
-#include "runtime/WorkerPool.h"
+#include "runtime/FrontierMeasurer.h"
+#include "runtime/Session.h"
 #include "support/StrUtil.h"
 #include "workloads/SpecFPSuite.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 
 #include <cstdio>
 #include <cstring>
@@ -105,6 +104,7 @@ int main(int argc, char **argv) {
   std::string Program;
   std::string CsvPath, JsonPath;
   ExploreOptions Opts;
+  bool UseCache = true;
   unsigned Threads = 0;
   DesignSpaceOptions Space = DesignSpaceOptions::paperDefault();
   unsigned MenuK = 0;
@@ -179,7 +179,7 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--no-prune")) {
       Opts.ComputeFrontier = false;
     } else if (!std::strcmp(argv[I], "--no-cache")) {
-      Opts.UseCache = false;
+      UseCache = false;
     } else if (!std::strcmp(argv[I], "--csv")) {
       CsvPath = need("--csv");
     } else if (!std::strcmp(argv[I], "--json")) {
@@ -214,45 +214,25 @@ int main(int argc, char **argv) {
   }
   bool Suite = Programs.size() > 1;
 
-  MachineDescription M = MachineDescription::paperDefault();
-  FrequencyMenu Menu = MenuK > 0 ? FrequencyMenu::relativeLadder(MenuK)
-                                 : FrequencyMenu::continuous();
-  TechnologyModel Tech = TechnologyModel::paperDefault();
-  Profiler Prof(M);
-
   // The runtime substrate, shared across every program of the run: one
-  // worker pool (no per-explore thread spawning) and one timing cache
-  // (structurally identical loops hit across programs). The
-  // measure-frontier mode needs the full Session (its ScheduleCache
-  // memoizes per-loop schedules across frontier points and programs),
-  // so it runs on a session-owned pool and cache instead.
-  std::unique_ptr<WorkerPool> OwnPool;
-  std::unique_ptr<EvalCache> OwnCache;
-  std::unique_ptr<Session> Sess;
-  if (MeasureFrontier) {
-    PipelineOptions PO;
-    if (MenuK > 0)
-      PO.MenuSize = MenuK;
-    PO.Space = Space;
-    Sess = std::make_unique<Session>(PO, Threads);
-    Opts.Pool = &Sess->pool();
-    Opts.SharedCache = &Sess->evalCache();
-  } else {
-    OwnPool = std::make_unique<WorkerPool>(Threads);
-    OwnCache = std::make_unique<EvalCache>(M, Menu);
-    Opts.Pool = OwnPool.get();
-    Opts.SharedCache = OwnCache.get();
-  }
-  EvalCache &Cache = *Opts.SharedCache;
+  // worker pool (no per-explore thread spawning), one timing cache
+  // (structurally identical loops hit across programs; --no-cache
+  // evaluates directly instead), and — for --measure-frontier — one
+  // ScheduleCache memoizing per-loop schedules across frontier points
+  // and programs. Spans and metrics land on the session's tracer and
+  // registry.
+  PipelineOptions PO;
+  if (MenuK > 0)
+    PO.MenuSize = MenuK;
+  PO.Space = Space;
+  Session Sess(PO, Threads);
+  const MachineDescription &M = Sess.machine();
+  Profiler Prof(M);
+  if (UseCache)
+    Opts.Cache = &Sess.evalCache();
   std::vector<MeasuredFrontier> Measured;
 
-  // In session mode spans and metrics land on the session's own
-  // tracer/registry (so frontier measurement phases appear too);
-  // standalone explorations use tool-owned ones.
-  obs::Tracer OwnTracer;
-  obs::MetricsRegistry OwnMetrics;
-  obs::Tracer &Tracer = Sess ? Sess->tracer() : OwnTracer;
-  obs::MetricsRegistry &Metrics = Sess ? Sess->metrics() : OwnMetrics;
+  obs::Tracer &Tracer = Sess.tracer();
   if (!TracePath.empty())
     Tracer.enable();
 
@@ -267,10 +247,9 @@ int main(int argc, char **argv) {
       Rc = 1;
       continue;
     }
-    EnergyModel E(EnergyBreakdown(), P->Totals, P->TexecRefNs,
-                  M.numClusters());
-    ExplorationEngine Eng(*P, M, E, Tech, Menu, Space);
-    ExplorationResult R = Eng.explore(Opts);
+    EnergyModel E(PO.Breakdown, P->Totals, P->TexecRefNs, M.numClusters());
+    ExplorationEngine Eng(*P, M, E, PO.Tech, Sess.menu(), Space);
+    ExplorationResult R = Eng.explore(Sess.pool(), Opts);
 
     ExplorationReport Rep(Prog.Name, R);
     std::printf("%s\n", Rep.summary().c_str());
@@ -282,7 +261,7 @@ int main(int argc, char **argv) {
 
     if (MeasureFrontier) {
       MeasuredFrontier F =
-          FrontierMeasurer(*Sess).measure(Prog.Name, Prog.Loops, *P);
+          FrontierMeasurer(Sess).measure(Prog.Name, Prog.Loops, *P);
       std::printf("measured frontier: %zu points, argmin %s, mean |ED2 "
                   "error| %.4f\n",
                   F.Points.size(),
@@ -311,10 +290,10 @@ int main(int argc, char **argv) {
         std::printf("wrote %s\n", Path.c_str());
       }
     }
-    Metrics.observeMs("stage.explore.ms",
-                      std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - ProgT0)
-                          .count());
+    Sess.metrics().observeMs("stage.explore.ms",
+                             std::chrono::duration<double, std::milli>(
+                                 std::chrono::steady_clock::now() - ProgT0)
+                                 .count());
     std::printf("\n");
   }
   if (MeasureFrontier) {
@@ -332,18 +311,20 @@ int main(int argc, char **argv) {
                    MeasuredJson.c_str());
       Rc = 1;
     }
-    const ScheduleCache &SC = Sess->scheduleCache();
+    const ScheduleCache &SC = Sess.scheduleCache();
     std::printf("schedule cache over the whole run: %llu hits, %llu "
                 "misses, %zu entries\n",
                 static_cast<unsigned long long>(SC.hits()),
                 static_cast<unsigned long long>(SC.misses()), SC.size());
   }
-  if (Programs.size() > 1 && Opts.UseCache)
+  if (Programs.size() > 1 && UseCache) {
+    const EvalCache &Cache = Sess.evalCache();
     std::printf("shared timing cache over the whole run: %llu hits, "
                 "%llu misses, %zu entries\n",
                 static_cast<unsigned long long>(Cache.hits()),
                 static_cast<unsigned long long>(Cache.misses()),
                 Cache.size());
+  }
 
   if (!TracePath.empty()) {
     Tracer.disable();
@@ -358,8 +339,7 @@ int main(int argc, char **argv) {
       Rc = 1;
   }
   if (!MetricsPath.empty()) {
-    std::string J =
-        Sess ? Sess->metricsSnapshot().json() : Metrics.snapshot().json();
+    std::string J = Sess.metricsSnapshot().json();
     std::FILE *Out = std::fopen(MetricsPath.c_str(), "wb");
     if (Out) {
       std::fwrite(J.data(), 1, J.size(), Out);

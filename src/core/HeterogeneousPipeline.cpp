@@ -23,18 +23,12 @@ const char *hcvliw::pipelineStageName(PipelineStage S) {
   return "?";
 }
 
-HeterogeneousPipeline::HeterogeneousPipeline(const PipelineOptions &O)
-    : Opts(O),
-      OwnedMachine(MachineDescription::paperDefault(O.Buses, O.NumClusters)),
-      MachineRef(&*OwnedMachine) {}
+const MachineDescription &HeterogeneousPipeline::machine() const {
+  return S.machine();
+}
 
-HeterogeneousPipeline::HeterogeneousPipeline(Session &S)
-    : Opts(S.pipelineOptions()), MachineRef(&S.machine()), Sess(&S) {}
-
-FrequencyMenu HeterogeneousPipeline::menu() const {
-  // Session mode reuses the session's one menu object (the same the
-  // shared EvalCache is bound to) instead of rebuilding per call.
-  return Sess ? Sess->menu() : menuFor(Opts);
+const PipelineOptions &HeterogeneousPipeline::options() const {
+  return S.pipelineOptions();
 }
 
 FrequencyMenu HeterogeneousPipeline::menuFor(const PipelineOptions &O) {
@@ -62,20 +56,17 @@ ConfigRunResult HeterogeneousPipeline::measureConfig(
     const HeteroConfig &Config, const HeteroScaling &Scaling,
     const EnergyModel &Energy, bool ED2Objective) const {
   // Step 4 is the measure/ layer's ScheduleMeasurer, run under this
-  // pipeline's options; session mode memoizes per-loop schedules
-  // through the session ScheduleCache (bit-identical to recomputation,
-  // so standalone and session pipelines still agree exactly).
-  MeasureOptions MO = measureOptionsFor(Opts);
-  MO.Menu = menu(); // session mode reuses the session's menu object
+  // pipeline's options with per-loop schedules memoized through the
+  // session ScheduleCache.
+  MeasureOptions MO = measureOptionsFor(options());
+  MO.Menu = S.menu();
   // The session's fault injector (disarmed = every site is a no-op
   // branch); not part of any cache key — an *armed* measurement
   // bypasses the schedule cache instead (see MeasureOptions::Fault).
-  MO.Fault = Sess ? &Sess->faultInjector() : nullptr;
-  ScheduleMeasurer Measurer(machine(), MO,
-                            Sess ? &Sess->scheduleCache() : nullptr,
-                            Sess ? &Sess->scheduleScratchPool() : nullptr,
-                            Sess ? &Sess->tracer() : nullptr,
-                            Sess ? &Sess->metrics() : nullptr);
+  MO.Fault = &S.faultInjector();
+  ScheduleMeasurer Measurer(machine(), MO, &S.scheduleCache(),
+                            &S.scheduleScratchPool(), &S.tracer(),
+                            &S.metrics());
   return Measurer.measure(Profile, Loops, Config, Scaling, Energy,
                           ED2Objective);
 }
@@ -128,18 +119,16 @@ HeterogeneousPipeline::runProgram(const BenchmarkProgram &Program,
   ProgramRunResult R;
   R.Name = Program.Name;
 
-  // Observability: stage spans + per-stage wall histograms in session
-  // mode; the stage clock also stamps StageWallMs into failure records
-  // (always cheap: three clock reads per program). None of this feeds
-  // back into any result.
-  obs::Tracer *Trace = Sess ? &Sess->tracer() : nullptr;
-  obs::MetricsRegistry *Metrics = Sess ? &Sess->metrics() : nullptr;
+  // Observability: stage spans + per-stage wall histograms; the stage
+  // clock also stamps StageWallMs into failure records (three clock
+  // reads per program). None of this feeds back into any result.
+  const PipelineOptions &Opts = options();
+  obs::Tracer *Trace = &S.tracer();
   obs::Stopwatch StageSW;
   auto stageMs = [&StageSW] { return StageSW.elapsedMs(); };
   auto finishStage = [&](const char *Hist) {
     double Ms = stageMs();
-    if (Metrics)
-      Metrics->observeMs(Hist, Ms);
+    S.metrics().observeMs(Hist, Ms);
     StageSW.restart();
     return Ms;
   };
@@ -162,9 +151,8 @@ HeterogeneousPipeline::runProgram(const BenchmarkProgram &Program,
   };
 
   // The Profiler records the stage.profile span itself.
-  Profiler Prof(machine(), Opts.ProgramBudgetNs,
-                Sess ? &Sess->scheduleCache() : nullptr,
-                Sess ? &Sess->scheduleScratchPool() : nullptr, Trace, Metrics);
+  Profiler Prof(machine(), Opts.ProgramBudgetNs, &S.scheduleCache(),
+                &S.scheduleScratchPool(), Trace, &S.metrics());
   std::string ProfErr;
   std::optional<ProgramProfile> Profile;
   try {
@@ -184,41 +172,35 @@ HeterogeneousPipeline::runProgram(const BenchmarkProgram &Program,
 
   EnergyModel Energy(Opts.Breakdown, R.Profile.Totals, R.Profile.TexecRefNs,
                      machine().numClusters());
-  EvalCache *Cache = Sess ? &Sess->evalCache() : nullptr;
-  ConfigurationSelector Sel(R.Profile, machine(), Energy, Opts.Tech, menu(),
-                            Opts.Space, Cache,
-                            Sess ? &Sess->pool() : nullptr);
+  EvalCache &Cache = S.evalCache();
+  ConfigurationSelector Sel(R.Profile, machine(), Energy, Opts.Tech,
+                            S.menu(), Opts.Space, S.pool(), &Cache);
 
-  // Session mode memoizes whole selections: a repeated program (same
-  // profile, same selection inputs) skips its searches entirely. The
-  // memo is exact — equal keys hash equal inputs, and the searches are
-  // pure functions of those inputs.
+  // Whole selections are memoized: a repeated program (same profile,
+  // same selection inputs) skips its searches entirely. The memo is
+  // exact — equal keys hash equal inputs, and the searches are pure
+  // functions of those inputs.
   try {
     obs::Span Sp(Trace, "stage.select:", Program.Name);
-    if (Cache) {
-      uint64_t FP = R.Profile.fingerprint();
-      uint64_t HetKey = selectionKey(FP, Opts, machine(), true);
-      uint64_t HomKey = selectionKey(FP, Opts, machine(), false);
-      unsigned MemoHits = 0;
-      if (auto D = Cache->findSelection(HetKey)) {
-        R.HetDesign = *D;
-        ++MemoHits;
-      } else {
-        R.HetDesign = Sel.selectHeterogeneous();
-        Cache->storeSelection(HetKey, R.HetDesign);
-      }
-      if (auto D = Cache->findSelection(HomKey)) {
-        R.HomDesign = *D;
-        ++MemoHits;
-      } else {
-        R.HomDesign = Sel.selectOptimumHomogeneous();
-        Cache->storeSelection(HomKey, R.HomDesign);
-      }
-      Sp.arg("memo_hits", MemoHits);
+    uint64_t FP = R.Profile.fingerprint();
+    uint64_t HetKey = selectionKey(FP, Opts, machine(), true);
+    uint64_t HomKey = selectionKey(FP, Opts, machine(), false);
+    unsigned MemoHits = 0;
+    if (auto D = Cache.findSelection(HetKey)) {
+      R.HetDesign = *D;
+      ++MemoHits;
     } else {
       R.HetDesign = Sel.selectHeterogeneous();
-      R.HomDesign = Sel.selectOptimumHomogeneous();
+      Cache.storeSelection(HetKey, R.HetDesign);
     }
+    if (auto D = Cache.findSelection(HomKey)) {
+      R.HomDesign = *D;
+      ++MemoHits;
+    } else {
+      R.HomDesign = Sel.selectOptimumHomogeneous();
+      Cache.storeSelection(HomKey, R.HomDesign);
+    }
+    Sp.arg("memo_hits", MemoHits);
   } catch (...) {
     stageException(PipelineStage::Selection, "stage.select.ms");
     return std::nullopt;

@@ -17,7 +17,10 @@
 ///
 /// All baseline assumptions (bus count, energy shares, leakage shares,
 /// frequency-menu size, ablation knobs) are PipelineOptions fields; the
-/// Figure 7/8/9 benches are parameter sweeps over them.
+/// Figure 7/8/9 benches are parameter sweeps over them. The pipeline
+/// runs only inside a Session (runtime/Session.h), which builds the
+/// machine and menu from those options and owns the worker pool and
+/// caches every stage runs on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,32 +106,23 @@ struct PipelineError {
 
 class Session;
 
+/// The pipeline of one Session: a view over the session's options,
+/// machine, menu, worker pool and caches. Selections memoize through
+/// the session EvalCache (loop timing across programs, whole selections
+/// across repeated runs), measurements through its ScheduleCache.
 class HeterogeneousPipeline {
-  PipelineOptions Opts;
-  /// Standalone mode owns its machine; session mode points at the
-  /// session's (the same object its EvalCache is bound to).
-  std::optional<MachineDescription> OwnedMachine;
-  const MachineDescription *MachineRef = nullptr;
-  Session *Sess = nullptr; ///< non-owning; null for standalone pipelines
+  Session &S;
 
 public:
-  explicit HeterogeneousPipeline(const PipelineOptions &O);
-
-  /// Session-backed pipeline: machine and menu are the session's,
-  /// selections run on the session's worker pool and memoize through
-  /// its shared EvalCache (loop timing across programs, whole
-  /// selections across repeated runs). Numerically identical to the
-  /// standalone constructor.
-  explicit HeterogeneousPipeline(Session &S);
+  explicit HeterogeneousPipeline(Session &Sess) : S(Sess) {}
 
   HeterogeneousPipeline(const HeterogeneousPipeline &) = delete;
   HeterogeneousPipeline &operator=(const HeterogeneousPipeline &) = delete;
 
-  const MachineDescription &machine() const { return *MachineRef; }
-  const PipelineOptions &options() const { return Opts; }
+  const MachineDescription &machine() const;
+  const PipelineOptions &options() const;
 
-  /// The frequency menu heterogeneous scheduling/selection uses.
-  FrequencyMenu menu() const;
+  /// The frequency menu \p O implies (what the Session builds once).
   static FrequencyMenu menuFor(const PipelineOptions &O);
 
   /// The measurement-stage knobs \p O implies (what this pipeline's
@@ -152,8 +146,8 @@ public:
   /// Schedules and evaluates one already-chosen configuration: a thin
   /// facade over the measure/ layer's ScheduleMeasurer, run under this
   /// pipeline's options (exposed for the oracle ablation and the
-  /// tests). In session mode per-loop schedules are memoized through
-  /// the session ScheduleCache; results are bit-identical either way.
+  /// tests). Per-loop schedules are memoized through the session
+  /// ScheduleCache.
   ConfigRunResult measureConfig(const ProgramProfile &Profile,
                                 const std::vector<Loop> &Loops,
                                 const HeteroConfig &Config,

@@ -2,33 +2,31 @@
 
 #include "explore/ConfigurationSelector.h"
 
-#include <cassert>
-
 using namespace hcvliw;
 
 ConfigurationSelector::ConfigurationSelector(
     const ProgramProfile &P, const MachineDescription &M,
     const EnergyModel &E, const TechnologyModel &T, const FrequencyMenu &Mn,
-    const DesignSpaceOptions &S, EvalCache *Cache, WorkerPool *SessionPool)
+    const DesignSpaceOptions &S, WorkerPool &Pl, EvalCache *C)
     : Profile(P), Machine(M), Energy(E), Tech(T),
       Alpha(T, M.refFrequency().toDouble(), M.RefVdd, M.RefVth), Space(S),
-      Engine(P, M, E, T, Mn, S), SharedCache(Cache), Pool(SessionPool) {}
+      Engine(P, M, E, T, Mn, S), Pool(Pl), Cache(C) {}
+
+ExplorationResult ConfigurationSelector::search() const {
+  // Frontier bookkeeping is skipped: it never affects evaluation or
+  // Best, and the timing cache is an exact memoization.
+  ExploreOptions Opts;
+  Opts.ComputeFrontier = false;
+  Opts.Cache = Cache;
+  return Engine.explore(Pool, Opts);
+}
 
 std::vector<SelectedDesign> ConfigurationSelector::rankHeterogeneous() const {
-  // The seed's exhaustive serial walk: one worker, frontier bookkeeping
-  // skipped (it never affects evaluation or Best); the timing cache is
-  // an exact memoization, so results are unchanged.
-  ExploreOptions Opts;
-  Opts.Threads = 1;
-  Opts.ComputeFrontier = false;
-  return explore(Opts).rankedByED2();
+  return search().rankedByED2();
 }
 
 SelectedDesign ConfigurationSelector::selectHeterogeneous() const {
-  ExploreOptions Opts;
-  Opts.Threads = 1;
-  Opts.ComputeFrontier = false;
-  return explore(Opts).Best;
+  return search().Best;
 }
 
 SelectedDesign ConfigurationSelector::selectOptimumHomogeneous() const {

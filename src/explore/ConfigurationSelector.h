@@ -19,9 +19,10 @@
 /// cycle time scales the execution time).
 ///
 /// The heterogeneous search runs on the ExplorationEngine
-/// (src/explore/): this class is the serial facade — its exhaustive
-/// walk is the engine's `Threads=1, ComputeFrontier=false` special case — while
-/// explore() exposes the parallel, Pareto-pruning search directly.
+/// (src/explore/): this class is the selection facade — the engine's
+/// `ComputeFrontier=false` case, on the pool and cache it is given —
+/// while callers wanting the Pareto frontier or serialized reports use
+/// the engine directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,32 +50,23 @@ class ConfigurationSelector {
   TechnologyModel Tech;
   AlphaPowerModel Alpha;
   DesignSpaceOptions Space;
-  ExplorationEngine Engine;  ///< holds the frequency menu
-  EvalCache *SharedCache;    ///< session-owned; may be null
-  WorkerPool *Pool;          ///< session-owned; may be null
+  ExplorationEngine Engine; ///< holds the frequency menu
+  WorkerPool &Pool;
+  EvalCache *Cache; ///< null evaluates every candidate directly
+
+  /// The engine's search without frontier bookkeeping.
+  ExplorationResult search() const;
 
 public:
-  /// \p SharedCache / \p Pool, when given (the Session substrate), are
-  /// threaded through every search this selector runs; results are
-  /// bit-identical to the self-contained defaults.
+  /// Every search this selector runs fans out over \p Pool and
+  /// memoizes through \p Cache (in the pipeline, the Session's);
+  /// results are bit-identical for any pool size, with or without the
+  /// cache.
   ConfigurationSelector(const ProgramProfile &P,
                         const MachineDescription &M, const EnergyModel &E,
                         const TechnologyModel &T, const FrequencyMenu &Menu,
-                        const DesignSpaceOptions &Space,
-                        EvalCache *SharedCache = nullptr,
-                        WorkerPool *Pool = nullptr);
-
-  /// The underlying parallel search; callers wanting threads, the
-  /// Pareto frontier, or serialized reports use this directly. The
-  /// selector's shared cache / pool (if any) fill unset fields of
-  /// \p Opts.
-  ExplorationResult explore(ExploreOptions Opts) const {
-    if (!Opts.SharedCache)
-      Opts.SharedCache = SharedCache;
-    if (!Opts.Pool)
-      Opts.Pool = Pool;
-    return Engine.explore(Opts);
-  }
+                        const DesignSpaceOptions &Space, WorkerPool &Pool,
+                        EvalCache *Cache = nullptr);
 
   /// Best heterogeneous design by estimated ED2.
   SelectedDesign selectHeterogeneous() const;

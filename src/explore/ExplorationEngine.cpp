@@ -6,9 +6,7 @@
 #include "runtime/WorkerPool.h"
 
 #include <algorithm>
-#include <cassert>
-#include <memory>
-#include <thread>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -50,53 +48,31 @@ std::vector<ExploreCandidate> ExplorationEngine::enumerate() const {
   return Grid;
 }
 
-ExplorationResult
-ExplorationEngine::explore(const ExploreOptions &Opts) const {
+ExplorationResult ExplorationEngine::explore(WorkerPool &Pool,
+                                             const ExploreOptions &Opts) const {
+  // A cache bound elsewhere would serve another machine's or menu's
+  // timing as this one's.
+  if (Opts.Cache && !Opts.Cache->compatibleWith(Machine, Menu))
+    throw std::invalid_argument(
+        "EvalCache bound to a different machine or frequency menu");
+
   obs::Stopwatch SW;
 
   ExplorationResult R;
   R.Candidates = enumerate();
   R.Stats.Enumerated = R.Candidates.size();
+  R.Stats.ThreadsUsed = Pool.threads();
 
-  // Resolve the pool: the caller's long-lived one (Session substrate)
-  // or a per-call pool of Opts.Threads.
-  std::unique_ptr<WorkerPool> OwnPool;
-  WorkerPool *Pool = Opts.Pool;
-  if (!Pool) {
-    unsigned Threads = Opts.Threads;
-    if (Threads == 0)
-      Threads = std::max(1u, std::thread::hardware_concurrency());
-    Threads = static_cast<unsigned>(
-        std::min<size_t>(Threads, std::max<size_t>(1, R.Candidates.size())));
-    OwnPool = std::make_unique<WorkerPool>(Threads);
-    Pool = OwnPool.get();
-  }
-  R.Stats.ThreadsUsed = Pool->threads();
-
-  // Resolve the cache: the caller's shared one (hits persist across
-  // explore() calls and across programs) or a private per-call one.
-  std::unique_ptr<EvalCache> OwnCache;
-  EvalCache *Cache = nullptr;
-  if (Opts.UseCache) {
-    if (Opts.SharedCache) {
-      assert(Opts.SharedCache->compatibleWith(Machine, Menu) &&
-             "shared EvalCache bound to a different machine or menu");
-      Cache = Opts.SharedCache;
-    } else {
-      OwnCache = std::make_unique<EvalCache>(Machine, Menu);
-      Cache = OwnCache.get();
-    }
-  }
   // Private hit/miss counters: the shared cache's own totals cover
   // every concurrent user, so this explore's stats are counted at the
   // call sites instead.
   CacheCounters Counters;
   CandidateEvaluator Eval(Profile, Machine, Energy, Tech, Menu, Space,
-                          Cache, &Counters);
+                          Opts.Cache, &Counters);
 
   // Fan out: workers claim enumeration slots and write results into
   // their own slot; no result ordering depends on thread scheduling.
-  Pool->parallelFor(R.Candidates.size(), [&](size_t I) {
+  Pool.parallelFor(R.Candidates.size(), [&](size_t I) {
     ExploreCandidate &C = R.Candidates[I];
     C.Design = Eval.evaluate(C.FastPeriodNs, C.SlowPeriodNs);
   });

@@ -8,12 +8,17 @@
 /// EvalCache, and reduces the results to the ED2 argmin plus the Pareto
 /// frontier over (Texec, Energy, ED2).
 ///
+/// The engine owns no threads and no cache: explore() runs on the
+/// caller's WorkerPool and memoizes through the caller's EvalCache (in
+/// production both are a Session's). A null cache evaluates every
+/// candidate directly — the reference the memoized path is tested
+/// against.
+///
 /// Determinism: each candidate's result is written to its enumeration
 /// slot, every per-candidate computation is a pure function of the
 /// candidate, and all reductions (best design, frontier) run serially
 /// over the slots afterwards — so the selected design and the frontier
-/// are identical for any thread count, and `Threads=1, ComputeFrontier=false` is
-/// exactly the seed's exhaustive serial search.
+/// are identical for any pool size, with or without the cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,26 +38,17 @@ namespace hcvliw {
 class WorkerPool;
 
 struct ExploreOptions {
-  /// Worker threads when no Pool is given; 0 means
-  /// std::thread::hardware_concurrency(). Ignored when Pool is set.
-  unsigned Threads = 1;
   /// Compute the Pareto frontier and mark dominated candidates. Every
   /// candidate is fully evaluated either way — this is reporting
   /// bookkeeping, not a search-space reduction, so Best never depends
   /// on it.
   bool ComputeFrontier = true;
-  /// Memoize loop timing across candidates sharing a frequency shape.
-  bool UseCache = true;
-  /// Evaluate on this long-lived pool instead of a per-call one (the
-  /// Session substrate: nested under a SuiteRunner's program fan-out,
-  /// exploration shares the suite's thread budget).
-  WorkerPool *Pool = nullptr;
-  /// Memoize loop timing in this long-lived cache instead of a
-  /// per-call one. Must be compatibleWith(engine machine, engine menu);
-  /// ignored when UseCache is false. Results are bit-identical to a
-  /// private cache — entries are pure functions of (loop structure,
-  /// frequency shape).
-  EvalCache *SharedCache = nullptr;
+  /// Memoize loop timing in this long-lived cache (hits persist across
+  /// explore() calls and programs); null evaluates directly. Must be
+  /// compatibleWith(engine machine, engine menu). Results are
+  /// bit-identical either way — entries are pure functions of (loop
+  /// structure, frequency shape).
+  EvalCache *Cache = nullptr;
 };
 
 /// One enumerated grid point and (after explore()) its evaluation.
@@ -110,8 +106,11 @@ public:
   /// The candidate grid in enumeration order, unevaluated.
   std::vector<ExploreCandidate> enumerate() const;
 
-  /// Full search under \p Opts.
-  ExplorationResult explore(const ExploreOptions &Opts = ExploreOptions()) const;
+  /// Full search under \p Opts, fanned out over \p Pool. Throws
+  /// std::invalid_argument when Opts.Cache is bound to another machine
+  /// or menu.
+  ExplorationResult explore(WorkerPool &Pool,
+                            const ExploreOptions &Opts = ExploreOptions()) const;
 };
 
 } // namespace hcvliw

@@ -9,7 +9,6 @@
 #include "vliwsim/PipelinedSimulator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 using namespace hcvliw;
@@ -101,7 +100,9 @@ uint64_t ScheduleMeasurer::loopScheduleKey(const Loop &L,
   // partition refinement only under the ED2 objective; the baseline
   // objective reads neither.
   if (EffectiveED2) {
-    assert(Energy && Scaling && "the ED2 objective reads energy and scaling");
+    if (!Energy || !Scaling)
+      throw std::invalid_argument(
+          "the ED2 objective's schedule key needs energy and scaling");
     mixEnergy(H, *Energy);
     mixScaling(H, *Scaling);
   }

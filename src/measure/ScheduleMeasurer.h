@@ -193,7 +193,9 @@ public:
 
   /// The ScheduleCache key of one loop's scheduling run under this
   /// measurer's options: hashes everything LoopScheduler::schedule
-  /// reads (see ScheduleCache.h for the contract).
+  /// reads (see ScheduleCache.h for the contract). Throws
+  /// std::invalid_argument when the ED2 objective is in effect and
+  /// \p Scaling or \p Energy is null.
   uint64_t loopScheduleKey(const Loop &L, const HeteroConfig &Config,
                            const HeteroScaling *Scaling,
                            const EnergyModel *Energy,

@@ -164,10 +164,8 @@ FrontierMeasurer::measure(const std::string &ProgramName,
   ExplorationEngine Engine(Profile, S.machine(), Energy, Opts.Tech,
                            S.menu(), Opts.Space);
   ExploreOptions EO;
-  EO.ComputeFrontier = true;
-  EO.Pool = &S.pool();
-  EO.SharedCache = &S.evalCache();
-  ExplorationResult R = Engine.explore(EO);
+  EO.Cache = &S.evalCache();
+  ExplorationResult R = Engine.explore(S.pool(), EO);
 
   F.Points.reserve(R.Frontier.size());
   for (size_t Index : R.Frontier) {

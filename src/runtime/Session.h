@@ -1,8 +1,9 @@
 //===- runtime/Session.h - Shared execution substrate ------------*- C++ -*-===//
 ///
 /// \file
-/// A Session owns the long-lived state every pipeline run in a process
-/// should share instead of rebuilding per call:
+/// A Session is the one driver of the paper's flow: the pipeline
+/// (pipeline()), the frontier measurer and the exploration tool all run
+/// on the long-lived state it owns instead of rebuilding it per call:
 ///
 ///   - the PipelineOptions and the MachineDescription they imply,
 ///   - one WorkerPool, over which both the suite-level program fan-out
@@ -25,8 +26,9 @@
 ///
 /// Everything a Session hands out is thread-safe in the ways its users
 /// need: runProgram may be called concurrently, explorations may nest
-/// under suite fan-outs, and all results are bit-identical to the
-/// serial, cache-less computation for any thread count.
+/// under suite fan-outs, and all results are bit-identical for any
+/// thread count (tests/runtime/SessionSuiteTest pins the suite against
+/// golden digests).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -147,7 +149,7 @@ public:
   /// aggregates everything this session observed.
   obs::MetricsSnapshot metricsSnapshot() const;
 
-  /// The session-backed pipeline (selections share the pool and cache).
+  /// The session's pipeline (selections share the pool and cache).
   const HeterogeneousPipeline &pipeline() const { return Pipe_; }
 };
 

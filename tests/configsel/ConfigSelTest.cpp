@@ -15,6 +15,7 @@ struct Fixture {
   MachineDescription M = MachineDescription::paperDefault();
   ProgramProfile Profile;
   TechnologyModel Tech = TechnologyModel::paperDefault();
+  WorkerPool Pool{1};
 
   explicit Fixture(std::vector<Loop> Loops) {
     Profiler Prof(M, 1e6);
@@ -109,7 +110,7 @@ TEST(Selector, SelectsValidDesignsAndHetBeatsHomEstimate) {
   EnergyModel E = F.energy();
   ConfigurationSelector Sel(F.Profile, F.M, E, F.Tech,
                             FrequencyMenu::continuous(),
-                            DesignSpaceOptions::paperDefault());
+                            DesignSpaceOptions::paperDefault(), F.Pool);
   SelectedDesign Het = Sel.selectHeterogeneous();
   SelectedDesign Hom = Sel.selectOptimumHomogeneous();
   ASSERT_TRUE(Het.Valid);
@@ -133,7 +134,7 @@ TEST(Selector, RankedCandidatesSorted) {
   EnergyModel E = F.energy();
   ConfigurationSelector Sel(F.Profile, F.M, E, F.Tech,
                             FrequencyMenu::continuous(),
-                            DesignSpaceOptions::paperDefault());
+                            DesignSpaceOptions::paperDefault(), F.Pool);
   auto Ranked = Sel.rankHeterogeneous();
   ASSERT_FALSE(Ranked.empty());
   for (size_t I = 1; I < Ranked.size(); ++I)
@@ -150,7 +151,7 @@ TEST(Selector, PaperDefaultSelectedDesignRegression) {
   EnergyModel E = F.energy();
   ConfigurationSelector Sel(F.Profile, F.M, E, F.Tech,
                             FrequencyMenu::continuous(),
-                            DesignSpaceOptions::paperDefault());
+                            DesignSpaceOptions::paperDefault(), F.Pool);
   SelectedDesign D = Sel.selectHeterogeneous();
   ASSERT_TRUE(D.Valid);
   EXPECT_EQ(D.Config.Clusters.front().PeriodNs, Rational(1));
@@ -163,11 +164,13 @@ TEST(Selector, PaperDefaultSelectedDesignRegression) {
   EXPECT_NEAR(D.EstEnergy, 0.69296920124225836, 1e-12);
   EXPECT_NEAR(D.EstED2, 806225372562.41223, 1.0);
 
-  // The selector is the engine's Threads=1, no-prune special case; a
-  // parallel, pruning run must agree on the selected design exactly.
-  ExploreOptions Par;
-  Par.Threads = 4;
-  auto R = Sel.explore(Par);
+  // The selector is the engine's no-prune case; a parallel, pruning
+  // run must agree on the selected design exactly.
+  WorkerPool Pool(4);
+  ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
+                        FrequencyMenu::continuous(),
+                        DesignSpaceOptions::paperDefault());
+  auto R = Eng.explore(Pool);
   ASSERT_TRUE(R.Best.Valid);
   EXPECT_EQ(R.Best.EstED2, D.EstED2);
   EXPECT_EQ(R.Best.EstTexecNs, D.EstTexecNs);
@@ -179,12 +182,11 @@ TEST(Selector, PaperDefaultSelectedDesignRegression) {
   // Session substrate: a selector wired onto a shared cache and a
   // long-lived pool must reproduce the same pinned design, and a
   // second selection must run entirely from the cache.
-  WorkerPool Pool(4);
   EvalCache Shared(F.M, FrequencyMenu::continuous());
   ConfigurationSelector SharedSel(F.Profile, F.M, E, F.Tech,
                                   FrequencyMenu::continuous(),
-                                  DesignSpaceOptions::paperDefault(),
-                                  &Shared, &Pool);
+                                  DesignSpaceOptions::paperDefault(), Pool,
+                                  &Shared);
   SelectedDesign DS = SharedSel.selectHeterogeneous();
   ASSERT_TRUE(DS.Valid);
   EXPECT_EQ(DS.EstED2, D.EstED2);
@@ -201,7 +203,7 @@ TEST(Selector, HomogeneousOptimumNoWorseThanReferencePoint) {
   EnergyModel E = F.energy();
   ConfigurationSelector Sel(F.Profile, F.M, E, F.Tech,
                             FrequencyMenu::continuous(),
-                            DesignSpaceOptions::paperDefault());
+                            DesignSpaceOptions::paperDefault(), F.Pool);
   SelectedDesign Hom = Sel.selectOptimumHomogeneous();
   ASSERT_TRUE(Hom.Valid);
   // Estimated ED2 of the reference point itself (factor 1, Vdd 1.0).

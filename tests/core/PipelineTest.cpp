@@ -8,7 +8,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/HeterogeneousPipeline.h"
 #include "runtime/SuiteRunner.h"
 
 #include <gtest/gtest.h>
@@ -21,9 +20,9 @@ namespace {
 
 // One shared run of the whole suite (the pipeline is deterministic),
 // through the Session/SuiteRunner API: programs fan out across the
-// session pool and selections share the session EvalCache — results
-// are bit-identical to the serial standalone pipeline, which
-// SessionSuiteTest pins explicitly.
+// session pool and selections share the session EvalCache. Results are
+// bit-identical for any thread count and equal their golden digests
+// (SessionSuiteTest pins both).
 const std::map<std::string, ProgramRunResult> &suiteResults() {
   static const std::map<std::string, ProgramRunResult> Results = [] {
     std::map<std::string, ProgramRunResult> R;
@@ -128,10 +127,10 @@ TEST(Pipeline, SelectedConfigsRespectVoltageRanges) {
 TEST(Pipeline, TwoBusesSimilarBenefits) {
   PipelineOptions Opts;
   Opts.Buses = 2;
-  HeterogeneousPipeline Pipe(Opts);
+  Session S(Opts, 1);
   auto R1 = suiteResults().at("200.sixtrack");
   auto Prog = buildSpecFPProgram("200.sixtrack");
-  auto R2 = Pipe.runProgram(Prog);
+  auto R2 = S.pipeline().runProgram(Prog);
   ASSERT_TRUE(R2.has_value());
   EXPECT_NEAR(R2->ED2Ratio, R1.ED2Ratio, 0.05);
 }
@@ -139,12 +138,12 @@ TEST(Pipeline, TwoBusesSimilarBenefits) {
 TEST(Pipeline, RestrictedMenuDegradesGracefully) {
   PipelineOptions Opts;
   Opts.MenuSize = 4;
-  HeterogeneousPipeline Pipe(Opts);
+  Session S(Opts, 1);
   double Sum = 0;
   unsigned N = 0;
   for (const auto &Name :
        {"200.sixtrack", "187.facerec", "171.swim", "168.wupwise"}) {
-    auto R = Pipe.runProgram(buildSpecFPProgram(Name));
+    auto R = S.pipeline().runProgram(buildSpecFPProgram(Name));
     ASSERT_TRUE(R.has_value()) << Name;
     EXPECT_LE(R->ED2Ratio, 1.05) << Name;
     Sum += R->ED2Ratio;

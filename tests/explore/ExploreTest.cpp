@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace hcvliw;
 
 namespace {
@@ -111,12 +113,12 @@ TEST(Engine, CachedEvaluationIsBitIdenticalToDirect) {
   ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
                         FrequencyMenu::continuous(),
                         DesignSpaceOptions::paperDefault());
-  ExploreOptions Cached, Direct;
-  Cached.Threads = 1;
-  Direct.Threads = 1;
-  Direct.UseCache = false;
-  auto RC = Eng.explore(Cached);
-  auto RD = Eng.explore(Direct);
+  WorkerPool Pool(1);
+  EvalCache Cache(F.M, FrequencyMenu::continuous());
+  ExploreOptions Cached;
+  Cached.Cache = &Cache;
+  auto RC = Eng.explore(Pool, Cached);
+  auto RD = Eng.explore(Pool);
   ASSERT_EQ(RC.Candidates.size(), RD.Candidates.size());
   for (size_t I = 0; I < RC.Candidates.size(); ++I) {
     const SelectedDesign &A = RC.Candidates[I].Design;
@@ -137,6 +139,7 @@ TEST(Engine, CachedEvaluationIsBitIdenticalToDirect) {
   EXPECT_GT(RC.Stats.CacheHits, 0u);
   EXPECT_LT(RC.Stats.CacheMisses, RC.Stats.CacheHits + RC.Stats.CacheMisses);
   EXPECT_EQ(RD.Stats.CacheHits, 0u);
+  EXPECT_EQ(RD.Stats.CacheMisses, 0u);
 }
 
 TEST(Engine, SameFrontierForOneAndManyThreads) {
@@ -145,11 +148,14 @@ TEST(Engine, SameFrontierForOneAndManyThreads) {
   ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
                         FrequencyMenu::continuous(),
                         DesignSpaceOptions::paperDefault());
+  WorkerPool OnePool(1), ManyPool(4);
+  EvalCache OneCache(F.M, FrequencyMenu::continuous());
+  EvalCache ManyCache(F.M, FrequencyMenu::continuous());
   ExploreOptions One, Many;
-  One.Threads = 1;
-  Many.Threads = 4;
-  auto R1 = Eng.explore(One);
-  auto RN = Eng.explore(Many);
+  One.Cache = &OneCache;
+  Many.Cache = &ManyCache;
+  auto R1 = Eng.explore(OnePool, One);
+  auto RN = Eng.explore(ManyPool, Many);
   EXPECT_EQ(RN.Stats.ThreadsUsed, 4u);
   ASSERT_EQ(R1.Frontier.size(), RN.Frontier.size());
   EXPECT_EQ(R1.Frontier, RN.Frontier);
@@ -173,7 +179,8 @@ TEST(Engine, BestIsOnFrontierAndFrontierIsNonDominated) {
   ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
                         FrequencyMenu::continuous(),
                         DesignSpaceOptions::paperDefault());
-  auto R = Eng.explore();
+  WorkerPool Pool(1);
+  auto R = Eng.explore(Pool);
   ASSERT_TRUE(R.Best.Valid);
   ASSERT_FALSE(R.Frontier.empty());
   bool BestOnFrontier = false;
@@ -210,18 +217,18 @@ TEST(Engine, AllSlowAndAllFastShapesCacheExactly) {
   // rescaling must match direct evaluation for these shapes too.
   Fixture F(mixedLoops());
   EnergyModel E = F.energy();
+  WorkerPool Pool(1);
   for (unsigned NumFast : {0u, 4u}) {
     DesignSpaceOptions Space = DesignSpaceOptions::paperDefault();
     Space.NumFastClusters = NumFast;
     Space.SlowRatios.push_back(Rational(9, 10)); // slow faster than fast
     ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
                           FrequencyMenu::continuous(), Space);
-    ExploreOptions Cached, Direct;
-    Cached.Threads = 1;
-    Direct.Threads = 1;
-    Direct.UseCache = false;
-    auto RC = Eng.explore(Cached);
-    auto RD = Eng.explore(Direct);
+    EvalCache Cache(F.M, FrequencyMenu::continuous());
+    ExploreOptions Cached;
+    Cached.Cache = &Cache;
+    auto RC = Eng.explore(Pool, Cached);
+    auto RD = Eng.explore(Pool);
     for (size_t I = 0; I < RC.Candidates.size(); ++I) {
       ASSERT_EQ(RC.Candidates[I].Design.Valid,
                 RD.Candidates[I].Design.Valid);
@@ -242,12 +249,13 @@ TEST(Engine, RelativeMenuIsAlsoCacheable) {
   ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
                         FrequencyMenu::relativeLadder(8),
                         DesignSpaceOptions::paperDefault());
-  ExploreOptions Cached, Direct;
-  Cached.Threads = 1;
-  Direct.Threads = 1;
-  Direct.UseCache = false;
-  auto RC = Eng.explore(Cached);
-  auto RD = Eng.explore(Direct);
+  WorkerPool Pool(1);
+  EvalCache Cache(F.M, FrequencyMenu::relativeLadder(8));
+  ExploreOptions Cached;
+  Cached.Cache = &Cache;
+  auto RC = Eng.explore(Pool, Cached);
+  auto RD = Eng.explore(Pool);
+  EXPECT_GT(RC.Stats.CacheHits, 0u);
   for (size_t I = 0; I < RC.Candidates.size(); ++I) {
     ASSERT_EQ(RC.Candidates[I].Design.Valid, RD.Candidates[I].Design.Valid);
     if (RC.Candidates[I].Design.Valid) {
@@ -257,54 +265,77 @@ TEST(Engine, RelativeMenuIsAlsoCacheable) {
   }
 }
 
-TEST(Engine, SharedPoolAndCacheAreBitIdenticalToPrivate) {
-  // The Session substrate: a long-lived WorkerPool plus a shared
-  // EvalCache threaded through explore() must reproduce the private
-  // per-call setup exactly, and a second explore over the same grid
-  // must be served entirely from the shared cache (zero new misses).
+TEST(Engine, MismatchedCacheIsRefused) {
+  // A cache bound to another machine or menu would serve that
+  // binding's timing as this one's: refused in every build type.
   Fixture F(mixedLoops());
   EnergyModel E = F.energy();
   ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
                         FrequencyMenu::continuous(),
                         DesignSpaceOptions::paperDefault());
-  auto Private = Eng.explore();
+  WorkerPool Pool(1);
+  MachineDescription TwoBuses = MachineDescription::paperDefault(2);
+  EvalCache OtherMachine(TwoBuses, FrequencyMenu::continuous());
+  EvalCache OtherMenu(F.M, FrequencyMenu::relativeLadder(8));
+  for (EvalCache *Bad : {&OtherMachine, &OtherMenu}) {
+    ExploreOptions Opts;
+    Opts.Cache = Bad;
+    EXPECT_THROW(Eng.explore(Pool, Opts), std::invalid_argument);
+    EXPECT_EQ(Bad->size(), 0u);
+  }
+}
+
+TEST(Engine, LongLivedPoolAndCacheAreBitIdenticalToSerialFreshCache) {
+  // The Session substrate: a long-lived WorkerPool plus a shared
+  // EvalCache must reproduce a serial run on a fresh cache exactly, and
+  // a second explore over the same grid must be served entirely from
+  // the shared cache (zero new misses).
+  Fixture F(mixedLoops());
+  EnergyModel E = F.energy();
+  ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
+                        FrequencyMenu::continuous(),
+                        DesignSpaceOptions::paperDefault());
+  WorkerPool SerialPool(1);
+  EvalCache Fresh(F.M, FrequencyMenu::continuous());
+  ExploreOptions SerialOpts;
+  SerialOpts.Cache = &Fresh;
+  auto Serial = Eng.explore(SerialPool, SerialOpts);
 
   WorkerPool Pool(4);
   EvalCache Shared(F.M, FrequencyMenu::continuous());
   ExploreOptions Opts;
-  Opts.Pool = &Pool;
-  Opts.SharedCache = &Shared;
-  auto First = Eng.explore(Opts);
+  Opts.Cache = &Shared;
+  auto First = Eng.explore(Pool, Opts);
   EXPECT_EQ(First.Stats.ThreadsUsed, 4u);
-  ASSERT_EQ(First.Candidates.size(), Private.Candidates.size());
+  ASSERT_EQ(First.Candidates.size(), Serial.Candidates.size());
   for (size_t I = 0; I < First.Candidates.size(); ++I) {
     ASSERT_EQ(First.Candidates[I].Design.Valid,
-              Private.Candidates[I].Design.Valid);
+              Serial.Candidates[I].Design.Valid);
     if (!First.Candidates[I].Design.Valid)
       continue;
     EXPECT_EQ(First.Candidates[I].Design.EstED2,
-              Private.Candidates[I].Design.EstED2);
+              Serial.Candidates[I].Design.EstED2);
     EXPECT_EQ(First.Candidates[I].Design.EstTexecNs,
-              Private.Candidates[I].Design.EstTexecNs);
+              Serial.Candidates[I].Design.EstTexecNs);
     EXPECT_EQ(First.Candidates[I].Design.EstEnergy,
-              Private.Candidates[I].Design.EstEnergy);
+              Serial.Candidates[I].Design.EstEnergy);
   }
-  EXPECT_EQ(First.Frontier, Private.Frontier);
+  EXPECT_EQ(First.Frontier, Serial.Frontier);
   // Stats report this explore's own calls, not the cache's lifetime
   // totals. Under concurrency two workers may race to first query a
   // key and both count a miss (duplicate computes are by-design), so
   // the split is only bounded, while the total is exact.
   EXPECT_EQ(First.Stats.CacheHits + First.Stats.CacheMisses,
-            Private.Stats.CacheHits + Private.Stats.CacheMisses);
-  EXPECT_GE(First.Stats.CacheMisses, Private.Stats.CacheMisses);
+            Serial.Stats.CacheHits + Serial.Stats.CacheMisses);
+  EXPECT_GE(First.Stats.CacheMisses, Serial.Stats.CacheMisses);
   EXPECT_GT(First.Stats.CacheHits, 0u);
 
   // A fully populated cache cannot miss: the second explore's stats
   // are deterministic for any thread count.
-  auto Second = Eng.explore(Opts);
+  auto Second = Eng.explore(Pool, Opts);
   EXPECT_EQ(Second.Stats.CacheMisses, 0u);
   EXPECT_GT(Second.Stats.CacheHits, 0u);
-  EXPECT_EQ(Second.Best.EstED2, Private.Best.EstED2);
+  EXPECT_EQ(Second.Best.EstED2, Serial.Best.EstED2);
 }
 
 TEST(Engine, SharedCacheHitsAcrossStructurallyIdenticalPrograms) {
@@ -316,14 +347,15 @@ TEST(Engine, SharedCacheHitsAcrossStructurallyIdenticalPrograms) {
   Fixture B({makeChainRecurrenceLoop("b_rec", 1, 2, 1, 4, 64, 0.2),
              makeStreamLoop("b_s", 5, 64, 0.8)});
   EnergyModel EA = A.energy(), EB = B.energy();
+  WorkerPool Pool(2);
   EvalCache Shared(A.M, FrequencyMenu::continuous());
   ExploreOptions Opts;
-  Opts.SharedCache = &Shared;
+  Opts.Cache = &Shared;
 
   ExplorationEngine EngA(A.Profile, A.M, EA, A.Tech,
                          FrequencyMenu::continuous(),
                          DesignSpaceOptions::paperDefault());
-  auto RA = EngA.explore(Opts);
+  auto RA = EngA.explore(Pool, Opts);
   ASSERT_TRUE(RA.Best.Valid);
   EXPECT_GT(RA.Stats.CacheMisses, 0u);
 
@@ -332,7 +364,7 @@ TEST(Engine, SharedCacheHitsAcrossStructurallyIdenticalPrograms) {
   ExplorationEngine EngB(B.Profile, B.M, EB, B.Tech,
                          FrequencyMenu::continuous(),
                          DesignSpaceOptions::paperDefault());
-  auto RB = EngB.explore(Opts);
+  auto RB = EngB.explore(Pool, Opts);
   ASSERT_TRUE(RB.Best.Valid);
   EXPECT_EQ(RB.Stats.CacheMisses, 0u)
       << "all loop structures were already cached by program A";
@@ -347,7 +379,8 @@ TEST(Report, CsvHasOneRowPerCandidatePlusHeader) {
   ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
                         FrequencyMenu::continuous(),
                         DesignSpaceOptions::paperDefault());
-  auto R = Eng.explore();
+  WorkerPool Pool(1);
+  auto R = Eng.explore(Pool);
   ExplorationReport Rep("fixture", R);
   std::string Csv = Rep.csv();
   size_t Lines = 0;
@@ -363,7 +396,8 @@ TEST(Report, JsonMentionsStatsFrontierAndBest) {
   ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
                         FrequencyMenu::continuous(),
                         DesignSpaceOptions::paperDefault());
-  auto R = Eng.explore();
+  WorkerPool Pool(1);
+  auto R = Eng.explore(Pool);
   ExplorationReport Rep("fixture", R);
   std::string Json = Rep.json();
   EXPECT_NE(Json.find("\"stats\""), std::string::npos);
@@ -379,7 +413,8 @@ TEST(Report, WritesFiles) {
   ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
                         FrequencyMenu::continuous(),
                         DesignSpaceOptions::paperDefault());
-  auto R = Eng.explore();
+  WorkerPool Pool(1);
+  auto R = Eng.explore(Pool);
   ExplorationReport Rep("fixture", R);
   std::string Base = ::testing::TempDir();
   ASSERT_TRUE(Rep.writeCsv(Base + "explore_test.csv"));

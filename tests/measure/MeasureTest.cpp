@@ -1,17 +1,20 @@
 //===- tests/measure/MeasureTest.cpp - ScheduleMeasurer / ScheduleCache -----===//
 //
 // The extracted measurement stage: HeterogeneousPipeline step 4 through
-// ScheduleMeasurer is bit-identical to measuring directly; the
-// session ScheduleCache serves bit-identical schedules (across repeated
+// ScheduleMeasurer is bit-identical to measuring directly, and the
+// session's measurements equal their golden digests; the session
+// ScheduleCache serves bit-identical schedules (across repeated
 // measurements, across the step-4/frontier consumers and across
-// structurally identical programs); a profile of another program is
-// refused; a loop failing to schedule mid-suite surfaces as a
-// structured Measurement-stage failure instead of being dropped; and a
-// schedule the simulator oracle rejects counts as a failed loop in
-// every build type.
+// structurally identical programs); a profile of another program, and
+// an ED2-objective key without energy or scaling, are refused; a loop
+// failing to schedule mid-suite surfaces as a structured
+// Measurement-stage failure instead of being dropped; and a schedule
+// the simulator oracle rejects counts as a failed loop in every build
+// type.
 //
 //===----------------------------------------------------------------------===//
 
+#include "SuiteResultCheck.h"
 #include "configsel/Scaling.h"
 #include "ir/LoopBuilder.h"
 #include "ir/LoopDSL.h"
@@ -85,10 +88,12 @@ BenchmarkProgram pressureProgram() {
 
 TEST(ScheduleMeasurer, PipelineStep4IsAThinFacade) {
   // measureConfig (the pipeline's step 4) must equal a directly
-  // constructed ScheduleMeasurer run under measureOptionsFor(Opts),
-  // for both the heterogeneous and the homogeneous measurement.
+  // constructed, cache-less ScheduleMeasurer run under
+  // measureOptionsFor(Opts), for both the heterogeneous and the
+  // homogeneous measurement.
   PipelineOptions Opts;
-  HeterogeneousPipeline Pipe(Opts);
+  Session S(Opts, 1);
+  const HeterogeneousPipeline &Pipe = S.pipeline();
   BenchmarkProgram Prog = buildSpecFPProgram("171.swim");
   auto R = Pipe.runProgram(Prog);
   ASSERT_TRUE(R.has_value());
@@ -107,27 +112,39 @@ TEST(ScheduleMeasurer, PipelineStep4IsAThinFacade) {
   expectBitIdentical(R->HomMeasured, Hom);
 }
 
-TEST(ScheduleMeasurer, SessionPipelineMatchesStandaloneMeasurement) {
-  // The session pipeline measures through the session ScheduleCache;
-  // the standalone one schedules directly. Results must agree exactly.
-  PipelineOptions Opts;
-  HeterogeneousPipeline Standalone(Opts);
-  Session S(Opts, 2);
+TEST(ScheduleMeasurer, SessionMeasurementsMatchGoldenDigests) {
+  // The pipeline measures through the session ScheduleCache; every
+  // measurement (effort counters included) equals the golden result.
+  Session S(PipelineOptions(), 2);
   for (const char *Name : {"171.swim", "200.sixtrack", "187.facerec"}) {
-    auto A = Standalone.runProgram(buildSpecFPProgram(Name));
-    auto B = S.pipeline().runProgram(buildSpecFPProgram(Name));
-    ASSERT_TRUE(A.has_value() && B.has_value()) << Name;
-    expectBitIdentical(A->HetMeasured, B->HetMeasured);
-    expectBitIdentical(A->HomMeasured, B->HomMeasured);
+    auto R = S.pipeline().runProgram(buildSpecFPProgram(Name));
+    ASSERT_TRUE(R.has_value()) << Name;
+    expectGoldenSpecFP(*R);
   }
   EXPECT_GT(S.scheduleCache().size(), 0u);
+}
+
+TEST(ScheduleMeasurer, ED2KeyNeedsEnergyAndScaling) {
+  // The ED2 objective's key hashes the energy model and the scaling;
+  // without them it is refused in every build type, while the
+  // baseline objective reads neither.
+  MachineDescription M = MachineDescription::paperDefault();
+  Loop L = buildSpecFPProgram("171.swim").Loops.front();
+  HeteroConfig Ref = HeteroConfig::reference(M);
+  ScheduleMeasurer Measurer(M, MeasureOptions());
+  EXPECT_THROW(Measurer.loopScheduleKey(L, Ref, nullptr, nullptr,
+                                        /*ED2Objective=*/true),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Measurer.loopScheduleKey(L, Ref, nullptr, nullptr,
+                                           /*ED2Objective=*/false));
 }
 
 // --- ScheduleCache ---------------------------------------------------------
 
 TEST(ScheduleCache, RepeatedMeasurementHitsAndIsBitIdentical) {
   PipelineOptions Opts;
-  HeterogeneousPipeline Pipe(Opts);
+  Session S(Opts, 1);
+  const HeterogeneousPipeline &Pipe = S.pipeline();
   BenchmarkProgram Prog = buildSpecFPProgram("200.sixtrack");
   auto R = Pipe.runProgram(Prog);
   ASSERT_TRUE(R.has_value());
@@ -166,7 +183,8 @@ TEST(ScheduleCache, HomogeneousKeyIgnoresVoltages) {
   // The baseline objective never reads voltages: two configs equal in
   // periods but different in Vdd must share hom-baseline schedules.
   PipelineOptions Opts;
-  HeterogeneousPipeline Pipe(Opts);
+  Session S(Opts, 1);
+  const HeterogeneousPipeline &Pipe = S.pipeline();
   BenchmarkProgram Prog = buildSpecFPProgram("171.swim");
   auto R = Pipe.runProgram(Prog);
   ASSERT_TRUE(R.has_value());

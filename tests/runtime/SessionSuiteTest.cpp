@@ -1,11 +1,11 @@
 //===- tests/runtime/SessionSuiteTest.cpp - Session / SuiteRunner -----------===//
 //
-// The Session/SuiteRunner API contracts: full-suite results are
-// bit-identical for any thread count and any nested-parallelism
-// budget; failed programs surface as structured records instead of
-// being dropped; the session-shared EvalCache hits across the het and
-// hom selections and across programs sharing loop structure; progress
-// callbacks stream once per program.
+// The Session/SuiteRunner API contracts: full-suite results equal
+// their golden digests and are bit-identical for any thread count and
+// any nested-parallelism budget; failed programs surface as structured
+// records instead of being dropped; the session-shared EvalCache hits
+// across the het and hom selections and across programs sharing loop
+// structure; progress callbacks stream once per program.
 //
 //===----------------------------------------------------------------------===//
 
@@ -192,22 +192,15 @@ TEST(Session, SelectionMemoHitsAcrossTheTwoSelectionsOnRepeat) {
   EXPECT_EQ(R1->ED2Ratio, R2->ED2Ratio);
 }
 
-TEST(Session, SessionBackedPipelineMatchesStandalone) {
-  // The session path (shared cache, pool, memos) must be numerically
-  // identical to the seed's standalone pipeline.
-  PipelineOptions Opts;
-  HeterogeneousPipeline Standalone(Opts);
-  Session S(Opts, 4);
-  for (const char *Name : {"171.swim", "200.sixtrack", "191.fma3d"}) {
-    auto A = Standalone.runProgram(buildSpecFPProgram(Name));
-    auto B = S.pipeline().runProgram(buildSpecFPProgram(Name));
-    ASSERT_TRUE(A.has_value() && B.has_value()) << Name;
-    EXPECT_EQ(A->ED2Ratio, B->ED2Ratio) << Name;
-    EXPECT_EQ(A->HetDesign.EstED2, B->HetDesign.EstED2) << Name;
-    EXPECT_EQ(A->HomDesign.EstED2, B->HomDesign.EstED2) << Name;
-    EXPECT_EQ(A->HetMeasured.ED2, B->HetMeasured.ED2) << Name;
-    EXPECT_EQ(A->HomMeasured.ED2, B->HomMeasured.ED2) << Name;
-  }
+TEST(Session, SuiteMatchesGoldenDigests) {
+  // Every program's full result — profile, both designs, both
+  // measurements with their effort counters — equals its recorded
+  // golden result, with the suite fanned out over a 4-thread session.
+  Session S{PipelineOptions(), 4};
+  SuiteResult R = SuiteRunner(S).runSpecFP();
+  ASSERT_EQ(R.Details.size(), 10u);
+  for (const ProgramRunResult &P : R.Details)
+    expectGoldenSpecFP(P);
 }
 
 // --- Progress streaming ----------------------------------------------------
