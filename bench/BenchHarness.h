@@ -125,6 +125,7 @@ class BenchReporter {
     uint64_t PartLevels = 0, PartMatchedPairs = 0;
     uint64_t PartRefineMoves = 0, PartFMMoves = 0;
     uint64_t PartScoreEvals = 0, PartBoundRejects = 0;
+    uint64_t PartCapacityRejects = 0;
     uint64_t PartCoarsenMemoHits = 0;
     /// Robustness ledger (PR 9): IT steps refused for a plan with no
     /// tick grid, loops finished on a degradation rung, and injected
@@ -191,6 +192,7 @@ public:
     C.PartFMMoves = S.scheduleCache().partFMMoves();
     C.PartScoreEvals = S.scheduleCache().partScoreEvals();
     C.PartBoundRejects = S.scheduleCache().partBoundRejects();
+    C.PartCapacityRejects = S.scheduleCache().partCapacityRejects();
     C.PartCoarsenMemoHits = S.scheduleCache().partCoarsenMemoHits();
     // The robustness ledger lives in the metrics registry (the
     // measurement layer records it per config run); one snapshot
@@ -271,6 +273,7 @@ public:
                         "\"part_fm_moves\": %llu, "
                         "\"part_score_evals\": %llu, "
                         "\"part_bound_rejects\": %llu, "
+                        "\"part_capacity_rejects\": %llu, "
                         "\"part_coarsen_memo_hits\": %llu, "
                         "\"sched_fallback_rational\": %llu, "
                         "\"degraded_count\": %llu, "
@@ -294,6 +297,7 @@ public:
                         static_cast<unsigned long long>(C.PartFMMoves),
                         static_cast<unsigned long long>(C.PartScoreEvals),
                         static_cast<unsigned long long>(C.PartBoundRejects),
+                        static_cast<unsigned long long>(C.PartCapacityRejects),
                         static_cast<unsigned long long>(C.PartCoarsenMemoHits),
                         static_cast<unsigned long long>(C.FallbackRational),
                         static_cast<unsigned long long>(C.DegradedCount),

@@ -44,20 +44,6 @@ void DDG::finalizeAdjacency() {
   InStart[0] = 0;
 }
 
-unsigned hcvliw::edgeLatency(const DDG::Edge &E,
-                             const std::vector<unsigned> &NodeLatency) {
-  switch (E.Kind) {
-  case DepKind::Flow:
-  case DepKind::MemFlow:
-    return NodeLatency[E.Src];
-  case DepKind::MemAnti:
-  case DepKind::MemOutput:
-    return 1;
-  }
-  assert(false && "unknown dep kind");
-  return 1;
-}
-
 // Adds the memory-ordering edge between accesses A (op IxA) and B (op
 // IxB) on the same array, where A precedes B in program order. With a
 // shared index scale S the accesses of iterations n (A) and m (B)

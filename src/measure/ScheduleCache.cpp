@@ -46,6 +46,8 @@ void ScheduleCache::store(uint64_t Key, const LoopScheduleResult &R) {
                              std::memory_order_relaxed);
   S.PartBoundRejects.fetch_add(R.PartStats.BoundRejects,
                                std::memory_order_relaxed);
+  S.PartCapacityRejects.fetch_add(R.PartStats.CapacityRejects,
+                                  std::memory_order_relaxed);
   S.PartCoarsenMemoHits.fetch_add(R.PartStats.CoarsenMemoHits,
                                   std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(S.Mutex);

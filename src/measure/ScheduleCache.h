@@ -84,6 +84,7 @@ class ScheduleCache {
     std::atomic<uint64_t> PartFMMoves{0};
     std::atomic<uint64_t> PartScoreEvals{0};
     std::atomic<uint64_t> PartBoundRejects{0};
+    std::atomic<uint64_t> PartCapacityRejects{0};
     std::atomic<uint64_t> PartCoarsenMemoHits{0};
   };
 
@@ -207,6 +208,11 @@ public:
   uint64_t partBoundRejects() const {
     return sum([](const Shard &S) -> const std::atomic<uint64_t> & {
       return S.PartBoundRejects;
+    });
+  }
+  uint64_t partCapacityRejects() const {
+    return sum([](const Shard &S) -> const std::atomic<uint64_t> & {
+      return S.PartCapacityRejects;
     });
   }
   uint64_t partCoarsenMemoHits() const {

@@ -186,6 +186,8 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
       Metrics->addCounter("part.fm_moves", LR.PartStats.FMMoves);
       Metrics->addCounter("part.score_evals", LR.PartStats.ScoreEvals);
       Metrics->addCounter("part.bound_rejects", LR.PartStats.BoundRejects);
+      Metrics->addCounter("part.capacity_rejects",
+                          LR.PartStats.CapacityRejects);
       Metrics->addCounter("part.coarsen_memo_hits",
                           LR.PartStats.CoarsenMemoHits);
     }

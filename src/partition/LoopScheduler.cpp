@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -89,8 +90,11 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
                         obs::Tracer *Trace) const {
   LoopScheduleResult R;
   assert(L.validate().empty() && "scheduling an invalid loop");
-  assert(((Energy == nullptr) == (Scaling == nullptr)) &&
-         "energy model and scaling come together");
+  // The ED2 objective scores with both; an energy model without its
+  // scaling would keep that objective and read a null scaling.
+  if ((Energy == nullptr) != (Scaling == nullptr))
+    throw std::invalid_argument(
+        "loop scheduler: energy model and scaling come together");
   obs::Span LoopSp(Trace, "loop.schedule:", L.Name);
 
   // The arena: caller-provided per-worker scratch, or a local one for

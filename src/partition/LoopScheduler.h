@@ -154,7 +154,8 @@ public:
                 const LoopScheduleOptions &O = LoopScheduleOptions());
 
   /// Schedules \p L; \p Energy / \p Scaling enable the ED2 partitioning
-  /// objective (both or neither). \p Scratch provides the per-worker
+  /// objective (both or neither: one without the other throws
+  /// std::invalid_argument). \p Scratch provides the per-worker
   /// arena (reusable buffers + warm-start memos); when null a local
   /// arena serves this one call. Results are bit-identical for any
   /// scratch (ScheduleScratch contract). \p Trace, when enabled,

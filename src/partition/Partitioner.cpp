@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <limits>
 #include <new>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -18,30 +19,28 @@ namespace {
 
 /// The objective of a partition that passed every pseudo-schedule
 /// check, from its copy count, per-cluster activity and iteration
-/// length. scorePartition feeds it the pseudo-schedule; PartitionBound
-/// feeds it the same counts with the iteration length taken as 0 (every
-/// term is non-decreasing in ItLengthNs).
+/// length; \p MemOps is the loop's memory-operation count. The ED2
+/// objective reads Ctx.Energy and Ctx.Scaling, which the public entry
+/// points check (requireEnergyModel). scorePartition feeds it the
+/// pseudo-schedule; PartitionBound feeds it the same counts, with the
+/// iteration length taken as 0 for its bound (every term is
+/// non-decreasing in ItLengthNs).
 double feasibleScore(const PartitionContext &Ctx,
-                     const PartitionerOptions &Opts, unsigned Comms,
-                     const std::vector<double> &WInsPerCluster,
+                     const PartitionerOptions &Opts, unsigned MemOps,
+                     unsigned Comms, const std::vector<double> &WInsPerCluster,
                      double ItLengthNs) {
   double N = static_cast<double>(Ctx.TripCount);
   double TexecNs = (N - 1) * Ctx.Plan->ITNs.toDouble() + ItLengthNs;
 
   if (Opts.ED2Objective) {
-    assert(Ctx.Energy && Ctx.Scaling && "ED2 objective needs energy model");
     std::vector<double> LocalW;
     std::vector<double> &WIns = Ctx.Scratch ? Ctx.Scratch->WInsTmp : LocalW;
     WIns.assign(WInsPerCluster.begin(), WInsPerCluster.end());
     for (double &W : WIns)
       W *= N;
-    unsigned Mem = 0;
-    for (const auto &O : Ctx.L->Ops)
-      if (isMemoryOpcode(O.Op))
-        ++Mem;
     double E = Ctx.Energy->heteroEnergy(WIns, Comms * N,
-                                        static_cast<double>(Mem) * N, TexecNs,
-                                        *Ctx.Scaling);
+                                        static_cast<double>(MemOps) * N,
+                                        TexecNs, *Ctx.Scaling);
     return computeED2(E, TexecNs);
   }
 
@@ -56,11 +55,27 @@ double feasibleScore(const PartitionContext &Ctx,
   return Comms * 1e6 + MaxLoad * 1e3 + ItLengthNs;
 }
 
-} // namespace
+/// The ED2 objective scores with the energy model and its scaling; a
+/// context that lacks either cannot be scored under it.
+void requireEnergyModel(const PartitionContext &Ctx,
+                        const PartitionerOptions &Opts) {
+  if (Opts.ED2Objective && !(Ctx.Energy && Ctx.Scaling))
+    throw std::invalid_argument(
+        "partition: the ED2 objective needs an energy model and scaling");
+}
 
-double hcvliw::scorePartition(const PartitionContext &Ctx,
-                              const PartitionerOptions &Opts,
-                              const Partition &P) {
+/// Memory operations of \p L (the energy model's cache accesses).
+unsigned countMemoryOps(const Loop &L) {
+  unsigned Mem = 0;
+  for (const auto &O : L.Ops)
+    Mem += isMemoryOpcode(O.Op);
+  return Mem;
+}
+
+/// scorePartition with the memory-operation count already taken.
+double scoreEstimate(const PartitionContext &Ctx,
+                     const PartitionerOptions &Opts, unsigned MemOps,
+                     const Partition &P) {
   if (Ctx.Stats)
     ++Ctx.Stats->ScoreEvals;
   // With a scratch, both the estimate's working set and its result
@@ -75,8 +90,17 @@ double hcvliw::scorePartition(const PartitionContext &Ctx,
     // greedy refinement can walk out of an infeasible region.
     return InfeasiblePartitionScore * (1.0 + PS.Overflow);
   }
-  return feasibleScore(Ctx, Opts, PS.Comms, PS.WInsPerCluster,
+  return feasibleScore(Ctx, Opts, MemOps, PS.Comms, PS.WInsPerCluster,
                        PS.ItLengthNs.toDouble());
+}
+
+} // namespace
+
+double hcvliw::scorePartition(const PartitionContext &Ctx,
+                              const PartitionerOptions &Opts,
+                              const Partition &P) {
+  requireEnergyModel(Ctx, Opts);
+  return scoreEstimate(Ctx, Opts, countMemoryOps(*Ctx.L), P);
 }
 
 void PartitionBound::reset(const PartitionContext &TheCtx,
@@ -91,6 +115,8 @@ void PartitionBound::reset(const PartitionContext &TheCtx,
   ClusterOf.assign(P.ClusterOf.begin(), P.ClusterOf.end());
   slotCapacityInto(Cap, M, *Ctx->Plan);
   Tally.clear(NC);
+  MemOps = 0;
+  M.Isa.nodeLatenciesInto(NodeLat, L);
   Kind.resize(N);
   DefLat.resize(N);
   Energy.resize(N);
@@ -102,6 +128,7 @@ void PartitionBound::reset(const PartitionContext &TheCtx,
                     ? static_cast<int64_t>(M.Isa.latency(Op))
                     : int64_t(-1);
     Energy[I] = M.Isa.energy(Op);
+    MemOps += isMemoryOpcode(Op);
     ++Tally.Counts[C * NumFUKinds + Kind[I]];
     if (DefLat[I] >= 0) {
       ++Tally.Defs[C];
@@ -199,17 +226,60 @@ void PartitionBound::move(const unsigned *Nodes, size_t Count, unsigned To) {
     countCopies(N, +1);
 }
 
-double PartitionBound::bound(const PartitionerOptions &Opts) {
+double PartitionBound::grade(const PartitionerOptions &Opts,
+                             bool RecurrenceInfeasible, double ItLengthNs) {
   double Overflow = 0;
   if (gradePartitionBudgets(*Ctx->M, *Ctx->Plan, Cap, Tally,
-                            /*RecurrenceInfeasible=*/false, Overflow))
+                            RecurrenceInfeasible, Overflow))
     return InfeasiblePartitionScore * (1.0 + Overflow);
   // Activity in node order, the estimator's summation order, so the
   // doubles match bit for bit.
   WIns.assign(Tally.CopiesIn.size(), 0.0);
   for (size_t I = 0; I < ClusterOf.size(); ++I)
     WIns[ClusterOf[I]] += Energy[I];
-  return feasibleScore(*Ctx, Opts, Tally.Comms, WIns, /*ItLengthNs=*/0.0);
+  return feasibleScore(*Ctx, Opts, MemOps, Tally.Comms, WIns, ItLengthNs);
+}
+
+double PartitionBound::bound(const PartitionerOptions &Opts) {
+  return grade(Opts, /*RecurrenceInfeasible=*/false, /*ItLengthNs=*/0.0);
+}
+
+double PartitionBound::score(const PartitionerOptions &Opts) {
+  if (Ctx->Stats)
+    ++Ctx->Stats->ScoreEvals;
+  // The kept tally is the one the estimator would count (one copy
+  // rule), so only the timing kernel runs.
+  Rational ItLengthNs(0);
+  bool Feasible = pseudoScheduleAsap(Pseudo, *Ctx->G, *Ctx->M, *Ctx->Plan,
+                                     NodeLat, ClusterOf, ItLengthNs);
+  return grade(Opts, !Feasible, ItLengthNs.toDouble());
+}
+
+double PartitionBound::capacityBound(const unsigned *Need, unsigned From,
+                                     unsigned To) const {
+  // The capacity terms of every cluster after the move (only From's and
+  // To's counts change), in gradePartitionBudgets' (cluster, kind)
+  // order: a prefix of the bound's sum of non-negative overflow terms,
+  // so (round-to-nearest being monotone) it never exceeds the bound's.
+  const unsigned NC = static_cast<unsigned>(Tally.CopiesIn.size());
+  double Overflow = 0;
+  bool Over = false;
+  for (unsigned C = 0; C < NC; ++C)
+    for (unsigned K = 0; K < NumFUKinds; ++K) {
+      if (static_cast<FUKind>(K) == FUKind::Bus)
+        continue;
+      unsigned Cnt = Tally.Counts[C * NumFUKinds + K];
+      if (C == From)
+        Cnt -= Need[K];
+      else if (C == To)
+        Cnt += Need[K];
+      double Term = capacityOverflow(Cnt, Cap[C * NumFUKinds + K]);
+      if (Term > 0) {
+        Overflow += Term;
+        Over = true;
+      }
+    }
+  return Over ? InfeasiblePartitionScore * (1.0 + Overflow) : 0.0;
 }
 
 namespace {
@@ -562,7 +632,8 @@ void bestFitAssign(const std::vector<unsigned> &Order,
 /// partition reports std::nullopt and the IT sweep grows the IT
 /// normally.
 std::optional<Partition> flatPartition(const PartitionContext &Ctx,
-                                       const PartitionerOptions &Opts) {
+                                       const PartitionerOptions &Opts,
+                                       unsigned MemOps) {
   const MachineDescription &M = *Ctx.M;
   const MachinePlan &Plan = *Ctx.Plan;
   unsigned NC = M.numClusters();
@@ -619,7 +690,7 @@ std::optional<Partition> flatPartition(const PartitionContext &Ctx,
     for (unsigned N : Units[U])
       P.ClusterOf[N] = ClusterOfUnit[U];
 
-  double Score = scorePartition(Ctx, Opts, P);
+  double Score = scoreEstimate(Ctx, Opts, MemOps, P);
   if (Ctx.Stats) {
     Ctx.Stats->InitialScore = Score;
     Ctx.Stats->FinalScore = Score;
@@ -630,10 +701,12 @@ std::optional<Partition> flatPartition(const PartitionContext &Ctx,
 }
 
 /// The normal multilevel path (file header steps 2-4); \p S holds the
-/// pre-placement result in S.Key / S.Free.
+/// pre-placement result in S.Key / S.Free, and \p MemOps is the loop's
+/// memory-operation count.
 std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
                                              const PartitionerOptions &Opts,
-                                             PartitionScratch &S) {
+                                             PartitionScratch &S,
+                                             unsigned MemOps) {
   const MachineDescription &M = *Ctx.M;
   unsigned NC = M.numClusters();
   unsigned NumNodes = Ctx.G->size();
@@ -711,7 +784,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
   Partition &Current = S.Current;
   Partition &Cand = S.Cand;
   expandInto(Current, Coarsest, ClusterOfMacro, NumNodes);
-  double CurrentScore = scorePartition(Ctx, Opts, Current);
+  double CurrentScore = scoreEstimate(Ctx, Opts, MemOps, Current);
   if (Ctx.Stats)
     Ctx.Stats->InitialScore = CurrentScore;
 
@@ -740,7 +813,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       if (FMMoves == 0)
         continue;
       expandInto(Cand, Lvl, Assign, NumNodes);
-      double Sc = scorePartition(Ctx, Opts, Cand);
+      double Sc = scoreEstimate(Ctx, Opts, MemOps, Cand);
       if (Sc < CurrentScore) {
         CurrentScore = Sc;
         std::swap(Current, Cand);
@@ -761,8 +834,12 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     // Bound-first scoring (exact; see PartitionBound): a candidate whose
     // lower bound is not below CurrentScore would be rejected by its
     // full score too, so it is rejected without the pseudo-schedule.
-    // The bound tracks Assign through single-macro moves over the
-    // level's member lists.
+    // The capacity terms after the move, read from the kept tally and
+    // the level's per-macro op counts, already bound the bound from
+    // below, so most over-capacity candidates are rejected before any
+    // node moves. The bound tracks Assign through single-macro moves
+    // over the level's member lists and scores the survivors from its
+    // own state.
     buildMemberLists(Lvl, NumNodes, S.MemberStart, S.Members);
     PartitionBound &Bound = S.Bound;
     Bound.reset(Ctx, Current);
@@ -770,6 +847,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       Bound.move(S.Members.data() + S.MemberStart[Mac],
                  S.MemberStart[Mac + 1] - S.MemberStart[Mac], To);
     };
+    uint64_t CapacityRejects = 0;
 
     for (unsigned Pass = 0; Pass < Opts.MaxRefinePasses; ++Pass) {
       bool Improved = false;
@@ -785,6 +863,11 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
           if (S.EnableMemo && EvalStamp[Mac * NC + C] == Accepts)
             continue; // unchanged candidate: same score, same rejection
           EvalStamp[Mac * NC + C] = Accepts;
+          if (Bound.capacityBound(&Lvl.FUCounts[Mac * NumFUKinds], Home, C) >=
+              CurrentScore) {
+            ++CapacityRejects;
+            continue;
+          }
           Assign[Mac] = C;
           moveMacro(Mac, C);
           if (Bound.bound(Opts) >= CurrentScore) {
@@ -794,11 +877,9 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
             Assign[Mac] = Home;
             continue;
           }
-          expandInto(Cand, Lvl, Assign, NumNodes);
-          double Sc = scorePartition(Ctx, Opts, Cand);
+          double Sc = Bound.score(Opts);
           if (Sc < CurrentScore) {
             CurrentScore = Sc;
-            std::swap(Current, Cand);
             Home = C;
             Improved = true;
             ++Accepts;
@@ -814,9 +895,16 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       if (!Improved)
         break;
     }
+    Current.ClusterOf.assign(Bound.clusterOf().begin(),
+                             Bound.clusterOf().end());
+    if (Ctx.Stats) {
+      Ctx.Stats->BoundRejects += CapacityRejects;
+      Ctx.Stats->CapacityRejects += CapacityRejects;
+    }
     if (RefineSp.active()) {
       RefineSp.arg("macros", LN);
       RefineSp.arg("accepts", static_cast<int64_t>(Accepts));
+      RefineSp.arg("capacity_rejects", static_cast<int64_t>(CapacityRejects));
     }
   }
 
@@ -835,8 +923,10 @@ hcvliw::partitionLoop(const PartitionContext &Ctx,
   unsigned NC = Ctx.M->numClusters();
   unsigned NumNodes = Ctx.G->size();
 
+  // One cluster: the trivial assignment, which nothing scores.
   if (NC == 1)
     return Partition::allInCluster(NumNodes, 0);
+  requireEnergyModel(Ctx, Opts);
 
   PartitionScratch Local;
   PartitionScratch &S = Ctx.Scratch ? *Ctx.Scratch : Local;
@@ -846,18 +936,19 @@ hcvliw::partitionLoop(const PartitionContext &Ctx,
   if (!prePlaceRecurrences(Ctx, Opts.PrePlaceRecurrences, S.Key, S.Free))
     return std::nullopt;
 
+  const unsigned MemOps = countMemoryOps(*Ctx.L);
   // Graceful degradation (the "flat partition" rung): forced by an
   // armed injector, or taken for real when coarsening cannot allocate.
   // Partition quality drops; determinism and the feasibility gate do
   // not.
   if (HCVLIW_FAULT_DEGRADE(Ctx.Fault, "part.coarsen", Ctx.FaultCtx))
-    return flatPartition(Ctx, Opts);
+    return flatPartition(Ctx, Opts, MemOps);
   try {
-    return multilevelPartition(Ctx, Opts, S);
+    return multilevelPartition(Ctx, Opts, S, MemOps);
   } catch (const std::bad_alloc &) {
     // The scratch may hold a partially built level stack; drop the
     // memo so no later attempt reuses it.
     S.MLValid = false;
-    return flatPartition(Ctx, Opts);
+    return flatPartition(Ctx, Opts, MemOps);
   }
 }

@@ -16,9 +16,13 @@
 ///     the finest. Levels with at most MaxRefineMacros macros use
 ///     greedy macro moves scored by the exact pseudo-schedule objective
 ///     (estimated ED2 for heterogeneous machines, the [2][3] baseline
-///     for homogeneous ones); a move whose exact, incrementally kept
-///     lower bound (PartitionBound) already rules it out is rejected
-///     without a pseudo-schedule. Finer levels use boundary FM-style
+///     for homogeneous ones). PartitionBound keeps the assignment and
+///     the schedule-free tallies incrementally across the moves: a
+///     move whose capacity terms, read from the level's per-macro op
+///     counts, or whose exact lower bound already rules it out is
+///     rejected without a pseudo-schedule, and a move that passes is
+///     scored from the bound's own state by the graph-free
+///     pseudo-schedule kernel. Finer levels use boundary FM-style
 ///     passes on a cheap surrogate (capacity overload, cut, weight
 ///     balance) whose result is only kept when the exact objective did
 ///     not get worse — so the tracked objective is monotone across the
@@ -102,11 +106,14 @@ struct PartitionStats {
   uint64_t FMPasses = 0;        ///< boundary FM passes run
   uint64_t FMMoves = 0;         ///< boundary FM moves applied
   /// Full pseudo-schedules scored, and greedy candidates rejected by
-  /// PartitionBound without one. Unlike the counters above, the cache
-  /// snapshot format (runtime/CachePersist) does not carry them: a
-  /// result loaded from a snapshot reports 0.
+  /// PartitionBound without one; CapacityRejects is the subset of
+  /// BoundRejects decided by the capacity terms alone
+  /// (PartitionBound::capacityBound), before any node moved. Unlike the
+  /// counters above, the cache snapshot format (runtime/CachePersist)
+  /// does not carry them: a result loaded from a snapshot reports 0.
   uint64_t ScoreEvals = 0;
   uint64_t BoundRejects = 0;
+  uint64_t CapacityRejects = 0;
   /// Runs that took the pre-fused flat-partition rung instead of the
   /// multilevel path (forced by an injected part.coarsen degrade or by
   /// an allocation failure inside coarsening). Unlike the effort
@@ -142,7 +149,10 @@ struct PartitionerOptions;
 /// bound() <= scorePartition() holds exactly, and a candidate whose
 /// bound is not below the current score can be rejected without a
 /// pseudo-schedule: the greedy decisions are the ones full scoring
-/// makes.
+/// makes. A candidate that passes is scored by score(), which runs the
+/// pseudo-schedule kernel on the kept assignment and grades the kept
+/// tally — scorePartition's value, with no partition expanded and no
+/// tally recounted.
 class PartitionBound {
   const PartitionContext *Ctx = nullptr;
   std::vector<unsigned> ClusterOf;
@@ -153,6 +163,7 @@ class PartitionBound {
   std::vector<uint8_t> Kind;
   std::vector<int64_t> DefLat;
   std::vector<double> Energy;
+  std::vector<unsigned> NodeLat; ///< ISA latency per node
   /// Value-carrying in-edges as CSR: the sources of node N's value
   /// edges are ValSrc[ValStart[N] .. ValStart[N+1]), with multiplicity.
   std::vector<unsigned> ValStart, ValSrc;
@@ -164,9 +175,15 @@ class PartitionBound {
   std::vector<uint64_t> TouchStamp;
   uint64_t Stamp = 0;
   std::vector<double> WIns;
+  unsigned MemOps = 0; ///< memory operations of the loop
+  PseudoScratch Pseudo; ///< score()'s kernel buffers
 
   /// Adds (\p Sign = +1) or removes (-1) the copies node \p N produces.
   void countCopies(unsigned N, int Sign);
+  /// The objective of the kept assignment given its recurrence verdict
+  /// and iteration length (0 and feasible for bound()).
+  double grade(const PartitionerOptions &Opts, bool RecurrenceInfeasible,
+               double ItLengthNs);
 
 public:
   /// Binds to \p TheCtx, which must stay alive until the next reset,
@@ -176,6 +193,17 @@ public:
   void move(const unsigned *Nodes, size_t Count, unsigned To);
   /// Lower bound on scorePartition of the current assignment.
   double bound(const PartitionerOptions &Opts);
+  /// scorePartition of the current assignment, bit for bit (one
+  /// pseudo-schedule: counted in PartitionStats::ScoreEvals).
+  double score(const PartitionerOptions &Opts);
+  /// Lower bound on bound() after moving nodes whose per-kind op counts
+  /// are \p Need (NumFUKinds entries) from cluster \p From to \p To,
+  /// computed without moving them: InfeasiblePartitionScore * (1 + the
+  /// capacity terms of every cluster after the move, summed in
+  /// gradePartitionBudgets' order), or 0 when no cluster overflows
+  /// (every score is >= 0). \p From and \p To must differ.
+  double capacityBound(const unsigned *Need, unsigned From,
+                       unsigned To) const;
 
   const std::vector<unsigned> &clusterOf() const { return ClusterOf; }
   const PartitionTally &tally() const { return Tally; }
@@ -298,7 +326,9 @@ struct PartitionContext {
 };
 
 /// Runs the partitioner; std::nullopt when no feasible assignment exists
-/// at this IT (the driver must grow the IT).
+/// at this IT (the driver must grow the IT). On a machine of more than
+/// one cluster, throws std::invalid_argument when \p Opts asks for the
+/// ED2 objective and \p Ctx lacks the energy model or the scaling.
 std::optional<Partition> partitionLoop(const PartitionContext &Ctx,
                                        const PartitionerOptions &Opts);
 
@@ -309,6 +339,7 @@ inline constexpr double InfeasiblePartitionScore = 1e24;
 /// Scoring helper shared with tests: lower is better; infeasible
 /// partitions score >= InfeasiblePartitionScore, graded by violation.
 /// Each call runs one pseudo-schedule (PartitionStats::ScoreEvals).
+/// Same precondition as partitionLoop for the ED2 objective.
 double scorePartition(const PartitionContext &Ctx,
                       const PartitionerOptions &Opts, const Partition &P);
 

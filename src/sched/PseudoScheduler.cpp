@@ -1,9 +1,9 @@
 //===- sched/PseudoScheduler.cpp - Fast schedule estimates ------------------===//
 
 #include "sched/PseudoScheduler.h"
+#include "mcd/SyncModel.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 using namespace hcvliw;
@@ -76,18 +76,12 @@ const char *hcvliw::gradePartitionBudgets(const MachineDescription &M,
   unsigned NC = M.numClusters();
   for (unsigned C = 0; C < NC; ++C)
     for (unsigned K = 0; K < NumFUKinds; ++K) {
-      unsigned Cnt = T.Counts[C * NumFUKinds + K];
-      if (static_cast<FUKind>(K) == FUKind::Bus || Cnt == 0)
+      if (static_cast<FUKind>(K) == FUKind::Bus)
         continue;
-      int64_t Slots = Cap[C * NumFUKinds + K];
-      if (Slots <= 0) {
-        flag("cluster capacity exceeded", Cnt);
-        continue;
-      }
-      if (static_cast<int64_t>(Cnt) > Slots)
-        flag("cluster capacity exceeded",
-             (static_cast<double>(Cnt) - static_cast<double>(Slots)) /
-                 static_cast<double>(Slots));
+      double Over = capacityOverflow(T.Counts[C * NumFUKinds + K],
+                                     Cap[C * NumFUKinds + K]);
+      if (Over > 0)
+        flag("cluster capacity exceeded", Over);
     }
 
   int64_t BusSlots = Plan.Bus.II * static_cast<int64_t>(M.Buses);
@@ -113,6 +107,135 @@ const char *hcvliw::gradePartitionBudgets(const MachineDescription &M,
   return Reason;
 }
 
+bool hcvliw::pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
+                                const MachineDescription &M,
+                                const MachinePlan &Plan,
+                                const std::vector<unsigned> &NodeLat,
+                                const std::vector<unsigned> &ClusterOf,
+                                Rational &ItLengthNs) {
+  PlanGrid::computeInto(S.Grid, Plan);
+  if (!S.Grid.valid())
+    throw std::invalid_argument(std::string("pseudo-schedule: ") +
+                                PlanGrid::NoGridReason);
+  const PlanGrid &Grid = S.Grid;
+  const unsigned N = G.size();
+  const unsigned NC = M.numClusters();
+
+  // Copies, in the order PartitionedGraph::buildInto creates them: the
+  // first cross-cluster value edge of each (value, cluster) pair, in
+  // DDG edge order, creates copy N, N+1, ...
+  S.CopySlots.assign(static_cast<size_t>(N) * NC, -1);
+  S.CopyValue.clear();
+  S.CopyCluster.clear();
+  S.CopyEdge.clear();
+  for (unsigned EIx = 0; EIx < G.numEdges(); ++EIx) {
+    const DDG::Edge &E = G.edge(EIx);
+    unsigned To = ClusterOf[E.Dst];
+    if (!isValueCarrying(E.Kind) || ClusterOf[E.Src] == To)
+      continue;
+    int &Slot = S.CopySlots[static_cast<size_t>(E.Src) * NC + To];
+    if (Slot >= 0)
+      continue;
+    Slot = static_cast<int>(N + S.CopyValue.size());
+    S.CopyValue.push_back(E.Src);
+    S.CopyCluster.push_back(To);
+    S.CopyEdge.push_back(EIx);
+  }
+  const unsigned Total = N + static_cast<unsigned>(S.CopyValue.size());
+
+  const int64_t BusP = Grid.busPeriodTicks();
+  const int64_t ITTicks = Grid.itTicks();
+  const int64_t CopyLatTicks = static_cast<int64_t>(M.BusLatency) * BusP;
+
+  // The TickGraph ASAP fixpoint (a FIFO worklist in waves; a change in
+  // wave Total proves an unsatisfiable dependence cycle), with each
+  // node's out-edges in the order the materialized graph lists them:
+  // a node's DDG out-edges in CSR order, where the edge that created a
+  // copy stands for the node -> copy edge and later edges to that copy
+  // are dropped; a copy's out-edges are its value's value edges into
+  // its cluster, in CSR order.
+  std::vector<int64_t> &Start = S.Asap;
+  Start.assign(Total, 0);
+  S.WaveCur.resize(Total);
+  for (unsigned I = 0; I < Total; ++I)
+    S.WaveCur[I] = I;
+  S.InWave.assign(Total, 0);
+  S.WaveNext.clear();
+  auto relax = [&](unsigned Dst, int64_t Bound, int64_t DstPeriod) {
+    if (Start[Dst] >= Bound)
+      return;
+    // Starts are slot-aligned: round the bound up to the domain tick.
+    int64_t Aligned = alignUpToTick(Bound, DstPeriod);
+    if (Start[Dst] < Aligned) {
+      Start[Dst] = Aligned;
+      if (!S.InWave[Dst]) {
+        S.InWave[Dst] = 1;
+        S.WaveNext.push_back(Dst);
+      }
+    }
+  };
+  bool Converged = false;
+  for (unsigned Wave = 0; Wave <= Total; ++Wave) {
+    for (unsigned V : S.WaveCur) {
+      S.InWave[V] = 0;
+      if (V < N) {
+        const unsigned CV = ClusterOf[V];
+        const int64_t PV = Grid.clusterPeriodTicks(CV);
+        for (unsigned EIx : G.outEdges(V)) {
+          const DDG::Edge &E = G.edge(EIx);
+          const unsigned CD = ClusterOf[E.Dst];
+          if (isValueCarrying(E.Kind) && CD != CV) {
+            unsigned Copy = static_cast<unsigned>(
+                S.CopySlots[static_cast<size_t>(V) * NC + CD]);
+            if (S.CopyEdge[Copy - N] != EIx)
+              continue;
+            int64_t Ready =
+                Start[V] + static_cast<int64_t>(NodeLat[V]) * PV;
+            relax(Copy, crossDomainArrival(Ready, PV, BusP), BusP);
+            continue;
+          }
+          const int64_t PD = Grid.clusterPeriodTicks(CD);
+          int64_t Ready =
+              Start[V] + static_cast<int64_t>(edgeLatency(E, NodeLat)) * PV;
+          relax(E.Dst,
+                crossDomainArrival(Ready, PV, PD) -
+                    static_cast<int64_t>(E.Distance) * ITTicks,
+                PD);
+        }
+        continue;
+      }
+      const unsigned Value = S.CopyValue[V - N];
+      const unsigned To = S.CopyCluster[V - N];
+      const int64_t PD = Grid.clusterPeriodTicks(To);
+      const int64_t Arrive =
+          crossDomainArrival(Start[V] + CopyLatTicks, BusP, PD);
+      for (unsigned EIx : G.outEdges(Value)) {
+        const DDG::Edge &E = G.edge(EIx);
+        if (isValueCarrying(E.Kind) && ClusterOf[E.Dst] == To)
+          relax(E.Dst, Arrive - static_cast<int64_t>(E.Distance) * ITTicks,
+                PD);
+      }
+    }
+    if (S.WaveNext.empty()) {
+      Converged = true;
+      break;
+    }
+    S.WaveCur.swap(S.WaveNext);
+    S.WaveNext.clear();
+  }
+  if (!Converged)
+    return false;
+
+  int64_t End = 0;
+  for (unsigned V = 0; V < N; ++V)
+    End = std::max(End, Start[V] + static_cast<int64_t>(NodeLat[V]) *
+                                       Grid.clusterPeriodTicks(ClusterOf[V]));
+  for (unsigned V = N; V < Total; ++V)
+    End = std::max(End, Start[V] + CopyLatTicks);
+  ItLengthNs = Grid.toNs(End);
+  return true;
+}
+
 void hcvliw::estimatePseudoScheduleInto(PseudoSchedule &PS, const Loop &L,
                                         const DDG &G,
                                         const MachineDescription &M,
@@ -123,7 +246,6 @@ void hcvliw::estimatePseudoScheduleInto(PseudoSchedule &PS, const Loop &L,
   PseudoScratch &S = Scratch ? *Scratch : Local;
 
   // Reset every field (PS may be a reused scratch result).
-  PS.Comms = 0;
   PS.ItLengthNs = Rational(0);
   unsigned NC = M.numClusters();
   PS.WInsPerCluster.assign(NC, 0.0);
@@ -142,41 +264,15 @@ void hcvliw::estimatePseudoScheduleInto(PseudoSchedule &PS, const Loop &L,
     }
   }
 
-  // Materialize copies; each lands in the cluster of its consumers.
-  M.Isa.nodeLatenciesInto(S.NodeLat, L);
-  PartitionedGraph::buildInto(S.PG, L, G, M.Isa, P, NC, M.BusLatency,
-                              &S.CopySlots, &S.NodeLat);
-  const PartitionedGraph &PG = S.PG;
-  T.Comms = PS.Comms = PG.numCopies();
-  for (unsigned N = G.size(); N < PG.size(); ++N) {
-    for (unsigned EIx : PG.outEdges(N)) {
-      unsigned Dst = PG.node(PG.edge(EIx).Dst).Domain;
-      if (Dst != PG.busDomain()) {
-        ++T.CopiesIn[Dst];
-        break;
-      }
-    }
-  }
-
   // Recurrence feasibility + it_length from the exact ASAP fixpoint on
-  // the plan's integer tick grid (this estimate runs once per
-  // refinement candidate, so it is the partitioner's hottest clock
-  // math).
-  if (!TickGraph::buildInto(S.Ticks, PG, Plan))
-    throw std::invalid_argument(std::string("pseudo-schedule: ") +
-                                PlanGrid::NoGridReason);
-  const TickGraph &TG = S.Ticks;
-  bool RecurrenceInfeasible = false;
-  if (!TG.computeAsapTicksInto(S.Asap)) {
-    RecurrenceInfeasible = true;
-  } else {
-    int64_t End = 0;
-    for (unsigned N = 0; N < PG.size(); ++N)
-      End = std::max(End, S.Asap[N] +
-                              static_cast<int64_t>(PG.node(N).LatencyCycles) *
-                                  TG.periodTicks(N));
-    PS.ItLengthNs = TG.grid().toNs(End);
-  }
+  // the plan's integer tick grid; the copies it materializes land in
+  // the cluster of their consumers.
+  M.Isa.nodeLatenciesInto(S.NodeLat, L);
+  bool RecurrenceInfeasible = !pseudoScheduleAsap(
+      S, G, M, Plan, S.NodeLat, P.ClusterOf, PS.ItLengthNs);
+  T.Comms = PS.Comms = static_cast<unsigned>(S.CopyCluster.size());
+  for (unsigned To : S.CopyCluster)
+    ++T.CopiesIn[To];
 
   for (unsigned C = 0; C < NC; ++C)
     PS.LifetimeProxy[C] = lifetimeProxy(T, Plan, C);

@@ -12,14 +12,21 @@
 /// and reports the activity distribution the energy model needs (the
 /// paper's p_Ci) plus an it_length approximation from the ASAP times.
 ///
+/// The timing kernel (pseudoScheduleAsap) builds no graph: it reads the
+/// DDG's CSR, the cluster assignment and the plan's tick grid, and
+/// treats the inter-cluster copies as virtual nodes numbered and
+/// visited exactly as a materialized PartitionedGraph would number and
+/// visit them, so its ASAP fixpoint (and its recurrence verdict) is the
+/// one the scheduler's TickGraph computes on that graph.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HCVLIW_SCHED_PSEUDOSCHEDULER_H
 #define HCVLIW_SCHED_PSEUDOSCHEDULER_H
 
-#include "sched/PartitionedGraph.h"
-#include "sched/Schedule.h"
-#include "sched/TickGraph.h"
+#include "ir/DDG.h"
+#include "mcd/PlanGrid.h"
+#include "sched/Partition.h"
 
 #include <string>
 #include <vector>
@@ -35,7 +42,8 @@ struct PseudoSchedule {
   /// on a flat "infinite" score.
   double Overflow = 0;
 
-  /// Inter-cluster transfers per iteration (copy nodes materialized).
+  /// Inter-cluster transfers per iteration: one copy per (value,
+  /// consuming cluster) pair.
   unsigned Comms = 0;
   /// Energy-weighted instructions per cluster (normalizes to p_Ci).
   std::vector<double> WInsPerCluster;
@@ -68,6 +76,21 @@ struct PartitionTally {
 void slotCapacityInto(std::vector<int64_t> &Cap, const MachineDescription &M,
                       const MachinePlan &Plan);
 
+/// The capacity term gradePartitionBudgets adds for \p Cnt ops of one
+/// FU kind on a cluster with \p Slots slots of it per IT: 0 when they
+/// fit, else the overload normalized by the slots, or the whole count
+/// when the cluster has no such unit.
+inline double capacityOverflow(unsigned Cnt, int64_t Slots) {
+  if (Cnt == 0)
+    return 0;
+  if (Slots <= 0)
+    return Cnt;
+  if (static_cast<int64_t>(Cnt) <= Slots)
+    return 0;
+  return (static_cast<double>(Cnt) - static_cast<double>(Slots)) /
+         static_cast<double>(Slots);
+}
+
 /// Grades the budgets of \p T that need no schedule: per-cluster,
 /// per-kind FU capacity at the plan's IIs, bus capacity, and the
 /// register lifetime proxy (\p Cap is slotCapacityInto's table for \p M
@@ -82,21 +105,43 @@ const char *gradePartitionBudgets(const MachineDescription &M,
                                   const PartitionTally &T,
                                   bool RecurrenceInfeasible, double &Overflow);
 
-/// Reusable buffers for estimatePseudoSchedule. Partition refinement
-/// scores one pseudo-schedule per candidate move — hundreds per loop —
-/// and each estimate materializes a PartitionedGraph plus a tick
-/// lowering; with a scratch, the whole refinement runs allocation-free
-/// in steady state. Contents carry nothing between calls.
+/// Reusable buffers for the pseudo-schedule kernel. Partition
+/// refinement scores one pseudo-schedule per candidate move — hundreds
+/// per loop — so with a scratch the whole refinement runs
+/// allocation-free in steady state. Contents carry nothing between
+/// calls.
 struct PseudoScratch {
-  PartitionedGraph PG;
-  std::vector<int> CopySlots;
+  PlanGrid Grid;
   std::vector<unsigned> NodeLat;
-  TickGraph Ticks;
+  /// Virtual copies: flat [value][cluster] -> copy id (-1: none), and
+  /// per copy (id - node count) its value, destination cluster and the
+  /// DDG edge that created it.
+  std::vector<int> CopySlots;
+  std::vector<unsigned> CopyValue, CopyCluster, CopyEdge;
+  /// ASAP start ticks of the nodes, then the copies, and the fixpoint's
+  /// worklist.
   std::vector<int64_t> Asap;
+  std::vector<unsigned> WaveCur, WaveNext;
+  std::vector<uint8_t> InWave;
   PartitionTally Tally;
   std::vector<int64_t> Cap; ///< slotCapacityInto table
   PseudoSchedule Result; ///< reused by scorePartition
 };
+
+/// The pseudo-schedule's timing kernel on assignment \p ClusterOf (one
+/// cluster per DDG node), with \p NodeLat the ISA latency of every node
+/// (IsaTable::nodeLatencies): materializes the copies virtually into
+/// \p S (one per (value, consuming cluster) pair, numbered after the
+/// nodes in DDG edge order, as PartitionedGraph numbers them), runs the
+/// exact ASAP fixpoint on \p Plan's tick grid and returns false when a
+/// recurrence cannot meet the IT. Otherwise writes the iteration length
+/// (latest ASAP completion) to \p ItLengthNs. Throws
+/// std::invalid_argument when \p Plan has no tick grid.
+bool pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
+                        const MachineDescription &M, const MachinePlan &Plan,
+                        const std::vector<unsigned> &NodeLat,
+                        const std::vector<unsigned> &ClusterOf,
+                        Rational &ItLengthNs);
 
 /// Estimates the schedule quality of \p P for \p L under \p Plan.
 /// \p Scratch provides reusable buffers (optional; identical results).

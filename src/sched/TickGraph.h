@@ -11,9 +11,11 @@
 ///   EdgeDistTicks[e] Distance(e) * IT, in ticks
 ///
 /// so the ASAP/ALAP fixpoints, edgeStartBound, the placement/ejection
-/// loop, stage compaction, the validator, the register-pressure
-/// computation and the pseudo-schedule estimate are pure integer
-/// arithmetic -- the only clock arithmetic of the scheduling chain.
+/// loop, stage compaction, the validator and the register-pressure
+/// computation are pure integer arithmetic -- with the pseudo-schedule
+/// kernel, which applies the same rules on the same PlanGrid without
+/// building a graph (sched/PseudoScheduler), the only clock arithmetic
+/// of the scheduling chain.
 /// Every tick quantity is the exact Rational time times ticksPerNs;
 /// tests/sched/TickDomainTest checks the ASAP fixpoint against a
 /// Rational oracle and pins the driver's output to golden digests.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -162,6 +163,31 @@ TEST(Partitioner, ED2ObjectiveNotWorseThanBalanceUnderED2Score) {
   EXPECT_TRUE(std::isfinite(ScoreE));
 }
 
+TEST(Partitioner, ED2ObjectiveWithoutEnergyModelThrows) {
+  // Checked in every build type: the ED2 objective reads both the
+  // energy model and the scaling.
+  PartitionFixture S(makeStreamLoop("s", 4, 16, 1.0), true, Rational(6));
+  ActivityCounts Ref;
+  Ref.WeightedIns = 1000;
+  Ref.Comms = 20;
+  Ref.MemAccesses = 300;
+  EnergyModel Energy(EnergyBreakdown(), Ref, 1e5, 4);
+  PartitionContext Ctx = S.ctx();
+  Ctx.Energy = &Energy; // no scaling
+  PartitionerOptions EO;
+  EO.ED2Objective = true;
+  Partition P = Partition::allInCluster(S.G.size(), 0);
+  EXPECT_THROW(partitionLoop(Ctx, EO), std::invalid_argument);
+  EXPECT_THROW(scorePartition(Ctx, EO, P), std::invalid_argument);
+  Ctx.Energy = nullptr;
+  EXPECT_THROW(partitionLoop(Ctx, EO), std::invalid_argument);
+  // The baseline objective needs neither.
+  PartitionerOptions BO;
+  BO.ED2Objective = false;
+  EXPECT_NO_THROW(partitionLoop(Ctx, BO));
+  EXPECT_NO_THROW(scorePartition(Ctx, BO, P));
+}
+
 TEST(Partitioner, AblationPrePlaceOffStillValid) {
   PartitionFixture S(makeChainRecurrenceLoop("r", 1, 2, 1, 3, 16, 1.0), true,
           Rational(54, 5));
@@ -191,6 +217,25 @@ TEST(LoopSchedulerDriver, ReportsFailureOnImpossibleLoop) {
   if (!R.Success) {
     EXPECT_FALSE(R.Failure.empty());
   }
+}
+
+TEST(LoopSchedulerDriver, EnergyModelWithoutScalingThrows) {
+  // Checked in every build type: an energy model without its scaling
+  // would keep the ED2 objective and read a null scaling.
+  Loop L = makeStreamLoop("s", 4, 16, 1.0);
+  MachineDescription M = MachineDescription::paperDefault();
+  HeteroConfig C = HeteroConfig::reference(M);
+  ActivityCounts Ref;
+  Ref.WeightedIns = 1000;
+  Ref.Comms = 20;
+  Ref.MemAccesses = 300;
+  EnergyModel Energy(EnergyBreakdown(), Ref, 1e5, 4);
+  HeteroScaling Scaling =
+      scalingForConfig(C, M, TechnologyModel::paperDefault());
+  LoopScheduler Sched(M, C);
+  EXPECT_THROW(Sched.schedule(L, &Energy, nullptr), std::invalid_argument);
+  EXPECT_THROW(Sched.schedule(L, nullptr, &Scaling), std::invalid_argument);
+  EXPECT_TRUE(Sched.schedule(L, &Energy, &Scaling).Success);
 }
 
 TEST(LoopSchedulerDriver, ITStepsCountsIncreases) {

@@ -9,7 +9,12 @@
 //   - bound() <= scorePartition() holds exactly (as doubles), for both
 //     objectives, at the MIT (mostly infeasible) and at larger ITs;
 //   - when the partition fails a budget check but not the recurrence
-//     check, the bound equals the full score (same overflow sum).
+//     check, the bound equals the full score (same overflow sum);
+//   - score(), which runs the pseudo-schedule kernel on the kept
+//     assignment and grades the kept tally, equals scorePartition()
+//     bit for bit;
+//   - before a move out of one cluster, capacityBound() (the moved
+//     nodes' capacity terms alone) is <= the bound after the move.
 //
 // The fixtures reach every branch of the graded checks: the no-slots
 // capacity case (a machine with one FP-less cluster), capacity, bus
@@ -29,6 +34,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace hcvliw;
 
 namespace {
@@ -43,7 +50,14 @@ constexpr unsigned MovesPerStart = 8;
 struct Coverage {
   unsigned NoSlots = 0, Capacity = 0, Bus = 0, Registers = 0;
   unsigned Recurrence = 0, Feasible = 0, Checked = 0;
+  unsigned CapacityPrefix = 0; ///< moves with a nonzero capacityBound
 };
+
+uint64_t bitsOf(double D) {
+  uint64_t B;
+  std::memcpy(&B, &D, sizeof B);
+  return B;
+}
 
 bool sameTally(const PartitionTally &A, const PartitionTally &B) {
   return A.Counts == B.Counts && A.Comms == B.Comms &&
@@ -111,6 +125,8 @@ void checkBound(const PartitionContext &Ctx, PartitionBound &B,
     double Bound = B.bound(O);
     double Score = scorePartition(Ctx, O, P);
     EXPECT_LE(Bound, Score) << (ED2 ? "ED2" : "homogeneous");
+    EXPECT_EQ(bitsOf(B.score(O)), bitsOf(Score))
+        << (ED2 ? "ED2" : "homogeneous");
     // A budget check failed but not the recurrence check: the bound and
     // the score sum the very same overflow terms.
     if (!Est.Feasible && !Recurrence) {
@@ -194,12 +210,29 @@ void checkFixture(const Loop &L, const MachineDescription &M, uint64_t Seed,
               Rng.nextInt(0, static_cast<int64_t>(Lvl.NumMacros) - 1));
           unsigned To = static_cast<unsigned>(Rng.nextInt(0, NC - 1));
           std::vector<unsigned> Members;
+          unsigned Need[NumFUKinds] = {0};
+          bool OneHome = true;
+          unsigned From = 0;
           for (unsigned N = 0; N < G.size(); ++N)
             if (Lvl.MacroOf[N] == Mac) {
+              if (Members.empty())
+                From = P.ClusterOf[N];
+              OneHome &= P.ClusterOf[N] == From;
+              ++Need[static_cast<unsigned>(fuKindOf(L.Ops[N].Op))];
               Members.push_back(N);
               P.ClusterOf[N] = To;
             }
+          // The capacity pre-check applies to a move out of one cluster.
+          double CapBound = OneHome && From != To
+                                ? B.capacityBound(Need, From, To)
+                                : 0.0;
           B.move(Members.data(), Members.size(), To);
+          for (bool ED2 : {true, false}) {
+            PartitionerOptions O;
+            O.ED2Objective = ED2;
+            EXPECT_LE(CapBound, B.bound(O));
+          }
+          Cov.CapacityPrefix += CapBound > 0;
           checkBound(Ctx, B, P, Cov);
           if (::testing::Test::HasFatalFailure())
             return;
@@ -241,10 +274,13 @@ TEST(ScoreBound, NeverAboveTheFullScore) {
   EXPECT_GT(Cov.Registers, 0u);
   EXPECT_GT(Cov.Recurrence, 0u);
   EXPECT_GT(Cov.Feasible, 0u);
+  EXPECT_GT(Cov.CapacityPrefix, 0u);
   std::printf("checked %u partitions: no-slots %u, capacity %u, bus %u, "
-              "registers %u, recurrence %u, feasible %u\n",
+              "registers %u, recurrence %u, feasible %u; %u moves with a "
+              "capacity bound\n",
               Cov.Checked, Cov.NoSlots, Cov.Capacity, Cov.Bus,
-              Cov.Registers, Cov.Recurrence, Cov.Feasible);
+              Cov.Registers, Cov.Recurrence, Cov.Feasible,
+              Cov.CapacityPrefix);
 }
 
 } // namespace
