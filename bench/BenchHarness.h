@@ -182,26 +182,26 @@ public:
     C.SelectionMisses = S.evalCache().selectionMisses();
     C.ScheduleHits = S.scheduleCache().hits();
     C.ScheduleMisses = S.scheduleCache().misses();
-    C.SchedPlacements = S.scheduleCache().placements();
-    C.SchedEjections = S.scheduleCache().ejections();
-    C.SchedBudgetUsed = S.scheduleCache().budgetUsed();
-    C.SchedITSteps = S.scheduleCache().itSteps();
-    C.PartLevels = S.scheduleCache().partLevels();
-    C.PartMatchedPairs = S.scheduleCache().partMatchedPairs();
-    C.PartRefineMoves = S.scheduleCache().partRefineMoves();
-    C.PartFMMoves = S.scheduleCache().partFMMoves();
-    C.PartScoreEvals = S.scheduleCache().partScoreEvals();
-    C.PartBoundRejects = S.scheduleCache().partBoundRejects();
-    C.PartCapacityRejects = S.scheduleCache().partCapacityRejects();
-    C.PartCoarsenMemoHits = S.scheduleCache().partCoarsenMemoHits();
-    // The robustness ledger lives in the metrics registry (the
-    // measurement layer records it per config run); one snapshot
-    // serves both these keys and the "obs" object below.
+    // The work ledger and the robustness ledger live in the metrics
+    // registry (the measurement layer records both); one snapshot
+    // serves these keys and the "obs" object below.
     obs::MetricsSnapshot Snap = S.metricsSnapshot();
     auto Counter = [&Snap](const char *Name) -> uint64_t {
       auto It = Snap.Counters.find(Name);
       return It == Snap.Counters.end() ? 0 : It->second;
     };
+    C.SchedPlacements = Counter("sched.placements");
+    C.SchedEjections = Counter("sched.ejections");
+    C.SchedBudgetUsed = Counter("sched.budget_used");
+    C.SchedITSteps = Counter("sched.it_steps");
+    C.PartLevels = Counter("part.levels");
+    C.PartMatchedPairs = Counter("part.matched_pairs");
+    C.PartRefineMoves = Counter("part.refine_moves");
+    C.PartFMMoves = Counter("part.fm_moves");
+    C.PartScoreEvals = Counter("part.score_evals");
+    C.PartBoundRejects = Counter("part.bound_rejects");
+    C.PartCapacityRejects = Counter("part.capacity_rejects");
+    C.PartCoarsenMemoHits = Counter("part.coarsen_memo_hits");
     C.FallbackRational = Counter("sched.fallback_rational");
     C.DegradedCount = Counter("degrade.cold_replay") +
                       Counter("degrade.flat_partition") +

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 #include <vector>
 
 using namespace hcvliw;
@@ -15,12 +16,8 @@ EvalCache::EvalCache(const MachineDescription &M, const FrequencyMenu &Mn)
       ScaleInvariant(Mn.frequencies().empty()) {}
 
 size_t EvalCache::size() const {
-  size_t N = 0;
-  for (const TimingShard &S : TimingShards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    N += S.Entries.size();
-  }
-  return N;
+  std::lock_guard<std::mutex> Lock(Timings.Mutex);
+  return Timings.Entries.size();
 }
 
 bool EvalCache::compatibleWith(const MachineDescription &M,
@@ -96,27 +93,27 @@ LoopTimingEstimate EvalCache::loopTiming(const LoopProfile &LP,
     K.FastDen = FastPeriod.den();
   }
 
-  TimingShard &Shard = TimingShards[shardOf(KeyHash()(K))];
   bool Found = false;
   CachedTiming Computed;
   {
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
-    auto It = Shard.Entries.find(K);
-    if (It != Shard.Entries.end()) {
-      Shard.Hits.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> Lock(Timings.Mutex);
+    auto It = Timings.Entries.find(K);
+    if (It != Timings.Entries.end()) {
+      ++Timings.Counted.Hits;
       if (It->second.Persisted)
-        Shard.PersistHits.fetch_add(1, std::memory_order_relaxed);
+        ++Timings.Counted.PersistHits;
       Computed = It->second;
       Found = true;
+    } else {
+      ++Timings.Counted.Misses;
     }
   }
   if (!Found) {
-    Shard.Misses.fetch_add(1, std::memory_order_relaxed);
     Computed = compute(K, LP, FastPeriod, SlowPeriod);
-    std::lock_guard<std::mutex> Lock(Shard.Mutex);
+    std::lock_guard<std::mutex> Lock(Timings.Mutex);
     // First writer wins; concurrent computes of the same key produce
     // identical values, so dropping the duplicate is safe.
-    Shard.Entries.emplace(K, Computed);
+    Timings.Entries.emplace(K, Computed);
   }
   if (WasHit)
     *WasHit = Found;
@@ -144,60 +141,49 @@ LoopTimingEstimate EvalCache::loopTiming(const LoopProfile &LP,
   E.TexecNs =
       (static_cast<double>(LP.TripCount) - 1) * E.ITNs.toDouble() +
       E.ItLengthNs;
-  E.ClusterShare = Computed.ClusterShare;
+  E.ClusterShare = std::move(Computed.ClusterShare);
   return E;
 }
 
 std::optional<SelectedDesign> EvalCache::findSelection(uint64_t SelKey) {
-  SelectionShard &Shard = SelectionShards[shardOf(SelKey)];
-  std::lock_guard<std::mutex> Lock(Shard.Mutex);
-  auto It = Shard.Selections.find(SelKey);
-  if (It == Shard.Selections.end()) {
-    Shard.Misses.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> Lock(Selections.Mutex);
+  auto It = Selections.Entries.find(SelKey);
+  if (It == Selections.Entries.end()) {
+    ++Selections.Counted.Misses;
     return std::nullopt;
   }
-  Shard.Hits.fetch_add(1, std::memory_order_relaxed);
+  ++Selections.Counted.Hits;
   if (It->second.Persisted)
-    Shard.PersistHits.fetch_add(1, std::memory_order_relaxed);
+    ++Selections.Counted.PersistHits;
   return It->second.D;
 }
 
 void EvalCache::storeSelection(uint64_t SelKey, const SelectedDesign &D) {
-  SelectionShard &Shard = SelectionShards[shardOf(SelKey)];
-  std::lock_guard<std::mutex> Lock(Shard.Mutex);
-  Shard.Selections.emplace(SelKey, SelectionEntry{D, /*Persisted=*/false});
+  std::lock_guard<std::mutex> Lock(Selections.Mutex);
+  Selections.Entries.emplace(SelKey, SelectionEntry{D, /*Persisted=*/false});
 }
 
 void EvalCache::exportTimings(
     const std::function<void(const TimingRecord &)> &Fn) const {
-  auto lessKey = [](const Key &A, const Key &B) {
-    if (A.LoopFP != B.LoopFP)
-      return A.LoopFP < B.LoopFP;
-    if (A.NumFast != B.NumFast)
-      return A.NumFast < B.NumFast;
-    if (A.RatioNum != B.RatioNum)
-      return A.RatioNum < B.RatioNum;
-    if (A.RatioDen != B.RatioDen)
-      return A.RatioDen < B.RatioDen;
-    if (A.FastNum != B.FastNum)
-      return A.FastNum < B.FastNum;
-    return A.FastDen < B.FastDen;
-  };
-  for (const TimingShard &S : TimingShards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    std::vector<Key> Keys;
-    Keys.reserve(S.Entries.size());
-    for (const auto &KV : S.Entries)
-      Keys.push_back(KV.first);
-    std::sort(Keys.begin(), Keys.end(), lessKey);
-    for (const Key &K : Keys) {
-      const CachedTiming &T = S.Entries.find(K)->second;
-      TimingRecord R{K.LoopFP,  K.NumFast, K.RatioNum,
-                     K.RatioDen, K.FastNum, K.FastDen,
-                     T.Feasible, T.ITNorm,  T.ClusterShare};
-      Fn(R);
-    }
+  std::vector<TimingRecord> Records;
+  {
+    std::lock_guard<std::mutex> Lock(Timings.Mutex);
+    Records.reserve(Timings.Entries.size());
+    for (const auto &[K, T] : Timings.Entries)
+      Records.push_back({K.LoopFP, K.NumFast, K.RatioNum, K.RatioDen,
+                         K.FastNum, K.FastDen, T.Feasible, T.ITNorm,
+                         T.ClusterShare});
   }
+  auto key = [](const TimingRecord &R) {
+    return std::tie(R.LoopFP, R.NumFast, R.RatioNum, R.RatioDen, R.FastNum,
+                    R.FastDen);
+  };
+  std::sort(Records.begin(), Records.end(),
+            [&key](const TimingRecord &A, const TimingRecord &B) {
+              return key(A) < key(B);
+            });
+  for (const TimingRecord &R : Records)
+    Fn(R);
 }
 
 bool EvalCache::importTiming(const TimingRecord &R) {
@@ -209,29 +195,28 @@ bool EvalCache::importTiming(const TimingRecord &R) {
   K.FastNum = R.FastNum;
   K.FastDen = R.FastDen;
   CachedTiming T{R.Feasible, R.ITNorm, R.ClusterShare, /*Persisted=*/true};
-  TimingShard &Shard = TimingShards[shardOf(KeyHash()(K))];
-  std::lock_guard<std::mutex> Lock(Shard.Mutex);
-  return Shard.Entries.emplace(K, std::move(T)).second;
+  std::lock_guard<std::mutex> Lock(Timings.Mutex);
+  return Timings.Entries.emplace(K, std::move(T)).second;
 }
 
 void EvalCache::exportSelections(
     const std::function<void(uint64_t, const SelectedDesign &)> &Fn) const {
-  for (const SelectionShard &S : SelectionShards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    std::vector<uint64_t> Keys;
-    Keys.reserve(S.Selections.size());
-    for (const auto &KV : S.Selections)
-      Keys.push_back(KV.first);
-    std::sort(Keys.begin(), Keys.end());
-    for (uint64_t K : Keys)
-      Fn(K, S.Selections.find(K)->second.D);
+  std::vector<std::pair<uint64_t, SelectedDesign>> Sorted;
+  {
+    std::lock_guard<std::mutex> Lock(Selections.Mutex);
+    Sorted.reserve(Selections.Entries.size());
+    for (const auto &[K, E] : Selections.Entries)
+      Sorted.emplace_back(K, E.D);
   }
+  std::sort(Sorted.begin(), Sorted.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  for (const auto &[K, D] : Sorted)
+    Fn(K, D);
 }
 
 bool EvalCache::importSelection(uint64_t SelKey, const SelectedDesign &D) {
-  SelectionShard &Shard = SelectionShards[shardOf(SelKey)];
-  std::lock_guard<std::mutex> Lock(Shard.Mutex);
-  return Shard.Selections
+  std::lock_guard<std::mutex> Lock(Selections.Mutex);
+  return Selections.Entries
       .emplace(SelKey, SelectionEntry{D, /*Persisted=*/true})
       .second;
 }

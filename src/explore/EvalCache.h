@@ -31,9 +31,9 @@
 /// execution time) are recomputed from the same expressions
 /// estimateLoopTiming uses.
 ///
-/// Storage is striped (sharded by key hash, per-shard mutex + exact
-/// per-shard counters summed at report time), so high-thread grids do
-/// not serialize on one lock.
+/// Each table (timings, selections) is one map behind one mutex, which
+/// also guards its hit/miss counters. The estimate itself is computed
+/// outside the lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +43,6 @@
 #include "configsel/DesignSpace.h"
 #include "configsel/TimingEstimator.h"
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -97,50 +96,34 @@ class EvalCache {
   FrequencyMenu Menu;
   bool ScaleInvariant;
 
-  /// Striped storage: timing entries and selection memos live in shards
-  /// selected by key hash, each with its own mutex and hit/miss
-  /// counters, so a high-thread exploration grid stops serializing on
-  /// one lock. The public counters sum the per-shard atomics at report
-  /// time and stay exact.
-  static constexpr unsigned NumShards = 16;
-
-  struct alignas(64) TimingShard {
-    mutable std::mutex Mutex;
-    std::unordered_map<Key, CachedTiming, KeyHash> Entries;
-    std::atomic<uint64_t> Hits{0};
-    std::atomic<uint64_t> Misses{0};
-    std::atomic<uint64_t> PersistHits{0};
-  };
   /// Selection memo entry; Persisted as in CachedTiming.
   struct SelectionEntry {
     SelectedDesign D;
     bool Persisted = false;
   };
-  struct alignas(64) SelectionShard {
-    mutable std::mutex Mutex;
-    std::unordered_map<uint64_t, SelectionEntry> Selections;
-    std::atomic<uint64_t> Hits{0};
-    std::atomic<uint64_t> Misses{0};
-    std::atomic<uint64_t> PersistHits{0};
+
+  struct Counts {
+    uint64_t Hits = 0;
+    uint64_t Misses = 0;
+    uint64_t PersistHits = 0;
   };
 
-  mutable TimingShard TimingShards[NumShards];
-  mutable SelectionShard SelectionShards[NumShards];
+  /// One lookup table: a map behind a mutex that also guards its
+  /// counters.
+  template <typename K, typename V, typename Hash = std::hash<K>>
+  struct Table {
+    mutable std::mutex Mutex;
+    std::unordered_map<K, V, Hash> Entries;
+    Counts Counted;
 
-  /// Fold the hash's high bits so shard choice stays independent of the
-  /// maps' bucket choice (which consumes the low bits).
-  static unsigned shardOf(uint64_t H) {
-    return static_cast<unsigned>((H >> 59) ^ (H >> 13)) % NumShards;
-  }
+    Counts counts() const {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      return Counted;
+    }
+  };
 
-  template <typename ShardT, unsigned N>
-  static uint64_t sumShards(ShardT (&Shards)[N],
-                            std::atomic<uint64_t> ShardT::*Counter) {
-    uint64_t Total = 0;
-    for (const ShardT &S : Shards)
-      Total += (S.*Counter).load(std::memory_order_relaxed);
-    return Total;
-  }
+  Table<Key, CachedTiming, KeyHash> Timings;
+  Table<uint64_t, SelectionEntry> Selections;
 
   CachedTiming compute(const Key &K, const LoopProfile &LP,
                        const Rational &FastPeriod,
@@ -197,9 +180,9 @@ public:
     std::vector<double> ClusterShare;
   };
 
-  /// Invokes \p Fn for every timing entry in deterministic order
-  /// (shards in index order, keys sorted within a shard). Caller must
-  /// be quiescent with respect to loopTiming().
+  /// Invokes \p Fn for every timing entry, keys sorted, after the lock
+  /// is released. Callers that want a stable set stay quiescent with
+  /// respect to loopTiming().
   void exportTimings(const std::function<void(const TimingRecord &)> &Fn)
       const;
   /// Inserts a timing entry loaded from a persistent snapshot
@@ -214,22 +197,13 @@ public:
   /// Hits served by imported (persisted) timing + selection entries —
   /// the warm tier's contribution (subset of hits() + selectionHits()).
   uint64_t persistHits() const {
-    return sumShards(TimingShards, &TimingShard::PersistHits) +
-           sumShards(SelectionShards, &SelectionShard::PersistHits);
+    return Timings.counts().PersistHits + Selections.counts().PersistHits;
   }
 
-  uint64_t hits() const {
-    return sumShards(TimingShards, &TimingShard::Hits);
-  }
-  uint64_t misses() const {
-    return sumShards(TimingShards, &TimingShard::Misses);
-  }
-  uint64_t selectionHits() const {
-    return sumShards(SelectionShards, &SelectionShard::Hits);
-  }
-  uint64_t selectionMisses() const {
-    return sumShards(SelectionShards, &SelectionShard::Misses);
-  }
+  uint64_t hits() const { return Timings.counts().Hits; }
+  uint64_t misses() const { return Timings.counts().Misses; }
+  uint64_t selectionHits() const { return Selections.counts().Hits; }
+  uint64_t selectionMisses() const { return Selections.counts().Misses; }
   size_t size() const;
 };
 

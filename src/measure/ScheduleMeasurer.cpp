@@ -109,7 +109,7 @@ uint64_t ScheduleMeasurer::loopScheduleKey(const Loop &L,
   return H.digest();
 }
 
-LoopScheduleResult
+SharedSchedule
 ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
                                const HeteroScaling *Scaling,
                                const EnergyModel *Energy, bool ED2Objective,
@@ -123,19 +123,17 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
   ScheduleCache *UseCache =
       Opts.Fault && Opts.Fault->armed() ? nullptr : Cache;
   uint64_t Key = 0;
-  LoopScheduleResult LR;
-  bool Hit = false;
+  SharedSchedule Shared;
   if (UseCache) {
     Key = loopScheduleKey(L, Config, Scaling, Energy, ED2Objective);
-    if (auto Cached = UseCache->find(Key, &Hit))
-      LR = std::move(*Cached);
-    ++(Hit ? Lookups.Hits : Lookups.Misses);
+    Shared = UseCache->find(Key);
+    ++(Shared ? Lookups.Hits : Lookups.Misses);
     if (Metrics)
-      Metrics->addCounter(Hit ? "cache.schedule.hits"
-                              : "cache.schedule.misses");
+      Metrics->addCounter(Shared ? "cache.schedule.hits"
+                                 : "cache.schedule.misses");
   }
 
-  if (!Hit) {
+  if (!Shared) {
     // A fresh run, traced through the Figure 5 driver's own spans and
     // timed into the per-stage wall histogram (timing only observes).
     obs::Stopwatch SW;
@@ -164,6 +162,7 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
     // Nth-occurrence fault (the occurrence already counted), and a
     // throw out of the cold path itself propagates: there is no rung
     // below.
+    LoopScheduleResult LR;
     try {
       LR = LoopScheduler(Machine, Config, LSO)
                .schedule(L, Energy, Scaling, Scratch, Trace);
@@ -175,31 +174,37 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
       LR = LoopScheduler(Machine, Config, LSO)
                .schedule(L, Energy, Scaling, Scratch, Trace);
     }
-    if (UseCache)
-      UseCache->store(Key, LR);
     if (Metrics) {
       Metrics->observeMs("stage.loop_schedule.ms", SW.elapsedMs());
-      // Partitioner effort of this fresh run (cache hits add nothing).
-      Metrics->addCounter("part.levels", LR.PartStats.Levels);
-      Metrics->addCounter("part.matched_pairs", LR.PartStats.MatchedPairs);
-      Metrics->addCounter("part.refine_moves", LR.PartStats.RefineMoves);
-      Metrics->addCounter("part.fm_moves", LR.PartStats.FMMoves);
-      Metrics->addCounter("part.score_evals", LR.PartStats.ScoreEvals);
-      Metrics->addCounter("part.bound_rejects", LR.PartStats.BoundRejects);
-      Metrics->addCounter("part.capacity_rejects",
-                          LR.PartStats.CapacityRejects);
-      Metrics->addCounter("part.coarsen_memo_hits",
-                          LR.PartStats.CoarsenMemoHits);
+      // The work ledger: scheduler and partitioner effort of this
+      // fresh run (cache hits add nothing).
+      const PartitionStats &PS = LR.PartStats;
+      Metrics->addCounters({{"sched.placements", LR.Placements},
+                            {"sched.ejections", LR.Ejections},
+                            {"sched.budget_used", LR.BudgetUsed},
+                            {"sched.it_steps", LR.ITSteps},
+                            {"part.levels", PS.Levels},
+                            {"part.matched_pairs", PS.MatchedPairs},
+                            {"part.refine_moves", PS.RefineMoves},
+                            {"part.fm_moves", PS.FMMoves},
+                            {"part.score_evals", PS.ScoreEvals},
+                            {"part.bound_rejects", PS.BoundRejects},
+                            {"part.capacity_rejects", PS.CapacityRejects},
+                            {"part.coarsen_memo_hits", PS.CoarsenMemoHits}});
     }
+    Shared = std::make_shared<const LoopScheduleResult>(std::move(LR));
+    if (UseCache)
+      UseCache->store(Key, Shared);
   }
 
+  const LoopScheduleResult &LR = *Shared;
   Tally.SchedPlacements += LR.Placements;
   Tally.SchedEjections += LR.Ejections;
   Tally.SchedBudgetUsed += LR.BudgetUsed;
   Tally.SchedITSteps += LR.ITSteps;
   Tally.FallbackRational += LR.FallbackRational;
   Tally.FlatPartitions += static_cast<unsigned>(LR.PartStats.FlatFallbacks);
-  return LR;
+  return Shared;
 }
 
 ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
@@ -269,8 +274,9 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
       continue;
     }
 
-    LoopScheduleResult LR = scheduleLoop(L, Config, &Scaling, &Energy,
-                                         ED2Objective, Profile.Name, R, Looked);
+    SharedSchedule Run = scheduleLoop(L, Config, &Scaling, &Energy,
+                                      ED2Objective, Profile.Name, R, Looked);
+    const LoopScheduleResult &LR = *Run;
     if (!LR.Success) {
       if (Opts.AnalyticFallback) {
         analyticLoop(L, LP);

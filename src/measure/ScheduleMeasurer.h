@@ -183,13 +183,15 @@ public:
   /// the warm-start sweep throws. \p Program is the fault context;
   /// \p Scaling / \p Energy may be null under the baseline objective.
   /// Adds cold replays and the run's effort and degradation counters
-  /// to \p Tally, and the cache hit or miss to \p Lookups.
-  LoopScheduleResult scheduleLoop(const Loop &L, const HeteroConfig &Config,
-                                  const HeteroScaling *Scaling,
-                                  const EnergyModel *Energy, bool ED2Objective,
-                                  const std::string &Program,
-                                  ConfigRunResult &Tally,
-                                  ScheduleLookups &Lookups) const;
+  /// to \p Tally, and the cache hit or miss to \p Lookups; a fresh
+  /// run's effort also goes to the metrics registry. The result is the
+  /// cache's own immutable entry, never a copy.
+  SharedSchedule scheduleLoop(const Loop &L, const HeteroConfig &Config,
+                              const HeteroScaling *Scaling,
+                              const EnergyModel *Energy, bool ED2Objective,
+                              const std::string &Program,
+                              ConfigRunResult &Tally,
+                              ScheduleLookups &Lookups) const;
 
   /// The ScheduleCache key of one loop's scheduling run under this
   /// measurer's options: hashes everything LoopScheduler::schedule

@@ -1,11 +1,10 @@
-//===- obs/Metrics.cpp - Sharded metrics registry ---------------------------===//
+//===- obs/Metrics.cpp - Metrics registry -----------------------------------===//
 
 #include "obs/Metrics.h"
 
 #include "support/StrUtil.h"
 
 #include <algorithm>
-#include <atomic>
 
 using namespace hcvliw;
 using namespace hcvliw::obs;
@@ -26,28 +25,6 @@ void HistogramData::observe(double V) {
   if (Count == 0 || V > Max)
     Max = V;
   ++Count;
-}
-
-void HistogramData::merge(const HistogramData &O) {
-  if (O.Count == 0)
-    return;
-  if (Count == 0) {
-    *this = O;
-    return;
-  }
-  // Identical bounds merge bucket-wise; mismatched bounds (two shards
-  // that registered the same name with different explicit bounds) fold
-  // into the overflow bucket rather than misattributing.
-  if (Bounds == O.Bounds && Counts.size() == O.Counts.size()) {
-    for (size_t I = 0; I < Counts.size(); ++I)
-      Counts[I] += O.Counts[I];
-  } else {
-    Counts.back() += O.Count;
-  }
-  Sum += O.Sum;
-  Min = std::min(Min, O.Min);
-  Max = std::max(Max, O.Max);
-  Count += O.Count;
 }
 
 std::vector<double> obs::defaultMsBounds() {
@@ -106,50 +83,26 @@ std::string MetricsSnapshot::json() const {
 // MetricsRegistry
 //===----------------------------------------------------------------------===//
 
-namespace {
-std::atomic<uint64_t> RegistryGenerationCounter{1};
-thread_local uint64_t CachedShardGeneration = 0;
-thread_local void *CachedShard = nullptr;
-} // namespace
-
-MetricsRegistry::MetricsRegistry()
-    : Generation(
-          RegistryGenerationCounter.fetch_add(1, std::memory_order_relaxed)) {}
-
-MetricsRegistry::Shard &MetricsRegistry::shard() {
-  if (CachedShardGeneration == Generation)
-    return *static_cast<Shard *>(CachedShard);
-  return shardSlow();
-}
-
-MetricsRegistry::Shard &MetricsRegistry::shardSlow() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Shard *&Slot = PerThread[std::this_thread::get_id()];
-  if (!Slot) {
-    Shards.push_back(std::make_unique<Shard>());
-    Slot = Shards.back().get();
-  }
-  CachedShardGeneration = Generation;
-  CachedShard = Slot;
-  return *Slot;
-}
-
 void MetricsRegistry::addCounter(const std::string &Name, uint64_t Delta) {
-  Shard &S = shard();
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Counters[Name] += Delta;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Data.Counters[Name] += Delta;
+}
+
+void MetricsRegistry::addCounters(
+    std::initializer_list<std::pair<const char *, uint64_t>> Deltas) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (const auto &[Name, Delta] : Deltas)
+    Data.Counters[Name] += Delta;
 }
 
 void MetricsRegistry::setGauge(const std::string &Name, double Value) {
-  Shard &S = shard();
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Gauges[Name] = Value;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Data.Gauges[Name] = Value;
 }
 
 void MetricsRegistry::observeMs(const std::string &Name, double Ms) {
-  Shard &S = shard();
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  HistogramData &H = S.Histograms[Name];
+  std::lock_guard<std::mutex> Lock(Mutex);
+  HistogramData &H = Data.Histograms[Name];
   if (H.Bounds.empty() && H.Count == 0)
     H.Bounds = defaultMsBounds();
   H.observe(Ms);
@@ -157,40 +110,19 @@ void MetricsRegistry::observeMs(const std::string &Name, double Ms) {
 
 void MetricsRegistry::observe(const std::string &Name, double V,
                               const std::vector<double> &Bounds) {
-  Shard &S = shard();
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  HistogramData &H = S.Histograms[Name];
+  std::lock_guard<std::mutex> Lock(Mutex);
+  HistogramData &H = Data.Histograms[Name];
   if (H.Bounds.empty() && H.Count == 0)
     H.Bounds = Bounds;
   H.observe(V);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot Snap;
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    std::lock_guard<std::mutex> SLock(S->Mutex);
-    for (const auto &KV : S->Counters)
-      Snap.Counters[KV.first] += KV.second;
-    for (const auto &KV : S->Gauges)
-      Snap.Gauges[KV.first] = KV.second;
-    for (const auto &KV : S->Histograms)
-      Snap.Histograms[KV.first].merge(KV.second);
-  }
-  return Snap;
+  return Data;
 }
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  for (const std::unique_ptr<Shard> &S : Shards) {
-    std::lock_guard<std::mutex> SLock(S->Mutex);
-    S->Counters.clear();
-    S->Gauges.clear();
-    S->Histograms.clear();
-  }
-}
-
-size_t MetricsRegistry::numShards() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Shards.size();
+  Data = MetricsSnapshot();
 }

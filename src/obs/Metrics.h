@@ -1,17 +1,15 @@
-//===- obs/Metrics.h - Sharded metrics registry ------------------*- C++ -*-===//
+//===- obs/Metrics.h - Metrics registry --------------------------*- C++ -*-===//
 ///
 /// \file
 /// The metrics half of the observability layer: named counters, gauges
-/// and fixed-bucket histograms, recorded into per-thread shards and
-/// summed exactly at snapshot time.
+/// and fixed-bucket histograms behind one mutex.
 ///
-/// Shard design: each recording thread gets its own shard protected by
-/// its own mutex. The hot path locks only the calling thread's shard
-/// mutex — always uncontended in the steady state, so recording is a
-/// handful of instructions, and TSan sees a clean happens-before edge
-/// at every record/snapshot pair (pinned by tests/obs/MetricsTest under
-/// the TSan CI job). Counter sums are exact: shards accumulate uint64
-/// increments, snapshot() adds them with no sampling and no races.
+/// Recording is rare next to the work it describes (a few records per
+/// fresh loop schedule or per config measurement), so one lock does
+/// not contend, and TSan sees a clean happens-before edge at every
+/// record/snapshot pair (pinned by tests/obs/MetricsTest under the TSan
+/// CI job). Counter sums are exact: every increment lands in the one
+/// map, with no sampling and no races.
 ///
 /// Metric naming convention (see README "Observability"):
 ///   <layer>.<thing>.<unit-suffix>   e.g. stage.loop_schedule.ms,
@@ -24,12 +22,11 @@
 #define HCVLIW_OBS_METRICS_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace hcvliw {
@@ -47,7 +44,6 @@ struct HistogramData {
   uint64_t Count = 0;
 
   void observe(double V);
-  void merge(const HistogramData &O);
 };
 
 /// Default bucket bounds for wall-time histograms, in milliseconds.
@@ -55,7 +51,7 @@ struct HistogramData {
 /// multi-second whole-program runs.
 std::vector<double> defaultMsBounds();
 
-/// An exact point-in-time aggregation of every shard.
+/// An exact point-in-time copy of the registry.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, double> Gauges;
@@ -70,52 +66,40 @@ struct MetricsSnapshot {
 };
 
 /// Counters, gauges and histograms keyed by name. Registration is lazy:
-/// the first record against a name defines it. Thread-safe throughout;
-/// see the file comment for the sharding scheme.
+/// the first record against a name defines it. Thread-safe throughout.
 class MetricsRegistry {
-  struct Shard {
-    std::mutex Mutex;
-    std::unordered_map<std::string, uint64_t> Counters;
-    std::unordered_map<std::string, double> Gauges;
-    std::unordered_map<std::string, HistogramData> Histograms;
-  };
-
-  mutable std::mutex Mutex; ///< guards the shard list, not the shards
-  std::vector<std::unique_ptr<Shard>> Shards;
-  std::unordered_map<std::thread::id, Shard *> PerThread;
-  uint64_t Generation; ///< for the thread-local shard cache
-
-  Shard &shard();
-  Shard &shardSlow();
+  mutable std::mutex Mutex; ///< guards Data
+  MetricsSnapshot Data;
 
 public:
-  MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry &) = delete;
   MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
   /// Adds \p Delta to counter \p Name (creating it at 0).
   void addCounter(const std::string &Name, uint64_t Delta = 1);
-  /// Sets gauge \p Name to \p Value (last write from any shard wins at
-  /// snapshot only when shards disagree; gauges are meant to be set
-  /// from one place).
+  /// Adds every (name, delta) pair under one lock: a ledger of several
+  /// counters recorded together costs one critical section, not one
+  /// per counter.
+  void addCounters(
+      std::initializer_list<std::pair<const char *, uint64_t>> Deltas);
+  /// Sets gauge \p Name to \p Value (last write wins; gauges are meant
+  /// to be set from one place).
   void setGauge(const std::string &Name, double Value);
   /// Records \p Ms into histogram \p Name (created on first observe
   /// with \p defaultMsBounds()).
   void observeMs(const std::string &Name, double Ms);
   /// Records \p V into histogram \p Name with explicit \p Bounds used
-  /// only if this shard hasn't seen the histogram yet.
+  /// only if the histogram does not exist yet.
   void observe(const std::string &Name, double V,
                const std::vector<double> &Bounds);
 
-  /// Exact sum of every shard. Safe to call while recording continues
-  /// (each shard is locked while read); values already recorded are
-  /// always included.
+  /// Every metric, names sorted. Safe to call while recording
+  /// continues; values already recorded are always included.
   MetricsSnapshot snapshot() const;
 
-  /// Drops every metric in every shard (names included).
+  /// Drops every metric (names included).
   void reset();
-
-  size_t numShards() const;
 };
 
 } // namespace obs

@@ -108,9 +108,10 @@ Profiler::profileProgram(const std::string &Name,
 
   for (const Loop &L : Loops) {
     // The baseline objective reads neither energy model nor scaling.
-    LoopScheduleResult R =
+    SharedSchedule Run =
         Measurer.scheduleLoop(L, Ref, nullptr, nullptr,
                               /*ED2Objective=*/false, Name, Tally, Lookups);
+    const LoopScheduleResult &R = *Run;
     if (!R.Success) {
       if (Err)
         *Err = "loop '" + L.Name +

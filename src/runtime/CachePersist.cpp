@@ -461,9 +461,8 @@ bool hcvliw::writeCacheSnapshot(const std::string &Path,
   }
   CacheSaveStats Local;
   writeHeader(Out, Binding);
-  // Canonical record order: sched, eval, sel; within a kind the caches'
-  // export order (shards in index order, keys sorted) — so equal cache
-  // contents produce byte-identical snapshots.
+  // Canonical record order: sched, eval, sel; within a kind, keys
+  // sorted — so equal cache contents produce byte-identical snapshots.
   Sched.exportEntries([&](uint64_t Key, const LoopScheduleResult &R) {
     Sink S;
     S.u64(Key);
@@ -546,7 +545,7 @@ bool hcvliw::loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
         uint64_t Key = S.u64();
         LoopScheduleResult R = getLoopScheduleResult(S);
         if (S.done()) {
-          Sched.importEntry(Key, R);
+          Sched.importEntry(Key, std::move(R));
           ++Local.SchedLoaded;
         } else {
           Corrupt = true;

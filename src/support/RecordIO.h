@@ -93,9 +93,14 @@ public:
   int64_t i64();
   bool b() { return u64() != 0; }
   double d();
+  /// A Rational as Sink::rat writes it: normalized, so the denominator
+  /// is positive and the numerator is not INT64_MIN (whose negation
+  /// overflows). Anything else marks the record bad.
   Rational rat() {
     int64_t N = i64();
     int64_t D = i64();
+    if (D <= 0 || N == INT64_MIN)
+      Bad_ = true;
     return Bad_ ? Rational() : Rational(N, D);
   }
 };

@@ -369,7 +369,8 @@ endloop
   MeasureOptions Checked;
   Checked.SimCheckIterations = 8;
   ScheduleMeasurer Oracle(M, Checked, &Cache);
-  Cache.store(Oracle.loopScheduleKey(L, Ref, &Scaling, &Energy, false), LR);
+  Cache.store(Oracle.loopScheduleKey(L, Ref, &Scaling, &Energy, false),
+              std::make_shared<const LoopScheduleResult>(LR));
   for (int Pass = 0; Pass < 2; ++Pass) {
     ScheduleLookups Lookups;
     ConfigRunResult R = Oracle.measure(*Profile, Loops, Ref, Scaling, Energy,

@@ -1,12 +1,11 @@
 //===- tests/obs/MetricsTest.cpp - Metrics registry unit tests --------------===//
 //
-// Pins the metrics half of src/obs/: per-thread shards sum *exactly* at
-// snapshot time (checked under real WorkerPool concurrency, with
-// snapshots racing the recording — this test is part of the TSan CI
-// job, which is what enforces the clean happens-before story the shard
-// design promises), histogram bucketing/merging behaves as documented
-// (mismatched bounds fold into the overflow bucket instead of silently
-// misbinning), and the snapshot JSON is structurally sound.
+// Pins the metrics half of src/obs/: counters and histogram
+// observations recorded from many threads sum *exactly* (checked under
+// real WorkerPool concurrency, with snapshots racing the recording —
+// this test is part of the TSan CI job, which is what enforces the
+// registry's one-lock happens-before story), histogram bucketing
+// behaves as documented, and the snapshot JSON is structurally sound.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,17 +35,18 @@ TEST(Metrics, CounterSumsAreExactUnderConcurrency) {
   Pool.parallelFor(N, [&Reg](size_t Slot) {
     Reg.addCounter("race.ones");
     Reg.addCounter("race.slots", Slot);
+    Reg.addCounters({{"race.twos", 2}, {"race.ones", 1}});
   });
   Racer.join();
 
   obs::MetricsSnapshot S = Reg.snapshot();
-  EXPECT_EQ(S.Counters.at("race.ones"), N);
+  EXPECT_EQ(S.Counters.at("race.ones"), 2 * N);
   EXPECT_EQ(S.Counters.at("race.slots"), N * (N - 1) / 2);
-  EXPECT_GE(Reg.numShards(), 1u);
-  EXPECT_LE(Reg.numShards(), 5u); // 4 pool participants + the racer
+  EXPECT_EQ(S.Counters.at("race.twos"), 2 * N);
 }
 
-TEST(Metrics, HistogramObservationsSumExactlyAcrossShards) {
+TEST(Metrics, HistogramObservationsSumExactlyAcrossThreads) {
+  // Four pool participants observe into one histogram; none is lost.
   obs::MetricsRegistry Reg;
   WorkerPool Pool(4);
   constexpr size_t N = 2000;
@@ -79,44 +79,6 @@ TEST(Metrics, HistogramBucketing) {
   EXPECT_EQ(H.Min, 0.5);
   EXPECT_EQ(H.Max, 100.0);
   EXPECT_DOUBLE_EQ(H.Sum, 106.5);
-}
-
-TEST(Metrics, HistogramMergeMatchingBounds) {
-  obs::HistogramData A, B;
-  A.Bounds = B.Bounds = {1.0, 10.0};
-  A.Counts.assign(3, 0);
-  B.Counts.assign(3, 0);
-  A.observe(0.5);
-  B.observe(5.0);
-  B.observe(50.0);
-  A.merge(B);
-  EXPECT_EQ(A.Count, 3u);
-  EXPECT_EQ(A.Counts[0], 1u);
-  EXPECT_EQ(A.Counts[1], 1u);
-  EXPECT_EQ(A.Counts[2], 1u);
-  EXPECT_EQ(A.Min, 0.5);
-  EXPECT_EQ(A.Max, 50.0);
-}
-
-TEST(Metrics, HistogramMergeMismatchedBoundsFoldsToOverflow) {
-  obs::HistogramData A, B;
-  A.Bounds = {1.0, 10.0};
-  A.Counts.assign(3, 0);
-  B.Bounds = {2.0};
-  B.Counts.assign(2, 0);
-  B.observe(0.1);
-  B.observe(3.0);
-  A.observe(0.5);
-  A.merge(B);
-  // B's two observations cannot be rebinned; they land in A's overflow
-  // bucket. The exact moments (count/sum/min/max) still merge exactly.
-  EXPECT_EQ(A.Count, 3u);
-  EXPECT_EQ(A.Counts[0], 1u);
-  EXPECT_EQ(A.Counts[1], 0u);
-  EXPECT_EQ(A.Counts[2], 2u);
-  EXPECT_EQ(A.Min, 0.1);
-  EXPECT_EQ(A.Max, 3.0);
-  EXPECT_DOUBLE_EQ(A.Sum, 3.6);
 }
 
 TEST(Metrics, DefaultMsBoundsShape) {

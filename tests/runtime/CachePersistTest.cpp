@@ -6,9 +6,10 @@
 // deterministic (equal cache contents, equal files); the corruption
 // matrix — truncation mid-frame, bit-flip in a record body, bit-flip
 // in the header, key-schema version skew, binding mismatch, empty
-// file, unknown record kind — quarantines or refuses with exact
-// counts and never changes a result; and the "cache.load" fault site
-// drives the quarantine path from a plan.
+// file, unknown record kind, a CRC-valid rational with a zero or
+// INT64_MIN denominator — quarantines or refuses with exact counts and
+// never changes a result; and the "cache.load" fault site drives the
+// quarantine path from a plan.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -230,6 +232,45 @@ TEST_F(CachePersistFixture, UnknownRecordKindIsQuarantined) {
   ASSERT_TRUE(loadInto(S, WithAlien, "cp_alien.cache", &Err)) << Err;
   EXPECT_EQ(S.cachePersistLoadStats().CorruptFrames, 1u);
   EXPECT_EQ(S.cachePersistLoadStats().loaded(), Saved.saved());
+}
+
+TEST_F(CachePersistFixture, HostileRationalIsQuarantined) {
+  // A frame whose CRC matches but whose rational no writer emits (a
+  // zero or INT64_MIN denominator): quarantine it, never import it or
+  // abort on it. The feasible timing entry it replaces is recomputed.
+  size_t Pos = 0, End = 0;
+  std::vector<std::string> Tok;
+  while ((Pos = SnapBytes.find("\nrec eval ", Pos)) != std::string::npos) {
+    ++Pos;
+    End = SnapBytes.find('\n', Pos);
+    std::istringstream SS(SnapBytes.substr(Pos, End - Pos));
+    Tok.assign(std::istream_iterator<std::string>(SS), {});
+    // rec eval <crc> LoopFP NumFast RNum RDen FNum FDen Feasible N D ...
+    if (Tok.size() > 11 && Tok[9] == "1")
+      break;
+  }
+  ASSERT_NE(Pos, std::string::npos) << "no feasible timing record";
+
+  for (const char *Den : {"0", "-9223372036854775808"}) {
+    Tok[10] = "5";
+    Tok[11] = Den;
+    std::string Body;
+    for (size_t I = 3; I < Tok.size(); ++I)
+      Body += (I > 3 ? " " : "") + Tok[I];
+    char Crc[16];
+    std::snprintf(Crc, sizeof Crc, "%08x", recio::crc32(Body));
+    std::string Hostile = SnapBytes;
+    Hostile.replace(Pos, End - Pos,
+                    "rec eval " + std::string(Crc) + " " + Body);
+
+    Session S{PipelineOptions(), 1};
+    std::string Err;
+    ASSERT_TRUE(loadInto(S, Hostile, "cp_hostile.cache", &Err)) << Err;
+    EXPECT_EQ(S.cachePersistLoadStats().CorruptFrames, 1u) << Den;
+    EXPECT_EQ(S.cachePersistLoadStats().loaded(), Saved.saved() - 1) << Den;
+    SuiteResult R = SuiteRunner(S).run(Programs);
+    expectSameSuite(ColdResult, R);
+  }
 }
 
 TEST_F(CachePersistFixture, FaultPlanDrivesQuarantinePath) {

@@ -7,8 +7,9 @@
 // snapshot; the cache-less profiles match golden fingerprints recorded
 // while the Profiler still built its own LoopScheduler; the profiling
 // policy ignores the measurement knobs of the session it is bound to;
-// and the per-loop cache counters in the metrics registry agree with
-// the ScheduleCache's own totals.
+// the per-loop cache counters in the metrics registry agree with the
+// ScheduleCache's own totals; and the registry's scheduler and
+// partitioner effort counters equal the effort stored in the cache.
 //
 //===----------------------------------------------------------------------===//
 
@@ -166,4 +167,32 @@ TEST(ProfileSession, MetricsCountersMatchScheduleCacheTotals) {
             Snap.Gauges["cache.schedule.hit_total"]);
   EXPECT_EQ(static_cast<double>(Snap.Counters["cache.schedule.misses"]),
             Snap.Gauges["cache.schedule.miss_total"]);
+
+  // The registry is the one work ledger. At one thread every key is
+  // computed exactly once, so each effort counter equals that field
+  // summed over the cache's entries.
+  Session One{PipelineOptions(), 1};
+  ASSERT_TRUE(SuiteRunner(One).run(buildSpecFPSuite()).Failures.empty());
+  std::map<std::string, uint64_t> Ledger;
+  One.scheduleCache().exportEntries(
+      [&Ledger](uint64_t, const LoopScheduleResult &LR) {
+        Ledger["sched.placements"] += LR.Placements;
+        Ledger["sched.ejections"] += LR.Ejections;
+        Ledger["sched.budget_used"] += LR.BudgetUsed;
+        Ledger["sched.it_steps"] += LR.ITSteps;
+        Ledger["part.levels"] += LR.PartStats.Levels;
+        Ledger["part.matched_pairs"] += LR.PartStats.MatchedPairs;
+        Ledger["part.refine_moves"] += LR.PartStats.RefineMoves;
+        Ledger["part.fm_moves"] += LR.PartStats.FMMoves;
+        Ledger["part.score_evals"] += LR.PartStats.ScoreEvals;
+        Ledger["part.bound_rejects"] += LR.PartStats.BoundRejects;
+        Ledger["part.capacity_rejects"] += LR.PartStats.CapacityRejects;
+        Ledger["part.coarsen_memo_hits"] += LR.PartStats.CoarsenMemoHits;
+      });
+  ASSERT_GT(Ledger["sched.placements"], 0u);
+  obs::MetricsSnapshot OneSnap = One.metricsSnapshot();
+  for (const auto &[Name, Total] : Ledger) {
+    ASSERT_EQ(OneSnap.Counters.count(Name), 1u) << Name;
+    EXPECT_EQ(OneSnap.Counters.at(Name), Total) << Name;
+  }
 }

@@ -1,6 +1,7 @@
-//===- tests/support/UtilTest.cpp - Stats / strings / RNG / tables ----------===//
+//===- tests/support/UtilTest.cpp - Stats, strings, RNG, tables, recio ----===//
 
 #include "support/RNG.h"
+#include "support/RecordIO.h"
 #include "support/Stats.h"
 #include "support/StrUtil.h"
 #include "support/TablePrinter.h"
@@ -200,6 +201,31 @@ TEST(TablePrinter, EmptyAndRagged) {
   T.addRow({"x"});
   std::string Out = T.render();
   EXPECT_NE(Out.find("h3"), std::string::npos);
+}
+
+TEST(RecordIO, RatRoundTripsWhatTheSinkWrites) {
+  recio::Sink Out;
+  Out.rat(Rational(-7, 3));
+  Out.rat(Rational(0));
+  Out.rat(Rational(INT64_MAX, 2));
+  recio::Source In(Out.line());
+  EXPECT_EQ(In.rat(), Rational(-7, 3));
+  EXPECT_EQ(In.rat(), Rational(0));
+  EXPECT_EQ(In.rat(), Rational(INT64_MAX, 2));
+  EXPECT_TRUE(In.done());
+}
+
+TEST(RecordIO, RatRejectsWhatTheSinkNeverWrites) {
+  // A snapshot is untrusted input: a token pair that no normalized
+  // Rational produces marks the record bad instead of reaching the
+  // constructor (zero denominator) or normalize() (INT64_MIN negation).
+  for (const char *Line : {"5 0", "5 -2", "0 0", "5 -9223372036854775808",
+                           "-9223372036854775808 1"}) {
+    recio::Source In(Line);
+    EXPECT_EQ(In.rat(), Rational()) << Line;
+    EXPECT_TRUE(In.bad()) << Line;
+    EXPECT_FALSE(In.done()) << Line;
+  }
 }
 
 } // namespace
