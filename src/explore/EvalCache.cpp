@@ -2,10 +2,7 @@
 
 #include "explore/EvalCache.h"
 
-#include <algorithm>
 #include <cassert>
-#include <tuple>
-#include <vector>
 
 using namespace hcvliw;
 
@@ -14,11 +11,6 @@ EvalCache::EvalCache(const MachineDescription &M, const FrequencyMenu &Mn)
       // Continuous and relative menus decide every (II, freq) pair from
       // IT * fmax products only; absolute menus pin real frequencies.
       ScaleInvariant(Mn.frequencies().empty()) {}
-
-size_t EvalCache::size() const {
-  std::lock_guard<std::mutex> Lock(Timings.Mutex);
-  return Timings.Entries.size();
-}
 
 bool EvalCache::compatibleWith(const MachineDescription &M,
                                const FrequencyMenu &Mn) const {
@@ -93,41 +85,27 @@ LoopTimingEstimate EvalCache::loopTiming(const LoopProfile &LP,
     K.FastDen = FastPeriod.den();
   }
 
-  bool Found = false;
-  CachedTiming Computed;
-  {
-    std::lock_guard<std::mutex> Lock(Timings.Mutex);
-    auto It = Timings.Entries.find(K);
-    if (It != Timings.Entries.end()) {
-      ++Timings.Counted.Hits;
-      if (It->second.Persisted)
-        ++Timings.Counted.PersistHits;
-      Computed = It->second;
-      Found = true;
-    } else {
-      ++Timings.Counted.Misses;
-    }
-  }
-  if (!Found) {
-    Computed = compute(K, LP, FastPeriod, SlowPeriod);
-    std::lock_guard<std::mutex> Lock(Timings.Mutex);
+  std::shared_ptr<const CachedTiming> T = Timings.find(K);
+  if (WasHit)
+    *WasHit = T != nullptr;
+  if (!T) {
+    T = std::make_shared<const CachedTiming>(
+        compute(K, LP, FastPeriod, SlowPeriod));
     // First writer wins; concurrent computes of the same key produce
     // identical values, so dropping the duplicate is safe.
-    Timings.Entries.emplace(K, Computed);
+    Timings.store(K, T);
   }
-  if (WasHit)
-    *WasHit = Found;
 
   // Materialize the estimate at the caller's actual periods with the
   // exact expressions estimateLoopTiming uses, so cached and direct
   // evaluation are bit-identical.
   LoopTimingEstimate E;
-  E.Feasible = Computed.Feasible;
+  E.Feasible = T->Feasible;
   if (!E.Feasible)
     return E;
 
   Rational Scale = ScaleInvariant ? FastPeriod : Rational(1);
-  E.ITNs = Computed.ITNorm * Scale;
+  E.ITNs = T->ITNorm * Scale;
   // The estimator's slowest *cluster* period: all-slow and all-fast
   // shapes see only one of the two periods.
   Rational SlowestPeriod =
@@ -141,49 +119,26 @@ LoopTimingEstimate EvalCache::loopTiming(const LoopProfile &LP,
   E.TexecNs =
       (static_cast<double>(LP.TripCount) - 1) * E.ITNs.toDouble() +
       E.ItLengthNs;
-  E.ClusterShare = std::move(Computed.ClusterShare);
+  E.ClusterShare = T->ClusterShare;
   return E;
 }
 
 std::optional<SelectedDesign> EvalCache::findSelection(uint64_t SelKey) {
-  std::lock_guard<std::mutex> Lock(Selections.Mutex);
-  auto It = Selections.Entries.find(SelKey);
-  if (It == Selections.Entries.end()) {
-    ++Selections.Counted.Misses;
-    return std::nullopt;
-  }
-  ++Selections.Counted.Hits;
-  if (It->second.Persisted)
-    ++Selections.Counted.PersistHits;
-  return It->second.D;
+  if (auto D = Selections.find(SelKey))
+    return *D;
+  return std::nullopt;
 }
 
 void EvalCache::storeSelection(uint64_t SelKey, const SelectedDesign &D) {
-  std::lock_guard<std::mutex> Lock(Selections.Mutex);
-  Selections.Entries.emplace(SelKey, SelectionEntry{D, /*Persisted=*/false});
+  Selections.store(SelKey, std::make_shared<const SelectedDesign>(D));
 }
 
 void EvalCache::exportTimings(
     const std::function<void(const TimingRecord &)> &Fn) const {
-  std::vector<TimingRecord> Records;
-  {
-    std::lock_guard<std::mutex> Lock(Timings.Mutex);
-    Records.reserve(Timings.Entries.size());
-    for (const auto &[K, T] : Timings.Entries)
-      Records.push_back({K.LoopFP, K.NumFast, K.RatioNum, K.RatioDen,
-                         K.FastNum, K.FastDen, T.Feasible, T.ITNorm,
-                         T.ClusterShare});
-  }
-  auto key = [](const TimingRecord &R) {
-    return std::tie(R.LoopFP, R.NumFast, R.RatioNum, R.RatioDen, R.FastNum,
-                    R.FastDen);
-  };
-  std::sort(Records.begin(), Records.end(),
-            [&key](const TimingRecord &A, const TimingRecord &B) {
-              return key(A) < key(B);
-            });
-  for (const TimingRecord &R : Records)
-    Fn(R);
+  Timings.exportEntries([&Fn](const Key &K, const CachedTiming &T) {
+    Fn({K.LoopFP, K.NumFast, K.RatioNum, K.RatioDen, K.FastNum, K.FastDen,
+        T.Feasible, T.ITNorm, T.ClusterShare});
+  });
 }
 
 bool EvalCache::importTiming(const TimingRecord &R) {
@@ -194,29 +149,14 @@ bool EvalCache::importTiming(const TimingRecord &R) {
   K.RatioDen = R.RatioDen;
   K.FastNum = R.FastNum;
   K.FastDen = R.FastDen;
-  CachedTiming T{R.Feasible, R.ITNorm, R.ClusterShare, /*Persisted=*/true};
-  std::lock_guard<std::mutex> Lock(Timings.Mutex);
-  return Timings.Entries.emplace(K, std::move(T)).second;
+  return Timings.importEntry(K, {R.Feasible, R.ITNorm, R.ClusterShare});
 }
 
 void EvalCache::exportSelections(
     const std::function<void(uint64_t, const SelectedDesign &)> &Fn) const {
-  std::vector<std::pair<uint64_t, SelectedDesign>> Sorted;
-  {
-    std::lock_guard<std::mutex> Lock(Selections.Mutex);
-    Sorted.reserve(Selections.Entries.size());
-    for (const auto &[K, E] : Selections.Entries)
-      Sorted.emplace_back(K, E.D);
-  }
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  for (const auto &[K, D] : Sorted)
-    Fn(K, D);
+  Selections.exportEntries(Fn);
 }
 
 bool EvalCache::importSelection(uint64_t SelKey, const SelectedDesign &D) {
-  std::lock_guard<std::mutex> Lock(Selections.Mutex);
-  return Selections.Entries
-      .emplace(SelKey, SelectionEntry{D, /*Persisted=*/true})
-      .second;
+  return Selections.importEntry(SelKey, D);
 }

@@ -31,9 +31,9 @@
 /// execution time) are recomputed from the same expressions
 /// estimateLoopTiming uses.
 ///
-/// Each table (timings, selections) is one map behind one mutex, which
-/// also guards its hit/miss counters. The estimate itself is computed
-/// outside the lock.
+/// Each table (timings, selections) is a MemoTable
+/// (support/MemoTable.h) of shared, immutable values. The estimate is
+/// computed, and a hit's value read, outside the table's locks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,12 +42,12 @@
 
 #include "configsel/DesignSpace.h"
 #include "configsel/TimingEstimator.h"
+#include "support/MemoTable.h"
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
+#include <tuple>
 
 namespace hcvliw {
 
@@ -62,6 +62,12 @@ class EvalCache {
       return LoopFP == O.LoopFP && NumFast == O.NumFast &&
              RatioNum == O.RatioNum && RatioDen == O.RatioDen &&
              FastNum == O.FastNum && FastDen == O.FastDen;
+    }
+    /// Export order (snapshots list entries keys ascending).
+    bool operator<(const Key &O) const {
+      return std::tie(LoopFP, NumFast, RatioNum, RatioDen, FastNum,
+                      FastDen) < std::tie(O.LoopFP, O.NumFast, O.RatioNum,
+                                          O.RatioDen, O.FastNum, O.FastDen);
     }
   };
   struct KeyHash {
@@ -87,43 +93,14 @@ class EvalCache {
     bool Feasible = false;
     Rational ITNorm; ///< IT at the key's normalized fast period
     std::vector<double> ClusterShare;
-    /// Imported from a persistent snapshot (runtime/CachePersist):
-    /// hits it serves count toward persistHits().
-    bool Persisted = false;
   };
 
   const MachineDescription &Machine;
   FrequencyMenu Menu;
   bool ScaleInvariant;
 
-  /// Selection memo entry; Persisted as in CachedTiming.
-  struct SelectionEntry {
-    SelectedDesign D;
-    bool Persisted = false;
-  };
-
-  struct Counts {
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-    uint64_t PersistHits = 0;
-  };
-
-  /// One lookup table: a map behind a mutex that also guards its
-  /// counters.
-  template <typename K, typename V, typename Hash = std::hash<K>>
-  struct Table {
-    mutable std::mutex Mutex;
-    std::unordered_map<K, V, Hash> Entries;
-    Counts Counted;
-
-    Counts counts() const {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      return Counted;
-    }
-  };
-
-  Table<Key, CachedTiming, KeyHash> Timings;
-  Table<uint64_t, SelectionEntry> Selections;
+  MemoTable<Key, CachedTiming, KeyHash> Timings;
+  MemoTable<uint64_t, SelectedDesign> Selections;
 
   CachedTiming compute(const Key &K, const LoopProfile &LP,
                        const Rational &FastPeriod,
@@ -180,9 +157,8 @@ public:
     std::vector<double> ClusterShare;
   };
 
-  /// Invokes \p Fn for every timing entry, keys sorted, after the lock
-  /// is released. Callers that want a stable set stay quiescent with
-  /// respect to loopTiming().
+  /// Invokes \p Fn for every timing entry, keys sorted. Callers that
+  /// want a stable set stay quiescent with respect to loopTiming().
   void exportTimings(const std::function<void(const TimingRecord &)> &Fn)
       const;
   /// Inserts a timing entry loaded from a persistent snapshot
@@ -197,14 +173,14 @@ public:
   /// Hits served by imported (persisted) timing + selection entries —
   /// the warm tier's contribution (subset of hits() + selectionHits()).
   uint64_t persistHits() const {
-    return Timings.counts().PersistHits + Selections.counts().PersistHits;
+    return Timings.persistHits() + Selections.persistHits();
   }
 
-  uint64_t hits() const { return Timings.counts().Hits; }
-  uint64_t misses() const { return Timings.counts().Misses; }
-  uint64_t selectionHits() const { return Selections.counts().Hits; }
-  uint64_t selectionMisses() const { return Selections.counts().Misses; }
-  size_t size() const;
+  uint64_t hits() const { return Timings.hits(); }
+  uint64_t misses() const { return Timings.misses(); }
+  uint64_t selectionHits() const { return Selections.hits(); }
+  uint64_t selectionMisses() const { return Selections.misses(); }
+  size_t size() const { return Timings.size(); }
 };
 
 } // namespace hcvliw

@@ -30,14 +30,12 @@
 /// deterministic function of those inputs, a cached result is
 /// bit-identical to recomputation.
 ///
-/// Entries are shared, immutable results: a hit hands out a pointer
-/// and a miss stores the pointer its caller already holds, so the one
-/// mutex guards only the map and is held for a lookup or an insert,
-/// never for a copy. Concurrent duplicate computes are allowed and
-/// insertion is first-writer-wins (all writers hold identical values).
-/// Scheduler and partitioner effort is not kept here: the session
-/// MetricsRegistry is the one work ledger (ScheduleMeasurer records it
-/// per fresh run).
+/// The cache is a MemoTable (support/MemoTable.h) of shared, immutable
+/// results: a hit hands out the pointer and a miss stores the pointer
+/// its caller already holds, so no result is copied into or out of the
+/// map. Scheduler and partitioner effort is
+/// not kept here: the session MetricsRegistry is the one work ledger
+/// (ScheduleMeasurer records it per fresh run).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,64 +43,18 @@
 #define HCVLIW_MEASURE_SCHEDULECACHE_H
 
 #include "partition/LoopScheduler.h"
+#include "support/MemoTable.h"
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 namespace hcvliw {
 
+/// Whole per-loop scheduling runs keyed by
+/// ScheduleMeasurer::loopScheduleKey.
+using ScheduleCache = MemoTable<uint64_t, LoopScheduleResult>;
+
 /// One scheduling run as the cache holds and hands it out.
-using SharedSchedule = std::shared_ptr<const LoopScheduleResult>;
-
-class ScheduleCache {
-  /// One entry plus where it came from: entries imported from a
-  /// persistent snapshot (runtime/CachePersist) are flagged so hits
-  /// they serve can be attributed to the warm tier (persistHits).
-  struct Entry {
-    SharedSchedule R;
-    bool Persisted = false;
-  };
-
-  mutable std::mutex Mutex; ///< guards everything below
-  std::unordered_map<uint64_t, Entry> Entries;
-  mutable uint64_t Hits = 0;
-  mutable uint64_t Misses = 0;
-  mutable uint64_t PersistHits = 0;
-
-public:
-  ScheduleCache() = default;
-  ScheduleCache(const ScheduleCache &) = delete;
-  ScheduleCache &operator=(const ScheduleCache &) = delete;
-
-  /// The cached scheduling run under \p Key, or null. Counts a hit or a
-  /// miss.
-  SharedSchedule find(uint64_t Key) const;
-
-  /// Stores \p R under \p Key (first-writer-wins).
-  void store(uint64_t Key, SharedSchedule R);
-
-  /// Inserts an entry loaded from a persistent snapshot
-  /// (first-writer-wins, flagged persisted). Returns false when the key
-  /// was already present.
-  bool importEntry(uint64_t Key, LoopScheduleResult R);
-
-  /// Invokes \p Fn for every entry, keys sorted. The entries are
-  /// gathered under the lock and visited after it is released; callers
-  /// that want a stable set stay quiescent with respect to store().
-  void exportEntries(
-      const std::function<void(uint64_t, const LoopScheduleResult &)> &Fn)
-      const;
-
-  /// Hits served by entries importEntry() installed — the warm tier's
-  /// contribution (subset of hits()).
-  uint64_t persistHits() const;
-  uint64_t hits() const;
-  uint64_t misses() const;
-  size_t size() const;
-};
+using SharedSchedule = ScheduleCache::Ptr;
 
 } // namespace hcvliw
 

@@ -178,19 +178,20 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
       Metrics->observeMs("stage.loop_schedule.ms", SW.elapsedMs());
       // The work ledger: scheduler and partitioner effort of this
       // fresh run (cache hits add nothing).
-      const PartitionStats &PS = LR.PartStats;
-      Metrics->addCounters({{"sched.placements", LR.Placements},
-                            {"sched.ejections", LR.Ejections},
-                            {"sched.budget_used", LR.BudgetUsed},
-                            {"sched.it_steps", LR.ITSteps},
-                            {"part.levels", PS.Levels},
-                            {"part.matched_pairs", PS.MatchedPairs},
-                            {"part.refine_moves", PS.RefineMoves},
-                            {"part.fm_moves", PS.FMMoves},
-                            {"part.score_evals", PS.ScoreEvals},
-                            {"part.bound_rejects", PS.BoundRejects},
-                            {"part.capacity_rejects", PS.CapacityRejects},
-                            {"part.coarsen_memo_hits", PS.CoarsenMemoHits}});
+      Metrics->addCounter("sched.placements", LR.Placements);
+      Metrics->addCounter("sched.ejections", LR.Ejections);
+      Metrics->addCounter("sched.budget_used", LR.BudgetUsed);
+      Metrics->addCounter("sched.it_steps", LR.ITSteps);
+      Metrics->addCounter("part.levels", LR.PartStats.Levels);
+      Metrics->addCounter("part.matched_pairs", LR.PartStats.MatchedPairs);
+      Metrics->addCounter("part.refine_moves", LR.PartStats.RefineMoves);
+      Metrics->addCounter("part.fm_moves", LR.PartStats.FMMoves);
+      Metrics->addCounter("part.score_evals", LR.PartStats.ScoreEvals);
+      Metrics->addCounter("part.bound_rejects", LR.PartStats.BoundRejects);
+      Metrics->addCounter("part.capacity_rejects",
+                          LR.PartStats.CapacityRejects);
+      Metrics->addCounter("part.coarsen_memo_hits",
+                          LR.PartStats.CoarsenMemoHits);
     }
     Shared = std::make_shared<const LoopScheduleResult>(std::move(LR));
     if (UseCache)

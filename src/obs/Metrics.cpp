@@ -88,13 +88,6 @@ void MetricsRegistry::addCounter(const std::string &Name, uint64_t Delta) {
   Data.Counters[Name] += Delta;
 }
 
-void MetricsRegistry::addCounters(
-    std::initializer_list<std::pair<const char *, uint64_t>> Deltas) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  for (const auto &[Name, Delta] : Deltas)
-    Data.Counters[Name] += Delta;
-}
-
 void MetricsRegistry::setGauge(const std::string &Name, double Value) {
   std::lock_guard<std::mutex> Lock(Mutex);
   Data.Gauges[Name] = Value;

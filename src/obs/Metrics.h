@@ -22,11 +22,9 @@
 #define HCVLIW_OBS_METRICS_H
 
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace hcvliw {
@@ -78,11 +76,6 @@ public:
 
   /// Adds \p Delta to counter \p Name (creating it at 0).
   void addCounter(const std::string &Name, uint64_t Delta = 1);
-  /// Adds every (name, delta) pair under one lock: a ledger of several
-  /// counters recorded together costs one critical section, not one
-  /// per counter.
-  void addCounters(
-      std::initializer_list<std::pair<const char *, uint64_t>> Deltas);
   /// Sets gauge \p Name to \p Value (last write wins; gauges are meant
   /// to be set from one place).
   void setGauge(const std::string &Name, double Value);
