@@ -203,8 +203,7 @@ public:
     C.PartCapacityRejects = Counter("part.capacity_rejects");
     C.PartCoarsenMemoHits = Counter("part.coarsen_memo_hits");
     C.FallbackRational = Counter("sched.fallback_rational");
-    C.DegradedCount = Counter("degrade.cold_replay") +
-                      Counter("degrade.flat_partition") +
+    C.DegradedCount = Counter("degrade.flat_partition") +
                       Counter("degrade.analytic_estimate");
     C.FaultInjected = S.faultInjector().totalInjected();
     C.CachePersistHits = S.cachePersistHits();

@@ -58,9 +58,9 @@ const MachineDescription &machine() {
 }
 
 /// The same regime as bench_obs_overhead: sweep-heavy random loops on
-/// the 4-frequency relative ladder, so the per-loop fault sites
-/// (sched.warm, sched.place) are crossed many times per schedule — the
-/// densest realistic site traffic for the driver.
+/// the 4-frequency relative ladder, so the per-loop fault site
+/// (sched.place) is crossed many times per schedule — the densest
+/// realistic site traffic for the driver.
 const std::vector<Loop> &fixtureLoops() {
   static std::vector<Loop> Loops = [] {
     std::vector<Loop> Ls;

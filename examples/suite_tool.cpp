@@ -252,17 +252,16 @@ int main(int argc, char **argv) {
   // Robustness summary: what the degradation ladder absorbed and what
   // the injector (if armed) fired. All zero on a healthy run.
   {
-    unsigned long long Degraded = 0, Cold = 0, Flat = 0, Rat = 0;
+    unsigned long long Degraded = 0, Flat = 0, Rat = 0;
     for (const ProgramRunResult &D : R.Details) {
       Degraded += D.HetMeasured.DegradedLoops + D.HomMeasured.DegradedLoops;
-      Cold += D.HetMeasured.ColdReplays + D.HomMeasured.ColdReplays;
       Flat += D.HetMeasured.FlatPartitions + D.HomMeasured.FlatPartitions;
       Rat += D.HetMeasured.FallbackRational + D.HomMeasured.FallbackRational;
     }
-    if (Degraded || Cold || Flat || Rat)
-      std::printf("degradation: %llu loops on the analytic rung, %llu cold "
-                  "replays, %llu flat partitions, %llu grid-less IT steps\n",
-                  Degraded, Cold, Flat, Rat);
+    if (Degraded || Flat || Rat)
+      std::printf("degradation: %llu loops on the analytic rung, %llu flat "
+                  "partitions, %llu grid-less IT steps\n",
+                  Degraded, Flat, Rat);
     const fault::FaultInjector &FI = S.faultInjector();
     if (FI.totalInjected()) {
       std::printf("faults injected: %llu (%llu throws, %llu bad_allocs, "

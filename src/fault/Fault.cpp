@@ -34,6 +34,25 @@ FaultInjected::FaultInjected(const std::string &Site, std::string_view Context,
 
 namespace {
 
+enum class SiteKind { Point, Degrade };
+
+struct RegisteredSite {
+  std::string_view Name;
+  SiteKind Kind;
+};
+
+constexpr RegisteredSite Sites[] = {
+#define HCVLIW_FAULT_SITE(Name, Kind) {Name, SiteKind::Kind},
+#include "fault/FaultSites.def"
+};
+
+const RegisteredSite *findSite(std::string_view Name) {
+  for (const RegisteredSite &S : Sites)
+    if (S.Name == Name)
+      return &S;
+  return nullptr;
+}
+
 bool fail(std::string *Err, unsigned LineNo, const std::string &Msg) {
   if (Err)
     *Err = "fault plan line " + std::to_string(LineNo) + ": " + Msg;
@@ -61,6 +80,15 @@ bool parseLine(const std::string &Line, unsigned LineNo, FaultPlan &P,
   FaultRule R;
   if (!(In >> R.Site))
     return fail(Err, LineNo, "'on' needs a site name");
+  const RegisteredSite *Site = findSite(R.Site);
+  if (!Site) {
+    std::string Known;
+    for (const RegisteredSite &S : Sites)
+      Known += (Known.empty() ? "" : ", ") + std::string(S.Name);
+    return fail(Err, LineNo,
+                "unknown fault site '" + R.Site + "' (registered: " + Known +
+                    ")");
+  }
   std::string Kw;
   if (!(In >> Kw))
     return fail(Err, LineNo, "rule needs a trigger");
@@ -97,6 +125,10 @@ bool parseLine(const std::string &Line, unsigned LineNo, FaultPlan &P,
     R.Action = FaultAction::Degrade;
   else
     return fail(Err, LineNo, "unknown action '" + Act + "'");
+  if (R.Action == FaultAction::Degrade && Site->Kind != SiteKind::Degrade)
+    return fail(Err, LineNo,
+                "'" + R.Site + "' is a point site; only a degrade site "
+                "takes a 'degrade' rule");
   std::string Extra;
   if (In >> Extra)
     return fail(Err, LineNo, "trailing token '" + Extra + "'");
@@ -214,8 +246,9 @@ std::optional<FaultAction> FaultInjector::match(const char *Site,
       continue;
     if (!R.Context.empty() && R.Context != Ctx)
       continue;
-    // Degrade rules only make sense at degrade sites; throw-capable
-    // rules fire at either kind.
+    // Degrade rules only make sense at degrade sites (parse refuses
+    // them elsewhere, but a plan built in code may still carry one);
+    // throw-capable rules fire at either kind.
     if (R.Action == FaultAction::Degrade && !DegradeSite)
       continue;
     bool Fires = false;

@@ -31,9 +31,11 @@
 ///     injector into empty inline stubs and both macros into no-ops
 ///     (the FaultPlan parser stays, so tools still accept plan files).
 ///
-/// Site names are registered in fault/FaultSites.def; the hcvliw_lint
-/// "fault-site" rule family checks that every macro's site literal is
-/// registered, used exactly once, and that no registered site is stale.
+/// Site names are registered in fault/FaultSites.def, the one site list:
+/// FaultPlan::parse refuses rules that name an unregistered site or put
+/// a degrade rule on a point site, and the hcvliw_lint "fault-site" rule
+/// family checks that every macro's site literal is registered, used
+/// exactly once, and that no registered site is stale.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,7 +95,9 @@ struct FaultPlan {
   std::vector<FaultRule> Rules;
 
   /// Parses the text form above; std::nullopt (with \p Err filled when
-  /// non-null) on malformed input.
+  /// non-null, naming the line) on malformed input, on a rule naming a
+  /// site not registered in fault/FaultSites.def, and on a degrade rule
+  /// at a point site (it could never fire).
   static std::optional<FaultPlan> parse(const std::string &Text,
                                         std::string *Err = nullptr);
   /// parse() over the contents of \p Path.

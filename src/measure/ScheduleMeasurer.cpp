@@ -93,7 +93,7 @@ uint64_t ScheduleMeasurer::loopScheduleKey(const Loop &L,
   H.mix(Opts.Sched.CompactLifetimes ? 1u : 2u);
   H.mix(Opts.MaxITSteps);
   // The effort deadline changes sweep outcomes when it fires, so it is
-  // part of the key (unlike WarmStart, which never does).
+  // part of the key.
   H.mix(Opts.EffortDeadline);
 
   // The energy model and the per-domain scaling factors steer
@@ -154,26 +154,10 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
     // for this run; results never depend on the arena.
     ScheduleScratch *Scratch =
         Scratches ? &Scratches->forThisThread() : nullptr;
-    // Graceful degradation, rung 1 (cold replay): a throw out of the
-    // warm-start sweep — injected at "sched.warm", or a real defect in
-    // the warm memos — is answered by replaying the loop on the cold
-    // WarmStart=false path, which recomputes everything from scratch
-    // and shares none of the warm code. The retry does not re-fire an
-    // Nth-occurrence fault (the occurrence already counted), and a
-    // throw out of the cold path itself propagates: there is no rung
-    // below.
-    LoopScheduleResult LR;
-    try {
-      LR = LoopScheduler(Machine, Config, LSO)
-               .schedule(L, Energy, Scaling, Scratch, Trace);
-    } catch (...) {
-      ++Tally.ColdReplays;
-      if (Metrics)
-        Metrics->addCounter("degrade.cold_replay");
-      LSO.WarmStart = false;
-      LR = LoopScheduler(Machine, Config, LSO)
-               .schedule(L, Energy, Scaling, Scratch, Trace);
-    }
+    // A throw out of the sweep propagates: the suite runner records it
+    // as a SuiteFailure of this program.
+    LoopScheduleResult LR = LoopScheduler(Machine, Config, LSO)
+                                .schedule(L, Energy, Scaling, Scratch, Trace);
     if (Metrics) {
       Metrics->observeMs("stage.loop_schedule.ms", SW.elapsedMs());
       // The work ledger: scheduler and partitioner effort of this
@@ -235,7 +219,7 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
   std::vector<double> WIns(Machine.numClusters(), 0.0);
   double Comms = 0, Mem = 0;
 
-  // Graceful degradation, rung 3 (analytic estimate): account a loop
+  // Graceful degradation, last rung (analytic estimate): account a loop
   // from its reference-profile numbers instead of a measured schedule
   // — reference execution time, per-iteration activity spread evenly
   // across the clusters (no assignment exists to say better). A pure

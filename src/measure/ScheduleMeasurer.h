@@ -84,7 +84,6 @@ struct ConfigRunResult {
   /// carried by cached schedule results where applicable, so the
   /// counts match with and without the schedule cache.
   unsigned DegradedLoops = 0;   ///< loops on the analytic-estimate rung
-  unsigned ColdReplays = 0;     ///< warm sweeps replayed cold after a throw
   unsigned FlatPartitions = 0;  ///< partition runs on the flat rung
   /// IT steps refused because the plan had no tick grid (summed
   /// LoopScheduleResult::FallbackRational; the sched.fallback_rational
@@ -179,13 +178,13 @@ public:
                           ScheduleLookups *Lookups = nullptr) const;
 
   /// One loop's Figure 5 run under \p Config: a cache hit builds no
-  /// scheduler and takes no arena; a miss runs fresh, replayed cold if
-  /// the warm-start sweep throws. \p Program is the fault context;
+  /// scheduler and takes no arena; a miss runs fresh, and a throw out
+  /// of the sweep propagates. \p Program is the fault context;
   /// \p Scaling / \p Energy may be null under the baseline objective.
-  /// Adds cold replays and the run's effort and degradation counters
-  /// to \p Tally, and the cache hit or miss to \p Lookups; a fresh
-  /// run's effort also goes to the metrics registry. The result is the
-  /// cache's own immutable entry, never a copy.
+  /// Adds the run's effort and degradation counters to \p Tally, and
+  /// the cache hit or miss to \p Lookups; a fresh run's effort also
+  /// goes to the metrics registry. The result is the cache's own
+  /// immutable entry, never a copy.
   SharedSchedule scheduleLoop(const Loop &L, const HeteroConfig &Config,
                               const HeteroScaling *Scaling,
                               const EnergyModel *Energy, bool ED2Objective,

@@ -1,26 +1,4 @@
 //===- partition/LoopScheduler.cpp - Figure 5 driver ------------------------===//
-//
-// The IT sweep, with the warm-start optimisations of the file header.
-// Every warm-start shortcut below is exact:
-//
-//   - The recurrence lower-bound prune skips an IT only when *every*
-//     cluster assignment provably fails: a dependence cycle needs
-//     sum(latency_e * period(cluster(src_e))) <= distance * IT, every
-//     source period is >= the plan's fastest cluster period Pmin, and
-//     sync-queue alignment only delays — so IT <= (RecMII - 1) * Pmin
-//     (which implies IT/Pmin below the critical cycle ratio) makes the
-//     pseudo-schedule's recurrence check fail for every candidate and
-//     both partition attempts return "no feasible partition", exactly
-//     what the cold path computes the long way.
-//   - The coarsening memo and the partitioned-graph memo fire only on
-//     exact input matches (MultilevelGraph and PartitionedGraph are
-//     pure functions of those inputs).
-//   - A second attempt whose partition equals the first attempt's
-//     failed one replays the recorded outcome; the scheduler is a pure
-//     function of (PG, plan), so the cold path's second run returns the
-//     identical result and counter deltas.
-//
-//===----------------------------------------------------------------------===//
 
 #include "partition/LoopScheduler.h"
 #include "fault/Fault.h"
@@ -65,19 +43,17 @@ LoopScheduler::LoopScheduler(const MachineDescription &M,
 namespace {
 
 /// Appends one failed attempt to the log, folding consecutive identical
-/// failures of one step (the warm path replays these folds exactly).
+/// failures of one step.
 void logFailure(std::vector<ITFailure> &Log, unsigned Step,
-                const Rational &ITNs, const std::string &Reason,
-                unsigned Count = 1) {
+                const Rational &ITNs, const std::string &Reason) {
   if (!Log.empty() && Log.back().Step == Step && Log.back().Reason == Reason) {
-    Log.back().Count += Count;
+    ++Log.back().Count;
     return;
   }
   ITFailure F;
   F.Step = Step;
   F.ITNs = ITNs;
   F.Reason = Reason;
-  F.Count = Count;
   Log.push_back(std::move(F));
 }
 
@@ -106,8 +82,6 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
   }
   ScheduleScratch &S = *Scratch;
   S.beginLoopRun();
-  const bool Warm = Opts.WarmStart;
-  S.Part.EnableMemo = Warm;
 
   // Per-loop fault context ("<program>/<loop>" — a serial execution
   // stream, so occurrence counts are thread-count invariant). Composed
@@ -115,55 +89,35 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
   std::string FaultCtx;
   if (Opts.Fault && Opts.Fault->armed())
     FaultCtx = Opts.FaultContext + "/" + L.Name;
-  // Warm-path-only site: a throw here leaves the cold (WarmStart=false)
-  // path untouched, so the measurement layer's cold-replay rung can
-  // retry this loop and succeed — and the retry does not re-fire,
-  // because the occurrence already counted.
-  if (Warm)
-    HCVLIW_FAULT_POINT(Opts.Fault, "sched.warm", FaultCtx);
 
   // The IT-independent loop analyses: the DDG, recurrences and the
   // per-edge coarsening slack, pure functions of (loop, latencies). The
-  // warm path memoizes the last two across whole schedule() runs; the
-  // cold path recomputes them every call.
+  // last two are memoized across whole schedule() runs.
   obs::Span AnalyzeSp(Trace, "loop.analyze");
   DDG::buildInto(S.G, L);
   Machine.Isa.nodeLatenciesInto(S.Lat, L);
-  const RecurrenceInfo *Recs;
-  const std::vector<int64_t> *EdgeSlack;
-  RecurrenceInfo ColdRecs;
-  const LoopAnalysisMemo *Memo =
-      Warm ? S.findAnalysis(L.structuralFingerprint(), S.Lat) : nullptr;
-  if (Memo) {
-    Recs = &Memo->Recs;
-    EdgeSlack = &Memo->EdgeSlack;
-  } else {
-    ColdRecs = analyzeRecurrences(S.G, S.Lat);
-    computeEdgeSlack(S.EdgeSlack, S.G, S.Lat,
-                     std::max<int64_t>(ColdRecs.RecMII, 1), S.Paths);
-    if (Warm) {
-      LoopAnalysisMemo &Slot = S.analysisSlot();
-      Slot.Fp = L.structuralFingerprint();
-      Slot.Lat = S.Lat;
-      Slot.Recs = std::move(ColdRecs);
-      Slot.EdgeSlack = S.EdgeSlack;
-      Recs = &Slot.Recs;
-      EdgeSlack = &Slot.EdgeSlack;
-    } else {
-      Recs = &ColdRecs;
-      EdgeSlack = &S.EdgeSlack;
-    }
+  const uint64_t Fp = L.structuralFingerprint();
+  const LoopAnalysisMemo *Memo = S.findAnalysis(Fp, S.Lat);
+  const bool MemoHit = Memo != nullptr;
+  if (!Memo) {
+    LoopAnalysisMemo &Slot = S.analysisSlot();
+    Slot.Fp = Fp;
+    Slot.Lat = S.Lat;
+    Slot.Recs = analyzeRecurrences(S.G, S.Lat);
+    computeEdgeSlack(Slot.EdgeSlack, S.G, S.Lat,
+                     std::max<int64_t>(Slot.Recs.RecMII, 1), S.Paths);
+    Memo = &Slot;
   }
   if (AnalyzeSp.active()) {
     AnalyzeSp.arg("nodes", S.G.size());
     AnalyzeSp.arg("edges", S.G.numEdges());
-    AnalyzeSp.arg("memo_hit", Memo ? 1 : 0);
+    AnalyzeSp.arg("memo_hit", MemoHit ? 1 : 0);
   }
   AnalyzeSp.close();
-  R.RecMII = Recs->RecMII;
+  R.RecMII = Memo->Recs.RecMII;
   R.ResMII = Machine.computeResMII(L);
 
-  R.MITNs = Planner.computeMIT(Recs->RecMII, L.opCountsByFU());
+  R.MITNs = Planner.computeMIT(R.RecMII, L.opCountsByFU());
 
   PartitionerOptions PartOpts = Opts.Part;
   if (!Energy)
@@ -178,9 +132,8 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     if (StepSp.active())
       StepSp.arg("step", Step);
     R.ITSteps = Step;
-    // Deterministic per-loop deadline: effort (BudgetUsed is part of
-    // the warm==cold equivalence contract), never wall clock, so every
-    // thread count gives up at the identical point.
+    // Deterministic per-loop deadline: effort, never wall clock, so
+    // every thread count gives up at the identical point.
     if (Opts.EffortDeadline && R.BudgetUsed >= Opts.EffortDeadline) {
       R.Failure = "effort deadline exhausted";
       logFailure(R.FailureLog, Step, IT, R.Failure);
@@ -197,7 +150,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     // The one grid check of the chain: every consumer below (pseudo-
     // schedules, scheduler, compaction, pressure, validator) runs on
     // the plan's tick grid, so a plan without one is an infeasible IT
-    // step. Checked before the prune so warm and cold agree.
+    // step.
     PlanGrid::computeInto(S.Grid, *Plan);
     if (!S.Grid.valid()) {
       R.Failure = PlanGrid::NoGridReason;
@@ -207,34 +160,16 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
       continue;
     }
 
-    // Warm-start lower-bound prune (exact; see file header): when the
-    // critical recurrence cannot be placed in *any* cluster at this IT,
-    // both partition attempts are doomed to "no feasible partition" —
-    // record that outcome without paying them. (NC == 1 machines skip
-    // partitioning entirely, so the cold path fails elsewhere there.)
-    if (Warm && NC > 1 && R.RecMII >= 2) {
-      Rational Pmin = Plan->Clusters[0].PeriodNs;
-      for (unsigned C = 1; C < NC; ++C)
-        Pmin = Rational::min(Pmin, Plan->Clusters[C].PeriodNs);
-      if (!(Rational(R.RecMII - 1) * Pmin < IT)) {
-        R.Failure = "no feasible partition";
-        logFailure(R.FailureLog, Step, IT, R.Failure, NumAttempts);
-        ++R.PrunedITSteps;
-        IT = Planner.nextIT(IT);
-        continue;
-      }
-    }
-
     PartitionContext Ctx;
     Ctx.L = &L;
     Ctx.G = &S.G;
     Ctx.M = &Machine;
     Ctx.Plan = &*Plan;
-    Ctx.Recs = Recs;
+    Ctx.Recs = &Memo->Recs;
     Ctx.Energy = Energy;
     Ctx.Scaling = Scaling;
     Ctx.TripCount = L.TripCount;
-    Ctx.EdgeSlack = EdgeSlack;
+    Ctx.EdgeSlack = &Memo->EdgeSlack;
     Ctx.Scratch = &S.Part;
     Ctx.Trace = Trace;
     Ctx.Stats = &R.PartStats;
@@ -249,15 +184,6 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     if (NumAttempts == 2)
       Attempts[1].ED2Objective = false;
 
-    // Outcome of this step's first failed attempt, for the exact
-    // duplicate-assignment replay (scheduler and pressure are pure
-    // functions of (PG, plan), so an identical partition fails
-    // identically — the cold path recomputes the same counters).
-    Partition FirstTry;
-    SchedulerResult FirstSR;
-    std::string FirstFailure;
-    bool HaveFirstTry = false;
-
     for (unsigned Att = 0; Att < NumAttempts; ++Att) {
       const PartitionerOptions &PO = Attempts[Att];
       auto Assignment = partitionLoop(Ctx, PO);
@@ -267,31 +193,8 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
         continue;
       }
 
-      if (Warm && HaveFirstTry &&
-          Assignment->ClusterOf == FirstTry.ClusterOf) {
-        // Same partition as the failed first attempt: replay its
-        // outcome (identical SR on recomputation) instead of paying it.
-        R.Placements += FirstSR.Placements;
-        R.Ejections += FirstSR.Ejections;
-        R.BudgetUsed += FirstSR.BudgetUsed;
-        R.Failure = FirstFailure;
-        logFailure(R.FailureLog, Step, IT, R.Failure);
-        continue;
-      }
-
-      // Materialize the partitioned graph — reusing the memoized one
-      // when this assignment is the one it already holds (the common
-      // case across IT steps once the partition stabilizes).
-      if (!(Warm && S.PGValid &&
-            Assignment->ClusterOf == S.PGAssignment.ClusterOf)) {
-        PartitionedGraph::buildInto(S.PG, L, S.G, Machine.Isa, *Assignment,
-                                    NC, Machine.BusLatency, &S.PGCopySlots,
-                                    &S.Lat);
-        if (Warm) {
-          S.PGAssignment = *Assignment;
-          S.PGValid = true;
-        }
-      }
+      PartitionedGraph::buildInto(S.PG, L, S.G, Machine.Isa, *Assignment, NC,
+                                  Machine.BusLatency, &S.PGCopySlots, &S.Lat);
 
       // One tick lowering per attempt, shared by the scheduler, stage
       // compaction, the register-pressure computation and the
@@ -307,12 +210,6 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
       if (!SR.Success) {
         R.Failure = SR.FailureReason;
         logFailure(R.FailureLog, Step, IT, R.Failure);
-        if (Warm && !HaveFirstTry) {
-          FirstTry = std::move(*Assignment);
-          FirstSR = std::move(SR);
-          FirstFailure = R.Failure;
-          HaveFirstTry = true;
-        }
         continue;
       }
 
@@ -323,8 +220,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
         // crossings (the dominant pressure term on wide graphs) while
         // keeping the schedule valid by construction. Applied only on
         // overflow — schedules that already fit keep the historical
-        // makespan-optimal shape. Pure function of (PG, Plan, Sched),
-        // so warm and cold sweeps rescue identically.
+        // makespan-optimal shape.
         obs::Span CSp(Trace, "sched.compact");
         unsigned Moved = compactScheduleLifetimes(
             S.Ticks, SR.Sched, Opts.Sched.MaxSlotMultiple, &S.Sched);
@@ -339,12 +235,6 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
       if (!Pressure.fits(Machine)) {
         R.Failure = "register pressure exceeds the register files";
         logFailure(R.FailureLog, Step, IT, R.Failure);
-        if (Warm && !HaveFirstTry) {
-          FirstTry = std::move(*Assignment);
-          FirstSR = std::move(SR);
-          FirstFailure = R.Failure;
-          HaveFirstTry = true;
-        }
         continue;
       }
 
@@ -366,11 +256,10 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
       R.Success = true;
       R.Failure.clear();
       R.Sched = std::move(SR.Sched);
-      // The graph escapes the arena: move it out and drop the memo (the
-      // scratch rebuilds next run; nothing may reference arena storage
-      // after schedule() returns).
+      // The graph escapes the arena: move it out (the scratch rebuilds
+      // next run; nothing may reference arena storage after schedule()
+      // returns).
       R.PG = std::move(S.PG);
-      S.PGValid = false;
       R.Assignment = std::move(*Assignment);
       R.Pressure = std::move(Pressure);
       Done = true;

@@ -17,18 +17,14 @@
 /// frequency, baseline [2][3] objective) and heterogeneous ones (ED2
 /// objective, Section 4 extensions).
 ///
-/// The sweep is *warm-started* by default (LoopScheduleOptions::
-/// WarmStart): an IT step whose critical recurrence provably cannot be
-/// placed is skipped without paying the partition attempts, the
-/// coarsening level stack is carried across attempts and IT steps when
-/// its inputs are unchanged, the partitioned graph is carried forward
-/// whenever an attempt re-derives the previous assignment, and a second
-/// attempt that re-derives the first attempt's failed assignment reuses
-/// its outcome. Every one of these is an exact memo or an exact lower
-/// bound — results (schedule, counters, failure log) are bit-identical
-/// to the retained WarmStart=false cold path, which recomputes
-/// everything from scratch at every step; tests/sched/WarmStartTest
-/// pins the equivalence.
+/// The sweep is one path. It reuses exact memos in its scratch arena:
+/// the IT-independent loop analysis (LoopAnalysisMemo, across whole
+/// schedule() runs) and the coarsening level stack (across attempts
+/// and IT steps while its inputs are unchanged); the partitioner also
+/// skips re-scoring refinement candidates that cannot have changed.
+/// Each memo fires only on an exact input match, so results never
+/// depend on the arena; tests/sched/WarmStartTest pins the results as
+/// golden digests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,10 +50,6 @@ struct LoopScheduleOptions {
   PartitionerOptions Part;
   /// IT growth attempts before giving up.
   unsigned MaxITSteps = 64;
-  /// Warm-start the IT sweep (exact memos + lower-bound prune; see the
-  /// file header). Bit-identical to the cold path, so not part of any
-  /// cache key.
-  bool WarmStart = true;
   /// Hard ceiling on scheduler effort for one schedule() run, in
   /// BudgetUsed units (placement-loop iterations); 0 = unlimited. When
   /// the accumulated budget crosses the ceiling the sweep stops with
@@ -67,10 +59,10 @@ struct LoopScheduleOptions {
   /// fires, hence part of the schedule-cache key (loopScheduleKey).
   uint64_t EffortDeadline = 0;
   /// Optional fault injector (armed test/chaos runs only; null in
-  /// production). Fault sites: "sched.warm" fires on the warm path
-  /// only, "sched.place" before every scheduler run. Injection changes
-  /// results by design; callers must not mix armed runs with shared
-  /// caches (ScheduleMeasurer bypasses the ScheduleCache while armed).
+  /// production). Fault site: "sched.place", before every scheduler
+  /// run. Injection changes results by design; callers must not mix
+  /// armed runs with shared caches (ScheduleMeasurer bypasses the
+  /// ScheduleCache while armed).
   fault::FaultInjector *Fault = nullptr;
   /// Context string for fault sites: the program name; per-loop sites
   /// use FaultContext + "/" + Loop::Name, which is a serial execution
@@ -109,28 +101,19 @@ struct LoopScheduleResult {
 
   /// IT steps refused because the plan had no tick grid (logged with
   /// PlanGrid::NoGridReason). The name predates that meaning: such a
-  /// plan used to fall back to a Rational scheduler path. Part of the
-  /// warm==cold equivalence contract (the check precedes the warm-start
-  /// prune), and cached results carry it, so the sched.fallback_rational
-  /// metric is identical with or without the schedule cache.
+  /// plan used to fall back to a Rational scheduler path. Cached
+  /// results carry it, so the sched.fallback_rational metric is
+  /// identical with or without the schedule cache.
   unsigned FallbackRational = 0;
 
   /// Every failed (IT step, attempt) of the sweep, in order — the
-  /// per-IT failure aggregation SuiteFailure records surface. Identical
-  /// on the warm and cold paths (warm-start skips work, not outcomes).
+  /// per-IT failure aggregation SuiteFailure records surface.
   std::vector<ITFailure> FailureLog;
 
-  /// IT steps the warm-start lower bound skipped without paying the
-  /// partition attempts. Diagnostic only (always 0 on the cold path):
-  /// the one field that reports work *saved*, so it is excluded from
-  /// the warm-vs-cold equivalence contract.
-  unsigned PrunedITSteps = 0;
-
   /// Partitioner effort over the whole sweep (coarsening levels,
-  /// matched pairs, refinement passes/moves; PartitionStats). Like
-  /// PrunedITSteps these report work *performed*, so the warm path —
-  /// which skips work — legitimately reports smaller values and they
-  /// are excluded from the warm-vs-cold equivalence contract.
+  /// matched pairs, refinement passes/moves; PartitionStats). They
+  /// report work *performed*, so the memos lower them without moving
+  /// any other field.
   PartitionStats PartStats;
 
   /// Reference-machine classification stats (Table 2): recurrence- and
@@ -156,7 +139,7 @@ public:
   /// Schedules \p L; \p Energy / \p Scaling enable the ED2 partitioning
   /// objective (both or neither: one without the other throws
   /// std::invalid_argument). \p Scratch provides the per-worker
-  /// arena (reusable buffers + warm-start memos); when null a local
+  /// arena (reusable buffers + exact memos); when null a local
   /// arena serves this one call. Results are bit-identical for any
   /// scratch (ScheduleScratch contract). \p Trace, when enabled,
   /// records a "loop.schedule:<name>" span per run, one "loop.analyze"

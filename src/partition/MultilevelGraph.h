@@ -26,7 +26,7 @@
 /// (neighbor, DDG-edge multiplicity, minimum node-level slack): the
 /// refinement passes walk macro boundaries, and the matching rounds
 /// derive their candidate edges from the same structure. All storage is
-/// reused across build() calls, so a warm IT sweep coarsens without
+/// reused across build() calls, so an IT sweep coarsens without
 /// touching malloc in steady state.
 ///
 //===----------------------------------------------------------------------===//

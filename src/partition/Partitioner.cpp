@@ -395,8 +395,7 @@ bool prePlaceRecurrences(const PartitionContext &Ctx, bool EnablePinning,
 /// strictly decreases the surrogate, so the passes terminate; the
 /// caller only keeps the result when the *exact* objective did not get
 /// worse. Deterministic: ties break toward the lowest macro id and
-/// lowest cluster id, and the warm path's cut-row stamp cache
-/// (FMCutStamp) reuses values the cold path recomputes identically.
+/// lowest cluster id.
 uint64_t refineLevelFM(const PartitionContext &Ctx,
                        const PartitionerOptions &Opts, PartitionScratch &S,
                        const CoarseLevel &Lvl, std::vector<unsigned> &Assign,
@@ -405,7 +404,6 @@ uint64_t refineLevelFM(const PartitionContext &Ctx,
   const MachinePlan &Plan = *Ctx.Plan;
   const unsigned NC = M.numClusters();
   const unsigned LN = Lvl.NumMacros;
-  const bool Memo = S.EnableMemo;
 
   slotCapacityInto(S.FMCap, M, Plan);
   S.FMLoad.assign(static_cast<size_t>(NC) * NumFUKinds, 0);
@@ -416,9 +414,7 @@ uint64_t refineLevelFM(const PartitionContext &Ctx,
       S.FMLoad[C * NumFUKinds + K] += Lvl.fuCount(Mac, K);
     S.FMWeight[C] += Lvl.Weight[Mac];
   }
-  S.FMCutTo.assign(static_cast<size_t>(LN) * NC, 0);
-  S.FMCutStamp.assign(LN, ~uint64_t(0));
-  S.FMNbrVer.assign(LN, 0);
+  S.FMCutTo.resize(NC);
   S.FMLocked.assign(LN, 0);
 
   // Overload reduction of moving Mac from Home to C (positive = less).
@@ -438,24 +434,13 @@ uint64_t refineLevelFM(const PartitionContext &Ctx,
     return D;
   };
 
-  // Cut mass of Mac toward every cluster. The row only changes when a
-  // neighbor moves, so the warm path stamps it with the macro's
-  // neighbor version and skips the rescan on a match (exact: the cold
-  // path recomputes the identical sums).
-  auto cutRow = [&](unsigned Mac) -> const int64_t * {
-    int64_t *Row = &S.FMCutTo[static_cast<size_t>(Mac) * NC];
-    if (!(Memo && S.FMCutStamp[Mac] == S.FMNbrVer[Mac])) {
-      std::fill(Row, Row + NC, int64_t(0));
-      for (unsigned I = Lvl.AdjStart[Mac]; I < Lvl.AdjStart[Mac + 1]; ++I)
-        Row[Assign[Lvl.AdjMacro[I]]] += Lvl.AdjWeight[I];
-      S.FMCutStamp[Mac] = S.FMNbrVer[Mac];
-    }
-    return Row;
-  };
-
   auto bestMove = [&](unsigned Mac, double &BestGain, unsigned &BestC) {
     unsigned Home = Assign[Mac];
-    const int64_t *Cut = cutRow(Mac);
+    // Cut mass of Mac toward every cluster.
+    int64_t *Cut = S.FMCutTo.data();
+    std::fill(Cut, Cut + NC, int64_t(0));
+    for (unsigned I = Lvl.AdjStart[Mac]; I < Lvl.AdjStart[Mac + 1]; ++I)
+      Cut[Assign[Lvl.AdjMacro[I]]] += Lvl.AdjWeight[I];
     double WMac = Lvl.Weight[Mac];
     double WH = S.FMWeight[Home];
     BestGain = -std::numeric_limits<double>::infinity();
@@ -485,8 +470,6 @@ uint64_t refineLevelFM(const PartitionContext &Ctx,
     S.FMWeight[Home] -= Lvl.Weight[Mac];
     S.FMWeight[C] += Lvl.Weight[Mac];
     Assign[Mac] = C;
-    for (unsigned I = Lvl.AdjStart[Mac]; I < Lvl.AdjStart[Mac + 1]; ++I)
-      ++S.FMNbrVer[Lvl.AdjMacro[I]];
   };
 
   auto HeapLess = [](const PartitionScratch::FMHeapEntry &A,
@@ -730,15 +713,14 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     Slack = &OwnSlack;
   }
 
-  // Coarsening: on the warm-start path, reuse the previous attempt's
-  // level stack when the CoarsenMemoKey matches exactly (hash first,
-  // then the full comparison) — the other build inputs (loop, DDG,
-  // machine, slack) are fixed for the whole Figure 5 run, so the key
-  // match makes the reuse exact. The cold reference path (EnableMemo
-  // false) rebuilds every attempt.
+  // Coarsening: reuse the previous attempt's level stack when the
+  // CoarsenMemoKey matches exactly (hash first, then the full
+  // comparison) — the other build inputs (loop, DDG, machine, slack)
+  // are fixed for the whole Figure 5 run, so the key match makes the
+  // reuse exact.
   size_t KeyHash = CoarsenMemoKeyHash{}(S.Key);
-  bool ReuseML = S.EnableMemo && S.MLValid && KeyHash == S.MemoHashVal &&
-                 S.Key == S.MemoKey;
+  bool ReuseML =
+      S.MLValid && KeyHash == S.MemoHashVal && S.Key == S.MemoKey;
   if (!ReuseML) {
     S.ML.build(*Ctx.L, *Ctx.G, M, S.Key.Groups, S.Key.Pins, *Slack,
                S.Key.TargetMacros, Ctx.Trace);
@@ -747,11 +729,9 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       Ctx.Stats->Levels += S.ML.buildStats().Levels;
       Ctx.Stats->MatchedPairs += S.ML.buildStats().MatchedPairs;
     }
-    if (S.EnableMemo) {
-      std::swap(S.MemoKey, S.Key); // keep both buffers' capacity alive
-      S.MemoHashVal = KeyHash;
-      S.MLValid = true;
-    }
+    std::swap(S.MemoKey, S.Key); // keep both buffers' capacity alive
+    S.MemoHashVal = KeyHash;
+    S.MLValid = true;
   } else if (Ctx.Stats) {
     ++Ctx.Stats->CoarsenMemoHits;
   }
@@ -821,8 +801,8 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       continue;
     }
 
-    // Warm-path skip (exact): a candidate move (Mac -> C) re-scores
-    // identically unless some move was accepted since its last
+    // Unchanged-candidate skip (exact): a candidate move (Mac -> C)
+    // re-scores identically unless some move was accepted since its last
     // evaluation at this level — the assignment vector, and hence the
     // expanded partition and its pure-function score, are unchanged, so
     // the greedy rejection repeats. Stamp each eval with the level's
@@ -860,7 +840,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
         for (unsigned C = 0; C < NC; ++C) {
           if (C == Home)
             continue;
-          if (S.EnableMemo && EvalStamp[Mac * NC + C] == Accepts)
+          if (EvalStamp[Mac * NC + C] == Accepts)
             continue; // unchanged candidate: same score, same rejection
           EvalStamp[Mac * NC + C] = Accepts;
           if (Bound.capacityBound(&Lvl.FUCounts[Mac * NumFUKinds], Home, C) >=

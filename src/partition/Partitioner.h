@@ -51,7 +51,7 @@ namespace fault {
 class FaultInjector;
 }
 
-/// Warm-start coarsening memo key: the only MultilevelGraph::build
+/// Coarsening memo key: the only MultilevelGraph::build
 /// inputs that vary within one Figure 5 run (loop, DDG, machine and
 /// per-edge slack are fixed per run; groups and pins follow the plan's
 /// IIs, and the target follows the options). An exact key match makes
@@ -91,10 +91,8 @@ struct CoarsenMemoKeyHash {
 };
 
 /// Partitioner effort counters, accumulated across the attempts of a
-/// Figure 5 run (observability: they report work *performed*, so — like
-/// LoopScheduleResult::PrunedITSteps — the warm and cold paths report
-/// different values and they are excluded from the warm==cold
-/// equivalence contract; the partition itself never depends on them).
+/// Figure 5 run (observability: they report work *performed*, so the
+/// memos lower them; the partition itself never depends on them).
 struct PartitionStats {
   uint64_t Runs = 0;            ///< partitionLoop invocations
   uint64_t CoarsenBuilds = 0;   ///< multilevel stacks built
@@ -209,17 +207,15 @@ public:
   const PartitionTally &tally() const { return Tally; }
 };
 
-/// Reusable buffers + warm-start memo for partitionLoop. One partition
+/// Reusable buffers + coarsening memo for partitionLoop. One partition
 /// run builds groups, a multilevel coarsening, an initial assignment
 /// and hundreds of refinement candidates; the Figure 5 driver runs it
-/// up to twice per IT step. A scratch removes the allocation churn, and
-/// — on the warm-start path only (EnableMemo) — carries the coarsening
-/// across attempts and IT steps via an exact CoarsenMemoKey match.
+/// up to twice per IT step. A scratch removes the allocation churn and
+/// carries the coarsening across attempts and IT steps via an exact
+/// CoarsenMemoKey match. The key does not cover the loop: a caller
+/// that reuses one scratch for another loop clears MLValid first (the
+/// Figure 5 driver does, per run).
 struct PartitionScratch {
-  /// Warm-start switch, set by the driver; the cold reference path
-  /// leaves it false and recomputes the coarsening every attempt.
-  bool EnableMemo = false;
-
   // Per-attempt buffers (no information carried between attempts).
   CoarsenMemoKey Key;        ///< this attempt's (groups, pins, target)
   std::vector<int64_t> Free; ///< flat [cluster][kind] slot capacity
@@ -237,7 +233,7 @@ struct PartitionScratch {
   std::vector<unsigned> MemberStart, Members;
   /// Exact-refinement eval stamps (flat [macro][cluster]): the
   /// accepted-move count at the last evaluation of that move, for the
-  /// exact unchanged-candidate skip (warm path only).
+  /// exact unchanged-candidate skip.
   std::vector<uint64_t> EvalStamp;
 
   // Boundary FM refinement working set (levels above MaxRefineMacros;
@@ -252,14 +248,7 @@ struct PartitionScratch {
     unsigned Mac;
   };
   std::vector<FMHeapEntry> FMHeap; ///< binary max-heap storage
-  /// Boundary-refinement eval stamps (warm path only; exact): cached
-  /// per-macro cut mass toward every cluster, valid while no neighbor
-  /// of the macro has moved (FMCutStamp[mac] == FMNbrVer[mac]). The
-  /// cold path rescans the adjacency every evaluation and computes the
-  /// identical values.
-  std::vector<int64_t> FMCutTo;    ///< flat [macro][cluster]
-  std::vector<uint64_t> FMCutStamp; ///< [macro]
-  std::vector<uint64_t> FMNbrVer;   ///< [macro]
+  std::vector<int64_t> FMCutTo;    ///< [cluster] cut mass of one macro
 
   // Coarsening memo, valid for one Figure 5 run (the driver clears
   // MLValid per loop); keyed exactly on CoarsenMemoKey, hash-first.
@@ -308,8 +297,9 @@ struct PartitionContext {
   /// depend on the IT, so drivers retrying IT steps compute it once;
   /// when null the partitioner computes its own.
   const std::vector<int64_t> *EdgeSlack = nullptr;
-  /// Optional reusable buffers + warm-start coarsening memo; results
-  /// are bit-identical with or without one.
+  /// Optional reusable buffers + coarsening memo; results are
+  /// bit-identical with or without one (see PartitionScratch for the
+  /// one reuse rule).
   PartitionScratch *Scratch = nullptr;
   /// Optional span tracer ("part.coarsen:<level>" / "part.refine:
   /// <level>" phases); observation only — the assignment never depends

@@ -23,9 +23,10 @@
 ///     moved out by the driver before it returns.
 ///   - Scratch contents never carry information between runs: results
 ///     are bit-identical with and without a scratch, for any pool
-///     shape. The warm-start memos inside (coarsening, partitioned
-///     graph) are keyed exactly and invalidated per run
-///     (beginLoopRun), so they are reuse, not state.
+///     shape. The memos inside are keyed exactly: the loop analyses
+///     (LoopAnalysisMemo) on the loop's structure and latencies, and
+///     the partitioner's coarsening memo on its build inputs, which
+///     beginLoopRun invalidates per run. They are reuse, not state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +70,6 @@ struct ScheduleScratch {
   // Figure 5 driver state (per loop).
   DDG G;
   std::vector<unsigned> Lat;
-  std::vector<int64_t> EdgeSlack;
   LongestPathScratch Paths;
   /// The current IT step's plan grid, recomputed at every step; only
   /// its validity is read (the grid check of the Figure 5 driver).
@@ -83,18 +83,11 @@ struct ScheduleScratch {
   PressureScratch Pressure;
   PartitionScratch Part;
 
-  // Warm-start memo: the assignment PG currently materializes. The
-  // graph is a pure function of the assignment (the plan plays no
-  // part), so an exact match across attempts or IT steps skips the
-  // rebuild. Valid for one Figure 5 run only.
-  Partition PGAssignment;
-  bool PGValid = false;
-
   /// Cross-run analysis memos (see LoopAnalysisMemo). Bounded and
   /// overwritten round-robin — eviction affects speed only, never
   /// results, since every entry is bit-identical to recomputation.
   /// Deliberately NOT cleared by beginLoopRun: the key is globally
-  /// unique (fingerprint + latencies), unlike the per-sweep memos.
+  /// unique (fingerprint + latencies), unlike the coarsening memo.
   static constexpr unsigned MaxAnalysisMemos = 16;
   std::vector<LoopAnalysisMemo> Analysis;
   unsigned AnalysisNext = 0;
@@ -119,13 +112,10 @@ struct ScheduleScratch {
     return A;
   }
 
-  /// Invalidates the cross-attempt memos; the driver calls this at the
-  /// start of every schedule() run (the memo keys are only unique
-  /// within one loop's sweep).
-  void beginLoopRun() {
-    PGValid = false;
-    Part.MLValid = false;
-  }
+  /// Invalidates the coarsening memo; the driver calls this at the
+  /// start of every schedule() run (its key is only unique within one
+  /// loop's sweep).
+  void beginLoopRun() { Part.MLValid = false; }
 };
 
 /// The Session-owned arena table: one ScheduleScratch per thread that

@@ -233,7 +233,6 @@ void putLoopScheduleResult(Sink &S, const LoopScheduleResult &R) {
     S.str(F.Reason);
     S.u64(F.Count);
   }
-  S.u64(R.PrunedITSteps);
   S.u64(R.PartStats.Runs);
   S.u64(R.PartStats.CoarsenBuilds);
   S.u64(R.PartStats.CoarsenMemoHits);
@@ -281,7 +280,6 @@ LoopScheduleResult getLoopScheduleResult(Source &S) {
     F.Reason = S.str();
     F.Count = static_cast<unsigned>(S.u64());
   }
-  R.PrunedITSteps = static_cast<unsigned>(S.u64());
   R.PartStats.Runs = S.u64();
   R.PartStats.CoarsenBuilds = S.u64();
   R.PartStats.CoarsenMemoHits = S.u64();

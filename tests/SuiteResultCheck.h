@@ -13,8 +13,8 @@
 //   - the effort counters of ConfigRunResult (placements, ejections,
 //     budget, IT steps and the degradation ledger), unless the caller
 //     passes EffortCounters::Compare. They describe how a result was
-//     computed, not the result itself: a warm sweep that threw and was
-//     replayed cold ledgers a ColdReplay that the clean run lacks.
+//     computed, not the result itself: a result served from a cache
+//     snapshot, for one, reports the effort of the run that saved it.
 //
 // digestProgram hashes the same field walk (effort counters included),
 // so a recorded digest pins a program's result as golden data.
@@ -249,7 +249,6 @@ void walk(Visitor &V, const ConfigRunResult &A, const ConfigRunResult &B,
   HCVLIW_SAME(SchedBudgetUsed);
   HCVLIW_SAME(SchedITSteps);
   HCVLIW_SAME(DegradedLoops);
-  HCVLIW_SAME(ColdReplays);
   HCVLIW_SAME(FlatPartitions);
   HCVLIW_SAME(FallbackRational);
 }
@@ -289,21 +288,23 @@ inline uint64_t digestProgram(const ProgramRunResult &R) {
 }
 
 /// digestProgram of every SPECfp program under default PipelineOptions.
-/// Recorded before the Session became the pipeline's only driver, and
-/// unchanged by it; any change to a result field (or to the effort
-/// spent on it) moves the digest. Update deliberately, with the reason.
+/// Re-recorded when the degradation ledger lost its cold-replay count
+/// (the field walk changed, no result did), by building this helper
+/// against the library before that change; any change to a result
+/// field (or to the effort spent on it) moves the digest. Update
+/// deliberately, with the reason.
 inline uint64_t goldenSpecFPDigest(const std::string &Program) {
   static const std::map<std::string, uint64_t> Golden = {
-      {"168.wupwise", 0xd23a71441c4090b8ull},
-      {"171.swim", 0x31c0e77264a7b1a8ull},
-      {"172.mgrid", 0x898d1cb308974791ull},
-      {"173.applu", 0x3af6ac25266e5ce4ull},
-      {"178.galgel", 0x97bbea773b95415cull},
-      {"187.facerec", 0x7b38efb447f233b2ull},
-      {"189.lucas", 0x6f7faf611c71d599ull},
-      {"191.fma3d", 0xd94a27ddd4701fe3ull},
-      {"200.sixtrack", 0xd3361716a1f1b95full},
-      {"301.apsi", 0xc58b4ba496d1c086ull}};
+      {"168.wupwise", 0xb661bf97a9b9df97ull},
+      {"171.swim", 0x1d9926fb0d34a800ull},
+      {"172.mgrid", 0xcb4c455b075620a9ull},
+      {"173.applu", 0x9f6d3b0b0db20a1full},
+      {"178.galgel", 0xcb7c304ddc434cf6ull},
+      {"187.facerec", 0x6b1ace901c356619ull},
+      {"189.lucas", 0x3c8fe38de5829f2aull},
+      {"191.fma3d", 0xf0b5f42b2f46740cull},
+      {"200.sixtrack", 0x90e7c00c3e3f5eb5ull},
+      {"301.apsi", 0xddb465f3a698e12eull}};
   auto It = Golden.find(Program);
   return It == Golden.end() ? 0 : It->second;
 }

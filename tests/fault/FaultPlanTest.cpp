@@ -1,7 +1,8 @@
 //===- tests/fault/FaultPlanTest.cpp - Fault plan + injector units ----------===//
 //
 // The src/fault unit contracts: the plan grammar parses and str()
-// round-trips exactly; malformed plans are rejected with an error; an
+// round-trips exactly; malformed plans, plans naming an unregistered
+// site and degrade rules at point sites are rejected with an error; an
 // armed injector fires at exact, replayable (site, context) occurrence
 // counts — re-arming the same plan and replaying the same hit sequence
 // reproduces the same injections; Prob rules are a pure function of
@@ -81,6 +82,35 @@ TEST(FaultPlan, MalformedInputIsRejectedWithAnError) {
   }
 }
 
+// A rule must name a site of fault/FaultSites.def: a misspelt or
+// retired site would otherwise arm a rule that can never fire.
+TEST(FaultPlan, UnregisteredSiteIsRefusedWithItsLine) {
+  for (const char *Site : {"sched.wram", "sched.warm", "nosuch"}) {
+    std::string Err;
+    std::string Text =
+        std::string("seed 1\non ") + Site + " every 1 throw\n";
+    EXPECT_FALSE(FaultPlan::parse(Text, &Err).has_value()) << Site;
+    EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
+    EXPECT_NE(Err.find(Site), std::string::npos) << Err;
+    EXPECT_NE(Err.find("unknown fault site"), std::string::npos) << Err;
+  }
+}
+
+// A degrade rule fires only at a degrade site, so at a point site it is
+// refused; throw and badalloc rules are fine at either kind.
+TEST(FaultPlan, DegradeRuleAtAPointSiteIsRefused) {
+  std::string Err;
+  EXPECT_FALSE(FaultPlan::parse("on pool.job occurrence 1 throw\n"
+                                "on sched.place every 1 degrade\n",
+                                &Err)
+                   .has_value());
+  EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("point site"), std::string::npos) << Err;
+  EXPECT_TRUE(FaultPlan::parse("on part.coarsen every 1 throw\n"
+                               "on part.coarsen every 2 badalloc\n")
+                  .has_value());
+}
+
 TEST(FaultPlan, ParseFileReportsMissingFile) {
   std::string Err;
   EXPECT_FALSE(
@@ -145,15 +175,21 @@ TEST(FaultInjector, BadAllocRuleRaisesBadAlloc) {
 }
 
 TEST(FaultInjector, DegradeRuleFiresOnlyAtDegradeSites) {
-  auto P = FaultPlan::parse("on sched.warm every 1 degrade\n");
-  ASSERT_TRUE(P.has_value());
+  // parse refuses this rule, so build it in code: the injector must
+  // still skip it at a throw-capable site.
+  FaultRule Rule;
+  Rule.Site = "sched.place";
+  Rule.Trigger = FaultTrigger::Every;
+  Rule.Action = FaultAction::Degrade;
+  FaultPlan P;
+  P.Rules.push_back(Rule);
   FaultInjector Inj;
-  Inj.arm(*P);
+  Inj.arm(P);
   // At a throw-capable site the Degrade rule is skipped entirely.
-  EXPECT_NO_THROW(Inj.hit("sched.warm", "p/l"));
+  EXPECT_NO_THROW(Inj.hit("sched.place", "p/l"));
   EXPECT_EQ(Inj.totalInjected(), 0u);
   // At a degrade site it fires.
-  EXPECT_TRUE(Inj.shouldDegrade("sched.warm", "p/l"));
+  EXPECT_TRUE(Inj.shouldDegrade("sched.place", "p/l"));
   EXPECT_EQ(Inj.injectedDegrades(), 1u);
 }
 

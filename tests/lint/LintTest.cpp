@@ -206,9 +206,9 @@ TEST(LintFaultSite, CleanFixtureIsClean) {
 TEST(LintFaultSite, EveryShapeFiresOnTheViolatingFixture) {
   LintResult R = runOn("faultsite_violate");
   EXPECT_TRUE(R.ConfigErrors.empty()) << dump(R);
-  EXPECT_EQ(countRule(R, "fault-site"), 5u) << dump(R);
+  EXPECT_EQ(countRule(R, "fault-site"), 6u) << dump(R);
   // unregistered literal, kind mismatch, duplicate location,
-  // non-literal site, stale registry entry.
+  // non-literal site, stale registry entry, malformed registry entry.
   EXPECT_TRUE(anyMessageContains(R, "fault-site", "not registered"))
       << dump(R);
   EXPECT_TRUE(anyMessageContains(R, "fault-site", "registered as 'point'"))
@@ -219,6 +219,8 @@ TEST(LintFaultSite, EveryShapeFiresOnTheViolatingFixture) {
   EXPECT_TRUE(anyMessageContains(R, "fault-site", "string literal"))
       << dump(R);
   EXPECT_TRUE(anyMessageContains(R, "fault-site", "never used")) << dump(R);
+  EXPECT_TRUE(anyMessageContains(R, "fault-site", "malformed registry entry"))
+      << dump(R);
   // The stale-registry violation anchors on the registry file itself.
   EXPECT_TRUE(std::any_of(R.Violations.begin(), R.Violations.end(),
                           [](const Violation &V) {

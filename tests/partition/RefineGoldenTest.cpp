@@ -85,9 +85,8 @@ uint64_t digestLoop(const Loop &L, const MachineDescription &M,
     HeteroScaling Scaling = scalingForConfig(C, M, Tech);
     for (bool ED2 : {true, false}) {
       // One scratch per (plan, objective), carried across the IT steps
-      // with the warm-start memo on, as the Figure 5 driver runs it.
+      // with its coarsening memo, as the Figure 5 driver runs it.
       PartitionScratch Scratch;
-      Scratch.EnableMemo = true;
       PartitionerOptions O;
       O.ED2Objective = ED2;
       Rational IT = Planner.computeMIT(Recs.RecMII, L.opCountsByFU());

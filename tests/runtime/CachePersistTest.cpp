@@ -186,9 +186,11 @@ TEST_F(CachePersistFixture, BitFlipInHeaderRefuses) {
 
 TEST_F(CachePersistFixture, VersionSkewRefuses) {
   std::string Skewed = SnapBytes;
-  size_t Pos = Skewed.find("schema 1 ");
+  const std::string Current =
+      "schema " + std::to_string(CacheKeySchemaVersion) + " ";
+  size_t Pos = Skewed.find(Current);
   ASSERT_NE(Pos, std::string::npos);
-  Skewed.replace(Pos, 9, "schema 999 ");
+  Skewed.replace(Pos, Current.size(), "schema 999 ");
 
   Session S{PipelineOptions(), 1};
   std::string Err;

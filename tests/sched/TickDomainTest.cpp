@@ -440,8 +440,7 @@ HeteroConfig gridlessConfig(const MachineDescription &M) {
 }
 
 // The Figure 5 driver refuses every grid-less IT step, names the
-// missing grid in the FailureLog, counts the refusals in the ledger,
-// and does so identically on the warm and the cold path.
+// missing grid in the FailureLog and counts the refusals in the ledger.
 TEST(TickDomain, DriverRefusesGridlessITSteps) {
   MachineDescription M = MachineDescription::paperDefault();
   HeteroConfig C = gridlessConfig(M);
@@ -451,12 +450,9 @@ TEST(TickDomain, DriverRefusesGridlessITSteps) {
   Params.MaxOps = 12;
   Loop L = makeRandomLoop(Rng, Params, "gridless");
 
-  LoopScheduleOptions Warm;
-  Warm.MaxITSteps = 8;
-  LoopScheduleOptions Cold = Warm;
-  Cold.WarmStart = false;
-  LoopScheduleResult W = LoopScheduler(M, C, Warm).schedule(L);
-  LoopScheduleResult K = LoopScheduler(M, C, Cold).schedule(L);
+  LoopScheduleOptions O;
+  O.MaxITSteps = 8;
+  LoopScheduleResult W = LoopScheduler(M, C, O).schedule(L);
 
   EXPECT_FALSE(W.Success);
   EXPECT_EQ(W.Failure, PlanGrid::NoGridReason);
@@ -466,19 +462,9 @@ TEST(TickDomain, DriverRefusesGridlessITSteps) {
     EXPECT_EQ(F.Reason, PlanGrid::NoGridReason) << "step " << F.Step;
     Refused += F.Count;
   }
-  EXPECT_EQ(Refused, Warm.MaxITSteps + 1);
+  EXPECT_EQ(Refused, O.MaxITSteps + 1);
   EXPECT_EQ(W.FallbackRational, Refused);
   EXPECT_EQ(W.Placements, 0u);
-
-  EXPECT_EQ(digestResult(W), digestResult(K));
-  EXPECT_EQ(W.FallbackRational, K.FallbackRational);
-  ASSERT_EQ(W.FailureLog.size(), K.FailureLog.size());
-  for (size_t I = 0; I < W.FailureLog.size(); ++I) {
-    EXPECT_EQ(W.FailureLog[I].Step, K.FailureLog[I].Step);
-    EXPECT_EQ(W.FailureLog[I].ITNs, K.FailureLog[I].ITNs);
-    EXPECT_EQ(W.FailureLog[I].Reason, K.FailureLog[I].Reason);
-    EXPECT_EQ(W.FailureLog[I].Count, K.FailureLog[I].Count);
-  }
 
   // The measurement ledger carries the same count.
   std::vector<Loop> Loops = {L};
@@ -487,7 +473,7 @@ TEST(TickDomain, DriverRefusesGridlessITSteps) {
   EnergyModel Energy(EnergyBreakdown(), Profile->Totals, Profile->TexecRefNs,
                      M.numClusters());
   MeasureOptions MO;
-  MO.MaxITSteps = Warm.MaxITSteps;
+  MO.MaxITSteps = O.MaxITSteps;
   ConfigRunResult R = ScheduleMeasurer(M, MO).measure(
       *Profile, Loops, C,
       scalingForConfig(C, M, TechnologyModel::paperDefault()), Energy,

@@ -8,8 +8,10 @@
 //   - a HCVLIW_FAULT_POINT / HCVLIW_FAULT_DEGRADE call whose site
 //     argument is not a string literal cannot be registered — flagged;
 //   - every literal must appear in src/fault/FaultSites.def with the
-//     matching kind (a plan that says "degrade" at a point site would
-//     silently throw instead);
+//     matching kind (the parser refuses a "degrade" rule at a point
+//     site, so a mismatch would make the site undrivable). The
+//     registry is the X-macro the fault library includes: one
+//     HCVLIW_FAULT_SITE("<name>", Point|Degrade) per site;
 //   - a literal used at two code locations makes plans ambiguous —
 //     flagged at the second location;
 //   - a registered site no plan can ever hit (no use in the tree) is
@@ -80,35 +82,40 @@ void hcvliw::lint::checkFaultSites(const FaultSiteIndex &Idx,
                                    std::vector<Violation> &Out) {
   const std::string RegRel = "src/fault/FaultSites.def";
 
-  // Parse the registry: `site <name> <point|degrade>` (comments `#`).
+  // Parse the registry: every HCVLIW_FAULT_SITE("<name>", Point|Degrade)
+  // invocation (comments vanish in the lexer; `#define` / `#undef` of
+  // the macro are not invocations).
   std::map<std::string, std::string> Registered; // name -> kind
   std::map<std::string, unsigned> RegisteredLine;
   bool HaveRegistry = false;
   {
     std::ifstream In(Root + "/" + RegRel);
     HaveRegistry = static_cast<bool>(In);
-    std::string Line;
-    unsigned LineNo = 0;
-    while (std::getline(In, Line)) {
-      ++LineNo;
-      if (size_t Hash = Line.find('#'); Hash != std::string::npos)
-        Line.resize(Hash);
-      std::istringstream LS(Line);
-      std::string Kw, Name, Kind;
-      if (!(LS >> Kw))
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    const std::vector<Token> T = tokenize(Buf.str());
+    for (size_t I = 0; I < T.size(); ++I) {
+      if (!T[I].ident("HCVLIW_FAULT_SITE") || I + 1 >= T.size() ||
+          !T[I + 1].punct("(") || (I > 0 && T[I - 1].ident("define")))
         continue;
-      if (Kw != "site" || !(LS >> Name >> Kind) ||
-          (Kind != "point" && Kind != "degrade")) {
-        Out.push_back({"fault-site", RegRel, LineNo,
-                       "malformed registry line (want 'site <name> "
-                       "<point|degrade>')"});
+      bool WellFormed =
+          I + 5 < T.size() && T[I + 2].K == Token::Str &&
+          T[I + 3].punct(",") &&
+          (T[I + 4].ident("Point") || T[I + 4].ident("Degrade")) &&
+          T[I + 5].punct(")");
+      if (!WellFormed) {
+        Out.push_back({"fault-site", RegRel, T[I].Line,
+                       "malformed registry entry (want "
+                       "'HCVLIW_FAULT_SITE(\"<name>\", Point|Degrade)')"});
         continue;
       }
+      const std::string &Name = T[I + 2].Text;
+      std::string Kind = T[I + 4].ident("Point") ? "point" : "degrade";
       if (!Registered.emplace(Name, Kind).second)
-        Out.push_back({"fault-site", RegRel, LineNo,
+        Out.push_back({"fault-site", RegRel, T[I].Line,
                        "site '" + Name + "' registered twice"});
       else
-        RegisteredLine[Name] = LineNo;
+        RegisteredLine[Name] = T[I].Line;
     }
   }
 
