@@ -152,7 +152,8 @@ HeterogeneousPipeline::runProgram(const BenchmarkProgram &Program,
 
   // The Profiler records the stage.profile span itself.
   Profiler Prof(machine(), Opts.ProgramBudgetNs, &S.scheduleCache(),
-                &S.scheduleScratchPool(), Trace, &S.metrics());
+                &S.scheduleScratchPool(), Trace, &S.metrics(),
+                &S.faultInjector());
   std::string ProfErr;
   std::optional<ProgramProfile> Profile;
   try {

@@ -1,12 +1,14 @@
 //===- profiling/Profiler.cpp - Reference homogeneous profiling -------------===//
 
 #include "profiling/Profiler.h"
+#include "fault/Fault.h"
 #include "ir/RecurrenceAnalysis.h"
 #include "support/HashUtil.h"
 
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -76,12 +78,26 @@ std::vector<double> ProgramProfile::shareByConstraint() const {
   return Share;
 }
 
+namespace {
+
+MeasureOptions profilingOptions(fault::FaultInjector *Fault) {
+  MeasureOptions O;
+  O.Fault = Fault;
+  return O;
+}
+
+} // namespace
+
 Profiler::Profiler(const MachineDescription &M, double BudgetNs,
                    ScheduleCache *Cache, ScheduleScratchPool *Scratches,
-                   obs::Tracer *Tr, obs::MetricsRegistry *Metrics)
-    : ProgramBudgetNs(BudgetNs), Trace(Tr),
-      Measurer(M, MeasureOptions(), Cache, Scratches, Tr, Metrics) {
-  assert(BudgetNs > 0 && "profiling budget must be positive");
+                   obs::Tracer *Tr, obs::MetricsRegistry *Metrics,
+                   fault::FaultInjector *Inj)
+    : ProgramBudgetNs(BudgetNs), Trace(Tr), Fault(Inj),
+      Measurer(M, profilingOptions(Inj), Cache, Scratches, Tr, Metrics) {
+  // Every invocation count scales with the budget: a zero, negative or
+  // NaN budget would make every profile zero, negative or NaN.
+  if (!(BudgetNs > 0))
+    throw std::invalid_argument("profiling budget must be positive");
 }
 
 std::optional<ProgramProfile>
@@ -106,11 +122,17 @@ Profiler::profileProgram(const std::string &Name,
     return std::nullopt;
   }
 
+  // The fault context of this stage's schedules (see Profiler.h). Only
+  // an armed injector reads it, so it is composed only while armed.
+  std::string ArmedCtx;
+  if (Fault && Fault->armed())
+    ArmedCtx = "profile:" + Name;
+  const std::string &FaultCtx = ArmedCtx.empty() ? Name : ArmedCtx;
   for (const Loop &L : Loops) {
     // The baseline objective reads neither energy model nor scaling.
-    SharedSchedule Run =
-        Measurer.scheduleLoop(L, Ref, nullptr, nullptr,
-                              /*ED2Objective=*/false, Name, Tally, Lookups);
+    SharedSchedule Run = Measurer.scheduleLoop(
+        L, Ref, nullptr, nullptr, /*ED2Objective=*/false, FaultCtx, Tally,
+        Lookups);
     const LoopScheduleResult &R = *Run;
     if (!R.Success) {
       if (Err)

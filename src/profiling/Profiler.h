@@ -15,6 +15,16 @@
 /// profile schedule is an ordinary entry, reused across passes,
 /// programs and persisted snapshots.
 ///
+/// The session's fault injector reaches the profile stage too. Its
+/// schedules run under the fault context "profile:<program>", so the
+/// per-loop sites see "profile:<program>/<loop>": a plan rule scoped
+/// to "<program>/<loop>" still fires only where the measurement stage
+/// schedules, and a rule aimed at "profile:..." fails the profile
+/// stage. A rule with no context fires in both. Replay: while the
+/// injector is armed, the profile stage bypasses the ScheduleCache as
+/// the measurement stage does, so an armed run re-profiles every loop
+/// instead of reusing cached or snapshot-loaded profile schedules.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HCVLIW_PROFILING_PROFILER_H
@@ -32,17 +42,21 @@ namespace hcvliw {
 class Profiler {
   double ProgramBudgetNs;
   obs::Tracer *Trace;        ///< may be null: no stage span
+  fault::FaultInjector *Fault; ///< may be null: no fault sites
   ScheduleMeasurer Measurer; ///< under the profiling policy above
 
 public:
   /// The optional session resources, as for ScheduleMeasurer; \p Trace
-  /// also records one "stage.profile:<program>" span per program.
+  /// also records one "stage.profile:<program>" span per program, and
+  /// \p Fault is consulted at the scheduling sites (see above). Throws
+  /// std::invalid_argument unless \p ProgramBudgetNs is positive.
   explicit Profiler(const MachineDescription &M,
                     double ProgramBudgetNs = 1e6,
                     ScheduleCache *Cache = nullptr,
                     ScheduleScratchPool *Scratches = nullptr,
                     obs::Tracer *Trace = nullptr,
-                    obs::MetricsRegistry *Metrics = nullptr);
+                    obs::MetricsRegistry *Metrics = nullptr,
+                    fault::FaultInjector *Fault = nullptr);
 
   /// std::nullopt when some loop cannot be scheduled on the reference
   /// machine (a workload bug). On failure, \p Err (when non-null)

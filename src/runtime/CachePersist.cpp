@@ -7,9 +7,10 @@
 #include "support/RecordIO.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <memory>
+#include <string_view>
 
 using namespace hcvliw;
 using recio::Sink;
@@ -308,14 +309,21 @@ std::string hex(uint64_t V) {
   return Buf;
 }
 
-void putRecord(std::FILE *Out, const char *Kind, const std::string &Body) {
-  std::fprintf(Out, "rec %s %08x %s\n", Kind, recio::crc32(Body),
-               Body.c_str());
+/// Appends the frame "rec <kind> <crc> <body>\n" to \p Out.
+void putRecord(std::string &Out, const char *Kind, std::string_view Body) {
+  char Crc[9];
+  std::snprintf(Crc, sizeof Crc, "%08x", recio::crc32(Body));
+  Out += "rec ";
+  Out += Kind;
+  Out += ' ';
+  Out.append(Crc, 8);
+  Out += ' ';
+  Out += Body;
+  Out += '\n';
 }
 
 /// One "eval" body: the TimingRecord, key fields first.
-std::string evalBody(const EvalCache::TimingRecord &R) {
-  Sink S;
+void putEvalBody(Sink &S, const EvalCache::TimingRecord &R) {
   S.u64(R.LoopFP);
   S.u64(R.NumFast);
   S.i64(R.RatioNum);
@@ -327,10 +335,9 @@ std::string evalBody(const EvalCache::TimingRecord &R) {
   S.u64(R.ClusterShare.size());
   for (double V : R.ClusterShare)
     S.d(V);
-  return S.line();
 }
 
-bool parseEvalBody(const std::string &Body, EvalCache::TimingRecord &R) {
+bool parseEvalBody(std::string_view Body, EvalCache::TimingRecord &R) {
   Source S(Body);
   R.LoopFP = S.u64();
   R.NumFast = static_cast<uint32_t>(S.u64());
@@ -349,80 +356,80 @@ bool parseEvalBody(const std::string &Body, EvalCache::TimingRecord &R) {
   return S.done();
 }
 
-/// Header of an open snapshot stream; Line is reused by the caller.
+/// The header fields a load checks against the session.
 struct Header {
-  uint32_t Schema = 0;
+  uint64_t Schema = 0;
   uint64_t Binding = 0;
 };
 
-bool readLine(std::FILE *In, std::string &Out) {
-  Out.clear();
-  int C;
-  while ((C = std::fgetc(In)) != EOF && C != '\n')
-    Out.push_back(static_cast<char>(C));
-  return C != EOF || !Out.empty();
-}
-
 /// Reads and validates the three header lines. False (with \p Err) on
-/// any skew; \p ExpectBinding == 0 skips the binding check (merge reads
-/// the first input's binding this way, then pins it).
-bool readHeader(std::FILE *In, const std::string &Path, Header &H,
+/// a missing or malformed line; the caller checks the values.
+bool readHeader(recio::LineReader &In, const std::string &Path, Header &H,
                 std::string *Err) {
   auto fail = [&](const std::string &What) {
     if (Err)
       *Err = "cache snapshot " + Path + ": " + What;
     return false;
   };
-  std::string Line;
-  if (!readLine(In, Line))
+  std::string_view Line;
+  if (!In.next(Line))
     return fail("empty file");
   if (Line != SnapshotMagic)
-    return fail("not a cache snapshot (bad magic/version: \"" + Line +
-                "\")");
-  if (!readLine(In, Line))
+    return fail("not a cache snapshot (bad magic/version: \"" +
+                std::string(Line) + "\")");
+  if (!In.next(Line))
     return fail("truncated header");
   {
-    std::istringstream SS(Line);
-    std::string K1, K2, BindingHex;
-    unsigned long long Schema = 0;
-    if (!(SS >> K1 >> Schema >> K2 >> BindingHex) || K1 != "schema" ||
-        K2 != "binding")
-      return fail("malformed schema line: \"" + Line + "\"");
-    H.Schema = static_cast<uint32_t>(Schema);
-    H.Binding = std::strtoull(BindingHex.c_str(), nullptr, 16);
+    Source S(Line);
+    if (S.word() != "schema")
+      S.markBad();
+    H.Schema = S.u64();
+    if (S.word() != "binding")
+      S.markBad();
+    H.Binding = S.hex64();
+    if (!S.done())
+      return fail("malformed schema line: \"" + std::string(Line) + "\"");
   }
-  if (!readLine(In, Line) || Line.rfind("build ", 0) != 0)
+  if (!In.next(Line) || Line.substr(0, 6) != "build ")
     return fail("missing build line");
   // The build sha is provenance only; no check (see header comment).
   return true;
 }
 
-void writeHeader(std::FILE *Out, uint64_t Binding) {
-  std::fprintf(Out, "%s\n", SnapshotMagic);
-  std::fprintf(Out, "schema %u binding %s\n", CacheKeySchemaVersion,
-               hex(Binding).c_str());
-  std::fprintf(Out, "build %s\n", obs::buildInfo().GitSha);
+void writeHeader(std::string &Out, uint64_t Binding) {
+  Out += SnapshotMagic;
+  Out += "\nschema " + std::to_string(CacheKeySchemaVersion) + " binding " +
+         hex(Binding) + "\nbuild " + obs::buildInfo().GitSha + "\n";
 }
 
-/// Splits one "rec <kind> <crc> <body>" line. False when the frame is
-/// malformed or the CRC mismatches — the caller quarantines it.
-bool splitRecord(const std::string &Line, std::string &Kind,
-                 std::string &Body) {
-  if (Line.rfind("rec ", 0) != 0)
+/// Splits one "rec <kind> <crc> <body>" line into views of it. False
+/// when the frame is malformed or the CRC mismatches — the caller
+/// quarantines it.
+bool splitRecord(std::string_view Line, std::string_view &Kind,
+                 std::string_view &Body) {
+  if (Line.substr(0, 4) != "rec ")
     return false;
   size_t KindEnd = Line.find(' ', 4);
-  if (KindEnd == std::string::npos)
+  if (KindEnd == std::string_view::npos)
     return false;
   size_t CrcEnd = Line.find(' ', KindEnd + 1);
-  if (CrcEnd == std::string::npos)
+  if (CrcEnd == std::string_view::npos)
     return false;
   Kind = Line.substr(4, KindEnd - 4);
-  uint32_t Crc = static_cast<uint32_t>(
-      std::strtoul(Line.substr(KindEnd + 1, CrcEnd - KindEnd - 1).c_str(),
-                   nullptr, 16));
+  const char *CrcBegin = Line.data() + KindEnd + 1;
+  const char *CrcStop = Line.data() + CrcEnd;
+  uint32_t Crc = 0;
+  auto [Ptr, Ec] = std::from_chars(CrcBegin, CrcStop, Crc, 16);
+  if (Ec != std::errc() || Ptr != CrcStop || CrcStop - CrcBegin != 8)
+    return false;
   Body = Line.substr(CrcEnd + 1);
   return recio::crc32(Body) == Crc;
 }
+
+struct FileCloser {
+  void operator()(std::FILE *F) const { std::fclose(F); }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 } // namespace
 
@@ -451,36 +458,54 @@ bool hcvliw::writeCacheSnapshot(const std::string &Path,
                                 const EvalCache &Eval, uint64_t Binding,
                                 CacheSaveStats *Stats, std::string *Err) {
   std::string Tmp = Path + ".tmp";
-  std::FILE *Out = std::fopen(Tmp.c_str(), "wb");
-  if (!Out) {
+  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
+  if (!F) {
     if (Err)
       *Err = "cannot open " + Tmp + " for writing";
     return false;
   }
+  // Frames collect in one bounded buffer that is written a block at a
+  // time, with no stdio buffer under it: a few fwrites per snapshot, and
+  // memory that does not grow with the file.
+  std::setvbuf(F, nullptr, _IONBF, 0);
+  constexpr size_t FlushBytes = 16 * 1024;
+  std::string Out;
+  bool Ok = true;
+  auto flush = [&] {
+    Ok = std::fwrite(Out.data(), 1, Out.size(), F) == Out.size() && Ok;
+    Out.clear();
+  };
+  Sink S;
+  auto frame = [&](const char *Kind) {
+    putRecord(Out, Kind, S.line());
+    if (Out.size() >= FlushBytes)
+      flush();
+    S.clear();
+  };
+
   CacheSaveStats Local;
   writeHeader(Out, Binding);
   // Canonical record order: sched, eval, sel; within a kind, keys
   // sorted — so equal cache contents produce byte-identical snapshots.
   Sched.exportEntries([&](uint64_t Key, const LoopScheduleResult &R) {
-    Sink S;
     S.u64(Key);
     putLoopScheduleResult(S, R);
-    putRecord(Out, KindSched, S.line());
+    frame(KindSched);
     ++Local.SchedSaved;
   });
   Eval.exportTimings([&](const EvalCache::TimingRecord &R) {
-    putRecord(Out, KindEval, evalBody(R));
+    putEvalBody(S, R);
+    frame(KindEval);
     ++Local.EvalSaved;
   });
   Eval.exportSelections([&](uint64_t Key, const SelectedDesign &D) {
-    Sink S;
     S.u64(Key);
     putDesign(S, D);
-    putRecord(Out, KindSel, S.line());
+    frame(KindSel);
     ++Local.SelSaved;
   });
-  bool Ok = std::fflush(Out) == 0;
-  Ok = std::fclose(Out) == 0 && Ok;
+  flush();
+  Ok = std::fclose(F) == 0 && Ok;
   if (Ok)
     Ok = std::rename(Tmp.c_str(), Path.c_str()) == 0;
   if (!Ok) {
@@ -498,21 +523,22 @@ bool hcvliw::loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
                                EvalCache &Eval, uint64_t Binding,
                                fault::FaultInjector *Inj,
                                CacheLoadStats *Stats, std::string *Err) {
-  std::FILE *In = std::fopen(Path.c_str(), "rb");
-  if (!In) {
+  FilePtr File(std::fopen(Path.c_str(), "rb"));
+  if (!File) {
     if (Err)
       *Err = "cannot open cache snapshot " + Path;
     return false;
   }
+  // LineReader reads whole blocks into its own buffer; a stdio buffer
+  // under it would only add a copy.
+  std::setvbuf(File.get(), nullptr, _IONBF, 0);
+  recio::LineReader In(File.get());
   Header H;
-  if (!readHeader(In, Path, H, Err)) {
-    std::fclose(In);
+  if (!readHeader(In, Path, H, Err))
     return false;
-  }
   auto refuse = [&](const std::string &What) {
     if (Err)
       *Err = "cache snapshot " + Path + ": " + What;
-    std::fclose(In);
     return false;
   };
   if (H.Schema != CacheKeySchemaVersion)
@@ -527,8 +553,8 @@ bool hcvliw::loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
                   "); refusing to load");
 
   CacheLoadStats Local;
-  std::string Line, Kind, Body;
-  while (readLine(In, Line)) {
+  std::string_view Line, Kind, Body;
+  while (In.next(Line)) {
     if (Line.empty())
       continue;
     // One deterministic quarantine decision per frame: a real
@@ -573,7 +599,6 @@ bool hcvliw::loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
     if (Corrupt)
       ++Local.CorruptFrames;
   }
-  std::fclose(In);
   if (Stats)
     *Stats = Local;
   return true;

@@ -35,7 +35,9 @@
 ///     counted (CacheLoadStats::CorruptFrames, surfaced as the
 ///     cache.load_corrupt metric); every intact record before and
 ///     after it still loads. A torn tail (the writer died mid-line)
-///     is one corrupt frame, never UB.
+///     is one corrupt frame, never UB. A seeded mutation test
+///     (CachePersistTest) re-frames mutated bodies under valid CRCs to
+///     hold the body decoder to this.
 ///   - *Partial load is always safe.* Imported entries are
 ///     first-writer-wins and bit-identical to recomputation (the
 ///     caches' key contract), so any subset of a snapshot warms the
@@ -46,6 +48,21 @@
 ///   - *Snapshots are deterministic.* Records are emitted in a
 ///     canonical order (kind, then key), so equal cache contents save
 ///     byte-identical files.
+///
+/// The read path makes one pass over the file and reads nothing a byte
+/// at a time: recio::LineReader reads fixed-size blocks and hands out
+/// each line as a view into its buffer; the frame's kind and body stay
+/// views of that line; the CRC runs slicing-by-8 over the body; and
+/// recio::Source decodes the body in place. Its tokens split on the
+/// single spaces the writer emits, integers are strict decimal
+/// (std::from_chars: no sign on unsigned fields, no overflow), and
+/// doubles are parsed as hex-floats independently of the locale. So
+/// the reader refuses tokens the writer never emits, and it is
+/// narrower than the older fgetc/istringstream reader: any frame it
+/// decodes, that reader decoded to the same values. The
+/// writer builds frames in one bounded buffer and writes it a block at
+/// a time. Memory stays flat in the snapshot's size both ways; only a
+/// line longer than a block grows the reader's buffer.
 ///
 /// The "cache.load" degrade fault site is consulted once per record in
 /// loadCacheSnapshot — a deterministic way to drive the quarantine

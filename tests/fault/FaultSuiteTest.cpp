@@ -106,10 +106,10 @@ TEST(FaultContainment, SamePlanSameFailuresAtEveryThreadCount) {
 // --- the degradation ladder ------------------------------------------------
 
 // Nothing absorbs a throw out of the Figure 5 sweep: a throw at
-// sched.place in one loop of 171.swim (first reached when measuring,
-// since the profile runs without the injector) is that program's
-// structured failure at once, and the other programs match the clean
-// run.
+// sched.place in one loop of 171.swim (the "171.swim/<loop>" context is
+// the measurement stage's; the profile stage schedules under
+// "profile:171.swim/<loop>") is that program's structured failure at
+// once, and the other programs match the clean run.
 TEST(FaultLadder, SweepThrowBecomesAStructuredFailure) {
   std::vector<BenchmarkProgram> Programs = smallSuite();
   SuiteResult Clean;
@@ -127,6 +127,36 @@ TEST(FaultLadder, SweepThrowBecomesAStructuredFailure) {
   ASSERT_EQ(R.Failures.size(), 1u);
   EXPECT_EQ(R.Failures[0].Program, "171.swim");
   EXPECT_EQ(R.Failures[0].Stage, PipelineStage::Measurement);
+  EXPECT_NE(R.Failures[0].Reason.find("sched.place"), std::string::npos)
+      << R.Failures[0].Reason;
+  EXPECT_EQ(S.faultInjector().injectedThrows(), 1u);
+  ASSERT_EQ(R.Details.size(), 2u);
+  for (const ProgramRunResult &D : R.Details)
+    for (const ProgramRunResult &C : Clean.Details)
+      if (C.Name == D.Name)
+        expectSameProgram(C, D);
+}
+
+// The profile stage schedules under the session's injector too, in a
+// context of its own: a sched.place throw aimed at a profile schedule
+// fails 171.swim at the profiling stage, and nothing else.
+TEST(FaultLadder, ProfileScheduleThrowFailsTheProfilingStage) {
+  std::vector<BenchmarkProgram> Programs = smallSuite();
+  SuiteResult Clean;
+  {
+    Session S{PipelineOptions(), 1};
+    Clean = SuiteRunner(S).run(Programs);
+  }
+
+  Session S{PipelineOptions(), 2};
+  S.faultInjector().arm(plan("on sched.place ctx profile:171.swim/" +
+                             Programs[1].Loops[0].Name +
+                             " occurrence 1 throw\n"));
+  SuiteResult R = SuiteRunner(S).run(Programs);
+
+  ASSERT_EQ(R.Failures.size(), 1u);
+  EXPECT_EQ(R.Failures[0].Program, "171.swim");
+  EXPECT_EQ(R.Failures[0].Stage, PipelineStage::Profiling);
   EXPECT_NE(R.Failures[0].Reason.find("sched.place"), std::string::npos)
       << R.Failures[0].Reason;
   EXPECT_EQ(S.faultInjector().injectedThrows(), 1u);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -51,6 +52,13 @@ TEST(Profiler, InvocationsRealizeWeights) {
   EXPECT_NEAR(P->TexecRefNs, 2e6, 1);
   auto Shares = P->shareByConstraint();
   EXPECT_NEAR(Shares[0], 1.0, 1e-9); // all resource-constrained
+}
+
+TEST(Profiler, NonPositiveBudgetThrowsInEveryBuild) {
+  MachineDescription M = MachineDescription::paperDefault();
+  for (double Budget : {0.0, -1.0, std::nan("")})
+    EXPECT_THROW(Profiler(M, Budget), std::invalid_argument) << Budget;
+  EXPECT_NO_THROW(Profiler(M, 1.0));
 }
 
 TEST(Profiler, ClassificationBoundaries) {

@@ -8,8 +8,10 @@
 // in the header, key-schema version skew, binding mismatch, empty
 // file, unknown record kind, a CRC-valid rational with a zero or
 // INT64_MIN denominator — quarantines or refuses with exact counts and
-// never changes a result; and the "cache.load" fault site drives the
-// quarantine path from a plan.
+// never changes a result; the "cache.load" fault site drives the
+// quarantine path from a plan; and seeded mutations of record bodies,
+// re-framed under a valid CRC, reach the body decoder and are either
+// quarantined or imported as entries that save and load back cleanly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "runtime/CachePersist.h"
 #include "runtime/Session.h"
 #include "runtime/SuiteRunner.h"
+#include "support/RNG.h"
 #include "support/RecordIO.h"
 
 #include <gtest/gtest.h>
@@ -291,6 +294,171 @@ TEST_F(CachePersistFixture, FaultPlanDrivesQuarantinePath) {
   EXPECT_EQ(S.cachePersistLoadStats().CorruptFrames, Expect);
   EXPECT_EQ(S.cachePersistLoadStats().loaded(), Saved.saved() - Expect);
   EXPECT_EQ(S.faultInjector().injectedDegrades(), Expect);
+}
+
+// --- hostile input -----------------------------------------------------------
+
+/// One seeded mutation of a record body: a bit flip, a token deleted or
+/// duplicated, a digit changed, a token replaced by a boundary value, or
+/// a truncation. Never a '\n', which would split the frame in two.
+std::string mutateBody(const std::string &Body, RNG &R) {
+  std::string Out = Body;
+  auto at = [&](size_t N) { return static_cast<size_t>(R.nextInt(0, N - 1)); };
+  std::vector<std::string> Tok;
+  for (size_t B = 0, E; B <= Out.size(); B = E + 1) {
+    E = std::min(Out.find(' ', B), Out.size());
+    Tok.push_back(Out.substr(B, E - B));
+  }
+  auto join = [&] {
+    std::string J;
+    for (size_t I = 0; I < Tok.size(); ++I)
+      J += (I ? " " : "") + Tok[I];
+    return J;
+  };
+  switch (R.nextInt(0, 5)) {
+  case 0: { // flip one bit of one byte
+    char &C = Out[at(Out.size())];
+    char Flipped = static_cast<char>(C ^ (1 << R.nextInt(0, 7)));
+    C = Flipped == '\n' ? '\v' : Flipped;
+    return Out;
+  }
+  case 1: // delete a token
+    Tok.erase(Tok.begin() + static_cast<std::ptrdiff_t>(at(Tok.size())));
+    return join();
+  case 2: { // duplicate a token
+    size_t I = at(Tok.size());
+    Tok.insert(Tok.begin() + static_cast<std::ptrdiff_t>(I), Tok[I]);
+    return join();
+  }
+  case 3: { // change one digit
+    std::vector<size_t> Digits;
+    for (size_t I = 0; I < Out.size(); ++I)
+      if (Out[I] >= '0' && Out[I] <= '9')
+        Digits.push_back(I);
+    if (!Digits.empty())
+      Out[R.pick(Digits)] = static_cast<char>('0' + R.nextInt(0, 9));
+    return Out;
+  }
+  case 4: { // a boundary value where a well-formed token was
+    static const std::vector<std::string> Edge = {
+        "0", "-1", "-9223372036854775808", "9223372036854775808",
+        "18446744073709551616", "0x1p+1024", "nan"};
+    Tok[at(Tok.size())] = R.pick(Edge);
+    return join();
+  }
+  default: // truncate
+    return Out.substr(0, at(Out.size()));
+  }
+}
+
+/// The decoder's checks, restated over what a load imported: every
+/// rational normalized with a positive denominator, every enum and edge
+/// endpoint in range.
+void expectImportedEntriesValid(const ScheduleCache &Sched,
+                                const EvalCache &Eval) {
+  auto ratOk = [](const Rational &R) {
+    return R.den() > 0 && R.num() != INT64_MIN;
+  };
+  auto planOk = [&](const DomainPlan &D) {
+    return ratOk(D.FreqGHz) && ratOk(D.PeriodNs);
+  };
+  Sched.exportEntries([&](uint64_t Key, const LoopScheduleResult &R) {
+    const MachinePlan &P = R.Sched.Plan;
+    bool Ok = ratOk(P.ITNs) && planOk(P.Bus) && planOk(P.Cache) &&
+              ratOk(R.MITNs);
+    for (const DomainPlan &D : P.Clusters)
+      Ok = Ok && planOk(D);
+    for (const ITFailure &F : R.FailureLog)
+      Ok = Ok && ratOk(F.ITNs);
+    for (unsigned I = 0; I < R.PG.size(); ++I)
+      Ok = Ok && R.PG.node(I).Op <= Opcode::Copy &&
+           R.PG.node(I).Kind <= FUKind::Bus;
+    for (const PGEdge &E : R.PG.edges())
+      Ok = Ok && E.Src < R.PG.size() && E.Dst < R.PG.size();
+    EXPECT_TRUE(Ok) << "schedule entry " << Key;
+  });
+  Eval.exportTimings([&](const EvalCache::TimingRecord &T) {
+    EXPECT_TRUE(ratOk(T.ITNorm)) << "timing entry " << T.LoopFP;
+  });
+  Eval.exportSelections([&](uint64_t Key, const SelectedDesign &D) {
+    bool Ok = ratOk(D.Config.Icn.PeriodNs) && ratOk(D.Config.Cache.PeriodNs);
+    for (const DomainOperatingPoint &P : D.Config.Clusters)
+      Ok = Ok && ratOk(P.PeriodNs);
+    EXPECT_TRUE(Ok) << "selection entry " << Key;
+  });
+}
+
+TEST_F(CachePersistFixture, MutatedFramesRefuseOrQuarantine) {
+  // Split the fixture snapshot into its three header lines and frames.
+  std::vector<std::string> Lines;
+  for (size_t B = 0, E; B < SnapBytes.size(); B = E + 1) {
+    E = SnapBytes.find('\n', B);
+    ASSERT_NE(E, std::string::npos);
+    Lines.push_back(SnapBytes.substr(B, E - B));
+  }
+  ASSERT_EQ(Lines.size(), 3 + Saved.saved());
+
+  Session Probe{PipelineOptions(), 1};
+  const uint64_t Binding = Probe.cacheBinding();
+  const std::string Path = tempPath("cp_mutated.cache");
+  const std::string Resave = tempPath("cp_mutated_resave.cache");
+  RNG R(0x5eed2023);
+  unsigned Quarantined = 0, Imported = 0;
+  for (unsigned Iter = 0; Iter < 2000; ++Iter) {
+    // Re-frame one mutated body under its own CRC, so the CRC passes
+    // and the body decoder is what has to refuse it.
+    size_t F = 3 + static_cast<size_t>(R.nextInt(0, Saved.saved() - 1));
+    size_t KindEnd = Lines[F].find(' ', 4);
+    size_t CrcEnd = Lines[F].find(' ', KindEnd + 1);
+    std::string Body = mutateBody(Lines[F].substr(CrcEnd + 1), R);
+    char Crc[16];
+    std::snprintf(Crc, sizeof Crc, "%08x", recio::crc32(Body));
+    std::string Bytes;
+    for (size_t I = 0; I < Lines.size(); ++I)
+      Bytes += (I == F ? Lines[F].substr(0, KindEnd + 1) + Crc + " " + Body
+                       : Lines[I]) +
+               "\n";
+    spit(Path, Bytes);
+
+    SCOPED_TRACE("iteration " + std::to_string(Iter) + ", frame " +
+                 std::to_string(F) + ": " + Body);
+    ScheduleCache Sched;
+    EvalCache Eval(Probe.machine(), Probe.menu());
+    CacheLoadStats Got;
+    std::string Err;
+    bool Ok = false;
+    EXPECT_NO_THROW(Ok = loadCacheSnapshot(Path, Sched, Eval, Binding,
+                                           nullptr, &Got, &Err));
+    if (!Ok)
+      continue; // refusing the whole file is also safe
+    EXPECT_EQ(Got.loaded() + Got.CorruptFrames, Saved.saved());
+    EXPECT_LE(Got.CorruptFrames, 1u);
+    if (Got.CorruptFrames) {
+      ++Quarantined;
+      continue;
+    }
+    // The mutated body decoded: what it imported passed every check,
+    // and it saves and loads back with no frame quarantined.
+    ++Imported;
+    expectImportedEntriesValid(Sched, Eval);
+    CacheSaveStats Again;
+    ASSERT_TRUE(writeCacheSnapshot(Resave, Sched, Eval, Binding, &Again,
+                                   &Err))
+        << Err;
+    ScheduleCache Sched2;
+    EvalCache Eval2(Probe.machine(), Probe.menu());
+    CacheLoadStats Back;
+    ASSERT_TRUE(loadCacheSnapshot(Resave, Sched2, Eval2, Binding, nullptr,
+                                  &Back, &Err))
+        << Err;
+    EXPECT_EQ(Back.CorruptFrames, 0u);
+    EXPECT_EQ(Back.loaded(), Again.saved());
+  }
+  std::remove(Path.c_str());
+  std::remove(Resave.c_str());
+  // Both outcomes occur, so the decoder's refusals were exercised.
+  EXPECT_GT(Quarantined, 0u);
+  EXPECT_GT(Imported, 0u);
 }
 
 } // namespace

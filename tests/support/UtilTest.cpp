@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstring>
+#include <limits>
+
 using namespace hcvliw;
 
 namespace {
@@ -226,6 +230,177 @@ TEST(RecordIO, RatRejectsWhatTheSinkNeverWrites) {
     EXPECT_TRUE(In.bad()) << Line;
     EXPECT_FALSE(In.done()) << Line;
   }
+}
+
+// --- the reader's contract: exactly what Sink writes, nothing else -------
+
+TEST(RecordIO, IntegersAreStrictDecimal) {
+  for (const char *Line : {"+1", "-1", "18446744073709551616", "1e3", "0x10",
+                           "", " 1", "1\t2", "12a"}) {
+    recio::Source In(Line);
+    EXPECT_EQ(In.u64(), 0u) << '"' << Line << '"';
+    EXPECT_TRUE(In.bad()) << '"' << Line << '"';
+    EXPECT_FALSE(In.done()) << '"' << Line << '"';
+  }
+  for (const char *Line : {"9223372036854775808", "-9223372036854775809",
+                           "+1", "--1", "-", "1.0"}) {
+    recio::Source In(Line);
+    EXPECT_EQ(In.i64(), 0) << Line;
+    EXPECT_TRUE(In.bad()) << Line;
+  }
+  recio::Source In("18446744073709551615 -9223372036854775808 0 -0 007");
+  EXPECT_EQ(In.u64(), UINT64_MAX);
+  EXPECT_EQ(In.i64(), INT64_MIN);
+  EXPECT_EQ(In.u64(), 0u);
+  EXPECT_EQ(In.i64(), 0);
+  EXPECT_EQ(In.u64(), 7u);
+  EXPECT_TRUE(In.done());
+  // A missing token is bad, and so is reading past the end.
+  EXPECT_EQ(In.u64(), 0u);
+  EXPECT_TRUE(In.bad());
+}
+
+TEST(RecordIO, SeparatorIsOneSpace) {
+  // Sink writes single spaces; a tab-separated body, a doubled, leading
+  // or trailing space is not something it writes.
+  for (const char *Line : {"1\t2", "1  2", " 1 2", "1 2 ", "1\n2", "1\r"}) {
+    recio::Source In(Line);
+    In.u64();
+    In.u64();
+    EXPECT_FALSE(In.done()) << '"' << Line << '"';
+  }
+  for (const char *Line : {"a\tb", "a\rb", "\\q", "a\\"}) {
+    recio::Source In(Line);
+    In.str();
+    EXPECT_TRUE(In.bad()) << '"' << Line << '"';
+  }
+  recio::Source Empty("");
+  EXPECT_TRUE(Empty.done()); // no tokens, all consumed
+}
+
+TEST(RecordIO, StringsRoundTripWhatTheSinkWrites) {
+  recio::Sink Out;
+  for (const char *S : {"", "plain", "two words", "tab\there", "back\\slash",
+                        "line\nbreak", "\\e"})
+    Out.str(S);
+  recio::Source In(Out.line());
+  for (const char *S : {"", "plain", "two words", "tab\there", "back\\slash",
+                        "line\nbreak", "\\e"})
+    EXPECT_EQ(In.str(), S);
+  EXPECT_TRUE(In.done());
+}
+
+uint64_t bitsOf(double D) {
+  uint64_t B;
+  std::memcpy(&B, &D, sizeof B);
+  return B;
+}
+
+TEST(RecordIO, DoublesRoundTripBitExactly) {
+  const double Values[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           DBL_MIN,
+                           DBL_MAX,
+                           -DBL_MAX,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           0.1,
+                           -1.0 / 3,
+                           1e300,
+                           123456.789};
+  recio::Sink Out;
+  for (double V : Values)
+    Out.d(V);
+  recio::Source In(Out.line());
+  for (double V : Values)
+    EXPECT_EQ(bitsOf(In.d()), bitsOf(V)) << V;
+  EXPECT_TRUE(In.done()) << Out.line();
+}
+
+TEST(RecordIO, DoublesRefuseWhatTheSinkNeverWrites) {
+  // Hex-floats with their "0x" prefix, "inf" and "nan" only: no
+  // decimal form, no '+', no sign after the prefix, no trailing text.
+  for (const char *Line : {"1.5", "+0x1p+0", "0x-1p+0", "0x", "0xp+0",
+                           "0x1p+0x", "0x1q", "infinity", "-nan(1)", "INF",
+                           "--0x1p+0", "", "0x1,8p+0", "0X1p+0"}) {
+    recio::Source In(Line);
+    EXPECT_EQ(bitsOf(In.d()), 0u) << '"' << Line << '"';
+    EXPECT_TRUE(In.bad()) << '"' << Line << '"';
+    EXPECT_FALSE(In.done()) << '"' << Line << '"';
+  }
+  recio::Source Trailing("0x1p+0 ");
+  EXPECT_EQ(Trailing.d(), 1.0);
+  EXPECT_FALSE(Trailing.done()); // an empty last token is left
+}
+
+TEST(RecordIO, SourceOverALiteralIsClean) {
+  // The cursor views the caller's bytes; a literal outlives it. Built
+  // and exhausted token by token, it never reads past the literal (the
+  // sanitizer CI job runs this).
+  recio::Source In("7 0x1p-1 word");
+  EXPECT_EQ(In.u64(), 7u);
+  EXPECT_EQ(In.d(), 0.5);
+  EXPECT_EQ(In.str(), "word");
+  EXPECT_TRUE(In.done());
+  EXPECT_EQ(In.i64(), 0);
+  EXPECT_TRUE(In.bad());
+}
+
+TEST(RecordIO, LineReaderSplitsAcrossBlocksAndGrowsForLongLines) {
+  // Lines that straddle block boundaries, one longer than two blocks
+  // (the buffer grows for it), an empty line, and a last line with no
+  // '\n'.
+  const size_t Block = recio::LineReader::BlockBytes;
+  std::vector<std::string> Lines = {"first", std::string(Block - 3, 'a'),
+                                    "", std::string(2 * Block + 5, 'b'),
+                                    "x y", std::string(Block, 'c'), "tail"};
+  std::FILE *F = std::tmpfile();
+  ASSERT_NE(F, nullptr);
+  for (size_t I = 0; I < Lines.size(); ++I) {
+    std::fputs(Lines[I].c_str(), F);
+    if (I + 1 < Lines.size())
+      std::fputc('\n', F);
+  }
+  std::rewind(F);
+  recio::LineReader In(F);
+  std::string_view Line;
+  for (const std::string &Want : Lines) {
+    ASSERT_TRUE(In.next(Line));
+    EXPECT_EQ(Line, Want);
+  }
+  EXPECT_FALSE(In.next(Line));
+  std::fclose(F);
+}
+
+/// The bytewise reference CRC-32 (reflected 0xEDB88320, no table) the
+/// slicing-by-8 implementation must match.
+uint32_t crc32Reference(const unsigned char *P, size_t N) {
+  uint32_t C = 0xFFFFFFFFu;
+  for (size_t I = 0; I < N; ++I) {
+    C ^= P[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return C ^ 0xFFFFFFFFu;
+}
+
+TEST(RecordIO, Crc32MatchesTheBytewiseReference) {
+  EXPECT_EQ(recio::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(recio::crc32(""), 0u);
+  unsigned char Buf[80];
+  RNG R(0xc5c32);
+  for (unsigned char &B : Buf)
+    B = static_cast<unsigned char>(R.next());
+  // Every length from 0 to 64, at every offset within an 8-byte word,
+  // so each tail length meets each alignment.
+  for (size_t Off = 0; Off < 8; ++Off)
+    for (size_t Len = 0; Len <= 64; ++Len)
+      EXPECT_EQ(recio::crc32(Buf + Off, Len), crc32Reference(Buf + Off, Len))
+          << "offset " << Off << " length " << Len;
 }
 
 } // namespace
