@@ -47,6 +47,7 @@
 #include "runtime/SuiteRunner.h"
 #include "support/StrUtil.h"
 #include "support/TablePrinter.h"
+#include "workloads/SpecFPSuite.h"
 
 #include <atomic>
 #include <cstdint>
@@ -228,9 +229,12 @@ int main(int argc, char **argv) {
   };
 
   // Per-program failures never throw out of run(); they are records.
+  // The suite is built once: repeats measure the session, not the
+  // workload generator.
+  const std::vector<BenchmarkProgram> Programs = buildSpecFPSuite();
   SuiteResult R;
   for (unsigned Rep = 0; Rep < std::max(1u, Repeat); ++Rep)
-    R = Runner.runSpecFP(SO);
+    R = Runner.run(Programs, SO);
 
   TablePrinter T("normalized ED2 (heterogeneous / optimum homogeneous)");
   std::vector<std::string> Header = {"program"}, Row = {"ED2 ratio"};

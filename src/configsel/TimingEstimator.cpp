@@ -48,7 +48,7 @@ bool packComponents(const LoopProfile &LP, const MachineDescription &M,
   });
 
   for (unsigned I : Order) {
-    const ComponentProfile &CP = LP.Components[I];
+    const LoopComponent &CP = LP.Components[I];
     // The loop's critical component inherits the achievable (profiled)
     // recurrence II rather than the analytic one.
     int64_t CompRecMII =

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 using namespace hcvliw;
 
@@ -185,4 +186,41 @@ hcvliw::analyzeRecurrences(const DDG &G,
   for (const auto &R : Info.Recurrences)
     Info.RecMII = std::max(Info.RecMII, R.RecMII);
   return Info;
+}
+
+std::vector<LoopComponent>
+hcvliw::computeLoopComponents(const Loop &L, const DDG &G,
+                              const RecurrenceInfo &Recs) {
+  assert(G.size() == L.size() && "DDG of another loop");
+  // Union-find over the edges, ignoring direction. Every link points to
+  // a lower node (a union hangs the higher root under the lower), so a
+  // set's root is its lowest node.
+  std::vector<unsigned> Up(L.size());
+  std::iota(Up.begin(), Up.end(), 0u);
+  auto Find = [&Up](unsigned X) {
+    while (Up[X] != X)
+      X = Up[X] = Up[Up[X]];
+    return X;
+  };
+  for (const DDG::Edge &E : G.edges()) {
+    unsigned A = Find(E.Src), B = Find(E.Dst);
+    if (A != B)
+      Up[std::max(A, B)] = std::min(A, B);
+  }
+  // Number the components by their lowest node in one ascending pass:
+  // a root takes the next number; any other node takes the number its
+  // lower link already holds (that link's own, earlier step wrote it).
+  unsigned Count = 0;
+  for (unsigned N = 0; N < L.size(); ++N)
+    Up[N] = Up[N] == N ? Count++ : Up[Up[N]];
+  std::vector<LoopComponent> Comps(Count);
+  for (unsigned N = 0; N < L.size(); ++N) {
+    LoopComponent &C = Comps[Up[N]];
+    ++C.FUCounts[static_cast<unsigned>(fuKindOf(L.Ops[N].Op))];
+    int RecId = Recs.RecurrenceOf[N];
+    if (RecId >= 0)
+      C.RecMII = std::max(
+          C.RecMII, Recs.Recurrences[static_cast<size_t>(RecId)].RecMII);
+  }
+  return Comps;
 }

@@ -20,6 +20,7 @@
 
 #include "ir/DDG.h"
 
+#include <array>
 #include <vector>
 
 namespace hcvliw {
@@ -42,6 +43,22 @@ struct RecurrenceInfo {
 /// Analyzes \p G with per-node latencies \p NodeLatency (cycles).
 RecurrenceInfo analyzeRecurrences(const DDG &G,
                                   const std::vector<unsigned> &NodeLatency);
+
+/// One weakly-connected component of a loop's DDG: the indivisible unit
+/// the Section 3.2 timing estimator packs into clusters (splitting a
+/// component costs communications, so the estimator treats components
+/// as atomic).
+struct LoopComponent {
+  std::array<unsigned, NumFUKinds> FUCounts{}; ///< per FUKind
+  int64_t RecMII = 0; ///< max recurrence inside (0 if none)
+};
+
+/// The weakly-connected components of \p G, the DDG of \p L, ordered
+/// by their lowest node id: each with its per-FUKind op counts and the
+/// largest recMII of a recurrence of \p Recs inside it. A pure function
+/// of (loop, node latencies), like \p Recs itself.
+std::vector<LoopComponent> computeLoopComponents(const Loop &L, const DDG &G,
+                                                 const RecurrenceInfo &Recs);
 
 /// The strongly connected components of a DDG, numbered in a
 /// topological order of the condensation (every edge runs from a

@@ -57,13 +57,13 @@ void mixScaling(FnvHasher &H, const HeteroScaling &S) {
 
 } // namespace
 
-uint64_t ScheduleMeasurer::loopScheduleKey(const Loop &L,
+uint64_t ScheduleMeasurer::loopScheduleKey(uint64_t LoopFP,
                                            const HeteroConfig &Config,
                                            const HeteroScaling *Scaling,
                                            const EnergyModel *Energy,
                                            bool ED2Objective) const {
   FnvHasher H;
-  H.mix(L.structuralFingerprint());
+  H.mix(LoopFP);
 
   // The scheduler reads the config only through each domain's fmax
   // (DomainPlanner); voltages reach it solely via Scaling below, so
@@ -115,7 +115,8 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
                                const EnergyModel *Energy, bool ED2Objective,
                                const std::string &Program,
                                ConfigRunResult &Tally,
-                               ScheduleLookups &Lookups) const {
+                               ScheduleLookups &Lookups,
+                               uint64_t LoopFP) const {
   // While armed, bypass the shared schedule cache: which worker
   // populates a cross-program entry is a timing race, and a hit would
   // skip the scheduling run whose site counters must advance. Healthy
@@ -125,7 +126,7 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
   uint64_t Key = 0;
   SharedSchedule Shared;
   if (UseCache) {
-    Key = loopScheduleKey(L, Config, Scaling, Energy, ED2Objective);
+    Key = loopScheduleKey(LoopFP, Config, Scaling, Energy, ED2Objective);
     Shared = UseCache->find(Key);
     ++(Shared ? Lookups.Hits : Lookups.Misses);
     if (Metrics)
@@ -200,10 +201,17 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
                                           bool ED2Objective,
                                           ScheduleLookups *Lookups) const {
   // A public seam (FrontierMeasurer::measure takes the two separately):
-  // a mismatched pair would read the profile out of bounds below.
+  // a mismatched pair would read the profile, or a schedule keyed by
+  // the profile's LoopFP, out of bounds below.
+  auto mismatch = [&] {
+    return std::invalid_argument("profile '" + Profile.Name +
+                                 "' does not match the loop list");
+  };
   if (Profile.Loops.size() != Loops.size())
-    throw std::invalid_argument("profile '" + Profile.Name +
-                                "' does not match the loop list");
+    throw mismatch();
+  for (size_t I = 0; I < Loops.size(); ++I)
+    if (Profile.Loops[I].NumOps != Loops[I].size())
+      throw mismatch();
   ConfigRunResult R;
   ScheduleLookups Looked;
   obs::Span CfgSp(Trace, ED2Objective ? "measure.config:het"
@@ -259,9 +267,13 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
       continue;
     }
 
-    SharedSchedule Run = scheduleLoop(L, Config, &Scaling, &Energy,
-                                      ED2Objective, Profile.Name, R, Looked);
+    SharedSchedule Run =
+        scheduleLoop(L, Config, &Scaling, &Energy, ED2Objective,
+                     Profile.Name, R, Looked, LP.LoopFP);
     const LoopScheduleResult &LR = *Run;
+    if (LR.Success && LR.Assignment.size() != L.size())
+      throw std::invalid_argument("the schedule keyed by loop '" + L.Name +
+                                  "' has another op count");
     if (!LR.Success) {
       if (Opts.AnalyticFallback) {
         analyticLoop(L, LP);
@@ -296,14 +308,15 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
     for (unsigned Op = 0; Op < L.size(); ++Op)
       WIns[LR.Assignment.cluster(Op)] +=
           Machine.Isa.energy(L.Ops[Op].Op) * Iters;
-    Comms += static_cast<double>(LR.PG.numCopies()) * Iters;
+    const unsigned Copies = LR.PG.numCopies();
+    Comms += static_cast<double>(Copies) * Iters;
     Mem += LP.PerIter.MemAccesses * Iters;
 
     LoopRunStat Stat;
     Stat.Name = L.Name;
     Stat.ITNs = LR.Sched.Plan.ITNs.toDouble();
     Stat.TexecNs = LoopT;
-    Stat.Comms = LR.PG.numCopies();
+    Stat.Comms = Copies;
     R.Loops.push_back(std::move(Stat));
   }
 

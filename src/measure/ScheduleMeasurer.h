@@ -169,7 +169,13 @@ public:
   /// homogeneous baselines pass false. Pure function of its inputs:
   /// bit-identical for any thread count, with or without the cache.
   /// The cache lookups it made go to \p Lookups when non-null.
-  /// Throws std::invalid_argument when \p Profile has another loop count.
+  /// Each loop's schedule lookup is keyed from its profile's LoopFP
+  /// (the fingerprint the Profiler hashed), so a pass hashes each loop
+  /// once; \p Profile must be the one the Profiler built for \p Loops.
+  /// Throws std::invalid_argument when \p Profile has another loop
+  /// count or a loop another op count, and when a successful cached
+  /// schedule assigns another number of ops than its loop has (an
+  /// entry that does not belong to the loop it is keyed by).
   ConfigRunResult measure(const ProgramProfile &Profile,
                           const std::vector<Loop> &Loops,
                           const HeteroConfig &Config,
@@ -184,20 +190,24 @@ public:
   /// Adds the run's effort and degradation counters to \p Tally, and
   /// the cache hit or miss to \p Lookups; a fresh run's effort also
   /// goes to the metrics registry. The result is the cache's own
-  /// immutable entry, never a copy.
+  /// immutable entry, never a copy. \p LoopFP is L's structural
+  /// fingerprint, as for loopScheduleKey.
   SharedSchedule scheduleLoop(const Loop &L, const HeteroConfig &Config,
                               const HeteroScaling *Scaling,
                               const EnergyModel *Energy, bool ED2Objective,
                               const std::string &Program,
                               ConfigRunResult &Tally,
-                              ScheduleLookups &Lookups) const;
+                              ScheduleLookups &Lookups,
+                              uint64_t LoopFP) const;
 
   /// The ScheduleCache key of one loop's scheduling run under this
   /// measurer's options: hashes everything LoopScheduler::schedule
-  /// reads (see ScheduleCache.h for the contract). Throws
-  /// std::invalid_argument when the ED2 objective is in effect and
-  /// \p Scaling or \p Energy is null.
-  uint64_t loopScheduleKey(const Loop &L, const HeteroConfig &Config,
+  /// reads (see ScheduleCache.h for the contract). The loop enters as
+  /// \p LoopFP, its Loop::structuralFingerprint, which the caller has
+  /// already computed (the Profiler's, carried as
+  /// LoopProfile::LoopFP). Throws std::invalid_argument when the ED2
+  /// objective is in effect and \p Scaling or \p Energy is null.
+  uint64_t loopScheduleKey(uint64_t LoopFP, const HeteroConfig &Config,
                            const HeteroScaling *Scaling,
                            const EnergyModel *Energy,
                            bool ED2Objective) const;

@@ -90,9 +90,10 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
   if (Opts.Fault && Opts.Fault->armed())
     FaultCtx = Opts.FaultContext + "/" + L.Name;
 
-  // The IT-independent loop analyses: the DDG, recurrences and the
-  // per-edge coarsening slack, pure functions of (loop, latencies). The
-  // last two are memoized across whole schedule() runs.
+  // The IT-independent loop analyses: the DDG, recurrences, the
+  // per-edge coarsening slack and the weakly-connected components, pure
+  // functions of (loop, latencies). All but the DDG are memoized across
+  // whole schedule() runs.
   obs::Span AnalyzeSp(Trace, "loop.analyze");
   DDG::buildInto(S.G, L);
   Machine.Isa.nodeLatenciesInto(S.Lat, L);
@@ -106,6 +107,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     Slot.Recs = analyzeRecurrences(S.G, S.Lat);
     computeEdgeSlack(Slot.EdgeSlack, S.G, S.Lat,
                      std::max<int64_t>(Slot.Recs.RecMII, 1), S.Paths);
+    Slot.Components = computeLoopComponents(L, S.G, Slot.Recs);
     Memo = &Slot;
   }
   if (AnalyzeSp.active()) {
@@ -116,6 +118,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
   AnalyzeSp.close();
   R.RecMII = Memo->Recs.RecMII;
   R.ResMII = Machine.computeResMII(L);
+  R.Components = Memo->Components;
 
   R.MITNs = Planner.computeMIT(R.RecMII, L.opCountsByFU());
 

@@ -19,9 +19,11 @@
 ///
 /// The sweep is one path. It reuses exact memos in its scratch arena:
 /// the IT-independent loop analysis (LoopAnalysisMemo, across whole
-/// schedule() runs) and the coarsening level stack (across attempts
-/// and IT steps while its inputs are unchanged); the partitioner also
-/// skips re-scoring refinement candidates that cannot have changed.
+/// schedule() runs; it also yields the loop's weakly-connected
+/// components, which every result carries for the profiler) and the
+/// coarsening level stack (across attempts and IT steps while its
+/// inputs are unchanged); the partitioner also skips re-scoring
+/// refinement candidates that cannot have changed.
 /// Each memo fires only on an exact input match, so results never
 /// depend on the arena; tests/sched/WarmStartTest pins the results as
 /// golden digests.
@@ -120,6 +122,12 @@ struct LoopScheduleResult {
   /// resource-constrained MII of the loop.
   int64_t RecMII = 0;
   int64_t ResMII = 0;
+  /// The loop's weakly-connected DDG components with their internal
+  /// recMII (computeLoopComponents; memoized with the loop analyses).
+  /// Like RecMII/ResMII a pure function of (loop, ISA latencies), set
+  /// on failed runs too; the profiler reads them from the reference
+  /// schedule instead of re-analyzing the loop.
+  std::vector<LoopComponent> Components;
 
   /// Human-readable digest of FailureLog: which stage failed at which
   /// IT, most recent \p MaxEntries steps, earlier ones summarized.

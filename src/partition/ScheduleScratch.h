@@ -48,12 +48,14 @@
 
 namespace hcvliw {
 
-/// One memoized IT-independent loop analysis: the recurrence summary
-/// and the per-edge coarsening slack (computeEdgeSlack at II =
-/// max(recMII, 1)), both pure functions of the loop's structure and
-/// its node latencies. Keyed by the loop's structural fingerprint plus
-/// the exact latency vector (latencies vary by ISA table, fingerprints
-/// by loop), so an entry is reusable across machine plans, menus, and
+/// One memoized IT-independent loop analysis: the recurrence summary,
+/// the per-edge coarsening slack (computeEdgeSlack at II =
+/// max(recMII, 1)) and the weakly-connected components the driver
+/// hands out with every result (LoopScheduleResult::Components), all
+/// pure functions of the loop's structure and its node latencies.
+/// Keyed by the loop's structural fingerprint plus the exact latency
+/// vector (latencies vary by ISA table, fingerprints by loop), so an
+/// entry is reusable across machine plans, menus, and
 /// whole schedule() runs — the suite pattern of re-scheduling one loop
 /// under many configurations pays the analysis once per loop, not
 /// once per run.
@@ -62,6 +64,7 @@ struct LoopAnalysisMemo {
   std::vector<unsigned> Lat;
   RecurrenceInfo Recs;
   std::vector<int64_t> EdgeSlack;
+  std::vector<LoopComponent> Components;
 };
 
 /// All reusable storage of one per-loop scheduling run (one thread's

@@ -11,6 +11,7 @@
 #ifndef HCVLIW_PROFILING_PROFILEDATA_H
 #define HCVLIW_PROFILING_PROFILEDATA_H
 
+#include "ir/RecurrenceAnalysis.h"
 #include "power/EnergyModel.h"
 #include "support/Rational.h"
 
@@ -27,14 +28,6 @@ enum class LoopConstraint {
 };
 
 const char *loopConstraintName(LoopConstraint C);
-
-/// One weakly-connected component of a loop's DDG: the indivisible unit
-/// the timing estimator packs into clusters (splitting a component costs
-/// communications, so the estimator treats components as atomic).
-struct ComponentProfile {
-  std::vector<unsigned> FUCounts; ///< per FUKind
-  int64_t RecMII = 0;             ///< max recurrence inside (0 if none)
-};
 
 struct LoopProfile {
   std::string Name;
@@ -53,8 +46,15 @@ struct LoopProfile {
   int64_t SumLifetimesRef = 0;   ///< all clusters, reference cycles
   std::vector<unsigned> OpCounts; ///< per FUKind
   unsigned NumOps = 0;
-  /// Weakly-connected DDG components, for the estimator's packing check.
-  std::vector<ComponentProfile> Components;
+  /// Weakly-connected DDG components, for the estimator's packing
+  /// check (read from the reference schedule's
+  /// LoopScheduleResult::Components).
+  std::vector<LoopComponent> Components;
+  /// Loop::structuralFingerprint of the profiled loop, which the
+  /// Profiler hashes once for its own schedule lookup; the measurement
+  /// stage keys every schedule lookup of this loop from it instead of
+  /// re-hashing the loop.
+  uint64_t LoopFP = 0;
 
   LoopConstraint classification() const {
     if (RecMII < ResMII)

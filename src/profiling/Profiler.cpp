@@ -2,12 +2,9 @@
 
 #include "profiling/Profiler.h"
 #include "fault/Fault.h"
-#include "ir/RecurrenceAnalysis.h"
 #include "support/HashUtil.h"
 
-#include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <stdexcept>
 
 using namespace hcvliw;
@@ -40,8 +37,10 @@ uint64_t LoopProfile::computeTimingFingerprint() const {
   H.mix(NumOps);
   H.mixVector(OpCounts);
   H.mix(Components.size());
-  for (const ComponentProfile &C : Components) {
-    H.mixVector(C.FUCounts);
+  for (const LoopComponent &C : Components) {
+    H.mix(C.FUCounts.size()); // hashed as mixVector hashes a vector
+    for (unsigned K : C.FUCounts)
+      H.mix(K);
     H.mixSigned(C.RecMII);
   }
   return H.digest();
@@ -129,10 +128,13 @@ Profiler::profileProgram(const std::string &Name,
     ArmedCtx = "profile:" + Name;
   const std::string &FaultCtx = ArmedCtx.empty() ? Name : ArmedCtx;
   for (const Loop &L : Loops) {
+    // The loop's one structural hash of the pass: it keys this lookup
+    // and, through LoopProfile::LoopFP, every measurement of the loop.
+    const uint64_t LoopFP = L.structuralFingerprint();
     // The baseline objective reads neither energy model nor scaling.
     SharedSchedule Run = Measurer.scheduleLoop(
         L, Ref, nullptr, nullptr, /*ED2Objective=*/false, FaultCtx, Tally,
-        Lookups);
+        Lookups, LoopFP);
     const LoopScheduleResult &R = *Run;
     if (!R.Success) {
       if (Err)
@@ -149,8 +151,10 @@ Profiler::profileProgram(const std::string &Name,
     LP.RecMII = R.RecMII;
     LP.ResMII = R.ResMII;
     LP.IIHom = R.Sched.Plan.Clusters.front().II;
+    LP.LoopFP = LoopFP;
+    // Texec from the one it_length.
     LP.ItLengthRefNs = R.Sched.itLengthNs(R.PG);
-    LP.TexecRefNs = R.Sched.execTimeNs(R.PG, L.TripCount);
+    LP.TexecRefNs = R.Sched.execTimeNs(LP.ItLengthRefNs, L.TripCount);
     LP.NumOps = L.size();
     LP.OpCounts = L.opCountsByFU();
 
@@ -162,43 +166,7 @@ Profiler::profileProgram(const std::string &Name,
     LP.PerIter.Comms = R.PG.numCopies();
     for (int64_t SL : R.Pressure.SumLifetimes)
       LP.SumLifetimesRef += SL;
-
-    // Weakly-connected DDG components with their internal recMII.
-    {
-      DDG G = DDG::build(L);
-      RecurrenceInfo Recs =
-          analyzeRecurrences(G, Machine.Isa.nodeLatencies(L));
-      std::vector<unsigned> Root(L.size());
-      std::iota(Root.begin(), Root.end(), 0u);
-      auto Find = [&Root](unsigned X) {
-        while (Root[X] != X)
-          X = Root[X] = Root[Root[X]];
-        return X;
-      };
-      for (const auto &E : G.edges()) {
-        unsigned A = Find(E.Src), B = Find(E.Dst);
-        if (A != B)
-          Root[A] = B;
-      }
-      std::vector<int> CompIx(L.size(), -1);
-      for (unsigned N = 0; N < L.size(); ++N) {
-        unsigned Rep = Find(N);
-        if (CompIx[Rep] < 0) {
-          CompIx[Rep] = static_cast<int>(LP.Components.size());
-          ComponentProfile CP;
-          CP.FUCounts.assign(NumFUKinds, 0);
-          LP.Components.push_back(std::move(CP));
-        }
-        ComponentProfile &CP =
-            LP.Components[static_cast<size_t>(CompIx[Rep])];
-        ++CP.FUCounts[static_cast<unsigned>(fuKindOf(L.Ops[N].Op))];
-        int RecId = Recs.RecurrenceOf[N];
-        if (RecId >= 0)
-          CP.RecMII = std::max(
-              CP.RecMII,
-              Recs.Recurrences[static_cast<size_t>(RecId)].RecMII);
-      }
-    }
+    LP.Components = R.Components;
 
     LP.Invocations =
         LP.Weight * ProgramBudgetNs / LP.TexecRefNs.toDouble();

@@ -13,7 +13,12 @@
 /// measurement knob or ablation changes a profile. Loops schedule
 /// through ScheduleMeasurer::scheduleLoop, so given the session cache a
 /// profile schedule is an ordinary entry, reused across passes,
-/// programs and persisted snapshots.
+/// programs and persisted snapshots. A cached profile costs lookups:
+/// the profile reads the loop's components from the reference
+/// schedule (LoopScheduleResult::Components), takes it_length once and
+/// derives the reference execution time from it, and records the
+/// loop's structural fingerprint (LoopProfile::LoopFP) that keyed its
+/// lookup, so the measurement stage does not hash the loop again.
 ///
 /// The session's fault injector reaches the profile stage too. Its
 /// schedules run under the fault context "profile:<program>", so the

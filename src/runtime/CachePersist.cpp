@@ -104,8 +104,9 @@ DomainPlan getDomainPlan(Source &S) {
   return D;
 }
 
-/// Reads a u64 and rejects values above \p Max (enum range checks: the
-/// CRC already guards against corruption, this guards against skew).
+/// Reads a u64 and rejects values above \p Max: enum range checks and
+/// every field narrower than 64 bits (the CRC already guards against
+/// corruption, this guards against skew and crafted frames).
 uint64_t getBounded(Source &S, uint64_t Max) {
   uint64_t V = S.u64();
   if (V > Max) {
@@ -115,6 +116,20 @@ uint64_t getBounded(Source &S, uint64_t Max) {
   return V;
 }
 
+/// An unsigned field: any value a 32-bit unsigned holds.
+unsigned getU32(Source &S) {
+  return static_cast<unsigned>(getBounded(S, UINT32_MAX));
+}
+
+/// An int field that is a node id or -1 (PGNode::OrigOp / CopiedValue).
+int getNodeOrNone(Source &S) {
+  int64_t V = S.i64();
+  if (V < -1 || V > INT32_MAX) {
+    S.markBad();
+    return -1;
+  }
+  return static_cast<int>(V);
+}
 
 void putMachinePlan(Sink &S, const MachinePlan &P) {
   S.rat(P.ITNs);
@@ -151,7 +166,7 @@ Schedule getSchedule(Source &S) {
   for (ScheduledNode &N : Sch.Nodes) {
     N.Placed = S.b();
     N.Slot = S.i64();
-    N.Unit = static_cast<unsigned>(S.u64());
+    N.Unit = getU32(S);
   }
   return Sch;
 }
@@ -178,18 +193,18 @@ void putPartitionedGraph(Sink &S, const PartitionedGraph &PG) {
   }
 }
 PartitionedGraph getPartitionedGraph(Source &S) {
-  unsigned NumClusters = static_cast<unsigned>(S.u64());
+  unsigned NumClusters = getU32(S);
   std::vector<PGNode> Nodes(S.bad() ? 0
                                     : std::min<uint64_t>(S.u64(), 1u << 22));
   for (PGNode &N : Nodes) {
-    N.Domain = static_cast<unsigned>(S.u64());
+    N.Domain = static_cast<unsigned>(getBounded(S, NumClusters)); // bus
     N.Op = static_cast<Opcode>(
         getBounded(S, static_cast<uint64_t>(Opcode::Copy)));
-    N.LatencyCycles = static_cast<unsigned>(S.u64());
+    N.LatencyCycles = getU32(S);
     N.Kind =
         static_cast<FUKind>(getBounded(S, static_cast<uint64_t>(FUKind::Bus)));
-    N.OrigOp = static_cast<int>(S.i64());
-    N.CopiedValue = static_cast<int>(S.i64());
+    N.OrigOp = getNodeOrNone(S);
+    N.CopiedValue = getNodeOrNone(S);
   }
   std::vector<PGEdge> Edges(S.bad() ? 0
                                     : std::min<uint64_t>(S.u64(), 1u << 22));
@@ -197,8 +212,8 @@ PartitionedGraph getPartitionedGraph(Source &S) {
   for (PGEdge &E : Edges) {
     E.Src = static_cast<unsigned>(getBounded(S, MaxNode));
     E.Dst = static_cast<unsigned>(getBounded(S, MaxNode));
-    E.Distance = static_cast<unsigned>(S.u64());
-    E.LatencyCycles = static_cast<unsigned>(S.u64());
+    E.Distance = getU32(S);
+    E.LatencyCycles = getU32(S);
     E.CarriesValue = S.b();
   }
   if (S.bad())
@@ -248,6 +263,12 @@ void putLoopScheduleResult(Sink &S, const LoopScheduleResult &R) {
   S.d(R.PartStats.FinalScore);
   S.i64(R.RecMII);
   S.i64(R.ResMII);
+  S.u64(R.Components.size());
+  for (const LoopComponent &C : R.Components) {
+    for (unsigned K : C.FUCounts)
+      S.u64(K);
+    S.i64(C.RecMII);
+  }
 }
 LoopScheduleResult getLoopScheduleResult(Source &S) {
   LoopScheduleResult R;
@@ -259,7 +280,7 @@ LoopScheduleResult getLoopScheduleResult(Source &S) {
                                         : std::min<uint64_t>(S.u64(),
                                                              1u << 22));
   for (unsigned &C : R.Assignment.ClusterOf)
-    C = static_cast<unsigned>(S.u64());
+    C = getU32(S);
   R.Pressure.MaxLive.resize(S.bad() ? 0
                                     : std::min<uint64_t>(S.u64(), 1u << 20));
   for (int64_t &V : R.Pressure.MaxLive)
@@ -269,17 +290,17 @@ LoopScheduleResult getLoopScheduleResult(Source &S) {
   for (int64_t &V : R.Pressure.SumLifetimes)
     V = S.i64();
   R.MITNs = S.rat();
-  R.ITSteps = static_cast<unsigned>(S.u64());
+  R.ITSteps = getU32(S);
   R.Placements = S.u64();
   R.Ejections = S.u64();
   R.BudgetUsed = S.u64();
-  R.FallbackRational = static_cast<unsigned>(S.u64());
+  R.FallbackRational = getU32(S);
   R.FailureLog.resize(S.bad() ? 0 : std::min<uint64_t>(S.u64(), 1u << 20));
   for (ITFailure &F : R.FailureLog) {
-    F.Step = static_cast<unsigned>(S.u64());
+    F.Step = getU32(S);
     F.ITNs = S.rat();
     F.Reason = S.str();
-    F.Count = static_cast<unsigned>(S.u64());
+    F.Count = getU32(S);
   }
   R.PartStats.Runs = S.u64();
   R.PartStats.CoarsenBuilds = S.u64();
@@ -295,7 +316,70 @@ LoopScheduleResult getLoopScheduleResult(Source &S) {
   R.PartStats.FinalScore = S.d();
   R.RecMII = S.i64();
   R.ResMII = S.i64();
+  // Grown one record at a time, so a crafted count allocates no more
+  // than the body holds.
+  const uint64_t NumComponents = getBounded(S, 1u << 22);
+  for (uint64_t I = 0; I < NumComponents && !S.bad(); ++I) {
+    LoopComponent &C = R.Components.emplace_back();
+    for (unsigned &K : C.FUCounts)
+      K = getU32(S);
+    C.RecMII = S.i64();
+  }
   return R;
+}
+
+/// The shape every result of LoopScheduler::schedule on a machine of
+/// \p NumClusters clusters has (listed in CachePersist.h), which the
+/// warm hit path indexes by without checking: Schedule::periodOf and
+/// itLengthNs by node domain, measure() by cluster assignment into a
+/// row per machine cluster. A decoded entry that breaks it is
+/// quarantined like a corrupt frame.
+bool hasResultShape(const LoopScheduleResult &R, unsigned NumClusters) {
+  int64_t MaxRec = 0;
+  uint64_t Ops = 0;
+  for (const LoopComponent &C : R.Components) {
+    if (C.RecMII < 0)
+      return false;
+    MaxRec = std::max(MaxRec, C.RecMII);
+    for (unsigned K : C.FUCounts)
+      Ops += K;
+  }
+  if (MaxRec != R.RecMII)
+    return false;
+  if (!R.Success)
+    return true;
+
+  const MachinePlan &Plan = R.Sched.Plan;
+  const PartitionedGraph &PG = R.PG;
+  const unsigned NC = PG.numClusters();
+  auto planOk = [](const DomainPlan &D) {
+    return D.II >= 1 && D.PeriodNs.isPositive();
+  };
+  if (NC != NumClusters || Plan.Clusters.size() != NC || !planOk(Plan.Bus) ||
+      !std::all_of(Plan.Clusters.begin(), Plan.Clusters.end(), planOk))
+    return false;
+  if (R.Sched.Nodes.size() != PG.size() ||
+      R.Assignment.ClusterOf.size() > PG.size() ||
+      Ops != R.Assignment.ClusterOf.size() ||
+      R.Pressure.MaxLive.size() != NC ||
+      R.Pressure.SumLifetimes.size() != NC)
+    return false;
+  for (unsigned I = 0; I < PG.size(); ++I) {
+    const ScheduledNode &SN = R.Sched.Nodes[I];
+    if (!SN.Placed || SN.Slot < 0)
+      return false;
+    const PGNode &N = PG.node(I);
+    if (I >= R.Assignment.size()) { // a copy
+      if (N.OrigOp != -1 || N.Domain != PG.busDomain())
+        return false;
+      continue;
+    }
+    unsigned Cluster = R.Assignment.ClusterOf[I];
+    if (Cluster >= NC || N.Domain != Cluster ||
+        N.OrigOp != static_cast<int>(I))
+      return false;
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -340,7 +424,7 @@ void putEvalBody(Sink &S, const EvalCache::TimingRecord &R) {
 bool parseEvalBody(std::string_view Body, EvalCache::TimingRecord &R) {
   Source S(Body);
   R.LoopFP = S.u64();
-  R.NumFast = static_cast<uint32_t>(S.u64());
+  R.NumFast = getU32(S);
   R.RatioNum = S.i64();
   R.RatioDen = S.i64();
   R.FastNum = S.i64();
@@ -568,17 +652,17 @@ bool hcvliw::loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
         Source S(Body);
         uint64_t Key = S.u64();
         LoopScheduleResult R = getLoopScheduleResult(S);
-        if (S.done()) {
-          Sched.importEntry(Key, std::move(R));
-          ++Local.SchedLoaded;
+        if (S.done() && hasResultShape(R, Eval.machine().numClusters())) {
+          if (Sched.importEntry(Key, std::move(R)))
+            ++Local.SchedLoaded;
         } else {
           Corrupt = true;
         }
       } else if (Kind == KindEval) {
         EvalCache::TimingRecord R;
         if (parseEvalBody(Body, R)) {
-          Eval.importTiming(R);
-          ++Local.EvalLoaded;
+          if (Eval.importTiming(R))
+            ++Local.EvalLoaded;
         } else {
           Corrupt = true;
         }
@@ -587,8 +671,8 @@ bool hcvliw::loadCacheSnapshot(const std::string &Path, ScheduleCache &Sched,
         uint64_t Key = S.u64();
         SelectedDesign D = getDesign(S);
         if (S.done()) {
-          Eval.importSelection(Key, D);
-          ++Local.SelLoaded;
+          if (Eval.importSelection(Key, D))
+            ++Local.SelLoaded;
         } else {
           Corrupt = true;
         }

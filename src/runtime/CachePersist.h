@@ -38,10 +38,33 @@
 ///     is one corrupt frame, never UB. A seeded mutation test
 ///     (CachePersistTest) re-frames mutated bodies under valid CRCs to
 ///     hold the body decoder to this.
+///   - *Decoded values are checked, not trusted.* A CRC only proves
+///     the bytes are the writer's, so the body decoder also refuses
+///     (quarantines) a frame with
+///       - a field wider than its type: every narrowed field (node
+///         units and latencies, edge distances, IT-step and failure
+///         counts, component op counts, ...) must fit in 32 bits, an
+///         op or copied-value id in [-1, INT32_MAX];
+///       - an out-of-range enum, edge endpoint, node domain (a cluster
+///         or the bus) or rational;
+///       - a schedule whose shape breaks what every LoopScheduler
+///         result has, since the warm hit path indexes by it without
+///         checking: every run carries its loop's components (recMII
+///         >= 0, the largest equal to RecMII); a successful one also
+///         has a graph of the loading machine's cluster count, one
+///         DomainPlan per cluster and a bus plan, each with II >= 1
+///         and a positive period; one placed node at
+///         slot >= 0 per graph node; the loop's ops first, op I in
+///         cluster ClusterOf[I] < numClusters, then only bus copies;
+///         one register-pressure row per cluster; and component op
+///         counts summing to the op count.
+///     What no decoder can check is that an entry belongs to the loop
+///     its key names (keys are digests); that rests on the key.
 ///   - *Partial load is always safe.* Imported entries are
 ///     first-writer-wins and bit-identical to recomputation (the
 ///     caches' key contract), so any subset of a snapshot warms the
-///     run without changing any result.
+///     run without changing any result. A frame whose key is already
+///     present imports nothing and is not counted as loaded.
 ///   - *Saves are torn-write-safe.* writeCacheSnapshot writes to a
 ///     temp file and renames into place, so a killed save leaves the
 ///     previous snapshot (or nothing), never a half-written one.
@@ -86,8 +109,10 @@ namespace hcvliw {
 /// and key-hash recipes of ScheduleCache / EvalCache and the serialized
 /// value layouts. Bump whenever any keyed computation or serde layout
 /// changes semantically; old snapshots are then refused instead of
-/// silently serving stale values.
-constexpr uint32_t CacheKeySchemaVersion = 2;
+/// silently serving stale values. v3: every schedule record ends with
+/// its loop's components (LoopScheduleResult::Components: a count,
+/// then per component NumFUKinds op counts and its recMII).
+constexpr uint32_t CacheKeySchemaVersion = 3;
 
 /// The (machine, menu) identity a snapshot is bound to: FNV over the
 /// key-schema version, the timing-relevant machine structure (the same
@@ -98,7 +123,9 @@ constexpr uint32_t CacheKeySchemaVersion = 2;
 uint64_t cacheBindingFingerprint(const MachineDescription &M,
                                  const FrequencyMenu &Menu);
 
-/// What a load did: entries imported per kind, corrupt frames skipped.
+/// What a load did: entries imported per kind (a frame whose key was
+/// already present imports nothing and counts nowhere), corrupt frames
+/// skipped.
 struct CacheLoadStats {
   uint64_t SchedLoaded = 0;
   uint64_t EvalLoaded = 0;

@@ -5,21 +5,21 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 using namespace hcvliw;
 
+const DomainPlan &Schedule::domainPlan(const PartitionedGraph &PG,
+                                       unsigned Domain) const {
+  return Domain == PG.busDomain() ? Plan.Bus : Plan.Clusters[Domain];
+}
+
 Rational Schedule::periodOf(const PartitionedGraph &PG, unsigned Node) const {
-  unsigned D = PG.node(Node).Domain;
-  if (D == PG.busDomain())
-    return Plan.Bus.PeriodNs;
-  return Plan.Clusters[D].PeriodNs;
+  return domainPlan(PG, PG.node(Node).Domain).PeriodNs;
 }
 
 int64_t Schedule::iiOf(const PartitionedGraph &PG, unsigned Node) const {
-  unsigned D = PG.node(Node).Domain;
-  if (D == PG.busDomain())
-    return Plan.Bus.II;
-  return Plan.Clusters[D].II;
+  return domainPlan(PG, PG.node(Node).Domain).II;
 }
 
 Rational Schedule::startNs(const PartitionedGraph &PG, unsigned Node) const {
@@ -33,17 +33,33 @@ Rational Schedule::readyNs(const PartitionedGraph &PG, unsigned Node) const {
 }
 
 Rational Schedule::itLengthNs(const PartitionedGraph &PG) const {
+  // readyNs(N) is (Slot + LatencyCycles) periods of N's domain, and
+  // every period is positive, so a domain's latest ready time is its
+  // largest integer Slot + LatencyCycles times its period: one Rational
+  // multiply per domain, exactly the per-node maximum.
+  std::vector<int64_t> Last(PG.numClusters() + 1, 0);
+  for (unsigned N = 0; N < PG.size(); ++N) {
+    if (!Nodes[N].Placed)
+      continue;
+    const PGNode &Node = PG.node(N);
+    int64_t Ready;
+    if (__builtin_add_overflow(Nodes[N].Slot,
+                               static_cast<int64_t>(Node.LatencyCycles),
+                               &Ready))
+      throw std::overflow_error("it_length: slot + latency overflows");
+    Last[Node.Domain] = std::max(Last[Node.Domain], Ready);
+  }
   Rational End(0);
-  for (unsigned N = 0; N < PG.size(); ++N)
-    if (Nodes[N].Placed)
-      End = Rational::max(End, readyNs(PG, N));
+  for (unsigned D = 0; D < Last.size(); ++D)
+    if (Last[D] > 0)
+      End = Rational::max(End,
+                          Rational(Last[D]) * domainPlan(PG, D).PeriodNs);
   return End;
 }
 
 int64_t Schedule::stageCount(const PartitionedGraph &PG,
                              unsigned Domain) const {
-  int64_t II = Domain == PG.busDomain() ? Plan.Bus.II
-                                        : Plan.Clusters[Domain].II;
+  int64_t II = domainPlan(PG, Domain).II;
   int64_t MaxSlot = -1;
   for (unsigned N = 0; N < PG.size(); ++N)
     if (Nodes[N].Placed && PG.node(N).Domain == Domain)
@@ -55,9 +71,14 @@ int64_t Schedule::stageCount(const PartitionedGraph &PG,
 
 Rational Schedule::execTimeNs(const PartitionedGraph &PG,
                               uint64_t TripCount) const {
+  return execTimeNs(itLengthNs(PG), TripCount);
+}
+
+Rational Schedule::execTimeNs(const Rational &ItLengthNs,
+                              uint64_t TripCount) const {
   assert(TripCount >= 1 && "empty loop execution");
   return Rational(static_cast<int64_t>(TripCount) - 1) * Plan.ITNs +
-         itLengthNs(PG);
+         ItLengthNs;
 }
 
 std::string Schedule::str(const PartitionedGraph &PG) const {

@@ -34,6 +34,10 @@ public:
   MachinePlan Plan;
   std::vector<ScheduledNode> Nodes;
 
+  /// Plan of clock domain \p Domain: a cluster, or PG's bus domain.
+  const DomainPlan &domainPlan(const PartitionedGraph &PG,
+                               unsigned Domain) const;
+
   /// Running period of \p Node's domain under Plan.
   Rational periodOf(const PartitionedGraph &PG, unsigned Node) const;
 
@@ -46,7 +50,14 @@ public:
   Rational readyNs(const PartitionedGraph &PG, unsigned Node) const;
 
   /// Time one iteration needs from the first issue to the last
-  /// completion (the paper's it_length, in ns).
+  /// completion (the paper's it_length, in ns): the latest readyNs of a
+  /// placed node. Computed per domain (each cluster and the bus) as
+  /// the largest integer Slot + LatencyCycles times the domain's
+  /// period, so it costs one Rational multiply per domain instead of
+  /// Rational arithmetic per node; exact, by the same Section 2.2
+  /// integrality the tick grid rests on. Periods must be positive (a
+  /// planned schedule's always are). Throws std::overflow_error when
+  /// Slot + LatencyCycles overflows.
   Rational itLengthNs(const PartitionedGraph &PG) const;
 
   /// Stage count of \p Cluster: how many iterations overlap there.
@@ -54,6 +65,9 @@ public:
 
   /// (N - 1) * IT + it_length.
   Rational execTimeNs(const PartitionedGraph &PG, uint64_t TripCount) const;
+  /// (N - 1) * IT + \p ItLengthNs, for a caller that already holds
+  /// itLengthNs(PG).
+  Rational execTimeNs(const Rational &ItLengthNs, uint64_t TripCount) const;
 
   /// Human-readable table of the schedule.
   std::string str(const PartitionedGraph &PG) const;

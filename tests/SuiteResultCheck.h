@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -76,6 +77,12 @@ struct Compare {
     EXPECT_EQ(A, B) << What;
   }
 
+  template <size_t N>
+  void leaf(const std::array<unsigned, N> &A,
+            const std::array<unsigned, N> &B, const std::string &What) {
+    EXPECT_EQ(A, B) << What;
+  }
+
   /// Two sequence lengths; their elements are walked only when equal.
   bool sameSize(size_t A, size_t B, const std::string &What) {
     [&] { ASSERT_EQ(A, B) << What; }();
@@ -111,6 +118,15 @@ struct Digest {
     H.mixVector(A);
   }
 
+  /// Hashed as the vector it once was, so recorded digests hold.
+  template <size_t N>
+  void leaf(const std::array<unsigned, N> &A, const std::array<unsigned, N> &,
+            const std::string &) {
+    H.mix(N);
+    for (unsigned X : A)
+      H.mix(X);
+  }
+
   bool sameSize(size_t A, size_t, const std::string &) {
     H.mix(A);
     return true;
@@ -134,7 +150,7 @@ void walk(Visitor &V, const ActivityCounts &A, const ActivityCounts &B,
 }
 
 template <typename Visitor>
-void walk(Visitor &V, const ComponentProfile &A, const ComponentProfile &B,
+void walk(Visitor &V, const LoopComponent &A, const LoopComponent &B,
           const std::string &What) {
   HCVLIW_SAME(RecMII);
   HCVLIW_SAME(FUCounts);

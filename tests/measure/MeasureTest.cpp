@@ -5,8 +5,10 @@
 // session's measurements equal their golden digests; the session
 // ScheduleCache serves bit-identical schedules (across repeated
 // measurements, across the step-4/frontier consumers and across
-// structurally identical programs); a profile of another program, and
-// an ED2-objective key without energy or scaling, are refused; a loop
+// structurally identical programs); a profile's loop fingerprints are
+// the loops' own; a profile of another program or of another loop list
+// of its length, a cached schedule of another op count, and an
+// ED2-objective key without energy or scaling, are refused; a loop
 // failing to schedule mid-suite surfaces as a structured
 // Measurement-stage failure instead of being dropped; and a schedule
 // the simulator oracle rejects counts as a failed loop in every build
@@ -27,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 
@@ -124,6 +127,37 @@ TEST(ScheduleMeasurer, SessionMeasurementsMatchGoldenDigests) {
   EXPECT_GT(S.scheduleCache().size(), 0u);
 }
 
+TEST(ScheduleMeasurer, ProfileFingerprintKeysAsTheLoopDoes) {
+  // measure() keys each loop's lookup from the profile's LoopFP, the
+  // fingerprint the Profiler hashed: it is the loop's own, so a repeat
+  // measurement hits every entry the pipeline stored and measures
+  // bit-identically.
+  PipelineOptions Opts;
+  Session S(Opts, 1);
+  BenchmarkProgram Prog = buildSpecFPProgram("200.sixtrack");
+  auto R = S.pipeline().runProgram(Prog);
+  ASSERT_TRUE(R.has_value());
+  for (size_t I = 0; I < Prog.Loops.size(); ++I)
+    EXPECT_EQ(R->Profile.Loops[I].LoopFP,
+              Prog.Loops[I].structuralFingerprint())
+        << Prog.Loops[I].Name;
+
+  EnergyModel Energy(Opts.Breakdown, R->Profile.Totals,
+                     R->Profile.TexecRefNs, S.machine().numClusters());
+  ScheduleMeasurer M(S.machine(),
+                     HeterogeneousPipeline::measureOptionsFor(Opts),
+                     &S.scheduleCache());
+  ScheduleLookups Het, Hom;
+  expectBitIdentical(R->HetMeasured,
+                     M.measure(R->Profile, Prog.Loops, R->HetDesign.Config,
+                               R->HetDesign.Scaling, Energy, true, &Het));
+  expectBitIdentical(R->HomMeasured,
+                     M.measure(R->Profile, Prog.Loops, R->HomDesign.Config,
+                               R->HomDesign.Scaling, Energy, false, &Hom));
+  EXPECT_EQ(Het.Misses + Hom.Misses, 0u);
+  EXPECT_EQ(Het.Hits + Hom.Hits, 2 * Prog.Loops.size());
+}
+
 TEST(ScheduleMeasurer, ED2KeyNeedsEnergyAndScaling) {
   // The ED2 objective's key hashes the energy model and the scaling;
   // without them it is refused in every build type, while the
@@ -132,10 +166,11 @@ TEST(ScheduleMeasurer, ED2KeyNeedsEnergyAndScaling) {
   Loop L = buildSpecFPProgram("171.swim").Loops.front();
   HeteroConfig Ref = HeteroConfig::reference(M);
   ScheduleMeasurer Measurer(M, MeasureOptions());
-  EXPECT_THROW(Measurer.loopScheduleKey(L, Ref, nullptr, nullptr,
+  const uint64_t FP = L.structuralFingerprint();
+  EXPECT_THROW(Measurer.loopScheduleKey(FP, Ref, nullptr, nullptr,
                                         /*ED2Objective=*/true),
                std::invalid_argument);
-  EXPECT_NO_THROW(Measurer.loopScheduleKey(L, Ref, nullptr, nullptr,
+  EXPECT_NO_THROW(Measurer.loopScheduleKey(FP, Ref, nullptr, nullptr,
                                            /*ED2Objective=*/false));
 }
 
@@ -269,6 +304,58 @@ TEST(ScheduleMeasurer, RejectsAProfileOfAnotherProgram) {
                std::invalid_argument);
 }
 
+TEST(ScheduleMeasurer, RejectsALoopListOfTheSameLengthThatDoesNotMatch) {
+  // measure() keys each lookup by the profile's LoopFP, so a loop list
+  // of the profile's length that is not the profiled one (here the
+  // same loops, rotated by one) is refused by its op counts instead of
+  // indexed by schedules of other loops. And a cached schedule whose
+  // op count is not its loop's (another loop's entry under this
+  // loop's key) is refused rather than read out of bounds.
+  Session S{PipelineOptions(), 1};
+  BenchmarkProgram Prog = buildSpecFPProgram("171.swim");
+  auto R = S.pipeline().runProgram(Prog);
+  ASSERT_TRUE(R.has_value());
+  std::vector<Loop> Rotated = Prog.Loops;
+  std::rotate(Rotated.begin(), Rotated.begin() + 1, Rotated.end());
+  ASSERT_EQ(Rotated.size(), R->Profile.Loops.size());
+  ASSERT_NE(Rotated.front().size(), Prog.Loops.front().size());
+  EnergyModel Energy(PipelineOptions().Breakdown, R->Profile.Totals,
+                     R->Profile.TexecRefNs, S.machine().numClusters());
+  ScheduleMeasurer M(S.machine(), MeasureOptions(), &S.scheduleCache());
+  EXPECT_THROW(M.measure(R->Profile, Rotated, R->HomDesign.Config,
+                         R->HomDesign.Scaling, Energy,
+                         /*ED2Objective=*/false),
+               std::invalid_argument);
+  EXPECT_THROW(FrontierMeasurer(S).measure(Prog.Name, Rotated, R->Profile),
+               std::invalid_argument);
+  // Uncached too, where no schedule of another loop could be read.
+  EXPECT_THROW(ScheduleMeasurer(S.machine(), MeasureOptions())
+                   .measure(R->Profile, Rotated, R->HomDesign.Config,
+                            R->HomDesign.Scaling, Energy,
+                            /*ED2Objective=*/false),
+               std::invalid_argument);
+
+  // The first loop's key, holding the second loop's schedule.
+  const Loop &L = Prog.Loops.front();
+  ScheduleCache Cache;
+  ScheduleMeasurer Planted(S.machine(), MeasureOptions(), &Cache);
+  ConfigRunResult Tally;
+  ScheduleLookups Lookups;
+  SharedSchedule Other = Planted.scheduleLoop(
+      Prog.Loops[1], R->HomDesign.Config, nullptr, nullptr, false, Prog.Name,
+      Tally, Lookups, Prog.Loops[1].structuralFingerprint());
+  ASSERT_TRUE(Other->Success);
+  ASSERT_NE(Other->Assignment.size(), L.size());
+  Cache.store(Planted.loopScheduleKey(L.structuralFingerprint(),
+                                      R->HomDesign.Config, nullptr, nullptr,
+                                      false),
+              Other);
+  EXPECT_THROW(Planted.measure(R->Profile, Prog.Loops, R->HomDesign.Config,
+                               R->HomDesign.Scaling, Energy,
+                               /*ED2Objective=*/false),
+               std::invalid_argument);
+}
+
 // --- Structured measurement failures (SuiteFailure / PipelineError) --------
 
 TEST(Pipeline, MeasurementFailureFillsPipelineError) {
@@ -369,7 +456,8 @@ endloop
   MeasureOptions Checked;
   Checked.SimCheckIterations = 8;
   ScheduleMeasurer Oracle(M, Checked, &Cache);
-  Cache.store(Oracle.loopScheduleKey(L, Ref, &Scaling, &Energy, false),
+  Cache.store(Oracle.loopScheduleKey(L.structuralFingerprint(), Ref,
+                                     &Scaling, &Energy, false),
               std::make_shared<const LoopScheduleResult>(LR));
   for (int Pass = 0; Pass < 2; ++Pass) {
     ScheduleLookups Lookups;

@@ -5,13 +5,17 @@
 // produces results bit-identical to cold; snapshots are byte-
 // deterministic (equal cache contents, equal files); the corruption
 // matrix — truncation mid-frame, bit-flip in a record body, bit-flip
-// in the header, key-schema version skew, binding mismatch, empty
-// file, unknown record kind, a CRC-valid rational with a zero or
-// INT64_MIN denominator — quarantines or refuses with exact counts and
-// never changes a result; the "cache.load" fault site drives the
-// quarantine path from a plan; and seeded mutations of record bodies,
-// re-framed under a valid CRC, reach the body decoder and are either
-// quarantined or imported as entries that save and load back cleanly.
+// in the header, key-schema version skew (a schema-2 snapshot
+// included), binding mismatch, empty file, unknown record kind, a
+// CRC-valid rational with a zero or INT64_MIN denominator —
+// quarantines or refuses with exact counts and never changes a result;
+// duplicate frames are not counted as loaded; a CRC-valid schedule
+// whose narrowed fields overflow, or whose shape breaks what every
+// scheduling result has, is quarantined; the "cache.load" fault site
+// drives the quarantine path from a plan; and seeded mutations of
+// record bodies, re-framed under a valid CRC, reach the body decoder
+// and are either quarantined or imported as entries that save and
+// load back cleanly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +30,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -81,6 +86,8 @@ protected:
   static CacheSaveStats Saved;
 
   static void SetUpTestSuite() {
+    if (!SnapBytes.empty())
+      return; // computed once, for derived suites too
     for (const char *Name : {"171.swim", "172.mgrid"})
       Programs.push_back(buildSpecFPProgram(Name));
     Session Cold{PipelineOptions(), 1};
@@ -202,6 +209,25 @@ TEST_F(CachePersistFixture, VersionSkewRefuses) {
   EXPECT_EQ(S.cachePersistLoadStats().loaded(), 0u);
 }
 
+TEST_F(CachePersistFixture, SchemaTwoSnapshotRefuses) {
+  // Schema 3 added the loop components to every schedule record; a
+  // schema-2 snapshot has none, so it is refused whole.
+  ASSERT_EQ(CacheKeySchemaVersion, 3u);
+  std::string Old = SnapBytes;
+  size_t Pos = Old.find("schema 3 ");
+  ASSERT_NE(Pos, std::string::npos);
+  Old.replace(Pos, 9, "schema 2 ");
+
+  Session S{PipelineOptions(), 1};
+  std::string Err;
+  EXPECT_FALSE(loadInto(S, Old, "cp_schema2.cache", &Err));
+  EXPECT_NE(Err.find("key schema v2 does not match this build's v3; "
+                     "refusing to load"),
+            std::string::npos)
+      << Err;
+  EXPECT_EQ(S.cachePersistLoadStats().loaded(), 0u);
+}
+
 TEST_F(CachePersistFixture, BindingMismatchRefuses) {
   size_t Pos = SnapBytes.find("binding ");
   ASSERT_NE(Pos, std::string::npos);
@@ -296,6 +322,253 @@ TEST_F(CachePersistFixture, FaultPlanDrivesQuarantinePath) {
   EXPECT_EQ(S.faultInjector().injectedDegrades(), Expect);
 }
 
+TEST(CachePersist, DuplicateFramesAreNotCountedAsLoaded) {
+  // The whole suite's 200-record snapshot with one schedule frame
+  // appended twice: the copies import nothing (first writer wins), so
+  // the load reports 200 entries, quarantines nothing, and re-saves 200.
+  Session Cold{PipelineOptions(), 1};
+  SuiteRunner(Cold).run(buildSpecFPSuite());
+  std::string Path = tempPath("cp_dup.cache"), Err;
+  ASSERT_TRUE(Cold.saveCacheTo(Path, &Err)) << Err;
+  ASSERT_EQ(Cold.cachePersistSaveStats().saved(), 200u);
+  std::string Bytes = slurp(Path);
+  size_t B = Bytes.find("\nrec sched ");
+  ASSERT_NE(B, std::string::npos);
+  std::string Line = Bytes.substr(B + 1, Bytes.find('\n', B + 1) - B);
+  spit(Path, Bytes + Line + Line);
+
+  Session Warm{PipelineOptions(), 1};
+  ASSERT_TRUE(Warm.loadCacheFrom(Path, &Err)) << Err;
+  EXPECT_EQ(Warm.cachePersistLoadStats().loaded(), 200u);
+  EXPECT_EQ(Warm.cachePersistLoadStats().SchedLoaded,
+            Cold.cachePersistSaveStats().SchedSaved);
+  EXPECT_EQ(Warm.cachePersistLoadStats().CorruptFrames, 0u);
+  ASSERT_TRUE(Warm.saveCacheTo(Path, &Err)) << Err;
+  EXPECT_EQ(Warm.cachePersistSaveStats().saved(), 200u);
+  EXPECT_EQ(slurp(Path), Bytes);
+  std::remove(Path.c_str());
+}
+
+/// The decoder's shape checks, one entry at a time: a successful
+/// schedule with bus copies from the fixture snapshot, saved alone
+/// (after \p Mutate, and with \p EditBody applied to its record body
+/// under a recomputed CRC) and loaded back.
+class CacheShapeTest : public CachePersistFixture {
+protected:
+  static LoopScheduleResult Good;
+  static uint64_t GoodKey;
+
+  static void SetUpTestSuite() {
+    CachePersistFixture::SetUpTestSuite();
+    std::string Path = tempPath("cp_shape_src.cache");
+    spit(Path, SnapBytes);
+    Session Probe{PipelineOptions(), 1};
+    ScheduleCache Sched;
+    EvalCache Eval(Probe.machine(), Probe.menu());
+    ASSERT_TRUE(loadCacheSnapshot(Path, Sched, Eval, Probe.cacheBinding()));
+    std::remove(Path.c_str());
+    bool Found = false;
+    Sched.exportEntries([&](uint64_t Key, const LoopScheduleResult &R) {
+      if (!Found && R.Success && R.PG.numCopies() > 0) {
+        Good = R;
+        GoodKey = Key;
+        Found = true;
+      }
+    });
+    ASSERT_TRUE(Found);
+  }
+
+  static CacheLoadStats
+  roundTrip(const LoopScheduleResult &R,
+            const std::function<std::string(std::string)> &EditBody = {}) {
+    Session Probe{PipelineOptions(), 1};
+    ScheduleCache Sched;
+    EvalCache Eval(Probe.machine(), Probe.menu());
+    Sched.importEntry(GoodKey, R);
+    std::string Path = tempPath("cp_shape.cache"), Err;
+    EXPECT_TRUE(writeCacheSnapshot(Path, Sched, Eval, Probe.cacheBinding(),
+                                   nullptr, &Err))
+        << Err;
+    if (EditBody) {
+      std::string Bytes = slurp(Path);
+      size_t Rec = Bytes.find("rec sched ");
+      size_t BodyAt = Rec + 19; // "rec sched " + 8 hex digits + ' '
+      std::string Body =
+          EditBody(Bytes.substr(BodyAt, Bytes.find('\n', Rec) - BodyAt));
+      char Crc[16];
+      std::snprintf(Crc, sizeof Crc, "%08x", recio::crc32(Body));
+      spit(Path, Bytes.substr(0, Rec) + "rec sched " + Crc + " " + Body +
+                     "\n");
+    }
+    ScheduleCache Back;
+    EvalCache EvalBack(Probe.machine(), Probe.menu());
+    CacheLoadStats Got;
+    EXPECT_TRUE(loadCacheSnapshot(Path, Back, EvalBack, Probe.cacheBinding(),
+                                  nullptr, &Got, &Err))
+        << Err;
+    std::remove(Path.c_str());
+    return Got;
+  }
+
+  static void expectQuarantined(const LoopScheduleResult &R,
+                                const std::string &What) {
+    CacheLoadStats Got = roundTrip(R);
+    EXPECT_EQ(Got.CorruptFrames, 1u) << What;
+    EXPECT_EQ(Got.loaded(), 0u) << What;
+  }
+
+  /// \p R with its graph's nodes rewritten by \p Fn.
+  static LoopScheduleResult
+  withNodes(LoopScheduleResult R,
+            const std::function<void(std::vector<PGNode> &)> &Fn) {
+    std::vector<PGNode> Nodes;
+    for (unsigned I = 0; I < R.PG.size(); ++I)
+      Nodes.push_back(R.PG.node(I));
+    Fn(Nodes);
+    R.PG = PartitionedGraph::fromRaw(R.PG.numClusters(), std::move(Nodes),
+                                     R.PG.edges());
+    return R;
+  }
+};
+
+LoopScheduleResult CacheShapeTest::Good;
+uint64_t CacheShapeTest::GoodKey = 0;
+
+TEST_F(CacheShapeTest, AnIntactEntryLoads) {
+  CacheLoadStats Got = roundTrip(Good);
+  EXPECT_EQ(Got.SchedLoaded, 1u);
+  EXPECT_EQ(Got.CorruptFrames, 0u);
+  EXPECT_GT(Good.Components.size(), 0u);
+}
+
+TEST_F(CacheShapeTest, NarrowedFieldsOutOfRangeQuarantine) {
+  // Each field is written as a marker value, which the body edit then
+  // pushes one past what its type holds.
+  struct Case {
+    const char *What;
+    std::function<void(LoopScheduleResult &)> Mark;
+    std::string Marker, Overflow;
+  };
+  const std::vector<Case> Cases = {
+      {"unit 4294967296",
+       [](LoopScheduleResult &R) { R.Sched.Nodes[0].Unit = 3000000001u; },
+       "3000000001", "4294967296"},
+      {"IT steps 4294967296",
+       [](LoopScheduleResult &R) { R.ITSteps = 3000000002u; },
+       "3000000002", "4294967296"},
+      {"component op count 4294967296",
+       [](LoopScheduleResult &R) { R.Components[0].FUCounts[0] = 3000000003u; },
+       "3000000003", "4294967296"},
+  };
+  for (const Case &C : Cases) {
+    LoopScheduleResult R = Good;
+    C.Mark(R);
+    CacheLoadStats Got = roundTrip(R, [&](std::string Body) {
+      size_t At = Body.find(" " + C.Marker + " ");
+      EXPECT_NE(At, std::string::npos) << C.What;
+      return Body.replace(At + 1, C.Marker.size(), C.Overflow);
+    });
+    EXPECT_EQ(Got.CorruptFrames, 1u) << C.What;
+    EXPECT_EQ(Got.loaded(), 0u) << C.What;
+  }
+}
+
+TEST_F(CacheShapeTest, BrokenShapesQuarantine) {
+  const unsigned NC = Good.PG.numClusters();
+  ASSERT_GT(NC, 1u);
+  const unsigned FirstCopy = Good.Assignment.size();
+  ASSERT_LT(FirstCopy, Good.PG.size());
+  using Mutation = std::function<void(LoopScheduleResult &)>;
+  const std::vector<std::pair<const char *, Mutation>> Cases = {
+      {"node domain past the bus",
+       [&](LoopScheduleResult &R) {
+         R = withNodes(R, [&](auto &N) { N[0].Domain = NC + 1; });
+       }},
+      {"op outside its assigned cluster",
+       [&](LoopScheduleResult &R) {
+         R = withNodes(R,
+                       [&](auto &N) { N[0].Domain = (N[0].Domain + 1) % NC; });
+       }},
+      {"copy off the bus",
+       [&](LoopScheduleResult &R) {
+         R = withNodes(R, [&](auto &N) { N[FirstCopy].Domain = 0; });
+       }},
+      {"op with another op's id",
+       [&](LoopScheduleResult &R) {
+         R = withNodes(R, [&](auto &N) { N[0].OrigOp = 1; });
+       }},
+      {"assignment at the cluster count",
+       [&](LoopScheduleResult &R) { R.Assignment.ClusterOf[0] = NC; }},
+      {"op assigned to the bus",
+       [&](LoopScheduleResult &R) {
+         R.Assignment.ClusterOf[0] = NC;
+         R = withNodes(R, [&](auto &N) { N[0].Domain = NC; });
+       }},
+      {"assignment longer than the graph",
+       [&](LoopScheduleResult &R) {
+         R.Assignment.ClusterOf.resize(R.PG.size() + 1, 0);
+       }},
+      {"one scheduled node short",
+       [&](LoopScheduleResult &R) { R.Sched.Nodes.pop_back(); }},
+      {"one cluster plan short",
+       [&](LoopScheduleResult &R) { R.Sched.Plan.Clusters.pop_back(); }},
+      {"bus period zero",
+       [&](LoopScheduleResult &R) { R.Sched.Plan.Bus.PeriodNs = Rational(0); }},
+      {"cluster II zero",
+       [&](LoopScheduleResult &R) { R.Sched.Plan.Clusters[0].II = 0; }},
+      {"unplaced node",
+       [&](LoopScheduleResult &R) { R.Sched.Nodes[0].Placed = false; }},
+      {"negative slot",
+       [&](LoopScheduleResult &R) { R.Sched.Nodes[0].Slot = -1; }},
+      {"pressure row short",
+       [&](LoopScheduleResult &R) { R.Pressure.MaxLive.pop_back(); }},
+      {"component recMII above the loop's",
+       [&](LoopScheduleResult &R) {
+         R.Components[0].RecMII = R.RecMII + 1;
+       }},
+      {"no component carries the loop's recMII",
+       [&](LoopScheduleResult &R) {
+         R.RecMII += 1;
+       }},
+      {"component op counts off by one",
+       [&](LoopScheduleResult &R) { ++R.Components[0].FUCounts[0]; }},
+      {"no components",
+       [&](LoopScheduleResult &R) { R.Components.clear(); }},
+      {"a consistent entry of one cluster more than the machine",
+       [&](LoopScheduleResult &R) {
+         // Graph, plans, pressure rows and assignment all agree on
+         // NC + 1 clusters; op 0 sits in cluster NC, past the machine.
+         std::vector<PGNode> Nodes;
+         for (unsigned I = 0; I < R.PG.size(); ++I)
+           Nodes.push_back(R.PG.node(I));
+         Nodes[0].Domain = NC;
+         for (unsigned I = FirstCopy; I < Nodes.size(); ++I)
+           Nodes[I].Domain = NC + 1;
+         R.PG = PartitionedGraph::fromRaw(NC + 1, std::move(Nodes),
+                                          R.PG.edges());
+         R.Assignment.ClusterOf[0] = NC;
+         R.Sched.Plan.Clusters.push_back(R.Sched.Plan.Clusters.back());
+         R.Pressure.MaxLive.push_back(0);
+         R.Pressure.SumLifetimes.push_back(0);
+       }},
+  };
+  for (const auto &[What, Mutate] : Cases) {
+    LoopScheduleResult R = Good;
+    Mutate(R);
+    expectQuarantined(R, What);
+  }
+
+  // A failed run has no schedule to check, but it still carries its
+  // loop's components.
+  LoopScheduleResult Failed;
+  Failed.Failure = "no feasible partition";
+  Failed.Components = Good.Components;
+  Failed.RecMII = Good.RecMII;
+  EXPECT_EQ(roundTrip(Failed).SchedLoaded, 1u);
+  Failed.Components[0].RecMII = -1;
+  expectQuarantined(Failed, "failed run with a negative component recMII");
+}
+
 // --- hostile input -----------------------------------------------------------
 
 /// One seeded mutation of a record body: a bit flip, a token deleted or
@@ -341,8 +614,15 @@ std::string mutateBody(const std::string &Body, RNG &R) {
   }
   case 4: { // a boundary value where a well-formed token was
     static const std::vector<std::string> Edge = {
-        "0", "-1", "-9223372036854775808", "9223372036854775808",
-        "18446744073709551616", "0x1p+1024", "nan"};
+        "0",
+        "-1",
+        "-9223372036854775808",
+        "9223372036854775808",
+        "18446744073709551616",
+        "4294967296",
+        std::to_string(PipelineOptions().NumClusters + 1),
+        "0x1p+1024",
+        "nan"};
     Tok[at(Tok.size())] = R.pick(Edge);
     return join();
   }
