@@ -42,7 +42,7 @@ static void runOracle() {
   TablePrinter T("estimator regret per program");
   T.addRow({"program", "est-pick ED2", "oracle ED2", "regret %"});
   for (const auto &Prog : buildSpecFPSuite()) {
-    Profiler Prof(S.machine(), Opts.ProgramBudgetNs);
+    Profiler Prof(S.machine());
     auto Profile = Prof.profileProgram(Prog.Name, Prog.Loops);
     if (!Profile)
       continue;

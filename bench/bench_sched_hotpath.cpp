@@ -24,9 +24,10 @@
 // so they reuse the memoized loop analysis; at 384/768/1536 ops the
 // "loop_schedules_per_sec_fresh_<N>ops" points give every rep a fresh
 // arena and so also time the analysis (recurrences, per-edge slack).
-// The sublinear ejection-budget curve (HeteroModuloScheduler::budgetFor
-// — linear to 256 ops, sqrt-scaled above) keeps the largest sizes
-// terminating rather than burning a linear budget on ejection storms.
+// The sublinear ejection-budget curve (budgetFor in
+// HeteroModuloScheduler.cpp — linear to 256 ops, sqrt-scaled above)
+// keeps the largest sizes terminating rather than burning a linear
+// budget on ejection storms.
 //
 // An end-to-end "loop_schedules_per_sec" section times the same
 // driver on a menu-restricted sweep-heavy fixture with one

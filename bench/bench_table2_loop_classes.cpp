@@ -23,7 +23,7 @@ int main() {
   PipelineOptions Opts;
   // Serial session: this bench only profiles, so the pool stays idle.
   Session S(Opts, /*Threads=*/1);
-  Profiler Prof(S.machine(), Opts.ProgramBudgetNs);
+  Profiler Prof(S.machine());
 
   TablePrinter T("Table 2: loop constraint classes");
   T.addRow({"program", "recMII<resMII", "resMII<=recMII<1.3resMII",

@@ -15,15 +15,14 @@
 // starts warm; a killed run keeps no other state and is simply rerun.
 //
 // Usage:
-//   suite_tool [--threads N] [--lanes K] [--buses B] [--menu K]
+//   suite_tool [--threads N] [--buses B] [--menu K]
 //              [--repeat N] [--measure-frontier]
 //              [--frontier-csv PATH] [--frontier-json PATH]
 //              [--trace PATH] [--metrics PATH]
 //              [--fault-plan PATH] [--degrade] [--effort-deadline N]
 //              [--load-cache PATH] [--save-cache PATH]
-//     --threads  worker-pool parallelism (default: hardware)
-//     --lanes    nested-parallelism budget: max programs in flight
-//                (default: all; spare threads speed up exploration)
+//     --threads  worker-pool parallelism (default: hardware); programs
+//                and their exploration grids share it
 //     --buses    inter-cluster buses (default 1)
 //     --menu     frequencies per domain (default: any)
 //     --repeat   run the suite N times in one session to show the
@@ -39,7 +38,7 @@
 //     --metrics  write the session metrics snapshot (stage wall-time
 //                histograms, cache counters) as JSON
 //
-// Build & run:  ./build/suite_tool --threads 4 --lanes 2
+// Build & run:  ./build/suite_tool --threads 4
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,7 +74,6 @@ void printUsage() {
   std::printf(
       "usage: suite_tool [options]\n"
       "  --threads N          worker-pool parallelism (default: hardware)\n"
-      "  --lanes K            max programs in flight (default: all)\n"
       "  --buses B            inter-cluster buses (default 1)\n"
       "  --menu K             frequencies per domain (default: any)\n"
       "  --repeat N           run the suite N times in one session\n"
@@ -105,7 +103,6 @@ void printUsage() {
 
 int main(int argc, char **argv) {
   unsigned Threads = 0, Buses = 1, MenuK = 0, Repeat = 1;
-  size_t Lanes = 0;
   bool MeasureFrontier = false, Degrade = false;
   uint64_t EffortDeadline = 0;
   std::string FrontierCsv = "frontier_measured.csv";
@@ -140,8 +137,6 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--threads"))
       Threads = static_cast<unsigned>(
           needUnsigned("--threads", MaxThreadCount));
-    else if (!std::strcmp(argv[I], "--lanes"))
-      Lanes = needUnsigned("--lanes", UINT32_MAX);
     else if (!std::strcmp(argv[I], "--buses"))
       Buses = static_cast<unsigned>(needUnsigned("--buses", MaxBuses));
     else if (!std::strcmp(argv[I], "--menu"))
@@ -215,7 +210,6 @@ int main(int argc, char **argv) {
   }
 
   SuiteOptions SO;
-  SO.ProgramLanes = Lanes;
   SO.MeasureFrontier = MeasureFrontier;
   SO.OnProgramDone = [](const SuiteProgress &P) {
     if (P.Ok)

@@ -59,7 +59,6 @@ ConfigRunResult HeterogeneousPipeline::measureConfig(
   // pipeline's options with per-loop schedules memoized through the
   // session ScheduleCache.
   MeasureOptions MO = measureOptionsFor(options());
-  MO.Menu = S.menu();
   // The session's fault injector (disarmed = every site is a no-op
   // branch); not part of any cache key — an *armed* measurement
   // bypasses the schedule cache instead (see MeasureOptions::Fault).
@@ -151,9 +150,8 @@ HeterogeneousPipeline::runProgram(const BenchmarkProgram &Program,
   };
 
   // The Profiler records the stage.profile span itself.
-  Profiler Prof(machine(), Opts.ProgramBudgetNs, &S.scheduleCache(),
-                &S.scheduleScratchPool(), Trace, &S.metrics(),
-                &S.faultInjector());
+  Profiler Prof(machine(), &S.scheduleCache(), &S.scheduleScratchPool(),
+                Trace, &S.metrics(), &S.faultInjector());
   std::string ProfErr;
   std::optional<ProgramProfile> Profile;
   try {

@@ -49,7 +49,6 @@ struct PipelineOptions {
   /// Partitioner knobs (ablations disable recurrence pre-placement or
   /// the ED2 refinement objective).
   PartitionerOptions Part;
-  double ProgramBudgetNs = 1e6;
   /// Measurement-stage IT growth attempts per loop (Figure 5 retries);
   /// a loop exhausting them counts as a measurement failure.
   unsigned MaxITSteps = 64;

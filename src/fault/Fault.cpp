@@ -1,6 +1,7 @@
 //===- fault/Fault.cpp - Deterministic fault injection ----------------------===//
 
 #include "fault/Fault.h"
+#include "support/StrUtil.h"
 
 #include <cstdio>
 #include <fstream>
@@ -67,10 +68,16 @@ bool parseLine(const std::string &Line, unsigned LineNo, FaultPlan &P,
     return true; // blank
   if (Tok[0] == '#')
     return true;
+  // Counts and seeds are whole unsigned decimal tokens: a sign would
+  // wrap "-1" to 2^64-1, and a partial read would take "7x" as 7.
+  std::string Extra;
   if (Tok == "seed") {
-    unsigned long long S = 0;
-    if (!(In >> S))
-      return fail(Err, LineNo, "seed needs an integer");
+    std::string Val;
+    uint64_t S = 0;
+    if (!(In >> Val) || !parseUnsigned(Val, UINT64_MAX, S))
+      return fail(Err, LineNo, "seed needs an unsigned integer");
+    if (In >> Extra)
+      return fail(Err, LineNo, "trailing token '" + Extra + "'");
     P.Seed = S;
     return true;
   }
@@ -98,7 +105,6 @@ bool parseLine(const std::string &Line, unsigned LineNo, FaultPlan &P,
     if (!(In >> Kw))
       return fail(Err, LineNo, "rule needs a trigger");
   }
-  unsigned long long N = 0;
   if (Kw == "occurrence")
     R.Trigger = FaultTrigger::Nth;
   else if (Kw == "every")
@@ -109,7 +115,9 @@ bool parseLine(const std::string &Line, unsigned LineNo, FaultPlan &P,
     return fail(Err, LineNo,
                 "unknown trigger '" + Kw +
                     "' (want occurrence/every/prob)");
-  if (!(In >> N) || N == 0)
+  std::string Count;
+  uint64_t N = 0;
+  if (!(In >> Count) || !parseUnsigned(Count, UINT64_MAX, N) || N == 0)
     return fail(Err, LineNo, "'" + Kw + "' needs a positive integer");
   if (R.Trigger == FaultTrigger::Prob && N > 100)
     return fail(Err, LineNo, "'prob' percentage must be in [1, 100]");
@@ -129,7 +137,6 @@ bool parseLine(const std::string &Line, unsigned LineNo, FaultPlan &P,
     return fail(Err, LineNo,
                 "'" + R.Site + "' is a point site; only a degrade site "
                 "takes a 'degrade' rule");
-  std::string Extra;
   if (In >> Extra)
     return fail(Err, LineNo, "trailing token '" + Extra + "'");
   P.Rules.push_back(std::move(R));
@@ -193,8 +200,6 @@ std::string FaultPlan::str() const {
 //===----------------------------------------------------------------------===//
 // FaultInjector
 //===----------------------------------------------------------------------===//
-
-#ifndef HCVLIW_NO_FAULT
 
 namespace {
 
@@ -328,5 +333,3 @@ std::map<std::string, uint64_t> FaultInjector::injectedBySite() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Fired;
 }
-
-#endif // HCVLIW_NO_FAULT

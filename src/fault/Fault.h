@@ -23,13 +23,11 @@
 ///     injector is armed the measurement layer bypasses its
 ///     ScheduleCache, so cross-program cache races can never change
 ///     which occurrence a site observes. With no plan armed, results
-///     are bit-identical to a build without the layer.
+///     are bit-identical to a run with no injector at all.
 ///   - *Idle means one branch.* Every macro checks armed() — a relaxed
 ///     atomic load — before doing anything else; the unarmed cost is a
-///     null check plus that load.
-///   - *Compiled out like the tracer.* -DHCVLIW_NO_FAULT turns the
-///     injector into empty inline stubs and both macros into no-ops
-///     (the FaultPlan parser stays, so tools still accept plan files).
+///     null check plus that load (bench/bench_fault_overhead pins it),
+///     so there is no compiled-out build.
 ///
 /// Site names are registered in fault/FaultSites.def, the one site list:
 /// FaultPlan::parse refuses rules that name an unregistered site or put
@@ -50,10 +48,8 @@
 #include <string_view>
 #include <vector>
 
-#ifndef HCVLIW_NO_FAULT
 #include <atomic>
 #include <mutex>
-#endif
 
 namespace hcvliw {
 namespace fault {
@@ -118,8 +114,6 @@ public:
   const std::string &site() const { return Site_; }
 };
 
-#ifndef HCVLIW_NO_FAULT
-
 /// The armed-plan evaluator. One per Session; thread-safe. All mutation
 /// happens under one mutex — acceptable because the injector is only
 /// consulted beyond the armed() branch when a plan is armed (fault
@@ -182,37 +176,6 @@ public:
 #define HCVLIW_FAULT_DEGRADE(InjPtr, SiteName, Ctx)                          \
   ((InjPtr) != nullptr && (InjPtr)->armed() &&                               \
    (InjPtr)->shouldDegrade(SiteName, Ctx))
-
-#else // HCVLIW_NO_FAULT: the injector compiles to empty stubs.
-
-class FaultInjector {
-public:
-  FaultInjector() = default;
-  FaultInjector(const FaultInjector &) = delete;
-  FaultInjector &operator=(const FaultInjector &) = delete;
-  void arm(const FaultPlan &) {}
-  void disarm() {}
-  bool armed() const { return false; }
-  const FaultPlan &plan() const {
-    static const FaultPlan Empty;
-    return Empty;
-  }
-  void hit(const char *, std::string_view) {}
-  bool shouldDegrade(const char *, std::string_view) { return false; }
-  uint64_t injectedThrows() const { return 0; }
-  uint64_t injectedBadAllocs() const { return 0; }
-  uint64_t injectedDegrades() const { return 0; }
-  uint64_t totalInjected() const { return 0; }
-  std::map<std::string, uint64_t> injectedBySite() const { return {}; }
-};
-
-#define HCVLIW_FAULT_POINT(InjPtr, SiteName, Ctx)                            \
-  do {                                                                       \
-    (void)(InjPtr);                                                          \
-  } while (0)
-#define HCVLIW_FAULT_DEGRADE(InjPtr, SiteName, Ctx) (false)
-
-#endif // HCVLIW_NO_FAULT
 
 } // namespace fault
 } // namespace hcvliw

@@ -4,7 +4,10 @@
 #include "support/StrUtil.h"
 
 #include <cassert>
+#include <cmath>
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -45,23 +48,25 @@ class Parser {
     return true;
   }
 
-  static PendingOperand parseOperandToken(const std::string &Tok) {
-    PendingOperand P;
+  /// Reads one operand token into \p P; false when the immediate is
+  /// not a whole number, the name is empty, or the distance after '@'
+  /// is not a whole unsigned decimal that fits an unsigned.
+  static bool parseOperandToken(const std::string &Tok, PendingOperand &P) {
     if (!Tok.empty() && Tok[0] == '#') {
       P.IsImmediate = true;
-      parseDouble(Tok.substr(1), P.Imm);
-      return P;
+      return parseDouble(std::string_view(Tok).substr(1), P.Imm);
     }
     size_t At = Tok.find('@');
-    if (At == std::string::npos) {
-      P.Name = Tok;
-      return P;
-    }
     P.Name = Tok.substr(0, At);
-    int64_t D = 0;
-    parseInt64(Tok.substr(At + 1), D);
-    P.Distance = D < 0 ? 0 : static_cast<unsigned>(D);
-    return P;
+    if (P.Name.empty())
+      return false;
+    if (At == std::string::npos)
+      return true;
+    uint64_t D = 0;
+    if (!parseUnsigned(std::string_view(Tok).substr(At + 1), UINT32_MAX, D))
+      return false;
+    P.Distance = static_cast<unsigned>(D);
+    return true;
   }
 
   bool parseLoop(size_t &LineIx, Loop &L, std::vector<PendingOp> &Pending);
@@ -118,7 +123,9 @@ bool Parser::parseLoop(size_t &LineIx, Loop &L,
       L.TripCount = static_cast<uint64_t>(N);
     } else if (K == "weight") {
       double W = 0;
-      if (!parseDouble(V, W) || W <= 0)
+      // NaN and inf parse as doubles but would poison every profile
+      // share the weight feeds.
+      if (!parseDouble(V, W) || !(W > 0) || !std::isfinite(W))
         return fail(LineIx, "bad weight '" + V + "'");
       L.Weight = W;
     } else {
@@ -202,7 +209,10 @@ bool Parser::parseLoop(size_t &LineIx, Loop &L,
           return fail(LineIx, "bad attribute '" + Tokens[T] + "'");
         continue;
       }
-      P.Uses.push_back(parseOperandToken(Tokens[T]));
+      PendingOperand U;
+      if (!parseOperandToken(Tokens[T], U))
+        return fail(LineIx, "bad operand '" + Tokens[T] + "'");
+      P.Uses.push_back(std::move(U));
     }
     if (P.Uses.size() != WantOperands)
       return fail(LineIx,
@@ -285,7 +295,11 @@ ParsedLoops hcvliw::parseLoops(std::string_view Text) {
 
 Loop hcvliw::parseSingleLoop(std::string_view Text) {
   ParsedLoops P = parseLoops(Text);
-  assert(P.ok() && "parseSingleLoop: parse error");
-  assert(P.Loops.size() == 1 && "parseSingleLoop: expected one loop");
-  return P.Loops.front();
+  if (!P.ok())
+    throw std::invalid_argument("parseSingleLoop: " + P.Error);
+  if (P.Loops.size() != 1)
+    throw std::invalid_argument(
+        formatString("parseSingleLoop: expected one loop, got %zu",
+                     P.Loops.size()));
+  return std::move(P.Loops.front());
 }

@@ -19,8 +19,10 @@
 /// Operands are a defined name (`t1`), a loop-carried use (`s@2`), a
 /// live-in name, or an immediate (`#1.5`). A `#` followed by a digit is
 /// always an immediate; any other `#` at line start or after a space
-/// starts a comment. Several loops may appear in one string. Parsing
-/// never throws; errors carry line numbers.
+/// starts a comment. A distance is a whole unsigned decimal and an
+/// immediate a whole number: `x@-3`, `x@4294967297` and `#1.0zz` are
+/// refused, not read as something else. Several loops may appear in one
+/// string. parseLoops never throws; errors carry line numbers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +48,8 @@ struct ParsedLoops {
 /// "line N: ..." diagnostic and Loops is empty.
 ParsedLoops parseLoops(std::string_view Text);
 
-/// Convenience for tests: parses exactly one loop; asserts on failure.
+/// Convenience for tests and tools: parses exactly one loop; throws
+/// std::invalid_argument (carrying the parse error) otherwise.
 Loop parseSingleLoop(std::string_view Text);
 
 } // namespace hcvliw

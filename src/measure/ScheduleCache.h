@@ -21,14 +21,16 @@
 /// *everything* LoopScheduler::schedule reads: the loop's structural
 /// fingerprint (ops, operands, addressing, trip count; names and
 /// profile weights excluded), every domain period of the HeteroConfig,
-/// the frequency menu, the partitioner/scheduler options and the IT
+/// the frequency menu, the partitioner's objective options and the IT
 /// budget, and — for ED2-objective runs only — the energy-model units
 /// and the per-domain scaling factors (the homogeneous baseline
 /// objective reads neither, so baseline schedules hit across designs
 /// that differ only in voltage). Equal keys therefore hash equal
 /// scheduling inputs, and since the Figure 5 driver is a pure,
 /// deterministic function of those inputs, a cached result is
-/// bit-identical to recomputation.
+/// bit-identical to recomputation. The scheduler's and partitioner's
+/// effort limits are constants of their own files, so the key leaves
+/// them out; changing one means bumping CacheKeySchemaVersion.
 ///
 /// The cache is a MemoTable (support/MemoTable.h) of shared, immutable
 /// results: a hit hands out the pointer and a miss stores the pointer

@@ -83,14 +83,6 @@ uint64_t ScheduleMeasurer::loopScheduleKey(uint64_t LoopFP,
   bool EffectiveED2 = ED2Objective && Opts.Part.ED2Objective;
   H.mix(EffectiveED2 ? 1u : 2u);
   H.mix(Opts.Part.PrePlaceRecurrences ? 1u : 2u);
-  H.mix(Opts.Part.MaxRefinePasses);
-  H.mix(Opts.Part.MaxRefineMacros);
-  H.mix(Opts.Part.CoarsestPerCluster);
-  H.mix(Opts.Part.MaxFMPasses);
-  H.mix(Opts.Sched.BudgetFactor);
-  H.mix(Opts.Sched.BudgetRefOps);
-  H.mixSigned(Opts.Sched.MaxSlotMultiple);
-  H.mix(Opts.Sched.CompactLifetimes ? 1u : 2u);
   H.mix(Opts.MaxITSteps);
   // The effort deadline changes sweep outcomes when it fires, so it is
   // part of the key.
@@ -146,7 +138,6 @@ ScheduleMeasurer::scheduleLoop(const Loop &L, const HeteroConfig &Config,
     LSO.Menu = ED2Objective ? Opts.Menu : FrequencyMenu::continuous();
     LSO.Part = Opts.Part;
     LSO.Part.ED2Objective = ED2Objective && Opts.Part.ED2Objective;
-    LSO.Sched = Opts.Sched;
     LSO.MaxITSteps = Opts.MaxITSteps;
     LSO.EffortDeadline = Opts.EffortDeadline;
     LSO.Fault = Opts.Fault;

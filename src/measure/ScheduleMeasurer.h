@@ -102,13 +102,14 @@ struct ScheduleLookups {
 };
 
 /// The measurement-stage knobs a ScheduleMeasurer runs under; derived
-/// from PipelineOptions by the pipeline and the frontier measurer.
+/// from PipelineOptions by the pipeline and the frontier measurer. The
+/// scheduler's and partitioner's effort limits are not among them:
+/// they are constants (see LoopScheduleOptions).
 struct MeasureOptions {
   /// Menu heterogeneous (ED2-objective) scheduling negotiates (II,
   /// freq) pairs from; homogeneous baselines always run continuous.
   FrequencyMenu Menu = FrequencyMenu::continuous();
   PartitionerOptions Part;
-  SchedulerOptions Sched;
   /// IT growth attempts per loop before the loop counts as a
   /// measurement failure (Figure 5 retries).
   unsigned MaxITSteps = 64;

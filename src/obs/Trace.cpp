@@ -6,8 +6,6 @@
 #include "obs/BuildInfo.h"
 #include "support/StrUtil.h"
 
-#ifndef HCVLIW_NO_TRACE
-
 #include <algorithm>
 #include <cstdio>
 
@@ -256,36 +254,3 @@ bool Tracer::writeChromeTrace(const std::string &Path) const {
   std::fclose(Out);
   return true;
 }
-
-#else // HCVLIW_NO_TRACE
-
-#include <cstdio>
-
-using namespace hcvliw;
-using namespace hcvliw::obs;
-
-std::string Tracer::chromeTraceJson() const {
-  // Compiled-out tracer: an empty but well-formed trace, still carrying
-  // the provenance header.
-  std::string J = "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": ";
-  J += "{\"build\": " + buildInfoJson() +
-       ", \"total_events\": 0, \"dropped_events\": 0, \"workers\": 0, "
-       "\"compiled_out\": true}";
-  J += ",\n\"traceEvents\": []\n}\n";
-  return J;
-}
-
-bool Tracer::writeChromeTrace(const std::string &Path) const {
-  std::string J = chromeTraceJson();
-  std::FILE *Out = std::fopen(Path.c_str(), "wb");
-  if (!Out) {
-    std::fprintf(stderr, "warning: cannot write trace file %s\n",
-                 Path.c_str());
-    return false;
-  }
-  std::fwrite(J.data(), 1, J.size(), Out);
-  std::fclose(Out);
-  return true;
-}
-
-#endif // HCVLIW_NO_TRACE

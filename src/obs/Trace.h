@@ -15,9 +15,9 @@
 ///     suite run with tracing enabled is bit-identical to one with it
 ///     disabled, for any thread count (pinned by
 ///     tests/obs/TraceSuiteIdentityTest).
-///   - *Off means free.* A Span constructed against a null tracer or a
-///     disabled one is a single branch; with HCVLIW_NO_TRACE defined
-///     the whole layer compiles down to empty inline stubs.
+///   - *Off means cheap.* A Span constructed against a null tracer or a
+///     disabled one costs a single branch (bench/bench_obs_overhead
+///     pins it), so there is no compiled-out build.
 ///   - *Per-worker buffers.* Each thread that opens a span gets its own
 ///     ring buffer (thread-keyed, exactly like the Session's
 ///     ScheduleScratchPool arenas), so concurrent workers never
@@ -40,7 +40,6 @@
 #include <string>
 #include <string_view>
 
-#ifndef HCVLIW_NO_TRACE
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -50,7 +49,6 @@
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
-#endif
 
 namespace hcvliw {
 namespace obs {
@@ -76,8 +74,6 @@ struct TraceOptions {
   /// exporter reports how many were lost.
   size_t BufferEvents = 1u << 16;
 };
-
-#ifndef HCVLIW_NO_TRACE
 
 /// One worker thread's ring. Written only by its owner thread; read by
 /// the exporter after the run (see the Tracer ownership contract).
@@ -216,39 +212,6 @@ public:
   /// Ends the span early (the destructor is then a no-op).
   void close();
 };
-
-#else // HCVLIW_NO_TRACE: the whole layer compiles to empty stubs.
-
-class TraceBuffer {};
-
-class Tracer {
-public:
-  Tracer() = default;
-  Tracer(const Tracer &) = delete;
-  Tracer &operator=(const Tracer &) = delete;
-  void enable(const TraceOptions & = TraceOptions()) {}
-  void disable() {}
-  bool enabled() const { return false; }
-  uint64_t nowNs() const { return 0; }
-  uint64_t totalEvents() const { return 0; }
-  uint64_t droppedEvents() const { return 0; }
-  size_t numBuffers() const { return 0; }
-  std::string chromeTraceJson() const;
-  bool writeChromeTrace(const std::string &Path) const;
-};
-
-class Span {
-public:
-  Span(Tracer *, const char *) {}
-  Span(Tracer *, const char *, std::string_view) {}
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-  bool active() const { return false; }
-  void arg(const char *, int64_t) {}
-  void close() {}
-};
-
-#endif // HCVLIW_NO_TRACE
 
 } // namespace obs
 } // namespace hcvliw

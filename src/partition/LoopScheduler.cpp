@@ -205,7 +205,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
       TickGraph::buildInto(S.Ticks, S.PG, *Plan);
 
       HCVLIW_FAULT_POINT(Opts.Fault, "sched.place", FaultCtx);
-      HeteroModuloScheduler Scheduler(Machine, S.PG, *Plan, Opts.Sched);
+      HeteroModuloScheduler Scheduler(Machine, S.PG, *Plan);
       SchedulerResult SR = Scheduler.run(&S.Ticks, &S.Sched, Trace);
       R.Placements += SR.Placements;
       R.Ejections += SR.Ejections;
@@ -218,15 +218,14 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
 
       RegisterPressureResult Pressure =
           computeRegisterPressure(S.PG, SR.Sched, &S.Ticks, &S.Pressure);
-      if (!Pressure.fits(Machine) && Opts.Sched.CompactLifetimes) {
+      if (!Pressure.fits(Machine)) {
         // Salvage: stage compaction collapses whole-II lifetime
         // crossings (the dominant pressure term on wide graphs) while
         // keeping the schedule valid by construction. Applied only on
         // overflow — schedules that already fit keep the historical
         // makespan-optimal shape.
         obs::Span CSp(Trace, "sched.compact");
-        unsigned Moved = compactScheduleLifetimes(
-            S.Ticks, SR.Sched, Opts.Sched.MaxSlotMultiple, &S.Sched);
+        unsigned Moved = compactScheduleLifetimes(S.Ticks, SR.Sched, &S.Sched);
         if (Moved)
           Pressure =
               computeRegisterPressure(S.PG, SR.Sched, &S.Ticks, &S.Pressure);

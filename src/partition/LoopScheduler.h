@@ -46,9 +46,11 @@ class FaultInjector;
 
 struct ScheduleScratch;
 
+/// What a caller varies per sweep. The placement loop's budget and slot
+/// cap (HeteroModuloScheduler.cpp) and the partitioner's refinement
+/// limits (Partitioner.cpp) are constants: every run uses one value.
 struct LoopScheduleOptions {
   FrequencyMenu Menu = FrequencyMenu::continuous();
-  SchedulerOptions Sched;
   PartitionerOptions Part;
   /// IT growth attempts before giving up.
   unsigned MaxITSteps = 64;

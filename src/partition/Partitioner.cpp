@@ -17,6 +17,15 @@ using namespace hcvliw;
 
 namespace {
 
+/// Greedy exact-refinement passes per level.
+constexpr unsigned MaxRefinePasses = 2;
+/// Levels with more macros than this skip the exact greedy refinement
+/// (every move costs a pseudo-schedule) and run boundary FM passes on
+/// the surrogate objective instead.
+constexpr unsigned MaxRefineMacros = 48;
+/// Boundary FM passes per level (levels above MaxRefineMacros).
+constexpr unsigned MaxFMPasses = 4;
+
 /// The objective of a partition that passed every pseudo-schedule
 /// check, from its copy count, per-cluster activity and iteration
 /// length; \p MemOps is the loop's memory-operation count. The ED2
@@ -396,8 +405,7 @@ bool prePlaceRecurrences(const PartitionContext &Ctx, bool EnablePinning,
 /// caller only keeps the result when the *exact* objective did not get
 /// worse. Deterministic: ties break toward the lowest macro id and
 /// lowest cluster id.
-uint64_t refineLevelFM(const PartitionContext &Ctx,
-                       const PartitionerOptions &Opts, PartitionScratch &S,
+uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
                        const CoarseLevel &Lvl, std::vector<unsigned> &Assign,
                        PartitionStats *Stats) {
   const MachineDescription &M = *Ctx.M;
@@ -481,7 +489,7 @@ uint64_t refineLevelFM(const PartitionContext &Ctx,
 
   uint64_t Moves = 0;
   unsigned PassesRun = 0;
-  for (unsigned Pass = 0; Pass < Opts.MaxFMPasses; ++Pass) {
+  for (unsigned Pass = 0; Pass < MaxFMPasses; ++Pass) {
     std::fill(S.FMLocked.begin(), S.FMLocked.end(), uint8_t(0));
     uint64_t MovesThisPass = 0;
     while (true) {
@@ -693,13 +701,13 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
   const MachineDescription &M = *Ctx.M;
   unsigned NC = M.numClusters();
   unsigned NumNodes = Ctx.G->size();
-  // Coarsest target: CoarsestPerCluster macros per cluster, but never
-  // more than half the node count — small loops must still coarsen, or
-  // the initial best-fit scatters connected nodes that a few greedy
-  // passes cannot regroup.
-  S.Key.TargetMacros =
-      std::max(NC, std::min(NC * std::max(1u, Opts.CoarsestPerCluster),
-                            NumNodes / 2));
+  // Coarsest target: one macro per cluster. It keeps each coarsest
+  // macro a connected low-slack blob, which the ED2-quality pins of
+  // PipelineTest show beats a finer coarsest level: the weight-sorted
+  // initial best-fit ignores connectivity, and with many macros it
+  // scatters connected work across clusters into a local optimum the
+  // refinement cannot escape.
+  S.Key.TargetMacros = NC;
 
   // Per-edge slack for the coarsening order, on reference latencies at
   // the recurrence-safe II; IT-independent, so drivers that retry IT
@@ -783,9 +791,9 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     for (unsigned Mac = 0; Mac < LN; ++Mac)
       Assign[Mac] = Current.ClusterOf[Lvl.Rep[Mac]];
 
-    if (LN > Opts.MaxRefineMacros) {
+    if (LN > MaxRefineMacros) {
       // Boundary FM on the surrogate objective; guarded acceptance.
-      uint64_t FMMoves = refineLevelFM(Ctx, Opts, S, Lvl, Assign, Ctx.Stats);
+      uint64_t FMMoves = refineLevelFM(Ctx, S, Lvl, Assign, Ctx.Stats);
       if (RefineSp.active()) {
         RefineSp.arg("macros", LN);
         RefineSp.arg("fm_moves", static_cast<int64_t>(FMMoves));
@@ -829,7 +837,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     };
     uint64_t CapacityRejects = 0;
 
-    for (unsigned Pass = 0; Pass < Opts.MaxRefinePasses; ++Pass) {
+    for (unsigned Pass = 0; Pass < MaxRefinePasses; ++Pass) {
       bool Improved = false;
       if (Ctx.Stats)
         ++Ctx.Stats->RefinePasses;

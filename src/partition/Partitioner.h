@@ -11,22 +11,24 @@
 ///  2. *Coarsening*: multilevel heavy-edge matching along low-slack
 ///     edges, balance-bounded so no macro outgrows a cluster share
 ///     (MultilevelGraph.h); recurrences are never split.
-///  3. *Initial partition* of the coarsest macros, honoring pins.
+///  3. *Initial partition* of the coarsest macros (one per cluster),
+///     honoring pins.
 ///  4. *Refinement* (4.1.2), uncoarsening from the coarsest level to
-///     the finest. Levels with at most MaxRefineMacros macros use
-///     greedy macro moves scored by the exact pseudo-schedule objective
-///     (estimated ED2 for heterogeneous machines, the [2][3] baseline
-///     for homogeneous ones). PartitionBound keeps the assignment and
-///     the schedule-free tallies incrementally across the moves: a
-///     move whose capacity terms, read from the level's per-macro op
-///     counts, or whose exact lower bound already rules it out is
-///     rejected without a pseudo-schedule, and a move that passes is
-///     scored from the bound's own state by the graph-free
-///     pseudo-schedule kernel. Finer levels use boundary FM-style
-///     passes on a cheap surrogate (capacity overload, cut, weight
-///     balance) whose result is only kept when the exact objective did
-///     not get worse — so the tracked objective is monotone across the
-///     whole uncoarsening, at every granularity.
+///     the finest. Levels with at most 48 macros (MaxRefineMacros in
+///     Partitioner.cpp) use greedy macro moves scored by the exact
+///     pseudo-schedule objective (estimated ED2 for heterogeneous
+///     machines, the [2][3] baseline for homogeneous ones).
+///     PartitionBound keeps the assignment and the schedule-free
+///     tallies incrementally across the moves: a move whose capacity
+///     terms, read from the level's per-macro op counts, or whose exact
+///     lower bound already rules it out is rejected without a
+///     pseudo-schedule, and a move that passes is scored from the
+///     bound's own state by the graph-free pseudo-schedule kernel.
+///     Finer levels use boundary FM-style passes on a cheap surrogate
+///     (capacity overload, cut, weight balance) whose result is only
+///     kept when the exact objective did not get worse — so the tracked
+///     objective is monotone across the whole uncoarsening, at every
+///     granularity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -264,21 +266,6 @@ struct PartitionerOptions {
   bool ED2Objective = true;
   /// Pre-place critical recurrences (ablation knob of DESIGN.md #2).
   bool PrePlaceRecurrences = true;
-  /// Greedy exact-refinement passes per level.
-  unsigned MaxRefinePasses = 2;
-  /// Levels with more macros than this skip the exact greedy
-  /// refinement (every move costs a pseudo-schedule) and run boundary
-  /// FM passes on the surrogate objective instead.
-  unsigned MaxRefineMacros = 48;
-  /// Coarsening target, in macros per cluster. One macro per cluster
-  /// keeps each coarsest macro a connected low-slack blob, which the
-  /// ED2-quality pins of PipelineTest show beats a finer coarsest
-  /// level: the weight-sorted initial best-fit ignores connectivity,
-  /// and with many macros it scatters connected work across clusters
-  /// into a local optimum the refinement cannot escape.
-  unsigned CoarsestPerCluster = 1;
-  /// Boundary FM passes per level (levels above MaxRefineMacros).
-  unsigned MaxFMPasses = 4;
 };
 
 /// Everything a partitioning run needs to see.

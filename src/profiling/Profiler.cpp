@@ -5,7 +5,6 @@
 #include "support/HashUtil.h"
 
 #include <cassert>
-#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -79,6 +78,10 @@ std::vector<double> ProgramProfile::shareByConstraint() const {
 
 namespace {
 
+/// The reference execution time every program profile spreads over its
+/// loops' weights.
+constexpr double ProfileBudgetNs = 1e6;
+
 MeasureOptions profilingOptions(fault::FaultInjector *Fault) {
   MeasureOptions O;
   O.Fault = Fault;
@@ -87,17 +90,11 @@ MeasureOptions profilingOptions(fault::FaultInjector *Fault) {
 
 } // namespace
 
-Profiler::Profiler(const MachineDescription &M, double BudgetNs,
-                   ScheduleCache *Cache, ScheduleScratchPool *Scratches,
-                   obs::Tracer *Tr, obs::MetricsRegistry *Metrics,
-                   fault::FaultInjector *Inj)
-    : ProgramBudgetNs(BudgetNs), Trace(Tr), Fault(Inj),
-      Measurer(M, profilingOptions(Inj), Cache, Scratches, Tr, Metrics) {
-  // Every invocation count scales with the budget: a zero, negative or
-  // NaN budget would make every profile zero, negative or NaN.
-  if (!(BudgetNs > 0))
-    throw std::invalid_argument("profiling budget must be positive");
-}
+Profiler::Profiler(const MachineDescription &M, ScheduleCache *Cache,
+                   ScheduleScratchPool *Scratches, obs::Tracer *Tr,
+                   obs::MetricsRegistry *Metrics, fault::FaultInjector *Inj)
+    : Trace(Tr), Fault(Inj),
+      Measurer(M, profilingOptions(Inj), Cache, Scratches, Tr, Metrics) {}
 
 std::optional<ProgramProfile>
 Profiler::profileProgram(const std::string &Name,
@@ -169,7 +166,7 @@ Profiler::profileProgram(const std::string &Name,
     LP.Components = R.Components;
 
     LP.Invocations =
-        LP.Weight * ProgramBudgetNs / LP.TexecRefNs.toDouble();
+        LP.Weight * ProfileBudgetNs / LP.TexecRefNs.toDouble();
 
     double Iters = LP.Invocations * static_cast<double>(LP.TripCount);
     P.Totals.WeightedIns += LP.PerIter.WeightedIns * Iters;

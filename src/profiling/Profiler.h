@@ -4,9 +4,9 @@
 /// Pipeline step 1: schedules every loop of a program on the reference
 /// homogeneous machine (the paper's 1 GHz / 1 V / 0.25 V four-cluster
 /// design) and extracts the LoopProfile data. Loop weights are realized
-/// as invocation counts against a fixed program execution-time budget,
-/// so a loop with weight w contributes a fraction w of the program's
-/// reference execution time.
+/// as invocation counts against a fixed program execution-time budget
+/// of 1 ms (1e6 ns), so a loop with weight w contributes a fraction w of
+/// the program's reference execution time.
 ///
 /// The profiling policy lives here, not in PipelineOptions: the
 /// baseline [2][3] objective under default MeasureOptions, so no
@@ -45,7 +45,6 @@
 namespace hcvliw {
 
 class Profiler {
-  double ProgramBudgetNs;
   obs::Tracer *Trace;        ///< may be null: no stage span
   fault::FaultInjector *Fault; ///< may be null: no fault sites
   ScheduleMeasurer Measurer; ///< under the profiling policy above
@@ -53,10 +52,8 @@ class Profiler {
 public:
   /// The optional session resources, as for ScheduleMeasurer; \p Trace
   /// also records one "stage.profile:<program>" span per program, and
-  /// \p Fault is consulted at the scheduling sites (see above). Throws
-  /// std::invalid_argument unless \p ProgramBudgetNs is positive.
+  /// \p Fault is consulted at the scheduling sites (see above).
   explicit Profiler(const MachineDescription &M,
-                    double ProgramBudgetNs = 1e6,
                     ScheduleCache *Cache = nullptr,
                     ScheduleScratchPool *Scratches = nullptr,
                     obs::Tracer *Trace = nullptr,

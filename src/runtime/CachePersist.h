@@ -111,8 +111,10 @@ namespace hcvliw {
 /// changes semantically; old snapshots are then refused instead of
 /// silently serving stale values. v3: every schedule record ends with
 /// its loop's components (LoopScheduleResult::Components: a count,
-/// then per component NumFUKinds op counts and its recMII).
-constexpr uint32_t CacheKeySchemaVersion = 3;
+/// then per component NumFUKinds op counts and its recMII). v4:
+/// loopScheduleKey no longer mixes the scheduler's and partitioner's
+/// effort limits, which are constants now, so no v3 key can hit.
+constexpr uint32_t CacheKeySchemaVersion = 4;
 
 /// The (machine, menu) identity a snapshot is bound to: FNV over the
 /// key-schema version, the timing-relevant machine structure (the same

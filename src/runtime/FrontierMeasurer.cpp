@@ -182,11 +182,11 @@ FrontierMeasurer::measure(const std::string &ProgramName,
   // is a pure function of (point, program, options) written into its
   // own slot, so the result is thread-count-invariant. Per-loop
   // schedules are memoized through the session ScheduleCache; running
-  // under the same derived options (and the session's one menu object)
-  // as pipeline step 4 keeps the cache keys shared with it.
+  // under the same derived options as pipeline step 4 (whose menu is
+  // the session's, both being menuFor of the session options) keeps the
+  // cache keys shared with it.
   MeasureOptions MO =
       HeterogeneousPipeline::measureOptionsFor(S.pipelineOptions());
-  MO.Menu = S.menu();
   ScheduleMeasurer Measurer(S.machine(), MO, &S.scheduleCache(),
                             &S.scheduleScratchPool(), &S.tracer(),
                             &S.metrics());

@@ -72,8 +72,7 @@ obs::MetricsSnapshot Session::metricsSnapshot() const {
   Snap.Gauges["obs.trace_events"] = static_cast<double>(Tracer_.totalEvents());
   Snap.Gauges["obs.trace_dropped"] =
       static_cast<double>(Tracer_.droppedEvents());
-  // Fault-injection ledger (all zero unless a plan was armed; compiled
-  // to constant zeros under -DHCVLIW_NO_FAULT).
+  // Fault-injection ledger (all zero unless a plan was armed).
   Snap.Gauges["fault.injected"] = static_cast<double>(Fault_.totalInjected());
   Snap.Gauges["fault.injected_throws"] =
       static_cast<double>(Fault_.injectedThrows());

@@ -103,8 +103,7 @@ public:
   /// The session fault injector (deterministic chaos testing; see
   /// fault/Fault.h). Disarmed by default, in which case every fault
   /// site in the session's pipelines is a single predictable branch
-  /// and results are bit-identical to a build without the fault layer
-  /// (-DHCVLIW_NO_FAULT compiles the sites out entirely). Arm it with
+  /// and results are bit-identical to a run with no injector. Arm it with
   /// a FaultPlan to replay exact failures; while armed, measurements
   /// bypass the shared ScheduleCache (MeasureOptions::Fault).
   fault::FaultInjector &faultInjector() { return Fault_; }

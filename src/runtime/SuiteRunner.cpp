@@ -5,7 +5,6 @@
 #include "obs/Stopwatch.h"
 #include "support/Stats.h"
 
-#include <algorithm>
 #include <mutex>
 #include <optional>
 
@@ -95,20 +94,11 @@ SuiteResult SuiteRunner::run(const std::vector<BenchmarkProgram> &Programs,
     Opts.OnProgramDone(P);
   };
 
-  // Outer fan-out with the nested-parallelism budget: ProgramLanes
-  // strided lanes claim programs; each program's exploration then
-  // nests on the same pool, so spare threads help whichever level has
-  // work. Slot-indexed writes keep the result thread-count-invariant.
-  size_t Lanes =
-      Opts.ProgramLanes == 0 ? N : std::min<size_t>(Opts.ProgramLanes, N);
-  if (Lanes == N) {
-    S.pool().parallelFor(N, runOne);
-  } else if (Lanes > 0) {
-    S.pool().parallelFor(Lanes, [&](size_t Lane) {
-      for (size_t I = Lane; I < N; I += Lanes)
-        runOne(I);
-    });
-  }
+  // Outer fan-out: one pool job per program; each program's
+  // exploration then nests on the same pool, so spare threads help
+  // whichever level has work. Slot-indexed writes keep the result
+  // thread-count-invariant.
+  S.pool().parallelFor(N, runOne);
 
   // Serial reduction in suite order.
   SuiteResult R;

@@ -4,10 +4,9 @@
 /// First-class suite execution: fans HeterogeneousPipeline::runProgram
 /// across the programs of a benchmark suite on a Session's worker
 /// pool, while each program's design-space exploration nests on the
-/// same pool — one thread budget governs both levels (the
-/// nested-parallelism budget is the ProgramLanes option: how many
-/// programs may be in flight at once; threads left over accelerate the
-/// in-flight programs' candidate grids).
+/// same pool — one thread budget governs both levels (every program is
+/// one pool job; threads left over accelerate the in-flight programs'
+/// candidate grids).
 ///
 /// Replaces the seed's serial bench-side suite loop (the long-removed
 /// bench/BenchUtil.h shim), with three contract upgrades:
@@ -31,7 +30,7 @@
 /// Determinism: each program's result is written to its own slot and
 /// reduced in program order, and every per-program computation is a
 /// pure function of (program, session options), so the SuiteResult is
-/// bit-identical for any thread count and any ProgramLanes value.
+/// bit-identical for any thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,11 +70,6 @@ struct SuiteProgress {
 };
 
 struct SuiteOptions {
-  /// Nested-parallelism budget: at most this many programs in flight
-  /// at once (0 = one lane per program, i.e. the pool decides). With
-  /// fewer lanes than pool threads, the spare threads speed up the
-  /// in-flight programs' exploration grids instead.
-  size_t ProgramLanes = 0;
   /// Called as each program completes (serialized under a mutex; may
   /// be invoked from any pool thread).
   std::function<void(const SuiteProgress &)> OnProgramDone;

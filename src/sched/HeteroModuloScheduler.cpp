@@ -23,11 +23,42 @@ using namespace hcvliw;
 
 HeteroModuloScheduler::HeteroModuloScheduler(const MachineDescription &M,
                                              const PartitionedGraph &Graph,
-                                             const MachinePlan &ThePlan,
-                                             const SchedulerOptions &O)
-    : Machine(M), PG(Graph), Plan(ThePlan), Opts(O) {}
+                                             const MachinePlan &ThePlan)
+    : Machine(M), PG(Graph), Plan(ThePlan) {}
 
 namespace {
+
+/// Placement attempts allowed per node, for loops up to BudgetRefOps
+/// nodes (see budgetFor).
+constexpr int64_t BudgetFactor = 12;
+/// Node count past which the ejection budget stops growing linearly.
+/// Up to this size the budget is BudgetFactor * N + 64; above it the
+/// per-node allowance decays as sqrt(BudgetRefOps / N), so the total
+/// grows like sqrt(N) — sublinear, which keeps 1000+-op sweeps from
+/// spending minutes in ejection storms at hopeless IIs. Growing the IT
+/// makes scheduling strictly easier, so a budget miss only defers
+/// success to a later (cheaper) IT step, never to failure of the sweep.
+constexpr int64_t BudgetRefOps = 256;
+/// Fail when any slot exceeds this multiple of its domain's II
+/// (runaway ejection chains); also the ceiling stage compaction slides
+/// a node up to.
+constexpr int64_t MaxSlotMultiple = 64;
+
+/// The placement-loop budget for an \p NumOps-node partitioned graph
+/// (copy nodes included). Integer sqrt keeps it exact and
+/// platform-independent.
+int64_t budgetFor(size_t NumOps) {
+  int64_t N = static_cast<int64_t>(NumOps);
+  if (N <= BudgetRefOps)
+    return BudgetFactor * N + 64;
+  int64_t X = BudgetRefOps * N, R = 0;
+  for (int64_t Bit = int64_t(1) << 31; Bit > 0; Bit >>= 1) {
+    int64_t T = R + Bit;
+    if (T * T <= X)
+      R = T;
+  }
+  return BudgetFactor * R + 64; // floor(sqrt(Ref * N)); continuous at Ref
+}
 
 /// The placement loop's indexed ready structure: one bit per priority
 /// rank, set while the node holding that rank is unplaced. Selecting
@@ -191,7 +222,7 @@ SchedulerResult HeteroModuloScheduler::runTicks(const TickGraph &T,
     ++Result.Ejections;
   };
 
-  int64_t Budget = Opts.budgetFor(N);
+  int64_t Budget = budgetFor(N);
   unsigned NumPlaced = 0;
 
   while (NumPlaced < N) {
@@ -220,7 +251,7 @@ SchedulerResult HeteroModuloScheduler::runTicks(const TickGraph &T,
       E0 = LastSlot[U] + 1; // Rau's progress rule on re-placement
 
     int64_t II = T.iiOf(U);
-    if (E0 > Opts.MaxSlotMultiple * II) {
+    if (E0 > MaxSlotMultiple * II) {
       Result.FailureReason = "slot bound exceeded (ejection runaway)";
       return Result;
     }
@@ -280,7 +311,6 @@ SchedulerResult HeteroModuloScheduler::runTicks(const TickGraph &T,
 //===----------------------------------------------------------------------===//
 
 unsigned hcvliw::compactScheduleLifetimes(const TickGraph &T, Schedule &S,
-                                          int64_t MaxSlotMultiple,
                                           SchedulerScratch *Scratch) {
   SchedulerScratch Local;
   SchedulerScratch &SS = Scratch ? *Scratch : Local;

@@ -19,8 +19,13 @@
 /// an exact int64 tick count. A plan with no grid is not scheduled; the
 /// Figure 5 driver refuses such IT steps before calling in.
 ///
+/// The placement loop's effort is bounded by a budget that grows
+/// linearly in the node count up to 256 nodes and like sqrt(N) past
+/// it, and by a cap of 64 IIs on any slot (HeteroModuloScheduler.cpp).
+///
 /// The scheduler does not check register pressure; the driver validates
-/// it afterwards (sched/RegisterPressure.h) and grows the IT on failure.
+/// it afterwards (sched/RegisterPressure.h), salvages an overflow with
+/// compactScheduleLifetimes, and grows the IT when that fails too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,53 +39,6 @@
 #include <string>
 
 namespace hcvliw {
-
-struct SchedulerOptions {
-  /// Placement attempts allowed, as a multiple of the node count (for
-  /// loops up to BudgetRefOps nodes; see budgetFor).
-  unsigned BudgetFactor = 12;
-  /// Node count past which the ejection budget stops growing linearly.
-  /// Up to this size the budget is BudgetFactor * N + 64 (unchanged
-  /// from the historical policy); above it the per-node allowance
-  /// decays as sqrt(BudgetRefOps / N), so the total grows like
-  /// sqrt(N) — sublinear, which keeps 1000+-op sweeps from spending
-  /// minutes in ejection storms at hopeless IIs. Growing the IT makes
-  /// scheduling strictly easier, so a budget miss only defers success
-  /// to a later (cheaper) IT step, never to failure of the sweep.
-  unsigned BudgetRefOps = 256;
-  /// Fail when any slot exceeds this multiple of its domain's II
-  /// (runaway ejection chains).
-  int64_t MaxSlotMultiple = 64;
-  /// Let the sweep driver (LoopScheduler) salvage a placement whose
-  /// register pressure overflows by running compactScheduleLifetimes
-  /// before giving up on the IT step. Earliest-feasible placement
-  /// leaves early-produced values live for many IIs on wide graphs, and
-  /// each full II a lifetime spans costs one register in *every* modulo
-  /// slot — compaction removes exactly those crossings. It trades
-  /// per-iteration makespan for pressure, so it only runs as a rescue
-  /// (schedules that already fit are left untouched and bit-identical
-  /// to the historical output). Changes the emitted schedule when it
-  /// fires, hence part of the ScheduleCache key.
-  bool CompactLifetimes = true;
-
-  /// The placement-loop budget for an \p NumOps-node partitioned graph
-  /// (copy nodes included). Integer sqrt keeps it exact and
-  /// platform-independent.
-  int64_t budgetFor(size_t NumOps) const {
-    int64_t N = static_cast<int64_t>(NumOps);
-    int64_t Ref = static_cast<int64_t>(BudgetRefOps);
-    int64_t F = static_cast<int64_t>(BudgetFactor);
-    if (Ref <= 0 || N <= Ref)
-      return F * N + 64;
-    int64_t X = Ref * N, R = 0;
-    for (int64_t Bit = int64_t(1) << 31; Bit > 0; Bit >>= 1) {
-      int64_t T = R + Bit;
-      if (T * T <= X)
-        R = T;
-    }
-    return F * R + 64; // floor(sqrt(Ref * N)); continuous at N == Ref
-  }
-};
 
 struct SchedulerResult {
   bool Success = false;
@@ -125,23 +83,27 @@ struct SchedulerScratch {
 /// independent of thread count and of how S was produced, so warm-start
 /// replays and cold runs compact identically. \p T is the valid tick
 /// lowering of (graph, S.Plan). Returns the number of nodes moved.
+///
+/// The sweep driver (LoopScheduler) runs it only as a rescue, on a
+/// placement whose register pressure overflows: earliest-feasible
+/// placement leaves early-produced values live for many IIs on wide
+/// graphs, and each full II a lifetime spans costs one register in
+/// *every* modulo slot, which is what compaction removes. Schedules that
+/// already fit are left untouched.
 unsigned compactScheduleLifetimes(const TickGraph &T, Schedule &S,
-                                  int64_t MaxSlotMultiple,
                                   SchedulerScratch *Scratch = nullptr);
 
 class HeteroModuloScheduler {
   const MachineDescription &Machine;
   const PartitionedGraph &PG;
   const MachinePlan &Plan; ///< borrowed; must outlive run()
-  SchedulerOptions Opts;
 
   SchedulerResult runTicks(const TickGraph &T, SchedulerScratch &S);
 
 public:
   HeteroModuloScheduler(const MachineDescription &M,
                         const PartitionedGraph &Graph,
-                        const MachinePlan &ThePlan,
-                        const SchedulerOptions &O = SchedulerOptions());
+                        const MachinePlan &ThePlan);
 
   /// Runs the placement loop on the plan's tick grid. \p Ticks:
   /// nullptr = lower (Graph, ThePlan) internally; otherwise the

@@ -1,7 +1,7 @@
 //===- tests/SuiteResultCheck.h - Bitwise suite-result checks -*- C++ -*-=====//
 //
-// The one comparator the determinism tests share (thread counts, program
-// lanes, tracing, arenas, fault containment, warm vs cold cache). Every
+// The one comparator the determinism tests share (thread counts,
+// tracing, arenas, fault containment, warm vs cold cache). Every
 // deterministic field of a ProgramRunResult is compared: the profile with
 // every loop and component, both selected designs, both measurements with
 // their FailureDetails and every Loops[] entry. Doubles compare by bit

@@ -18,7 +18,7 @@ struct Fixture {
   WorkerPool Pool{1};
 
   explicit Fixture(std::vector<Loop> Loops) {
-    Profiler Prof(M, 1e6);
+    Profiler Prof(M);
     auto P = Prof.profileProgram("fixture", Loops);
     EXPECT_TRUE(P.has_value());
     Profile = std::move(*P);

@@ -10,11 +10,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TextMutator.h"
 #include "fault/Fault.h"
 
 #include <gtest/gtest.h>
 
 #include <new>
+#include <optional>
 
 using namespace hcvliw::fault;
 
@@ -75,11 +77,30 @@ TEST(FaultPlan, MalformedInputIsRejectedWithAnError) {
            "on sched.place occurrence x throw\n", // non-numeric count
            "seed\n",                            // missing seed value
            "frobnicate 1\n",                    // unknown directive
+           // Counts and seeds are whole unsigned decimal tokens: no sign
+           // (which would wrap), no trailing characters, no overflow.
+           "on sched.place occurrence -1 throw\n",
+           "on sched.place every -2 throw\n",
+           "on sched.place occurrence +3 throw\n",
+           "on sched.place occurrence 3x throw\n",
+           "on sched.place every 18446744073709551616 throw\n",
+           "on pool.job prob -5 throw\n",
+           "seed -1\n",
+           "seed 7x\n",
+           "seed 18446744073709551616\n",
+           "seed 5 trailing garbage\n",
        }) {
     std::string Err;
     EXPECT_FALSE(FaultPlan::parse(Bad, &Err).has_value()) << Bad;
-    EXPECT_FALSE(Err.empty()) << Bad;
+    EXPECT_NE(Err.find("line 1"), std::string::npos) << Bad << ": " << Err;
   }
+  // The largest values still parse.
+  auto Big = FaultPlan::parse("seed 18446744073709551615\n"
+                              "on sched.place every 18446744073709551615 "
+                              "throw\n");
+  ASSERT_TRUE(Big.has_value());
+  EXPECT_EQ(Big->Seed, UINT64_MAX);
+  EXPECT_EQ(Big->Rules.at(0).N, UINT64_MAX);
 }
 
 // A rule must name a site of fault/FaultSites.def: a misspelt or
@@ -111,14 +132,55 @@ TEST(FaultPlan, DegradeRuleAtAPointSiteIsRefused) {
                   .has_value());
 }
 
+// Seeded mutations of valid plans: every one parses or is refused with
+// a line-numbered error, none throws, and an accepted plan round-trips
+// through str().
+TEST(FaultPlan, HostileMutationsParseOrRefuse) {
+  const std::vector<std::string> Valid = {
+      "# chaos plan\n"
+      "seed 42\n"
+      "\n"
+      "on sched.place ctx 171.swim/loop2 occurrence 3 throw\n"
+      "on measure.config occurrence 1 badalloc\n"
+      "on part.coarsen every 2 degrade\n"
+      "on pool.job prob 25 throw\n",
+      "seed 7\n"
+      "on measure.loop ctx 172.mgrid/loop0 every 1 degrade\n"
+      "on cache.load occurrence 12 badalloc\n",
+  };
+  hcvliw::RNG R(0xfa017);
+  unsigned Accepted = 0, Refused = 0;
+  for (unsigned I = 0; I < 2000; ++I) {
+    std::string Text = R.pick(Valid);
+    for (int64_t M = R.nextInt(1, 3); M > 0; --M)
+      Text = hcvliw::mutateText(Text, R);
+    std::optional<FaultPlan> P;
+    std::string Err;
+    ASSERT_NO_THROW(P = FaultPlan::parse(Text, &Err)) << Text;
+    if (!P) {
+      ++Refused;
+      EXPECT_EQ(Err.rfind("fault plan line ", 0), 0u) << Text << "\n" << Err;
+      continue;
+    }
+    ++Accepted;
+    std::string Canon = P->str();
+    std::optional<FaultPlan> Again = FaultPlan::parse(Canon, &Err);
+    ASSERT_TRUE(Again.has_value()) << Canon << Err;
+    EXPECT_EQ(Again->str(), Canon);
+    EXPECT_EQ(Again->Seed, P->Seed);
+    EXPECT_EQ(Again->Rules.size(), P->Rules.size());
+  }
+  // Both outcomes are exercised, so neither path goes untested.
+  EXPECT_GT(Accepted, 200u);
+  EXPECT_GT(Refused, 200u);
+}
+
 TEST(FaultPlan, ParseFileReportsMissingFile) {
   std::string Err;
   EXPECT_FALSE(
       FaultPlan::parseFile("/nonexistent/fault.plan", &Err).has_value());
   EXPECT_FALSE(Err.empty());
 }
-
-#ifndef HCVLIW_NO_FAULT
 
 // --- injector determinism --------------------------------------------------
 
@@ -268,7 +330,5 @@ TEST(FaultInjector, FaultInjectedCarriesTheSite) {
     EXPECT_NE(std::string(E.what()).find("171.swim"), std::string::npos);
   }
 }
-
-#endif // HCVLIW_NO_FAULT
 
 } // namespace

@@ -26,8 +26,6 @@
 
 using namespace hcvliw;
 
-#ifndef HCVLIW_NO_FAULT
-
 namespace {
 
 std::vector<BenchmarkProgram> smallSuite() {
@@ -280,5 +278,3 @@ TEST(FaultIdle, ArmedPlanMatchingNothingChangesNothing) {
 }
 
 } // namespace
-
-#endif // HCVLIW_NO_FAULT

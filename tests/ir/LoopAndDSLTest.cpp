@@ -1,9 +1,12 @@
 //===- tests/ir/LoopAndDSLTest.cpp - Loop IR and DSL parser tests -----------===//
 
+#include "TextMutator.h"
 #include "ir/LoopBuilder.h"
 #include "ir/LoopDSL.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -112,6 +115,106 @@ TEST(DSL, ErrorsCarryLineNumbers) {
   EXPECT_FALSE(P.ok());
   EXPECT_NE(P.Error.find("line 2"), std::string::npos);
   EXPECT_NE(P.Error.find("bogus"), std::string::npos);
+}
+
+// Operand tokens are read whole: a distance that would wrap, a signed
+// or non-numeric distance, an empty name and a partly numeric immediate
+// are refused on their own line instead of silently read as another
+// value.
+TEST(DSL, MalformedOperandTokensAreRefusedWithTheirLine) {
+  for (const char *Tok : {"s@4294967297", "s@zz", "s@-3", "s@", "s@+1",
+                          "@1", "#1.0zz", "#1e999"}) {
+    std::string Text = std::string("loop x trip=4\n  arrays A\n"
+                                   "  s = fadd s@1 #1\n"
+                                   "  v = fadd s ") +
+                       Tok + "\n  store A v\nendloop\n";
+    ParsedLoops P = parseLoops(Text);
+    EXPECT_FALSE(P.ok()) << Tok;
+    EXPECT_NE(P.Error.find("line 4"), std::string::npos) << Tok << ": "
+                                                          << P.Error;
+    EXPECT_NE(P.Error.find(Tok), std::string::npos) << P.Error;
+  }
+  // The largest distance still parses, exactly.
+  Loop L = parseSingleLoop("loop x trip=4\n  arrays A\n"
+                           "  s = fadd s@4294967295 #1\n"
+                           "  store A s\nendloop\n");
+  EXPECT_EQ(L.Ops[0].Operands[0].Distance, 4294967295u);
+}
+
+// A weight scales the loop's share of the program: NaN or inf would
+// poison every share, so only finite positive weights are read.
+TEST(DSL, NonFiniteOrNonPositiveWeightIsRefused) {
+  for (const char *W : {"nan", "inf", "-inf", "0", "-1", "1e999"}) {
+    ParsedLoops P = parseLoops(std::string("loop x trip=4 weight=") + W +
+                               "\n  arrays A\n  v = load A\n"
+                               "  store A v\nendloop\n");
+    EXPECT_FALSE(P.ok()) << W;
+    EXPECT_NE(P.Error.find("line 1: bad weight"), std::string::npos)
+        << W << ": " << P.Error;
+  }
+}
+
+TEST(DSL, ParseSingleLoopThrowsInEveryBuild) {
+  EXPECT_THROW(parseSingleLoop("loop x trip=4\n  v = bogus a b\nendloop\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parseSingleLoop(""), std::invalid_argument);
+  EXPECT_THROW(parseSingleLoop("loop a trip=1\n  arrays X\n  v = load X\n"
+                               "  store X v\nendloop\n"
+                               "loop b trip=1\n  arrays X\n  v = load X\n"
+                               "  store X v\nendloop\n"),
+               std::invalid_argument);
+}
+
+// Seeded mutations of valid loop texts: every one parses or is refused
+// with a line-numbered error, none throws, and every accepted loop
+// passes Loop::validate.
+TEST(DSL, HostileMutationsParseOrRefuse) {
+  const std::vector<std::string> Valid = {
+      "# comment line\n"
+      "loop dot trip=8 weight=2.5\n"
+      "  arrays A B S\n"
+      "  livein k = 1.5\n"
+      "  x = load A\n"
+      "  y = load B off=1 scale=2\n"
+      "  m = fmul x y\n"
+      "  s = fadd s@1 m init=3 step=0.5\n"
+      "  t = fmul s@2 k\n"
+      "  store S t\n"
+      "endloop\n",
+      "loop a trip=2\n"
+      "  arrays X\n"
+      "  v = load X\n"
+      "  w = fadd v #1.5\n"
+      "  store X w off=1\n"
+      "endloop\n"
+      "loop b trip=3\n"
+      "  arrays Y\n"
+      "  u = load Y scale=4\n"
+      "  r = fadd r@3 u\n"
+      "  store Y r off=-2\n"
+      "endloop\n",
+  };
+  RNG R(0xd51f022);
+  unsigned Accepted = 0, Refused = 0;
+  for (unsigned I = 0; I < 2000; ++I) {
+    std::string Text = R.pick(Valid);
+    for (int64_t M = R.nextInt(1, 3); M > 0; --M)
+      Text = mutateText(Text, R);
+    ParsedLoops P;
+    ASSERT_NO_THROW(P = parseLoops(Text)) << Text;
+    if (!P.ok()) {
+      ++Refused;
+      EXPECT_EQ(P.Error.rfind("line ", 0), 0u) << Text << "\n" << P.Error;
+      EXPECT_TRUE(P.Loops.empty());
+      continue;
+    }
+    ++Accepted;
+    for (const Loop &L : P.Loops)
+      EXPECT_EQ(L.validate(), "") << Text;
+  }
+  // Both outcomes are exercised, so neither path goes untested.
+  EXPECT_GT(Accepted, 200u);
+  EXPECT_GT(Refused, 200u);
 }
 
 TEST(DSL, RejectsUnknownValue) {

@@ -56,9 +56,8 @@ void expectBitIdentical(const MeasuredFrontier &A, const MeasuredFrontier &B) {
 MeasuredFrontier measureWithThreads(const char *Program, unsigned Threads) {
   Session S{PipelineOptions(), Threads};
   BenchmarkProgram Prog = buildSpecFPProgram(Program);
-  Profiler Prof(S.machine(), S.pipelineOptions().ProgramBudgetNs,
-                &S.scheduleCache(), &S.scheduleScratchPool(), &S.tracer(),
-                &S.metrics());
+  Profiler Prof(S.machine(), &S.scheduleCache(), &S.scheduleScratchPool(),
+                &S.tracer(), &S.metrics());
   std::string Err;
   auto Profile = Prof.profileProgram(Prog.Name, Prog.Loops, &Err);
   EXPECT_TRUE(Profile.has_value()) << Err;

@@ -38,7 +38,6 @@ TEST(TraceSuiteIdentity, TracedSuiteBitIdenticalAtEveryThreadCount) {
     SuiteResult Traced = SuiteRunner(S).runSpecFP();
     S.tracer().disable();
     expectSameSuite(Baseline, Traced, EffortCounters::Compare);
-#ifndef HCVLIW_NO_TRACE
     // The run really was traced: spans from the suite level down to the
     // per-config measurement recorded, on no more rings than workers.
     EXPECT_GT(S.tracer().totalEvents(), 0u) << Threads;
@@ -48,7 +47,6 @@ TEST(TraceSuiteIdentity, TracedSuiteBitIdenticalAtEveryThreadCount) {
     EXPECT_NE(J.find("suite.run"), std::string::npos);
     EXPECT_NE(J.find("program:"), std::string::npos);
     EXPECT_NE(J.find("measure.config:"), std::string::npos);
-#endif
   }
 }
 

@@ -6,8 +6,7 @@
 // truncate safely, and the exported Chrome-trace-event JSON is
 // well-formed (checked with a real — if minimal — JSON parser, not
 // substring matching) with the fields Perfetto requires on every event
-// plus the build-provenance header. The well-formedness test also holds
-// under HCVLIW_NO_TRACE, where the export is an empty-but-valid trace.
+// plus the build-provenance header.
 //
 //===----------------------------------------------------------------------===//
 
@@ -159,7 +158,7 @@ TEST(JsonChecker, AcceptsAndRejects) {
 
 //===----------------------------------------------------------------------===//
 // Exported trace shape: valid JSON, Perfetto-required event fields,
-// build-provenance header. Holds compiled in and compiled out.
+// build-provenance header.
 //===----------------------------------------------------------------------===//
 
 TEST(Tracer, ChromeTraceJsonIsWellFormed) {
@@ -179,8 +178,6 @@ TEST(Tracer, ChromeTraceJsonIsWellFormed) {
   EXPECT_NE(J.find("\"build\""), std::string::npos);
   EXPECT_NE(J.find("\"git_sha\""), std::string::npos);
 }
-
-#ifndef HCVLIW_NO_TRACE
 
 TEST(Tracer, SpanRecordsOnlyWhenEnabled) {
   obs::Tracer Tr;
@@ -285,24 +282,5 @@ TEST(Tracer, ReenableResetsTheCapture) {
   EXPECT_NE(J.find("second.capture"), std::string::npos);
   EXPECT_EQ(J.find("first.capture"), std::string::npos);
 }
-
-#else // HCVLIW_NO_TRACE
-
-TEST(Tracer, CompiledOutStubsAreInert) {
-  obs::Tracer Tr;
-  Tr.enable();
-  {
-    obs::Span Sp(&Tr, "never.recorded");
-    EXPECT_FALSE(Sp.active());
-    Sp.arg("ignored", 1);
-  }
-  EXPECT_EQ(Tr.totalEvents(), 0u);
-  EXPECT_EQ(Tr.numBuffers(), 0u);
-  std::string J = Tr.chromeTraceJson();
-  EXPECT_TRUE(JsonChecker(J).valid()) << J;
-  EXPECT_NE(J.find("\"compiled_out\": true"), std::string::npos);
-}
-
-#endif // HCVLIW_NO_TRACE
 
 } // namespace

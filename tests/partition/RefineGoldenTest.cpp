@@ -169,7 +169,6 @@ TEST(RefineGolden, UnrolledBodiesPartitionUnchanged) {
   }
 }
 
-#ifndef HCVLIW_NO_FAULT
 TEST(RefineGolden, FlatRungPartitionUnchanged) {
   auto Plan = fault::FaultPlan::parse("on part.coarsen every 1 degrade\n");
   ASSERT_TRUE(Plan.has_value());
@@ -183,6 +182,5 @@ TEST(RefineGolden, FlatRungPartitionUnchanged) {
   EXPECT_GT(Inj.injectedDegrades(), 0u);
   EXPECT_EQ(D.H, 0xdc0a6ca56112a175ull) << "0x" << std::hex << D.H;
 }
-#endif // HCVLIW_NO_FAULT
 
 } // namespace

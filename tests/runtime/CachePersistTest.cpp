@@ -5,8 +5,8 @@
 // produces results bit-identical to cold; snapshots are byte-
 // deterministic (equal cache contents, equal files); the corruption
 // matrix — truncation mid-frame, bit-flip in a record body, bit-flip
-// in the header, key-schema version skew (a schema-2 snapshot
-// included), binding mismatch, empty file, unknown record kind, a
+// in the header, key-schema version skew (schema-2 and schema-3
+// snapshots included), binding mismatch, empty file, unknown record kind, a
 // CRC-valid rational with a zero or INT64_MIN denominator —
 // quarantines or refuses with exact counts and never changes a result;
 // duplicate frames are not counted as loaded; a CRC-valid schedule
@@ -210,22 +210,26 @@ TEST_F(CachePersistFixture, VersionSkewRefuses) {
 }
 
 TEST_F(CachePersistFixture, SchemaTwoSnapshotRefuses) {
-  // Schema 3 added the loop components to every schedule record; a
-  // schema-2 snapshot has none, so it is refused whole.
-  ASSERT_EQ(CacheKeySchemaVersion, 3u);
-  std::string Old = SnapBytes;
-  size_t Pos = Old.find("schema 3 ");
-  ASSERT_NE(Pos, std::string::npos);
-  Old.replace(Pos, 9, "schema 2 ");
+  // Schema 3 added the loop components to every schedule record, so a
+  // schema-2 snapshot has none; schema 4 dropped the constant effort
+  // limits from loopScheduleKey, so no schema-3 key can be hit. Both
+  // are refused whole.
+  ASSERT_EQ(CacheKeySchemaVersion, 4u);
+  for (unsigned Old : {2u, 3u}) {
+    std::string Bytes = SnapBytes;
+    size_t Pos = Bytes.find("schema 4 ");
+    ASSERT_NE(Pos, std::string::npos);
+    Bytes.replace(Pos, 9, "schema " + std::to_string(Old) + " ");
 
-  Session S{PipelineOptions(), 1};
-  std::string Err;
-  EXPECT_FALSE(loadInto(S, Old, "cp_schema2.cache", &Err));
-  EXPECT_NE(Err.find("key schema v2 does not match this build's v3; "
-                     "refusing to load"),
-            std::string::npos)
-      << Err;
-  EXPECT_EQ(S.cachePersistLoadStats().loaded(), 0u);
+    Session S{PipelineOptions(), 1};
+    std::string Err;
+    EXPECT_FALSE(loadInto(S, Bytes, "cp_schema_old.cache", &Err));
+    EXPECT_NE(Err.find("key schema v" + std::to_string(Old) +
+                       " does not match this build's v4; refusing to load"),
+              std::string::npos)
+        << Err;
+    EXPECT_EQ(S.cachePersistLoadStats().loaded(), 0u);
+  }
 }
 
 TEST_F(CachePersistFixture, BindingMismatchRefuses) {

@@ -145,8 +145,8 @@ TEST(ProfileSession, PolicyIgnoresMeasurementKnobs) {
   Knobs.LoopEffortDeadline = 1;
   Knobs.MaxITSteps = 0;
   Session S{Knobs, 1};
-  Profiler Prof(S.machine(), Knobs.ProgramBudgetNs, &S.scheduleCache(),
-                &S.scheduleScratchPool(), &S.tracer(), &S.metrics());
+  Profiler Prof(S.machine(), &S.scheduleCache(), &S.scheduleScratchPool(),
+                &S.tracer(), &S.metrics());
   for (const BenchmarkProgram &P : buildSpecFPSuite()) {
     std::string Err;
     auto Profile = Prof.profileProgram(P.Name, P.Loops, &Err);

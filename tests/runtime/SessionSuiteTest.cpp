@@ -1,8 +1,8 @@
 //===- tests/runtime/SessionSuiteTest.cpp - Session / SuiteRunner -----------===//
 //
 // The Session/SuiteRunner API contracts: full-suite results equal
-// their golden digests and are bit-identical for any thread count and
-// any nested-parallelism budget; failed programs surface as structured
+// their golden digests and are bit-identical for any thread count;
+// failed programs surface as structured
 // records instead of being dropped; the session-shared EvalCache hits
 // across the het and hom selections and across programs sharing loop
 // structure; progress callbacks stream once per program.
@@ -38,19 +38,6 @@ TEST(SuiteRunner, FullSuiteBitIdenticalAcrossThreadCounts) {
     Session S(Opts, Threads);
     SuiteResult Par = SuiteRunner(S).runSpecFP();
     expectSameSuite(Serial, Par);
-  }
-}
-
-TEST(SuiteRunner, NestedParallelismBudgetDoesNotChangeResults) {
-  PipelineOptions Opts;
-  Session S1(Opts, 4);
-  SuiteResult Free = SuiteRunner(S1).runSpecFP();
-  for (size_t Lanes : {1u, 2u, 3u}) {
-    Session S2(Opts, 4);
-    SuiteOptions SO;
-    SO.ProgramLanes = Lanes;
-    SuiteResult Budgeted = SuiteRunner(S2).runSpecFP(SO);
-    expectSameSuite(Free, Budgeted);
   }
 }
 

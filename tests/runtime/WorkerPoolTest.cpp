@@ -89,8 +89,8 @@ TEST(WorkerPool, NestedParallelForCompletes) {
 }
 
 TEST(WorkerPool, TwoLevelNestingWithStridedLanes) {
-  // The SuiteRunner shape: few lanes, each processing a strided range,
-  // nesting inner jobs on the same pool.
+  // Few lanes, each processing a strided range, nesting inner jobs on
+  // the same pool.
   WorkerPool Pool(3);
   const size_t N = 10, Lanes = 2, Inner = 32;
   std::vector<uint64_t> Out(N, 0);

@@ -38,8 +38,8 @@ void hcvliw::lint::collectFaultSites(const SourceFile &F,
     bool Degrade = T[I].ident("HCVLIW_FAULT_DEGRADE");
     if (!Point && !Degrade)
       continue;
-    // The macro definitions themselves (and their NO_FAULT stubs) in
-    // fault/Fault.h look like `#define HCVLIW_FAULT_POINT(...)`.
+    // The macro definitions themselves in fault/Fault.h look like
+    // `#define HCVLIW_FAULT_POINT(...)`.
     if (I > 0 && T[I - 1].ident("define"))
       continue;
     if (I + 1 >= T.size() || !T[I + 1].punct("("))
