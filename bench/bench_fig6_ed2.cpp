@@ -13,11 +13,12 @@
 //
 // Flags:
 //   --ablation   also run with recurrence pre-placement disabled and
-//                with the balance-only refinement objective (DESIGN.md
-//                ablations #2 and #3).
+//                with the balance-only refinement objective (what
+//                pre-placement and the ED2 objective each buy).
 //   --oracle     cross-check the Section 3 estimator: measure every
 //                ranked heterogeneous candidate of each program and
-//                report the estimator's regret (DESIGN.md ablation #4).
+//                report the estimator's regret (the ED2 the Section 3
+//                estimate loses against measuring every candidate).
 //   --threads N  worker-pool parallelism (default: hardware).
 //
 //===----------------------------------------------------------------------===//

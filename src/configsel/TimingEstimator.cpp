@@ -166,8 +166,9 @@ LoopTimingEstimate hcvliw::estimateLoopTiming(const LoopProfile &LP,
         // times the mean heterogeneous cycle time. Our partitioner's
         // ED2 objective deliberately pushes non-critical work into the
         // slow clusters, so the *slowest* period is the honest
-        // multiplier (see DESIGN.md); for uniform-frequency candidates
-        // the two coincide.
+        // multiplier (the mean one understates the iteration length
+        // once slow clusters hold part of the critical path); for
+        // uniform-frequency candidates the two coincide.
         Rational SlowestPeriod = C.Clusters.front().PeriodNs;
         for (const auto &D : C.Clusters)
           SlowestPeriod = Rational::max(SlowestPeriod, D.PeriodNs);

@@ -88,6 +88,51 @@ bool DomainPlanner::hasCapacity(const MachinePlan &Plan,
   return true;
 }
 
+/// The first candidate IT the MIT search need probe: the largest point
+/// of the nextIT() sequence at or below the capacity bound
+///
+///   LB = max_K count_K / sum_C fmax_C * units_{C,K},
+///
+/// or std::nullopt when no bound applies. Every domain runs at most at
+/// its fmax, so II_C <= IT * fmax_C, and below LB some FU kind lacks
+/// slots whatever the plan: no IT below LB passes hasCapacity. The
+/// returned floor(LB * F) / F, with F the fastest cluster's top menu
+/// frequency, is a multiple of 1/F and so a point nextIT() steps
+/// through. A bound whose arithmetic leaves the Rational range is
+/// skipped (the search then steps from its start, as it always may).
+static std::optional<Rational>
+capacityStart(const MachineDescription &M, const HeteroConfig &C,
+              const FrequencyMenu &Menu,
+              const std::vector<unsigned> &OpCounts) {
+  auto F = Menu.topFrequency(C.fastestClusterPeriod().reciprocal());
+  if (!F)
+    return std::nullopt;
+  try {
+    std::optional<Rational> LB;
+    for (unsigned K = 0; K < NumFUKinds; ++K) {
+      FUKind Kind = static_cast<FUKind>(K);
+      if (Kind == FUKind::Bus || OpCounts[K] == 0)
+        continue;
+      Rational SlotsPerNs(0);
+      for (unsigned Cl = 0; Cl < M.numClusters(); ++Cl)
+        SlotsPerNs +=
+            C.Clusters[Cl].fmaxGHz() *
+            Rational(static_cast<int64_t>(M.Clusters[Cl].fuCount(Kind)));
+      if (!SlotsPerNs.isPositive())
+        continue; // no slots at any IT: the probes run out as before
+      Rational KindLB =
+          Rational(static_cast<int64_t>(OpCounts[K])) / SlotsPerNs;
+      if (!LB || *LB < KindLB)
+        LB = KindLB;
+    }
+    if (!LB)
+      return std::nullopt;
+    return Rational((*LB * *F).floor()) / *F;
+  } catch (const std::overflow_error &) {
+    return std::nullopt;
+  }
+}
+
 Rational
 DomainPlanner::computeMIT(int64_t RecMII,
                           const std::vector<unsigned> &OpCounts) const {
@@ -95,9 +140,13 @@ DomainPlanner::computeMIT(int64_t RecMII,
   Rational RecMIT = Rational(RecMII) * Config.fastestClusterPeriod();
 
   // resMIT: grow the IT until every FU kind has enough slots (and every
-  // domain has a synchronizable (II, freq) pair). One reused probe plan
-  // — this loop takes hundreds of one-slot steps on big loops.
+  // domain has a synchronizable (II, freq) pair), starting at the
+  // capacity bound when it lies above recMIT: every IT the one-slot
+  // steps would skip fails hasCapacity, so the first feasible IT is the
+  // same. One reused probe plan.
   Rational IT = Rational::max(RecMIT, Config.fastestClusterPeriod());
+  if (auto Start = capacityStart(*Machine, Config, Menu, OpCounts))
+    IT = Rational::max(IT, *Start);
   MachinePlan Probe;
   for (unsigned N = 0; N < MaxMITProbes; ++N) {
     if (planForITInto(Probe, IT) && hasCapacity(Probe, OpCounts))

@@ -63,8 +63,8 @@ public:
 
   /// In-place form of planForIT: overwrites \p Plan (reusing its
   /// Clusters capacity) and returns false on a synchronization failure.
-  /// computeMIT probes hundreds of candidate ITs on big loops, one slot
-  /// at a time; this keeps that search allocation-free in steady state.
+  /// computeMIT probes many candidate ITs; this keeps that search
+  /// allocation-free in steady state.
   bool planForITInto(MachinePlan &Plan, const Rational &ITNs) const;
 
   /// Smallest IT' > ITNs at which any domain gains a slot (the Figure 5
@@ -72,18 +72,29 @@ public:
   /// type, when no domain's next slot lies above \p ITNs.
   Rational nextIT(const Rational &ITNs) const;
 
-  /// computeMIT's probe budget, about 10x what real inputs use: at most
-  /// 12 candidate ITs per loop on the SPECfp suite under the default
-  /// menu, 395 under a 64-entry menu (frontier included) and 333 on
-  /// bench_sched_hotpath's loops of up to 1536 ops.
+  /// computeMIT's probe budget, counted from the search's start (see
+  /// computeMIT). Real inputs use far fewer: from the capacity start,
+  /// at most 2 probes per SPECfp loop on the reference machine and at
+  /// most 7 on the 256/512/768-op unrolled bodies, where the walk from
+  /// recMIT took up to 223.
   static constexpr unsigned MaxMITProbes = 4096;
 
   /// MIT = max(recMIT, resMIT): \p RecMII in cycles and per-FU-kind
-  /// operation counts of the loop (Loop::opCountsByFU). Throws
-  /// std::invalid_argument, in every build type, when MaxMITProbes
-  /// candidate ITs yield no plan that synchronizes every domain and has
-  /// the slots (e.g. cluster periods whose slot grids almost never
-  /// align under a relative menu).
+  /// operation counts of the loop (Loop::opCountsByFU). The search
+  /// probes the nextIT() sequence upward from the larger of recMIT (at
+  /// least one fastest-cluster cycle) and the capacity bound
+  ///
+  ///   LB = max_K count_K / sum_C fmax_C * units_{C,K}
+  ///
+  /// rounded down to a multiple of the fastest cluster's top menu
+  /// period (FrequencyMenu::topFrequency), which is a point of that
+  /// sequence. Every domain's II is at most IT * fmax, so no IT below
+  /// LB has the slots, and the first feasible IT is the one the
+  /// one-slot walk from recMIT finds. MaxMITProbes counts the probes
+  /// from that start. Throws std::invalid_argument, in every build
+  /// type, when MaxMITProbes candidate ITs yield no plan that
+  /// synchronizes every domain and has the slots (e.g. cluster periods
+  /// whose slot grids almost never align under a relative menu).
   Rational computeMIT(int64_t RecMII,
                       const std::vector<unsigned> &OpCounts) const;
 

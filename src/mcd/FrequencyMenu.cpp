@@ -130,3 +130,21 @@ Rational FrequencyMenu::nextIT(const Rational &ITNs,
   }
   return nextFor(FmaxGHz);
 }
+
+std::optional<Rational>
+FrequencyMenu::topFrequency(const Rational &FmaxGHz) const {
+  switch (MenuKind) {
+  case Kind::Continuous:
+    return FmaxGHz;
+  case Kind::Absolute:
+    for (auto It = Freqs.rbegin(); It != Freqs.rend(); ++It)
+      if (*It <= FmaxGHz)
+        return *It;
+    return std::nullopt;
+  case Kind::Relative:
+    if (Ratios.empty())
+      return std::nullopt;
+    return FmaxGHz * Ratios.front(); // sorted descending
+  }
+  return std::nullopt;
+}

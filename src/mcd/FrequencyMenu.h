@@ -78,6 +78,13 @@ public:
   /// feasible pair with one more slot than at ITNs (used to grow the IT
   /// after scheduling or synchronization failures).
   Rational nextIT(const Rational &ITNs, const Rational &FmaxGHz) const;
+
+  /// The largest frequency nextIT() steps by for a domain of maximum
+  /// \p FmaxGHz: fmax itself on the continuous menu, fmax times the top
+  /// ratio (1) on a relative ladder, the largest entry <= fmax on an
+  /// absolute menu; std::nullopt when an absolute menu has none. Every
+  /// multiple of its period is a point of the nextIT() sequence.
+  std::optional<Rational> topFrequency(const Rational &FmaxGHz) const;
 };
 
 } // namespace hcvliw

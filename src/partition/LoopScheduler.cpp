@@ -82,6 +82,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
   }
   ScheduleScratch &S = *Scratch;
   S.beginLoopRun();
+  const uint64_t CoarsenReuses0 = S.Part.CoarsenReuses;
 
   // Per-loop fault context ("<program>/<loop>" — a serial execution
   // stream, so occurrence counts are thread-count invariant). Composed
@@ -102,12 +103,14 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
   const bool MemoHit = Memo != nullptr;
   if (!Memo) {
     LoopAnalysisMemo &Slot = S.analysisSlot();
+    Slot.Valid = false;
     Slot.Fp = Fp;
     Slot.Lat = S.Lat;
     Slot.Recs = analyzeRecurrences(S.G, S.Lat);
     computeEdgeSlack(Slot.EdgeSlack, S.G, S.Lat,
                      std::max<int64_t>(Slot.Recs.RecMII, 1), S.Paths);
     Slot.Components = computeLoopComponents(L, S.G, Slot.Recs);
+    Slot.Valid = true;
     Memo = &Slot;
   }
   if (AnalyzeSp.active()) {
@@ -174,6 +177,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     Ctx.TripCount = L.TripCount;
     Ctx.EdgeSlack = &Memo->EdgeSlack;
     Ctx.Scratch = &S.Part;
+    Ctx.LoopFp = Fp;
     Ctx.Trace = Trace;
     Ctx.Stats = &R.PartStats;
     Ctx.Fault = Opts.Fault;
@@ -274,6 +278,8 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     LoopSp.arg("it_steps", R.ITSteps);
     LoopSp.arg("placements", static_cast<int64_t>(R.Placements));
     LoopSp.arg("ejections", static_cast<int64_t>(R.Ejections));
+    LoopSp.arg("coarsen_reused",
+               static_cast<int64_t>(S.Part.CoarsenReuses - CoarsenReuses0));
     LoopSp.arg("ok", R.Success ? 1 : 0);
   }
   return R;

@@ -17,16 +17,17 @@
 /// frequency, baseline [2][3] objective) and heterogeneous ones (ED2
 /// objective, Section 4 extensions).
 ///
-/// The sweep is one path. It reuses exact memos in its scratch arena:
-/// the IT-independent loop analysis (LoopAnalysisMemo, across whole
-/// schedule() runs; it also yields the loop's weakly-connected
+/// The sweep is one path. It reuses exact memos in its scratch arena,
+/// both across whole schedule() runs: the IT-independent loop analysis
+/// (LoopAnalysisMemo; it also yields the loop's weakly-connected
 /// components, which every result carries for the profiler) and the
-/// coarsening level stack (across attempts and IT steps while its
-/// inputs are unchanged); the partitioner also skips re-scoring
-/// refinement candidates that cannot have changed.
-/// Each memo fires only on an exact input match, so results never
-/// depend on the arena; tests/sched/WarmStartTest pins the results as
-/// golden digests.
+/// coarsening level stack (while every build input is unchanged — the
+/// same loop re-scheduled on another plan usually pre-places the same
+/// groups); the partitioner also skips re-scoring refinement
+/// candidates that cannot have changed. Each memo fires only on an
+/// exact input match, so results never depend on the arena, and the
+/// effort counters count per run (PartitionStats);
+/// tests/sched/WarmStartTest pins the results as golden digests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -152,10 +153,12 @@ public:
   /// arena (reusable buffers + exact memos); when null a local
   /// arena serves this one call. Results are bit-identical for any
   /// scratch (ScheduleScratch contract). \p Trace, when enabled,
-  /// records a "loop.schedule:<name>" span per run, one "loop.analyze"
-  /// span for its IT-independent analyses (args nodes, edges, memo_hit)
-  /// and one "loop.itstep" span per IT step (observation only; the
-  /// schedule never depends on it).
+  /// records a "loop.schedule:<name>" span per run (args it_steps,
+  /// placements, ejections, coarsen_reused — the partition attempts
+  /// that reused the scratch's level stack instead of building one —
+  /// and ok), one "loop.analyze" span for its IT-independent analyses
+  /// (args nodes, edges, memo_hit) and one "loop.itstep" span per IT
+  /// step (observation only; the schedule never depends on it).
   LoopScheduleResult schedule(const Loop &L,
                               const EnergyModel *Energy = nullptr,
                               const HeteroScaling *Scaling = nullptr,

@@ -8,32 +8,44 @@
 
 using namespace hcvliw;
 
-void MultilevelGraph::makeLevel(CoarseLevel &Out, unsigned NumGroups,
-                                const std::vector<int64_t> &EdgeSlack) {
-  unsigned N = G->size();
+/// Per-macro sizes, representatives, FU counts and energy weights of
+/// \p Out from its MacroOf map, summed over member nodes in node order
+/// (the Table 1 energies are not dyadic: a per-macro sum of the merged
+/// macros' weights would round differently).
+void MultilevelGraph::sumMembers(CoarseLevel &Out) const {
+  unsigned N = static_cast<unsigned>(NodeKind.size());
+  unsigned NM = Out.NumMacros;
+  Out.Rep.assign(NM, 0);
+  Out.Size.assign(NM, 0);
+  Out.FUCounts.assign(static_cast<size_t>(NM) * NumFUKinds, 0);
+  Out.Weight.assign(NM, 0.0);
+  for (unsigned Nd = 0; Nd < N; ++Nd) {
+    unsigned Mac = Out.MacroOf[Nd];
+    if (Out.Size[Mac]++ == 0)
+      Out.Rep[Mac] = Nd; // nodes scanned ascending: lowest member id
+    ++Out.FUCounts[static_cast<size_t>(Mac) * NumFUKinds + NodeKind[Nd]];
+    Out.Weight[Mac] += NodeEnergy[Nd];
+  }
+}
+
+void MultilevelGraph::makeFinest(CoarseLevel &Out, const DDG &G,
+                                 unsigned NumGroups,
+                                 const std::vector<int64_t> &EdgeSlack) {
+  unsigned N = G.size();
   Out.NumMacros = NumGroups;
   Out.MacroOf.resize(N);
-  Out.Rep.assign(NumGroups, 0);
-  Out.Size.assign(NumGroups, 0);
-  Out.FUCounts.assign(static_cast<size_t>(NumGroups) * NumFUKinds, 0);
-  Out.Weight.assign(NumGroups, 0.0);
   Out.Pin.assign(PinOfGroup.begin(), PinOfGroup.begin() + NumGroups);
   for (unsigned Nd = 0; Nd < N; ++Nd) {
     assert(GroupOfNode[Nd] >= 0 && "node without a group");
-    unsigned Gp = static_cast<unsigned>(GroupOfNode[Nd]);
-    Out.MacroOf[Nd] = Gp;
-    if (Out.Size[Gp]++ == 0)
-      Out.Rep[Gp] = Nd; // nodes scanned ascending: lowest member id
-    ++Out.FUCounts[static_cast<size_t>(Gp) * NumFUKinds +
-                   static_cast<unsigned>(fuKindOf(L->Ops[Nd].Op))];
-    Out.Weight[Gp] += M->Isa.energy(L->Ops[Nd].Op);
+    Out.MacroOf[Nd] = static_cast<unsigned>(GroupOfNode[Nd]);
   }
+  sumMembers(Out);
 
   // Macro adjacency: sort the half-edges by (from, to) and fold runs
   // into CSR rows (edge multiplicity, minimum node-level slack).
   HE.clear();
-  for (unsigned EIx = 0; EIx < G->numEdges(); ++EIx) {
-    const DDG::Edge &E = G->edge(EIx);
+  for (unsigned EIx = 0; EIx < G.numEdges(); ++EIx) {
+    const DDG::Edge &E = G.edge(EIx);
     unsigned A = Out.MacroOf[E.Src], B = Out.MacroOf[E.Dst];
     if (A == B)
       continue;
@@ -66,9 +78,66 @@ void MultilevelGraph::makeLevel(CoarseLevel &Out, unsigned NumGroups,
     Out.AdjStart[Mac + 1] += Out.AdjStart[Mac];
 }
 
+void MultilevelGraph::contract(const CoarseLevel &Cur, CoarseLevel &Out,
+                               unsigned NewCount) {
+  unsigned N = static_cast<unsigned>(NodeKind.size());
+  Out.NumMacros = NewCount;
+  Out.MacroOf.resize(N);
+  for (unsigned Nd = 0; Nd < N; ++Nd)
+    Out.MacroOf[Nd] = static_cast<unsigned>(NewIdOfMacro[Cur.MacroOf[Nd]]);
+  Out.Pin.assign(NewPins.begin(), NewPins.end());
+  sumMembers(Out);
+
+  // The (at most two) previous-level macros of each new macro.
+  constexpr unsigned None = ~0u;
+  OldOf.assign(static_cast<size_t>(NewCount) * 2, None);
+  for (unsigned Mac = 0; Mac < Cur.NumMacros; ++Mac) {
+    unsigned *Slot = &OldOf[static_cast<size_t>(NewIdOfMacro[Mac]) * 2];
+    Slot[Slot[0] == None ? 0 : 1] = Mac;
+  }
+
+  // Each new row merges its members' rows: neighbors renamed, the
+  // edge between the two members dropped, multiplicities added and
+  // slacks minimized per neighbor — exactly the rows a fold of the DDG
+  // half-edges under the new MacroOf yields — then sorted by neighbor.
+  RowAt.assign(NewCount, None);
+  Out.AdjStart.assign(NewCount + 1, 0);
+  Out.AdjMacro.clear();
+  Out.AdjWeight.clear();
+  Out.AdjSlack.clear();
+  for (unsigned X = 0; X < NewCount; ++X) {
+    Row.clear();
+    for (unsigned Part = 0; Part < 2; ++Part) {
+      unsigned Old = OldOf[static_cast<size_t>(X) * 2 + Part];
+      if (Old == None)
+        break;
+      for (unsigned I = Cur.AdjStart[Old]; I < Cur.AdjStart[Old + 1]; ++I) {
+        unsigned Y = static_cast<unsigned>(NewIdOfMacro[Cur.AdjMacro[I]]);
+        if (Y == X)
+          continue;
+        unsigned &At = RowAt[Y];
+        if (At != None && At < Row.size() && Row[At].To == Y) {
+          Row[At].Weight += Cur.AdjWeight[I];
+          Row[At].Slack = std::min(Row[At].Slack, Cur.AdjSlack[I]);
+          continue;
+        }
+        At = static_cast<unsigned>(Row.size());
+        Row.push_back({Y, Cur.AdjWeight[I], Cur.AdjSlack[I]});
+      }
+    }
+    std::sort(Row.begin(), Row.end(),
+              [](const RowEntry &A, const RowEntry &B) { return A.To < B.To; });
+    for (const RowEntry &E : Row) {
+      Out.AdjMacro.push_back(E.To);
+      Out.AdjWeight.push_back(E.Weight);
+      Out.AdjSlack.push_back(E.Slack);
+    }
+    Out.AdjStart[X + 1] = static_cast<unsigned>(Out.AdjMacro.size());
+  }
+}
+
 unsigned MultilevelGraph::matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
-                                     unsigned TargetMacros, double WeightCap,
-                                     const std::vector<int64_t> &EdgeSlack) {
+                                     unsigned TargetMacros, double WeightCap) {
   unsigned NumMac = Cur.NumMacros;
 
   // Candidate pairs straight from the CSR (each undirected pair once).
@@ -129,18 +198,16 @@ unsigned MultilevelGraph::matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
       NewPins.push_back(Cur.Pin[Mac]);
     }
 
-  for (unsigned Nd = 0; Nd < G->size(); ++Nd)
-    GroupOfNode[Nd] = NewIdOfMacro[Cur.MacroOf[Nd]];
-  PinOfGroup.assign(NewPins.begin(), NewPins.end());
-  makeLevel(Out, NewCount, EdgeSlack);
+  contract(Cur, Out, NewCount);
   return Pairs;
 }
 
-void MultilevelGraph::recordLevel(const CoarseLevel &Lvl) {
+CoarseLevel *MultilevelGraph::recordLevel(CoarseLevel &Lvl) {
   if (Levels.size() <= NumLvls)
     Levels.emplace_back();
-  Levels[NumLvls] = Lvl; // copy-assign reuses the slot's capacity
-  ++NumLvls;
+  // A swap, not a copy: the work buffer takes the slot's old storage.
+  std::swap(Levels[NumLvls], Lvl);
+  return &Levels[NumLvls++];
 }
 
 void MultilevelGraph::build(
@@ -148,17 +215,23 @@ void MultilevelGraph::build(
     const std::vector<std::vector<unsigned>> &InitialGroups,
     const std::vector<int> &GroupPins, const std::vector<int64_t> &EdgeSlack,
     unsigned TargetMacros, obs::Tracer *Trace) {
-  L = &TheLoop;
-  G = &TheDDG;
-  M = &TheMachine;
   NumLvls = 0;
   Stats = BuildStats();
   assert(InitialGroups.size() == GroupPins.size() &&
          "one pin slot per initial group");
-  assert(EdgeSlack.size() == G->numEdges() && "one slack per DDG edge");
+  assert(EdgeSlack.size() == TheDDG.numEdges() && "one slack per DDG edge");
+
+  // Each node's FU kind and energy weight, looked up once per build.
+  unsigned N = TheDDG.size();
+  NodeKind.resize(N);
+  NodeEnergy.resize(N);
+  for (unsigned Nd = 0; Nd < N; ++Nd) {
+    Opcode Op = TheLoop.Ops[Nd].Op;
+    NodeKind[Nd] = static_cast<uint8_t>(fuKindOf(Op));
+    NodeEnergy[Nd] = TheMachine.Isa.energy(Op);
+  }
 
   // Finest grouping: initial groups plus singletons.
-  unsigned N = G->size();
   GroupOfNode.assign(N, -1);
   PinOfGroup.clear();
   unsigned NumGroups = 0;
@@ -185,19 +258,20 @@ void MultilevelGraph::build(
   KindCap.assign(NumFUKinds, 0);
   double WeightTotal = 0;
   for (unsigned Nd = 0; Nd < N; ++Nd) {
-    ++KindCap[static_cast<unsigned>(fuKindOf(L->Ops[Nd].Op))];
-    WeightTotal += M->Isa.energy(L->Ops[Nd].Op);
+    ++KindCap[NodeKind[Nd]];
+    WeightTotal += NodeEnergy[Nd];
   }
   for (unsigned K = 0; K < NumFUKinds; ++K)
     KindCap[K] = std::max<unsigned>(2, 2 * ((KindCap[K] + Tgt - 1) / Tgt));
   double WeightCap = 2.0 * WeightTotal / Tgt;
 
-  makeLevel(WorkA, NumGroups, EdgeSlack);
-  recordLevel(WorkA);
-
-  CoarseLevel *CurW = &WorkA, *NextW = &WorkB;
-  unsigned LastRecorded = CurW->NumMacros;
-  while (CurW->NumMacros > TargetMacros) {
+  // Cur is the level the next round matches: a recorded level or a work
+  // buffer; Spare is always a work buffer other than Cur.
+  makeFinest(WorkA, TheDDG, NumGroups, EdgeSlack);
+  CoarseLevel *Cur = recordLevel(WorkA);
+  CoarseLevel *Spare = &WorkB;
+  unsigned LastRecorded = Cur->NumMacros;
+  while (Cur->NumMacros > TargetMacros) {
     char LvlBuf[16];
     std::snprintf(LvlBuf, sizeof LvlBuf, "%u", NumLvls);
     obs::Span Sp(Trace, "part.coarsen:", LvlBuf);
@@ -208,31 +282,33 @@ void MultilevelGraph::build(
     // stalls; only then is a level recorded, keeping the stack
     // O(log N) deep.
     while (true) {
-      unsigned Pairs =
-          matchRound(*CurW, *NextW, TargetMacros, WeightCap, EdgeSlack);
+      unsigned Pairs = matchRound(*Cur, *Spare, TargetMacros, WeightCap);
       ++Stats.Rounds;
       if (Pairs == 0)
         break;
       SegPairs += Pairs;
       Stats.MatchedPairs += Pairs;
-      std::swap(CurW, NextW);
-      if (CurW->NumMacros <=
-          std::max(TargetMacros, LastRecorded * 3 / 4)) {
-        recordLevel(*CurW);
-        LastRecorded = CurW->NumMacros;
+      CoarseLevel *Prev = Cur;
+      Cur = Spare;
+      Spare = Prev == &WorkA || Prev == &WorkB
+                  ? Prev
+                  : (Cur == &WorkA ? &WorkB : &WorkA);
+      if (Cur->NumMacros <= std::max(TargetMacros, LastRecorded * 3 / 4)) {
+        Cur = recordLevel(*Cur);
+        LastRecorded = Cur->NumMacros;
         Recorded = true;
         break;
       }
     }
     if (Sp.active()) {
-      Sp.arg("macros", CurW->NumMacros);
+      Sp.arg("macros", Cur->NumMacros);
       Sp.arg("pairs", SegPairs);
     }
     if (!Recorded) {
       // Stalled below the geometric threshold: keep whatever shrink the
       // rounds achieved as the coarsest level.
-      if (CurW->NumMacros < LastRecorded)
-        recordLevel(*CurW);
+      if (Cur->NumMacros < LastRecorded)
+        recordLevel(*Cur);
       break;
     }
   }

@@ -25,9 +25,13 @@
 /// Levels store flat per-macro arrays plus a CSR macro adjacency
 /// (neighbor, DDG-edge multiplicity, minimum node-level slack): the
 /// refinement passes walk macro boundaries, and the matching rounds
-/// derive their candidate edges from the same structure. All storage is
-/// reused across build() calls, so an IT sweep coarsens without
-/// touching malloc in steady state.
+/// derive their candidate edges from the same structure. Only the
+/// finest level folds the DDG's edges; every coarser one contracts the
+/// previous level's rows (multiplicities add, slack takes the minimum),
+/// and per-macro energy weights are re-summed over member nodes in node
+/// order, so each level is the one a fold of the DDG would give, bit
+/// for bit. All storage is reused across build() calls, so a sweep
+/// coarsens without touching malloc in steady state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,17 +91,16 @@ public:
   };
 
 private:
-  const Loop *L = nullptr;
-  const DDG *G = nullptr;
-  const MachineDescription *M = nullptr;
-
   std::vector<CoarseLevel> Levels; ///< [0] = finest; reused storage
   unsigned NumLvls = 0;
   BuildStats Stats;
 
-  // Reused working storage (see file header): two ping-pong work
-  // levels for unrecorded matching rounds, the half-edge buffer the
-  // CSR build sorts, and the matching arrays.
+  // Reused working storage (see file header): each node's FU kind and
+  // energy weight, two ping-pong work levels for unrecorded matching
+  // rounds, the finest level's half-edge buffer, the matching arrays
+  // and the row buffers of the level contraction.
+  std::vector<uint8_t> NodeKind;
+  std::vector<double> NodeEnergy;
   CoarseLevel WorkA, WorkB;
   struct HalfEdge {
     uint64_t Key; ///< (from macro << 32) | to macro
@@ -115,14 +118,29 @@ private:
   std::vector<int> NewIdOfMacro;
   std::vector<int> NewPins;
   std::vector<unsigned> KindCap;
+  struct RowEntry {
+    unsigned To;
+    unsigned Weight;
+    int64_t Slack;
+  };
+  std::vector<RowEntry> Row;
+  std::vector<unsigned> OldOf; ///< flat [new macro][2] previous macros
+  std::vector<unsigned> RowAt; ///< [new macro] its index in Row
 
-  void makeLevel(CoarseLevel &Out, unsigned NumGroups,
-                 const std::vector<int64_t> &EdgeSlack);
+  void sumMembers(CoarseLevel &Out) const;
+  /// The finest level: the initial grouping, its adjacency folded from
+  /// the edges of \p G.
+  void makeFinest(CoarseLevel &Out, const DDG &G, unsigned NumGroups,
+                  const std::vector<int64_t> &EdgeSlack);
+  /// Contracts \p Cur into \p Out along the matching in NewIdOfMacro /
+  /// NewPins: the adjacency is merged from \p Cur's rows, not the DDG.
+  void contract(const CoarseLevel &Cur, CoarseLevel &Out, unsigned NewCount);
   /// One matching round Cur -> Out; returns contracted pair count.
   unsigned matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
-                      unsigned TargetMacros, double WeightCap,
-                      const std::vector<int64_t> &EdgeSlack);
-  void recordLevel(const CoarseLevel &Lvl);
+                      unsigned TargetMacros, double WeightCap);
+  /// Moves \p Lvl into the next stack slot (a buffer swap) and returns
+  /// the slot.
+  CoarseLevel *recordLevel(CoarseLevel &Lvl);
 
 public:
   /// Builds the level stack. \p InitialGroups pre-fuses node sets (one

@@ -112,18 +112,14 @@ double hcvliw::scorePartition(const PartitionContext &Ctx,
   return scoreEstimate(Ctx, Opts, countMemoryOps(*Ctx.L), P);
 }
 
-void PartitionBound::reset(const PartitionContext &TheCtx,
-                           const Partition &P) {
+void PartitionBound::bind(const PartitionContext &TheCtx) {
   Ctx = &TheCtx;
   const Loop &L = *Ctx->L;
   const DDG &G = *Ctx->G;
   const MachineDescription &M = *Ctx->M;
   const unsigned N = G.size();
-  const unsigned NC = M.numClusters();
 
-  ClusterOf.assign(P.ClusterOf.begin(), P.ClusterOf.end());
   slotCapacityInto(Cap, M, *Ctx->Plan);
-  Tally.clear(NC);
   MemOps = 0;
   M.Isa.nodeLatenciesInto(NodeLat, L);
   Kind.resize(N);
@@ -131,18 +127,12 @@ void PartitionBound::reset(const PartitionContext &TheCtx,
   Energy.resize(N);
   for (unsigned I = 0; I < N; ++I) {
     Opcode Op = L.Ops[I].Op;
-    unsigned C = ClusterOf[I];
     Kind[I] = static_cast<uint8_t>(fuKindOf(Op));
     DefLat[I] = L.Ops[I].definesValue()
                     ? static_cast<int64_t>(M.Isa.latency(Op))
                     : int64_t(-1);
     Energy[I] = M.Isa.energy(Op);
     MemOps += isMemoryOpcode(Op);
-    ++Tally.Counts[C * NumFUKinds + Kind[I]];
-    if (DefLat[I] >= 0) {
-      ++Tally.Defs[C];
-      Tally.DefLatency[C] += DefLat[I];
-    }
   }
 
   // Value in-edges as CSR (counting sort by destination; the start
@@ -161,15 +151,31 @@ void PartitionBound::reset(const PartitionContext &TheCtx,
     ValStart[I] = ValStart[I - 1];
   ValStart[0] = 0;
 
+  TouchStamp.assign(N, 0);
+  Stamp = 0;
+}
+
+void PartitionBound::load(const Partition &P) {
+  const unsigned N = static_cast<unsigned>(Kind.size());
+  const unsigned NC = Ctx->M->numClusters();
+
+  ClusterOf.assign(P.ClusterOf.begin(), P.ClusterOf.end());
+  Tally.clear(NC);
+  for (unsigned I = 0; I < N; ++I) {
+    unsigned C = ClusterOf[I];
+    ++Tally.Counts[C * NumFUKinds + Kind[I]];
+    if (DefLat[I] >= 0) {
+      ++Tally.Defs[C];
+      Tally.DefLatency[C] += DefLat[I];
+    }
+  }
+
   Uses.assign(static_cast<size_t>(N) * NC, 0);
   for (unsigned Dst = 0; Dst < N; ++Dst)
     for (unsigned I = ValStart[Dst]; I < ValStart[Dst + 1]; ++I)
       ++Uses[static_cast<size_t>(ValSrc[I]) * NC + ClusterOf[Dst]];
   for (unsigned Src = 0; Src < N; ++Src)
     countCopies(Src, +1);
-
-  TouchStamp.assign(N, 0);
-  Stamp = 0;
 }
 
 void PartitionBound::countCopies(unsigned N, int Sign) {
@@ -721,28 +727,38 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     Slack = &OwnSlack;
   }
 
-  // Coarsening: reuse the previous attempt's level stack when the
-  // CoarsenMemoKey matches exactly (hash first, then the full
-  // comparison) — the other build inputs (loop, DDG, machine, slack)
-  // are fixed for the whole Figure 5 run, so the key match makes the
-  // reuse exact.
+  // Coarsening: reuse the scratch's level stack when the CoarsenMemoKey
+  // matches exactly (hash first, then the full comparison). The key
+  // covers every build input, so the reuse is exact across attempts
+  // and runs; the counters count per run (PartitionStats).
+  const Loop &L = *Ctx.L;
+  S.Key.LoopFp = Ctx.LoopFp ? Ctx.LoopFp : L.structuralFingerprint();
+  M.Isa.nodeLatenciesInto(S.Key.Lat, L);
+  S.Key.Energy.resize(NumNodes);
+  for (unsigned N = 0; N < NumNodes; ++N)
+    S.Key.Energy[N] = M.Isa.energy(L.Ops[N].Op);
   size_t KeyHash = CoarsenMemoKeyHash{}(S.Key);
-  bool ReuseML =
-      S.MLValid && KeyHash == S.MemoHashVal && S.Key == S.MemoKey;
-  if (!ReuseML) {
-    S.ML.build(*Ctx.L, *Ctx.G, M, S.Key.Groups, S.Key.Pins, *Slack,
+  bool Reuse = S.MLValid && KeyHash == S.MemoHashVal && S.Key == S.MemoKey;
+  if (Reuse) {
+    ++S.CoarsenReuses;
+  } else {
+    S.MLValid = false; // a build that throws leaves no stale stack
+    S.ML.build(L, *Ctx.G, M, S.Key.Groups, S.Key.Pins, *Slack,
                S.Key.TargetMacros, Ctx.Trace);
-    if (Ctx.Stats) {
+    std::swap(S.MemoKey, S.Key); // keep both buffers' capacity alive
+    S.MemoHashVal = KeyHash;
+    S.MLValid = true;
+  }
+  if (Ctx.Stats) {
+    if (Reuse && S.RunCounted) {
+      ++Ctx.Stats->CoarsenMemoHits;
+    } else {
       ++Ctx.Stats->CoarsenBuilds;
       Ctx.Stats->Levels += S.ML.buildStats().Levels;
       Ctx.Stats->MatchedPairs += S.ML.buildStats().MatchedPairs;
     }
-    std::swap(S.MemoKey, S.Key); // keep both buffers' capacity alive
-    S.MemoHashVal = KeyHash;
-    S.MLValid = true;
-  } else if (Ctx.Stats) {
-    ++Ctx.Stats->CoarsenMemoHits;
   }
+  S.RunCounted = true;
   const MultilevelGraph &ML = S.ML;
 
   // Initial assignment of the coarsest macros: pins first, then largest
@@ -776,6 +792,10 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
   if (Ctx.Stats)
     Ctx.Stats->InitialScore = CurrentScore;
 
+  // The greedy levels share one bound: its loop and plan constants are
+  // built once, and each level loads only its assignment.
+  PartitionBound &Bound = S.Bound;
+  Bound.bind(Ctx);
   for (int LvlIx = static_cast<int>(ML.numLevels()) - 1; LvlIx >= 0;
        --LvlIx) {
     const CoarseLevel &Lvl = ML.level(static_cast<unsigned>(LvlIx));
@@ -829,8 +849,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     // over the level's member lists and scores the survivors from its
     // own state.
     buildMemberLists(Lvl, NumNodes, S.MemberStart, S.Members);
-    PartitionBound &Bound = S.Bound;
-    Bound.reset(Ctx, Current);
+    Bound.load(Current);
     auto moveMacro = [&](unsigned Mac, unsigned To) {
       Bound.move(S.Members.data() + S.MemberStart[Mac],
                  S.MemberStart[Mac + 1] - S.MemberStart[Mac], To);
@@ -935,7 +954,8 @@ hcvliw::partitionLoop(const PartitionContext &Ctx,
     return multilevelPartition(Ctx, Opts, S, MemOps);
   } catch (const std::bad_alloc &) {
     // The scratch may hold a partially built level stack; drop the
-    // memo so no later attempt reuses it.
+    // memo so no later attempt reuses it (the next one rebuilds, and
+    // counts a build).
     S.MLValid = false;
     return flatPartition(Ctx, Opts, MemOps);
   }

@@ -44,6 +44,7 @@
 #include "sched/PseudoScheduler.h"
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string_view>
 
@@ -53,18 +54,25 @@ namespace fault {
 class FaultInjector;
 }
 
-/// Coarsening memo key: the only MultilevelGraph::build
-/// inputs that vary within one Figure 5 run (loop, DDG, machine and
-/// per-edge slack are fixed per run; groups and pins follow the plan's
-/// IIs, and the target follows the options). An exact key match makes
-/// reusing the memoized level stack provably exact.
+/// Coarsening memo key: every MultilevelGraph::build input. The loop
+/// enters as its structural fingerprint and node latencies (the key of
+/// LoopAnalysisMemo; together they fix the DDG, the recurrences and the
+/// per-edge slack) plus each node's ISA energy (IsaTable::set can change
+/// energies without touching latencies); the plan enters through the
+/// pre-placement groups and pins, and the options through the target.
+/// An exact key match makes reusing the memoized level stack exact,
+/// across attempts, IT steps, plans and whole schedule runs.
 struct CoarsenMemoKey {
+  uint64_t LoopFp = 0;
+  std::vector<unsigned> Lat;
+  std::vector<double> Energy;
   std::vector<std::vector<unsigned>> Groups;
   std::vector<int> Pins;
   unsigned TargetMacros = 0;
 
   bool operator==(const CoarsenMemoKey &O) const {
-    return TargetMacros == O.TargetMacros && Pins == O.Pins &&
+    return LoopFp == O.LoopFp && TargetMacros == O.TargetMacros &&
+           Pins == O.Pins && Lat == O.Lat && Energy == O.Energy &&
            Groups == O.Groups;
   }
 };
@@ -78,7 +86,17 @@ struct CoarsenMemoKeyHash {
       H ^= V;
       H *= 1099511628211ull;
     };
+    mix(K.LoopFp);
     mix(K.TargetMacros);
+    mix(K.Lat.size());
+    for (unsigned V : K.Lat)
+      mix(V);
+    mix(K.Energy.size());
+    for (double E : K.Energy) {
+      uint64_t Bits;
+      std::memcpy(&Bits, &E, sizeof Bits);
+      mix(Bits);
+    }
     mix(K.Pins.size());
     for (int P : K.Pins)
       mix(static_cast<uint64_t>(static_cast<int64_t>(P)));
@@ -93,12 +111,20 @@ struct CoarsenMemoKeyHash {
 };
 
 /// Partitioner effort counters, accumulated across the attempts of a
-/// Figure 5 run (observability: they report work *performed*, so the
-/// memos lower them; the partition itself never depends on them).
+/// Figure 5 run (observability; the partition itself never depends on
+/// them). They are a pure function of the run: the coarsening counters
+/// count per run, as if each run began with an empty memo, so a stack
+/// that an earlier run on the same scratch left behind still counts as
+/// a build (with its stored MultilevelGraph::BuildStats) the first time
+/// a run uses it. Traces show the physical reuse ("coarsen_reused" on
+/// the loop.schedule span).
 struct PartitionStats {
   uint64_t Runs = 0;            ///< partitionLoop invocations
-  uint64_t CoarsenBuilds = 0;   ///< multilevel stacks built
-  uint64_t CoarsenMemoHits = 0; ///< stacks reused from the memo
+  /// Level stacks this run used for the first time, or whose key
+  /// differed from the previous attempt's.
+  uint64_t CoarsenBuilds = 0;
+  /// Attempts that reused the stack of the run's previous attempt.
+  uint64_t CoarsenMemoHits = 0;
   uint64_t Levels = 0;          ///< recorded levels across all builds
   uint64_t MatchedPairs = 0;    ///< pair contractions across all builds
   uint64_t RefinePasses = 0;    ///< exact greedy passes run
@@ -186,9 +212,14 @@ class PartitionBound {
                double ItLengthNs);
 
 public:
-  /// Binds to \p TheCtx, which must stay alive until the next reset,
-  /// and loads the node-level assignment \p P.
-  void reset(const PartitionContext &TheCtx, const Partition &P);
+  /// Binds to \p TheCtx, which must stay alive until the next bind,
+  /// and builds the constants of its loop and plan: per-node kind,
+  /// latencies and energy, the value in-edge CSR and the slot
+  /// capacities. Once per partition run.
+  void bind(const PartitionContext &TheCtx);
+  /// Loads the node-level assignment \p P and its tallies (per level;
+  /// after bind).
+  void load(const Partition &P);
   /// Moves the distinct nodes \p Nodes[0 .. Count) to cluster \p To.
   void move(const unsigned *Nodes, size_t Count, unsigned To);
   /// Lower bound on scorePartition of the current assignment.
@@ -213,10 +244,11 @@ public:
 /// run builds groups, a multilevel coarsening, an initial assignment
 /// and hundreds of refinement candidates; the Figure 5 driver runs it
 /// up to twice per IT step. A scratch removes the allocation churn and
-/// carries the coarsening across attempts and IT steps via an exact
-/// CoarsenMemoKey match. The key does not cover the loop: a caller
-/// that reuses one scratch for another loop clears MLValid first (the
-/// Figure 5 driver does, per run).
+/// keeps one level stack, reused on an exact CoarsenMemoKey match —
+/// across attempts, IT steps, plans, loops and schedule runs, since the
+/// key covers every build input. The effort counters still count per
+/// run (see PartitionStats): RunCounted marks the stack as counted in
+/// the current run, and the Figure 5 driver clears it per run.
 struct PartitionScratch {
   // Per-attempt buffers (no information carried between attempts).
   CoarsenMemoKey Key;        ///< this attempt's (groups, pins, target)
@@ -252,19 +284,28 @@ struct PartitionScratch {
   std::vector<FMHeapEntry> FMHeap; ///< binary max-heap storage
   std::vector<int64_t> FMCutTo;    ///< [cluster] cut mass of one macro
 
-  // Coarsening memo, valid for one Figure 5 run (the driver clears
-  // MLValid per loop); keyed exactly on CoarsenMemoKey, hash-first.
+  // Coarsening memo: ML holds the stack of MemoKey while MLValid;
+  // keyed exactly on CoarsenMemoKey, hash-first. A build clears MLValid
+  // until it completes, and an allocation failure drops the slot, so no
+  // partial stack is ever reused.
   MultilevelGraph ML;
   CoarsenMemoKey MemoKey;
   size_t MemoHashVal = 0;
   bool MLValid = false;
+  /// The current run has counted ML's stack in PartitionStats (a later
+  /// attempt on the same key counts as a memo hit).
+  bool RunCounted = false;
+  /// Attempts that reused ML without building, over the scratch's life
+  /// (trace args only; never a PartitionStats counter).
+  uint64_t CoarsenReuses = 0;
 };
 
 struct PartitionerOptions {
   /// Score moves by estimated ED2 (the heterogeneous objective); when
   /// false, use the homogeneous baseline objective of [2][3].
   bool ED2Objective = true;
-  /// Pre-place critical recurrences (ablation knob of DESIGN.md #2).
+  /// Pre-place critical recurrences (bench_fig6_ed2 --ablation turns
+  /// it off to measure what pre-placement buys).
   bool PrePlaceRecurrences = true;
 };
 
@@ -279,15 +320,18 @@ struct PartitionContext {
   const EnergyModel *Energy = nullptr;
   const HeteroScaling *Scaling = nullptr;
   uint64_t TripCount = 1;
-  /// Optional precomputed coarsening slack, one entry per DDG edge
-  /// (computeEdgeSlack(G, Isa latencies, max(RecMII, 1))). It does not
-  /// depend on the IT, so drivers retrying IT steps compute it once;
-  /// when null the partitioner computes its own.
+  /// Optional precomputed coarsening slack, one entry per DDG edge,
+  /// which must equal computeEdgeSlack(G, Isa latencies, max(RecMII, 1))
+  /// (the coarsening memo key covers it through the loop and its
+  /// latencies). It does not depend on the IT, so drivers retrying IT
+  /// steps compute it once; when null the partitioner computes its own.
   const std::vector<int64_t> *EdgeSlack = nullptr;
   /// Optional reusable buffers + coarsening memo; results are
-  /// bit-identical with or without one (see PartitionScratch for the
-  /// one reuse rule).
+  /// bit-identical with or without one (see PartitionScratch).
   PartitionScratch *Scratch = nullptr;
+  /// L->structuralFingerprint() when the caller has it at hand; 0 lets
+  /// partitionLoop compute it (the coarsening memo key needs it).
+  uint64_t LoopFp = 0;
   /// Optional span tracer ("part.coarsen:<level>" / "part.refine:
   /// <level>" phases); observation only — the assignment never depends
   /// on it.

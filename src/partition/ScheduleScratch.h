@@ -23,10 +23,18 @@
 ///     moved out by the driver before it returns.
 ///   - Scratch contents never carry information between runs: results
 ///     are bit-identical with and without a scratch, for any pool
-///     shape. The memos inside are keyed exactly: the loop analyses
-///     (LoopAnalysisMemo) on the loop's structure and latencies, and
-///     the partitioner's coarsening memo on its build inputs, which
-///     beginLoopRun invalidates per run. They are reuse, not state.
+///     shape. The memos inside are keyed exactly and survive across
+///     runs: the loop analyses (LoopAnalysisMemo) on the loop's
+///     structure and latencies, and the partitioner's one coarsening
+///     stack (PartitionScratch) on every build input — those two plus
+///     the node energies, the pre-placement groups and pins, and the
+///     target. They are reuse, not state.
+///   - Effort counters never see the arena either: a run counts its
+///     first use of a coarsening stack as a build even when an earlier
+///     run left it behind (beginLoopRun restarts that ledger), just as
+///     a LoopAnalysisMemo hit is invisible to every counter. Only trace
+///     args (loop.analyze's memo_hit, loop.schedule's coarsen_reused)
+///     show the physical reuse.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,6 +68,9 @@ namespace hcvliw {
 /// under many configurations pays the analysis once per loop, not
 /// once per run.
 struct LoopAnalysisMemo {
+  /// False while the entry is being (re)computed: an exception out of
+  /// the analyses leaves no entry whose key matches stale contents.
+  bool Valid = false;
   uint64_t Fp = 0;
   std::vector<unsigned> Lat;
   RecurrenceInfo Recs;
@@ -89,8 +100,8 @@ struct ScheduleScratch {
   /// Cross-run analysis memos (see LoopAnalysisMemo). Bounded and
   /// overwritten round-robin — eviction affects speed only, never
   /// results, since every entry is bit-identical to recomputation.
-  /// Deliberately NOT cleared by beginLoopRun: the key is globally
-  /// unique (fingerprint + latencies), unlike the coarsening memo.
+  /// Not cleared by beginLoopRun: the key (fingerprint + latencies)
+  /// is exact across runs, as is the coarsening memo's.
   static constexpr unsigned MaxAnalysisMemos = 16;
   std::vector<LoopAnalysisMemo> Analysis;
   unsigned AnalysisNext = 0;
@@ -98,7 +109,7 @@ struct ScheduleScratch {
   const LoopAnalysisMemo *findAnalysis(uint64_t Fp,
                                        const std::vector<unsigned> &L) const {
     for (const LoopAnalysisMemo &A : Analysis)
-      if (A.Fp == Fp && A.Lat == L)
+      if (A.Valid && A.Fp == Fp && A.Lat == L)
         return &A;
     return nullptr;
   }
@@ -115,10 +126,11 @@ struct ScheduleScratch {
     return A;
   }
 
-  /// Invalidates the coarsening memo; the driver calls this at the
-  /// start of every schedule() run (its key is only unique within one
-  /// loop's sweep).
-  void beginLoopRun() { Part.MLValid = false; }
+  /// Starts the effort ledger of a schedule() run: the coarsening
+  /// stack kept from earlier runs stays valid (its key covers every
+  /// build input), but this run counts it as a build the first time it
+  /// uses it (PartitionStats). The driver calls this per run.
+  void beginLoopRun() { Part.RunCounted = false; }
 };
 
 /// The Session-owned arena table: one ScheduleScratch per thread that

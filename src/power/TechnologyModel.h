@@ -23,7 +23,7 @@ struct TechnologyModel {
   double SubthresholdSlopeV = 0.1;
 
   /// Validity margin on the derived threshold voltage. The paper requires
-  /// (its PDF rendering is garbled; see DESIGN.md) a gate-overdrive
+  /// (its PDF rendering of the inequality is garbled) a gate-overdrive
   /// margin preventing metastability, glitches and process-variation
   /// upsets; we read it as (Vdd - Vth) - Vth > OverdriveMargin * Vdd,
   /// which admits the reference point (1 V, 0.25 V).

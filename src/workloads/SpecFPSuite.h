@@ -2,9 +2,10 @@
 ///
 /// \file
 /// The synthetic stand-in for the paper's >4000 SPECfp2000 Fortran loops
-/// (see DESIGN.md, substitution table). Each of the ten benchmark
-/// programs is a weighted set of generated loops whose resource- vs
-/// recurrence-constraint mix reproduces the paper's Table 2: e.g.
+/// (the paper publishes their statistics, not their bodies). Each of the
+/// ten benchmark programs is a weighted set of generated loops whose
+/// resource- vs recurrence-constraint mix reproduces the paper's
+/// Table 2: e.g.
 /// 171.swim is 100% resource-constrained streams, 200.sixtrack spends
 /// 99.9% of its time in a long, thin recurrence, 191.fma3d's recurrences
 /// contain many instructions. Loop weights are the target

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// Parametric generators for the loop shapes that dominate SPECfp2000's
-/// software-pipelined regions (the substrate replacing ORC + SPECfp, see
-/// DESIGN.md):
+/// software-pipelined regions (the substrate replacing ORC + SPECfp,
+/// whose compiled loop bodies the paper does not publish):
 ///
 ///  - *stream* loops: independent load/compute/store lanes; purely
 ///    resource-constrained (swim/mgrid style).

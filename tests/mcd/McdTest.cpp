@@ -2,10 +2,12 @@
 
 #include "mcd/DomainPlanner.h"
 #include "mcd/SyncModel.h"
+#include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
 using namespace hcvliw;
@@ -209,6 +211,108 @@ TEST_F(PlannerTest, NextITMonotone) {
       IT = Next;
     }
   }
+}
+
+/// The MIT search as it ran before it started at the capacity bound:
+/// every point of the nextIT() sequence from max(recMIT, one
+/// fastest-cluster cycle) upward, one slot at a time, for at most
+/// \p Budget probes; std::nullopt when they run out. \p Probes, when
+/// given, receives the probes taken.
+std::optional<Rational> steppingMIT(const DomainPlanner &P,
+                                    const HeteroConfig &C, int64_t RecMII,
+                                    const std::vector<unsigned> &Counts,
+                                    unsigned Budget,
+                                    unsigned *Probes = nullptr) {
+  Rational IT = Rational::max(Rational(RecMII) * C.fastestClusterPeriod(),
+                              C.fastestClusterPeriod());
+  MachinePlan Probe;
+  for (unsigned N = 0; N < Budget; ++N) {
+    if (Probes)
+      *Probes = N + 1;
+    if (P.planForITInto(Probe, IT) && P.hasCapacity(Probe, Counts))
+      return IT;
+    IT = P.nextIT(IT);
+  }
+  return std::nullopt;
+}
+
+TEST_F(PlannerTest, MITMatchesTheSteppingOracle) {
+  // Seeded cases: reference or random heterogeneous periods (k/20 ns,
+  // k in [18, 30], so every domain is within 2x of the fastest and
+  // every absolute menu has an entry below each fmax), random per-kind
+  // op counts and recMII, on every menu family.
+  RNG Rng(20071);
+  unsigned ResourceBound = 0;
+  for (unsigned Case = 0; Case < 200; ++Case) {
+    HeteroConfig Cfg = HeteroConfig::reference(M);
+    if (Rng.nextBool(0.75)) {
+      // The Section 3.2 shape: fast clusters first, slow ones after.
+      Rational Fast(Rng.nextInt(18, 24), 20), Slow(Rng.nextInt(24, 30), 20);
+      int64_t NumFast = Rng.nextInt(1, 3);
+      for (unsigned I = 0; I < Cfg.numClusters(); ++I)
+        Cfg.Clusters[I].PeriodNs = I < NumFast ? Fast : Slow;
+      Cfg.Icn.PeriodNs = Rng.nextBool(0.5) ? Fast : Slow;
+      Cfg.Cache.PeriodNs = Rng.nextBool(0.5) ? Fast : Slow;
+    }
+    Rational MaxGHz = Cfg.fastestClusterPeriod().reciprocal();
+    for (const auto &D : {Cfg.Icn, Cfg.Cache})
+      MaxGHz = Rational::max(MaxGHz, D.fmaxGHz());
+    FrequencyMenu Menu = FrequencyMenu::continuous();
+    switch (Rng.nextInt(0, 5)) {
+    case 0:
+      break;
+    case 1:
+      Menu = FrequencyMenu::relativeLadder(4);
+      break;
+    case 2:
+      Menu = FrequencyMenu::relativeLadder(8);
+      break;
+    case 3:
+      Menu = FrequencyMenu::relativeLadder(16);
+      break;
+    case 4:
+      Menu = FrequencyMenu::uniform(Rng.nextBool(0.5) ? 4 : 8, MaxGHz);
+      break;
+    case 5:
+      Menu = FrequencyMenu::dividerLadder(Rng.nextBool(0.5) ? 4 : 8, MaxGHz);
+      break;
+    }
+    std::vector<unsigned> Counts(NumFUKinds, 0);
+    for (FUKind K : {FUKind::IntFU, FUKind::FpFU, FUKind::MemPort})
+      Counts[static_cast<unsigned>(K)] =
+          static_cast<unsigned>(Rng.nextInt(0, 240));
+    int64_t RecMII = Rng.nextInt(0, 40);
+
+    DomainPlanner P(M, Cfg, Menu);
+    unsigned Probes = 0;
+    std::optional<Rational> Want =
+        steppingMIT(P, Cfg, RecMII, Counts, 1u << 13, &Probes);
+    ASSERT_TRUE(Want.has_value()) << Case;
+    EXPECT_EQ(P.computeMIT(RecMII, Counts), *Want) << Case;
+    ResourceBound += Probes > 1;
+  }
+  // Most cases are resource-bound, where the capacity start skips
+  // probes.
+  EXPECT_GT(ResourceBound, 150u);
+}
+
+TEST_F(PlannerTest, MITFarAboveRecMITNeedsNoProbeBudget) {
+  // 40000 FP ops on the reference machine: the MIT lies thousands of
+  // one-slot (1 ns) steps above recMIT, past the probe budget of a walk
+  // from recMIT, but is the capacity start's first probe.
+  DomainPlanner P(M, C, FrequencyMenu::continuous());
+  std::vector<unsigned> Counts(NumFUKinds, 0);
+  Counts[static_cast<unsigned>(FUKind::FpFU)] = 40000;
+  unsigned FpUnits = 0;
+  for (const auto &Cl : M.Clusters)
+    FpUnits += Cl.fuCount(FUKind::FpFU);
+  ASSERT_GT(FpUnits, 0u);
+  Rational Want((40000 + FpUnits - 1) / FpUnits);
+  ASSERT_GT(Want, Rational(DomainPlanner::MaxMITProbes));
+  EXPECT_FALSE(
+      steppingMIT(P, C, 1, Counts, DomainPlanner::MaxMITProbes).has_value());
+  EXPECT_EQ(P.computeMIT(1, Counts), Want);
+  EXPECT_EQ(steppingMIT(P, C, 1, Counts, 1u << 16), Want);
 }
 
 // Hostile clock periods: computeMIT must end with an exception, in every

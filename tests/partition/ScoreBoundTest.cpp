@@ -198,9 +198,12 @@ void checkFixture(const Loop &L, const MachineDescription &M, uint64_t Seed,
       if (auto P = partitionLoop(Ctx, Hom))
         Inits.push_back(std::move(*P));
 
+      // One bound per context, as greedy refinement keeps it: bound
+      // once, then every start loaded over the previous one's moves.
+      PartitionBound B;
+      B.bind(Ctx);
       for (Partition &P : Inits) {
-        PartitionBound B;
-        B.reset(Ctx, P);
+        B.load(P);
         checkBound(Ctx, B, P, Cov);
         for (unsigned Mv = 0; Mv < MovesPerStart; ++Mv) {
           // One macro of a random level to a random cluster.
