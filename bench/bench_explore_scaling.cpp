@@ -67,9 +67,7 @@ DesignSpaceOptions enlargedSpace(unsigned NFast, unsigned NRatios) {
 /// null \p Cache evaluates every candidate directly.
 double exploreOnce(const ExplorationEngine &Eng, WorkerPool &Pool,
                    EvalCache *Cache, ExplorationResult *Out = nullptr) {
-  ExploreOptions Opts;
-  Opts.Cache = Cache;
-  ExplorationResult R = Eng.explore(Pool, Opts);
+  ExplorationResult R = Eng.explore(Pool, Cache);
   double Ms = R.Stats.WallMs;
   if (Out)
     *Out = std::move(R);

@@ -49,12 +49,11 @@ static void runOracle() {
       continue;
     EnergyModel Energy(Opts.Breakdown, Profile->Totals, Profile->TexecRefNs,
                        S.machine().numClusters());
-    // Session-backed selector: the ranking's candidate evaluations
-    // share the session's timing cache and worker pool.
-    ConfigurationSelector Sel(*Profile, S.machine(), Energy, Opts.Tech,
-                              S.menu(), Opts.Space, S.pool(),
-                              &S.evalCache());
-    auto Ranked = Sel.rankHeterogeneous();
+    // The ranking's candidate evaluations share the session's timing
+    // cache and worker pool.
+    ExplorationEngine Engine(*Profile, S.machine(), Energy, Opts.Tech,
+                             S.menu(), Opts.Space);
+    auto Ranked = Engine.explore(S.pool(), &S.evalCache()).rankedByED2();
     if (Ranked.empty())
       continue;
     double PickED2 = 0, BestED2 = 0;

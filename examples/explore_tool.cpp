@@ -7,7 +7,7 @@
 // Usage:
 //   explore_tool [--program NAME] [--threads N] [--menu K]
 //                [--fast LIST] [--ratios LIST] [--num-fast N]
-//                [--no-prune] [--no-cache] [--csv PATH] [--json PATH]
+//                [--no-cache] [--csv PATH] [--json PATH]
 //                [--measure-frontier] [--measured-csv PATH]
 //                [--measured-json PATH]
 //     --program   SPECfp program name (e.g. 171.swim; default: all)
@@ -16,7 +16,6 @@
 //     --fast      comma-separated fast factors, e.g. 9/10,1,11/10
 //     --ratios    comma-separated slow/fast ratios, e.g. 1,5/4,3/2
 //     --num-fast  number of fast clusters (default 1)
-//     --no-prune  skip the Pareto frontier
 //     --no-cache  disable timing memoization
 //     --csv/--json  write the report (with --program only, the path is
 //                   used as-is; over the suite, the program name is
@@ -103,7 +102,6 @@ static std::string perProgramPath(const std::string &Path,
 int main(int argc, char **argv) {
   std::string Program;
   std::string CsvPath, JsonPath;
-  ExploreOptions Opts;
   bool UseCache = true;
   unsigned Threads = 0;
   DesignSpaceOptions Space = DesignSpaceOptions::paperDefault();
@@ -139,7 +137,6 @@ int main(int argc, char **argv) {
           "  --fast LIST          fast factors, e.g. 9/10,1,11/10\n"
           "  --ratios LIST        slow/fast ratios, e.g. 1,5/4,3/2\n"
           "  --num-fast N         number of fast clusters (default 1)\n"
-          "  --no-prune           skip the Pareto frontier\n"
           "  --no-cache           disable timing memoization\n"
           "  --csv/--json PATH    write the exploration report\n"
           "  --measure-frontier   measure frontier points with real "
@@ -176,8 +173,6 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(argv[I], "--num-fast")) {
       Space.NumFastClusters =
           static_cast<unsigned>(needUnsigned("--num-fast", UINT32_MAX));
-    } else if (!std::strcmp(argv[I], "--no-prune")) {
-      Opts.ComputeFrontier = false;
     } else if (!std::strcmp(argv[I], "--no-cache")) {
       UseCache = false;
     } else if (!std::strcmp(argv[I], "--csv")) {
@@ -228,8 +223,7 @@ int main(int argc, char **argv) {
   Session Sess(PO, Threads);
   const MachineDescription &M = Sess.machine();
   Profiler Prof(M);
-  if (UseCache)
-    Opts.Cache = &Sess.evalCache();
+  EvalCache *Cache = UseCache ? &Sess.evalCache() : nullptr;
   std::vector<MeasuredFrontier> Measured;
 
   obs::Tracer &Tracer = Sess.tracer();
@@ -249,7 +243,7 @@ int main(int argc, char **argv) {
     }
     EnergyModel E(PO.Breakdown, P->Totals, P->TexecRefNs, M.numClusters());
     ExplorationEngine Eng(*P, M, E, PO.Tech, Sess.menu(), Space);
-    ExplorationResult R = Eng.explore(Sess.pool(), Opts);
+    ExplorationResult R = Eng.explore(Sess.pool(), Cache);
 
     ExplorationReport Rep(Prog.Name, R);
     std::printf("%s\n", Rep.summary().c_str());

@@ -3,9 +3,8 @@
 /// \file
 /// The heterogeneous design space of Section 3.3 / Section 5 — the
 /// frequency-factor and voltage grids a search enumerates — and the
-/// record describing one evaluated design. Shared between the serial
-/// ConfigurationSelector facade and the parallel ExplorationEngine
-/// (src/explore/), so neither has to include the other.
+/// record describing one evaluated design. The ExplorationEngine
+/// (src/explore/) searches these grids and returns SelectedDesigns.
 ///
 //===----------------------------------------------------------------------===//
 

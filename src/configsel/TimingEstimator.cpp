@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 using namespace hcvliw;
 
@@ -128,11 +129,11 @@ bool packComponents(const LoopProfile &LP, const MachineDescription &M,
 
 } // namespace
 
-LoopTimingEstimate hcvliw::estimateLoopTiming(const LoopProfile &LP,
+LoopTimingCore hcvliw::estimateLoopTimingCore(const LoopProfile &LP,
                                               const MachineDescription &M,
                                               const HeteroConfig &C,
                                               const FrequencyMenu &Menu) {
-  LoopTimingEstimate E;
+  LoopTimingCore E;
   DomainPlanner Planner(M, C, Menu);
 
   // The achievable recurrence II can exceed the analytic recMII when a
@@ -162,23 +163,6 @@ LoopTimingEstimate hcvliw::estimateLoopTiming(const LoopProfile &LP,
         E.Feasible = true;
         E.ITNs = IT;
 
-        // The paper approximates it_length as the reference cycle count
-        // times the mean heterogeneous cycle time. Our partitioner's
-        // ED2 objective deliberately pushes non-critical work into the
-        // slow clusters, so the *slowest* period is the honest
-        // multiplier (the mean one understates the iteration length
-        // once slow clusters hold part of the critical path); for
-        // uniform-frequency candidates the two coincide.
-        Rational SlowestPeriod = C.Clusters.front().PeriodNs;
-        for (const auto &D : C.Clusters)
-          SlowestPeriod = Rational::max(SlowestPeriod, D.PeriodNs);
-        double RefCycles =
-            LP.ItLengthRefNs.toDouble() / M.RefPeriodNs.toDouble();
-        E.ItLengthNs = RefCycles * SlowestPeriod.toDouble();
-        E.TexecNs = (static_cast<double>(LP.TripCount) - 1) *
-                        IT.toDouble() +
-                    E.ItLengthNs;
-
         double TotalSlots = 0;
         E.ClusterShare.assign(M.numClusters(), 0);
         for (unsigned Cl = 0; Cl < M.numClusters(); ++Cl) {
@@ -196,4 +180,33 @@ LoopTimingEstimate hcvliw::estimateLoopTiming(const LoopProfile &LP,
     IT = Planner.nextIT(IT);
   }
   return E; // infeasible within the step budget
+}
+
+LoopTimingEstimate
+hcvliw::loopTimingAt(const LoopProfile &LP, const MachineDescription &M,
+                     LoopTimingCore Core, const Rational &ITScale,
+                     const Rational &SlowestClusterPeriodNs) {
+  LoopTimingEstimate E;
+  if (!Core.Feasible)
+    return E;
+  static_cast<LoopTimingCore &>(E) = std::move(Core);
+  E.ITNs = E.ITNs * ITScale;
+  // The reference cycle count times the slowest cluster period
+  // (TimingEstimator.h says why not the mean).
+  double RefCycles = LP.ItLengthRefNs.toDouble() / M.RefPeriodNs.toDouble();
+  E.ItLengthNs = RefCycles * SlowestClusterPeriodNs.toDouble();
+  E.TexecNs = (static_cast<double>(LP.TripCount) - 1) * E.ITNs.toDouble() +
+              E.ItLengthNs;
+  return E;
+}
+
+LoopTimingEstimate hcvliw::estimateLoopTiming(const LoopProfile &LP,
+                                              const MachineDescription &M,
+                                              const HeteroConfig &C,
+                                              const FrequencyMenu &Menu) {
+  Rational SlowestPeriod = C.Clusters.front().PeriodNs;
+  for (const auto &D : C.Clusters)
+    SlowestPeriod = Rational::max(SlowestPeriod, D.PeriodNs);
+  return loopTimingAt(LP, M, estimateLoopTimingCore(LP, M, C, Menu),
+                      Rational(1), SlowestPeriod);
 }

@@ -172,8 +172,8 @@ HeterogeneousPipeline::runProgram(const BenchmarkProgram &Program,
   EnergyModel Energy(Opts.Breakdown, R.Profile.Totals, R.Profile.TexecRefNs,
                      machine().numClusters());
   EvalCache &Cache = S.evalCache();
-  ConfigurationSelector Sel(R.Profile, machine(), Energy, Opts.Tech,
-                            S.menu(), Opts.Space, S.pool(), &Cache);
+  ExplorationEngine Engine(R.Profile, machine(), Energy, Opts.Tech,
+                           S.menu(), Opts.Space);
 
   // Whole selections are memoized: a repeated program (same profile,
   // same selection inputs) skips its searches entirely. The memo is
@@ -189,14 +189,14 @@ HeterogeneousPipeline::runProgram(const BenchmarkProgram &Program,
       R.HetDesign = *D;
       ++MemoHits;
     } else {
-      R.HetDesign = Sel.selectHeterogeneous();
+      R.HetDesign = Engine.explore(S.pool(), &Cache).Best;
       Cache.storeSelection(HetKey, R.HetDesign);
     }
     if (auto D = Cache.findSelection(HomKey)) {
       R.HomDesign = *D;
       ++MemoHits;
     } else {
-      R.HomDesign = Sel.selectOptimumHomogeneous();
+      R.HomDesign = Engine.selectOptimumHomogeneous();
       Cache.storeSelection(HomKey, R.HomDesign);
     }
     Sp.arg("memo_hits", MemoHits);

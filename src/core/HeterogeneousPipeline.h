@@ -27,7 +27,7 @@
 #ifndef HCVLIW_CORE_HETEROGENEOUSPIPELINE_H
 #define HCVLIW_CORE_HETEROGENEOUSPIPELINE_H
 
-#include "explore/ConfigurationSelector.h"
+#include "explore/ExplorationEngine.h"
 #include "measure/ScheduleMeasurer.h"
 #include "partition/Partitioner.h"
 #include "profiling/Profiler.h"

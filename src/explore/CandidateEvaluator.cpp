@@ -31,7 +31,7 @@ std::optional<DomainOperatingPoint>
 pickVdd(const AlphaPowerModel &Alpha, const MachineDescription &M,
         const TechnologyModel &Tech, const std::vector<double> &Grid,
         double FreqGHz, const Rational &PeriodNs, double Dynamic,
-        double LeakPerNs, double TexecNs, double *CostOut) {
+        double LeakPerNs, double TexecNs) {
   std::optional<DomainOperatingPoint> Best;
   double BestCost = 0;
   for (double Vdd : Grid) {
@@ -51,8 +51,6 @@ pickVdd(const AlphaPowerModel &Alpha, const MachineDescription &M,
       BestCost = Cost;
     }
   }
-  if (Best && CostOut)
-    *CostOut = BestCost;
   return Best;
 }
 
@@ -104,17 +102,16 @@ SelectedDesign CandidateEvaluator::evaluate(const Rational &FastPeriod,
 
   auto Fast = pickVdd(Alpha, Machine, Tech, Space.ClusterVddGrid, FastF,
                       FastPeriod, WFast * Energy.insUnit(),
-                      Energy.clusterLeakPerNs() * NF, TexecNs, nullptr);
+                      Energy.clusterLeakPerNs() * NF, TexecNs);
   auto Slow = pickVdd(Alpha, Machine, Tech, Space.ClusterVddGrid, SlowF,
                       SlowPeriod, WSlow * Energy.insUnit(),
-                      Energy.clusterLeakPerNs() * (NC - NF), TexecNs,
-                      nullptr);
+                      Energy.clusterLeakPerNs() * (NC - NF), TexecNs);
   auto Icn = pickVdd(Alpha, Machine, Tech, Space.IcnVddGrid, FastF,
                      FastPeriod, Comms * Energy.commUnit(),
-                     Energy.icnLeakPerNs(), TexecNs, nullptr);
+                     Energy.icnLeakPerNs(), TexecNs);
   auto Cch = pickVdd(Alpha, Machine, Tech, Space.CacheVddGrid, FastF,
                      FastPeriod, Mem * Energy.accessUnit(),
-                     Energy.cacheLeakPerNs(), TexecNs, nullptr);
+                     Energy.cacheLeakPerNs(), TexecNs);
   if (!Fast || !Slow || !Icn || !Cch)
     return D;
 

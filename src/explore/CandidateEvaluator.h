@@ -4,10 +4,9 @@
 /// Estimates one heterogeneous candidate of the Section 3.3 search:
 /// timing over every profiled loop (optionally memoized through an
 /// EvalCache), greedy per-component-class supply voltages from the
-/// design space's grids, then the Section 3.1 energy and ED2. This is
-/// the evaluation the seed's ConfigurationSelector ran inline; it lives
-/// here so the serial selector facade and the parallel
-/// ExplorationEngine share one bit-identical implementation.
+/// design space's grids, then the Section 3.1 energy and ED2. The
+/// ExplorationEngine calls evaluate() once per grid point, from
+/// whichever pool thread claims it.
 ///
 //===----------------------------------------------------------------------===//
 

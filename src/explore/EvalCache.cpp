@@ -35,13 +35,12 @@ bool EvalCache::compatibleWith(const MachineDescription &M,
   return sameMenu(Mn, Menu);
 }
 
-EvalCache::CachedTiming EvalCache::compute(const Key &K,
-                                           const LoopProfile &LP,
-                                           const Rational &FastPeriod,
-                                           const Rational &SlowPeriod) const {
+LoopTimingCore EvalCache::compute(const Key &K, const LoopProfile &LP,
+                                  const Rational &FastPeriod,
+                                  const Rational &SlowPeriod) const {
   // Under scale invariance, evaluate at a normalized fast period of
   // 1 ns with the slow clusters at the ratio; otherwise at the actual
-  // periods (ITNorm is then the actual IT, rescaled by 1).
+  // periods (ITNs is then the actual IT, rescaled by 1).
   Rational NormFast = ScaleInvariant ? Rational(1) : FastPeriod;
   Rational NormSlow =
       ScaleInvariant ? Rational(K.RatioNum, K.RatioDen) : SlowPeriod;
@@ -53,15 +52,7 @@ EvalCache::CachedTiming EvalCache::compute(const Key &K,
     C.Clusters[I].PeriodNs = I < K.NumFast ? NormFast : NormSlow;
   C.Icn.PeriodNs = NormFast;
   C.Cache.PeriodNs = NormFast;
-
-  LoopTimingEstimate E = estimateLoopTiming(LP, Machine, C, Menu);
-  CachedTiming T;
-  T.Feasible = E.Feasible;
-  if (E.Feasible) {
-    T.ITNorm = E.ITNs;
-    T.ClusterShare = std::move(E.ClusterShare);
-  }
-  return T;
+  return estimateLoopTimingCore(LP, Machine, C, Menu);
 }
 
 LoopTimingEstimate EvalCache::loopTiming(const LoopProfile &LP,
@@ -85,27 +76,17 @@ LoopTimingEstimate EvalCache::loopTiming(const LoopProfile &LP,
     K.FastDen = FastPeriod.den();
   }
 
-  std::shared_ptr<const CachedTiming> T = Timings.find(K);
+  std::shared_ptr<const LoopTimingCore> T = Timings.find(K);
   if (WasHit)
     *WasHit = T != nullptr;
   if (!T) {
-    T = std::make_shared<const CachedTiming>(
+    T = std::make_shared<const LoopTimingCore>(
         compute(K, LP, FastPeriod, SlowPeriod));
     // First writer wins; concurrent computes of the same key produce
     // identical values, so dropping the duplicate is safe.
     Timings.store(K, T);
   }
 
-  // Materialize the estimate at the caller's actual periods with the
-  // exact expressions estimateLoopTiming uses, so cached and direct
-  // evaluation are bit-identical.
-  LoopTimingEstimate E;
-  E.Feasible = T->Feasible;
-  if (!E.Feasible)
-    return E;
-
-  Rational Scale = ScaleInvariant ? FastPeriod : Rational(1);
-  E.ITNs = T->ITNorm * Scale;
   // The estimator's slowest *cluster* period: all-slow and all-fast
   // shapes see only one of the two periods.
   Rational SlowestPeriod =
@@ -113,14 +94,9 @@ LoopTimingEstimate EvalCache::loopTiming(const LoopProfile &LP,
                    : (NumFast >= Machine.numClusters()
                           ? FastPeriod
                           : Rational::max(FastPeriod, SlowPeriod));
-  double RefCycles =
-      LP.ItLengthRefNs.toDouble() / Machine.RefPeriodNs.toDouble();
-  E.ItLengthNs = RefCycles * SlowestPeriod.toDouble();
-  E.TexecNs =
-      (static_cast<double>(LP.TripCount) - 1) * E.ITNs.toDouble() +
-      E.ItLengthNs;
-  E.ClusterShare = T->ClusterShare;
-  return E;
+  return loopTimingAt(LP, Machine, *T,
+                      ScaleInvariant ? FastPeriod : Rational(1),
+                      SlowestPeriod);
 }
 
 std::optional<SelectedDesign> EvalCache::findSelection(uint64_t SelKey) {
@@ -135,9 +111,9 @@ void EvalCache::storeSelection(uint64_t SelKey, const SelectedDesign &D) {
 
 void EvalCache::exportTimings(
     const std::function<void(const TimingRecord &)> &Fn) const {
-  Timings.exportEntries([&Fn](const Key &K, const CachedTiming &T) {
+  Timings.exportEntries([&Fn](const Key &K, const LoopTimingCore &T) {
     Fn({K.LoopFP, K.NumFast, K.RatioNum, K.RatioDen, K.FastNum, K.FastDen,
-        T.Feasible, T.ITNorm, T.ClusterShare});
+        T.Feasible, T.ITNs, T.ClusterShare});
   });
 }
 

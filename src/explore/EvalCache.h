@@ -26,10 +26,10 @@
 /// Session can skip re-running a selection it has already performed
 /// (repeated runProgram calls, oracle re-ranking, series sweeps).
 ///
-/// Rescaling is bit-identical to direct evaluation: the IT is an exact
-/// Rational product, and the derived doubles (iteration length,
-/// execution time) are recomputed from the same expressions
-/// estimateLoopTiming uses.
+/// Rescaling is bit-identical to direct evaluation: the cache stores
+/// the estimator's scale-free LoopTimingCore, and a hit goes through
+/// the same loopTimingAt that estimateLoopTiming ends in (the IT is an
+/// exact Rational product).
 ///
 /// Each table (timings, selections) is a MemoTable
 /// (support/MemoTable.h) of shared, immutable values. The estimate is
@@ -87,24 +87,17 @@ class EvalCache {
     }
   };
 
-  /// Scale-free residue of one estimate; the doubles of the full
-  /// LoopTimingEstimate are re-derived at the caller's actual periods.
-  struct CachedTiming {
-    bool Feasible = false;
-    Rational ITNorm; ///< IT at the key's normalized fast period
-    std::vector<double> ClusterShare;
-  };
-
   const MachineDescription &Machine;
   FrequencyMenu Menu;
   bool ScaleInvariant;
 
-  MemoTable<Key, CachedTiming, KeyHash> Timings;
+  /// Each value's ITNs is the IT at the key's normalized fast period.
+  MemoTable<Key, LoopTimingCore, KeyHash> Timings;
   MemoTable<uint64_t, SelectedDesign> Selections;
 
-  CachedTiming compute(const Key &K, const LoopProfile &LP,
-                       const Rational &FastPeriod,
-                       const Rational &SlowPeriod) const;
+  LoopTimingCore compute(const Key &K, const LoopProfile &LP,
+                         const Rational &FastPeriod,
+                         const Rational &SlowPeriod) const;
 
 public:
   /// A cache is bound to one machine and one frequency menu; every user
@@ -124,9 +117,6 @@ public:
                                 const Rational &FastPeriod,
                                 const Rational &SlowPeriod,
                                 unsigned NumFast, bool *WasHit = nullptr);
-
-  /// True when the menu allows ratio-keyed memoization.
-  bool scaleInvariant() const { return ScaleInvariant; }
 
   const MachineDescription &machine() const { return Machine; }
   const FrequencyMenu &menu() const { return Menu; }

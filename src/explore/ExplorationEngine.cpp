@@ -49,10 +49,10 @@ std::vector<ExploreCandidate> ExplorationEngine::enumerate() const {
 }
 
 ExplorationResult ExplorationEngine::explore(WorkerPool &Pool,
-                                             const ExploreOptions &Opts) const {
+                                             EvalCache *Cache) const {
   // A cache bound elsewhere would serve another machine's or menu's
   // timing as this one's.
-  if (Opts.Cache && !Opts.Cache->compatibleWith(Machine, Menu))
+  if (Cache && !Cache->compatibleWith(Machine, Menu))
     throw std::invalid_argument(
         "EvalCache bound to a different machine or frequency menu");
 
@@ -68,7 +68,7 @@ ExplorationResult ExplorationEngine::explore(WorkerPool &Pool,
   // call sites instead.
   CacheCounters Counters;
   CandidateEvaluator Eval(Profile, Machine, Energy, Tech, Menu, Space,
-                          Opts.Cache, &Counters);
+                          Cache, &Counters);
 
   // Fan out: workers claim enumeration slots and write results into
   // their own slot; no result ordering depends on thread scheduling.
@@ -92,26 +92,65 @@ ExplorationResult ExplorationEngine::explore(WorkerPool &Pool,
       R.Best = C.Design;
   }
 
-  if (Opts.ComputeFrontier) {
-    ParetoFrontier Frontier;
-    for (size_t I = 0; I < R.Candidates.size(); ++I) {
-      const SelectedDesign &D = R.Candidates[I].Design;
-      if (!D.Valid)
-        continue;
-      ParetoPoint P;
-      P.TexecNs = D.EstTexecNs;
-      P.Energy = D.EstEnergy;
-      P.ED2 = D.EstED2;
-      P.Index = I;
-      Frontier.insert(P);
-    }
-    for (const ParetoPoint &P : Frontier.sortedByTexec()) {
-      R.Candidates[P.Index].OnFrontier = true;
-      R.Frontier.push_back(P.Index);
-    }
-    R.Stats.FrontierSize = R.Frontier.size();
+  ParetoFrontier Frontier;
+  for (size_t I = 0; I < R.Candidates.size(); ++I) {
+    const SelectedDesign &D = R.Candidates[I].Design;
+    if (!D.Valid)
+      continue;
+    ParetoPoint P;
+    P.TexecNs = D.EstTexecNs;
+    P.Energy = D.EstEnergy;
+    P.ED2 = D.EstED2;
+    P.Index = I;
+    Frontier.insert(P);
   }
+  for (const ParetoPoint &P : Frontier.sortedByTexec()) {
+    R.Candidates[P.Index].OnFrontier = true;
+    R.Frontier.push_back(P.Index);
+  }
+  R.Stats.FrontierSize = R.Frontier.size();
 
   R.Stats.WallMs = SW.elapsedMs();
   return R;
+}
+
+SelectedDesign ExplorationEngine::selectOptimumHomogeneous() const {
+  AlphaPowerModel Alpha(Tech, Machine.refFrequency().toDouble(),
+                        Machine.RefVdd, Machine.RefVth);
+  SelectedDesign Best;
+  for (const Rational &HF : Space.HomogFactors) {
+    Rational Period = Machine.RefPeriodNs * HF;
+    double Freq = Period.reciprocal().toDouble();
+    // Same schedule as the reference: only the cycle time scales T.
+    double TexecNs = Profile.TexecRefNs * HF.toDouble();
+
+    for (double Vdd : Space.HomogVddGrid) {
+      auto Vth = Alpha.vthForFrequency(Freq, Vdd);
+      if (!Vth)
+        continue;
+      HeteroConfig C;
+      DomainOperatingPoint P;
+      P.PeriodNs = Period;
+      P.Vdd = Vdd;
+      P.Vth = *Vth;
+      C.Clusters.assign(Machine.numClusters(), P);
+      C.Icn = P;
+      C.Cache = P;
+
+      HeteroScaling S = scalingForConfig(C, Machine, Tech);
+      double E = Energy.homogeneousEnergy(Profile.Totals, TexecNs,
+                                          S.Clusters.front(), S.Icn,
+                                          S.Cache);
+      double ED2 = computeED2(E, TexecNs);
+      if (!Best.Valid || ED2 < Best.EstED2) {
+        Best.Valid = true;
+        Best.Config = C;
+        Best.Scaling = S;
+        Best.EstTexecNs = TexecNs;
+        Best.EstEnergy = E;
+        Best.EstED2 = ED2;
+      }
+    }
+  }
+  return Best;
 }

@@ -1,12 +1,30 @@
 //===- explore/ExplorationEngine.h - Parallel design-space search -*- C++ -*-===//
 ///
 /// \file
-/// The parallel design-space exploration engine: enumerates the
-/// heterogeneous candidates of a DesignSpaceOptions grid (fast-factor
-/// major, slow-ratio minor — the seed's serial order), fans their
-/// evaluation out across a worker pool, memoizes loop timing through an
-/// EvalCache, and reduces the results to the ED2 argmin plus the Pareto
-/// frontier over (Texec, Energy, ED2).
+/// The design-space exploration of Section 3.3 / Section 5: choose the
+/// frequencies and voltages of every component of the heterogeneous
+/// machine that minimize the *estimated* ED2 of a profiled program.
+///
+/// Heterogeneous candidates (the paper's evaluation space): one fast
+/// cluster cycle time in {0.9, 0.95, 1, 1.05, 1.1} x reference, slow
+/// clusters at {1, 1.25, 1.33, 1.5} x the fast cycle time, ICN and cache
+/// clocked with the fastest cluster, and per-component supply voltages
+/// from the ranges clusters 0.7-1.2 V, ICN 0.8-1.1 V, cache 1.0-1.4 V.
+/// Threshold voltages follow from the alpha-power law; energy follows
+/// the Section 3.1 model; timing the Section 3.2 estimator.
+///
+/// explore() enumerates the heterogeneous candidates of a
+/// DesignSpaceOptions grid (fast-factor major, slow-ratio minor — the
+/// seed's serial order), fans their evaluation out across a worker
+/// pool, memoizes loop timing through an EvalCache, and reduces the
+/// results to the ED2 argmin plus the Pareto frontier over (Texec,
+/// Energy, ED2).
+///
+/// The baseline is the *optimum homogeneous* design (Section 5.1,
+/// selectOptimumHomogeneous): one frequency and one supply voltage for
+/// the entire processor, chosen by the same models (its schedule is the
+/// reference schedule, so only the cycle time scales the execution
+/// time).
 ///
 /// The engine owns no threads and no cache: explore() runs on the
 /// caller's WorkerPool and memoizes through the caller's EvalCache (in
@@ -36,20 +54,6 @@
 namespace hcvliw {
 
 class WorkerPool;
-
-struct ExploreOptions {
-  /// Compute the Pareto frontier and mark dominated candidates. Every
-  /// candidate is fully evaluated either way — this is reporting
-  /// bookkeeping, not a search-space reduction, so Best never depends
-  /// on it.
-  bool ComputeFrontier = true;
-  /// Memoize loop timing in this long-lived cache (hits persist across
-  /// explore() calls and programs); null evaluates directly. Must be
-  /// compatibleWith(engine machine, engine menu). Results are
-  /// bit-identical either way — entries are pure functions of (loop
-  /// structure, frequency shape).
-  EvalCache *Cache = nullptr;
-};
 
 /// One enumerated grid point and (after explore()) its evaluation.
 struct ExploreCandidate {
@@ -101,16 +105,21 @@ public:
                     const FrequencyMenu &Menu,
                     const DesignSpaceOptions &Space);
 
-  const DesignSpaceOptions &space() const { return Space; }
-
   /// The candidate grid in enumeration order, unevaluated.
   std::vector<ExploreCandidate> enumerate() const;
 
-  /// Full search under \p Opts, fanned out over \p Pool. Throws
-  /// std::invalid_argument when Opts.Cache is bound to another machine
-  /// or menu.
+  /// Full heterogeneous search, fanned out over \p Pool. Loop timing is
+  /// memoized in \p Cache (long-lived: hits persist across explore()
+  /// calls and programs); null evaluates directly. Results are
+  /// bit-identical either way — entries are pure functions of (loop
+  /// structure, frequency shape). Throws std::invalid_argument when
+  /// \p Cache is bound to another machine or menu.
   ExplorationResult explore(WorkerPool &Pool,
-                            const ExploreOptions &Opts = ExploreOptions()) const;
+                            EvalCache *Cache = nullptr) const;
+
+  /// Best single-(frequency, voltage) homogeneous design (Section 5.1)
+  /// over the space's HomogFactors x HomogVddGrid.
+  SelectedDesign selectOptimumHomogeneous() const;
 };
 
 } // namespace hcvliw

@@ -106,22 +106,6 @@ std::string ExplorationReport::json() const {
 
 std::string ExplorationReport::summary() const {
   const ExplorationStats &S = Result.Stats;
-  // Without a frontier (ComputeFrontier=false) the selected design is still the
-  // headline; show it instead of an empty table.
-  if (Result.Frontier.empty() && Result.Best.Valid) {
-    const SelectedDesign &B = Result.Best;
-    return formatString(
-        "%s: best ED2 %.4g (Texec %.1f ns, energy %.4f), fast %s ns, "
-        "slow %s ns\n%zu candidates (%zu feasible), no frontier "
-        "(pruning off), cache %llu hits / %llu misses, %u thread(s), "
-        "%.2f ms\n",
-        Program.c_str(), B.EstED2, B.EstTexecNs, B.EstEnergy,
-        B.Config.Clusters.front().PeriodNs.str().c_str(),
-        B.Config.Clusters.back().PeriodNs.str().c_str(), S.Enumerated,
-        S.Feasible, static_cast<unsigned long long>(S.CacheHits),
-        static_cast<unsigned long long>(S.CacheMisses), S.ThreadsUsed,
-        S.WallMs);
-  }
   TablePrinter T(formatString("Pareto frontier: %s", Program.c_str()));
   T.addRow({"idx", "fast", "slow/fast", "Texec (ns)", "energy", "ED2",
             "best"});

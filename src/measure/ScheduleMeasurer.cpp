@@ -220,7 +220,7 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
 
   // Graceful degradation, last rung (analytic estimate): account a loop
   // from its reference-profile numbers instead of a measured schedule
-  // — reference execution time, per-iteration activity spread evenly
+  // — reference IT and execution time, per-iteration activity spread evenly
   // across the clusters (no assignment exists to say better). A pure
   // function of the profile, so degraded measurements stay
   // deterministic; the loop is flagged rather than silently blended.
@@ -236,7 +236,7 @@ ConfigRunResult ScheduleMeasurer::measure(const ProgramProfile &Profile,
     Mem += LP.PerIter.MemAccesses * Iters;
     LoopRunStat Stat;
     Stat.Name = L.Name;
-    Stat.ITNs = LP.ItLengthRefNs.toDouble();
+    Stat.ITNs = (Machine.RefPeriodNs * Rational(LP.IIHom)).toDouble();
     Stat.TexecNs = LoopT;
     Stat.Comms = static_cast<unsigned>(LP.PerIter.Comms);
     Stat.Degraded = true;

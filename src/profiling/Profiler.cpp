@@ -22,8 +22,8 @@ const char *hcvliw::loopConstraintName(LoopConstraint C) {
 }
 
 uint64_t LoopProfile::computeTimingFingerprint() const {
-  // Exactly the fields estimateLoopTiming and the EvalCache's derived
-  // expressions read; Name / Weight / Invocations / energy activity are
+  // Exactly the fields estimateLoopTiming reads (the IT search and
+  // loopTimingAt); Name / Weight / Invocations / energy activity are
   // deliberately excluded so structurally identical loops collide.
   FnvHasher H;
   H.mix(TripCount);

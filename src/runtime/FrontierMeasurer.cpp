@@ -157,15 +157,13 @@ FrontierMeasurer::measure(const std::string &ProgramName,
   EnergyModel Energy(Opts.Breakdown, Profile.Totals, Profile.TexecRefNs,
                      S.machine().numClusters());
 
-  // Re-run the search with the frontier on. Candidate timing is
+  // Re-run the search for its frontier. Candidate timing is
   // memoized through the session EvalCache, so after a selection
   // already ran (pipeline step 3) this re-enumeration is cheap and
   // reproduces the identical grid.
   ExplorationEngine Engine(Profile, S.machine(), Energy, Opts.Tech,
                            S.menu(), Opts.Space);
-  ExploreOptions EO;
-  EO.Cache = &S.evalCache();
-  ExplorationResult R = Engine.explore(S.pool(), EO);
+  ExplorationResult R = Engine.explore(S.pool(), &S.evalCache());
 
   F.Points.reserve(R.Frontier.size());
   for (size_t Index : R.Frontier) {
@@ -184,7 +182,8 @@ FrontierMeasurer::measure(const std::string &ProgramName,
   // schedules are memoized through the session ScheduleCache; running
   // under the same derived options as pipeline step 4 (whose menu is
   // the session's, both being menuFor of the session options) keeps the
-  // cache keys shared with it.
+  // cache keys shared with it. MO.Fault stays null: frontier points run
+  // uninjected (see FrontierMeasurer.h).
   MeasureOptions MO =
       HeterogeneousPipeline::measureOptionsFor(S.pipelineOptions());
   ScheduleMeasurer Measurer(S.machine(), MO, &S.scheduleCache(),

@@ -24,6 +24,13 @@
 /// reductions run serially afterwards — the MeasuredFrontier is
 /// bit-identical for any thread count (pinned by tests/measure/).
 ///
+/// Fault injection: frontier points run with no fault injector, unlike
+/// the pipeline's step-4 measurement (HeterogeneousPipeline::
+/// measureConfig), which passes the session's. The points fan out over
+/// the pool, so a per-program "measure.config" occurrence count would
+/// depend on thread timing; an armed plan therefore never fires inside
+/// a frontier measurement (pinned by tests/fault/).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HCVLIW_RUNTIME_FRONTIERMEASURER_H
@@ -103,7 +110,7 @@ public:
   explicit FrontierMeasurer(Session &Sess) : S(Sess) {}
 
   /// Measures the frontier of an already-profiled program: re-runs the
-  /// exploration with the frontier on (timing memoized through the
+  /// exploration (timing memoized through the
   /// session EvalCache, so this is cheap after a selection already
   /// ran), then measures every surviving point on the session pool.
   MeasuredFrontier measure(const std::string &ProgramName,

@@ -1,6 +1,6 @@
 //===- tests/configsel/ConfigSelTest.cpp - Section 3 selection --------------===//
 
-#include "explore/ConfigurationSelector.h"
+#include "explore/ExplorationEngine.h"
 #include "profiling/Profiler.h"
 #include "runtime/WorkerPool.h"
 #include "workloads/SyntheticLoops.h"
@@ -108,11 +108,11 @@ TEST(Selector, SelectsValidDesignsAndHetBeatsHomEstimate) {
   Fixture F({makeChainRecurrenceLoop("r1", 1, 2, 1, 4, 64, 0.7),
              makeStreamLoop("s1", 5, 64, 0.3)});
   EnergyModel E = F.energy();
-  ConfigurationSelector Sel(F.Profile, F.M, E, F.Tech,
-                            FrequencyMenu::continuous(),
-                            DesignSpaceOptions::paperDefault(), F.Pool);
-  SelectedDesign Het = Sel.selectHeterogeneous();
-  SelectedDesign Hom = Sel.selectOptimumHomogeneous();
+  ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
+                        FrequencyMenu::continuous(),
+                        DesignSpaceOptions::paperDefault());
+  SelectedDesign Het = Eng.explore(F.Pool).Best;
+  SelectedDesign Hom = Eng.selectOptimumHomogeneous();
   ASSERT_TRUE(Het.Valid);
   ASSERT_TRUE(Hom.Valid);
   EXPECT_LE(Het.EstED2, Hom.EstED2);
@@ -132,27 +132,27 @@ TEST(Selector, SelectsValidDesignsAndHetBeatsHomEstimate) {
 TEST(Selector, RankedCandidatesSorted) {
   Fixture F({makeChainRecurrenceLoop("r1", 1, 2, 1, 4, 64, 1.0)});
   EnergyModel E = F.energy();
-  ConfigurationSelector Sel(F.Profile, F.M, E, F.Tech,
-                            FrequencyMenu::continuous(),
-                            DesignSpaceOptions::paperDefault(), F.Pool);
-  auto Ranked = Sel.rankHeterogeneous();
+  ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
+                        FrequencyMenu::continuous(),
+                        DesignSpaceOptions::paperDefault());
+  auto Ranked = Eng.explore(F.Pool).rankedByED2();
   ASSERT_FALSE(Ranked.empty());
   for (size_t I = 1; I < Ranked.size(); ++I)
     EXPECT_LE(Ranked[I - 1].EstED2, Ranked[I].EstED2);
 }
 
-// Regression pin: the engine-backed selector must keep reproducing the
-// design the seed's exhaustive serial search picked on the paper-default
-// grids for this fixture. If an intentional model change moves the
+// Regression pin: the engine must keep reproducing the design the seed's
+// exhaustive serial search picked on the paper-default grids for this
+// fixture. If an intentional model change moves the
 // optimum, update these literals alongside the change.
 TEST(Selector, PaperDefaultSelectedDesignRegression) {
   Fixture F({makeChainRecurrenceLoop("r1", 1, 2, 1, 4, 64, 0.7),
              makeStreamLoop("s1", 5, 64, 0.3)});
   EnergyModel E = F.energy();
-  ConfigurationSelector Sel(F.Profile, F.M, E, F.Tech,
-                            FrequencyMenu::continuous(),
-                            DesignSpaceOptions::paperDefault(), F.Pool);
-  SelectedDesign D = Sel.selectHeterogeneous();
+  ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
+                        FrequencyMenu::continuous(),
+                        DesignSpaceOptions::paperDefault());
+  SelectedDesign D = Eng.explore(F.Pool).Best;
   ASSERT_TRUE(D.Valid);
   EXPECT_EQ(D.Config.Clusters.front().PeriodNs, Rational(1));
   EXPECT_EQ(D.Config.Clusters.back().PeriodNs, Rational(5, 4));
@@ -164,12 +164,8 @@ TEST(Selector, PaperDefaultSelectedDesignRegression) {
   EXPECT_NEAR(D.EstEnergy, 0.69296920124225836, 1e-12);
   EXPECT_NEAR(D.EstED2, 806225372562.41223, 1.0);
 
-  // The selector is the engine's no-prune case; a parallel, pruning
-  // run must agree on the selected design exactly.
+  // A parallel run must agree on the selected design exactly.
   WorkerPool Pool(4);
-  ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
-                        FrequencyMenu::continuous(),
-                        DesignSpaceOptions::paperDefault());
   auto R = Eng.explore(Pool);
   ASSERT_TRUE(R.Best.Valid);
   EXPECT_EQ(R.Best.EstED2, D.EstED2);
@@ -179,21 +175,17 @@ TEST(Selector, PaperDefaultSelectedDesignRegression) {
   EXPECT_EQ(R.Best.Config.Clusters.back().PeriodNs,
             D.Config.Clusters.back().PeriodNs);
 
-  // Session substrate: a selector wired onto a shared cache and a
-  // long-lived pool must reproduce the same pinned design, and a
-  // second selection must run entirely from the cache.
+  // Session substrate: a search on a shared cache and a long-lived
+  // pool must reproduce the same pinned design, and a second search
+  // must run entirely from the cache.
   EvalCache Shared(F.M, FrequencyMenu::continuous());
-  ConfigurationSelector SharedSel(F.Profile, F.M, E, F.Tech,
-                                  FrequencyMenu::continuous(),
-                                  DesignSpaceOptions::paperDefault(), Pool,
-                                  &Shared);
-  SelectedDesign DS = SharedSel.selectHeterogeneous();
+  SelectedDesign DS = Eng.explore(Pool, &Shared).Best;
   ASSERT_TRUE(DS.Valid);
   EXPECT_EQ(DS.EstED2, D.EstED2);
   EXPECT_EQ(DS.EstTexecNs, D.EstTexecNs);
   EXPECT_EQ(DS.EstEnergy, D.EstEnergy);
   uint64_t Misses = Shared.misses();
-  SelectedDesign DS2 = SharedSel.selectHeterogeneous();
+  SelectedDesign DS2 = Eng.explore(Pool, &Shared).Best;
   EXPECT_EQ(DS2.EstED2, D.EstED2);
   EXPECT_EQ(Shared.misses(), Misses) << "re-selection re-ran the estimator";
 }
@@ -201,10 +193,10 @@ TEST(Selector, PaperDefaultSelectedDesignRegression) {
 TEST(Selector, HomogeneousOptimumNoWorseThanReferencePoint) {
   Fixture F({makeStreamLoop("s", 5, 64, 1.0)});
   EnergyModel E = F.energy();
-  ConfigurationSelector Sel(F.Profile, F.M, E, F.Tech,
-                            FrequencyMenu::continuous(),
-                            DesignSpaceOptions::paperDefault(), F.Pool);
-  SelectedDesign Hom = Sel.selectOptimumHomogeneous();
+  ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
+                        FrequencyMenu::continuous(),
+                        DesignSpaceOptions::paperDefault());
+  SelectedDesign Hom = Eng.selectOptimumHomogeneous();
   ASSERT_TRUE(Hom.Valid);
   // Estimated ED2 of the reference point itself (factor 1, Vdd 1.0).
   double RefED2 = computeED2(1.0, F.Profile.TexecRefNs);

@@ -4,11 +4,14 @@
 #include "explore/ExplorationReport.h"
 #include "profiling/Profiler.h"
 #include "runtime/WorkerPool.h"
+#include "workloads/SpecFPSuite.h"
 #include "workloads/SyntheticLoops.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 using namespace hcvliw;
 
@@ -107,39 +110,93 @@ TEST(Engine, EnumerationOrderIsFastFactorMajor) {
     }
 }
 
-TEST(Engine, CachedEvaluationIsBitIdenticalToDirect) {
-  Fixture F(mixedLoops());
-  EnergyModel E = F.energy();
-  ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
-                        FrequencyMenu::continuous(),
-                        DesignSpaceOptions::paperDefault());
-  WorkerPool Pool(1);
-  EvalCache Cache(F.M, FrequencyMenu::continuous());
-  ExploreOptions Cached;
-  Cached.Cache = &Cache;
-  auto RC = Eng.explore(Pool, Cached);
-  auto RD = Eng.explore(Pool);
-  ASSERT_EQ(RC.Candidates.size(), RD.Candidates.size());
-  for (size_t I = 0; I < RC.Candidates.size(); ++I) {
-    const SelectedDesign &A = RC.Candidates[I].Design;
-    const SelectedDesign &B = RD.Candidates[I].Design;
-    ASSERT_EQ(A.Valid, B.Valid);
-    if (!A.Valid)
-      continue;
-    // Bit-identical, not approximately equal: the cache's rescaling is
-    // exact Rational arithmetic plus the estimator's own expressions.
-    EXPECT_EQ(A.EstTexecNs, B.EstTexecNs);
-    EXPECT_EQ(A.EstEnergy, B.EstEnergy);
-    EXPECT_EQ(A.EstED2, B.EstED2);
-    EXPECT_EQ(A.Config.Clusters.front().Vdd, B.Config.Clusters.front().Vdd);
-    EXPECT_EQ(A.Config.Clusters.back().Vdd, B.Config.Clusters.back().Vdd);
+/// Bit pattern of \p D: cached and direct evaluation must agree
+/// exactly, not approximately.
+uint64_t bits(double D) {
+  uint64_t B;
+  std::memcpy(&B, &D, sizeof B);
+  return B;
+}
+
+void expectSameOperatingPoint(const DomainOperatingPoint &A,
+                              const DomainOperatingPoint &B,
+                              const std::string &Where) {
+  EXPECT_EQ(A.PeriodNs, B.PeriodNs) << Where;
+  EXPECT_EQ(bits(A.Vdd), bits(B.Vdd)) << Where;
+  EXPECT_EQ(bits(A.Vth), bits(B.Vth)) << Where;
+}
+
+TEST(Engine, CachedEvaluationIsBitIdenticalToDirectUnderEveryMenu) {
+  // The cache keys continuous and relative menus on the slow/fast ratio
+  // and rescales; absolute menus key on the exact period pair. Every
+  // candidate of every SPECfp program must come out bit-identical to
+  // direct evaluation on both key paths, at the paper's one fast
+  // cluster and at the all-slow and all-fast edge shapes (where the
+  // slowest cluster period is one of the two periods whatever the
+  // ratio).
+  MachineDescription M = MachineDescription::paperDefault();
+  TechnologyModel Tech = TechnologyModel::paperDefault();
+  Profiler Prof(M);
+  std::vector<ProgramProfile> Profiles;
+  for (const BenchmarkProgram &Prog : buildSpecFPSuite()) {
+    auto P = Prof.profileProgram(Prog.Name, Prog.Loops);
+    ASSERT_TRUE(P.has_value()) << Prog.Name;
+    Profiles.push_back(std::move(*P));
   }
-  // Paper default has 5 fast factors x 4 ratios but only 4 distinct
-  // frequency shapes per loop, so the cache must have been hit.
-  EXPECT_GT(RC.Stats.CacheHits, 0u);
-  EXPECT_LT(RC.Stats.CacheMisses, RC.Stats.CacheHits + RC.Stats.CacheMisses);
-  EXPECT_EQ(RD.Stats.CacheHits, 0u);
-  EXPECT_EQ(RD.Stats.CacheMisses, 0u);
+  ASSERT_EQ(Profiles.size(), 10u);
+
+  const std::pair<const char *, FrequencyMenu> Menus[] = {
+      {"continuous", FrequencyMenu::continuous()},
+      {"relativeLadder(16)", FrequencyMenu::relativeLadder(16)},
+      {"dividerLadder(16, 6/5)",
+       FrequencyMenu::dividerLadder(16, Rational(6, 5))},
+      {"uniform(8, 6/5)", FrequencyMenu::uniform(8, Rational(6, 5))}};
+  WorkerPool Pool(1);
+  size_t Compared = 0;
+  for (const auto &[MenuName, Menu] : Menus) {
+    for (unsigned NumFast : {1u, 0u, 4u}) {
+      DesignSpaceOptions Space = DesignSpaceOptions::paperDefault();
+      Space.NumFastClusters = NumFast;
+      if (NumFast != 1)
+        Space.SlowRatios.push_back(Rational(9, 10)); // slow faster than fast
+      // One cache across the suite, as a Session shares it.
+      EvalCache Cache(M, Menu);
+      for (const ProgramProfile &P : Profiles) {
+        EnergyModel E(EnergyBreakdown(), P.Totals, P.TexecRefNs,
+                      M.numClusters());
+        ExplorationEngine Eng(P, M, E, Tech, Menu, Space);
+        auto RC = Eng.explore(Pool, &Cache);
+        auto RD = Eng.explore(Pool);
+        EXPECT_EQ(RD.Stats.CacheHits + RD.Stats.CacheMisses, 0u);
+        ASSERT_EQ(RC.Candidates.size(), RD.Candidates.size());
+        for (size_t I = 0; I < RC.Candidates.size(); ++I) {
+          const SelectedDesign &A = RC.Candidates[I].Design;
+          const SelectedDesign &B = RD.Candidates[I].Design;
+          std::string Where = std::string(MenuName) + " NumFast=" +
+                              std::to_string(NumFast) + " " + P.Name +
+                              " candidate " + std::to_string(I);
+          ASSERT_EQ(A.Valid, B.Valid) << Where;
+          ++Compared;
+          if (!A.Valid)
+            continue;
+          EXPECT_EQ(bits(A.EstTexecNs), bits(B.EstTexecNs)) << Where;
+          EXPECT_EQ(bits(A.EstEnergy), bits(B.EstEnergy)) << Where;
+          EXPECT_EQ(bits(A.EstED2), bits(B.EstED2)) << Where;
+          ASSERT_EQ(A.Config.Clusters.size(), B.Config.Clusters.size());
+          for (size_t C = 0; C < A.Config.Clusters.size(); ++C)
+            expectSameOperatingPoint(A.Config.Clusters[C],
+                                     B.Config.Clusters[C], Where);
+          expectSameOperatingPoint(A.Config.Icn, B.Config.Icn, Where);
+          expectSameOperatingPoint(A.Config.Cache, B.Config.Cache, Where);
+        }
+        EXPECT_EQ(RC.Frontier, RD.Frontier) << MenuName << " " << P.Name;
+      }
+      // Ratio-keyed menus share entries between fast factors, so the
+      // first program already hits; absolute menus hit across programs.
+      EXPECT_GT(Cache.hits(), 0u) << MenuName << " NumFast=" << NumFast;
+    }
+  }
+  EXPECT_EQ(Compared, 4u * 10u * (20u + 2u * 25u));
 }
 
 TEST(Engine, SameFrontierForOneAndManyThreads) {
@@ -151,11 +208,8 @@ TEST(Engine, SameFrontierForOneAndManyThreads) {
   WorkerPool OnePool(1), ManyPool(4);
   EvalCache OneCache(F.M, FrequencyMenu::continuous());
   EvalCache ManyCache(F.M, FrequencyMenu::continuous());
-  ExploreOptions One, Many;
-  One.Cache = &OneCache;
-  Many.Cache = &ManyCache;
-  auto R1 = Eng.explore(OnePool, One);
-  auto RN = Eng.explore(ManyPool, Many);
+  auto R1 = Eng.explore(OnePool, &OneCache);
+  auto RN = Eng.explore(ManyPool, &ManyCache);
   EXPECT_EQ(RN.Stats.ThreadsUsed, 4u);
   ASSERT_EQ(R1.Frontier.size(), RN.Frontier.size());
   EXPECT_EQ(R1.Frontier, RN.Frontier);
@@ -211,60 +265,6 @@ TEST(Engine, BestIsOnFrontierAndFrontierIsNonDominated) {
               R.Candidates[R.Frontier[I]].Design.EstTexecNs);
 }
 
-TEST(Engine, AllSlowAndAllFastShapesCacheExactly) {
-  // Regression: with NumFastClusters=0 (all clusters slow) the slowest
-  // cluster period is the slow one even when ratio < 1; the cache's
-  // rescaling must match direct evaluation for these shapes too.
-  Fixture F(mixedLoops());
-  EnergyModel E = F.energy();
-  WorkerPool Pool(1);
-  for (unsigned NumFast : {0u, 4u}) {
-    DesignSpaceOptions Space = DesignSpaceOptions::paperDefault();
-    Space.NumFastClusters = NumFast;
-    Space.SlowRatios.push_back(Rational(9, 10)); // slow faster than fast
-    ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
-                          FrequencyMenu::continuous(), Space);
-    EvalCache Cache(F.M, FrequencyMenu::continuous());
-    ExploreOptions Cached;
-    Cached.Cache = &Cache;
-    auto RC = Eng.explore(Pool, Cached);
-    auto RD = Eng.explore(Pool);
-    for (size_t I = 0; I < RC.Candidates.size(); ++I) {
-      ASSERT_EQ(RC.Candidates[I].Design.Valid,
-                RD.Candidates[I].Design.Valid);
-      if (!RC.Candidates[I].Design.Valid)
-        continue;
-      EXPECT_EQ(RC.Candidates[I].Design.EstTexecNs,
-                RD.Candidates[I].Design.EstTexecNs)
-          << "NumFast=" << NumFast << " candidate " << I;
-      EXPECT_EQ(RC.Candidates[I].Design.EstED2,
-                RD.Candidates[I].Design.EstED2);
-    }
-  }
-}
-
-TEST(Engine, RelativeMenuIsAlsoCacheable) {
-  Fixture F(mixedLoops());
-  EnergyModel E = F.energy();
-  ExplorationEngine Eng(F.Profile, F.M, E, F.Tech,
-                        FrequencyMenu::relativeLadder(8),
-                        DesignSpaceOptions::paperDefault());
-  WorkerPool Pool(1);
-  EvalCache Cache(F.M, FrequencyMenu::relativeLadder(8));
-  ExploreOptions Cached;
-  Cached.Cache = &Cache;
-  auto RC = Eng.explore(Pool, Cached);
-  auto RD = Eng.explore(Pool);
-  EXPECT_GT(RC.Stats.CacheHits, 0u);
-  for (size_t I = 0; I < RC.Candidates.size(); ++I) {
-    ASSERT_EQ(RC.Candidates[I].Design.Valid, RD.Candidates[I].Design.Valid);
-    if (RC.Candidates[I].Design.Valid) {
-      EXPECT_EQ(RC.Candidates[I].Design.EstED2,
-                RD.Candidates[I].Design.EstED2);
-    }
-  }
-}
-
 TEST(Engine, MismatchedCacheIsRefused) {
   // A cache bound to another machine or menu would serve that
   // binding's timing as this one's: refused in every build type.
@@ -278,9 +278,7 @@ TEST(Engine, MismatchedCacheIsRefused) {
   EvalCache OtherMachine(TwoBuses, FrequencyMenu::continuous());
   EvalCache OtherMenu(F.M, FrequencyMenu::relativeLadder(8));
   for (EvalCache *Bad : {&OtherMachine, &OtherMenu}) {
-    ExploreOptions Opts;
-    Opts.Cache = Bad;
-    EXPECT_THROW(Eng.explore(Pool, Opts), std::invalid_argument);
+    EXPECT_THROW(Eng.explore(Pool, Bad), std::invalid_argument);
     EXPECT_EQ(Bad->size(), 0u);
   }
 }
@@ -297,15 +295,11 @@ TEST(Engine, LongLivedPoolAndCacheAreBitIdenticalToSerialFreshCache) {
                         DesignSpaceOptions::paperDefault());
   WorkerPool SerialPool(1);
   EvalCache Fresh(F.M, FrequencyMenu::continuous());
-  ExploreOptions SerialOpts;
-  SerialOpts.Cache = &Fresh;
-  auto Serial = Eng.explore(SerialPool, SerialOpts);
+  auto Serial = Eng.explore(SerialPool, &Fresh);
 
   WorkerPool Pool(4);
   EvalCache Shared(F.M, FrequencyMenu::continuous());
-  ExploreOptions Opts;
-  Opts.Cache = &Shared;
-  auto First = Eng.explore(Pool, Opts);
+  auto First = Eng.explore(Pool, &Shared);
   EXPECT_EQ(First.Stats.ThreadsUsed, 4u);
   ASSERT_EQ(First.Candidates.size(), Serial.Candidates.size());
   for (size_t I = 0; I < First.Candidates.size(); ++I) {
@@ -332,7 +326,7 @@ TEST(Engine, LongLivedPoolAndCacheAreBitIdenticalToSerialFreshCache) {
 
   // A fully populated cache cannot miss: the second explore's stats
   // are deterministic for any thread count.
-  auto Second = Eng.explore(Pool, Opts);
+  auto Second = Eng.explore(Pool, &Shared);
   EXPECT_EQ(Second.Stats.CacheMisses, 0u);
   EXPECT_GT(Second.Stats.CacheHits, 0u);
   EXPECT_EQ(Second.Best.EstED2, Serial.Best.EstED2);
@@ -349,13 +343,11 @@ TEST(Engine, SharedCacheHitsAcrossStructurallyIdenticalPrograms) {
   EnergyModel EA = A.energy(), EB = B.energy();
   WorkerPool Pool(2);
   EvalCache Shared(A.M, FrequencyMenu::continuous());
-  ExploreOptions Opts;
-  Opts.Cache = &Shared;
 
   ExplorationEngine EngA(A.Profile, A.M, EA, A.Tech,
                          FrequencyMenu::continuous(),
                          DesignSpaceOptions::paperDefault());
-  auto RA = EngA.explore(Pool, Opts);
+  auto RA = EngA.explore(Pool, &Shared);
   ASSERT_TRUE(RA.Best.Valid);
   EXPECT_GT(RA.Stats.CacheMisses, 0u);
 
@@ -364,7 +356,7 @@ TEST(Engine, SharedCacheHitsAcrossStructurallyIdenticalPrograms) {
   ExplorationEngine EngB(B.Profile, B.M, EB, B.Tech,
                          FrequencyMenu::continuous(),
                          DesignSpaceOptions::paperDefault());
-  auto RB = EngB.explore(Pool, Opts);
+  auto RB = EngB.explore(Pool, &Shared);
   ASSERT_TRUE(RB.Best.Valid);
   EXPECT_EQ(RB.Stats.CacheMisses, 0u)
       << "all loop structures were already cached by program A";

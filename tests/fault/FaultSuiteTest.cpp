@@ -183,8 +183,20 @@ TEST(FaultLadder, MeasureLoopDegradesToTheAnalyticEstimate) {
   // Every loop of both measurements landed on the analytic rung.
   EXPECT_EQ(R->HetMeasured.DegradedLoops, R->HetMeasured.Loops.size());
   EXPECT_EQ(R->HomMeasured.DegradedLoops, R->HomMeasured.Loops.size());
-  for (const LoopRunStat &L : R->HetMeasured.Loops)
-    EXPECT_TRUE(L.Degraded) << L.Name;
+  // The rung reports the reference schedule's IT and execution time.
+  const MachineDescription &M = S.machine();
+  for (const ConfigRunResult *C : {&R->HetMeasured, &R->HomMeasured}) {
+    ASSERT_EQ(C->Loops.size(), R->Profile.Loops.size());
+    for (size_t I = 0; I < C->Loops.size(); ++I) {
+      const LoopRunStat &L = C->Loops[I];
+      const LoopProfile &LP = R->Profile.Loops[I];
+      EXPECT_TRUE(L.Degraded) << L.Name;
+      EXPECT_EQ(L.ITNs, (M.RefPeriodNs * Rational(LP.IIHom)).toDouble())
+          << L.Name;
+      EXPECT_EQ(L.TexecNs, LP.Invocations * LP.TexecRefNs.toDouble())
+          << L.Name;
+    }
+  }
   EXPECT_TRUE(R->HetMeasured.Ok); // degraded, not failed
   EXPECT_GT(R->ED2Ratio, 0.0);
 }
@@ -256,6 +268,37 @@ TEST(FaultLadder, DeadlineExhaustingEveryLoopFailsTheMeasurementStage) {
   auto R2 = S2.pipeline().runProgram(Prog);
   ASSERT_TRUE(R2.has_value());
   EXPECT_EQ(R2->HetMeasured.DegradedLoops, 2u);
+}
+
+// --- frontier measurement ---------------------------------------------------
+
+TEST(FaultFrontier, FrontierPointsRunUninjected) {
+  // Frontier points fan out over the pool, so they run with no fault
+  // injector: a per-program measure.config occurrence count would
+  // otherwise depend on thread timing. Step 4 reaches occurrences 1
+  // (het) and 2 (hom) only, so occurrence 3 never fires, the program
+  // succeeds and its measured frontier is the unarmed run's.
+  std::vector<BenchmarkProgram> Programs = {buildSpecFPProgram("171.swim")};
+  SuiteOptions SO;
+  SO.MeasureFrontier = true;
+
+  SuiteResult Clean;
+  {
+    Session S{PipelineOptions(), 1};
+    Clean = SuiteRunner(S).run(Programs, SO);
+  }
+  ASSERT_EQ(Clean.Frontiers.size(), 1u);
+  ASSERT_FALSE(Clean.Frontiers[0].Points.empty());
+
+  Session S{PipelineOptions(), 1};
+  S.faultInjector().arm(
+      plan("on measure.config ctx 171.swim occurrence 3 throw\n"));
+  SuiteResult R = SuiteRunner(S).run(Programs, SO);
+  EXPECT_TRUE(R.Failures.empty());
+  ASSERT_EQ(R.Names, Clean.Names);
+  ASSERT_EQ(R.Frontiers.size(), 1u);
+  EXPECT_EQ(S.faultInjector().totalInjected(), 0u);
+  EXPECT_EQ(R.Frontiers[0].csv(), Clean.Frontiers[0].csv());
 }
 
 // --- idle identity ----------------------------------------------------------
