@@ -20,10 +20,10 @@ namespace {
 /// Greedy exact-refinement passes per level.
 constexpr unsigned MaxRefinePasses = 2;
 /// Levels with more macros than this skip the exact greedy refinement
-/// (every move costs a pseudo-schedule) and run boundary FM passes on
-/// the surrogate objective instead.
+/// (every move costs a pseudo-schedule) and run FM passes on the
+/// surrogate objective instead.
 constexpr unsigned MaxRefineMacros = 48;
-/// Boundary FM passes per level (levels above MaxRefineMacros).
+/// FM passes per level (levels above MaxRefineMacros).
 constexpr unsigned MaxFMPasses = 4;
 
 /// The objective of a partition that passed every pseudo-schedule
@@ -397,20 +397,29 @@ bool prePlaceRecurrences(const PartitionContext &Ctx, bool EnablePinning,
   return true;
 }
 
-/// Boundary FM-style refinement of one level on the surrogate objective
+/// FM-style refinement of one level on the surrogate objective
 ///
 ///   1e6 * (total per-cluster per-kind capacity overload)
 ///   + (DDG edges cut between clusters)
 ///   + 1e-3 * (sum of squared per-cluster energy weights)
 ///
-/// evaluated incrementally: each pass picks the highest-gain unlocked
-/// boundary macro from a max-heap, applies the move when its recomputed
-/// gain is strictly positive, locks the macro, and refreshes its
-/// neighbors, until no improving move remains. Every applied move
-/// strictly decreases the surrogate, so the passes terminate; the
-/// caller only keeps the result when the *exact* objective did not get
-/// worse. Deterministic: ties break toward the lowest macro id and
-/// lowest cluster id.
+/// evaluated incrementally: each pass fills a max-heap with the best
+/// move of every unlocked, unpinned macro whose gain is positive, pops
+/// the highest gain, applies the move when its recomputed gain is still
+/// that gain, locks the macro, and refreshes its neighbors; when the
+/// heap drains it fills again, until no improving move remains. Every
+/// applied move strictly decreases the surrogate, so the passes
+/// terminate; the caller only keeps the result when the *exact*
+/// objective did not get worse. Deterministic: ties break toward the
+/// lowest macro id and lowest cluster id.
+///
+/// Each macro's cut mass toward every cluster is kept as it changes,
+/// so a gain costs no walk of the macro's adjacency. A pass ends on a
+/// fill that found no positive gain among the macros it had not moved,
+/// and nothing changes before the next pass, so that pass's first fill
+/// evaluates only the macros the previous pass moved: the heap holds
+/// the entries a full fill would push, and pops them in the same
+/// (gain descending, macro ascending) order.
 uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
                        const CoarseLevel &Lvl, std::vector<unsigned> &Assign,
                        PartitionStats *Stats) {
@@ -422,39 +431,34 @@ uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
   slotCapacityInto(S.FMCap, M, Plan);
   S.FMLoad.assign(static_cast<size_t>(NC) * NumFUKinds, 0);
   S.FMWeight.assign(NC, 0.0);
+  S.FMCut.assign(static_cast<size_t>(LN) * NC, 0);
   for (unsigned Mac = 0; Mac < LN; ++Mac) {
     unsigned C = Assign[Mac];
     for (unsigned K = 0; K < NumFUKinds; ++K)
       S.FMLoad[C * NumFUKinds + K] += Lvl.fuCount(Mac, K);
     S.FMWeight[C] += Lvl.Weight[Mac];
+    int64_t *Cut = &S.FMCut[static_cast<size_t>(Mac) * NC];
+    for (unsigned I = Lvl.AdjStart[Mac]; I < Lvl.AdjStart[Mac + 1]; ++I)
+      Cut[Assign[Lvl.AdjMacro[I]]] += Lvl.AdjWeight[I];
   }
-  S.FMCutTo.resize(NC);
   S.FMLocked.assign(LN, 0);
+  S.FMMoved.clear();
 
-  // Overload reduction of moving Mac from Home to C (positive = less).
-  auto capGain = [&](unsigned Mac, unsigned Home, unsigned C) {
-    int64_t D = 0;
+  auto bestMove = [&](unsigned Mac, double &BestGain, unsigned &BestC) {
+    const unsigned Home = Assign[Mac];
+    const int64_t *Cut = &S.FMCut[static_cast<size_t>(Mac) * NC];
+    // Overload reduction of moving Mac from Home to C (positive = less):
+    // Home's relief, the same for every C, less C's added overload.
+    int64_t Relief = 0;
     for (unsigned K = 0; K < NumFUKinds; ++K) {
       int64_t W = Lvl.fuCount(Mac, K);
       if (!W)
         continue;
       int64_t LH = S.FMLoad[Home * NumFUKinds + K];
       int64_t CH = S.FMCap[Home * NumFUKinds + K];
-      int64_t LC = S.FMLoad[C * NumFUKinds + K];
-      int64_t CC = S.FMCap[C * NumFUKinds + K];
-      D += std::max<int64_t>(0, LH - CH) - std::max<int64_t>(0, LH - W - CH);
-      D -= std::max<int64_t>(0, LC + W - CC) - std::max<int64_t>(0, LC - CC);
+      Relief +=
+          std::max<int64_t>(0, LH - CH) - std::max<int64_t>(0, LH - W - CH);
     }
-    return D;
-  };
-
-  auto bestMove = [&](unsigned Mac, double &BestGain, unsigned &BestC) {
-    unsigned Home = Assign[Mac];
-    // Cut mass of Mac toward every cluster.
-    int64_t *Cut = S.FMCutTo.data();
-    std::fill(Cut, Cut + NC, int64_t(0));
-    for (unsigned I = Lvl.AdjStart[Mac]; I < Lvl.AdjStart[Mac + 1]; ++I)
-      Cut[Assign[Lvl.AdjMacro[I]]] += Lvl.AdjWeight[I];
     double WMac = Lvl.Weight[Mac];
     double WH = S.FMWeight[Home];
     BestGain = -std::numeric_limits<double>::infinity();
@@ -462,10 +466,20 @@ uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
     for (unsigned C = 0; C < NC; ++C) {
       if (C == Home)
         continue;
+      int64_t CapGain = Relief;
+      for (unsigned K = 0; K < NumFUKinds; ++K) {
+        int64_t W = Lvl.fuCount(Mac, K);
+        if (!W)
+          continue;
+        int64_t LC = S.FMLoad[C * NumFUKinds + K];
+        int64_t CC = S.FMCap[C * NumFUKinds + K];
+        CapGain -=
+            std::max<int64_t>(0, LC + W - CC) - std::max<int64_t>(0, LC - CC);
+      }
       double WC = S.FMWeight[C];
       double DW2 = (WH - WMac) * (WH - WMac) + (WC + WMac) * (WC + WMac) -
                    WH * WH - WC * WC;
-      double G = 1e6 * static_cast<double>(capGain(Mac, Home, C)) +
+      double G = 1e6 * static_cast<double>(CapGain) +
                  static_cast<double>(Cut[C] - Cut[Home]) - 1e-3 * DW2;
       if (G > BestGain) { // strict: ties keep the lowest cluster id
         BestGain = G;
@@ -483,6 +497,12 @@ uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
     }
     S.FMWeight[Home] -= Lvl.Weight[Mac];
     S.FMWeight[C] += Lvl.Weight[Mac];
+    // The adjacency is symmetric: Mac's neighbors see its mass move.
+    for (unsigned I = Lvl.AdjStart[Mac]; I < Lvl.AdjStart[Mac + 1]; ++I) {
+      int64_t *Cut = &S.FMCut[static_cast<size_t>(Lvl.AdjMacro[I]) * NC];
+      Cut[Home] -= Lvl.AdjWeight[I];
+      Cut[C] += Lvl.AdjWeight[I];
+    }
     Assign[Mac] = C;
   };
 
@@ -492,24 +512,33 @@ uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
       return A.Gain < B.Gain; // max-heap on gain
     return A.Mac > B.Mac;     // ties: lowest macro id on top
   };
+  auto pushIfGains = [&](unsigned Mac) {
+    double G;
+    unsigned C;
+    bestMove(Mac, G, C);
+    if (G > 0)
+      S.FMHeap.push_back({G, Mac});
+  };
 
   uint64_t Moves = 0;
   unsigned PassesRun = 0;
   for (unsigned Pass = 0; Pass < MaxFMPasses; ++Pass) {
     std::fill(S.FMLocked.begin(), S.FMLocked.end(), uint8_t(0));
     uint64_t MovesThisPass = 0;
-    while (true) {
-      // Fill: every unlocked, unpinned macro with a positive best gain.
+    for (bool FirstFill = true;; FirstFill = false) {
+      // Fill: every unlocked, unpinned macro with a positive best gain —
+      // on a later pass's first fill, only the previous pass's moves.
       S.FMHeap.clear();
-      for (unsigned Mac = 0; Mac < LN; ++Mac) {
-        if (S.FMLocked[Mac] || Lvl.Pin[Mac] >= 0)
-          continue;
-        double G;
-        unsigned C;
-        bestMove(Mac, G, C);
-        if (G > 0)
-          S.FMHeap.push_back({G, Mac});
+      if (FirstFill && Pass > 0) {
+        for (unsigned Mac : S.FMMoved)
+          pushIfGains(Mac);
+      } else {
+        for (unsigned Mac = 0; Mac < LN; ++Mac)
+          if (!S.FMLocked[Mac] && Lvl.Pin[Mac] < 0)
+            pushIfGains(Mac);
       }
+      if (FirstFill)
+        S.FMMoved.clear();
       if (S.FMHeap.empty())
         break;
       std::make_heap(S.FMHeap.begin(), S.FMHeap.end(), HeapLess);
@@ -535,19 +564,17 @@ uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
           continue;
         apply(E.Mac, C);
         S.FMLocked[E.Mac] = 1;
+        S.FMMoved.push_back(E.Mac);
         ++MovesThisPass;
         for (unsigned I = Lvl.AdjStart[E.Mac]; I < Lvl.AdjStart[E.Mac + 1];
              ++I) {
           unsigned Nb = Lvl.AdjMacro[I];
           if (S.FMLocked[Nb] || Lvl.Pin[Nb] >= 0)
             continue;
-          double NG;
-          unsigned NbC;
-          bestMove(Nb, NG, NbC);
-          if (NG > 0) {
-            S.FMHeap.push_back({NG, Nb});
+          size_t Before = S.FMHeap.size();
+          pushIfGains(Nb);
+          if (S.FMHeap.size() != Before)
             std::push_heap(S.FMHeap.begin(), S.FMHeap.end(), HeapLess);
-          }
         }
       }
     }
@@ -782,7 +809,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
                 ClusterOfMacro);
 
   // Refinement, coarsest to finest. Small levels get the exact greedy
-  // (pseudo-schedule-scored) moves; big levels get boundary FM passes
+  // (pseudo-schedule-scored) moves; big levels get FM passes
   // whose result is kept only when the exact score did not get worse —
   // so CurrentScore is non-increasing across the whole uncoarsening.
   Partition &Current = S.Current;
@@ -812,7 +839,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       Assign[Mac] = Current.ClusterOf[Lvl.Rep[Mac]];
 
     if (LN > MaxRefineMacros) {
-      // Boundary FM on the surrogate objective; guarded acceptance.
+      // FM on the surrogate objective; guarded acceptance.
       uint64_t FMMoves = refineLevelFM(Ctx, S, Lvl, Assign, Ctx.Stats);
       if (RefineSp.active()) {
         RefineSp.arg("macros", LN);

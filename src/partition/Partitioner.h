@@ -24,7 +24,7 @@
 ///     lower bound already rules it out is rejected without a
 ///     pseudo-schedule, and a move that passes is scored from the
 ///     bound's own state by the graph-free pseudo-schedule kernel.
-///     Finer levels use boundary FM-style passes on a cheap surrogate
+///     Finer levels use FM-style passes on a cheap surrogate
 ///     (capacity overload, cut, weight balance) whose result is only
 ///     kept when the exact objective did not get worse — so the tracked
 ///     objective is monotone across the whole uncoarsening, at every
@@ -129,8 +129,8 @@ struct PartitionStats {
   uint64_t MatchedPairs = 0;    ///< pair contractions across all builds
   uint64_t RefinePasses = 0;    ///< exact greedy passes run
   uint64_t RefineMoves = 0;     ///< exact greedy moves accepted
-  uint64_t FMPasses = 0;        ///< boundary FM passes run
-  uint64_t FMMoves = 0;         ///< boundary FM moves applied
+  uint64_t FMPasses = 0;        ///< FM passes run
+  uint64_t FMMoves = 0;         ///< FM moves applied
   /// Full pseudo-schedules scored, and greedy candidates rejected by
   /// PartitionBound without one; CapacityRejects is the subset of
   /// BoundRejects decided by the capacity terms alone
@@ -270,7 +270,7 @@ struct PartitionScratch {
   /// exact unchanged-candidate skip.
   std::vector<uint64_t> EvalStamp;
 
-  // Boundary FM refinement working set (levels above MaxRefineMacros;
+  // FM refinement working set (levels above MaxRefineMacros;
   // all sized per level and reused, so steady state is allocation-free
   // — the "gain buckets in the arena" half of the big-loop work).
   std::vector<int64_t> FMLoad;     ///< flat [cluster][kind] op counts
@@ -282,7 +282,8 @@ struct PartitionScratch {
     unsigned Mac;
   };
   std::vector<FMHeapEntry> FMHeap; ///< binary max-heap storage
-  std::vector<int64_t> FMCutTo;    ///< [cluster] cut mass of one macro
+  std::vector<int64_t> FMCut;      ///< flat [macro][cluster] cut mass
+  std::vector<unsigned> FMMoved;   ///< this pass's moves, for the next
 
   // Coarsening memo: ML holds the stack of MemoKey while MLValid;
   // keyed exactly on CoarsenMemoKey, hash-first. A build clears MLValid

@@ -107,53 +107,129 @@ const char *hcvliw::gradePartitionBudgets(const MachineDescription &M,
   return Reason;
 }
 
-bool hcvliw::pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
-                                const MachineDescription &M,
-                                const MachinePlan &Plan,
-                                const std::vector<unsigned> &NodeLat,
-                                const std::vector<unsigned> &ClusterOf,
-                                Rational &ItLengthNs) {
-  PlanGrid::computeInto(S.Grid, Plan);
-  if (!S.Grid.valid())
-    throw std::invalid_argument(std::string("pseudo-schedule: ") +
-                                PlanGrid::NoGridReason);
+namespace {
+
+/// In-order sweeps that can run before the fixpoint is given to the
+/// waves: enough for loop-carried edges that bind once or twice.
+constexpr unsigned MaxAsapSweeps = 4;
+
+/// The ASAP fixpoint as sweeps in node order. Right after node V come
+/// V's copies (their only in-edge is V's), then V's out-edges; a
+/// cross-cluster value edge leaves through its copy. Only a relaxation
+/// that raises a node at or before V (a loop-carried edge) can leave an
+/// edge unsatisfied, so a sweep that raises nothing backward ends at a
+/// fixpoint, and a fixpoint reached from all-zero starts by monotone
+/// relaxations is the least one. Hops[X] is the edge count of the walk
+/// whose relaxation set X's start. After wave w the FIFO waves have
+/// applied every walk of at most w + 1 edges, so with every hop count
+/// at most Total they reach the same fixpoint by wave Total: the
+/// values, the iteration length and the recurrence verdict are the
+/// waves'. Writes the latest completion to \p End. Returns false,
+/// leaving the answer to asapWaves, when the sweeps cannot certify it.
+bool asapSweeps(PseudoScratch &S, const DDG &G, const MachineDescription &M,
+                const std::vector<unsigned> &NodeLat,
+                const std::vector<unsigned> &ClusterOf, unsigned Total,
+                int64_t &End) {
   const PlanGrid &Grid = S.Grid;
   const unsigned N = G.size();
   const unsigned NC = M.numClusters();
-
-  // Copies, in the order PartitionedGraph::buildInto creates them: the
-  // first cross-cluster value edge of each (value, cluster) pair, in
-  // DDG edge order, creates copy N, N+1, ...
-  S.CopySlots.assign(static_cast<size_t>(N) * NC, -1);
-  S.CopyValue.clear();
-  S.CopyCluster.clear();
-  S.CopyEdge.clear();
-  for (unsigned EIx = 0; EIx < G.numEdges(); ++EIx) {
-    const DDG::Edge &E = G.edge(EIx);
-    unsigned To = ClusterOf[E.Dst];
-    if (!isValueCarrying(E.Kind) || ClusterOf[E.Src] == To)
-      continue;
-    int &Slot = S.CopySlots[static_cast<size_t>(E.Src) * NC + To];
-    if (Slot >= 0)
-      continue;
-    Slot = static_cast<int>(N + S.CopyValue.size());
-    S.CopyValue.push_back(E.Src);
-    S.CopyCluster.push_back(To);
-    S.CopyEdge.push_back(EIx);
-  }
-  const unsigned Total = N + static_cast<unsigned>(S.CopyValue.size());
-
   const int64_t BusP = Grid.busPeriodTicks();
   const int64_t ITTicks = Grid.itTicks();
   const int64_t CopyLatTicks = static_cast<int64_t>(M.BusLatency) * BusP;
+  std::vector<int64_t> &Start = S.Asap;
+  std::vector<unsigned> &Hops = S.Hops;
+  Start.assign(Total, 0);
+  Hops.assign(Total, 0);
+  S.SweepClusters.resize(NC);
+  PseudoScratch::SweepCluster *Cl = S.SweepClusters.data();
+  for (unsigned C = 0; C < NC; ++C) {
+    Cl[C].Period = Grid.clusterPeriodTicks(C);
+    Cl[C].OffGrid = ITTicks % Cl[C].Period != 0;
+  }
 
-  // The TickGraph ASAP fixpoint (a FIFO worklist in waves; a change in
-  // wave Total proves an unsatisfiable dependence cycle), with each
-  // node's out-edges in the order the materialized graph lists them:
-  // a node's DDG out-edges in CSR order, where the edge that created a
-  // copy stands for the node -> copy edge and later edges to that copy
-  // are dropped; a copy's out-edges are its value's value edges into
-  // its cluster, in CSR order.
+  for (unsigned Sweep = 1; Sweep <= MaxAsapSweeps; ++Sweep) {
+    S.LastSweeps = Sweep;
+    // A sweep that raises nothing backward sees every start and hop
+    // count final when it reaches it, so it can take their maxima.
+    bool Backward = false;
+    unsigned MaxHops = 0;
+    End = 0;
+    for (unsigned V = 0; V < N; ++V) {
+      const unsigned CV = ClusterOf[V];
+      const int64_t PV = Cl[CV].Period;
+      const int64_t StartV = Start[V];
+      const unsigned HopV = Hops[V] + 1;
+      const int64_t Ready = StartV + static_cast<int64_t>(NodeLat[V]) * PV;
+      MaxHops = std::max(MaxHops, Hops[V]);
+      End = std::max(End, Ready);
+      const int *Row = &S.CopySlots[static_cast<size_t>(V) * NC];
+      const int64_t CopyStart = crossDomainArrival(Ready, PV, BusP);
+      for (unsigned C = 0; C < NC; ++C) {
+        if (Row[C] < 0)
+          continue;
+        const unsigned Copy = static_cast<unsigned>(Row[C]);
+        // Starts are slot-aligned; a copy's bound already is (the
+        // arrival rule lands on a bus tick).
+        if (Start[Copy] < CopyStart) {
+          Start[Copy] = CopyStart;
+          Hops[Copy] = HopV;
+        }
+        MaxHops = std::max(MaxHops, Hops[Copy]);
+        End = std::max(End, Start[Copy] + CopyLatTicks);
+        Cl[C].Arrive =
+            crossDomainArrival(Start[Copy] + CopyLatTicks, BusP, Cl[C].Period);
+        Cl[C].ArriveHops = Hops[Copy] + 1;
+      }
+      for (unsigned EIx : G.outEdges(V)) {
+        const DDG::Edge &E = G.edge(EIx);
+        const unsigned CD = ClusterOf[E.Dst];
+        int64_t Bound;
+        unsigned Hop;
+        if (isValueCarrying(E.Kind) && CD != CV) {
+          Bound = Cl[CD].Arrive;
+          Hop = Cl[CD].ArriveHops;
+        } else {
+          Bound = crossDomainArrival(
+              StartV + static_cast<int64_t>(edgeLatency(E, NodeLat)) * PV, PV,
+              Cl[CD].Period);
+          Hop = HopV;
+        }
+        // Every arrival lands on the consumer's tick; only a
+        // loop-carried bound under an IT off that tick grid needs
+        // rounding up to it.
+        const bool Round = E.Distance != 0 && Cl[CD].OffGrid;
+        Bound -= static_cast<int64_t>(E.Distance) * ITTicks;
+        if (Start[E.Dst] < Bound) {
+          Start[E.Dst] = Round ? alignUpToTick(Bound, Cl[CD].Period) : Bound;
+          Hops[E.Dst] = Hop;
+          Backward |= E.Dst <= V;
+        }
+      }
+    }
+    if (!Backward)
+      return MaxHops <= Total;
+  }
+  return false;
+}
+
+/// The TickGraph ASAP fixpoint (a FIFO worklist in waves; still
+/// changing in wave Total is the recurrence verdict), with each node's
+/// out-edges in the order the materialized graph lists them: a node's
+/// DDG out-edges in CSR order, where the edge that created a copy
+/// stands for the node -> copy edge and later edges to that copy are
+/// dropped; a copy's out-edges are its value's value edges into its
+/// cluster, in CSR order. On convergence writes the latest completion
+/// to \p End.
+bool asapWaves(PseudoScratch &S, const DDG &G, const MachineDescription &M,
+               const std::vector<unsigned> &NodeLat,
+               const std::vector<unsigned> &ClusterOf, unsigned Total,
+               int64_t &End) {
+  const PlanGrid &Grid = S.Grid;
+  const unsigned N = G.size();
+  const unsigned NC = M.numClusters();
+  const int64_t BusP = Grid.busPeriodTicks();
+  const int64_t ITTicks = Grid.itTicks();
+  const int64_t CopyLatTicks = static_cast<int64_t>(M.BusLatency) * BusP;
   std::vector<int64_t> &Start = S.Asap;
   Start.assign(Total, 0);
   S.WaveCur.resize(Total);
@@ -174,8 +250,8 @@ bool hcvliw::pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
       }
     }
   };
-  bool Converged = false;
   for (unsigned Wave = 0; Wave <= Total; ++Wave) {
+    S.LastWaves = Wave + 1;
     for (unsigned V : S.WaveCur) {
       S.InWave[V] = 0;
       if (V < N) {
@@ -217,21 +293,64 @@ bool hcvliw::pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
       }
     }
     if (S.WaveNext.empty()) {
-      Converged = true;
-      break;
+      End = 0;
+      for (unsigned V = 0; V < N; ++V) {
+        const int64_t PV = Grid.clusterPeriodTicks(ClusterOf[V]);
+        End = std::max(End, Start[V] + static_cast<int64_t>(NodeLat[V]) * PV);
+      }
+      for (unsigned V = N; V < Total; ++V)
+        End = std::max(End, Start[V] + CopyLatTicks);
+      return true;
     }
     S.WaveCur.swap(S.WaveNext);
     S.WaveNext.clear();
   }
-  if (!Converged)
-    return false;
+  return false;
+}
+
+} // namespace
+
+bool hcvliw::pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
+                                const MachineDescription &M,
+                                const MachinePlan &Plan,
+                                const std::vector<unsigned> &NodeLat,
+                                const std::vector<unsigned> &ClusterOf,
+                                Rational &ItLengthNs) {
+  PlanGrid::computeInto(S.Grid, Plan);
+  if (!S.Grid.valid())
+    throw std::invalid_argument(std::string("pseudo-schedule: ") +
+                                PlanGrid::NoGridReason);
+  const PlanGrid &Grid = S.Grid;
+  const unsigned N = G.size();
+  const unsigned NC = M.numClusters();
+  S.LastSweeps = S.LastWaves = 0;
+
+  // Copies, in the order PartitionedGraph::buildInto creates them: the
+  // first cross-cluster value edge of each (value, cluster) pair, in
+  // DDG edge order, creates copy N, N+1, ...
+  S.CopySlots.assign(static_cast<size_t>(N) * NC, -1);
+  S.CopyValue.clear();
+  S.CopyCluster.clear();
+  S.CopyEdge.clear();
+  for (unsigned EIx = 0; EIx < G.numEdges(); ++EIx) {
+    const DDG::Edge &E = G.edge(EIx);
+    unsigned To = ClusterOf[E.Dst];
+    if (!isValueCarrying(E.Kind) || ClusterOf[E.Src] == To)
+      continue;
+    int &Slot = S.CopySlots[static_cast<size_t>(E.Src) * NC + To];
+    if (Slot >= 0)
+      continue;
+    Slot = static_cast<int>(N + S.CopyValue.size());
+    S.CopyValue.push_back(E.Src);
+    S.CopyCluster.push_back(To);
+    S.CopyEdge.push_back(EIx);
+  }
+  const unsigned Total = N + static_cast<unsigned>(S.CopyValue.size());
 
   int64_t End = 0;
-  for (unsigned V = 0; V < N; ++V)
-    End = std::max(End, Start[V] + static_cast<int64_t>(NodeLat[V]) *
-                                       Grid.clusterPeriodTicks(ClusterOf[V]));
-  for (unsigned V = N; V < Total; ++V)
-    End = std::max(End, Start[V] + CopyLatTicks);
+  if (!asapSweeps(S, G, M, NodeLat, ClusterOf, Total, End) &&
+      !asapWaves(S, G, M, NodeLat, ClusterOf, Total, End))
+    return false;
   ItLengthNs = Grid.toNs(End);
   return true;
 }

@@ -74,11 +74,13 @@ bool TickGraph::computeAsapTicksInto(std::vector<int64_t> &Start) const {
   // Longest-path fixpoint as a FIFO worklist in waves: wave k relaxes
   // the out-edges of nodes raised in wave k-1, so each edge is visited
   // only when its source actually changed (a round-based fixpoint
-  // rescans every edge every round). The least fixpoint of a monotone
-  // relaxation is unique, so the values equal the round-based ones;
-  // and a change in wave N still proves an unsatisfiable (positive)
-  // dependence cycle — a justification chain of more than N edges must
-  // revisit a node, exactly the round-based change-in-round-N argument.
+  // rescans every edge every round). A fixpoint reached from all-zero
+  // starts by monotone relaxations is the least one, so converged
+  // values equal the round-based ones. The verdict is only that: no
+  // fixpoint within N + 1 waves. It is not a proof of a positive
+  // cycle — with tick rounding an edge's arrival is no shift of its
+  // source's start, so a walk that revisits a node can still raise it,
+  // and whether the limit is reached can depend on the visit order.
   WaveCur.resize(N);
   for (unsigned I = 0; I < N; ++I)
     WaveCur[I] = I;

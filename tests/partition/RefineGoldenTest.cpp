@@ -10,6 +10,12 @@
 // optimisation must leave every accept/reject decision, and therefore
 // every digest, unchanged.
 //
+// A second digest folds the effort of the same runs: FM passes,
+// pseudo-schedules scored and bound rejections. It was recorded before
+// FM kept its cut mass incrementally and before later FM passes started
+// from the previous pass's moves only; those must leave the pass
+// structure, and therefore this digest, unchanged too.
+//
 // Fixtures: every SPECfp loop on the paper machine, and the 256- and
 // 512-op unrolled bodies on a machine with bigLoopRegisters register
 // files; each on the reference plan and on a one-fast/three-slow plan,
@@ -63,10 +69,16 @@ HeteroConfig oneFastThreeSlow(const MachineDescription &M) {
   return C;
 }
 
+/// What the partitioner decided, and the work it took to decide it.
+struct Digests {
+  uint64_t Result, Effort;
+};
+
 /// Folds every (plan, objective, IT) partition of \p L on \p M into
-/// one digest. \p Fault, when armed, can force the flat rung.
-uint64_t digestLoop(const Loop &L, const MachineDescription &M,
-                    fault::FaultInjector *Fault = nullptr) {
+/// one digest of the results and one of the effort counters. \p Fault,
+/// when armed, can force the flat rung.
+Digests digestLoop(const Loop &L, const MachineDescription &M,
+                   fault::FaultInjector *Fault = nullptr) {
   DDG G = DDG::build(L);
   RecurrenceInfo Recs = analyzeRecurrences(G, M.Isa.nodeLatencies(L));
   ActivityCounts Ref;
@@ -76,7 +88,7 @@ uint64_t digestLoop(const Loop &L, const MachineDescription &M,
   EnergyModel Energy(EnergyBreakdown(), Ref, 1e5, M.numClusters());
   TechnologyModel Tech = TechnologyModel::paperDefault();
 
-  Fnv D;
+  Fnv D, Work;
   for (bool Het : {false, true}) {
     HeteroConfig C = Het ? oneFastThreeSlow(M) : HeteroConfig::reference(M);
     DomainPlanner Planner(M, C,
@@ -119,10 +131,13 @@ uint64_t digestLoop(const Loop &L, const MachineDescription &M,
         D.f64(Stats.FinalScore);
         D.u64(Stats.RefineMoves);
         D.u64(Stats.FMMoves);
+        Work.u64(Stats.FMPasses);
+        Work.u64(Stats.ScoreEvals);
+        Work.u64(Stats.BoundRejects);
       }
     }
   }
-  return D.H;
+  return {D.H, Work.H};
 }
 
 MachineDescription bigLoopMachine(unsigned Ops) {
@@ -134,38 +149,48 @@ MachineDescription bigLoopMachine(unsigned Ops) {
 
 TEST(RefineGolden, SpecFPLoopsPartitionUnchanged) {
   // Per program: the digests of its loops, folded in loop order.
-  const std::map<std::string, uint64_t> Expected = {
-      {"168.wupwise", 0x30a9fe43c6e4b619ull},
-      {"171.swim", 0x4872bbc510bdd588ull},
-      {"172.mgrid", 0x6cd310690562819dull},
-      {"173.applu", 0x194784a7a76276cfull},
-      {"178.galgel", 0x92b8db648f23f454ull},
-      {"187.facerec", 0xb05fe4bd8811c33cull},
-      {"189.lucas", 0x2511e7880236169cull},
-      {"191.fma3d", 0x5517ab9964a1fbb7ull},
-      {"200.sixtrack", 0x683a71eef92b3c50ull},
-      {"301.apsi", 0xaefb28bd82d14b0aull},
+  const std::map<std::string, Digests> Expected = {
+      {"168.wupwise", {0x30a9fe43c6e4b619ull, 0xbef1606f8996b51eull}},
+      {"171.swim", {0x4872bbc510bdd588ull, 0x5335550cc061ab76ull}},
+      {"172.mgrid", {0x6cd310690562819dull, 0x62bd7e89a1b481d2ull}},
+      {"173.applu", {0x194784a7a76276cfull, 0x3b63dd14c7a0ce83ull}},
+      {"178.galgel", {0x92b8db648f23f454ull, 0x4c67f82b971d777eull}},
+      {"187.facerec", {0xb05fe4bd8811c33cull, 0x372d64d99f5f7f96ull}},
+      {"189.lucas", {0x2511e7880236169cull, 0x35eebfca67c4e5eaull}},
+      {"191.fma3d", {0x5517ab9964a1fbb7ull, 0x79566ea05f388380ull}},
+      {"200.sixtrack", {0x683a71eef92b3c50ull, 0x9ebc77b4dfa27ad8ull}},
+      {"301.apsi", {0xaefb28bd82d14b0aull, 0xa8b0b2783efb04d9ull}},
   };
   MachineDescription M = MachineDescription::paperDefault();
   ASSERT_EQ(specFPProgramNames().size(), Expected.size());
   for (const BenchmarkProgram &Prog : buildSpecFPSuite()) {
-    Fnv D;
-    for (const Loop &L : Prog.Loops)
-      D.u64(digestLoop(L, M));
+    Fnv D, Work;
+    for (const Loop &L : Prog.Loops) {
+      Digests Got = digestLoop(L, M);
+      D.u64(Got.Result);
+      Work.u64(Got.Effort);
+    }
     auto It = Expected.find(Prog.Name);
     ASSERT_NE(It, Expected.end()) << Prog.Name;
-    EXPECT_EQ(D.H, It->second) << Prog.Name << ": 0x" << std::hex << D.H;
+    EXPECT_EQ(D.H, It->second.Result) << Prog.Name << ": 0x" << std::hex
+                                      << D.H;
+    EXPECT_EQ(Work.H, It->second.Effort)
+        << Prog.Name << " effort: 0x" << std::hex << Work.H;
   }
 }
 
 TEST(RefineGolden, UnrolledBodiesPartitionUnchanged) {
-  const std::map<unsigned, uint64_t> Expected = {
-      {256, 0xbbde8eb8d9a636f9ull}, {512, 0xbe3066a73ca1a17aull}};
+  const std::map<unsigned, Digests> Expected = {
+      {256, {0xbbde8eb8d9a636f9ull, 0x1c14161126361729ull}},
+      {512, {0xbe3066a73ca1a17aull, 0x7af611f100a49387ull}}};
   for (const auto &[Ops, Want] : Expected) {
-    uint64_t Got = digestLoop(
+    Digests Got = digestLoop(
         makeUnrolledKernelLoop("golden" + std::to_string(Ops), Ops),
         bigLoopMachine(Ops));
-    EXPECT_EQ(Got, Want) << Ops << " ops: 0x" << std::hex << Got;
+    EXPECT_EQ(Got.Result, Want.Result)
+        << Ops << " ops: 0x" << std::hex << Got.Result;
+    EXPECT_EQ(Got.Effort, Want.Effort)
+        << Ops << " ops effort: 0x" << std::hex << Got.Effort;
   }
 }
 
@@ -175,12 +200,17 @@ TEST(RefineGolden, FlatRungPartitionUnchanged) {
   fault::FaultInjector Inj;
   Inj.arm(*Plan);
   MachineDescription M = MachineDescription::paperDefault();
-  Fnv D;
+  Fnv D, Work;
   for (const BenchmarkProgram &Prog : buildSpecFPSuite())
-    for (const Loop &L : Prog.Loops)
-      D.u64(digestLoop(L, M, &Inj));
+    for (const Loop &L : Prog.Loops) {
+      Digests Got = digestLoop(L, M, &Inj);
+      D.u64(Got.Result);
+      Work.u64(Got.Effort);
+    }
   EXPECT_GT(Inj.injectedDegrades(), 0u);
   EXPECT_EQ(D.H, 0xdc0a6ca56112a175ull) << "0x" << std::hex << D.H;
+  EXPECT_EQ(Work.H, 0xcbbc520d82a2e445ull)
+      << "effort: 0x" << std::hex << Work.H;
 }
 
 } // namespace

@@ -17,7 +17,13 @@
 //
 // The fixtures reach recurrence-infeasible and feasible estimates, and
 // fixpoints that need more waves than the loop has nodes (the copies
-// count toward the wave limit); the test asserts each one was seen.
+// count toward the wave limit); the test asserts each one was seen. It
+// also asserts that both paths of the kernel ran: answers its in-order
+// sweeps certified, after one sweep and after more (a two-node backward
+// chain, whose loop-carried edge raises a node already swept, needs a
+// second), and answers left to the wave fallback, converged or not. A
+// last fixture is a fixpoint the sweeps find but must not certify: the
+// waves, whose verdict the kernel keeps, give up on it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +55,10 @@ struct Coverage {
   unsigned Checked = 0, Feasible = 0, Recurrence = 0, Copies = 0;
   unsigned NoCopies = 0, DeepFixpoint = 0;
   unsigned OffGrid = 0; ///< plans whose IT is not a multiple of a period
+  /// How the kernel settled each check: certified by its sweeps (and of
+  /// those, after more than one sweep), or by the wave fallback, which
+  /// converged or gave the recurrence verdict.
+  unsigned Swept = 0, Resweeps = 0, WavesConverged = 0, WavesFailed = 0;
 };
 
 /// The oracle's answer plus what the fixpoint left behind.
@@ -205,6 +215,15 @@ void checkPartition(const Loop &L, const DDG &G, const MachineDescription &M,
   Cov.Copies += W.Comms > 0;
   Cov.NoCopies += W.Comms == 0;
   Cov.DeepFixpoint += !Want.Asap.empty() && Want.Waves > N + 1;
+  EXPECT_GE(S.LastSweeps, 1u);
+  if (S.LastWaves == 0) {
+    ++Cov.Swept;
+    Cov.Resweeps += S.LastSweeps > 1;
+    EXPECT_FALSE(Want.Asap.empty()) << "the sweeps certified a recurrence";
+  } else {
+    Cov.WavesConverged += !Want.Asap.empty();
+    Cov.WavesFailed += Want.Asap.empty();
+  }
 }
 
 HeteroConfig oneFastThreeSlow(const MachineDescription &M) {
@@ -324,17 +343,61 @@ TEST(PseudoOracle, MatchesTheMaterializedGraphEstimate) {
     Alternating.ClusterOf.push_back(N % 2);
   checkLoop(Chain, Paper, Rng, S, Cov, {Alternating});
 
+  // One loop-carried edge against node order that binds at every IT:
+  // the node it raises was already swept, so a second sweep is needed.
+  unsigned ResweepsBefore = Cov.Resweeps;
+  checkLoop(backwardChain(2), Paper, Rng, S, Cov);
+  EXPECT_GT(Cov.Resweeps, ResweepsBefore);
+
+  // A two-node recurrence split between a fast and a slow cluster, at
+  // an IT where tick rounding lets the sweeps settle on a fixpoint
+  // along walks longer than the graph (two nodes, two copies) while the
+  // waves are still changing in wave Total: the sweeps' answer must be
+  // refused so that the verdict stays the waves' "recurrence
+  // infeasible".
+  {
+    SCOPED_TRACE("rounding recurrence");
+    Loop L = parseSingleLoop("loop rounding trip=64\n  livein c = 1.5\n"
+                             "  a = fmul b@1 c init=1\n  b = add a c\n"
+                             "endloop\n");
+    DDG G = DDG::build(L);
+    RecurrenceInfo Recs = analyzeRecurrences(G, Paper.Isa.nodeLatencies(L));
+    DomainPlanner Planner(Paper, oneFastThreeSlow(Paper),
+                          FrequencyMenu::relativeLadder(4));
+    auto Plan =
+        Planner.planForIT(Planner.computeMIT(Recs.RecMII, L.opCountsByFU()));
+    ASSERT_TRUE(Plan.has_value());
+    Plan->Clusters[0].PeriodNs = Rational(9, 10);
+    Plan->Clusters[1].PeriodNs = Rational(27, 20);
+    Plan->Bus.PeriodNs = Rational(9, 10);
+    Plan->ITNs = Rational(54, 5);
+    Partition Split;
+    Split.ClusterOf = {0, 1};
+    unsigned RecurrenceBefore = Cov.Recurrence;
+    checkPartition(L, G, Paper, *Plan, Split, S, Cov);
+    EXPECT_EQ(Cov.Recurrence, RecurrenceBefore + 1);
+    EXPECT_GT(S.LastWaves, 0u);
+  }
+
   EXPECT_GT(Cov.Feasible, 0u);
   EXPECT_GT(Cov.Recurrence, 0u);
   EXPECT_GT(Cov.Copies, 0u);
   EXPECT_GT(Cov.NoCopies, 0u);
   EXPECT_GT(Cov.DeepFixpoint, 0u);
   EXPECT_GT(Cov.OffGrid, 0u);
+  EXPECT_GT(Cov.Swept, 0u);
+  EXPECT_GT(Cov.Resweeps, 0u);
+  EXPECT_GT(Cov.WavesConverged, 0u);
+  EXPECT_GT(Cov.WavesFailed, 0u);
   std::printf("checked %u partitions: feasible %u, recurrence-infeasible "
               "%u, with copies %u, fixpoints past the node count %u; %u "
               "off-grid plans\n",
               Cov.Checked, Cov.Feasible, Cov.Recurrence, Cov.Copies,
               Cov.DeepFixpoint, Cov.OffGrid);
+  std::printf("kernel paths: %u certified by the sweeps (%u after more "
+              "than one), %u by the waves (%u converged, %u did not)\n",
+              Cov.Swept, Cov.Resweeps, Cov.WavesConverged + Cov.WavesFailed,
+              Cov.WavesConverged, Cov.WavesFailed);
 }
 
 } // namespace
