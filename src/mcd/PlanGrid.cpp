@@ -46,11 +46,15 @@ void PlanGrid::computeInto(PlanGrid &G, const MachinePlan &Plan) {
   int64_t Bus = lowerChecked(Plan.Bus.PeriodNs, L);
   if (IT < 0 || Bus < 0)
     return;
+  int64_t Hyper = Bus;
   G.ClusterPeriodTicks.clear();
   G.ClusterPeriodTicks.reserve(Plan.Clusters.size());
   for (const DomainPlan &C : Plan.Clusters) {
     int64_t P = lowerChecked(C.PeriodNs, L);
     if (P < 0)
+      return;
+    Hyper = lcm64Checked(Hyper, P);
+    if (Hyper == 0 || Hyper > MaxTicks)
       return;
     G.ClusterPeriodTicks.push_back(P);
   }
@@ -58,6 +62,7 @@ void PlanGrid::computeInto(PlanGrid &G, const MachinePlan &Plan) {
   G.TicksPerNsVal = L;
   G.ITTicksVal = IT;
   G.BusPeriodTicksVal = Bus;
+  G.HyperTicksVal = Hyper;
 }
 
 int64_t PlanGrid::toTicks(const Rational &R) const {

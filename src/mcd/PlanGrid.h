@@ -13,11 +13,16 @@
 /// exactly, since tick arithmetic is Rational arithmetic scaled by one
 /// exact common denominator. It is the chain's only clock arithmetic.
 ///
-/// The lowering can fail: when the LCM (or any lowered quantity) would
-/// overflow the headroom needed by schedule-time products, the grid is
-/// invalid. The Figure 5 driver (LoopScheduler) refuses such an IT
-/// step with NoGridReason and grows the IT, as it does when a domain
-/// has no (II, frequency) pair.
+/// The grid also carries the plan's hyperperiod H: the LCM of the
+/// cluster and bus period ticks, so every domain's clock ticks at each
+/// multiple of H. The ASAP fixpoint's recurrence verdict counts start
+/// residues mod H (sched/AsapFixpoint).
+///
+/// The lowering can fail: when the LCM (or any lowered quantity, the
+/// hyperperiod included) would overflow the headroom needed by
+/// schedule-time products, the grid is invalid. The Figure 5 driver
+/// (LoopScheduler) refuses such an IT step with NoGridReason and grows
+/// the IT, as it does when a domain has no (II, frequency) pair.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +41,7 @@ class PlanGrid {
   int64_t ITTicksVal = 0;
   std::vector<int64_t> ClusterPeriodTicks;
   int64_t BusPeriodTicksVal = 0;
+  int64_t HyperTicksVal = 0;
 
 public:
   /// Lowered IT and period ticks stay below this bound so that every
@@ -49,7 +55,8 @@ public:
       "no tick grid: clock periods overflow the int64 grid";
 
   /// Lowers \p Plan onto its tick grid; the result is invalid when the
-  /// denominator LCM or any lowered quantity exceeds MaxTicks.
+  /// denominator LCM, any lowered quantity or the hyperperiod exceeds
+  /// MaxTicks.
   static PlanGrid compute(const MachinePlan &Plan);
 
   /// In-place form of compute: reuses \p G's period buffer (the
@@ -63,6 +70,8 @@ public:
     return ClusterPeriodTicks[C];
   }
   int64_t busPeriodTicks() const { return BusPeriodTicksVal; }
+  /// The LCM of every cluster period and the bus period, in ticks.
+  int64_t hyperperiodTicks() const { return HyperTicksVal; }
 
   /// Period ticks of domain \p D, where \p BusDomain is the bus id
   /// (PartitionedGraph::busDomain() layout: clusters then bus).

@@ -2,6 +2,7 @@
 
 #include "sched/PseudoScheduler.h"
 #include "mcd/SyncModel.h"
+#include "sched/AsapFixpoint.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -109,204 +110,87 @@ const char *hcvliw::gradePartitionBudgets(const MachineDescription &M,
 
 namespace {
 
-/// In-order sweeps that can run before the fixpoint is given to the
-/// waves: enough for loop-carried edges that bind once or twice.
-constexpr unsigned MaxAsapSweeps = 4;
+/// The kernel's step of the ASAP relaxation (sched/AsapFixpoint):
+/// visiting node V also visits V's copies, since their only in-edge is
+/// V's, then relaxes V's out-edges. A cross-cluster value edge leaves
+/// through its copy, so a path costs one sweep however many copies it
+/// crosses. End tracks the latest completion: starts only grow, and
+/// the last sweep sees each one final, so a running maximum over every
+/// visit is the fixpoint's.
+struct KernelStep {
+  PseudoScratch &S;
+  const DDG &G;
+  // Raw arrays, not vector references, so their loads stay out of the
+  // hot loop.
+  const unsigned *NodeLat, *ClusterOf;
+  const int *CopySlots;
+  PseudoScratch::SweepCluster *Cl;
+  const unsigned NC;
+  const int64_t BusPeriod, ITLength, CopyLatency; ///< in ticks
+  int64_t End = 0;
 
-/// The ASAP fixpoint as sweeps in node order. Right after node V come
-/// V's copies (their only in-edge is V's), then V's out-edges; a
-/// cross-cluster value edge leaves through its copy. Only a relaxation
-/// that raises a node at or before V (a loop-carried edge) can leave an
-/// edge unsatisfied, so a sweep that raises nothing backward ends at a
-/// fixpoint, and a fixpoint reached from all-zero starts by monotone
-/// relaxations is the least one. Hops[X] is the edge count of the walk
-/// whose relaxation set X's start. After wave w the FIFO waves have
-/// applied every walk of at most w + 1 edges, so with every hop count
-/// at most Total they reach the same fixpoint by wave Total: the
-/// values, the iteration length and the recurrence verdict are the
-/// waves'. Writes the latest completion to \p End. Returns false,
-/// leaving the answer to asapWaves, when the sweeps cannot certify it.
-bool asapSweeps(PseudoScratch &S, const DDG &G, const MachineDescription &M,
-                const std::vector<unsigned> &NodeLat,
-                const std::vector<unsigned> &ClusterOf, unsigned Total,
-                int64_t &End) {
-  const PlanGrid &Grid = S.Grid;
-  const unsigned N = G.size();
-  const unsigned NC = M.numClusters();
-  const int64_t BusP = Grid.busPeriodTicks();
-  const int64_t ITTicks = Grid.itTicks();
-  const int64_t CopyLatTicks = static_cast<int64_t>(M.BusLatency) * BusP;
-  std::vector<int64_t> &Start = S.Asap;
-  std::vector<unsigned> &Hops = S.Hops;
-  Start.assign(Total, 0);
-  Hops.assign(Total, 0);
-  S.SweepClusters.resize(NC);
-  PseudoScratch::SweepCluster *Cl = S.SweepClusters.data();
-  for (unsigned C = 0; C < NC; ++C) {
-    Cl[C].Period = Grid.clusterPeriodTicks(C);
-    Cl[C].OffGrid = ITTicks % Cl[C].Period != 0;
-  }
-
-  for (unsigned Sweep = 1; Sweep <= MaxAsapSweeps; ++Sweep) {
-    S.LastSweeps = Sweep;
-    // A sweep that raises nothing backward sees every start and hop
-    // count final when it reaches it, so it can take their maxima.
-    bool Backward = false;
-    unsigned MaxHops = 0;
-    End = 0;
-    for (unsigned V = 0; V < N; ++V) {
-      const unsigned CV = ClusterOf[V];
-      const int64_t PV = Cl[CV].Period;
-      const int64_t StartV = Start[V];
-      const unsigned HopV = Hops[V] + 1;
-      const int64_t Ready = StartV + static_cast<int64_t>(NodeLat[V]) * PV;
-      MaxHops = std::max(MaxHops, Hops[V]);
-      End = std::max(End, Ready);
-      const int *Row = &S.CopySlots[static_cast<size_t>(V) * NC];
-      const int64_t CopyStart = crossDomainArrival(Ready, PV, BusP);
-      for (unsigned C = 0; C < NC; ++C) {
-        if (Row[C] < 0)
-          continue;
-        const unsigned Copy = static_cast<unsigned>(Row[C]);
-        // Starts are slot-aligned; a copy's bound already is (the
-        // arrival rule lands on a bus tick).
-        if (Start[Copy] < CopyStart) {
-          Start[Copy] = CopyStart;
-          Hops[Copy] = HopV;
-        }
-        MaxHops = std::max(MaxHops, Hops[Copy]);
-        End = std::max(End, Start[Copy] + CopyLatTicks);
-        Cl[C].Arrive =
-            crossDomainArrival(Start[Copy] + CopyLatTicks, BusP, Cl[C].Period);
-        Cl[C].ArriveHops = Hops[Copy] + 1;
-      }
-      for (unsigned EIx : G.outEdges(V)) {
-        const DDG::Edge &E = G.edge(EIx);
-        const unsigned CD = ClusterOf[E.Dst];
-        int64_t Bound;
-        unsigned Hop;
-        if (isValueCarrying(E.Kind) && CD != CV) {
-          Bound = Cl[CD].Arrive;
-          Hop = Cl[CD].ArriveHops;
-        } else {
-          Bound = crossDomainArrival(
-              StartV + static_cast<int64_t>(edgeLatency(E, NodeLat)) * PV, PV,
-              Cl[CD].Period);
-          Hop = HopV;
-        }
-        // Every arrival lands on the consumer's tick; only a
-        // loop-carried bound under an IT off that tick grid needs
-        // rounding up to it.
-        const bool Round = E.Distance != 0 && Cl[CD].OffGrid;
-        Bound -= static_cast<int64_t>(E.Distance) * ITTicks;
-        if (Start[E.Dst] < Bound) {
-          Start[E.Dst] = Round ? alignUpToTick(Bound, Cl[CD].Period) : Bound;
-          Hops[E.Dst] = Hop;
-          Backward |= E.Dst <= V;
-        }
-      }
-    }
-    if (!Backward)
-      return MaxHops <= Total;
-  }
-  return false;
-}
-
-/// The TickGraph ASAP fixpoint (a FIFO worklist in waves; still
-/// changing in wave Total is the recurrence verdict), with each node's
-/// out-edges in the order the materialized graph lists them: a node's
-/// DDG out-edges in CSR order, where the edge that created a copy
-/// stands for the node -> copy edge and later edges to that copy are
-/// dropped; a copy's out-edges are its value's value edges into its
-/// cluster, in CSR order. On convergence writes the latest completion
-/// to \p End.
-bool asapWaves(PseudoScratch &S, const DDG &G, const MachineDescription &M,
-               const std::vector<unsigned> &NodeLat,
-               const std::vector<unsigned> &ClusterOf, unsigned Total,
-               int64_t &End) {
-  const PlanGrid &Grid = S.Grid;
-  const unsigned N = G.size();
-  const unsigned NC = M.numClusters();
-  const int64_t BusP = Grid.busPeriodTicks();
-  const int64_t ITTicks = Grid.itTicks();
-  const int64_t CopyLatTicks = static_cast<int64_t>(M.BusLatency) * BusP;
-  std::vector<int64_t> &Start = S.Asap;
-  Start.assign(Total, 0);
-  S.WaveCur.resize(Total);
-  for (unsigned I = 0; I < Total; ++I)
-    S.WaveCur[I] = I;
-  S.InWave.assign(Total, 0);
-  S.WaveNext.clear();
-  auto relax = [&](unsigned Dst, int64_t Bound, int64_t DstPeriod) {
-    if (Start[Dst] >= Bound)
-      return;
-    // Starts are slot-aligned: round the bound up to the domain tick.
-    int64_t Aligned = alignUpToTick(Bound, DstPeriod);
-    if (Start[Dst] < Aligned) {
-      Start[Dst] = Aligned;
-      if (!S.InWave[Dst]) {
-        S.InWave[Dst] = 1;
-        S.WaveNext.push_back(Dst);
-      }
-    }
-  };
-  for (unsigned Wave = 0; Wave <= Total; ++Wave) {
-    S.LastWaves = Wave + 1;
-    for (unsigned V : S.WaveCur) {
-      S.InWave[V] = 0;
-      if (V < N) {
-        const unsigned CV = ClusterOf[V];
-        const int64_t PV = Grid.clusterPeriodTicks(CV);
-        for (unsigned EIx : G.outEdges(V)) {
-          const DDG::Edge &E = G.edge(EIx);
-          const unsigned CD = ClusterOf[E.Dst];
-          if (isValueCarrying(E.Kind) && CD != CV) {
-            unsigned Copy = static_cast<unsigned>(
-                S.CopySlots[static_cast<size_t>(V) * NC + CD]);
-            if (S.CopyEdge[Copy - N] != EIx)
-              continue;
-            int64_t Ready =
-                Start[V] + static_cast<int64_t>(NodeLat[V]) * PV;
-            relax(Copy, crossDomainArrival(Ready, PV, BusP), BusP);
-            continue;
-          }
-          const int64_t PD = Grid.clusterPeriodTicks(CD);
-          int64_t Ready =
-              Start[V] + static_cast<int64_t>(edgeLatency(E, NodeLat)) * PV;
-          relax(E.Dst,
-                crossDomainArrival(Ready, PV, PD) -
-                    static_cast<int64_t>(E.Distance) * ITTicks,
-                PD);
-        }
+  void visit(AsapSweep &Sw, unsigned V) {
+    // Held in locals: a raise stores through an int64 pointer, after
+    // which the compiler must reload any int64 member.
+    const int64_t BusP = BusPeriod, ITTicks = ITLength;
+    const int64_t CopyLatTicks = CopyLatency;
+    const unsigned CV = ClusterOf[V];
+    const int64_t PV = Cl[CV].Period;
+    const int64_t StartV = Sw.Start[V];
+    const uint64_t DepthV = Sw.Depth[V] + 1;
+    const int64_t Ready = StartV + static_cast<int64_t>(NodeLat[V]) * PV;
+    End = std::max(End, Ready);
+    const int *Row = &CopySlots[static_cast<size_t>(V) * NC];
+    const int64_t CopyStart = crossDomainArrival(Ready, PV, BusP);
+    for (unsigned C = 0; C < NC; ++C) {
+      if (Row[C] < 0)
         continue;
-      }
-      const unsigned Value = S.CopyValue[V - N];
-      const unsigned To = S.CopyCluster[V - N];
-      const int64_t PD = Grid.clusterPeriodTicks(To);
-      const int64_t Arrive =
-          crossDomainArrival(Start[V] + CopyLatTicks, BusP, PD);
-      for (unsigned EIx : G.outEdges(Value)) {
-        const DDG::Edge &E = G.edge(EIx);
-        if (isValueCarrying(E.Kind) && ClusterOf[E.Dst] == To)
-          relax(E.Dst, Arrive - static_cast<int64_t>(E.Distance) * ITTicks,
-                PD);
-      }
+      const unsigned Copy = static_cast<unsigned>(Row[C]);
+      // The arrival rule lands a copy on a bus tick.
+      Sw.raise(Copy, CopyStart, DepthV, false);
+      End = std::max(End, Sw.Start[Copy] + CopyLatTicks);
+      Cl[C].Arrive = crossDomainArrival(Sw.Start[Copy] + CopyLatTicks, BusP,
+                                        Cl[C].Period);
+      Cl[C].ArriveDepth = Sw.Depth[Copy] + 1;
     }
-    if (S.WaveNext.empty()) {
-      End = 0;
-      for (unsigned V = 0; V < N; ++V) {
-        const int64_t PV = Grid.clusterPeriodTicks(ClusterOf[V]);
-        End = std::max(End, Start[V] + static_cast<int64_t>(NodeLat[V]) * PV);
+    for (unsigned EIx : G.outEdges(V)) {
+      const DDG::Edge &E = G.edge(EIx);
+      const unsigned CD = ClusterOf[E.Dst];
+      int64_t Bound;
+      uint64_t Depth;
+      if (isValueCarrying(E.Kind) && CD != CV) {
+        Bound = Cl[CD].Arrive;
+        Depth = Cl[CD].ArriveDepth;
+      } else {
+        Bound = crossDomainArrival(
+            StartV + static_cast<int64_t>(edgeLatency(E, NodeLat)) * PV, PV,
+            Cl[CD].Period);
+        Depth = DepthV;
       }
-      for (unsigned V = N; V < Total; ++V)
-        End = std::max(End, Start[V] + CopyLatTicks);
-      return true;
+      // Every arrival lands on the consumer's tick; only a loop-carried
+      // bound under an IT off that tick grid needs rounding up to it.
+      Bound -= static_cast<int64_t>(E.Distance) * ITTicks;
+      if (Sw.Start[E.Dst] < Bound)
+        Sw.raise(E.Dst,
+                 E.Distance != 0 && Cl[CD].OffGrid
+                     ? alignUpToTick(Bound, Cl[CD].Period)
+                     : Bound,
+                 Depth, E.Dst <= V);
     }
-    S.WaveCur.swap(S.WaveNext);
-    S.WaveNext.clear();
   }
-  return false;
-}
+
+  /// D: H / P residues per node, and H / P_bus per copy.
+  uint64_t depthLimit() const {
+    const int64_t H = S.Grid.hyperperiodTicks();
+    const unsigned N = G.size();
+    uint64_t D = static_cast<uint64_t>(S.CopyValue.size()) *
+                 static_cast<uint64_t>(H / BusPeriod);
+    for (unsigned V = 0; V < N; ++V)
+      D += static_cast<uint64_t>(
+          H / Cl[ClusterOf[V]].Period);
+    return D;
+  }
+};
 
 } // namespace
 
@@ -323,7 +207,6 @@ bool hcvliw::pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
   const PlanGrid &Grid = S.Grid;
   const unsigned N = G.size();
   const unsigned NC = M.numClusters();
-  S.LastSweeps = S.LastWaves = 0;
 
   // Copies, in the order PartitionedGraph::buildInto creates them: the
   // first cross-cluster value edge of each (value, cluster) pair, in
@@ -331,7 +214,6 @@ bool hcvliw::pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
   S.CopySlots.assign(static_cast<size_t>(N) * NC, -1);
   S.CopyValue.clear();
   S.CopyCluster.clear();
-  S.CopyEdge.clear();
   for (unsigned EIx = 0; EIx < G.numEdges(); ++EIx) {
     const DDG::Edge &E = G.edge(EIx);
     unsigned To = ClusterOf[E.Dst];
@@ -343,15 +225,22 @@ bool hcvliw::pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
     Slot = static_cast<int>(N + S.CopyValue.size());
     S.CopyValue.push_back(E.Src);
     S.CopyCluster.push_back(To);
-    S.CopyEdge.push_back(EIx);
   }
   const unsigned Total = N + static_cast<unsigned>(S.CopyValue.size());
 
-  int64_t End = 0;
-  if (!asapSweeps(S, G, M, NodeLat, ClusterOf, Total, End) &&
-      !asapWaves(S, G, M, NodeLat, ClusterOf, Total, End))
+  S.SweepClusters.resize(NC);
+  for (unsigned C = 0; C < NC; ++C) {
+    PseudoScratch::SweepCluster &Cl = S.SweepClusters[C];
+    Cl.Period = Grid.clusterPeriodTicks(C);
+    Cl.OffGrid = Grid.itTicks() % Cl.Period != 0;
+  }
+  const int64_t BusP = Grid.busPeriodTicks();
+  KernelStep Step{S, G, NodeLat.data(), ClusterOf.data(), S.CopySlots.data(),
+                  S.SweepClusters.data(), NC, BusP, Grid.itTicks(),
+                  static_cast<int64_t>(M.BusLatency) * BusP};
+  if (!sweepAsapFixpoint(Step, S.Asap, S.Depth, Total, N, S.LastSweeps))
     return false;
-  ItLengthNs = Grid.toNs(End);
+  ItLengthNs = Grid.toNs(Step.End);
   return true;
 }
 

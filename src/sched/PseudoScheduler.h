@@ -15,21 +15,12 @@
 /// The timing kernel (pseudoScheduleAsap) builds no graph: it reads the
 /// DDG's CSR, the cluster assignment and the plan's tick grid, and
 /// treats the inter-cluster copies as virtual nodes numbered as a
-/// materialized PartitionedGraph would number them. Its answer is the
-/// one the scheduler's TickGraph fixpoint, a FIFO worklist in waves,
-/// gives on that graph: the least ASAP fixpoint, or "recurrence
-/// infeasible" when the waves still change something in wave Total
-/// (nodes plus copies). The kernel gets there by
-///   - sweeps in node order, each node followed by its copies, so a
-///     path costs one sweep however many copies it crosses; only a
-///     loop-carried edge that raises an earlier node asks for another
-///     sweep, up to a small cap;
-///   - a certificate: every start records the edge count of the walk
-///     that set it, and since the waves apply every walk of w + 1
-///     edges by wave w, a sweep fixpoint whose walks all have at most
-///     Total edges is the waves' answer too;
-///   - a fallback: whatever the sweeps cannot certify (too many sweeps,
-///     or a walk longer than Total) reruns the waves themselves.
+/// materialized PartitionedGraph would number them. It runs the one
+/// ASAP relaxation of the scheduling chain (sched/AsapFixpoint) with a
+/// step that visits each node, then its copies, then its out-edges.
+/// So its answer is the scheduler's TickGraph answer on that graph: the
+/// least ASAP fixpoint, or "recurrence infeasible" exactly when none
+/// exists, whatever the visit order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -126,33 +117,28 @@ struct PseudoScratch {
   PlanGrid Grid;
   std::vector<unsigned> NodeLat;
   /// Virtual copies: flat [value][cluster] -> copy id (-1: none), and
-  /// per copy (id - node count) its value, destination cluster and the
-  /// DDG edge that created it.
+  /// per copy (id - node count) its value and destination cluster.
   std::vector<int> CopySlots;
-  std::vector<unsigned> CopyValue, CopyCluster, CopyEdge;
+  std::vector<unsigned> CopyValue, CopyCluster;
   /// ASAP start ticks of the nodes, then the copies.
   std::vector<int64_t> Asap;
-  /// The sweeps' working set: per node and copy, the edge count of the
-  /// walk that set its start, and per cluster the SweepCluster below.
-  std::vector<unsigned> Hops;
+  /// Per node and copy, the causal-chain depth of its start, and per
+  /// cluster the SweepCluster below.
+  std::vector<uint64_t> Depth;
   struct SweepCluster {
     int64_t Period = 0;
     /// The IT is not a multiple of Period, so a loop-carried bound can
     /// fall between the cluster's ticks and needs rounding up.
     bool OffGrid = false;
-    /// The swept node's copy into this cluster: when its value arrives,
-    /// and the edge count of that walk.
+    /// The visited node's copy into this cluster: when its value
+    /// arrives, and that arrival's depth.
     int64_t Arrive = 0;
-    unsigned ArriveHops = 0;
+    uint64_t ArriveDepth = 0;
   };
   std::vector<SweepCluster> SweepClusters;
-  /// The fallback's worklist.
-  std::vector<unsigned> WaveCur, WaveNext;
-  std::vector<uint8_t> InWave;
-  /// How the last pseudoScheduleAsap call settled its fixpoint: the
-  /// sweeps it ran, and the waves of the fallback (0 when the sweeps
-  /// certified the answer). A result for tests; nothing reads it back.
-  unsigned LastSweeps = 0, LastWaves = 0;
+  /// The sweeps the last pseudoScheduleAsap call ran. A result for
+  /// tests; nothing reads it back.
+  unsigned LastSweeps = 0;
   PartitionTally Tally;
   std::vector<int64_t> Cap; ///< slotCapacityInto table
   PseudoSchedule Result; ///< reused by scorePartition
@@ -164,7 +150,7 @@ struct PseudoScratch {
 /// \p S (one per (value, consuming cluster) pair, numbered after the
 /// nodes in DDG edge order, as PartitionedGraph numbers them), runs the
 /// exact ASAP fixpoint on \p Plan's tick grid and returns false when a
-/// recurrence cannot meet the IT. Otherwise writes the iteration length
+/// recurrence cannot meet the IT (no fixpoint exists). Otherwise writes the iteration length
 /// (latest ASAP completion) to \p ItLengthNs. Throws
 /// std::invalid_argument when \p Plan has no tick grid.
 bool pseudoScheduleAsap(PseudoScratch &S, const DDG &G,

@@ -1,6 +1,7 @@
 //===- sched/TickGraph.cpp - Tick-domain view of a partitioned graph -------===//
 
 #include "sched/TickGraph.h"
+#include "sched/AsapFixpoint.h"
 
 #include <stdexcept>
 
@@ -25,6 +26,9 @@ bool TickGraph::buildInto(TickGraph &T, const PartitionedGraph &Graph,
 
   unsigned N = Graph.size();
   unsigned Bus = Graph.busDomain();
+  T.NumOps = 0;
+  while (T.NumOps < N && Graph.node(T.NumOps).OrigOp >= 0)
+    ++T.NumOps;
   T.PeriodTicksVec.resize(N);
   T.IIsVec.resize(N);
   for (unsigned I = 0; I < N; ++I) {
@@ -61,55 +65,50 @@ const TickGraph *TickGraph::resolve(const TickGraph *Prebuilt,
   return Prebuilt;
 }
 
-std::optional<std::vector<int64_t>> TickGraph::computeAsapTicks() const {
-  std::vector<int64_t> Start;
-  if (!computeAsapTicksInto(Start))
-    return std::nullopt;
-  return Start;
-}
+namespace {
+
+/// The scheduler's step of the ASAP relaxation (sched/AsapFixpoint):
+/// visiting original node V relaxes V's out-edges in CSR order, and
+/// visits each copy right after the edge into it, so a copy is never
+/// behind the sweep.
+struct TickStep {
+  const TickGraph &T;
+  const PartitionedGraph &PG;
+  const unsigned NumOps;
+
+  /// Relaxes \p U's out-edges during the visit of original node \p V.
+  void relaxOut(AsapSweep &Sw, unsigned U, unsigned V) const {
+    const int64_t StartU = Sw.Start[U];
+    const uint64_t Depth = Sw.Depth[U] + 1;
+    for (unsigned EIx : PG.outEdges(U)) {
+      const unsigned Dst = PG.edge(EIx).Dst;
+      const int64_t Bound = T.edgeStartBound(EIx, StartU);
+      // Starts are slot-aligned: round the bound up to the domain tick.
+      if (Sw.Start[Dst] < Bound)
+        Sw.raise(Dst, alignUpToTick(Bound, T.periodTicks(Dst)), Depth,
+                 Dst <= V);
+      if (Dst >= NumOps && U < NumOps)
+        relaxOut(Sw, Dst, V);
+    }
+  }
+
+  void visit(AsapSweep &Sw, unsigned V) const { relaxOut(Sw, V, V); }
+
+  /// D: H / P residues per node.
+  uint64_t depthLimit() const {
+    const int64_t H = T.grid().hyperperiodTicks();
+    uint64_t D = 0;
+    for (unsigned N = 0; N < PG.size(); ++N)
+      D += static_cast<uint64_t>(H / T.periodTicks(N));
+    return D;
+  }
+};
+
+} // namespace
 
 bool TickGraph::computeAsapTicksInto(std::vector<int64_t> &Start) const {
-  unsigned N = PG->size();
-  Start.assign(N, 0);
-  // Longest-path fixpoint as a FIFO worklist in waves: wave k relaxes
-  // the out-edges of nodes raised in wave k-1, so each edge is visited
-  // only when its source actually changed (a round-based fixpoint
-  // rescans every edge every round). A fixpoint reached from all-zero
-  // starts by monotone relaxations is the least one, so converged
-  // values equal the round-based ones. The verdict is only that: no
-  // fixpoint within N + 1 waves. It is not a proof of a positive
-  // cycle — with tick rounding an edge's arrival is no shift of its
-  // source's start, so a walk that revisits a node can still raise it,
-  // and whether the limit is reached can depend on the visit order.
-  WaveCur.resize(N);
-  for (unsigned I = 0; I < N; ++I)
-    WaveCur[I] = I;
-  InWave.assign(N, 0);
-  WaveNext.clear();
-  for (unsigned Wave = 0; Wave <= N; ++Wave) {
-    for (unsigned V : WaveCur) {
-      InWave[V] = 0;
-      for (unsigned EIx : PG->outEdges(V)) {
-        const PGEdge &E = PG->edge(EIx);
-        int64_t Bound = edgeStartBound(EIx, Start[V]);
-        if (Start[E.Dst] < Bound) {
-          // Starts are slot-aligned: round the bound up to the domain
-          // tick.
-          int64_t Aligned = alignUpToTick(Bound, PeriodTicksVec[E.Dst]);
-          if (Start[E.Dst] < Aligned) {
-            Start[E.Dst] = Aligned;
-            if (!InWave[E.Dst]) {
-              InWave[E.Dst] = 1;
-              WaveNext.push_back(E.Dst);
-            }
-          }
-        }
-      }
-    }
-    if (WaveNext.empty())
-      return true;
-    WaveCur.swap(WaveNext);
-    WaveNext.clear();
-  }
-  return false;
+  TickStep Step{*this, *PG, NumOps};
+  unsigned Sweeps = 0;
+  return sweepAsapFixpoint(Step, Start, AsapDepth, PG->size(), NumOps,
+                           Sweeps);
 }

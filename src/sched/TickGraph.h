@@ -16,6 +16,14 @@
 /// kernel, which applies the same rules on the same PlanGrid without
 /// building a graph (sched/PseudoScheduler), the only clock arithmetic
 /// of the scheduling chain.
+///
+/// The ASAP fixpoint is the scheduling chain's one relaxation
+/// (sched/AsapFixpoint, which proves its verdict): sweeps that visit
+/// each original node, and each copy right after the edge from its
+/// producer, until a sweep raises no node it already visited. It gives
+/// the least fixpoint, or "recurrence infeasible" exactly when none
+/// exists, whatever the visit order.
+///
 /// Every tick quantity is the exact Rational time times ticksPerNs;
 /// tests/sched/TickDomainTest checks the ASAP fixpoint against a
 /// Rational oracle and pins the driver's output to golden digests.
@@ -45,11 +53,13 @@ class TickGraph {
   std::vector<int64_t> IIsVec;         ///< per node
   std::vector<int64_t> EdgeLatTicks;   ///< per edge: latency * period(src)
   std::vector<int64_t> EdgeDistTicks;  ///< per edge: distance * IT
-  /// Worklist buffers of computeAsapTicksInto, reused across calls (a
+  /// Nodes before this index are original operations; the copies
+  /// follow them (PartitionedGraph::buildInto's layout).
+  unsigned NumOps = 0;
+  /// The ASAP fixpoint's per-node depths, reused across calls (a
   /// TickGraph lives in a per-thread scratch arena; mutable because the
   /// fixpoint is logically const).
-  mutable std::vector<unsigned> WaveCur, WaveNext;
-  mutable std::vector<uint8_t> InWave;
+  mutable std::vector<uint64_t> AsapDepth;
 
 public:
   /// Lowers \p Graph under \p Plan; std::nullopt when the plan has no
@@ -101,14 +111,10 @@ public:
     return Arrive - EdgeDistTicks[EIx];
   }
 
-  /// Earliest starts of every node ignoring resources (an exact
-  /// longest-path fixpoint over the cross-domain timing rule), or
-  /// std::nullopt when a dependence cycle cannot meet the IT.
-  std::optional<std::vector<int64_t>> computeAsapTicks() const;
-
-  /// In-place form of computeAsapTicks: fills \p Start (resized to the
-  /// node count) and returns false when the recurrence cannot meet the
-  /// IT. Identical values to computeAsapTicks.
+  /// Earliest starts of every node ignoring resources, the least
+  /// fixpoint of the cross-domain timing rule, into \p Start (resized
+  /// to the node count). Returns false when no fixpoint exists: a
+  /// dependence cycle cannot meet the IT.
   bool computeAsapTicksInto(std::vector<int64_t> &Start) const;
 };
 

@@ -4,8 +4,9 @@
 // bit-identical for Threads in {1, 2, 4} (the acceptance gate); the
 // re-ranking by measured ED2 and the two argmins are internally
 // consistent; the SuiteRunner's --measure-frontier mode fills one
-// measured frontier per successful program; and the CSV/JSON
-// serialization carries every point.
+// measured frontier per successful program; the CSV/JSON
+// serialization carries every point; and every program's measured
+// frontier, under two menu and bus settings, matches a golden digest.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 using namespace hcvliw;
 
@@ -166,6 +168,79 @@ TEST(SuiteRunner, MeasuredFrontiersBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(Par.Frontiers.size(), Serial.Frontiers.size());
     for (size_t I = 0; I < Serial.Frontiers.size(); ++I)
       expectBitIdentical(Serial.Frontiers[I], Par.Frontiers[I]);
+  }
+}
+
+// --- Golden values ---------------------------------------------------------
+
+/// Byte-wise FNV-1a over one measured frontier: every point's
+/// candidate, the bits of its estimated and measured Texec, energy and
+/// ED2, then the measured rank and both argmins.
+uint64_t digestFrontier(const MeasuredFrontier &F) {
+  uint64_t H = 1469598103934665603ull;
+  auto u64 = [&](uint64_t V) {
+    for (unsigned B = 0; B < 8; ++B) {
+      H ^= static_cast<unsigned char>(V >> (8 * B));
+      H *= 1099511628211ull;
+    }
+  };
+  auto bits = [&](double D) {
+    uint64_t B;
+    std::memcpy(&B, &D, sizeof B);
+    u64(B);
+  };
+  u64(F.Points.size());
+  for (const FrontierPointMeasurement &P : F.Points) {
+    u64(P.Candidate);
+    bits(P.Design.EstTexecNs);
+    bits(P.Design.EstEnergy);
+    bits(P.Design.EstED2);
+    u64(P.Measured.Ok);
+    bits(P.Measured.TexecNs);
+    bits(P.Measured.Energy);
+    bits(P.Measured.ED2);
+  }
+  u64(F.RankByMeasuredED2.size());
+  for (size_t R : F.RankByMeasuredED2)
+    u64(R);
+  u64(F.EstArgmin);
+  u64(F.MeasArgmin);
+  return H;
+}
+
+/// digestFrontier of each SPECfp program, in suite order, with the
+/// continuous menu at one bus and with a 16-frequency ladder at two.
+constexpr uint64_t GoldenFrontiers[2][10] = {
+    {0x2716493dc2c58e6dull, 0x86ec7984463345f9ull, 0x075c44d2076c80e5full,
+     0x5952b68eeb68e708ull, 0xf4ece1027c59b6ffull, 0xc77ac530607dbfd8ull,
+     0xe32522acf5a1d607ull, 0x90b4c3cccba8a301ull, 0xec4d66dc753e8763ull,
+     0x3fabab6cfc35492full}, // continuous menu, 1 bus
+    {0x61c728df37021456ull, 0x0068eb08a0cc1c91ull, 0x037e843ba5735043ull,
+     0xf805c822e3cd23ecull, 0x5319ac833a452c0dull, 0x6b9e4efcf43999fbull,
+     0x6e864d2d9cdb49ecull, 0x6e48ede79e19baa2ull, 0xe017d6e7b6d2f818ull,
+     0xca64a1b9706ce20aull}, // relativeLadder(16), 2 buses
+};
+
+TEST(MeasuredFrontier, MatchesGoldenDigests) {
+  std::vector<BenchmarkProgram> Programs = buildSpecFPSuite();
+  ASSERT_EQ(Programs.size(), 10u);
+  SuiteOptions SO;
+  SO.MeasureFrontier = true;
+  for (unsigned Setting = 0; Setting < 2; ++Setting) {
+    PipelineOptions Opts;
+    if (Setting == 1) {
+      Opts.MenuSize = 16;
+      Opts.Buses = 2;
+    }
+    Session S{Opts, 2};
+    SuiteResult R = SuiteRunner(S).run(Programs, SO);
+    ASSERT_EQ(R.Frontiers.size(), Programs.size()) << "setting " << Setting;
+    for (size_t I = 0; I < R.Frontiers.size(); ++I) {
+      uint64_t Digest = digestFrontier(R.Frontiers[I]);
+      EXPECT_EQ(Digest, GoldenFrontiers[Setting][I])
+          << R.Frontiers[I].Program << " setting " << Setting << ": 0x"
+          << std::hex << Digest;
+    }
   }
 }
 

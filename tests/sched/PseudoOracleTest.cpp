@@ -13,17 +13,24 @@
 //   - every PseudoSchedule field matches the oracle's bit for bit;
 //   - the virtual copies are the graph's copy nodes, numbered alike;
 //   - on a feasible recurrence check, the ASAP start of every node and
-//     copy equals the TickGraph fixpoint's.
+//     copy equals the TickGraph fixpoint's;
+//   - wherever the FIFO waves that once defined the verdict converge,
+//     the fixpoint is theirs too.
 //
 // The fixtures reach recurrence-infeasible and feasible estimates, and
 // fixpoints that need more waves than the loop has nodes (the copies
-// count toward the wave limit); the test asserts each one was seen. It
-// also asserts that both paths of the kernel ran: answers its in-order
-// sweeps certified, after one sweep and after more (a two-node backward
-// chain, whose loop-carried edge raises a node already swept, needs a
-// second), and answers left to the wave fallback, converged or not. A
-// last fixture is a fixpoint the sweeps find but must not certify: the
-// waves, whose verdict the kernel keeps, give up on it.
+// count toward the wave limit); the test asserts each one was seen,
+// and that the kernel settled some answers in one sweep and some in
+// more (a two-node backward chain, whose loop-carried edge raises a
+// node already swept, needs a second). A last fixture is a fixpoint
+// the waves give up on: the relaxation must find it.
+//
+// The relaxation's verdict does not depend on visit order
+// (sched/AsapFixpoint proves it). The AsapFixpoint tests run the
+// scheduler's fixpoint on seeded relabelings of each graph, which
+// change the order its sweeps visit nodes and relax edges, and expect
+// the same verdict and starts: over the fixtures above, and over a
+// seeded sample of two-node recurrences split across two clusters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +48,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <numeric>
 
 using namespace hcvliw;
 
@@ -54,11 +63,14 @@ constexpr unsigned RandomParts = 3;
 struct Coverage {
   unsigned Checked = 0, Feasible = 0, Recurrence = 0, Copies = 0;
   unsigned NoCopies = 0, DeepFixpoint = 0;
-  unsigned OffGrid = 0; ///< plans whose IT is not a multiple of a period
-  /// How the kernel settled each check: certified by its sweeps (and of
-  /// those, after more than one sweep), or by the wave fallback, which
-  /// converged or gave the recurrence verdict.
-  unsigned Swept = 0, Resweeps = 0, WavesConverged = 0, WavesFailed = 0;
+  unsigned OffGrid = 0; ///< checks whose IT is off some period's grid
+  /// How the kernel settled each check: in one sweep, or in more; and
+  /// whether it reached the fixpoint or proved there is none.
+  unsigned Swept = 0, Resweeps = 0, Converged = 0, Divergent = 0;
+  /// Checks the waves gave up on although a fixpoint exists.
+  unsigned WavesGaveUp = 0;
+  unsigned MostSweeps = 0;
+  uint64_t LargestD = 0;
 };
 
 /// The oracle's answer plus what the fixpoint left behind.
@@ -66,11 +78,26 @@ struct Oracle {
   PseudoSchedule PS;
   PartitionedGraph PG;
   std::vector<int64_t> Asap; ///< empty when the recurrence check failed
-  unsigned Waves = 0;        ///< waves the fixpoint ran
+  bool WavesConverged = false;
+  unsigned Waves = 0; ///< waves the FIFO waves ran
+  uint64_t D = 0;     ///< the verdict's depth limit on PG
 };
 
-/// The TickGraph ASAP fixpoint restated over its public accessors, to
-/// count the waves it runs (the limit is the graph's node count).
+/// The relaxation's depth limit D on \p TG: the start residues mod the
+/// hyperperiod, summed over the nodes (sched/AsapFixpoint).
+uint64_t depthLimit(const TickGraph &TG) {
+  uint64_t D = 0;
+  for (unsigned N = 0; N < TG.graph().size(); ++N)
+    D += static_cast<uint64_t>(TG.grid().hyperperiodTicks() /
+                               TG.periodTicks(N));
+  return D;
+}
+
+/// The FIFO waves that defined the ASAP verdict before the order-free
+/// relaxation: a worklist in waves, with "still changing in wave N"
+/// (N the graph's node count) as the recurrence verdict. That verdict
+/// depends on visit order; where the waves converge, their values are
+/// the least fixpoint, so they stay as an oracle there.
 bool asapWaves(const TickGraph &TG, std::vector<int64_t> &Start,
                unsigned &Waves) {
   const PartitionedGraph &PG = TG.graph();
@@ -142,7 +169,12 @@ Oracle oracleEstimate(const Loop &L, const DDG &G,
   EXPECT_TRUE(TG.has_value());
   bool RecurrenceInfeasible = !TG->computeAsapTicksInto(O.Asap);
   std::vector<int64_t> Restated;
-  EXPECT_EQ(asapWaves(*TG, Restated, O.Waves), !RecurrenceInfeasible);
+  O.WavesConverged = asapWaves(*TG, Restated, O.Waves);
+  if (O.WavesConverged) {
+    EXPECT_FALSE(RecurrenceInfeasible) << "the waves found a fixpoint";
+    EXPECT_EQ(Restated, O.Asap);
+  }
+  O.D = depthLimit(*TG);
   if (RecurrenceInfeasible) {
     O.Asap.clear();
   } else {
@@ -208,22 +240,32 @@ void checkPartition(const Loop &L, const DDG &G, const MachineDescription &M,
   if (!Want.Asap.empty()) {
     EXPECT_EQ(S.Asap, Want.Asap);
   }
+  // The kernel's own verdict, which the grading above folds into the
+  // overflow.
+  Rational ItLength;
+  const bool KernelConverged =
+      pseudoScheduleAsap(S, G, M, Plan, S.NodeLat, P.ClusterOf, ItLength);
+  EXPECT_EQ(KernelConverged, !Want.Asap.empty());
 
   ++Cov.Checked;
   Cov.Feasible += W.Feasible;
   Cov.Recurrence += Want.Asap.empty();
   Cov.Copies += W.Comms > 0;
   Cov.NoCopies += W.Comms == 0;
-  Cov.DeepFixpoint += !Want.Asap.empty() && Want.Waves > N + 1;
+  Cov.DeepFixpoint += Want.WavesConverged && Want.Waves > N + 1;
+  Cov.WavesGaveUp += !Want.WavesConverged && !Want.Asap.empty();
   EXPECT_GE(S.LastSweeps, 1u);
-  if (S.LastWaves == 0) {
-    ++Cov.Swept;
-    Cov.Resweeps += S.LastSweeps > 1;
-    EXPECT_FALSE(Want.Asap.empty()) << "the sweeps certified a recurrence";
-  } else {
-    Cov.WavesConverged += !Want.Asap.empty();
-    Cov.WavesFailed += Want.Asap.empty();
-  }
+  Cov.Swept += S.LastSweeps == 1;
+  Cov.Resweeps += S.LastSweeps > 1;
+  Cov.Converged += KernelConverged;
+  Cov.Divergent += !KernelConverged;
+  Cov.MostSweeps = std::max(Cov.MostSweeps, S.LastSweeps);
+  Cov.LargestD = std::max(Cov.LargestD, Want.D);
+  PlanGrid Grid = PlanGrid::compute(Plan);
+  bool OnGrid = Grid.itTicks() % Grid.busPeriodTicks() == 0;
+  for (unsigned Cl = 0; Cl < M.numClusters(); ++Cl)
+    OnGrid &= Grid.itTicks() % Grid.clusterPeriodTicks(Cl) == 0;
+  Cov.OffGrid += !OnGrid;
 }
 
 HeteroConfig oneFastThreeSlow(const MachineDescription &M) {
@@ -261,11 +303,17 @@ std::vector<Partition> partitionsFor(unsigned Nodes, unsigned NC, RNG &Rng) {
   return Out;
 }
 
-/// Checks \p L on \p M under the homogeneous and the heterogeneous plan,
-/// at the MIT and ExtraITs further ITs, plus \p Extra partitions.
-void checkLoop(const Loop &L, const MachineDescription &M, RNG &Rng,
-               PseudoScratch &S, Coverage &Cov,
-               const std::vector<Partition> &Extra = {}) {
+/// One (loop, DDG, machine, plan, partition) case of the fixtures.
+using CaseFn =
+    std::function<void(const Loop &, const DDG &, const MachineDescription &,
+                       const MachinePlan &, const Partition &)>;
+
+/// Calls \p Check on \p L on \p M under the homogeneous and the
+/// heterogeneous plan, at the MIT and ExtraITs further ITs, plus
+/// \p Extra partitions.
+void forEachCase(const Loop &L, const MachineDescription &M, RNG &Rng,
+                 const CaseFn &Check,
+                 const std::vector<Partition> &Extra = {}) {
   SCOPED_TRACE(L.Name);
   DDG G = DDG::build(L);
   RecurrenceInfo Recs = analyzeRecurrences(G, M.Isa.nodeLatencies(L));
@@ -288,18 +336,12 @@ void checkLoop(const Loop &L, const MachineDescription &M, RNG &Rng,
       // bounds need rounding up to the consumer's clock.
       MachinePlan OffGrid = *Plan;
       OffGrid.ITNs = Plan->ITNs + Rational(1, 7);
-      for (const MachinePlan *Pl : {&*Plan, &OffGrid}) {
-        PlanGrid Grid = PlanGrid::compute(*Pl);
-        bool OnGrid = Grid.itTicks() % Grid.busPeriodTicks() == 0;
-        for (unsigned Cl = 0; Cl < NC; ++Cl)
-          OnGrid &= Grid.itTicks() % Grid.clusterPeriodTicks(Cl) == 0;
-        Cov.OffGrid += !OnGrid;
+      for (const MachinePlan *Pl : {&*Plan, &OffGrid})
         for (const Partition &P : Parts) {
-          checkPartition(L, G, M, *Pl, P, S, Cov);
+          Check(L, G, M, *Pl, P);
           if (::testing::Test::HasFatalFailure())
             return;
         }
-      }
     }
   }
 }
@@ -317,66 +359,92 @@ Loop backwardChain(unsigned Len) {
   return parseSingleLoop(Text);
 }
 
-TEST(PseudoOracle, MatchesTheMaterializedGraphEstimate) {
-  Coverage Cov;
-  PseudoScratch S;
-  RNG Rng(0x5eed0dac);
+/// forEachCase over the seeded random loops, the 256- and 512-op
+/// unrolled bodies and a 24-link backward chain whose links alternate
+/// clusters, all drawn from \p Rng.
+void forEachFixture(RNG &Rng, const CaseFn &Check) {
   MachineDescription Paper = MachineDescription::paperDefault();
-
   RandomLoopParams Params;
   Params.RecurrenceProb = 0.7;
   for (unsigned I = 0; I < 24; ++I)
-    checkLoop(makeRandomLoop(Rng, Params, "rand" + std::to_string(I)), Paper,
-              Rng, S, Cov);
+    forEachCase(makeRandomLoop(Rng, Params, "rand" + std::to_string(I)),
+                Paper, Rng, Check);
 
   for (unsigned Ops : {256u, 512u}) {
     MachineDescription Big = Paper;
     for (auto &Cl : Big.Clusters)
       Cl.Registers = bigLoopRegisters(Ops);
-    checkLoop(makeUnrolledKernelLoop("unrolled" + std::to_string(Ops), Ops),
-              Big, Rng, S, Cov);
+    forEachCase(makeUnrolledKernelLoop("unrolled" + std::to_string(Ops), Ops),
+                Big, Rng, Check);
   }
 
   Loop Chain = backwardChain(24);
   Partition Alternating;
   for (unsigned N = 0; N < Chain.size(); ++N)
     Alternating.ClusterOf.push_back(N % 2);
-  checkLoop(Chain, Paper, Rng, S, Cov, {Alternating});
+  forEachCase(Chain, Paper, Rng, Check, {Alternating});
+}
+
+/// A two-node recurrence: \p A (reading \p B's value from the previous
+/// iteration) feeds \p B.
+Loop twoNodeRecurrence(const char *A, const char *B) {
+  return parseSingleLoop(std::string("loop two trip=64\n  livein c = 1.5\n") +
+                         "  a = " + A + " b@1 c init=1\n  b = " + B +
+                         " a c\nendloop\n");
+}
+
+/// The rounding recurrence's plan: two nodes split between a 0.9 ns and
+/// a 1.35 ns cluster, a 0.9 ns bus, IT 10.8 ns.
+MachinePlan roundingPlan(const MachineDescription &M, const Loop &L,
+                         const DDG &G) {
+  RecurrenceInfo Recs = analyzeRecurrences(G, M.Isa.nodeLatencies(L));
+  DomainPlanner Planner(M, oneFastThreeSlow(M),
+                        FrequencyMenu::relativeLadder(4));
+  auto Plan =
+      Planner.planForIT(Planner.computeMIT(Recs.RecMII, L.opCountsByFU()));
+  EXPECT_TRUE(Plan.has_value());
+  Plan->Clusters[0].PeriodNs = Rational(9, 10);
+  Plan->Clusters[1].PeriodNs = Rational(27, 20);
+  Plan->Bus.PeriodNs = Rational(9, 10);
+  Plan->ITNs = Rational(54, 5);
+  return *Plan;
+}
+
+TEST(PseudoOracle, MatchesTheMaterializedGraphEstimate) {
+  Coverage Cov;
+  PseudoScratch S;
+  RNG Rng(0x5eed0dac);
+  MachineDescription Paper = MachineDescription::paperDefault();
+  CaseFn Check = [&](const Loop &L, const DDG &G,
+                     const MachineDescription &M, const MachinePlan &Plan,
+                     const Partition &P) {
+    checkPartition(L, G, M, Plan, P, S, Cov);
+  };
+  forEachFixture(Rng, Check);
 
   // One loop-carried edge against node order that binds at every IT:
   // the node it raises was already swept, so a second sweep is needed.
   unsigned ResweepsBefore = Cov.Resweeps;
-  checkLoop(backwardChain(2), Paper, Rng, S, Cov);
+  forEachCase(backwardChain(2), Paper, Rng, Check);
   EXPECT_GT(Cov.Resweeps, ResweepsBefore);
 
-  // A two-node recurrence split between a fast and a slow cluster, at
-  // an IT where tick rounding lets the sweeps settle on a fixpoint
-  // along walks longer than the graph (two nodes, two copies) while the
-  // waves are still changing in wave Total: the sweeps' answer must be
-  // refused so that the verdict stays the waves' "recurrence
-  // infeasible".
+  // At this IT tick rounding lets a walk around the cycle raise a node
+  // again before the starts settle: the FIFO waves are still changing
+  // in wave Total (two nodes, two copies) and called it "recurrence
+  // infeasible", yet the least fixpoint exists, and the relaxation
+  // must find it.
   {
     SCOPED_TRACE("rounding recurrence");
-    Loop L = parseSingleLoop("loop rounding trip=64\n  livein c = 1.5\n"
-                             "  a = fmul b@1 c init=1\n  b = add a c\n"
-                             "endloop\n");
+    Loop L = twoNodeRecurrence("fmul", "add");
     DDG G = DDG::build(L);
-    RecurrenceInfo Recs = analyzeRecurrences(G, Paper.Isa.nodeLatencies(L));
-    DomainPlanner Planner(Paper, oneFastThreeSlow(Paper),
-                          FrequencyMenu::relativeLadder(4));
-    auto Plan =
-        Planner.planForIT(Planner.computeMIT(Recs.RecMII, L.opCountsByFU()));
-    ASSERT_TRUE(Plan.has_value());
-    Plan->Clusters[0].PeriodNs = Rational(9, 10);
-    Plan->Clusters[1].PeriodNs = Rational(27, 20);
-    Plan->Bus.PeriodNs = Rational(9, 10);
-    Plan->ITNs = Rational(54, 5);
     Partition Split;
     Split.ClusterOf = {0, 1};
     unsigned RecurrenceBefore = Cov.Recurrence;
-    checkPartition(L, G, Paper, *Plan, Split, S, Cov);
-    EXPECT_EQ(Cov.Recurrence, RecurrenceBefore + 1);
-    EXPECT_GT(S.LastWaves, 0u);
+    unsigned GaveUpBefore = Cov.WavesGaveUp;
+    checkPartition(L, G, Paper, roundingPlan(Paper, L, G), Split, S, Cov);
+    EXPECT_EQ(Cov.Recurrence, RecurrenceBefore);
+    EXPECT_EQ(Cov.WavesGaveUp, GaveUpBefore + 1);
+    EXPECT_GT(S.LastSweeps, 1u);
   }
 
   EXPECT_GT(Cov.Feasible, 0u);
@@ -387,17 +455,165 @@ TEST(PseudoOracle, MatchesTheMaterializedGraphEstimate) {
   EXPECT_GT(Cov.OffGrid, 0u);
   EXPECT_GT(Cov.Swept, 0u);
   EXPECT_GT(Cov.Resweeps, 0u);
-  EXPECT_GT(Cov.WavesConverged, 0u);
-  EXPECT_GT(Cov.WavesFailed, 0u);
+  EXPECT_GT(Cov.Converged, 0u);
+  EXPECT_GT(Cov.Divergent, 0u);
   std::printf("checked %u partitions: feasible %u, recurrence-infeasible "
               "%u, with copies %u, fixpoints past the node count %u; %u "
               "off-grid plans\n",
               Cov.Checked, Cov.Feasible, Cov.Recurrence, Cov.Copies,
               Cov.DeepFixpoint, Cov.OffGrid);
-  std::printf("kernel paths: %u certified by the sweeps (%u after more "
-              "than one), %u by the waves (%u converged, %u did not)\n",
-              Cov.Swept, Cov.Resweeps, Cov.WavesConverged + Cov.WavesFailed,
-              Cov.WavesConverged, Cov.WavesFailed);
+  std::printf("kernel: %u in one sweep, %u in more (at most %u); %u "
+              "converged, %u divergent; largest D %llu; the waves gave up "
+              "on %u fixpoints\n",
+              Cov.Swept, Cov.Resweeps, Cov.MostSweeps, Cov.Converged,
+              Cov.Divergent, static_cast<unsigned long long>(Cov.LargestD),
+              Cov.WavesGaveUp);
+}
+
+/// \p PG with its original nodes and its copies each renumbered by a
+/// shuffle drawn from \p Rng, and its edge list shuffled, so the ASAP
+/// sweeps visit nodes and relax edges in another order. \p Perm maps
+/// each old node id to its new one.
+PartitionedGraph relabeled(const PartitionedGraph &PG, RNG &Rng,
+                           std::vector<unsigned> &Perm) {
+  const unsigned N = PG.size();
+  unsigned Ops = 0;
+  while (Ops < N && PG.node(Ops).OrigOp >= 0)
+    ++Ops;
+  std::vector<unsigned> OpIds(Ops), CopyIds(N - Ops);
+  std::iota(OpIds.begin(), OpIds.end(), 0u);
+  std::iota(CopyIds.begin(), CopyIds.end(), Ops);
+  Rng.shuffle(OpIds);
+  Rng.shuffle(CopyIds);
+  Perm = OpIds;
+  Perm.insert(Perm.end(), CopyIds.begin(), CopyIds.end());
+  std::vector<PGNode> Nodes(N);
+  for (unsigned I = 0; I < N; ++I)
+    Nodes[Perm[I]] = PG.node(I);
+  std::vector<PGEdge> Edges = PG.edges();
+  for (PGEdge &E : Edges) {
+    E.Src = Perm[E.Src];
+    E.Dst = Perm[E.Dst];
+  }
+  Rng.shuffle(Edges);
+  return PartitionedGraph::fromRaw(PG.numClusters(), std::move(Nodes),
+                                   std::move(Edges));
+}
+
+/// Runs the scheduler's ASAP fixpoint on \p PG under \p Plan, then on
+/// three relabelings drawn from \p Rng, and expects the same verdict
+/// and the same start for every node each time. Returns the verdict,
+/// with the starts in \p Asap.
+bool expectOrderFree(const PartitionedGraph &PG, const MachinePlan &Plan,
+                     RNG &Rng, std::vector<int64_t> &Asap) {
+  auto TG = TickGraph::build(PG, Plan);
+  EXPECT_TRUE(TG.has_value());
+  const bool Feasible = TG->computeAsapTicksInto(Asap);
+  for (unsigned K = 0; K < 3; ++K) {
+    std::vector<unsigned> Perm;
+    PartitionedGraph Shuffled = relabeled(PG, Rng, Perm);
+    auto TS = TickGraph::build(Shuffled, Plan);
+    std::vector<int64_t> Got;
+    EXPECT_EQ(TS->computeAsapTicksInto(Got), Feasible) << "relabeling " << K;
+    if (!Feasible)
+      continue;
+    for (unsigned I = 0; I < PG.size(); ++I)
+      EXPECT_EQ(Got[Perm[I]], Asap[I]) << "relabeling " << K << " node " << I;
+  }
+  return Feasible;
+}
+
+TEST(AsapFixpoint, OrderFreeOnTheOracleFixtures) {
+  RNG Rng(0x5eed0dac);
+  RNG Shuffles(0x0dde7);
+  unsigned Cases = 0, Divergent = 0;
+  std::vector<int64_t> Asap;
+  forEachFixture(Rng, [&](const Loop &L, const DDG &G,
+                          const MachineDescription &M,
+                          const MachinePlan &Plan, const Partition &P) {
+    PartitionedGraph PG = PartitionedGraph::build(L, G, M.Isa, P,
+                                                  M.numClusters(),
+                                                  M.BusLatency);
+    ++Cases;
+    Divergent += !expectOrderFree(PG, Plan, Shuffles, Asap);
+  });
+  EXPECT_GT(Divergent, 0u);
+  EXPECT_GT(Cases, Divergent);
+  std::printf("%u cases in four orders each, %u divergent\n", Cases,
+              Divergent);
+}
+
+TEST(AsapFixpoint, OrderFreeOnTwoNodeRecurrences) {
+  // Two nodes on clusters 0 and 1 with 6 x 6 opcode pairs, 7 periods
+  // for each of the two clusters and the bus, and ITs from 2 to 60 ns
+  // on a 1/20 ns grid, below and above every pair's cycle: a seeded
+  // sample of that space.
+  const char *Ops[] = {"add", "mul", "div", "fadd", "fmul", "fdiv"};
+  const Rational Periods[] = {Rational(9, 10),  Rational(1),
+                              Rational(21, 20), Rational(9, 8),
+                              Rational(5, 4),   Rational(27, 20),
+                              Rational(7, 5)};
+  MachineDescription M = MachineDescription::paperDefault();
+  std::vector<Loop> Loops;
+  std::vector<DDG> Graphs;
+  for (const char *A : Ops)
+    for (const char *B : Ops) {
+      Loops.push_back(twoNodeRecurrence(A, B));
+      Graphs.push_back(DDG::build(Loops.back()));
+    }
+  Partition Split;
+  Split.ClusterOf = {0, 1};
+  const MachinePlan Base = roundingPlan(M, Loops[0], Graphs[0]);
+
+  RNG Rng(0x2c1c1e);
+  PseudoScratch S;
+  unsigned Divergent = 0, WavesGaveUp = 0, MostSweeps = 0;
+  uint64_t LargestD = 0;
+  constexpr unsigned Samples = 12000;
+  std::vector<int64_t> Asap, Restated;
+  for (unsigned I = 0; I < Samples; ++I) {
+    const size_t Pair = static_cast<size_t>(Rng.nextInt(0, 35));
+    MachinePlan Plan = Base;
+    Plan.Clusters[0].PeriodNs = Periods[Rng.nextInt(0, 6)];
+    Plan.Clusters[1].PeriodNs = Periods[Rng.nextInt(0, 6)];
+    Plan.Bus.PeriodNs = Periods[Rng.nextInt(0, 6)];
+    Plan.ITNs = Rational(Rng.nextInt(40, 1200), 20);
+    SCOPED_TRACE(testing::Message()
+                 << "sample " << I << ": ops " << Pair << " IT "
+                 << Plan.ITNs.str());
+    PartitionedGraph PG = PartitionedGraph::build(
+        Loops[Pair], Graphs[Pair], M.Isa, Split, M.numClusters(),
+        M.BusLatency);
+    const bool Feasible = expectOrderFree(PG, Plan, Rng, Asap);
+    Divergent += !Feasible;
+
+    auto TG = TickGraph::build(PG, Plan);
+    unsigned Waves = 0;
+    if (asapWaves(*TG, Restated, Waves)) {
+      EXPECT_TRUE(Feasible);
+      EXPECT_EQ(Restated, Asap);
+    } else {
+      WavesGaveUp += Feasible;
+    }
+    LargestD = std::max(LargestD, depthLimit(*TG));
+
+    // The kernel, in its own order, agrees.
+    Rational ItLength;
+    M.Isa.nodeLatenciesInto(S.NodeLat, Loops[Pair]);
+    EXPECT_EQ(pseudoScheduleAsap(S, Graphs[Pair], M, Plan, S.NodeLat,
+                                 Split.ClusterOf, ItLength),
+              Feasible);
+    if (Feasible) {
+      EXPECT_EQ(S.Asap, Asap);
+    }
+    MostSweeps = std::max(MostSweeps, S.LastSweeps);
+  }
+  EXPECT_GE(WavesGaveUp, 50u);
+  EXPECT_GT(Divergent, 0u);
+  std::printf("%u two-node plans: %u divergent, %u fixpoints the waves "
+              "gave up on; kernel at most %u sweeps, largest D %llu\n",
+              Samples, Divergent, WavesGaveUp, MostSweeps,
+              static_cast<unsigned long long>(LargestD));
 }
 
 } // namespace

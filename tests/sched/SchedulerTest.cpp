@@ -92,13 +92,14 @@ TEST(Scheduler, AsapDetectsInfeasibleRecurrence) {
   ASSERT_TRUE(Plan.has_value());
   auto T = TickGraph::build(PG, *Plan);
   ASSERT_TRUE(T.has_value());
-  EXPECT_FALSE(T->computeAsapTicks().has_value());
+  std::vector<int64_t> Asap;
+  EXPECT_FALSE(T->computeAsapTicksInto(Asap));
   // And at IT = 3 ns it becomes feasible.
   auto Plan3 = Planner.planForIT(Rational(3));
   ASSERT_TRUE(Plan3.has_value());
   auto T3 = TickGraph::build(PG, *Plan3);
   ASSERT_TRUE(T3.has_value());
-  EXPECT_TRUE(T3->computeAsapTicks().has_value());
+  EXPECT_TRUE(T3->computeAsapTicksInto(Asap));
 }
 
 TEST(Scheduler, AchievesMITOnSimpleStream) {

@@ -9,8 +9,9 @@
 //     recorded when a bit-identical exact-Rational scheduler still ran
 //     beside the tick path;
 //   - the tick ASAP fixpoint equals an exact-Rational ASAP oracle that
-//     lives in this file, scaled by ticksPerNs, and detects the same
-//     infeasible recurrences;
+//     lives in this file, scaled by ticksPerNs, also where tick rounding
+//     makes the fixpoint take more rounds than the graph has nodes, and
+//     detects the same infeasible recurrences;
 //   - a plan with no tick grid is handled at every entry point: the
 //     driver refuses the IT step (warm and cold alike, counted in the
 //     FallbackRational ledger), the scheduler and the validator report
@@ -20,6 +21,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "configsel/Scaling.h"
+#include "ir/LoopDSL.h"
+#include "ir/RecurrenceAnalysis.h"
 #include "mcd/SyncModel.h"
 #include "measure/ScheduleMeasurer.h"
 #include "partition/LoopScheduler.h"
@@ -87,16 +90,36 @@ uint64_t digestResult(const LoopScheduleResult &R) {
 
 /// The exact-Rational ASAP oracle: the round-based longest-path
 /// fixpoint over the Section 2.2 + sync-queue timing rule, every time
-/// a Rational number of ns. std::nullopt when a change in round V
-/// proves a dependence cycle that cannot meet the plan's IT.
+/// a Rational number of ns. std::nullopt when no fixpoint exists. The
+/// verdict is sched/AsapFixpoint's, worked out here in Rational
+/// arithmetic, with no tick grid: H is the lcm of the node periods,
+/// and a start set by a chain of D = sum over nodes of H / period
+/// raises proves a dependence cycle that cannot meet the plan's IT,
+/// whatever the edge order.
 std::optional<std::vector<Rational>>
 rationalAsapOracle(const PartitionedGraph &PG, const MachinePlan &Plan) {
   auto periodOf = [&](unsigned Node) {
     unsigned D = PG.node(Node).Domain;
     return D == PG.busDomain() ? Plan.Bus.PeriodNs : Plan.Clusters[D].PeriodNs;
   };
+  // The lcm of reduced fractions: the numerators' lcm over the
+  // denominators' gcd.
+  int64_t HNum = 1, HDen = 0;
+  for (unsigned N = 0; N < PG.size(); ++N) {
+    HNum = lcm64(HNum, periodOf(N).num());
+    HDen = gcd64(HDen, periodOf(N).den());
+  }
+  const Rational H(HNum, HDen);
+  uint64_t D = 0;
+  for (unsigned N = 0; N < PG.size(); ++N) {
+    Rational Residues = H / periodOf(N);
+    EXPECT_EQ(Residues.den(), 1) << "period " << N << " does not divide H";
+    D += static_cast<uint64_t>(Residues.num());
+  }
+
   std::vector<Rational> Start(PG.size(), Rational(0));
-  for (unsigned Round = 0; Round <= PG.size(); ++Round) {
+  std::vector<uint64_t> Depth(PG.size(), 0);
+  for (;;) {
     bool Changed = false;
     for (const PGEdge &E : PG.edges()) {
       Rational Ready =
@@ -107,13 +130,15 @@ rationalAsapOracle(const PartitionedGraph &PG, const MachinePlan &Plan) {
       Rational Aligned = alignUpToTick(Bound, periodOf(E.Dst));
       if (Start[E.Dst] < Aligned) {
         Start[E.Dst] = Aligned;
+        Depth[E.Dst] = Depth[E.Src] + 1;
+        if (Depth[E.Dst] >= D)
+          return std::nullopt;
         Changed = true;
       }
     }
     if (!Changed)
       return Start;
   }
-  return std::nullopt;
 }
 
 /// digestResult per (seed, plan kind) of the sweep
@@ -296,12 +321,47 @@ TEST(TickDomain, AsapMatchesRationalScaled) {
 
   auto T = TickGraph::build(PG, *Plan);
   ASSERT_TRUE(T.has_value());
-  auto TickAsap = T->computeAsapTicks();
+  std::vector<int64_t> TickAsap;
+  ASSERT_TRUE(T->computeAsapTicksInto(TickAsap));
   auto RatAsap = rationalAsapOracle(PG, *Plan);
-  ASSERT_EQ(TickAsap.has_value(), RatAsap.has_value());
-  ASSERT_TRUE(TickAsap.has_value());
+  ASSERT_TRUE(RatAsap.has_value());
   for (unsigned N = 0; N < PG.size(); ++N)
-    EXPECT_EQ(T->grid().toNs((*TickAsap)[N]), (*RatAsap)[N]) << "node " << N;
+    EXPECT_EQ(T->grid().toNs(TickAsap[N]), (*RatAsap)[N]) << "node " << N;
+}
+
+// A two-node recurrence split between a 0.9 ns and a 1.35 ns cluster at
+// IT 10.8 ns. Tick rounding lets a walk around the cycle raise a node
+// again before the starts settle; a verdict that counted waves up to
+// the node count called it infeasible. A fixpoint exists, and both
+// arithmetics reach it.
+TEST(TickDomain, AsapMatchesRationalOnARoundingRecurrence) {
+  MachineDescription M = MachineDescription::paperDefault();
+  Loop L = parseSingleLoop("loop rounding trip=64\n  livein c = 1.5\n"
+                           "  a = fmul b@1 c init=1\n  b = add a c\n"
+                           "endloop\n");
+  DDG G = DDG::build(L);
+  Partition P;
+  P.ClusterOf = {0, 1};
+  PartitionedGraph PG = PartitionedGraph::build(L, G, M.Isa, P,
+                                                M.numClusters(), M.BusLatency);
+  DomainPlanner Planner(M, configFor(M, 1), FrequencyMenu::relativeLadder(4));
+  RecurrenceInfo Recs = analyzeRecurrences(G, M.Isa.nodeLatencies(L));
+  auto Plan =
+      Planner.planForIT(Planner.computeMIT(Recs.RecMII, L.opCountsByFU()));
+  ASSERT_TRUE(Plan.has_value());
+  Plan->Clusters[0].PeriodNs = Rational(9, 10);
+  Plan->Clusters[1].PeriodNs = Rational(27, 20);
+  Plan->Bus.PeriodNs = Rational(9, 10);
+  Plan->ITNs = Rational(54, 5);
+
+  auto T = TickGraph::build(PG, *Plan);
+  ASSERT_TRUE(T.has_value());
+  std::vector<int64_t> TickAsap;
+  ASSERT_TRUE(T->computeAsapTicksInto(TickAsap));
+  auto RatAsap = rationalAsapOracle(PG, *Plan);
+  ASSERT_TRUE(RatAsap.has_value());
+  for (unsigned N = 0; N < PG.size(); ++N)
+    EXPECT_EQ(T->grid().toNs(TickAsap[N]), (*RatAsap)[N]) << "node " << N;
 }
 
 // Infeasible recurrences are detected identically by the oracle.
@@ -318,7 +378,8 @@ TEST(TickDomain, AsapInfeasibilityAgrees) {
     ASSERT_TRUE(Plan.has_value());
     auto T = TickGraph::build(PG, *Plan);
     ASSERT_TRUE(T.has_value());
-    EXPECT_EQ(T->computeAsapTicks().has_value(),
+    std::vector<int64_t> Asap;
+    EXPECT_EQ(T->computeAsapTicksInto(Asap),
               rationalAsapOracle(PG, *Plan).has_value())
         << "IT " << IT;
   }
