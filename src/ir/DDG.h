@@ -101,14 +101,10 @@ public:
 /// Latency in (producer-domain) cycles an edge imposes between the start
 /// of Src and the start of Dst. Flow-like edges wait for the producer's
 /// full latency; pure ordering edges (anti/output) require one cycle.
-/// Inline: the pseudo-schedule fixpoint calls it once per relaxed edge.
-inline unsigned edgeLatency(const DDG::Edge &E, const unsigned *NodeLatency) {
-  bool Flows = E.Kind == DepKind::Flow || E.Kind == DepKind::MemFlow;
-  return Flows ? NodeLatency[E.Src] : 1;
-}
 inline unsigned edgeLatency(const DDG::Edge &E,
                             const std::vector<unsigned> &NodeLatency) {
-  return edgeLatency(E, NodeLatency.data());
+  bool Flows = E.Kind == DepKind::Flow || E.Kind == DepKind::MemFlow;
+  return Flows ? NodeLatency[E.Src] : 1;
 }
 
 } // namespace hcvliw

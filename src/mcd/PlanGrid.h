@@ -66,6 +66,9 @@ public:
   bool valid() const { return TicksPerNsVal > 0; }
   int64_t ticksPerNs() const { return TicksPerNsVal; }
   int64_t itTicks() const { return ITTicksVal; }
+  unsigned numClusters() const {
+    return static_cast<unsigned>(ClusterPeriodTicks.size());
+  }
   int64_t clusterPeriodTicks(unsigned C) const {
     return ClusterPeriodTicks[C];
   }

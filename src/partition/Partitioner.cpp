@@ -81,35 +81,24 @@ unsigned countMemoryOps(const Loop &L) {
   return Mem;
 }
 
-/// scorePartition with the memory-operation count already taken.
-double scoreEstimate(const PartitionContext &Ctx,
-                     const PartitionerOptions &Opts, unsigned MemOps,
-                     const Partition &P) {
-  if (Ctx.Stats)
-    ++Ctx.Stats->ScoreEvals;
-  // With a scratch, both the estimate's working set and its result
-  // vectors are reused — the scoring loop is allocation-free.
-  PseudoSchedule Local;
-  PseudoSchedule &PS = Ctx.Scratch ? Ctx.Scratch->PS.Result : Local;
-  estimatePseudoScheduleInto(PS, *Ctx.L, *Ctx.G, *Ctx.M, *Ctx.Plan, P,
-                             Ctx.Scratch ? &Ctx.Scratch->PS : nullptr);
-  if (!PS.Feasible) {
-    // Graded penalty: any feasible partition beats every infeasible
-    // one, but among infeasible partitions smaller violations win, so
-    // greedy refinement can walk out of an infeasible region.
-    return InfeasiblePartitionScore * (1.0 + PS.Overflow);
-  }
-  return feasibleScore(Ctx, Opts, MemOps, PS.Comms, PS.WInsPerCluster,
-                       PS.ItLengthNs.toDouble());
-}
-
 } // namespace
 
 double hcvliw::scorePartition(const PartitionContext &Ctx,
                               const PartitionerOptions &Opts,
                               const Partition &P) {
   requireEnergyModel(Ctx, Opts);
-  return scoreEstimate(Ctx, Opts, countMemoryOps(*Ctx.L), P);
+  if (Ctx.Stats)
+    ++Ctx.Stats->ScoreEvals;
+  PseudoSchedule PS = estimatePseudoSchedule(*Ctx.L, *Ctx.G, *Ctx.M,
+                                             *Ctx.Plan, P);
+  if (!PS.Feasible) {
+    // Graded penalty: any feasible partition beats every infeasible
+    // one, but among infeasible partitions smaller violations win, so
+    // greedy refinement can walk out of an infeasible region.
+    return InfeasiblePartitionScore * (1.0 + PS.Overflow);
+  }
+  return feasibleScore(Ctx, Opts, countMemoryOps(*Ctx.L), PS.Comms,
+                       PS.WInsPerCluster, PS.ItLengthNs.toDouble());
 }
 
 void PartitionBound::bind(const PartitionContext &TheCtx) {
@@ -120,8 +109,9 @@ void PartitionBound::bind(const PartitionContext &TheCtx) {
   const unsigned N = G.size();
 
   slotCapacityInto(Cap, M, *Ctx->Plan);
+  Edges.build(L, G, M.Isa);
+  PlanGrid::computeInto(Grid, *Ctx->Plan);
   MemOps = 0;
-  M.Isa.nodeLatenciesInto(NodeLat, L);
   Kind.resize(N);
   DefLat.resize(N);
   Energy.resize(N);
@@ -265,8 +255,8 @@ double PartitionBound::score(const PartitionerOptions &Opts) {
   // The kept tally is the one the estimator would count (one copy
   // rule), so only the timing kernel runs.
   Rational ItLengthNs(0);
-  bool Feasible = pseudoScheduleAsap(Pseudo, *Ctx->G, *Ctx->M, *Ctx->Plan,
-                                     NodeLat, ClusterOf, ItLengthNs);
+  bool Feasible = pseudoScheduleAsap(Pseudo, Edges, Grid, Ctx->M->BusLatency,
+                                     ClusterOf, ItLengthNs);
   return grade(Opts, !Feasible, ItLengthNs.toDouble());
 }
 
@@ -654,10 +644,11 @@ void bestFitAssign(const std::vector<unsigned> &Order,
 /// (loop, plan, options), so degraded runs stay deterministic; the
 /// usual feasibility gate still applies, so an infeasible flat
 /// partition reports std::nullopt and the IT sweep grows the IT
-/// normally.
+/// normally. \p Bound scores it; bind and load rebuild all of its
+/// state, whatever a throwing multilevel path left in it.
 std::optional<Partition> flatPartition(const PartitionContext &Ctx,
                                        const PartitionerOptions &Opts,
-                                       unsigned MemOps) {
+                                       PartitionBound &Bound) {
   const MachineDescription &M = *Ctx.M;
   const MachinePlan &Plan = *Ctx.Plan;
   unsigned NC = M.numClusters();
@@ -714,7 +705,9 @@ std::optional<Partition> flatPartition(const PartitionContext &Ctx,
     for (unsigned N : Units[U])
       P.ClusterOf[N] = ClusterOfUnit[U];
 
-  double Score = scoreEstimate(Ctx, Opts, MemOps, P);
+  Bound.bind(Ctx);
+  Bound.load(P);
+  double Score = Bound.score(Opts);
   if (Ctx.Stats) {
     Ctx.Stats->InitialScore = Score;
     Ctx.Stats->FinalScore = Score;
@@ -725,12 +718,10 @@ std::optional<Partition> flatPartition(const PartitionContext &Ctx,
 }
 
 /// The normal multilevel path (file header steps 2-4); \p S holds the
-/// pre-placement result in S.Key / S.Free, and \p MemOps is the loop's
-/// memory-operation count.
+/// pre-placement result in S.Key / S.Free.
 std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
                                              const PartitionerOptions &Opts,
-                                             PartitionScratch &S,
-                                             unsigned MemOps) {
+                                             PartitionScratch &S) {
   const MachineDescription &M = *Ctx.M;
   unsigned NC = M.numClusters();
   unsigned NumNodes = Ctx.G->size();
@@ -812,17 +803,19 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
   // (pseudo-schedule-scored) moves; big levels get FM passes
   // whose result is kept only when the exact score did not get worse —
   // so CurrentScore is non-increasing across the whole uncoarsening.
+  // One bound scores everything: its loop and plan constants are built
+  // once, and it holds the current partition throughout. Every level
+  // moves it macro by macro over the level's member lists, and moves
+  // back what it does not keep.
+  PartitionBound &Bound = S.Bound;
+  Bound.bind(Ctx);
   Partition &Current = S.Current;
-  Partition &Cand = S.Cand;
   expandInto(Current, Coarsest, ClusterOfMacro, NumNodes);
-  double CurrentScore = scoreEstimate(Ctx, Opts, MemOps, Current);
+  Bound.load(Current);
+  double CurrentScore = Bound.score(Opts);
   if (Ctx.Stats)
     Ctx.Stats->InitialScore = CurrentScore;
 
-  // The greedy levels share one bound: its loop and plan constants are
-  // built once, and each level loads only its assignment.
-  PartitionBound &Bound = S.Bound;
-  Bound.bind(Ctx);
   for (int LvlIx = static_cast<int>(ML.numLevels()) - 1; LvlIx >= 0;
        --LvlIx) {
     const CoarseLevel &Lvl = ML.level(static_cast<unsigned>(LvlIx));
@@ -836,10 +829,17 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     std::vector<unsigned> &Assign = S.Assign;
     Assign.resize(LN);
     for (unsigned Mac = 0; Mac < LN; ++Mac)
-      Assign[Mac] = Current.ClusterOf[Lvl.Rep[Mac]];
+      Assign[Mac] = Bound.clusterOf()[Lvl.Rep[Mac]];
+    auto moveMacro = [&](unsigned Mac, unsigned To) {
+      Bound.move(S.Members.data() + S.MemberStart[Mac],
+                 S.MemberStart[Mac + 1] - S.MemberStart[Mac], To);
+    };
 
     if (LN > MaxRefineMacros) {
-      // FM on the surrogate objective; guarded acceptance.
+      // FM on the surrogate objective; guarded acceptance: the bound
+      // follows the macros FM moved, and moves them back unless the
+      // exact score improved.
+      S.AssignBefore.assign(Assign.begin(), Assign.end());
       uint64_t FMMoves = refineLevelFM(Ctx, S, Lvl, Assign, Ctx.Stats);
       if (RefineSp.active()) {
         RefineSp.arg("macros", LN);
@@ -847,12 +847,18 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       }
       if (FMMoves == 0)
         continue;
-      expandInto(Cand, Lvl, Assign, NumNodes);
-      double Sc = scoreEstimate(Ctx, Opts, MemOps, Cand);
+      buildMemberLists(Lvl, NumNodes, S.MemberStart, S.Members);
+      for (unsigned Mac = 0; Mac < LN; ++Mac)
+        if (Assign[Mac] != S.AssignBefore[Mac])
+          moveMacro(Mac, Assign[Mac]);
+      double Sc = Bound.score(Opts);
       if (Sc < CurrentScore) {
         CurrentScore = Sc;
-        std::swap(Current, Cand);
+        continue;
       }
+      for (unsigned Mac = 0; Mac < LN; ++Mac)
+        if (Assign[Mac] != S.AssignBefore[Mac])
+          moveMacro(Mac, S.AssignBefore[Mac]);
       continue;
     }
 
@@ -876,11 +882,6 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     // over the level's member lists and scores the survivors from its
     // own state.
     buildMemberLists(Lvl, NumNodes, S.MemberStart, S.Members);
-    Bound.load(Current);
-    auto moveMacro = [&](unsigned Mac, unsigned To) {
-      Bound.move(S.Members.data() + S.MemberStart[Mac],
-                 S.MemberStart[Mac + 1] - S.MemberStart[Mac], To);
-    };
     uint64_t CapacityRejects = 0;
 
     for (unsigned Pass = 0; Pass < MaxRefinePasses; ++Pass) {
@@ -929,8 +930,6 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
       if (!Improved)
         break;
     }
-    Current.ClusterOf.assign(Bound.clusterOf().begin(),
-                             Bound.clusterOf().end());
     if (Ctx.Stats) {
       Ctx.Stats->BoundRejects += CapacityRejects;
       Ctx.Stats->CapacityRejects += CapacityRejects;
@@ -946,6 +945,7 @@ std::optional<Partition> multilevelPartition(const PartitionContext &Ctx,
     Ctx.Stats->FinalScore = CurrentScore;
   if (CurrentScore >= InfeasiblePartitionScore)
     return std::nullopt; // nothing feasible found at this IT
+  Current.ClusterOf.assign(Bound.clusterOf().begin(), Bound.clusterOf().end());
   return Current;
 }
 
@@ -970,20 +970,19 @@ hcvliw::partitionLoop(const PartitionContext &Ctx,
   if (!prePlaceRecurrences(Ctx, Opts.PrePlaceRecurrences, S.Key, S.Free))
     return std::nullopt;
 
-  const unsigned MemOps = countMemoryOps(*Ctx.L);
   // Graceful degradation (the "flat partition" rung): forced by an
   // armed injector, or taken for real when coarsening cannot allocate.
   // Partition quality drops; determinism and the feasibility gate do
   // not.
   if (HCVLIW_FAULT_DEGRADE(Ctx.Fault, "part.coarsen", Ctx.FaultCtx))
-    return flatPartition(Ctx, Opts, MemOps);
+    return flatPartition(Ctx, Opts, S.Bound);
   try {
-    return multilevelPartition(Ctx, Opts, S, MemOps);
+    return multilevelPartition(Ctx, Opts, S);
   } catch (const std::bad_alloc &) {
     // The scratch may hold a partially built level stack; drop the
     // memo so no later attempt reuses it (the next one rebuilds, and
     // counts a build).
     S.MLValid = false;
-    return flatPartition(Ctx, Opts, MemOps);
+    return flatPartition(Ctx, Opts, S.Bound);
   }
 }

@@ -23,12 +23,14 @@
 ///     terms, read from the level's per-macro op counts, or whose exact
 ///     lower bound already rules it out is rejected without a
 ///     pseudo-schedule, and a move that passes is scored from the
-///     bound's own state by the graph-free pseudo-schedule kernel.
+///     bound's own state by the copy-free pseudo-schedule kernel.
 ///     Finer levels use FM-style passes on a cheap surrogate
 ///     (capacity overload, cut, weight balance) whose result is only
 ///     kept when the exact objective did not get worse — so the tracked
 ///     objective is monotone across the whole uncoarsening, at every
-///     granularity.
+///     granularity. PartitionBound::score is the path's one scorer:
+///     the bound is loaded with the initial assignment and then follows
+///     every greedy move and every FM result it scores.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -189,7 +191,6 @@ class PartitionBound {
   std::vector<uint8_t> Kind;
   std::vector<int64_t> DefLat;
   std::vector<double> Energy;
-  std::vector<unsigned> NodeLat; ///< ISA latency per node
   /// Value-carrying in-edges as CSR: the sources of node N's value
   /// edges are ValSrc[ValStart[N] .. ValStart[N+1]), with multiplicity.
   std::vector<unsigned> ValStart, ValSrc;
@@ -202,7 +203,11 @@ class PartitionBound {
   uint64_t Stamp = 0;
   std::vector<double> WIns;
   unsigned MemOps = 0; ///< memory operations of the loop
-  PseudoScratch Pseudo; ///< score()'s kernel buffers
+  /// score()'s kernel input, built once per bind: the loop's out-edge
+  /// table and the plan's tick grid; and the kernel's buffers.
+  PseudoEdgeTable Edges;
+  PlanGrid Grid;
+  PseudoKernelScratch Pseudo;
 
   /// Adds (\p Sign = +1) or removes (-1) the copies node \p N produces.
   void countCopies(unsigned N, int Sign);
@@ -214,11 +219,12 @@ class PartitionBound {
 public:
   /// Binds to \p TheCtx, which must stay alive until the next bind,
   /// and builds the constants of its loop and plan: per-node kind,
-  /// latencies and energy, the value in-edge CSR and the slot
-  /// capacities. Once per partition run.
+  /// latencies and energy, the value in-edge CSR, the slot capacities,
+  /// the kernel's out-edge table and the plan's tick grid. Once per
+  /// partition run; every bind rebuilds them all.
   void bind(const PartitionContext &TheCtx);
-  /// Loads the node-level assignment \p P and its tallies (per level;
-  /// after bind).
+  /// Loads the node-level assignment \p P and its tallies (after bind;
+  /// refinement loads once per run, then moves).
   void load(const Partition &P);
   /// Moves the distinct nodes \p Nodes[0 .. Count) to cluster \p To.
   void move(const unsigned *Nodes, size_t Count, unsigned To);
@@ -253,15 +259,14 @@ struct PartitionScratch {
   // Per-attempt buffers (no information carried between attempts).
   CoarsenMemoKey Key;        ///< this attempt's (groups, pins, target)
   std::vector<int64_t> Free; ///< flat [cluster][kind] slot capacity
-  std::vector<double> WInsTmp; ///< scorePartition's scaled-activity buffer
+  std::vector<double> WInsTmp; ///< the ED2 score's scaled-activity buffer
   std::vector<unsigned> ClusterOfMacro;
   std::vector<unsigned> ByWeight;
   std::vector<unsigned> Assign;
+  std::vector<unsigned> AssignBefore; ///< an FM level's starting Assign
   Partition Current;
-  Partition Cand;
-  PseudoScratch PS;
-  /// Greedy refinement's lower bound, and the per-level macro member
-  /// lists its moves walk (CSR: the members of macro M are
+  /// The partition path's bound and only scorer, and the per-level
+  /// macro member lists its moves walk (CSR: the members of macro M are
   /// Members[MemberStart[M] .. MemberStart[M+1]), ascending).
   PartitionBound Bound;
   std::vector<unsigned> MemberStart, Members;
@@ -358,10 +363,13 @@ std::optional<Partition> partitionLoop(const PartitionContext &Ctx,
 /// scores are always below it.
 inline constexpr double InfeasiblePartitionScore = 1e24;
 
-/// Scoring helper shared with tests: lower is better; infeasible
-/// partitions score >= InfeasiblePartitionScore, graded by violation.
-/// Each call runs one pseudo-schedule (PartitionStats::ScoreEvals).
-/// Same precondition as partitionLoop for the ED2 objective.
+/// The partition objective from the pseudo-schedule estimator: lower
+/// is better; infeasible partitions score >= InfeasiblePartitionScore,
+/// graded by violation. Each call runs one pseudo-schedule
+/// (PartitionStats::ScoreEvals). The reference the tests hold
+/// PartitionBound::score to: partitionLoop scores with the bound, which
+/// equals it bit for bit. Same precondition as partitionLoop for the
+/// ED2 objective.
 double scorePartition(const PartitionContext &Ctx,
                       const PartitionerOptions &Opts, const Partition &P);
 

@@ -5,10 +5,11 @@
 /// meet the IT?" question of the scheduling chain. It computes the
 /// least ASAP fixpoint of a loop's dependences on the plan's tick grid,
 /// or the verdict "recurrence infeasible" exactly when no fixpoint
-/// exists. The scheduler runs it over its TickGraph; refinement runs
-/// it through the pseudo-schedule kernel, whose copies are virtual
-/// nodes. The sweep driver below is shared. Each caller supplies only
-/// its per-node step, which walks that node's out-edges.
+/// exists. The scheduler runs it over its TickGraph, where every copy
+/// is a node; refinement runs it through the pseudo-schedule kernel,
+/// which has no copy nodes and folds each copy hop into the value edges
+/// it feeds. The sweep driver below is shared. Each caller supplies
+/// only its per-node step, which walks that node's out-edges.
 ///
 /// The edge rule. Every start is a multiple of its domain's period P.
 /// An edge into v maps its source's start x to
@@ -17,6 +18,21 @@
 /// monotone. Let H be the lcm of the cluster and bus period ticks
 /// (PlanGrid::hyperperiodTicks). Every P divides H, so
 /// f(x + H) = f(x) + H.
+///
+/// A folded copy hop. A copy of u's value has one in-edge, from u, so
+/// at any fixpoint its start is the arrival of u's value on the bus, a
+/// function of u's start alone. A cross-cluster value edge u -> v that
+/// leaves through that copy maps u's start x to
+///   g(x) = alignUp(crossDomainArrival(
+///              crossDomainArrival(x + c, P_u, P_bus) + L * P_bus,
+///              P_bus, P_v) - d * IT, P_v),
+/// with L the bus latency in cycles. Each stage is monotone and
+/// commutes with + H, so g is too, and the argument below holds with
+/// g as an edge over the loop's nodes alone: the least fixpoint over
+/// the nodes is the materialized graph's, restricted to them, and the
+/// verdict is the same "no fixpoint exists". Both the nodes' starts and
+/// the verdict are therefore unchanged by the folding; only the depths
+/// (one edge per hop instead of two) and D differ.
 ///
 /// The relaxation. Starts begin at 0, with causal-chain depth 0. A
 /// sweep visits every node once. The visit reads the node's start x
@@ -28,7 +44,8 @@
 /// That is a fixpoint, and therefore the least one.
 ///
 /// The verdict. Node v has H / P_v residues mod H. Let
-/// D = sum over v of H / P_v.
+/// D = sum over v of H / P_v, over the step's nodes (the kernel's
+/// copies are not nodes, so they add nothing).
 ///   - Sound: a chain of D edges passes D + 1 (node, residue) pairs,
 ///     so some pair repeats. The later raise of that node came after
 ///     the earlier one, so it is strictly higher, by some k * H with

@@ -108,137 +108,119 @@ const char *hcvliw::gradePartitionBudgets(const MachineDescription &M,
   return Reason;
 }
 
+void PseudoEdgeTable::build(const Loop &L, const DDG &G,
+                            const IsaTable &Isa) {
+  Isa.nodeLatenciesInto(NodeLat, L);
+  const unsigned N = G.size();
+  OutStart.resize(N + 1);
+  Out.resize(G.numEdges());
+  unsigned K = 0;
+  for (unsigned V = 0; V < N; ++V) {
+    OutStart[V] = K;
+    for (unsigned EIx : G.outEdges(V)) {
+      const DDG::Edge &E = G.edge(EIx);
+      Out[K++] = {E.Dst, edgeLatency(E, NodeLat), E.Distance,
+                  isValueCarrying(E.Kind)};
+    }
+  }
+  OutStart[N] = K;
+}
+
 namespace {
 
 /// The kernel's step of the ASAP relaxation (sched/AsapFixpoint):
-/// visiting node V also visits V's copies, since their only in-edge is
-/// V's, then relaxes V's out-edges. A cross-cluster value edge leaves
-/// through its copy, so a path costs one sweep however many copies it
-/// crosses. End tracks the latest completion: starts only grow, and
-/// the last sweep sees each one final, so a running maximum over every
-/// visit is the fixpoint's.
+/// visiting node V relaxes V's out-edges. A cross-cluster value edge
+/// leaves through V's copy, whose start is a function of V's alone:
+/// the first such edge derives the copy's completion on the bus, and
+/// each edge its consumer cluster's arrival from that. Starts only
+/// grow, so that completion is the latest the copy ever had. End
+/// tracks the latest completion of a node or a copy: the last sweep
+/// sees each one final, so a running maximum over every visit is the
+/// fixpoint's.
 struct KernelStep {
-  PseudoScratch &S;
-  const DDG &G;
   // Raw arrays, not vector references, so their loads stay out of the
   // hot loop.
-  const unsigned *NodeLat, *ClusterOf;
-  const int *CopySlots;
-  PseudoScratch::SweepCluster *Cl;
-  const unsigned NC;
-  const int64_t BusPeriod, ITLength, CopyLatency; ///< in ticks
+  const PseudoEdgeTable::Edge *Out;
+  const unsigned *OutStart, *NodeLat, *ClusterOf;
+  const PseudoKernelScratch::SweepCluster *Cl;
+  const unsigned N;
+  const int64_t BusPeriod, ITLength, CopyLatency, Hyperperiod; ///< ticks
   int64_t End = 0;
 
   void visit(AsapSweep &Sw, unsigned V) {
     // Held in locals: a raise stores through an int64 pointer, after
     // which the compiler must reload any int64 member.
     const int64_t BusP = BusPeriod, ITTicks = ITLength;
-    const int64_t CopyLatTicks = CopyLatency;
     const unsigned CV = ClusterOf[V];
     const int64_t PV = Cl[CV].Period;
     const int64_t StartV = Sw.Start[V];
     const uint64_t DepthV = Sw.Depth[V] + 1;
     const int64_t Ready = StartV + static_cast<int64_t>(NodeLat[V]) * PV;
-    End = std::max(End, Ready);
-    const int *Row = &CopySlots[static_cast<size_t>(V) * NC];
-    const int64_t CopyStart = crossDomainArrival(Ready, PV, BusP);
-    for (unsigned C = 0; C < NC; ++C) {
-      if (Row[C] < 0)
-        continue;
-      const unsigned Copy = static_cast<unsigned>(Row[C]);
-      // The arrival rule lands a copy on a bus tick.
-      Sw.raise(Copy, CopyStart, DepthV, false);
-      End = std::max(End, Sw.Start[Copy] + CopyLatTicks);
-      Cl[C].Arrive = crossDomainArrival(Sw.Start[Copy] + CopyLatTicks, BusP,
-                                        Cl[C].Period);
-      Cl[C].ArriveDepth = Sw.Depth[Copy] + 1;
-    }
-    for (unsigned EIx : G.outEdges(V)) {
-      const DDG::Edge &E = G.edge(EIx);
-      const unsigned CD = ClusterOf[E.Dst];
+    // V's copy lands on a bus tick and completes CopyLatency later.
+    bool Copied = false;
+    int64_t CopyDone = 0;
+    const PseudoEdgeTable::Edge *E = Out + OutStart[V];
+    const PseudoEdgeTable::Edge *const EEnd = Out + OutStart[V + 1];
+    for (; E != EEnd; ++E) {
+      const unsigned CD = ClusterOf[E->Dst];
+      const int64_t PD = Cl[CD].Period;
       int64_t Bound;
-      uint64_t Depth;
-      if (isValueCarrying(E.Kind) && CD != CV) {
-        Bound = Cl[CD].Arrive;
-        Depth = Cl[CD].ArriveDepth;
+      if (E->Value && CD != CV) {
+        if (!Copied) {
+          Copied = true;
+          CopyDone = crossDomainArrival(Ready, PV, BusP) + CopyLatency;
+        }
+        Bound = crossDomainArrival(CopyDone, BusP, PD);
       } else {
         Bound = crossDomainArrival(
-            StartV + static_cast<int64_t>(edgeLatency(E, NodeLat)) * PV, PV,
-            Cl[CD].Period);
-        Depth = DepthV;
+            StartV + static_cast<int64_t>(E->Latency) * PV, PV, PD);
       }
       // Every arrival lands on the consumer's tick; only a loop-carried
       // bound under an IT off that tick grid needs rounding up to it.
-      Bound -= static_cast<int64_t>(E.Distance) * ITTicks;
-      if (Sw.Start[E.Dst] < Bound)
-        Sw.raise(E.Dst,
-                 E.Distance != 0 && Cl[CD].OffGrid
-                     ? alignUpToTick(Bound, Cl[CD].Period)
-                     : Bound,
-                 Depth, E.Dst <= V);
+      Bound -= static_cast<int64_t>(E->Distance) * ITTicks;
+      if (Sw.Start[E->Dst] < Bound)
+        Sw.raise(E->Dst,
+                 E->Distance != 0 && Cl[CD].OffGrid ? alignUpToTick(Bound, PD)
+                                                    : Bound,
+                 DepthV, E->Dst <= V);
     }
+    // A copy completes after its producer's value is ready.
+    End = std::max(End, Copied ? CopyDone : Ready);
   }
 
-  /// D: H / P residues per node, and H / P_bus per copy.
+  /// D: H / P residues per node; copies are no nodes here.
   uint64_t depthLimit() const {
-    const int64_t H = S.Grid.hyperperiodTicks();
-    const unsigned N = G.size();
-    uint64_t D = static_cast<uint64_t>(S.CopyValue.size()) *
-                 static_cast<uint64_t>(H / BusPeriod);
+    uint64_t D = 0;
     for (unsigned V = 0; V < N; ++V)
-      D += static_cast<uint64_t>(
-          H / Cl[ClusterOf[V]].Period);
+      D += static_cast<uint64_t>(Hyperperiod / Cl[ClusterOf[V]].Period);
     return D;
   }
 };
 
 } // namespace
 
-bool hcvliw::pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
-                                const MachineDescription &M,
-                                const MachinePlan &Plan,
-                                const std::vector<unsigned> &NodeLat,
+bool hcvliw::pseudoScheduleAsap(PseudoKernelScratch &S,
+                                const PseudoEdgeTable &T,
+                                const PlanGrid &Grid, unsigned BusLatency,
                                 const std::vector<unsigned> &ClusterOf,
                                 Rational &ItLengthNs) {
-  PlanGrid::computeInto(S.Grid, Plan);
-  if (!S.Grid.valid())
+  if (!Grid.valid())
     throw std::invalid_argument(std::string("pseudo-schedule: ") +
                                 PlanGrid::NoGridReason);
-  const PlanGrid &Grid = S.Grid;
-  const unsigned N = G.size();
-  const unsigned NC = M.numClusters();
-
-  // Copies, in the order PartitionedGraph::buildInto creates them: the
-  // first cross-cluster value edge of each (value, cluster) pair, in
-  // DDG edge order, creates copy N, N+1, ...
-  S.CopySlots.assign(static_cast<size_t>(N) * NC, -1);
-  S.CopyValue.clear();
-  S.CopyCluster.clear();
-  for (unsigned EIx = 0; EIx < G.numEdges(); ++EIx) {
-    const DDG::Edge &E = G.edge(EIx);
-    unsigned To = ClusterOf[E.Dst];
-    if (!isValueCarrying(E.Kind) || ClusterOf[E.Src] == To)
-      continue;
-    int &Slot = S.CopySlots[static_cast<size_t>(E.Src) * NC + To];
-    if (Slot >= 0)
-      continue;
-    Slot = static_cast<int>(N + S.CopyValue.size());
-    S.CopyValue.push_back(E.Src);
-    S.CopyCluster.push_back(To);
-  }
-  const unsigned Total = N + static_cast<unsigned>(S.CopyValue.size());
-
+  const unsigned NC = Grid.numClusters();
   S.SweepClusters.resize(NC);
   for (unsigned C = 0; C < NC; ++C) {
-    PseudoScratch::SweepCluster &Cl = S.SweepClusters[C];
+    PseudoKernelScratch::SweepCluster &Cl = S.SweepClusters[C];
     Cl.Period = Grid.clusterPeriodTicks(C);
     Cl.OffGrid = Grid.itTicks() % Cl.Period != 0;
   }
   const int64_t BusP = Grid.busPeriodTicks();
-  KernelStep Step{S, G, NodeLat.data(), ClusterOf.data(), S.CopySlots.data(),
-                  S.SweepClusters.data(), NC, BusP, Grid.itTicks(),
-                  static_cast<int64_t>(M.BusLatency) * BusP};
-  if (!sweepAsapFixpoint(Step, S.Asap, S.Depth, Total, N, S.LastSweeps))
+  KernelStep Step{T.Out.data(), T.OutStart.data(), T.NodeLat.data(),
+                  ClusterOf.data(), S.SweepClusters.data(), T.size(), BusP,
+                  Grid.itTicks(), static_cast<int64_t>(BusLatency) * BusP,
+                  Grid.hyperperiodTicks()};
+  if (!sweepAsapFixpoint(Step, S.Asap, S.Depth, T.size(), T.size(),
+                         S.LastSweeps))
     return false;
   ItLengthNs = Grid.toNs(Step.End);
   return true;
@@ -272,15 +254,30 @@ void hcvliw::estimatePseudoScheduleInto(PseudoSchedule &PS, const Loop &L,
     }
   }
 
-  // Recurrence feasibility + it_length from the exact ASAP fixpoint on
-  // the plan's integer tick grid; the copies it materializes land in
-  // the cluster of their consumers.
-  M.Isa.nodeLatenciesInto(S.NodeLat, L);
-  bool RecurrenceInfeasible = !pseudoScheduleAsap(
-      S, G, M, Plan, S.NodeLat, P.ClusterOf, PS.ItLengthNs);
-  T.Comms = PS.Comms = static_cast<unsigned>(S.CopyCluster.size());
-  for (unsigned To : S.CopyCluster)
+  // One copy per (value, consuming cluster) pair, in the cluster of
+  // its consumers.
+  const unsigned N = G.size();
+  S.CopySeen.assign(static_cast<size_t>(N) * NC, 0);
+  for (const DDG::Edge &E : G.edges()) {
+    const unsigned To = P.cluster(E.Dst);
+    if (!isValueCarrying(E.Kind) || P.cluster(E.Src) == To)
+      continue;
+    uint8_t &Seen = S.CopySeen[static_cast<size_t>(E.Src) * NC + To];
+    if (Seen)
+      continue;
+    Seen = 1;
     ++T.CopiesIn[To];
+    ++T.Comms;
+  }
+  PS.Comms = T.Comms;
+
+  // Recurrence feasibility + it_length from the exact ASAP fixpoint on
+  // the plan's integer tick grid.
+  PlanGrid::computeInto(S.Grid, Plan);
+  S.Edges.build(L, G, M.Isa);
+  bool RecurrenceInfeasible =
+      !pseudoScheduleAsap(S.Kernel, S.Edges, S.Grid, M.BusLatency,
+                          P.ClusterOf, PS.ItLengthNs);
 
   for (unsigned C = 0; C < NC; ++C)
     PS.LifetimeProxy[C] = lifetimeProxy(T, Plan, C);

@@ -12,15 +12,23 @@
 /// and reports the activity distribution the energy model needs (the
 /// paper's p_Ci) plus an it_length approximation from the ASAP times.
 ///
-/// The timing kernel (pseudoScheduleAsap) builds no graph: it reads the
-/// DDG's CSR, the cluster assignment and the plan's tick grid, and
-/// treats the inter-cluster copies as virtual nodes numbered as a
-/// materialized PartitionedGraph would number them. It runs the one
-/// ASAP relaxation of the scheduling chain (sched/AsapFixpoint) with a
-/// step that visits each node, then its copies, then its out-edges.
-/// So its answer is the scheduler's TickGraph answer on that graph: the
+/// The timing kernel (pseudoScheduleAsap) builds no graph and no copy:
+/// it walks a per-loop out-edge table (PseudoEdgeTable) under the
+/// cluster assignment and the plan's tick grid. The inter-cluster copy
+/// of a value is a pure function of its producer's start, so the kernel
+/// folds each copy hop into the cross-cluster value edges it feeds: the
+/// producer's visit derives the copy's completion on the bus and each
+/// consumer cluster's arrival from it. The kernel runs the one ASAP
+/// relaxation of the scheduling chain (sched/AsapFixpoint) over the
+/// loop's nodes. So its answer is the scheduler's TickGraph answer on
+/// the materialized PartitionedGraph, restricted to the real nodes: the
 /// least ASAP fixpoint, or "recurrence infeasible" exactly when none
 /// exists, whatever the visit order.
+///
+/// Partition refinement runs only the kernel, on the tallies
+/// PartitionBound keeps (partition/Partitioner). The estimator
+/// (estimatePseudoSchedule) computes the whole estimate from scratch:
+/// the reference the tests hold that path to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,54 +116,75 @@ const char *gradePartitionBudgets(const MachineDescription &M,
                                   const PartitionTally &T,
                                   bool RecurrenceInfeasible, double &Overflow);
 
+/// A loop's dependences as the pseudo-schedule kernel walks them: every
+/// node's out-edges in DDG out-edge order, as CSR, each with what the
+/// kernel's step reads, plus every node's ISA latency. A pure function
+/// of the loop and the ISA latencies, independent of the partition and
+/// the plan: refinement builds one per partition run
+/// (PartitionBound::bind), the estimator one per call.
+struct PseudoEdgeTable {
+  struct Edge {
+    unsigned Dst;
+    unsigned Latency;  ///< edgeLatency, in source-domain cycles
+    unsigned Distance; ///< iterations
+    bool Value;        ///< value-carrying: crossing clusters needs a copy
+  };
+  std::vector<unsigned> NodeLat; ///< IsaTable::nodeLatencies
+  /// Node V's out-edges are Out[OutStart[V] .. OutStart[V + 1]).
+  std::vector<unsigned> OutStart;
+  std::vector<Edge> Out;
+
+  /// Rebuilds the table of \p L, whose DDG is \p G, under \p Isa's
+  /// latencies (every buffer is reused).
+  void build(const Loop &L, const DDG &G, const IsaTable &Isa);
+  unsigned size() const { return static_cast<unsigned>(NodeLat.size()); }
+};
+
 /// Reusable buffers for the pseudo-schedule kernel. Partition
 /// refinement scores one pseudo-schedule per candidate move — hundreds
 /// per loop — so with a scratch the whole refinement runs
 /// allocation-free in steady state. Contents carry nothing between
 /// calls.
-struct PseudoScratch {
-  PlanGrid Grid;
-  std::vector<unsigned> NodeLat;
-  /// Virtual copies: flat [value][cluster] -> copy id (-1: none), and
-  /// per copy (id - node count) its value and destination cluster.
-  std::vector<int> CopySlots;
-  std::vector<unsigned> CopyValue, CopyCluster;
-  /// ASAP start ticks of the nodes, then the copies.
+struct PseudoKernelScratch {
+  /// ASAP start ticks of the nodes, the causal-chain depth of each
+  /// start, and per cluster the SweepCluster below.
   std::vector<int64_t> Asap;
-  /// Per node and copy, the causal-chain depth of its start, and per
-  /// cluster the SweepCluster below.
   std::vector<uint64_t> Depth;
   struct SweepCluster {
     int64_t Period = 0;
     /// The IT is not a multiple of Period, so a loop-carried bound can
     /// fall between the cluster's ticks and needs rounding up.
     bool OffGrid = false;
-    /// The visited node's copy into this cluster: when its value
-    /// arrives, and that arrival's depth.
-    int64_t Arrive = 0;
-    uint64_t ArriveDepth = 0;
   };
   std::vector<SweepCluster> SweepClusters;
   /// The sweeps the last pseudoScheduleAsap call ran. A result for
   /// tests; nothing reads it back.
   unsigned LastSweeps = 0;
+};
+
+/// Reusable buffers for the estimator, which rebuilds its kernel input
+/// (the loop's out-edge table and the plan's tick grid) on every call.
+/// Contents carry nothing between calls.
+struct PseudoScratch {
+  PseudoKernelScratch Kernel;
+  PlanGrid Grid;
+  PseudoEdgeTable Edges;
+  /// The (value, consuming cluster) pairs already counted as a copy,
+  /// flat [value][cluster].
+  std::vector<uint8_t> CopySeen;
   PartitionTally Tally;
   std::vector<int64_t> Cap; ///< slotCapacityInto table
-  PseudoSchedule Result; ///< reused by scorePartition
 };
 
 /// The pseudo-schedule's timing kernel on assignment \p ClusterOf (one
-/// cluster per DDG node), with \p NodeLat the ISA latency of every node
-/// (IsaTable::nodeLatencies): materializes the copies virtually into
-/// \p S (one per (value, consuming cluster) pair, numbered after the
-/// nodes in DDG edge order, as PartitionedGraph numbers them), runs the
-/// exact ASAP fixpoint on \p Plan's tick grid and returns false when a
-/// recurrence cannot meet the IT (no fixpoint exists). Otherwise writes the iteration length
-/// (latest ASAP completion) to \p ItLengthNs. Throws
-/// std::invalid_argument when \p Plan has no tick grid.
-bool pseudoScheduleAsap(PseudoScratch &S, const DDG &G,
-                        const MachineDescription &M, const MachinePlan &Plan,
-                        const std::vector<unsigned> &NodeLat,
+/// cluster per node of \p T) under the plan whose tick grid is
+/// \p Grid, with copies taking \p BusLatency bus cycles: runs the exact
+/// ASAP fixpoint into \p S and returns false when a recurrence cannot
+/// meet the IT (no fixpoint exists). Otherwise writes the iteration
+/// length (latest ASAP completion, copies included) to \p ItLengthNs.
+/// Throws std::invalid_argument when \p Grid is invalid.
+bool pseudoScheduleAsap(PseudoKernelScratch &S, const PseudoEdgeTable &T,
+                        const PlanGrid &Grid, unsigned BusLatency,
                         const std::vector<unsigned> &ClusterOf,
                         Rational &ItLengthNs);
 
@@ -169,9 +198,9 @@ PseudoSchedule estimatePseudoSchedule(const Loop &L, const DDG &G,
                                       PseudoScratch *Scratch = nullptr);
 
 /// In-place form: writes the estimate into \p PS, reusing its vectors
-/// (refinement scores hundreds of candidates; with this plus a scratch
-/// the whole scoring loop is allocation-free in steady state). Same
-/// precondition: a plan with no tick grid throws std::invalid_argument.
+/// (with this plus a scratch, repeated scoring is allocation-free in
+/// steady state). Same precondition: a plan with no tick grid throws
+/// std::invalid_argument.
 void estimatePseudoScheduleInto(PseudoSchedule &PS, const Loop &L,
                                 const DDG &G, const MachineDescription &M,
                                 const MachinePlan &Plan, const Partition &P,

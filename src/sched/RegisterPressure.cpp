@@ -109,28 +109,51 @@ hcvliw::computeRegisterPressure(const PartitionedGraph &PG, const Schedule &S,
     Lifetimes.push_back({Home, DefSlot, Len});
   }
 
-  // Per-cluster modulo pressure accumulators: a lifetime of Len cycles
-  // adds floor(Len / II) at every modulo slot plus one over Len mod II
-  // slots starting at the def.
-  std::vector<std::vector<int64_t>> &Pressure = SS.Pressure;
-  Pressure.resize(NC);
+  moduloMaxLiveInto(R.MaxLive, Lifetimes, S.Plan, SS);
+  return R;
+}
+
+void hcvliw::moduloMaxLiveInto(std::vector<int64_t> &MaxLive,
+                               const std::vector<RegLifetime> &Lifetimes,
+                               const MachinePlan &Plan,
+                               PressureScratch &Scratch) {
+  // Per cluster, the floor(Len / II) every lifetime adds at every slot,
+  // and a difference array of the cyclic runs of one more.
+  const unsigned NC = static_cast<unsigned>(Plan.Clusters.size());
+  std::vector<int64_t> &Base = Scratch.Base;
+  std::vector<std::vector<int64_t>> &Diff = Scratch.Pressure;
+  Base.assign(NC, 0);
+  Diff.resize(NC);
   for (unsigned C = 0; C < NC; ++C)
-    Pressure[C].assign(static_cast<size_t>(S.Plan.Clusters[C].II), 0);
+    Diff[C].assign(static_cast<size_t>(Plan.Clusters[C].II) + 1, 0);
   for (const RegLifetime &L : Lifetimes) {
-    int64_t II = S.Plan.Clusters[L.Home].II;
-    int64_t Full = L.Len / II;
-    int64_t Rem = L.Len % II;
-    for (int64_t M = 0; M < II; ++M) {
-      int64_t Shift = (M - L.DefSlot) % II;
-      if (Shift < 0)
-        Shift += II;
-      Pressure[L.Home][static_cast<size_t>(M)] +=
-          Full + (Shift < Rem ? 1 : 0);
+    const int64_t II = Plan.Clusters[L.Home].II;
+    Base[L.Home] += L.Len / II;
+    const int64_t Rem = L.Len % II;
+    if (Rem == 0)
+      continue;
+    // The run [DefSlot mod II, + Rem), wrapping past slot II - 1 (the
+    // entry at II is never summed).
+    int64_t First = L.DefSlot % II;
+    if (First < 0)
+      First += II;
+    int64_t *D = Diff[L.Home].data();
+    ++D[First];
+    if (First + Rem <= II) {
+      --D[First + Rem];
+    } else {
+      ++D[0];
+      --D[First + Rem - II];
     }
   }
-
-  for (unsigned C = 0; C < NC; ++C)
-    for (int64_t V : Pressure[C])
-      R.MaxLive[C] = std::max(R.MaxLive[C], V);
-  return R;
+  MaxLive.assign(NC, 0);
+  for (unsigned C = 0; C < NC; ++C) {
+    const int64_t II = Plan.Clusters[C].II;
+    int64_t Live = Base[C], Peak = 0;
+    for (int64_t M = 0; M < II; ++M) {
+      Live += Diff[C][static_cast<size_t>(M)];
+      Peak = std::max(Peak, Live);
+    }
+    MaxLive[C] = Peak;
+  }
 }

@@ -47,8 +47,19 @@ struct RegLifetime {
 /// per-cluster modulo accumulators every time.
 struct PressureScratch {
   std::vector<RegLifetime> Lifetimes;
+  /// moduloMaxLiveInto's per-cluster floor(Len / II) sums and its
+  /// difference arrays over the II slots.
+  std::vector<int64_t> Base;
   std::vector<std::vector<int64_t>> Pressure;
 };
+
+/// The peak modulo pressure per cluster of \p Lifetimes under \p Plan's
+/// IIs, into \p MaxLive: a lifetime of Len cycles in a cluster of II
+/// slots adds floor(Len / II) at every slot plus one over the Len mod II
+/// slots from DefSlot mod II on, cyclically. O(lifetimes + sum of IIs).
+void moduloMaxLiveInto(std::vector<int64_t> &MaxLive,
+                       const std::vector<RegLifetime> &Lifetimes,
+                       const MachinePlan &Plan, PressureScratch &Scratch);
 
 /// Computes pressure on the plan's integer tick grid. \p Ticks, when
 /// non-null, must be the lowering of (PG, S.Plan) and saves the internal

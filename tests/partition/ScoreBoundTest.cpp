@@ -16,6 +16,12 @@
 //   - before a move out of one cluster, capacityBound() (the moved
 //     nodes' capacity terms alone) is <= the bound after the move.
 //
+// A second test binds one bound in turn to two different loops of
+// equal node and edge counts and to two plans of each, so a table or
+// grid left over from the previous bind would go unnoticed by sizes
+// alone; after every bind and load, score() must still equal
+// scorePartition() bit for bit, on feasible and infeasible partitions.
+//
 // The fixtures reach every branch of the graded checks: the no-slots
 // capacity case (a machine with one FP-less cluster), capacity, bus
 // and register-proxy overflow, the recurrence-infeasible case, and
@@ -284,6 +290,127 @@ TEST(ScoreBound, NeverAboveTheFullScore) {
               Cov.Checked, Cov.NoSlots, Cov.Capacity, Cov.Bus,
               Cov.Registers, Cov.Recurrence, Cov.Feasible,
               Cov.CapacityPrefix);
+}
+
+/// One loop of the rebinding test with everything its contexts point
+/// at.
+struct BindFixture {
+  Loop L;
+  DDG G;
+  RecurrenceInfo Recs;
+  std::vector<MachinePlan> Plans;
+};
+
+TEST(ScoreBound, RebindingRebuildsTheKernelInput) {
+  MachineDescription M = MachineDescription::paperDefault();
+  const unsigned NC = M.numClusters();
+
+  // Two different random loops with the same node and edge counts: the
+  // first pair the seeded search meets.
+  RandomLoopParams Params;
+  Params.MinOps = 20;
+  Params.MaxOps = 20;
+  Params.RecurrenceProb = 0.7;
+  std::vector<BindFixture> Fx(2);
+  {
+    RNG Rng(0xb1d);
+    std::vector<Loop> Seen;
+    std::vector<DDG> SeenG;
+    bool Found = false;
+    for (unsigned I = 0; I < 200 && !Found; ++I) {
+      Loop L = makeRandomLoop(Rng, Params, "rebind" + std::to_string(I));
+      DDG G = DDG::build(L);
+      for (size_t J = 0; J < Seen.size() && !Found; ++J)
+        if (SeenG[J].size() == G.size() &&
+            SeenG[J].numEdges() == G.numEdges()) {
+          Fx[0].L = Seen[J];
+          Fx[1].L = L;
+          Found = true;
+        }
+      Seen.push_back(std::move(L));
+      SeenG.push_back(std::move(G));
+    }
+    ASSERT_TRUE(Found);
+  }
+
+  ActivityCounts Ref;
+  Ref.WeightedIns = 1000;
+  Ref.Comms = 20;
+  Ref.MemAccesses = 300;
+  EnergyModel Energy(EnergyBreakdown(), Ref, 1e5, NC);
+  TechnologyModel Tech = TechnologyModel::paperDefault();
+  HeteroConfig Het = oneFastThreeSlow(M);
+  HeteroScaling Scaling = scalingForConfig(Het, M, Tech);
+  for (BindFixture &F : Fx) {
+    F.G = DDG::build(F.L);
+    F.Recs = analyzeRecurrences(F.G, M.Isa.nodeLatencies(F.L));
+    // Two plans of the loop: the heterogeneous one at its MIT and two
+    // IT steps later.
+    DomainPlanner Planner(M, Het, FrequencyMenu::continuous());
+    Rational IT = Planner.computeMIT(F.Recs.RecMII, F.L.opCountsByFU());
+    for (unsigned Step = 0; Step < 3; ++Step, IT = Planner.nextIT(IT))
+      if (Step != 1)
+        if (auto Plan = Planner.planForIT(IT))
+          F.Plans.push_back(*Plan);
+    ASSERT_EQ(F.Plans.size(), 2u) << F.L.Name;
+  }
+  ASSERT_NE(Fx[0].L.structuralFingerprint(), Fx[1].L.structuralFingerprint());
+  ASSERT_EQ(Fx[0].G.size(), Fx[1].G.size());
+  ASSERT_EQ(Fx[0].G.numEdges(), Fx[1].G.numEdges());
+
+  // Every (loop, plan) context, kept alive for the bound, visited loop
+  // by loop within each plan, then twice more in reverse.
+  std::vector<PartitionContext> Ctxs;
+  for (unsigned PlanIx = 0; PlanIx < 2; ++PlanIx)
+    for (BindFixture &F : Fx) {
+      PartitionContext Ctx;
+      Ctx.L = &F.L;
+      Ctx.G = &F.G;
+      Ctx.M = &M;
+      Ctx.Plan = &F.Plans[PlanIx];
+      Ctx.Recs = &F.Recs;
+      Ctx.Energy = &Energy;
+      Ctx.Scaling = &Scaling;
+      Ctx.TripCount = F.L.TripCount;
+      Ctxs.push_back(Ctx);
+    }
+  std::vector<size_t> Order = {0, 1, 2, 3, 2, 0, 3, 1};
+
+  RNG Rng(0x7ab1e);
+  PartitionBound B;
+  unsigned Feasible = 0, Infeasible = 0;
+  for (size_t Ix : Order) {
+    const PartitionContext &Ctx = Ctxs[Ix];
+    SCOPED_TRACE(testing::Message() << "context " << Ix);
+    B.bind(Ctx);
+    std::vector<Partition> Parts;
+    for (unsigned C = 0; C < NC; ++C)
+      Parts.push_back(Partition::allInCluster(Ctx.G->size(), C));
+    for (unsigned I = 0; I < 6; ++I) {
+      Partition P;
+      for (unsigned N = 0; N < Ctx.G->size(); ++N)
+        P.ClusterOf.push_back(static_cast<unsigned>(Rng.nextInt(0, NC - 1)));
+      Parts.push_back(std::move(P));
+    }
+    PartitionerOptions Hom;
+    Hom.ED2Objective = false;
+    if (auto P = partitionLoop(Ctx, Hom))
+      Parts.push_back(std::move(*P));
+    for (const Partition &P : Parts) {
+      B.load(P);
+      for (bool ED2 : {true, false}) {
+        PartitionerOptions O;
+        O.ED2Objective = ED2;
+        double Score = scorePartition(Ctx, O, P);
+        EXPECT_EQ(bitsOf(B.score(O)), bitsOf(Score))
+            << (ED2 ? "ED2" : "homogeneous");
+        Feasible += Score < InfeasiblePartitionScore;
+        Infeasible += Score >= InfeasiblePartitionScore;
+      }
+    }
+  }
+  EXPECT_GT(Feasible, 0u);
+  EXPECT_GT(Infeasible, 0u);
 }
 
 } // namespace

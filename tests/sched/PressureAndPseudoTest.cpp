@@ -5,9 +5,12 @@
 #include "sched/PseudoScheduler.h"
 #include "sched/RegisterPressure.h"
 #include "partition/LoopScheduler.h"
+#include "support/RNG.h"
 #include "workloads/SyntheticLoops.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace hcvliw;
 
@@ -54,6 +57,63 @@ TEST(RegisterPressure, FitsChecksPerCluster) {
   EXPECT_TRUE(R.fits(M));
   R.MaxLive[0] = 17;
   EXPECT_FALSE(R.fits(M));
+}
+
+/// The per-slot formula moduloMaxLiveInto replaces: every lifetime adds
+/// floor(Len / II) at every modulo slot M plus one where
+/// (M - DefSlot) mod II < Len mod II.
+std::vector<int64_t> perSlotMaxLive(const std::vector<RegLifetime> &Lts,
+                                    const MachinePlan &Plan) {
+  const unsigned NC = static_cast<unsigned>(Plan.Clusters.size());
+  std::vector<std::vector<int64_t>> Pressure(NC);
+  for (unsigned C = 0; C < NC; ++C)
+    Pressure[C].assign(static_cast<size_t>(Plan.Clusters[C].II), 0);
+  for (const RegLifetime &L : Lts) {
+    int64_t II = Plan.Clusters[L.Home].II;
+    for (int64_t M = 0; M < II; ++M) {
+      int64_t Shift = (M - L.DefSlot) % II;
+      if (Shift < 0)
+        Shift += II;
+      Pressure[L.Home][static_cast<size_t>(M)] +=
+          L.Len / II + (Shift < L.Len % II ? 1 : 0);
+    }
+  }
+  std::vector<int64_t> MaxLive(NC, 0);
+  for (unsigned C = 0; C < NC; ++C)
+    for (int64_t V : Pressure[C])
+      MaxLive[C] = std::max(MaxLive[C], V);
+  return MaxLive;
+}
+
+TEST(RegisterPressure, DifferenceArrayMatchesPerSlotFormula) {
+  // Seeded random lifetimes: IIs from 1 to 40, defs on either side of
+  // 0, lengths from one slot to several IIs, so runs wrap past slot
+  // II - 1 and whole IIs stack. One scratch serves every case.
+  RNG Rng(0x9e6);
+  PressureScratch Scratch;
+  std::vector<int64_t> Got;
+  unsigned Wrapped = 0, Stacked = 0;
+  for (unsigned Case = 0; Case < 2000; ++Case) {
+    MachinePlan Plan;
+    Plan.Clusters.resize(static_cast<size_t>(Rng.nextInt(1, 4)));
+    for (DomainPlan &D : Plan.Clusters)
+      D.II = Rng.nextInt(1, 40);
+    std::vector<RegLifetime> Lts(static_cast<size_t>(Rng.nextInt(0, 60)));
+    for (RegLifetime &L : Lts) {
+      L.Home = static_cast<unsigned>(
+          Rng.nextInt(0, static_cast<int64_t>(Plan.Clusters.size()) - 1));
+      const int64_t II = Plan.Clusters[L.Home].II;
+      L.DefSlot = Rng.nextInt(-3 * II, 5 * II);
+      L.Len = Rng.nextInt(1, 4 * II + 3);
+      int64_t First = ((L.DefSlot % II) + II) % II;
+      Wrapped += First + L.Len % II > II;
+      Stacked += L.Len > II;
+    }
+    moduloMaxLiveInto(Got, Lts, Plan, Scratch);
+    ASSERT_EQ(Got, perSlotMaxLive(Lts, Plan)) << "case " << Case;
+  }
+  EXPECT_GT(Wrapped, 0u);
+  EXPECT_GT(Stacked, 0u);
 }
 
 TEST(PseudoScheduler, DetectsClusterOverCapacity) {

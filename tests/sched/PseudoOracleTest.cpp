@@ -1,19 +1,22 @@
 //===- tests/sched/PseudoOracleTest.cpp - Exactness of the pseudo-schedule --===//
 //
 // Differential test of the pseudo-schedule estimate, whose timing kernel
-// (pseudoScheduleAsap) treats the inter-cluster copies as virtual nodes
-// instead of building a graph. The oracle, which lives only in this
-// file, is the estimate as it was computed on a materialized
-// PartitionedGraph and its TickGraph lowering. On seeded random loops,
-// unrolled kernel bodies and a hand-written backward chain, under
-// homogeneous and heterogeneous plans at the MIT and larger ITs (each
-// also shifted off its period grid), and on random, blocked and
-// all-in-one-cluster partitions, it checks that
+// (pseudoScheduleAsap) builds no graph and no copy: it folds each
+// inter-cluster copy hop into the value edges the copy feeds. The
+// oracle, which lives only in this file, is the estimate as it was
+// computed on a materialized PartitionedGraph and its TickGraph
+// lowering. On seeded random loops, unrolled kernel bodies and a
+// hand-written backward chain, under homogeneous and heterogeneous
+// plans at the MIT and larger ITs (each also shifted off its period
+// grid), and on random, blocked and all-in-one-cluster partitions, it
+// checks that
 //
 //   - every PseudoSchedule field matches the oracle's bit for bit;
-//   - the virtual copies are the graph's copy nodes, numbered alike;
-//   - on a feasible recurrence check, the ASAP start of every node and
-//     copy equals the TickGraph fixpoint's;
+//   - the kernel's verdict is the TickGraph fixpoint's, and on a
+//     feasible recurrence check the kernel's start of every node
+//     equals the fixpoint's, and every copy node of the graph starts
+//     where its value's completion reaches the next bus tick (the
+//     premise of folding copies into edges);
 //   - wherever the FIFO waves that once defined the verdict converge,
 //     the fixpoint is theirs too.
 //
@@ -23,7 +26,8 @@
 // and that the kernel settled some answers in one sweep and some in
 // more (a two-node backward chain, whose loop-carried edge raises a
 // node already swept, needs a second). A last fixture is a fixpoint
-// the waves give up on: the relaxation must find it.
+// the waves give up on: the relaxation must find it. The reported
+// depth limits D count the loop's nodes only, as the kernel does.
 //
 // The relaxation's verdict does not depend on visit order
 // (sched/AsapFixpoint proves it). The AsapFixpoint tests run the
@@ -80,14 +84,15 @@ struct Oracle {
   std::vector<int64_t> Asap; ///< empty when the recurrence check failed
   bool WavesConverged = false;
   unsigned Waves = 0; ///< waves the FIFO waves ran
-  uint64_t D = 0;     ///< the verdict's depth limit on PG
+  uint64_t D = 0;     ///< the kernel's depth limit
 };
 
-/// The relaxation's depth limit D on \p TG: the start residues mod the
-/// hyperperiod, summed over the nodes (sched/AsapFixpoint).
-uint64_t depthLimit(const TickGraph &TG) {
+/// The kernel's depth limit D on \p TG: the start residues mod the
+/// hyperperiod, summed over the loop's \p Ops nodes, which
+/// PartitionedGraph numbers before the copies (sched/AsapFixpoint).
+uint64_t depthLimit(const TickGraph &TG, unsigned Ops) {
   uint64_t D = 0;
-  for (unsigned N = 0; N < TG.graph().size(); ++N)
+  for (unsigned N = 0; N < Ops; ++N)
     D += static_cast<uint64_t>(TG.grid().hyperperiodTicks() /
                                TG.periodTicks(N));
   return D;
@@ -174,7 +179,7 @@ Oracle oracleEstimate(const Loop &L, const DDG &G,
     EXPECT_FALSE(RecurrenceInfeasible) << "the waves found a fixpoint";
     EXPECT_EQ(Restated, O.Asap);
   }
-  O.D = depthLimit(*TG);
+  O.D = depthLimit(*TG, G.size());
   if (RecurrenceInfeasible) {
     O.Asap.clear();
   } else {
@@ -228,24 +233,36 @@ void checkPartition(const Loop &L, const DDG &G, const MachineDescription &M,
   EXPECT_EQ(Got.ItLengthNs.den(), W.ItLengthNs.den());
   EXPECT_EQ(Got.LifetimeProxy, W.LifetimeProxy);
 
-  // The virtual copies are the graph's copy nodes, in the same order.
-  const unsigned N = G.size();
-  ASSERT_EQ(S.CopyValue.size(), Want.PG.size() - N);
-  for (unsigned K = 0; K < S.CopyValue.size(); ++K) {
-    const PGNode &Copy = Want.PG.node(N + K);
-    EXPECT_EQ(static_cast<int>(S.CopyValue[K]), Copy.CopiedValue) << K;
-    unsigned To = Want.PG.edge(Want.PG.outEdges(N + K).begin()[0]).Dst;
-    EXPECT_EQ(S.CopyCluster[K], Want.PG.node(To).Domain) << K;
-  }
-  if (!Want.Asap.empty()) {
-    EXPECT_EQ(S.Asap, Want.Asap);
-  }
   // The kernel's own verdict, which the grading above folds into the
-  // overflow.
+  // overflow, on a table and a grid of its own, and its node starts.
+  PseudoEdgeTable Table;
+  Table.build(L, G, M.Isa);
+  PlanGrid Grid = PlanGrid::compute(Plan);
   Rational ItLength;
-  const bool KernelConverged =
-      pseudoScheduleAsap(S, G, M, Plan, S.NodeLat, P.ClusterOf, ItLength);
+  PseudoKernelScratch &K = S.Kernel;
+  const bool KernelConverged = pseudoScheduleAsap(
+      K, Table, Grid, M.BusLatency, P.ClusterOf, ItLength);
   EXPECT_EQ(KernelConverged, !Want.Asap.empty());
+  const unsigned N = G.size();
+  if (KernelConverged) {
+    EXPECT_EQ(K.Asap, std::vector<int64_t>(Want.Asap.begin(),
+                                           Want.Asap.begin() + N));
+    EXPECT_EQ(ItLength, W.ItLengthNs);
+    // The kernel folds each copy into its producer's out-edges, on the
+    // premise that a copy starts where its value's completion reaches
+    // the next bus tick. Every copy node of the graph starts there.
+    for (unsigned Copy = N; Copy < Want.PG.size(); ++Copy) {
+      const unsigned V =
+          static_cast<unsigned>(Want.PG.node(Copy).CopiedValue);
+      const int64_t PV = Grid.clusterPeriodTicks(P.cluster(V));
+      EXPECT_EQ(Want.Asap[Copy],
+                crossDomainArrival(K.Asap[V] + static_cast<int64_t>(
+                                                   Table.NodeLat[V]) *
+                                                   PV,
+                                   PV, Grid.busPeriodTicks()))
+          << "copy " << Copy - N << " of node " << V;
+    }
+  }
 
   ++Cov.Checked;
   Cov.Feasible += W.Feasible;
@@ -254,14 +271,13 @@ void checkPartition(const Loop &L, const DDG &G, const MachineDescription &M,
   Cov.NoCopies += W.Comms == 0;
   Cov.DeepFixpoint += Want.WavesConverged && Want.Waves > N + 1;
   Cov.WavesGaveUp += !Want.WavesConverged && !Want.Asap.empty();
-  EXPECT_GE(S.LastSweeps, 1u);
-  Cov.Swept += S.LastSweeps == 1;
-  Cov.Resweeps += S.LastSweeps > 1;
+  EXPECT_GE(K.LastSweeps, 1u);
+  Cov.Swept += K.LastSweeps == 1;
+  Cov.Resweeps += K.LastSweeps > 1;
   Cov.Converged += KernelConverged;
   Cov.Divergent += !KernelConverged;
-  Cov.MostSweeps = std::max(Cov.MostSweeps, S.LastSweeps);
+  Cov.MostSweeps = std::max(Cov.MostSweeps, K.LastSweeps);
   Cov.LargestD = std::max(Cov.LargestD, Want.D);
-  PlanGrid Grid = PlanGrid::compute(Plan);
   bool OnGrid = Grid.itTicks() % Grid.busPeriodTicks() == 0;
   for (unsigned Cl = 0; Cl < M.numClusters(); ++Cl)
     OnGrid &= Grid.itTicks() % Grid.clusterPeriodTicks(Cl) == 0;
@@ -444,7 +460,7 @@ TEST(PseudoOracle, MatchesTheMaterializedGraphEstimate) {
     checkPartition(L, G, Paper, roundingPlan(Paper, L, G), Split, S, Cov);
     EXPECT_EQ(Cov.Recurrence, RecurrenceBefore);
     EXPECT_EQ(Cov.WavesGaveUp, GaveUpBefore + 1);
-    EXPECT_GT(S.LastSweeps, 1u);
+    EXPECT_GT(S.Kernel.LastSweeps, 1u);
   }
 
   EXPECT_GT(Cov.Feasible, 0u);
@@ -566,7 +582,8 @@ TEST(AsapFixpoint, OrderFreeOnTwoNodeRecurrences) {
   const MachinePlan Base = roundingPlan(M, Loops[0], Graphs[0]);
 
   RNG Rng(0x2c1c1e);
-  PseudoScratch S;
+  PseudoKernelScratch S;
+  PseudoEdgeTable Table;
   unsigned Divergent = 0, WavesGaveUp = 0, MostSweeps = 0;
   uint64_t LargestD = 0;
   constexpr unsigned Samples = 12000;
@@ -595,16 +612,17 @@ TEST(AsapFixpoint, OrderFreeOnTwoNodeRecurrences) {
     } else {
       WavesGaveUp += Feasible;
     }
-    LargestD = std::max(LargestD, depthLimit(*TG));
+    LargestD = std::max(LargestD, depthLimit(*TG, 2));
 
-    // The kernel, in its own order, agrees.
+    // The kernel, in its own order and with the copy hops folded into
+    // its edges, agrees on the two nodes.
     Rational ItLength;
-    M.Isa.nodeLatenciesInto(S.NodeLat, Loops[Pair]);
-    EXPECT_EQ(pseudoScheduleAsap(S, Graphs[Pair], M, Plan, S.NodeLat,
+    Table.build(Loops[Pair], Graphs[Pair], M.Isa);
+    EXPECT_EQ(pseudoScheduleAsap(S, Table, TG->grid(), M.BusLatency,
                                  Split.ClusterOf, ItLength),
               Feasible);
     if (Feasible) {
-      EXPECT_EQ(S.Asap, Asap);
+      EXPECT_EQ(S.Asap, std::vector<int64_t>(Asap.begin(), Asap.begin() + 2));
     }
     MostSweeps = std::max(MostSweeps, S.LastSweeps);
   }
