@@ -38,6 +38,11 @@
 // while the memos that live within one call (coarsening, eval stamps)
 // still fire on both sides. The two sides alternate pass by pass, and
 // each throughput is over all of its side's passes.
+// "allocs_per_loop_schedule" is the shared side's allocations per
+// loop-schedule over the same passes. Every pass allocates the same
+// (each of the arena's buffers keeps one role: MultilevelGraph copies
+// a recorded level into its stack slot instead of swapping buffers),
+// so the figure does not depend on how many passes a run makes.
 // "warmstart_speedup" is what the shared arena buys: the ratio of the
 // two sides' fastest passes, so a burst of host noise during one pass
 // cannot flip it. Exit code 1 (advisory on shared CI runners) when the

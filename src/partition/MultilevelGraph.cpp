@@ -41,8 +41,10 @@ void MultilevelGraph::makeFinest(CoarseLevel &Out, const DDG &G,
   }
   sumMembers(Out);
 
-  // Macro adjacency: sort the half-edges by (from, to) and fold runs
-  // into CSR rows (edge multiplicity, minimum node-level slack).
+  // Macro adjacency: order the half-edges by (from, to) with two
+  // counting passes over the macros (by to, then stably by from) and
+  // fold runs into CSR rows (edge multiplicity, minimum node-level
+  // slack; neither depends on the order within a run).
   HE.clear();
   for (unsigned EIx = 0; EIx < G.numEdges(); ++EIx) {
     const DDG::Edge &E = G.edge(EIx);
@@ -50,11 +52,22 @@ void MultilevelGraph::makeFinest(CoarseLevel &Out, const DDG &G,
     if (A == B)
       continue;
     int64_t S = EdgeSlack[EIx];
-    HE.push_back({(static_cast<uint64_t>(A) << 32) | B, S});
-    HE.push_back({(static_cast<uint64_t>(B) << 32) | A, S});
+    HE.push_back({A, B, S});
+    HE.push_back({B, A, S});
   }
-  std::sort(HE.begin(), HE.end(),
-            [](const HalfEdge &X, const HalfEdge &Y) { return X.Key < Y.Key; });
+  HESorted.resize(HE.size());
+  auto countingPass = [&](const std::vector<HalfEdge> &In,
+                          std::vector<HalfEdge> &Sorted, bool ByFrom) {
+    Bucket.assign(NumGroups + 1, 0);
+    for (const HalfEdge &H : In)
+      ++Bucket[(ByFrom ? H.From : H.To) + 1];
+    for (unsigned Mac = 0; Mac < NumGroups; ++Mac)
+      Bucket[Mac + 1] += Bucket[Mac];
+    for (const HalfEdge &H : In)
+      Sorted[Bucket[ByFrom ? H.From : H.To]++] = H;
+  };
+  countingPass(HE, HESorted, /*ByFrom=*/false);
+  countingPass(HESorted, HE, /*ByFrom=*/true);
   Out.AdjStart.assign(NumGroups + 1, 0);
   Out.AdjMacro.clear();
   Out.AdjWeight.clear();
@@ -62,14 +75,12 @@ void MultilevelGraph::makeFinest(CoarseLevel &Out, const DDG &G,
   for (size_t I = 0; I < HE.size();) {
     size_t J = I;
     int64_t MinSlack = HE[I].Slack;
-    while (J < HE.size() && HE[J].Key == HE[I].Key) {
+    while (J < HE.size() && HE[J].From == HE[I].From && HE[J].To == HE[I].To) {
       MinSlack = std::min(MinSlack, HE[J].Slack);
       ++J;
     }
-    unsigned From = static_cast<unsigned>(HE[I].Key >> 32);
-    unsigned To = static_cast<unsigned>(HE[I].Key & 0xffffffffu);
-    ++Out.AdjStart[From + 1];
-    Out.AdjMacro.push_back(To);
+    ++Out.AdjStart[HE[I].From + 1];
+    Out.AdjMacro.push_back(HE[I].To);
     Out.AdjWeight.push_back(static_cast<unsigned>(J - I));
     Out.AdjSlack.push_back(MinSlack);
     I = J;
@@ -136,11 +147,51 @@ void MultilevelGraph::contract(const CoarseLevel &Cur, CoarseLevel &Out,
   }
 }
 
+void MultilevelGraph::sortCandidates(std::vector<MatchCand> &Cands,
+                                     std::vector<MatchCand> &Tmp) {
+  // Most critical (lowest slack) first, then heaviest. Cands arrive in
+  // (A, B) order, so a stable sort on these two keys gives the
+  // (slack, -weight, A, B) order. Bottom-up merge sort: runs of RunLen
+  // sorted by insertion, then merge passes ping-ponging between Cands
+  // and Tmp.
+  auto before = [](const MatchCand &X, const MatchCand &Y) {
+    return X.Slack != Y.Slack ? X.Slack < Y.Slack : X.Weight > Y.Weight;
+  };
+  constexpr size_t RunLen = 16;
+  const size_t NC = Cands.size();
+  for (size_t Lo = 0; Lo < NC; Lo += RunLen) {
+    size_t Hi = std::min(NC, Lo + RunLen);
+    for (size_t I = Lo + 1; I < Hi; ++I) {
+      MatchCand X = Cands[I];
+      size_t J = I;
+      for (; J > Lo && before(X, Cands[J - 1]); --J)
+        Cands[J] = Cands[J - 1];
+      Cands[J] = X;
+    }
+  }
+  Tmp.resize(NC);
+  for (size_t Width = RunLen; Width < NC; Width *= 2) {
+    for (size_t Lo = 0; Lo < NC; Lo += 2 * Width) {
+      size_t Mid = std::min(NC, Lo + Width), Hi = std::min(NC, Lo + 2 * Width);
+      size_t I = Lo, J = Mid, K = Lo;
+      while (I < Mid && J < Hi)
+        Tmp[K++] = before(Cands[J], Cands[I]) ? Cands[J++] : Cands[I++];
+      while (I < Mid)
+        Tmp[K++] = Cands[I++];
+      while (J < Hi)
+        Tmp[K++] = Cands[J++];
+    }
+    Cands.swap(Tmp);
+  }
+}
+
 unsigned MultilevelGraph::matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
                                      unsigned TargetMacros, double WeightCap) {
   unsigned NumMac = Cur.NumMacros;
 
-  // Candidate pairs straight from the CSR (each undirected pair once).
+  // Candidate pairs straight from the CSR (each undirected pair once),
+  // generated in (A, B) order: A ascends and every row is sorted by
+  // neighbor.
   Cands.clear();
   for (unsigned A = 0; A < NumMac; ++A)
     for (unsigned I = Cur.AdjStart[A]; I < Cur.AdjStart[A + 1]; ++I) {
@@ -149,16 +200,7 @@ unsigned MultilevelGraph::matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
         continue;
       Cands.push_back({Cur.AdjSlack[I], Cur.AdjWeight[I], A, B});
     }
-  std::sort(Cands.begin(), Cands.end(),
-            [](const MatchCand &X, const MatchCand &Y) {
-              if (X.Slack != Y.Slack)
-                return X.Slack < Y.Slack; // most critical first
-              if (X.Weight != Y.Weight)
-                return X.Weight > Y.Weight; // then heaviest
-              if (X.A != Y.A)
-                return X.A < Y.A;
-              return X.B < Y.B;
-            });
+  sortCandidates(Cands, CandTmp);
 
   // The balance bound (file header): a merge may not push any per-kind
   // count or the energy weight past a 1/numClusters share of the loop.
@@ -202,11 +244,13 @@ unsigned MultilevelGraph::matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
   return Pairs;
 }
 
-CoarseLevel *MultilevelGraph::recordLevel(CoarseLevel &Lvl) {
+CoarseLevel *MultilevelGraph::recordLevel(const CoarseLevel &Lvl) {
   if (Levels.size() <= NumLvls)
     Levels.emplace_back();
-  // A swap, not a copy: the work buffer takes the slot's old storage.
-  std::swap(Levels[NumLvls], Lvl);
+  // A copy into the slot's own storage, not a swap: a swap hands the
+  // work level the slot's old buffers, sized for whatever level an
+  // earlier build put there, and a later build grows them again.
+  Levels[NumLvls] = Lvl;
   return &Levels[NumLvls++];
 }
 
@@ -266,9 +310,13 @@ void MultilevelGraph::build(
   double WeightCap = 2.0 * WeightTotal / Tgt;
 
   // Cur is the level the next round matches: a recorded level or a work
-  // buffer; Spare is always a work buffer other than Cur.
-  makeFinest(WorkA, TheDDG, NumGroups, EdgeSlack);
-  CoarseLevel *Cur = recordLevel(WorkA);
+  // buffer; Spare is always a work buffer other than Cur. The finest
+  // level is built in its slot.
+  if (Levels.empty())
+    Levels.emplace_back();
+  makeFinest(Levels[0], TheDDG, NumGroups, EdgeSlack);
+  NumLvls = 1;
+  CoarseLevel *Cur = &Levels[0];
   CoarseLevel *Spare = &WorkB;
   unsigned LastRecorded = Cur->NumMacros;
   while (Cur->NumMacros > TargetMacros) {

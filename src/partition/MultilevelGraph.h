@@ -90,6 +90,20 @@ public:
     unsigned MatchedPairs = 0; ///< pair contractions across all rounds
   };
 
+  /// A matching candidate: the macro pair A < B of one adjacency entry,
+  /// with its minimum slack and edge multiplicity.
+  struct MatchCand {
+    int64_t Slack;
+    unsigned Weight;
+    unsigned A, B;
+  };
+  /// Sorts \p Cands, given in (A, B) order, into matching order: slack
+  /// ascending, then weight descending, then (A, B). A stable merge
+  /// sort through \p Tmp, so a sweep that reuses both buffers sorts
+  /// without touching malloc.
+  static void sortCandidates(std::vector<MatchCand> &Cands,
+                             std::vector<MatchCand> &Tmp);
+
 private:
   std::vector<CoarseLevel> Levels; ///< [0] = finest; reused storage
   unsigned NumLvls = 0;
@@ -97,22 +111,18 @@ private:
 
   // Reused working storage (see file header): each node's FU kind and
   // energy weight, two ping-pong work levels for unrecorded matching
-  // rounds, the finest level's half-edge buffer, the matching arrays
+  // rounds, the finest level's half-edge buffers, the matching arrays
   // and the row buffers of the level contraction.
   std::vector<uint8_t> NodeKind;
   std::vector<double> NodeEnergy;
   CoarseLevel WorkA, WorkB;
   struct HalfEdge {
-    uint64_t Key; ///< (from macro << 32) | to macro
+    unsigned From, To; ///< macros
     int64_t Slack;
   };
-  std::vector<HalfEdge> HE;
-  struct MatchCand {
-    int64_t Slack;
-    unsigned Weight;
-    unsigned A, B;
-  };
-  std::vector<MatchCand> Cands;
+  std::vector<HalfEdge> HE, HESorted;
+  std::vector<unsigned> Bucket; ///< counting-pass cursors, per macro
+  std::vector<MatchCand> Cands, CandTmp;
   std::vector<int> GroupOfNode;
   std::vector<int> PinOfGroup;
   std::vector<int> NewIdOfMacro;
@@ -138,9 +148,8 @@ private:
   /// One matching round Cur -> Out; returns contracted pair count.
   unsigned matchRound(const CoarseLevel &Cur, CoarseLevel &Out,
                       unsigned TargetMacros, double WeightCap);
-  /// Moves \p Lvl into the next stack slot (a buffer swap) and returns
-  /// the slot.
-  CoarseLevel *recordLevel(CoarseLevel &Lvl);
+  /// Copies \p Lvl into the next stack slot and returns the slot.
+  CoarseLevel *recordLevel(const CoarseLevel &Lvl);
 
 public:
   /// Builds the level stack. \p InitialGroups pre-fuses node sets (one

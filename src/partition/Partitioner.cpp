@@ -140,9 +140,6 @@ void PartitionBound::bind(const PartitionContext &TheCtx) {
   for (unsigned I = N; I > 0; --I)
     ValStart[I] = ValStart[I - 1];
   ValStart[0] = 0;
-
-  TouchStamp.assign(N, 0);
-  Stamp = 0;
 }
 
 void PartitionBound::load(const Partition &P) {
@@ -165,10 +162,10 @@ void PartitionBound::load(const Partition &P) {
     for (unsigned I = ValStart[Dst]; I < ValStart[Dst + 1]; ++I)
       ++Uses[static_cast<size_t>(ValSrc[I]) * NC + ClusterOf[Dst]];
   for (unsigned Src = 0; Src < N; ++Src)
-    countCopies(Src, +1);
+    countCopies(Src);
 }
 
-void PartitionBound::countCopies(unsigned N, int Sign) {
+void PartitionBound::countCopies(unsigned N) {
   const unsigned NC = static_cast<unsigned>(Tally.CopiesIn.size());
   const unsigned *U = &Uses[static_cast<size_t>(N) * NC];
   // One copy per cluster, other than the producer's own, that holds a
@@ -176,45 +173,47 @@ void PartitionBound::countCopies(unsigned N, int Sign) {
   for (unsigned C = 0; C < NC; ++C) {
     if (C == ClusterOf[N] || U[C] == 0)
       continue;
-    if (Sign > 0) {
-      ++Tally.CopiesIn[C];
-      ++Tally.Comms;
-    } else {
-      --Tally.CopiesIn[C];
-      --Tally.Comms;
-    }
+    ++Tally.CopiesIn[C];
+    ++Tally.Comms;
   }
 }
 
 void PartitionBound::move(const unsigned *Nodes, size_t Count, unsigned To) {
   const unsigned NC = static_cast<unsigned>(Tally.CopiesIn.size());
-  // The copies that can change are those of the moved nodes (their
-  // cluster changes) and of their value producers (a consumer changes
-  // cluster): retract them, move, and count them again.
-  ++Stamp;
-  Touched.clear();
-  auto touch = [&](unsigned N) {
-    if (TouchStamp[N] != Stamp) {
-      TouchStamp[N] = Stamp;
-      Touched.push_back(N);
-    }
-  };
+  // One node at a time, each step keeping the copy tally equal to the
+  // copy rule over (ClusterOf, Uses): first the node's own copies
+  // follow its new cluster, then each of its value producers sees one
+  // consumer leave From and one arrive in To. Only a (value, cluster)
+  // pair whose use count leaves or reaches 0 changes a copy, so a
+  // self-edge or a producer that is itself a moved node (already at
+  // To, or still at From) is counted against its current cluster.
   for (size_t I = 0; I < Count; ++I) {
-    touch(Nodes[I]);
-    for (unsigned E = ValStart[Nodes[I]]; E < ValStart[Nodes[I] + 1]; ++E)
-      touch(ValSrc[E]);
-  }
-  for (unsigned N : Touched)
-    countCopies(N, -1);
-
-  for (size_t I = 0; I < Count; ++I) {
-    unsigned N = Nodes[I];
-    unsigned From = ClusterOf[N];
+    const unsigned N = Nodes[I];
+    const unsigned From = ClusterOf[N];
     if (From == To)
       continue;
+    const unsigned *UN = &Uses[static_cast<size_t>(N) * NC];
+    if (UN[From] > 0) {
+      ++Tally.CopiesIn[From];
+      ++Tally.Comms;
+    }
+    if (UN[To] > 0) {
+      --Tally.CopiesIn[To];
+      --Tally.Comms;
+    }
+    ClusterOf[N] = To;
     for (unsigned E = ValStart[N]; E < ValStart[N + 1]; ++E) {
-      --Uses[static_cast<size_t>(ValSrc[E]) * NC + From];
-      ++Uses[static_cast<size_t>(ValSrc[E]) * NC + To];
+      const unsigned Src = ValSrc[E];
+      unsigned *US = &Uses[static_cast<size_t>(Src) * NC];
+      const unsigned SrcC = ClusterOf[Src];
+      if (--US[From] == 0 && From != SrcC) {
+        --Tally.CopiesIn[From];
+        --Tally.Comms;
+      }
+      if (US[To]++ == 0 && To != SrcC) {
+        ++Tally.CopiesIn[To];
+        ++Tally.Comms;
+      }
     }
     --Tally.Counts[From * NumFUKinds + Kind[N]];
     ++Tally.Counts[To * NumFUKinds + Kind[N]];
@@ -224,11 +223,7 @@ void PartitionBound::move(const unsigned *Nodes, size_t Count, unsigned To) {
       Tally.DefLatency[From] -= DefLat[N];
       Tally.DefLatency[To] += DefLat[N];
     }
-    ClusterOf[N] = To;
   }
-
-  for (unsigned N : Touched)
-    countCopies(N, +1);
 }
 
 double PartitionBound::grade(const PartitionerOptions &Opts,
@@ -285,6 +280,134 @@ double PartitionBound::capacityBound(const unsigned *Need, unsigned From,
       }
     }
   return Over ? InfeasiblePartitionScore * (1.0 + Overflow) : 0.0;
+}
+
+void FMSurrogate::init(const CoarseLevel &TheLvl,
+                       std::vector<unsigned> &TheAssign,
+                       const MachineDescription &M, const MachinePlan &Plan) {
+  Lvl = &TheLvl;
+  Assign = &TheAssign;
+  NC = M.numClusters();
+  const unsigned LN = Lvl->NumMacros;
+  slotCapacityInto(Cap, M, Plan);
+  Load.assign(static_cast<size_t>(NC) * NumFUKinds, 0);
+  Weight.assign(NC, 0.0);
+  Cut.assign(static_cast<size_t>(LN) * NC, 0);
+  KindMask.assign(LN, 0);
+  static_assert(NumFUKinds <= 8, "KindMask holds one bit per kind");
+  for (unsigned Mac = 0; Mac < LN; ++Mac) {
+    unsigned C = TheAssign[Mac];
+    for (unsigned K = 0; K < NumFUKinds; ++K) {
+      unsigned W = Lvl->fuCount(Mac, K);
+      Load[C * NumFUKinds + K] += W;
+      KindMask[Mac] |= static_cast<uint8_t>(W ? 1u << K : 0u);
+    }
+    Weight[C] += Lvl->Weight[Mac];
+    int64_t *Row = &Cut[static_cast<size_t>(Mac) * NC];
+    for (unsigned I = Lvl->AdjStart[Mac]; I < Lvl->AdjStart[Mac + 1]; ++I)
+      Row[TheAssign[Lvl->AdjMacro[I]]] += Lvl->AdjWeight[I];
+  }
+  OverKinds.assign(NC, 0);
+  for (unsigned C = 0; C < NC; ++C)
+    refreshCluster(C);
+  LightestOther.resize(NC);
+  refreshLightest();
+  CutTied.resize(LN);
+  for (unsigned Mac = 0; Mac < LN; ++Mac)
+    refreshCutTied(Mac);
+}
+
+void FMSurrogate::refreshCluster(unsigned C) {
+  uint8_t Over = 0;
+  for (unsigned K = 0; K < NumFUKinds; ++K)
+    if (Load[C * NumFUKinds + K] > Cap[C * NumFUKinds + K])
+      Over |= static_cast<uint8_t>(1u << K);
+  OverKinds[C] = Over;
+}
+
+void FMSurrogate::refreshLightest() {
+  for (unsigned H = 0; H < NC; ++H) {
+    double Min = std::numeric_limits<double>::infinity();
+    for (unsigned C = 0; C < NC; ++C)
+      if (C != H)
+        Min = std::min(Min, Weight[C]);
+    LightestOther[H] = Min;
+  }
+}
+
+void FMSurrogate::refreshCutTied(unsigned Mac) {
+  const int64_t *Row = &Cut[static_cast<size_t>(Mac) * NC];
+  const unsigned Home = (*Assign)[Mac];
+  bool Tied = false;
+  for (unsigned C = 0; C < NC; ++C)
+    Tied |= C != Home && Row[C] >= Row[Home];
+  CutTied[Mac] = Tied;
+}
+
+double FMSurrogate::bestMove(unsigned Mac, unsigned &BestC) const {
+  const unsigned Home = (*Assign)[Mac];
+  const int64_t *Row = &Cut[static_cast<size_t>(Mac) * NC];
+  const unsigned *Need = &Lvl->FUCounts[static_cast<size_t>(Mac) * NumFUKinds];
+  // Overload reduction of moving Mac from Home to C (positive = less):
+  // Home's relief, the same for every C, less C's added overload. A
+  // kind Mac lacks adds exactly 0 to both sums.
+  int64_t Relief = 0;
+  for (unsigned K = 0; K < NumFUKinds; ++K) {
+    int64_t W = Need[K];
+    int64_t LH = Load[Home * NumFUKinds + K];
+    int64_t CH = Cap[Home * NumFUKinds + K];
+    Relief += std::max<int64_t>(0, LH - CH) - std::max<int64_t>(0, LH - W - CH);
+  }
+  const double WMac = Lvl->Weight[Mac];
+  const double WH = Weight[Home];
+  double BestGain = -std::numeric_limits<double>::infinity();
+  BestC = Home;
+  for (unsigned C = 0; C < NC; ++C) {
+    if (C == Home)
+      continue;
+    int64_t CapGain = Relief;
+    for (unsigned K = 0; K < NumFUKinds; ++K) {
+      int64_t W = Need[K];
+      int64_t LC = Load[C * NumFUKinds + K];
+      int64_t CC = Cap[C * NumFUKinds + K];
+      CapGain -=
+          std::max<int64_t>(0, LC + W - CC) - std::max<int64_t>(0, LC - CC);
+    }
+    double WC = Weight[C];
+    double DW2 = (WH - WMac) * (WH - WMac) + (WC + WMac) * (WC + WMac) -
+                 WH * WH - WC * WC;
+    double G = 1e6 * static_cast<double>(CapGain) +
+               static_cast<double>(Row[C] - Row[Home]) - 1e-3 * DW2;
+    // Strict: ties keep the lowest cluster id.
+    bool Better = G > BestGain;
+    BestGain = Better ? G : BestGain;
+    BestC = Better ? C : BestC;
+  }
+  return BestGain;
+}
+
+void FMSurrogate::apply(unsigned Mac, unsigned C) {
+  const unsigned Home = (*Assign)[Mac];
+  for (unsigned K = 0; K < NumFUKinds; ++K) {
+    int64_t W = Lvl->fuCount(Mac, K);
+    Load[Home * NumFUKinds + K] -= W;
+    Load[C * NumFUKinds + K] += W;
+  }
+  Weight[Home] -= Lvl->Weight[Mac];
+  Weight[C] += Lvl->Weight[Mac];
+  (*Assign)[Mac] = C;
+  // The adjacency is symmetric: Mac's neighbors see its mass move.
+  for (unsigned I = Lvl->AdjStart[Mac]; I < Lvl->AdjStart[Mac + 1]; ++I) {
+    unsigned Nb = Lvl->AdjMacro[I];
+    int64_t *Row = &Cut[static_cast<size_t>(Nb) * NC];
+    Row[Home] -= Lvl->AdjWeight[I];
+    Row[C] += Lvl->AdjWeight[I];
+    refreshCutTied(Nb);
+  }
+  refreshCutTied(Mac);
+  refreshCluster(Home);
+  refreshCluster(C);
+  refreshLightest();
 }
 
 namespace {
@@ -387,114 +510,33 @@ bool prePlaceRecurrences(const PartitionContext &Ctx, bool EnablePinning,
   return true;
 }
 
-/// FM-style refinement of one level on the surrogate objective
+/// FM-style refinement of one level on the FMSurrogate objective:
+/// each pass fills a max-heap with the best move of every unlocked,
+/// unpinned macro whose gain is positive, pops the highest gain,
+/// applies the move when its recomputed gain is still that gain, locks
+/// the macro, and refreshes its neighbors; when the heap drains it
+/// fills again, until no improving move remains. Every applied move
+/// strictly decreases the surrogate, so the passes terminate; the
+/// caller only keeps the result when the *exact* objective did not get
+/// worse. Deterministic: ties break toward the lowest macro id and
+/// lowest cluster id.
 ///
-///   1e6 * (total per-cluster per-kind capacity overload)
-///   + (DDG edges cut between clusters)
-///   + 1e-3 * (sum of squared per-cluster energy weights)
-///
-/// evaluated incrementally: each pass fills a max-heap with the best
-/// move of every unlocked, unpinned macro whose gain is positive, pops
-/// the highest gain, applies the move when its recomputed gain is still
-/// that gain, locks the macro, and refreshes its neighbors; when the
-/// heap drains it fills again, until no improving move remains. Every
-/// applied move strictly decreases the surrogate, so the passes
-/// terminate; the caller only keeps the result when the *exact*
-/// objective did not get worse. Deterministic: ties break toward the
-/// lowest macro id and lowest cluster id.
-///
-/// Each macro's cut mass toward every cluster is kept as it changes,
-/// so a gain costs no walk of the macro's adjacency. A pass ends on a
-/// fill that found no positive gain among the macros it had not moved,
-/// and nothing changes before the next pass, so that pass's first fill
+/// A fill evaluates only the macros FMSurrogate::mayGain admits; the
+/// others have no positive gain, so the heap holds exactly the entries
+/// that evaluating every macro would push. A pass ends on a fill that
+/// found no positive gain among the macros it had not moved, and
+/// nothing changes before the next pass, so that pass's first fill
 /// evaluates only the macros the previous pass moved: the heap holds
 /// the entries a full fill would push, and pops them in the same
 /// (gain descending, macro ascending) order.
 uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
                        const CoarseLevel &Lvl, std::vector<unsigned> &Assign,
                        PartitionStats *Stats) {
-  const MachineDescription &M = *Ctx.M;
-  const MachinePlan &Plan = *Ctx.Plan;
-  const unsigned NC = M.numClusters();
   const unsigned LN = Lvl.NumMacros;
-
-  slotCapacityInto(S.FMCap, M, Plan);
-  S.FMLoad.assign(static_cast<size_t>(NC) * NumFUKinds, 0);
-  S.FMWeight.assign(NC, 0.0);
-  S.FMCut.assign(static_cast<size_t>(LN) * NC, 0);
-  for (unsigned Mac = 0; Mac < LN; ++Mac) {
-    unsigned C = Assign[Mac];
-    for (unsigned K = 0; K < NumFUKinds; ++K)
-      S.FMLoad[C * NumFUKinds + K] += Lvl.fuCount(Mac, K);
-    S.FMWeight[C] += Lvl.Weight[Mac];
-    int64_t *Cut = &S.FMCut[static_cast<size_t>(Mac) * NC];
-    for (unsigned I = Lvl.AdjStart[Mac]; I < Lvl.AdjStart[Mac + 1]; ++I)
-      Cut[Assign[Lvl.AdjMacro[I]]] += Lvl.AdjWeight[I];
-  }
+  FMSurrogate &FM = S.FM;
+  FM.init(Lvl, Assign, *Ctx.M, *Ctx.Plan);
   S.FMLocked.assign(LN, 0);
   S.FMMoved.clear();
-
-  auto bestMove = [&](unsigned Mac, double &BestGain, unsigned &BestC) {
-    const unsigned Home = Assign[Mac];
-    const int64_t *Cut = &S.FMCut[static_cast<size_t>(Mac) * NC];
-    // Overload reduction of moving Mac from Home to C (positive = less):
-    // Home's relief, the same for every C, less C's added overload.
-    int64_t Relief = 0;
-    for (unsigned K = 0; K < NumFUKinds; ++K) {
-      int64_t W = Lvl.fuCount(Mac, K);
-      if (!W)
-        continue;
-      int64_t LH = S.FMLoad[Home * NumFUKinds + K];
-      int64_t CH = S.FMCap[Home * NumFUKinds + K];
-      Relief +=
-          std::max<int64_t>(0, LH - CH) - std::max<int64_t>(0, LH - W - CH);
-    }
-    double WMac = Lvl.Weight[Mac];
-    double WH = S.FMWeight[Home];
-    BestGain = -std::numeric_limits<double>::infinity();
-    BestC = Home;
-    for (unsigned C = 0; C < NC; ++C) {
-      if (C == Home)
-        continue;
-      int64_t CapGain = Relief;
-      for (unsigned K = 0; K < NumFUKinds; ++K) {
-        int64_t W = Lvl.fuCount(Mac, K);
-        if (!W)
-          continue;
-        int64_t LC = S.FMLoad[C * NumFUKinds + K];
-        int64_t CC = S.FMCap[C * NumFUKinds + K];
-        CapGain -=
-            std::max<int64_t>(0, LC + W - CC) - std::max<int64_t>(0, LC - CC);
-      }
-      double WC = S.FMWeight[C];
-      double DW2 = (WH - WMac) * (WH - WMac) + (WC + WMac) * (WC + WMac) -
-                   WH * WH - WC * WC;
-      double G = 1e6 * static_cast<double>(CapGain) +
-                 static_cast<double>(Cut[C] - Cut[Home]) - 1e-3 * DW2;
-      if (G > BestGain) { // strict: ties keep the lowest cluster id
-        BestGain = G;
-        BestC = C;
-      }
-    }
-  };
-
-  auto apply = [&](unsigned Mac, unsigned C) {
-    unsigned Home = Assign[Mac];
-    for (unsigned K = 0; K < NumFUKinds; ++K) {
-      int64_t W = Lvl.fuCount(Mac, K);
-      S.FMLoad[Home * NumFUKinds + K] -= W;
-      S.FMLoad[C * NumFUKinds + K] += W;
-    }
-    S.FMWeight[Home] -= Lvl.Weight[Mac];
-    S.FMWeight[C] += Lvl.Weight[Mac];
-    // The adjacency is symmetric: Mac's neighbors see its mass move.
-    for (unsigned I = Lvl.AdjStart[Mac]; I < Lvl.AdjStart[Mac + 1]; ++I) {
-      int64_t *Cut = &S.FMCut[static_cast<size_t>(Lvl.AdjMacro[I]) * NC];
-      Cut[Home] -= Lvl.AdjWeight[I];
-      Cut[C] += Lvl.AdjWeight[I];
-    }
-    Assign[Mac] = C;
-  };
 
   auto HeapLess = [](const PartitionScratch::FMHeapEntry &A,
                      const PartitionScratch::FMHeapEntry &B) {
@@ -503,9 +545,10 @@ uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
     return A.Mac > B.Mac;     // ties: lowest macro id on top
   };
   auto pushIfGains = [&](unsigned Mac) {
-    double G;
+    if (!FM.mayGain(Mac))
+      return;
     unsigned C;
-    bestMove(Mac, G, C);
+    double G = FM.bestMove(Mac, C);
     if (G > 0)
       S.FMHeap.push_back({G, Mac});
   };
@@ -540,9 +583,8 @@ uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
         S.FMHeap.pop_back();
         if (S.FMLocked[E.Mac])
           continue;
-        double G;
         unsigned C;
-        bestMove(E.Mac, G, C);
+        double G = FM.bestMove(E.Mac, C);
         if (G != E.Gain) {
           if (G > 0) {
             S.FMHeap.push_back({G, E.Mac});
@@ -552,7 +594,7 @@ uint64_t refineLevelFM(const PartitionContext &Ctx, PartitionScratch &S,
         }
         if (G <= 0)
           continue;
-        apply(E.Mac, C);
+        FM.apply(E.Mac, C);
         S.FMLocked[E.Mac] = 1;
         S.FMMoved.push_back(E.Mac);
         ++MovesThisPass;

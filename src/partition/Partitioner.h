@@ -196,11 +196,6 @@ class PartitionBound {
   std::vector<unsigned> ValStart, ValSrc;
   /// Flat [node][cluster]: value edges from the node into the cluster.
   std::vector<unsigned> Uses;
-  /// move() working set: the nodes whose copies may change,
-  /// deduplicated by stamp.
-  std::vector<unsigned> Touched;
-  std::vector<uint64_t> TouchStamp;
-  uint64_t Stamp = 0;
   std::vector<double> WIns;
   unsigned MemOps = 0; ///< memory operations of the loop
   /// score()'s kernel input, built once per bind: the loop's out-edge
@@ -209,8 +204,8 @@ class PartitionBound {
   PlanGrid Grid;
   PseudoKernelScratch Pseudo;
 
-  /// Adds (\p Sign = +1) or removes (-1) the copies node \p N produces.
-  void countCopies(unsigned N, int Sign);
+  /// Adds the copies node \p N produces to the tally.
+  void countCopies(unsigned N);
   /// The objective of the kept assignment given its recurrence verdict
   /// and iteration length (0 and feasible for bound()).
   double grade(const PartitionerOptions &Opts, bool RecurrenceInfeasible,
@@ -246,6 +241,74 @@ public:
   const PartitionTally &tally() const { return Tally; }
 };
 
+/// The FM surrogate objective of one level,
+///
+///   1e6 * (total per-cluster per-kind capacity overload)
+///   + (DDG edges cut between clusters)
+///   + 1e-3 * (sum of squared per-cluster energy weights),
+///
+/// kept incrementally over a macro assignment: per-cluster op counts
+/// and energy mass, and each macro's cut mass toward every cluster, so
+/// a move's gain costs no walk of the macro's adjacency. It also keeps
+/// the state of an exact gate: mayGain(Mac) is false only when no move
+/// of Mac can have a positive gain, which holds when all of
+///
+///   (i)   Mac has no op of a kind its home cluster has over capacity
+///         (the move relieves no overload, so its capacity term is
+///         <= 0);
+///   (ii)  every other cluster holds less of Mac's cut mass than its
+///         home (the cut term is an integer <= -1);
+///   (iii) 2e-3 * W * (W_home - W_lightest_other - W) < 0.5, with W
+///         Mac's energy mass: the weight term of a move to cluster C is
+///         -1e-3 * ((W_home - W)^2 + (W_C + W)^2 - W_home^2 - W_C^2)
+///         = 2e-3 * W * (W_home - W_C - W), largest at the lightest C.
+///
+/// Then every move's gain is below -1 + 0.5 + rounding, far below 0.
+class FMSurrogate {
+  const CoarseLevel *Lvl = nullptr;
+  std::vector<unsigned> *Assign = nullptr;
+  unsigned NC = 0;
+  std::vector<int64_t> Load;   ///< flat [cluster][kind] op counts
+  std::vector<int64_t> Cap;    ///< flat [cluster][kind] slot capacity
+  std::vector<double> Weight;  ///< [cluster] energy mass
+  std::vector<int64_t> Cut;    ///< flat [macro][cluster] cut mass
+  /// The gate: per macro, bit K set when it holds an op of FUKind K,
+  /// and whether some other cluster holds at least its home's cut mass;
+  /// per cluster, the kinds over capacity (same bits) and the least
+  /// energy mass among the other clusters.
+  std::vector<uint8_t> KindMask;
+  std::vector<uint8_t> OverKinds;
+  std::vector<double> LightestOther;
+  std::vector<uint8_t> CutTied;
+
+  void refreshCluster(unsigned C);
+  void refreshLightest();
+  void refreshCutTied(unsigned Mac);
+
+public:
+  /// Loads \p TheLvl under the macro assignment \p TheAssign (kept by
+  /// reference: apply() moves macros in it) with the slot capacity of
+  /// \p Plan on \p M.
+  void init(const CoarseLevel &TheLvl, std::vector<unsigned> &TheAssign,
+            const MachineDescription &M, const MachinePlan &Plan);
+  /// False only when no move of \p Mac has a positive gain (exact; see
+  /// the class comment).
+  bool mayGain(unsigned Mac) const {
+    const unsigned Home = (*Assign)[Mac];
+    if (KindMask[Mac] & OverKinds[Home])
+      return true;
+    if (CutTied[Mac])
+      return true;
+    const double W = Lvl->Weight[Mac];
+    return 2e-3 * W * (Weight[Home] - LightestOther[Home] - W) >= 0.5;
+  }
+  /// The best move of \p Mac: its gain (the surrogate's decrease), and
+  /// the cluster in \p BestC (ties: the lowest cluster id).
+  double bestMove(unsigned Mac, unsigned &BestC) const;
+  /// Moves \p Mac to cluster \p C.
+  void apply(unsigned Mac, unsigned C);
+};
+
 /// Reusable buffers + coarsening memo for partitionLoop. One partition
 /// run builds groups, a multilevel coarsening, an initial assignment
 /// and hundreds of refinement candidates; the Figure 5 driver runs it
@@ -278,16 +341,13 @@ struct PartitionScratch {
   // FM refinement working set (levels above MaxRefineMacros;
   // all sized per level and reused, so steady state is allocation-free
   // — the "gain buckets in the arena" half of the big-loop work).
-  std::vector<int64_t> FMLoad;     ///< flat [cluster][kind] op counts
-  std::vector<int64_t> FMCap;      ///< flat [cluster][kind] capacity
-  std::vector<double> FMWeight;    ///< [cluster] energy mass
+  FMSurrogate FM;
   std::vector<uint8_t> FMLocked;   ///< [macro] moved this pass
   struct FMHeapEntry {
     double Gain;
     unsigned Mac;
   };
   std::vector<FMHeapEntry> FMHeap; ///< binary max-heap storage
-  std::vector<int64_t> FMCut;      ///< flat [macro][cluster] cut mass
   std::vector<unsigned> FMMoved;   ///< this pass's moves, for the next
 
   // Coarsening memo: ML holds the stack of MemoKey while MLValid;

@@ -150,30 +150,8 @@ SchedulerResult HeteroModuloScheduler::runTicks(const TickGraph &T,
 
   // Approximate ALAP against the ASAP horizon using the no-sync timing
   // rule backwards (priorities only; correctness never depends on it).
-  int64_t Horizon = 0;
-  for (unsigned I = 0; I < N; ++I)
-    Horizon = std::max(Horizon, Asap[I]);
-  std::vector<int64_t> &Alap = SS.Alap;
-  Alap.assign(N, Horizon);
-  std::vector<int64_t> &EdgeBack = SS.EdgeBack;
-  EdgeBack.resize(PG.edges().size());
-  for (unsigned EIx = 0; EIx < PG.edges().size(); ++EIx)
-    // The backward rule's per-edge constant, from the TickGraph's
-    // precomputed products: distance * IT - latency * period(src).
-    EdgeBack[EIx] = T.edgeDistTicks(EIx) - T.edgeLatTicks(EIx);
-  for (unsigned Round = 0; Round < N; ++Round) {
-    bool Changed = false;
-    for (unsigned EIx = 0; EIx < PG.edges().size(); ++EIx) {
-      const PGEdge &E = PG.edge(EIx);
-      int64_t Limit = Alap[E.Dst] + EdgeBack[EIx];
-      if (Limit < Alap[E.Src]) {
-        Alap[E.Src] = Limit;
-        Changed = true;
-      }
-    }
-    if (!Changed)
-      break;
-  }
+  T.computeAlapTicksInto(Asap, SS.Alap);
+  const std::vector<int64_t> &Alap = SS.Alap;
 
   std::vector<SchedulerScratch::TickEntry> &Order = SS.TickOrder;
   Order.resize(N);

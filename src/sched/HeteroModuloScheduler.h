@@ -64,7 +64,7 @@ struct SchedulerScratch {
     int64_t Slack;
     int64_t Asap;
   };
-  std::vector<int64_t> Asap, Alap, EdgeBack, Slot, LastSlot;
+  std::vector<int64_t> Asap, Alap, Slot, LastSlot;
   std::vector<unsigned> Unit, Rank, NodeOfRank;
   std::vector<uint8_t> Placed;
   std::vector<uint64_t> ReadyWords;

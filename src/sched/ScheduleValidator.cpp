@@ -4,8 +4,7 @@
 #include "sched/TickGraph.h"
 #include "support/StrUtil.h"
 
-#include <algorithm>
-#include <tuple>
+#include <vector>
 
 using namespace hcvliw;
 
@@ -47,40 +46,59 @@ std::string hcvliw::validateSchedule(const MachineDescription &M,
                           E.Distance);
   }
 
-  // Modulo resource conflicts: (domain, kind, unit, slot mod II) unique.
-  // Sort-and-scan over one flat vector instead of a node-per-entry map:
-  // the validator runs on every successful schedule, so it must not
-  // dominate the driver's allocation budget.
-  struct Cell {
-    unsigned Domain, Kind, Unit;
-    int64_t Mod;
-    unsigned Node;
+  // The unit index must exist.
+  const unsigned NumDomains = PG.numClusters() + 1;
+  auto unitsOf = [&](unsigned Domain, unsigned Kind) -> unsigned {
+    return Domain == PG.busDomain()
+               ? M.Buses
+               : M.Clusters[Domain].fuCount(static_cast<FUKind>(Kind));
   };
-  std::vector<Cell> Cells;
-  Cells.reserve(PG.size());
+  for (unsigned N = 0; N < PG.size(); ++N)
+    if (S.Nodes[N].Unit >= unitsOf(PG.node(N).Domain,
+                                   static_cast<unsigned>(PG.node(N).Kind)))
+      return formatString("node %u on nonexistent unit", N);
+
+  // Modulo resource conflicts: (domain, kind, unit, slot mod II) unique.
+  // One occupancy table whose cell index orders the cells as those
+  // tuples compare: a block per (domain, kind) with a row of II cells
+  // per unit. Nodes enter in increasing id, so the first clash in a
+  // cell names its two lowest node ids, and the report is the clash in
+  // the lowest cell. The table's first NumBlocks + 1 entries are the
+  // block offsets; a cell holds its occupant's id + 1, or 0 when free.
+  const size_t NumBlocks = static_cast<size_t>(NumDomains) * NumFUKinds;
+  auto blockCells = [&](size_t B) -> size_t {
+    unsigned D = static_cast<unsigned>(B / NumFUKinds);
+    int64_t II = D == PG.busDomain() ? S.Plan.Bus.II : S.Plan.Clusters[D].II;
+    return unitsOf(D, B % NumFUKinds) * static_cast<size_t>(II);
+  };
+  size_t Cells = NumBlocks + 1;
+  for (size_t B = 0; B < NumBlocks; ++B)
+    Cells += blockCells(B);
+  std::vector<size_t> Table(Cells, 0);
+  Table[0] = NumBlocks + 1;
+  for (size_t B = 0; B + 1 < NumBlocks; ++B)
+    Table[B + 1] = Table[B] + blockCells(B);
+  size_t Clash = Cells;
+  unsigned ClashA = 0, ClashB = 0;
   for (unsigned N = 0; N < PG.size(); ++N) {
     const PGNode &Node = PG.node(N);
     int64_t II = S.iiOf(PG, N);
-    Cells.push_back({Node.Domain, static_cast<unsigned>(Node.Kind),
-                     S.Nodes[N].Unit, S.Nodes[N].Slot % II, N});
-    // The unit index must exist.
-    unsigned Units = Node.Domain == PG.busDomain()
-                         ? M.Buses
-                         : M.Clusters[Node.Domain].fuCount(Node.Kind);
-    if (S.Nodes[N].Unit >= Units)
-      return formatString("node %u on nonexistent unit", N);
+    size_t Cell = Table[static_cast<size_t>(Node.Domain) * NumFUKinds +
+                        static_cast<unsigned>(Node.Kind)] +
+                  static_cast<size_t>(S.Nodes[N].Unit) *
+                      static_cast<size_t>(II) +
+                  static_cast<size_t>(S.Nodes[N].Slot % II);
+    if (Table[Cell] == 0) {
+      Table[Cell] = static_cast<size_t>(N) + 1;
+    } else if (Cell < Clash) {
+      Clash = Cell;
+      ClashA = static_cast<unsigned>(Table[Cell] - 1);
+      ClashB = N;
+    }
   }
-  std::sort(Cells.begin(), Cells.end(), [](const Cell &A, const Cell &B) {
-    return std::tie(A.Domain, A.Kind, A.Unit, A.Mod, A.Node) <
-           std::tie(B.Domain, B.Kind, B.Unit, B.Mod, B.Node);
-  });
-  for (size_t I = 1; I < Cells.size(); ++I) {
-    const Cell &A = Cells[I - 1], &B = Cells[I];
-    if (A.Domain == B.Domain && A.Kind == B.Kind && A.Unit == B.Unit &&
-        A.Mod == B.Mod)
-      return formatString("nodes %u and %u share a reservation cell", A.Node,
-                          B.Node);
-  }
+  if (Clash < Cells)
+    return formatString("nodes %u and %u share a reservation cell", ClashA,
+                        ClashB);
 
   if (Opts.CheckRegisterPressure) {
     RegisterPressureResult R =

@@ -3,6 +3,7 @@
 #include "sched/TickGraph.h"
 #include "sched/AsapFixpoint.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 using namespace hcvliw;
@@ -111,4 +112,47 @@ bool TickGraph::computeAsapTicksInto(std::vector<int64_t> &Start) const {
   unsigned Sweeps = 0;
   return sweepAsapFixpoint(Step, Start, AsapDepth, PG->size(), NumOps,
                            Sweeps);
+}
+
+// Why any edge order gives the same ALAP. Every edge bound satisfies
+// edgeStartBound(e, x) >= x + Latency(e) * period(src) - Distance(e) *
+// IT (crossDomainArrival never returns a tick before the value is
+// ready), and Asap is a fixpoint: Asap[dst] >= edgeStartBound(e,
+// Asap[src]). Summed around any dependence cycle, the weights w(e) =
+// Distance(e) * IT - Latency(e) * period(src) are therefore >= 0, so
+// the backward system has no negative cycle. Its greatest solution
+// below Horizon is Horizon plus the least weight of a path out of each
+// node (0 for the empty path). Relaxation from all-Horizon never drops
+// a value below that solution, and each full round extends the paths it
+// has accounted for by at least one edge, whatever order the round
+// visits them in; so any order reaches the same fixpoint within N
+// rounds and then changes nothing. The DDG emits its flow edges
+// consumer by consumer, so visiting edges in decreasing index carries a
+// whole chain back in one round, where increasing index carried it back
+// one edge per round: on the benchmark's unrolled bodies every call
+// settles in one round plus the one that confirms it.
+unsigned TickGraph::computeAlapTicksInto(const std::vector<int64_t> &Asap,
+                                         std::vector<int64_t> &Late) const {
+  const unsigned N = PG->size();
+  int64_t Horizon = 0;
+  for (unsigned I = 0; I < N; ++I)
+    Horizon = std::max(Horizon, Asap[I]);
+  Late.assign(N, Horizon);
+  const std::vector<PGEdge> &Es = PG->edges();
+  unsigned Rounds = 0;
+  while (Rounds < N) {
+    ++Rounds;
+    bool Changed = false;
+    for (size_t EIx = Es.size(); EIx-- > 0;) {
+      int64_t Limit =
+          Late[Es[EIx].Dst] + EdgeDistTicks[EIx] - EdgeLatTicks[EIx];
+      if (Limit < Late[Es[EIx].Src]) {
+        Late[Es[EIx].Src] = Limit;
+        Changed = true;
+      }
+    }
+    if (!Changed)
+      break;
+  }
+  return Rounds;
 }

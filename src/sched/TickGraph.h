@@ -116,6 +116,18 @@ public:
   /// to the node count). Returns false when no fixpoint exists: a
   /// dependence cycle cannot meet the IT.
   bool computeAsapTicksInto(std::vector<int64_t> &Start) const;
+
+  /// The scheduler's ALAP priorities: the greatest fixpoint, into
+  /// \p Late (resized to the node count), of
+  ///
+  ///   Late[src(e)] <= Late[dst(e)] + Distance(e) * IT
+  ///                                - Latency(e) * period(src(e))
+  ///
+  /// over every edge, with every Late at most the largest of \p Asap
+  /// (the ASAP fixpoint of this graph). Returns the relaxation rounds
+  /// it ran, the last of which changed nothing.
+  unsigned computeAlapTicksInto(const std::vector<int64_t> &Asap,
+                                std::vector<int64_t> &Late) const;
 };
 
 } // namespace hcvliw

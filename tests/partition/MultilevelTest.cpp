@@ -6,7 +6,9 @@
 // tracked objective — and the headline behavioral guarantee of the
 // hierarchy: loops far beyond the old ~200-op ceiling schedule
 // end-to-end through the real partitioner, validator-clean, with
-// results bit-identical across worker thread counts.
+// results bit-identical across worker thread counts. It also holds the
+// finest level's adjacency and the matching-candidate order to
+// std::sort oracles.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,11 +20,14 @@
 #include "partition/ScheduleScratch.h"
 #include "runtime/WorkerPool.h"
 #include "sched/ScheduleValidator.h"
+#include "support/RNG.h"
 #include "workloads/SyntheticLoops.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
 
 using namespace hcvliw;
 
@@ -323,6 +328,138 @@ TEST(BigLoop, BitIdenticalAcrossWorkerThreadCounts) {
       EXPECT_EQ(A.Ejections, B.Ejections);
       EXPECT_EQ(A.BudgetUsed, B.BudgetUsed);
     }
+  }
+}
+
+// The finest level's adjacency (two counting passes over the macros)
+// equals the fold of the DDG's half-edges sorted by (from, to) with
+// std::sort, on random loops pre-fused into random groups (so many DDG
+// edges fall between one pair of macros) under a slack with many ties.
+TEST(Multilevel, FinestAdjacencyMatchesSortedFold) {
+  RNG Rng(0xc5a7);
+  MachineDescription M = MachineDescription::paperDefault();
+  unsigned Duplicates = 0;
+  for (unsigned I = 0; I < 60; ++I) {
+    RandomLoopParams Params;
+    Params.MinOps = 10;
+    Params.MaxOps = 80;
+    Loop L = makeRandomLoop(Rng, Params, "csr" + std::to_string(I));
+    DDG G = DDG::build(L);
+    const unsigned N = G.size();
+    // Random disjoint groups over a shuffled node order; the rest stay
+    // singletons.
+    std::vector<unsigned> Order(N);
+    for (unsigned Nd = 0; Nd < N; ++Nd)
+      Order[Nd] = Nd;
+    Rng.shuffle(Order);
+    std::vector<std::vector<unsigned>> Groups;
+    for (unsigned At = 0; At + 1 < N && Rng.nextBool(0.8);) {
+      unsigned Len = static_cast<unsigned>(
+          Rng.nextInt(2, std::min<int64_t>(6, N - At)));
+      std::vector<unsigned> Gp(Order.begin() + At, Order.begin() + At + Len);
+      std::sort(Gp.begin(), Gp.end());
+      Groups.push_back(std::move(Gp));
+      At += Len;
+    }
+    std::vector<int> Pins(Groups.size(), -1);
+    std::vector<int64_t> Slack(G.numEdges());
+    for (int64_t &S : Slack)
+      S = Rng.nextInt(-2, 3);
+    MultilevelGraph ML;
+    ML.build(L, G, M, Groups, Pins, Slack, 4);
+    const CoarseLevel &Fin = ML.level(0);
+
+    struct Half {
+      unsigned From, To;
+      int64_t Slack;
+    };
+    std::vector<Half> HE;
+    for (unsigned EIx = 0; EIx < G.numEdges(); ++EIx) {
+      unsigned A = Fin.MacroOf[G.edge(EIx).Src];
+      unsigned B = Fin.MacroOf[G.edge(EIx).Dst];
+      if (A == B)
+        continue;
+      HE.push_back({A, B, Slack[EIx]});
+      HE.push_back({B, A, Slack[EIx]});
+    }
+    std::sort(HE.begin(), HE.end(), [](const Half &X, const Half &Y) {
+      return std::tie(X.From, X.To) < std::tie(Y.From, Y.To);
+    });
+    std::vector<unsigned> Start(Fin.NumMacros + 1, 0), Macro, Weight;
+    std::vector<int64_t> MinSlack;
+    for (size_t At = 0; At < HE.size();) {
+      size_t End = At;
+      int64_t Min = HE[At].Slack;
+      while (End < HE.size() && HE[End].From == HE[At].From &&
+             HE[End].To == HE[At].To)
+        Min = std::min(Min, HE[End++].Slack);
+      ++Start[HE[At].From + 1];
+      Macro.push_back(HE[At].To);
+      Weight.push_back(static_cast<unsigned>(End - At));
+      MinSlack.push_back(Min);
+      Duplicates += End - At > 1;
+      At = End;
+    }
+    for (unsigned Mac = 0; Mac < Fin.NumMacros; ++Mac)
+      Start[Mac + 1] += Start[Mac];
+    EXPECT_EQ(Fin.AdjStart, Start) << L.Name;
+    EXPECT_EQ(Fin.AdjMacro, Macro) << L.Name;
+    EXPECT_EQ(Fin.AdjWeight, Weight) << L.Name;
+    EXPECT_EQ(Fin.AdjSlack, MinSlack) << L.Name;
+  }
+  EXPECT_GT(Duplicates, 0u);
+}
+
+// Matching candidates, generated in (A, B) order, sort into the order
+// the four-key std::sort gives: slack ascending, weight descending,
+// then (A, B). Random candidate sets of every length up to 300 with
+// heavy slack and weight ties, and the candidates of real levels.
+TEST(Multilevel, CandidateOrderMatchesFourKeySort) {
+  using Cand = MultilevelGraph::MatchCand;
+  auto fourKey = [](std::vector<Cand> V) {
+    std::sort(V.begin(), V.end(), [](const Cand &X, const Cand &Y) {
+      if (X.Slack != Y.Slack)
+        return X.Slack < Y.Slack;
+      if (X.Weight != Y.Weight)
+        return X.Weight > Y.Weight;
+      return std::tie(X.A, X.B) < std::tie(Y.A, Y.B);
+    });
+    return V;
+  };
+  auto same = [](const std::vector<Cand> &X, const std::vector<Cand> &Y) {
+    if (X.size() != Y.size())
+      return false;
+    for (size_t I = 0; I < X.size(); ++I)
+      if (X[I].Slack != Y[I].Slack || X[I].Weight != Y[I].Weight ||
+          X[I].A != Y[I].A || X[I].B != Y[I].B)
+        return false;
+    return true;
+  };
+  RNG Rng(0xca2d);
+  std::vector<Cand> Cands, Tmp;
+  for (unsigned Len = 0; Len <= 300; ++Len) {
+    Cands.clear();
+    // (A, B) pairs in increasing order: A ascends, B > A ascends.
+    for (unsigned A = 0; Cands.size() < Len; ++A)
+      for (unsigned B = A + 1; B < A + 4 && Cands.size() < Len; ++B)
+        Cands.push_back({Rng.nextInt(0, 3),
+                         static_cast<unsigned>(Rng.nextInt(1, 3)), A, B});
+    std::vector<Cand> Want = fourKey(Cands);
+    MultilevelGraph::sortCandidates(Cands, Tmp);
+    ASSERT_TRUE(same(Cands, Want)) << "length " << Len;
+  }
+  CoarsenFixture F(makeUnrolledKernelLoop("cands", 384), 4);
+  for (unsigned LI = 0; LI < F.ML.numLevels(); ++LI) {
+    const CoarseLevel &Lvl = F.ML.level(LI);
+    Cands.clear();
+    for (unsigned A = 0; A < Lvl.NumMacros; ++A)
+      for (unsigned I = Lvl.AdjStart[A]; I < Lvl.AdjStart[A + 1]; ++I)
+        if (Lvl.AdjMacro[I] > A)
+          Cands.push_back({Lvl.AdjSlack[I], Lvl.AdjWeight[I], A,
+                           Lvl.AdjMacro[I]});
+    std::vector<Cand> Want = fourKey(Cands);
+    MultilevelGraph::sortCandidates(Cands, Tmp);
+    EXPECT_TRUE(same(Cands, Want)) << "level " << LI;
   }
 }
 

@@ -16,6 +16,9 @@
 //   - before a move out of one cluster, capacityBound() (the moved
 //     nodes' capacity terms alone) is <= the bound after the move.
 //
+// A third test moves random node sets and checks the kept tally
+// against a fresh load after every move.
+//
 // A second test binds one bound in turn to two different loops of
 // equal node and edge counts and to two plans of each, so a table or
 // grid left over from the previous bind would go unnoticed by sizes
@@ -30,6 +33,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "configsel/Scaling.h"
+#include "ir/LoopDSL.h"
 #include "ir/MinDist.h"
 #include "mcd/DomainPlanner.h"
 #include "partition/MultilevelGraph.h"
@@ -411,6 +415,95 @@ TEST(ScoreBound, RebindingRebuildsTheKernelInput) {
   }
   EXPECT_GT(Feasible, 0u);
   EXPECT_GT(Infeasible, 0u);
+}
+
+// move() keeps the copy tally by (value, cluster) use counts, one moved
+// node at a time. After random moves of random node sets (members that
+// produce for other members, values that feed themselves, nodes
+// already at the target), the kept tally and assignment equal those a
+// fresh load of the moved partition counts.
+TEST(ScoreBound, MovesKeepTheTallyOfAFreshLoad) {
+  MachineDescription M = MachineDescription::paperDefault();
+  const unsigned NC = M.numClusters();
+  RNG Rng(0x7a11e);
+  unsigned Moves = 0, SelfFed = 0, InnerProducer = 0;
+  std::vector<Loop> Loops;
+  RandomLoopParams Params;
+  Params.MinOps = 8;
+  Params.MaxOps = 60;
+  Params.RecurrenceProb = 0.8;
+  for (unsigned I = 0; I < 24; ++I)
+    Loops.push_back(makeRandomLoop(Rng, Params, "tally" + std::to_string(I)));
+  Loops.push_back(makeUnrolledKernelLoop("tally256", 256));
+  // Values that feed themselves across iterations (self value edges).
+  Loops.push_back(parseSingleLoop("loop selffed trip=32\n"
+                                  "  livein c = 1.5\n"
+                                  "  a = fadd a@1 c init=1\n"
+                                  "  b = fmul a b@2 init=2\n"
+                                  "  d = fadd a b\n"
+                                  "  e = fmul d e@1 init=1\n"
+                                  "  f = fadd e c\n"
+                                  "endloop\n"));
+  for (const Loop &L : Loops) {
+    SCOPED_TRACE(L.Name);
+    DDG G = DDG::build(L);
+    RecurrenceInfo Recs = analyzeRecurrences(G, M.Isa.nodeLatencies(L));
+    DomainPlanner Planner(M, HeteroConfig::reference(M),
+                          FrequencyMenu::continuous());
+    auto Plan = Planner.planForIT(
+        Planner.computeMIT(Recs.RecMII, L.opCountsByFU()));
+    ASSERT_TRUE(Plan.has_value());
+    PartitionContext Ctx;
+    Ctx.L = &L;
+    Ctx.G = &G;
+    Ctx.M = &M;
+    Ctx.Plan = &*Plan;
+    Ctx.Recs = &Recs;
+    const unsigned N = G.size();
+    Partition P;
+    for (unsigned Nd = 0; Nd < N; ++Nd)
+      P.ClusterOf.push_back(static_cast<unsigned>(Rng.nextInt(0, NC - 1)));
+    PartitionBound B, Fresh;
+    B.bind(Ctx);
+    Fresh.bind(Ctx);
+    B.load(P);
+    for (unsigned Mv = 0; Mv < 40; ++Mv) {
+      // A random set of distinct nodes: a run of consecutive ids (so
+      // producers and their consumers move together) or a scatter.
+      std::vector<unsigned> Set;
+      std::vector<uint8_t> In(N, 0);
+      unsigned Size =
+          static_cast<unsigned>(Rng.nextInt(1, std::max(1u, N / 3)));
+      unsigned First = static_cast<unsigned>(Rng.nextInt(0, N - 1));
+      bool Run = Rng.nextBool(0.5);
+      for (unsigned K = 0; K < Size; ++K) {
+        unsigned Nd = Run ? (First + K) % N
+                          : static_cast<unsigned>(Rng.nextInt(0, N - 1));
+        if (!In[Nd]) {
+          In[Nd] = 1;
+          Set.push_back(Nd);
+        }
+      }
+      unsigned To = static_cast<unsigned>(Rng.nextInt(0, NC - 1));
+      for (const DDG::Edge &E : G.edges())
+        if (isValueCarrying(E.Kind) && In[E.Dst]) {
+          SelfFed += E.Src == E.Dst;
+          InnerProducer += E.Src != E.Dst && In[E.Src];
+        }
+      for (unsigned Nd : Set)
+        P.ClusterOf[Nd] = To;
+      B.move(Set.data(), Set.size(), To);
+      Fresh.load(P);
+      ++Moves;
+      ASSERT_EQ(B.clusterOf(), P.ClusterOf) << "move " << Mv;
+      ASSERT_TRUE(sameTally(B.tally(), Fresh.tally())) << "move " << Mv;
+    }
+  }
+  EXPECT_GT(SelfFed, 0u);
+  EXPECT_GT(InnerProducer, 0u);
+  std::printf("%u moves: %u self-fed value edges and %u member-to-member "
+              "value edges moved\n",
+              Moves, SelfFed, InnerProducer);
 }
 
 } // namespace

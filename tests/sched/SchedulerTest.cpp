@@ -5,16 +5,24 @@
 // the independent validator (dependences under the exact cross-domain
 // timing rule, modulo resource exclusivity, II*period == IT, register
 // pressure) and execute functionally equivalently to sequential code.
+// The validator's resource check is held to the sort-and-scan it
+// replaced, on random schedules full of conflicts.
 //
 //===----------------------------------------------------------------------===//
 
 #include "partition/LoopScheduler.h"
 #include "sched/HeteroModuloScheduler.h"
+#include "sched/ScheduleValidator.h"
 #include "sched/TickGraph.h"
 #include "vliwsim/PipelinedSimulator.h"
 #include "workloads/SyntheticLoops.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <tuple>
 
 using namespace hcvliw;
 
@@ -185,6 +193,141 @@ TEST(Scheduler, RegisterPressureFailsOnTinyFiles) {
     EXPECT_TRUE(R.Pressure.fits(M));
     EXPECT_GT(R.Sched.Plan.ITNs, Rational(6));
   }
+}
+
+/// The validator's resource check as it was before the occupancy
+/// table: sort (domain, kind, unit, slot mod II, node) tuples and name
+/// the first adjacent pair that shares a cell. Runs the unit-range
+/// check first, as the validator does; "" when no cell is shared.
+std::string sortAndScanConflict(const MachineDescription &M,
+                                const PartitionedGraph &PG,
+                                const Schedule &S) {
+  using Cell = std::tuple<unsigned, unsigned, unsigned, int64_t, unsigned>;
+  std::vector<Cell> Cells;
+  for (unsigned N = 0; N < PG.size(); ++N) {
+    const PGNode &Node = PG.node(N);
+    unsigned Units = Node.Domain == PG.busDomain()
+                         ? M.Buses
+                         : M.Clusters[Node.Domain].fuCount(Node.Kind);
+    if (S.Nodes[N].Unit >= Units)
+      return "node " + std::to_string(N) + " on nonexistent unit";
+    Cells.emplace_back(Node.Domain, static_cast<unsigned>(Node.Kind),
+                       S.Nodes[N].Unit, S.Nodes[N].Slot % S.iiOf(PG, N), N);
+  }
+  std::sort(Cells.begin(), Cells.end());
+  for (size_t I = 1; I < Cells.size(); ++I) {
+    const Cell &A = Cells[I - 1], &B = Cells[I];
+    if (std::get<0>(A) == std::get<0>(B) && std::get<1>(A) == std::get<1>(B) &&
+        std::get<2>(A) == std::get<2>(B) && std::get<3>(A) == std::get<3>(B))
+      return "nodes " + std::to_string(std::get<4>(A)) + " and " +
+             std::to_string(std::get<4>(B)) + " share a reservation cell";
+  }
+  return "";
+}
+
+/// An edge-free graph over the paper machine's four clusters and bus:
+/// \p Kinds[i] = (domain, kind) of node i. With no edges every
+/// dependence check passes, so a schedule's verdict is its resources'.
+PartitionedGraph edgeFreeGraph(
+    const std::vector<std::pair<unsigned, FUKind>> &Kinds) {
+  std::vector<PGNode> Nodes;
+  for (const auto &[Domain, Kind] : Kinds) {
+    PGNode N;
+    N.Domain = Domain;
+    N.Kind = Kind;
+    N.Op = Kind == FUKind::Bus      ? Opcode::Copy
+           : Kind == FUKind::FpFU   ? Opcode::FAdd
+           : Kind == FUKind::MemPort ? Opcode::Load
+                                     : Opcode::IntAdd;
+    N.OrigOp = Kind == FUKind::Bus ? -1 : static_cast<int>(Nodes.size());
+    Nodes.push_back(N);
+  }
+  return PartitionedGraph::fromRaw(4, std::move(Nodes), {});
+}
+
+// Two copies on the one bus, in the same cell of the bus's modulo
+// table: the second a whole II later.
+TEST(Scheduler, ValidatorReportsABusConflictAcrossTheIIWrap) {
+  MachineDescription M = MachineDescription::paperDefault();
+  DomainPlanner Planner(M, HeteroConfig::reference(M),
+                        FrequencyMenu::continuous());
+  auto Plan = Planner.planForIT(Rational(4));
+  ASSERT_TRUE(Plan.has_value());
+  PartitionedGraph PG = edgeFreeGraph(
+      {{0, FUKind::IntFU}, {4, FUKind::Bus}, {1, FUKind::IntFU},
+       {4, FUKind::Bus}});
+  Schedule S;
+  S.Plan = *Plan;
+  S.Nodes.assign(PG.size(), ScheduledNode());
+  for (ScheduledNode &N : S.Nodes)
+    N.Placed = true;
+  S.Nodes[1].Slot = 1;
+  S.Nodes[3].Slot = 1 + Plan->Bus.II;
+  ValidatorOptions O;
+  O.CheckRegisterPressure = false;
+  EXPECT_EQ(validateSchedule(M, PG, S, O),
+            "nodes 1 and 3 share a reservation cell");
+  S.Nodes[3].Slot += 1;
+  EXPECT_EQ(validateSchedule(M, PG, S, O), "");
+}
+
+// On random edge-free schedules with many conflicts, in every domain
+// and kind and at slots past the II, the validator names the pair the
+// sort-and-scan names, and reports a nonexistent unit first.
+TEST(Scheduler, ValidatorNamesTheSortAndScanConflict) {
+  MachineDescription M = MachineDescription::paperDefault(2);
+  RNG Rng(0x7ab1e);
+  unsigned Conflicts = 0, OnBus = 0, Wrapped = 0, BadUnits = 0;
+  const FUKind ClusterKinds[] = {FUKind::IntFU, FUKind::FpFU,
+                                 FUKind::MemPort};
+  for (unsigned Case = 0; Case < 600; ++Case) {
+    HeteroConfig C = configFor(M, Case);
+    DomainPlanner Planner(M, C, FrequencyMenu::continuous());
+    auto Plan = Planner.planForIT(Rational(Rng.nextInt(4, 40), 2));
+    if (!Plan)
+      continue;
+    unsigned N = static_cast<unsigned>(Rng.nextInt(1, 60));
+    std::vector<std::pair<unsigned, FUKind>> Kinds;
+    for (unsigned I = 0; I < N; ++I) {
+      unsigned D = static_cast<unsigned>(Rng.nextInt(0, 4));
+      Kinds.emplace_back(D, D == 4 ? FUKind::Bus
+                                   : ClusterKinds[Rng.nextInt(0, 2)]);
+    }
+    PartitionedGraph PG = edgeFreeGraph(Kinds);
+    Schedule S;
+    S.Plan = *Plan;
+    S.Nodes.assign(N, ScheduledNode());
+    for (unsigned I = 0; I < N; ++I) {
+      const PGNode &Node = PG.node(I);
+      unsigned Units = Node.Domain == 4
+                           ? M.Buses
+                           : M.Clusters[Node.Domain].fuCount(Node.Kind);
+      S.Nodes[I].Placed = true;
+      S.Nodes[I].Slot = Rng.nextInt(0, 3 * S.iiOf(PG, I));
+      S.Nodes[I].Unit = static_cast<unsigned>(Rng.nextInt(0, Units - 1));
+      if (Rng.nextBool(0.002))
+        S.Nodes[I].Unit = Units; // the unit-range check reports first
+    }
+    ValidatorOptions O;
+    O.CheckRegisterPressure = false;
+    std::string Want = sortAndScanConflict(M, PG, S);
+    ASSERT_EQ(validateSchedule(M, PG, S, O), Want) << "case " << Case;
+    unsigned A, B;
+    BadUnits += Want.find("nonexistent") != std::string::npos;
+    if (std::sscanf(Want.c_str(), "nodes %u and %u", &A, &B) == 2) {
+      ++Conflicts;
+      OnBus += PG.node(A).Domain == 4;
+      Wrapped += S.Nodes[A].Slot >= S.iiOf(PG, A) ||
+                 S.Nodes[B].Slot >= S.iiOf(PG, B);
+    }
+  }
+  EXPECT_GT(Conflicts, 300u);
+  EXPECT_GT(OnBus, 0u);
+  EXPECT_GT(Wrapped, 0u);
+  EXPECT_GT(BadUnits, 0u);
+  std::printf("%u conflicts named (%u on the bus, %u past the II), %u "
+              "nonexistent units\n",
+              Conflicts, OnBus, Wrapped, BadUnits);
 }
 
 } // namespace

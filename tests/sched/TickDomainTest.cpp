@@ -1,7 +1,7 @@
 //===- tests/sched/TickDomainTest.cpp - Tick-grid scheduling chain --------===//
 //
 // The scheduling chain's one clock arithmetic is the plan's integer
-// tick grid. This file pins it three ways:
+// tick grid. This file pins it four ways:
 //
 //   - the full Figure 5 driver over ~50 random loops x 4 heterogeneous
 //     plans reproduces golden digests (success, failure text, IT steps,
@@ -12,6 +12,8 @@
 //     lives in this file, scaled by ticksPerNs, also where tick rounding
 //     makes the fixpoint take more rounds than the graph has nodes, and
 //     detects the same infeasible recurrences;
+//   - the ALAP priorities, relaxed in decreasing edge order, equal the
+//     increasing-order Bellman-Ford rounds kept here as the oracle;
 //   - a plan with no tick grid is handled at every entry point: the
 //     driver refuses the IT step (warm and cold alike, counted in the
 //     FallbackRational ledger), the scheduler and the validator report
@@ -29,11 +31,15 @@
 #include "profiling/Profiler.h"
 #include "sched/PseudoScheduler.h"
 #include "sched/TickGraph.h"
+#include "support/RNG.h"
 #include "workloads/SyntheticLoops.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 using namespace hcvliw;
 
@@ -383,6 +389,136 @@ TEST(TickDomain, AsapInfeasibilityAgrees) {
               rationalAsapOracle(PG, *Plan).has_value())
         << "IT " << IT;
   }
+}
+
+/// The scheduler's ALAP priorities as it computed them before the
+/// one-sweep edge order: Bellman-Ford rounds over the edges in
+/// increasing index, from every node at the ASAP horizon, capped at the
+/// node count. Returns the rounds run.
+unsigned increasingOrderAlapOracle(const TickGraph &T,
+                                   const std::vector<int64_t> &Asap,
+                                   std::vector<int64_t> &Alap) {
+  const PartitionedGraph &PG = T.graph();
+  unsigned N = PG.size();
+  int64_t Horizon = 0;
+  for (unsigned I = 0; I < N; ++I)
+    Horizon = std::max(Horizon, Asap[I]);
+  Alap.assign(N, Horizon);
+  unsigned Rounds = 0;
+  for (unsigned Round = 0; Round < N; ++Round) {
+    ++Rounds;
+    bool Changed = false;
+    for (unsigned EIx = 0; EIx < PG.edges().size(); ++EIx) {
+      const PGEdge &E = PG.edge(EIx);
+      int64_t Limit =
+          Alap[E.Dst] + T.edgeDistTicks(EIx) - T.edgeLatTicks(EIx);
+      if (Limit < Alap[E.Src]) {
+        Alap[E.Src] = Limit;
+        Changed = true;
+      }
+    }
+    if (!Changed)
+      break;
+  }
+  return Rounds;
+}
+
+/// Rounds taken by the ALAP fixpoint and its oracle over one batch.
+struct AlapRounds {
+  unsigned Cases = 0, MaxSweep = 0, MaxOracle = 0;
+};
+
+/// Partitions \p L round-robin in blocks of \p Block nodes over four
+/// clusters, lowers it at the first IT (from \p FirstIT in 1/2 ns
+/// steps) whose ASAP fixpoint exists under \p C, and checks the ALAP
+/// fixpoint against the increasing-order oracle, also on a copy of the
+/// graph whose edges are listed in a shuffled order (\p Shuffled).
+void checkAlapAgainstOracle(const Loop &L, const MachineDescription &M,
+                            const HeteroConfig &C, unsigned Block,
+                            int64_t FirstIT, RNG &Rng, AlapRounds &R,
+                            AlapRounds &Shuffled) {
+  DDG G = DDG::build(L);
+  Partition P = Partition::allInCluster(G.size(), 0);
+  for (unsigned N = 0; N < G.size(); ++N)
+    P.ClusterOf[N] = (N / Block) % 4;
+  PartitionedGraph PG = PartitionedGraph::build(L, G, M.Isa, P, 4, 1);
+  DomainPlanner Planner(M, C, FrequencyMenu::continuous());
+  for (int64_t Half = 2 * FirstIT; Half <= 2 * FirstIT + 400; ++Half) {
+    auto Plan = Planner.planForIT(Rational(Half, 2));
+    if (!Plan)
+      continue;
+    auto T = TickGraph::build(PG, *Plan);
+    ASSERT_TRUE(T.has_value());
+    std::vector<int64_t> Asap, Alap, Oracle;
+    if (!T->computeAsapTicksInto(Asap))
+      continue;
+    unsigned Sweep = T->computeAlapTicksInto(Asap, Alap);
+    unsigned OracleRounds = increasingOrderAlapOracle(*T, Asap, Oracle);
+    EXPECT_EQ(Alap, Oracle) << L.Name << " IT " << Half << "/2";
+    ++R.Cases;
+    R.MaxSweep = std::max(R.MaxSweep, Sweep);
+    R.MaxOracle = std::max(R.MaxOracle, OracleRounds);
+
+    // The same graph with its edges in another order: the fixpoints
+    // do not depend on it, only the rounds do.
+    std::vector<PGNode> Nodes;
+    for (unsigned N = 0; N < PG.size(); ++N)
+      Nodes.push_back(PG.node(N));
+    std::vector<PGEdge> Edges = PG.edges();
+    Rng.shuffle(Edges);
+    PartitionedGraph Mixed =
+        PartitionedGraph::fromRaw(PG.numClusters(), Nodes, Edges);
+    auto TM = TickGraph::build(Mixed, *Plan);
+    ASSERT_TRUE(TM.has_value());
+    std::vector<int64_t> MixedAsap, MixedAlap, MixedOracle;
+    ASSERT_TRUE(TM->computeAsapTicksInto(MixedAsap));
+    EXPECT_EQ(MixedAsap, Asap) << L.Name;
+    Sweep = TM->computeAlapTicksInto(MixedAsap, MixedAlap);
+    OracleRounds = increasingOrderAlapOracle(*TM, MixedAsap, MixedOracle);
+    EXPECT_EQ(MixedAlap, Oracle) << L.Name << " shuffled";
+    EXPECT_EQ(MixedOracle, Oracle) << L.Name << " shuffled";
+    ++Shuffled.Cases;
+    Shuffled.MaxSweep = std::max(Shuffled.MaxSweep, Sweep);
+    Shuffled.MaxOracle = std::max(Shuffled.MaxOracle, OracleRounds);
+    return;
+  }
+  ADD_FAILURE() << L.Name << ": no IT with an ASAP fixpoint";
+}
+
+// The ALAP priorities, relaxed over the edges in decreasing index, are
+// the greatest fixpoint the increasing-order rounds reach, on random
+// loops under every test plan and on 256- and 768-op unrolled bodies,
+// and stay so when the graph lists its edges in a shuffled order.
+TEST(TickDomain, AlapMatchesIncreasingOrderOracle) {
+  MachineDescription M = MachineDescription::paperDefault();
+  AlapRounds Random, Unrolled, Shuffled;
+  RNG Mix(0xa1a9);
+  for (int Seed = 0; Seed < 50; ++Seed) {
+    RNG Rng(static_cast<uint64_t>(Seed) * 104729 + 7);
+    RandomLoopParams Params;
+    Params.MinOps = 6;
+    Params.MaxOps = 40;
+    Loop L = makeRandomLoop(Rng, Params, "alap" + std::to_string(Seed));
+    for (unsigned Kind = 0; Kind < 4; ++Kind)
+      for (unsigned Block : {1u, 4u})
+        checkAlapAgainstOracle(L, M, configFor(M, Kind), Block, 4, Mix,
+                               Random, Shuffled);
+  }
+  for (unsigned Ops : {256u, 768u}) {
+    Loop L = makeUnrolledKernelLoop("alap_unrolled" + std::to_string(Ops),
+                                    Ops);
+    for (unsigned Kind = 0; Kind < 2; ++Kind)
+      checkAlapAgainstOracle(L, M, configFor(M, Kind), Ops / 4, Ops / 16,
+                             Mix, Unrolled, Shuffled);
+  }
+  EXPECT_EQ(Random.Cases, 400u);
+  EXPECT_EQ(Unrolled.Cases, 4u);
+  EXPECT_EQ(Shuffled.Cases, 404u);
+  std::printf("ALAP rounds, most per call: random loops %u (oracle %u), "
+              "unrolled bodies %u (oracle %u), shuffled edges %u "
+              "(oracle %u)\n",
+              Random.MaxSweep, Random.MaxOracle, Unrolled.MaxSweep,
+              Unrolled.MaxOracle, Shuffled.MaxSweep, Shuffled.MaxOracle);
 }
 
 /// A 12-op loop on cluster 0 and a plan perturbed onto two coprime
