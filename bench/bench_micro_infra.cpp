@@ -36,7 +36,7 @@ static void BM_RecMII(benchmark::State &State) {
   MachineDescription M = MachineDescription::paperDefault();
   auto Lat = M.Isa.nodeLatencies(L);
   for (auto _ : State)
-    benchmark::DoNotOptimize(computeRecMII(G, Lat));
+    benchmark::DoNotOptimize(analyzeRecurrences(G, Lat).RecMII);
 }
 BENCHMARK(BM_RecMII)->Arg(16)->Arg(48)->Arg(96);
 
@@ -45,7 +45,7 @@ static void BM_MinDist(benchmark::State &State) {
   DDG G = DDG::build(L);
   MachineDescription M = MachineDescription::paperDefault();
   auto Lat = M.Isa.nodeLatencies(L);
-  int64_t II = std::max<int64_t>(1, computeRecMII(G, Lat));
+  int64_t II = std::max<int64_t>(1, analyzeRecurrences(G, Lat).RecMII);
   for (auto _ : State)
     benchmark::DoNotOptimize(MinDistMatrix::compute(G, Lat, II));
 }
@@ -56,7 +56,7 @@ static void BM_EdgeSlack(benchmark::State &State) {
   DDG G = DDG::build(L);
   MachineDescription M = MachineDescription::paperDefault();
   auto Lat = M.Isa.nodeLatencies(L);
-  int64_t II = std::max<int64_t>(1, computeRecMII(G, Lat));
+  int64_t II = std::max<int64_t>(1, analyzeRecurrences(G, Lat).RecMII);
   LongestPathScratch Paths;
   std::vector<int64_t> Slack;
   for (auto _ : State) {

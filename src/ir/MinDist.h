@@ -9,15 +9,22 @@
 /// One kernel computes it: a single-source longest path per source node
 /// over the SCC condensation of the DDG, walked in topological order.
 /// An acyclic component takes one relaxation; a recurrence is relaxed
-/// to its fixpoint, which at II >= recMII takes at most |C| rounds. A
-/// component still changing after |C| rounds holds a positive cycle,
-/// i.e. II is below recMII, and the kernel throws
-/// std::invalid_argument. Two views are built on it:
+/// to its fixpoint by the kernel's one relaxation routine, which
+/// settles within |C| - 1 rounds exactly when the component holds no
+/// positive cycle. A change in round |C| proves a positive cycle. Three
+/// views are built on it:
 ///
+///   - analyzeRecurrences: each recurrence's recMII, the least II at
+///     which the relaxation from all-zero starts settles (binary
+///     search over [1, the recurrence's latency sum]).
 ///   - computeEdgeSlack: the coarsening slack of every DDG edge, the
 ///     only thing the partitioner reads. It stops each source's walk at
 ///     the last component it needs, so it never touches N^2 storage.
 ///   - MinDistMatrix: the dense N x N view, for tests and benchmarks.
+///
+/// The slack and dense walks throw std::invalid_argument when II is
+/// below recMII. Every entry point throws std::invalid_argument when
+/// the latency vector does not have one entry per DDG node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +58,14 @@ struct LongestPathScratch {
   std::vector<uint64_t> Reached;  ///< bitset of components to visit
   std::vector<unsigned> Visited;  ///< components the walk visited
 };
+
+/// analyzeRecurrences on \p Scratch's buffers, which owners that
+/// analyze loop after loop keep. Node latencies must be >= 1 (IsaTable
+/// enforces it): every cycle then needs II >= 1, and II = the latency
+/// sum of a recurrence's arcs always suffices.
+RecurrenceInfo analyzeRecurrences(const DDG &G,
+                                  const std::vector<unsigned> &NodeLatency,
+                                  LongestPathScratch &Scratch);
 
 /// The coarsening slack of every DDG edge at \p II (callers pass
 /// max(recMII, 1)): for edge e = (s -> d),

@@ -1,57 +1,14 @@
 //===- ir/RecurrenceAnalysis.cpp - Recurrences and recMII ------------------===//
 
 #include "ir/RecurrenceAnalysis.h"
-#include "support/Graph.h"
+#include "ir/MinDist.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 using namespace hcvliw;
-
-// True iff some cycle of Edges has positive weight under latency - II*dist.
-static bool
-positiveCycleAt(int64_t II, unsigned NumNodes,
-                const std::vector<DDG::Edge> &Edges,
-                const std::vector<unsigned> &NodeLatency) {
-  std::vector<WeightedEdge<int64_t>> W;
-  W.reserve(Edges.size());
-  for (const auto &E : Edges)
-    W.push_back({E.Src, E.Dst,
-                 static_cast<int64_t>(edgeLatency(E, NodeLatency)) -
-                     II * static_cast<int64_t>(E.Distance)});
-  return hasPositiveCycle<int64_t>(NumNodes, W);
-}
-
-// recMII of an edge subset over NumNodes nodes (node ids must be dense).
-static int64_t recMIIOfEdges(unsigned NumNodes,
-                             const std::vector<DDG::Edge> &Edges,
-                             const std::vector<unsigned> &NodeLatency) {
-  if (Edges.empty())
-    return 0;
-  int64_t SumLat = 0;
-  for (const auto &E : Edges)
-    SumLat += edgeLatency(E, NodeLatency);
-  if (!positiveCycleAt(0, NumNodes, Edges, NodeLatency))
-    return 0; // acyclic (or only non-positive cycles)
-
-  // Binary search the least II in [1, SumLat] with no positive cycle.
-  // Any cycle has distance >= 1, so II = SumLat is always sufficient.
-  int64_t Lo = 1, Hi = SumLat;
-  while (Lo < Hi) {
-    int64_t Mid = Lo + (Hi - Lo) / 2;
-    if (positiveCycleAt(Mid, NumNodes, Edges, NodeLatency))
-      Lo = Mid + 1;
-    else
-      Hi = Mid;
-  }
-  return Lo;
-}
-
-int64_t hcvliw::computeRecMII(const DDG &G,
-                              const std::vector<unsigned> &NodeLatency) {
-  return recMIIOfEdges(G.size(), G.edges(), NodeLatency);
-}
 
 void hcvliw::computeComponents(const DDG &G, DDGComponents &C) {
   constexpr unsigned Unset = ~0u;
@@ -131,67 +88,17 @@ void hcvliw::computeComponents(const DDG &G, DDGComponents &C) {
 RecurrenceInfo
 hcvliw::analyzeRecurrences(const DDG &G,
                            const std::vector<unsigned> &NodeLatency) {
-  assert(NodeLatency.size() == G.size() && "latency vector size mismatch");
-  RecurrenceInfo Info;
-  Info.RecurrenceOf.assign(G.size(), -1);
-
-  DDGComponents SCC;
-  computeComponents(G, SCC);
-  const std::vector<unsigned> &Start = SCC.Start, &Members = SCC.Members;
-  std::vector<int> Local(G.size(), -1);
-  for (unsigned C = 0; C < SCC.count(); ++C) {
-    if (!SCC.Cyclic[C])
-      continue;
-    std::vector<unsigned> Nodes(Members.begin() + Start[C],
-                                Members.begin() + Start[C + 1]);
-
-    // Re-index the SCC's nodes densely and collect internal edges.
-    for (unsigned I = 0; I < Nodes.size(); ++I)
-      Local[Nodes[I]] = static_cast<int>(I);
-    std::vector<DDG::Edge> Internal;
-    std::vector<unsigned> LocalLat(Nodes.size());
-    for (unsigned I = 0; I < Nodes.size(); ++I)
-      LocalLat[I] = NodeLatency[Nodes[I]];
-    for (unsigned N : Nodes)
-      for (unsigned EIx : G.outEdges(N)) {
-        const DDG::Edge &E = G.edge(EIx);
-        if (Local[E.Dst] < 0)
-          continue;
-        Internal.push_back({static_cast<unsigned>(Local[E.Src]),
-                            static_cast<unsigned>(Local[E.Dst]), E.Distance,
-                            E.Kind});
-      }
-    for (unsigned N : Nodes)
-      Local[N] = -1;
-
-    Recurrence R;
-    R.Nodes = std::move(Nodes);
-    R.RecMII = recMIIOfEdges(static_cast<unsigned>(R.Nodes.size()),
-                             Internal, LocalLat);
-    assert(R.RecMII >= 1 && "SCC with a cycle must have recMII >= 1");
-    Info.Recurrences.push_back(std::move(R));
-  }
-
-  // Sort recurrences by criticality (descending recMII) and fill the
-  // per-node map afterwards so ids match the sorted order.
-  std::sort(Info.Recurrences.begin(), Info.Recurrences.end(),
-            [](const Recurrence &A, const Recurrence &B) {
-              if (A.RecMII != B.RecMII)
-                return A.RecMII > B.RecMII;
-              return A.Nodes.front() < B.Nodes.front();
-            });
-  for (unsigned R = 0; R < Info.Recurrences.size(); ++R)
-    for (unsigned N : Info.Recurrences[R].Nodes)
-      Info.RecurrenceOf[N] = static_cast<int>(R);
-  for (const auto &R : Info.Recurrences)
-    Info.RecMII = std::max(Info.RecMII, R.RecMII);
-  return Info;
+  LongestPathScratch Scratch;
+  return analyzeRecurrences(G, NodeLatency, Scratch);
 }
 
 std::vector<LoopComponent>
 hcvliw::computeLoopComponents(const Loop &L, const DDG &G,
                               const RecurrenceInfo &Recs) {
-  assert(G.size() == L.size() && "DDG of another loop");
+  if (G.size() != L.size())
+    throw std::invalid_argument(
+        "computeLoopComponents: a " + std::to_string(G.size()) +
+        "-node DDG for a " + std::to_string(L.size()) + "-op loop");
   // Union-find over the edges, ignoring direction. Every link points to
   // a lower node (a union hangs the higher root under the lower), so a
   // set's root is its lowest node.

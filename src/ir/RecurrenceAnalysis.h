@@ -13,6 +13,12 @@
 /// (Section 4.1.1) pre-places the most critical recurrences in the
 /// slowest cluster whose II still accommodates them.
 ///
+/// This file owns the SCCs themselves (computeComponents, straight on
+/// the DDG's CSR) and the weakly-connected components. Each
+/// recurrence's recMII is a binary search over II on the longest-path
+/// kernel of ir/MinDist, the same relaxation that computes the
+/// coarsening slack.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HCVLIW_IR_RECURRENCEANALYSIS_H
@@ -40,7 +46,11 @@ struct RecurrenceInfo {
   std::vector<int> RecurrenceOf;
 };
 
-/// Analyzes \p G with per-node latencies \p NodeLatency (cycles).
+/// Analyzes \p G with per-node latencies \p NodeLatency (cycles, one
+/// per node, each >= 1). The recMII comes from the longest-path kernel
+/// (ir/MinDist), whose overload also takes caller-owned buffers; this
+/// form allocates its own. Throws std::invalid_argument when
+/// \p NodeLatency does not have one entry per node.
 RecurrenceInfo analyzeRecurrences(const DDG &G,
                                   const std::vector<unsigned> &NodeLatency);
 
@@ -56,7 +66,8 @@ struct LoopComponent {
 /// The weakly-connected components of \p G, the DDG of \p L, ordered
 /// by their lowest node id: each with its per-FUKind op counts and the
 /// largest recMII of a recurrence of \p Recs inside it. A pure function
-/// of (loop, node latencies), like \p Recs itself.
+/// of (loop, node latencies), like \p Recs itself. Throws
+/// std::invalid_argument when \p G has not one node per op of \p L.
 std::vector<LoopComponent> computeLoopComponents(const Loop &L, const DDG &G,
                                                  const RecurrenceInfo &Recs);
 
@@ -84,11 +95,6 @@ struct DDGComponents {
 /// Fills \p C with the SCCs of \p G, straight on its CSR (iterative
 /// Tarjan).
 void computeComponents(const DDG &G, DDGComponents &C);
-
-/// Minimum integer II such that the *whole graph* (restricted to the
-/// given nodes, or all nodes when empty) has no positive cycle under
-/// weights latency(e) - II * distance(e). Returns 0 for acyclic graphs.
-int64_t computeRecMII(const DDG &G, const std::vector<unsigned> &NodeLatency);
 
 } // namespace hcvliw
 

@@ -2,7 +2,7 @@
 
 #include "machine/IsaTable.h"
 
-#include <cassert>
+#include <stdexcept>
 
 using namespace hcvliw;
 
@@ -28,8 +28,12 @@ LatencyEnergy IsaTable::get(Opcode Op) const {
 }
 
 void IsaTable::set(OpCategory Cat, bool IsFloat, LatencyEnergy LE) {
-  assert(Cat != OpCategory::Copy && "copy latency is fixed");
-  assert(LE.Latency >= 1 && "zero-latency operations unsupported");
+  // The recMII search relies on every latency being >= 1.
+  if (Cat == OpCategory::Copy)
+    throw std::invalid_argument("IsaTable::set: copy latency is fixed");
+  if (LE.Latency == 0)
+    throw std::invalid_argument(
+        "IsaTable::set: zero-latency operations unsupported");
   Table[static_cast<unsigned>(Cat)][IsFloat ? 1 : 0] = LE;
 }
 

@@ -40,6 +40,8 @@ public:
   unsigned latency(Opcode Op) const { return get(Op).Latency; }
   double energy(Opcode Op) const { return get(Op).Energy; }
 
+  /// Overrides one Table 1 entry. Throws std::invalid_argument for
+  /// OpCategory::Copy (its latency is fixed) and for a zero latency.
   void set(OpCategory Cat, bool IsFloat, LatencyEnergy LE);
 
   /// Latency of every operation of \p L, in program order; the vector

@@ -106,7 +106,7 @@ LoopScheduler::schedule(const Loop &L, const EnergyModel *Energy,
     Slot.Valid = false;
     Slot.Fp = Fp;
     Slot.Lat = S.Lat;
-    Slot.Recs = analyzeRecurrences(S.G, S.Lat);
+    Slot.Recs = analyzeRecurrences(S.G, S.Lat, S.Paths);
     computeEdgeSlack(Slot.EdgeSlack, S.G, S.Lat,
                      std::max<int64_t>(Slot.Recs.RecMII, 1), S.Paths);
     Slot.Components = computeLoopComponents(L, S.G, Slot.Recs);

@@ -266,6 +266,51 @@ endloop
   EXPECT_NO_THROW(MinDistMatrix::compute(A.G, A.Lat, 3));
 }
 
+TEST(MinDist, EntryPointsRejectMismatchedSizesInEveryBuild) {
+  // Two recurrences and a tail; every ir entry point that indexes the
+  // latency vector by node, or the loop by DDG node, must refuse a
+  // vector or loop of another size instead of reading past it.
+  Analyzed A = analyze(R"(
+loop t trip=8
+  arrays O P
+  a = fadd a@1 #1 init=0
+  b = fmul b@1 #2 init=1
+  store O a
+  store P b
+endloop
+)");
+  std::vector<unsigned> Short(A.Lat.begin(), A.Lat.end() - 1);
+  std::vector<unsigned> Long = A.Lat;
+  Long.push_back(1);
+  LongestPathScratch Paths;
+  std::vector<int64_t> Slack;
+  MinDistMatrix M;
+  for (const std::vector<unsigned> *Lat : {&Short, &Long}) {
+    EXPECT_THROW(analyzeRecurrences(A.G, *Lat), std::invalid_argument);
+    EXPECT_THROW(analyzeRecurrences(A.G, *Lat, Paths), std::invalid_argument);
+    EXPECT_THROW(computeEdgeSlack(Slack, A.G, *Lat, 6, Paths),
+                 std::invalid_argument);
+    EXPECT_THROW(MinDistMatrix::computeInto(M, A.G, *Lat, 6),
+                 std::invalid_argument);
+  }
+  Loop Other = parseSingleLoop(R"(
+loop u trip=4
+  arrays O
+  x = fadd x@1 #1 init=0
+  store O x
+endloop
+)");
+  EXPECT_THROW(computeLoopComponents(Other, A.G, A.Recs),
+               std::invalid_argument);
+
+  // The scratch is still good after the refusals.
+  RecurrenceInfo Again = analyzeRecurrences(A.G, A.Lat, Paths);
+  EXPECT_EQ(Again.RecMII, 6);
+  EXPECT_EQ(Again.RecurrenceOf, A.Recs.RecurrenceOf);
+  EXPECT_NO_THROW(computeEdgeSlack(Slack, A.G, A.Lat, 6, Paths));
+  EXPECT_EQ(computeLoopComponents(A.L, A.G, A.Recs).size(), 2u);
+}
+
 TEST(MinDist, SlackShrinksAlongCriticalPath) {
   Analyzed A = analyze(R"(
 loop t trip=4

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace hcvliw;
 
 namespace {
@@ -44,6 +46,20 @@ TEST(IsaTable, SetOverrides) {
   EXPECT_DOUBLE_EQ(T.energy(Opcode::FSub), 1.3);
   // INT arithmetic unaffected.
   EXPECT_EQ(T.latency(Opcode::IntAdd), 1u);
+}
+
+TEST(IsaTable, SetRejectsCopyAndZeroLatencyInEveryBuild) {
+  IsaTable T;
+  EXPECT_THROW(T.set(OpCategory::Copy, /*IsFloat=*/false, {2, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(T.set(OpCategory::Arith, /*IsFloat=*/true, {0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(T.set(OpCategory::Div, /*IsFloat=*/false, {0, 1.4}),
+               std::invalid_argument);
+  // A rejected set leaves the table as it was.
+  EXPECT_EQ(T.latency(Opcode::FAdd), 3u);
+  EXPECT_EQ(T.latency(Opcode::IntDiv), 6u);
+  EXPECT_EQ(T.latency(Opcode::Copy), 1u);
 }
 
 TEST(Machine, PaperDefaultShape) {
